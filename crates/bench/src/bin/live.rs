@@ -36,7 +36,9 @@
 //! With `--compact <fan_in>` the single-writer daemons compact on the
 //! fly: every rotation merges ripe runs of `fan_in` adjacent sealed
 //! segments into generation-tagged segments
-//! ([`nfstrace_store::Compactor`]), cascading up the generations. The
+//! ([`nfstrace_store::Compactor`]), cascading up the generations —
+//! by relocating verified chunks, which the bin asserts
+//! (`store.compaction_chunks_relocated > 0`, `…_rewritten == 0`). The
 //! suite over the compacted catalogs must stay byte-identical, the bin
 //! asserts the footer-pruning query planner dismisses whole segments
 //! on a windowed query (`store.segments_pruned > 0`) while decoding
@@ -514,6 +516,20 @@ fn main() {
             );
             let compactions = registry.counter("store.compactions").value();
             assert!(compactions > 0, "store.compactions never fired");
+            // Every segment here was sealed in the ingest's own store
+            // format, so every merge moved verified chunks and none
+            // re-encoded a record.
+            let relocated = registry
+                .counter("store.compaction_chunks_relocated")
+                .value();
+            let rewritten = registry
+                .counter("store.compaction_chunks_rewritten")
+                .value();
+            assert!(
+                relocated > 0 && rewritten == 0,
+                "same-version catalog must compact by relocation: \
+                 {relocated} chunks relocated, {rewritten} rewritten"
+            );
 
             // The planner acceptance: a one-day window over the 8-day
             // catalog must dismiss whole segments by footer time range
@@ -544,7 +560,7 @@ fn main() {
             drop(full);
             eprintln!(
                 "  compaction: campus catalog {} segments (max generation {max_gen}), \
-                 {compactions} compactions; day window decoded {window_decodes}/{full_decodes} \
+                 {compactions} compactions relocating {relocated} chunks; day window decoded {window_decodes}/{full_decodes} \
                  chunks, pruned {window_pruned} segments",
                 catalog.len(),
             );

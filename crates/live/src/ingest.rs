@@ -42,7 +42,11 @@ pub struct LiveConfig {
     /// ([`nfstrace_store::compact`]), keeping an archive-scale catalog
     /// from growing into thousands of tiny files. The hot tail, the
     /// running products, and every byte a view or the suite produces
-    /// are untouched — compaction only re-houses sealed records.
+    /// are untouched — compaction only re-houses sealed chunks: each
+    /// is checksum-verified and moved as it is, keeping its boundaries
+    /// and file filter, so the cost at rotation is bytes copied, not
+    /// records re-encoded (only segments sealed under another store
+    /// format version are decoded and rewritten).
     /// `None` (the default) never compacts. Shards of a
     /// [`crate::ShardedLiveIngest`] inherit the policy, each
     /// compacting its own chain.

@@ -14,6 +14,10 @@ pub const MAGIC_USEC_SWAPPED: u32 = 0xd4c3b2a1;
 /// LINKTYPE_ETHERNET.
 pub const LINKTYPE_ETHERNET: u32 = 1;
 
+/// Largest per-packet captured length a reader accepts from a file
+/// whose snap length is smaller (tcpdump's historical maximum).
+const MAX_LENIENT_INCL_LEN: u32 = 65_535;
+
 /// The fixed 24-byte global header of a pcap file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcapHeader {
@@ -172,7 +176,10 @@ impl<R: Read> PcapReader<R> {
     ///
     /// # Errors
     ///
-    /// I/O errors, including truncation mid-record.
+    /// I/O errors, including truncation mid-record, or
+    /// [`Error::Unsupported`] for a record header claiming more
+    /// captured bytes than `max(snaplen, 65 535)` — rejected before
+    /// anything is allocated for it.
     pub fn read_packet(&mut self) -> Result<Option<CapturedPacket>> {
         let mut rec = [0u8; 16];
         match self.inner.read_exact(&mut rec) {
@@ -190,9 +197,18 @@ impl<R: Read> PcapReader<R> {
         };
         let secs = u64::from(rd32(&rec[0..4]));
         let usecs = u64::from(rd32(&rec[4..8]));
-        let incl = rd32(&rec[8..12]) as usize;
+        let incl = rd32(&rec[8..12]);
         let orig_len = rd32(&rec[12..16]);
-        let mut data = vec![0u8; incl];
+        // The length is the file's claim: bound it before allocating.
+        // A global header may understate the snap length (or leave it
+        // 0), so lengths up to the classic 65 535-byte maximum pass.
+        if incl > self.header.snaplen.max(MAX_LENIENT_INCL_LEN) {
+            return Err(Error::Unsupported {
+                what: "pcap record captured length",
+                value: incl,
+            });
+        }
+        let mut data = vec![0u8; incl as usize];
         self.inner.read_exact(&mut data)?;
         Ok(Some(CapturedPacket {
             timestamp_micros: secs * 1_000_000 + usecs,
@@ -294,6 +310,49 @@ mod tests {
         let p = r.read_packet().unwrap().unwrap();
         assert_eq!(p.timestamp_micros, 3_000_007);
         assert_eq!(p.data, vec![0xaa, 0xbb]);
+    }
+
+    /// A 16-byte record header must not be able to demand a 4 GiB
+    /// buffer: the claimed length is rejected before allocation, in
+    /// either byte order, while lengths up to the lenient cap pass the
+    /// check (and then fail as plain truncation).
+    #[test]
+    fn oversized_captured_length_is_rejected_before_allocating() {
+        for big_endian in [false, true] {
+            let w32 = |v: u32| {
+                if big_endian {
+                    v.to_be_bytes()
+                } else {
+                    v.to_le_bytes()
+                }
+            };
+            let file = |incl: u32| {
+                let mut buf = Vec::new();
+                buf.extend_from_slice(&w32(MAGIC_USEC));
+                buf.extend_from_slice(&[0; 12]); // version, zone, sigfigs
+                buf.extend_from_slice(&w32(9216));
+                buf.extend_from_slice(&w32(LINKTYPE_ETHERNET));
+                for v in [1, 2, incl, incl] {
+                    buf.extend_from_slice(&w32(v));
+                }
+                buf
+            };
+            for incl in [u32::MAX, MAX_LENIENT_INCL_LEN + 1] {
+                let buf = file(incl);
+                let mut r = PcapReader::new(&buf[..]).unwrap();
+                assert_eq!(r.header.snaplen, 9216);
+                assert!(
+                    matches!(
+                        r.read_packet(),
+                        Err(Error::Unsupported { value, .. }) if value == incl
+                    ),
+                    "incl_len {incl}, big_endian {big_endian}"
+                );
+            }
+            let buf = file(MAX_LENIENT_INCL_LEN);
+            let mut r = PcapReader::new(&buf[..]).unwrap();
+            assert!(matches!(r.read_packet(), Err(Error::Io(_))));
+        }
     }
 
     #[test]

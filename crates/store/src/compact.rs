@@ -13,15 +13,35 @@
 //! # Compaction
 //!
 //! [`CompactionPolicy`] picks the first contiguous run of `fan_in`
-//! same-generation segments; [`Compactor::compact`] streams their
-//! records — in catalog order, which **is** the k-way time merge,
-//! because adjacent segments' time ranges follow each other and
-//! concatenation preserves arrival order for equal timestamps where a
-//! timestamp re-sort would not — through a fresh [`StoreWriter`] into
-//! one output segment. Rewriting through the writer recomputes the
-//! adaptive per-chunk [`crate::format::FileIdFilter`]s and footer time
-//! ranges for the merged record population for free. Arrival-sequence
-//! sidecars ([`crate::seqfile`]) concatenate the same way.
+//! same-generation segments; [`Compactor::compact`] concatenates them
+//! — in catalog order, which **is** the k-way time merge, because
+//! adjacent segments' time ranges follow each other and concatenation
+//! preserves arrival order for equal timestamps where a timestamp
+//! re-sort would not — into one output segment.
+//!
+//! The unit of that concatenation is the **chunk**, not the record.
+//! Since the sources are time-consecutive, a source chunk's stored
+//! bytes and its footer entry (record count, time range, checksum,
+//! [`crate::format::FileIdFilter`]) are valid verbatim in the output;
+//! only `offset` changes. So each chunk is read raw and verified
+//! against its footer checksum ([`StoreReader::read_chunk_verified`]),
+//! then appended as it is ([`StoreWriter::append_chunk`]): nothing is
+//! decoded, re-interned, re-compressed or re-filtered, and a corrupt
+//! source fails the pass before the commit point instead of being
+//! blessed by a fresh footer. A compacted segment therefore keeps its
+//! sources' chunk boundaries and filters — chunks may sit below
+//! [`StoreConfig::target_chunk_bytes`], exactly as they did in the
+//! separate files they came from — and write amplification is bytes
+//! copied, not records re-encoded.
+//!
+//! A source written in a format version other than the output's cannot
+//! be moved (v1 has no checksum to verify; a v2 footer entry is not a
+//! v3 one): its chunks are decoded and pushed through the writer,
+//! which re-chunks them and builds their filters afresh. Which path a
+//! source takes is a property of the input, never a setting;
+//! `store.compaction_chunks_relocated` and
+//! `store.compaction_chunks_rewritten` count both. Arrival-sequence
+//! sidecars ([`crate::seqfile`]) concatenate alongside either way.
 //!
 //! # Crash safety
 //!
@@ -51,6 +71,7 @@
 //! byte-identical to never having retired at all.
 
 use crate::error::{Result, StoreError};
+use crate::format::StoreVersion;
 use crate::reader::StoreReader;
 use crate::segments::{SegmentCatalog, SegmentId};
 use crate::seqfile;
@@ -185,23 +206,31 @@ pub struct CompactionOutcome {
 }
 
 /// The background merge engine: applies a [`CompactionPolicy`] to a
-/// [`SegmentCatalog`], counting passes into `store.compactions`.
+/// [`SegmentCatalog`], counting passes into `store.compactions` and
+/// the source chunks they moved or re-encoded into
+/// `store.compaction_chunks_relocated` / `…_rewritten`.
 #[derive(Debug)]
 pub struct Compactor {
     policy: CompactionPolicy,
     config: StoreConfig,
     compactions: Counter,
+    chunks_relocated: Counter,
+    chunks_rewritten: Counter,
 }
 
 impl Compactor {
-    /// A compactor writing outputs with `config` (use the same config
-    /// as the ingest so chunk sizing stays uniform) and counting into
-    /// `registry`.
+    /// A compactor writing outputs in `config.version` and counting
+    /// into `registry`. Use the ingest's config: sources of that
+    /// version are relocated chunk by chunk, boundaries and filters
+    /// intact, and `config`'s chunk sizing and compression apply only
+    /// to sources of another version, which are re-encoded.
     pub fn new(policy: CompactionPolicy, config: StoreConfig, registry: &Registry) -> Self {
         Compactor {
             policy,
             config,
             compactions: registry.counter("store.compactions"),
+            chunks_relocated: registry.counter("store.compaction_chunks_relocated"),
+            chunks_rewritten: registry.counter("store.compaction_chunks_rewritten"),
         }
     }
 
@@ -215,17 +244,20 @@ impl Compactor {
     /// success the sources are gone from disk and `catalog`, replaced
     /// by the sealed output.
     ///
-    /// The merge decodes and rewrites through private registries so a
+    /// The merge reads and writes through private registries so a
     /// shared pipeline registry's `store.*` read/write counters keep
     /// describing the query workload, not maintenance; only
-    /// `store.compactions` is reported.
+    /// `store.compactions` and the two `store.compaction_chunks_*`
+    /// counters are reported, once the pass has committed.
     ///
     /// # Errors
     ///
     /// On I/O failure, an injected fault (the simulated kill — the
     /// directory is then mid-protocol by design and the next
     /// [`SegmentCatalog::open_and_sweep`] resolves it), corrupt source
-    /// bytes, or sources where some but not all segments have
+    /// bytes (a chunk failing its checksum is a [`StoreError::Format`]
+    /// before the commit point: sources and catalog stay as they
+    /// were), or sources where some but not all segments have
     /// arrival-sequence sidecars ([`StoreError::Sidecar`] — a tracked
     /// catalog can never be half-tracked, so that is corruption, not a
     /// state to guess through).
@@ -286,11 +318,27 @@ impl Compactor {
         let tmp = tmp_path(&dest);
         fault.step()?;
         let mut writer = StoreWriter::create(&tmp, self.config)?;
+        let (mut relocated, mut rewritten) = (0u64, 0u64);
         for path in &paths {
             let reader = StoreReader::open(path)?;
-            for ci in 0..reader.chunk_count() {
-                for record in reader.read_chunk(ci)? {
-                    writer.push(&record)?;
+            // A source's stored chunks and footer entries are valid
+            // verbatim in the output iff it was written in the output's
+            // format and carries the checksums that let the move be
+            // verified (v1 has none).
+            let relocate =
+                reader.version() == self.config.version && reader.version() != StoreVersion::V1;
+            let chunks = 0..reader.chunk_count();
+            if relocate {
+                relocated += chunks.len() as u64;
+                for ci in chunks {
+                    writer.append_chunk(reader.read_chunk_verified(ci)?)?;
+                }
+            } else {
+                rewritten += chunks.len() as u64;
+                for ci in chunks {
+                    for record in reader.read_chunk(ci)? {
+                        writer.push(&record)?;
+                    }
                 }
             }
         }
@@ -309,6 +357,8 @@ impl Compactor {
         }
         let replaced = catalog.apply_compaction(output);
         self.compactions.inc();
+        self.chunks_relocated.add(relocated);
+        self.chunks_rewritten.add(rewritten);
         Ok(CompactionOutcome {
             output,
             replaced,
@@ -469,12 +519,23 @@ mod tests {
     /// Seals `per_seg`-record base segments 0..count into `dir`, with
     /// sidecars when `track`.
     fn seed_catalog(dir: &Path, count: u64, per_seg: u64, track: bool) -> SegmentCatalog {
+        seed_catalog_as(dir, count, per_seg, track, StoreConfig::default())
+    }
+
+    /// [`seed_catalog`] with the segments written under `config`.
+    fn seed_catalog_as(
+        dir: &Path,
+        count: u64,
+        per_seg: u64,
+        track: bool,
+        config: StoreConfig,
+    ) -> SegmentCatalog {
         let mut cat = SegmentCatalog::open(dir).expect("open");
         for s in 0..count {
             let ordinal = cat.next_ordinal();
             let dest = cat.path_for(ordinal);
             let tmp = tmp_path(&dest);
-            let mut w = StoreWriter::create(&tmp, StoreConfig::default()).expect("create");
+            let mut w = StoreWriter::create(&tmp, config).expect("create");
             let base = s * per_seg;
             for i in base..base + per_seg {
                 w.push(&record(i)).expect("push");
@@ -569,6 +630,9 @@ mod tests {
         let expect_seqs: Vec<u64> = (0..200).collect();
         assert_eq!(outcomes[0].seqs.as_deref(), Some(expect_seqs.as_slice()));
         assert_eq!(reg.counter("store.compactions").value(), 1);
+        // Same-version sources move chunk by chunk, none re-encoded.
+        assert_eq!(reg.counter("store.compaction_chunks_relocated").value(), 4);
+        assert_eq!(reg.counter("store.compaction_chunks_rewritten").value(), 0);
         // The merged segment carries the merged sidecar, the sources
         // are gone, and the record stream is unchanged.
         assert_eq!(cat.ids(), &[outcomes[0].output]);
@@ -581,6 +645,104 @@ mod tests {
         assert_eq!(reopened.ids(), cat.ids());
         assert_eq!(reopened.next_ordinal(), 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Relocation must not launder corruption: a flipped bit in a
+    /// source chunk fails the pass before the commit rename — no
+    /// output whose fresh footer would bless the bad bytes — and the
+    /// sources and catalog stay exactly as they were.
+    #[test]
+    fn a_corrupt_source_chunk_fails_compaction_before_the_commit_point() {
+        let dir = tmpdir("corrupt");
+        let mut cat = seed_catalog(&dir, 3, 50, true);
+        let ids_before = cat.ids().to_vec();
+        let victim = cat.path_for(1);
+        let mut bytes = std::fs::read(&victim).expect("read");
+        let chunk = StoreReader::open(&victim).expect("open").chunks()[0].clone();
+        bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x04;
+        std::fs::write(&victim, &bytes).expect("corrupt");
+
+        let reg = Registry::new();
+        let compactor =
+            Compactor::new(CompactionPolicy { fan_in: 3 }, StoreConfig::default(), &reg);
+        let output = compactor.policy().plan(cat.ids()).expect("plan");
+        let err = compactor
+            .compact(&mut cat, output, &mut FaultInjector::none())
+            .expect_err("corrupt source");
+        assert!(
+            matches!(&err, StoreError::Format(msg) if msg.contains("checksum mismatch")),
+            "{err}"
+        );
+        assert!(!cat.path_of(&output).exists(), "nothing was committed");
+        assert_eq!(cat.ids(), ids_before.as_slice());
+        for counter in [
+            "store.compactions",
+            "store.compaction_chunks_relocated",
+            "store.compaction_chunks_rewritten",
+        ] {
+            assert_eq!(reg.counter(counter).value(), 0, "{counter}");
+        }
+        // A sweeping reopen finds the old catalog, sidecars intact, the
+        // staged output gone; the good segments read, the bad one
+        // still reports its corruption.
+        let reopened = SegmentCatalog::open_and_sweep(&dir).expect("reopen");
+        assert_eq!(reopened.ids(), ids_before.as_slice());
+        assert!(!tmp_path(&cat.path_of(&output)).exists(), "tmp swept");
+        for id in &ids_before {
+            let path = reopened.path_of(id);
+            assert_eq!(seqfile::read_sidecar(&path).expect("sidecar").len(), 50);
+            let read = StoreReader::open(&path).expect("open").read_chunk(0);
+            if path == victim {
+                assert!(matches!(read, Err(StoreError::Format(_))));
+            } else {
+                assert_eq!(read.expect("intact source").len(), 50);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Sources written in another format version (v2 footer entries
+    /// differ, v1 has no checksum to verify) are decoded and re-encoded
+    /// as before — and a run mixing them with current-version sources
+    /// relocates exactly the latter.
+    #[test]
+    fn other_version_sources_take_the_reencode_path() {
+        for version in [StoreVersion::V1, StoreVersion::V2] {
+            let dir = tmpdir("reencode");
+            let old = StoreConfig {
+                version,
+                ..StoreConfig::default()
+            };
+            seed_catalog_as(&dir, 2, 50, false, old);
+            // The third source is current-version: reopen and append.
+            let mut cat = SegmentCatalog::open(&dir).expect("reopen");
+            let path = cat.path_for(2);
+            let mut w = StoreWriter::create(&path, StoreConfig::default()).expect("create");
+            for i in 100..150 {
+                w.push(&record(i)).expect("push");
+            }
+            w.finish().expect("finish");
+            cat.note_sealed(2);
+            let before = catalog_records(&cat);
+
+            let reg = Registry::new();
+            let compactor =
+                Compactor::new(CompactionPolicy { fan_in: 3 }, StoreConfig::default(), &reg);
+            compactor
+                .compact_all(&mut cat, &mut FaultInjector::none())
+                .expect("compact");
+            assert_eq!(
+                reg.counter("store.compaction_chunks_rewritten").value(),
+                2,
+                "{version:?}"
+            );
+            assert_eq!(reg.counter("store.compaction_chunks_relocated").value(), 1);
+            let merged = StoreReader::open(&cat.paths()[0]).expect("open");
+            assert_eq!(merged.version(), StoreVersion::V3);
+            assert_eq!(merged.chunk_count(), 2, "one re-encoded, one moved");
+            assert_eq!(catalog_records(&cat), before);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

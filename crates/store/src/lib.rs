@@ -105,7 +105,7 @@ pub use compact::{CompactionPolicy, Compactor, FaultInjector, RetentionPolicy};
 pub use error::{Result, StoreError};
 pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind, StoreVersion};
 pub use index::{stream_records, stream_records_with_threads, StoreIndex};
-pub use reader::StoreReader;
+pub use reader::{StoreReader, VerifiedChunk};
 pub use segments::{SegmentCatalog, SegmentId};
 pub use writer::{Compression, StoreConfig, StoreSummary, StoreWriter};
 

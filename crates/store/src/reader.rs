@@ -57,6 +57,18 @@ impl StoreReadMetrics {
     }
 }
 
+/// One chunk as it sits on disk — stored bytes plus the footer entry
+/// describing them — that a [`StoreReader`] has verified against the
+/// footer checksum. Only [`StoreReader::read_chunk_verified`] makes
+/// one, and it is all [`crate::StoreWriter::append_chunk`] accepts, so
+/// bytes nobody checked cannot be relocated under a fresh footer.
+#[derive(Debug)]
+pub struct VerifiedChunk<'a> {
+    pub(crate) version: StoreVersion,
+    pub(crate) meta: &'a ChunkMeta,
+    pub(crate) bytes: Vec<u8>,
+}
+
 impl StoreReader {
     /// Opens a store and parses its footer, counting into a private
     /// registry.
@@ -419,6 +431,56 @@ impl StoreReader {
         pruned
     }
 
+    /// Reads one chunk's stored bytes through a private file handle,
+    /// verified against the footer's chunk checksum where the format
+    /// carries one (v2/v3).
+    fn read_stored(&self, ordinal: usize) -> Result<(&ChunkMeta, Vec<u8>)> {
+        let meta = self
+            .chunks
+            .get(ordinal)
+            .ok_or_else(|| StoreError::Format(format!("no chunk {ordinal}")))?;
+        let mut f = File::open(&self.path)?;
+        f.seek(SeekFrom::Start(meta.offset))?;
+        let mut bytes = vec![0u8; meta.len as usize];
+        f.read_exact(&mut bytes)?;
+        if meta
+            .checksum
+            .is_some_and(|expect| fnv1a64(&bytes) != expect)
+        {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} checksum mismatch"
+            )));
+        }
+        Ok((meta, bytes))
+    }
+
+    /// Reads one chunk **without decoding it**: the stored bytes,
+    /// verified against the footer checksum, together with the footer
+    /// entry that describes them — what
+    /// [`crate::StoreWriter::append_chunk`] relocates into another
+    /// segment. Thread-safe like [`StoreReader::read_chunk`]; not
+    /// counted as a decode.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failure, a bad ordinal, stored bytes that do not hash to
+    /// the footer's chunk checksum, or a v1 store — which carries no
+    /// checksum to verify, so its bytes can only be trusted as far as
+    /// they decode ([`StoreError::Format`] in each case).
+    pub fn read_chunk_verified(&self, ordinal: usize) -> Result<VerifiedChunk<'_>> {
+        if self.version == StoreVersion::V1 {
+            return Err(StoreError::Format(
+                "v1 chunks carry no checksum to verify".into(),
+            ));
+        }
+        let (meta, bytes) = self.read_stored(ordinal)?;
+        Ok(VerifiedChunk {
+            version: self.version,
+            meta,
+            bytes,
+        })
+    }
+
     /// Reads and decodes one chunk. Thread-safe: opens a private file
     /// handle.
     ///
@@ -428,26 +490,13 @@ impl StoreReader {
     /// v2, any stored byte that does not hash to the footer's chunk
     /// checksum is a [`StoreError::Format`] before decoding begins.
     pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
-        let meta = self
-            .chunks
-            .get(ordinal)
-            .ok_or_else(|| StoreError::Format(format!("no chunk {ordinal}")))?;
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(meta.offset))?;
-        let mut bytes = vec![0u8; meta.len as usize];
-        f.read_exact(&mut bytes)?;
+        let (meta, bytes) = self.read_stored(ordinal)?;
         self.metrics.chunks_decoded.inc();
 
         let decompressed: Vec<u8>;
         let payload: &[u8] = match self.version {
             StoreVersion::V1 => &bytes,
             StoreVersion::V2 | StoreVersion::V3 => {
-                let expect = meta.checksum.expect("v2/v3 metas carry checksums");
-                if fnv1a64(&bytes) != expect {
-                    return Err(StoreError::Format(format!(
-                        "chunk {ordinal} checksum mismatch"
-                    )));
-                }
                 let &flags = bytes
                     .first()
                     .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;

@@ -7,6 +7,7 @@ use crate::format::{
     fnv1a64, ChunkMeta, FilterBuilder, FilterKind, StoreVersion, END_MAGIC, FILTER_KIND_BLOOM,
     FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC_V1, MAGIC_V2, MAGIC_V3,
 };
+use crate::reader::VerifiedChunk;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
 use nfstrace_telemetry::{Counter, Gauge, Registry};
@@ -103,9 +104,10 @@ pub struct StoreWriter {
 /// The write-side `store.*` slice of the pipeline-health export.
 #[derive(Debug)]
 struct StoreWriteMetrics {
-    /// `store.records_written` — records accepted by [`StoreWriter::push`].
+    /// `store.records_written` — records accepted by [`StoreWriter::push`]
+    /// or relocated by [`StoreWriter::append_chunk`].
     records_written: Counter,
-    /// `store.chunks_written` — chunks flushed to disk.
+    /// `store.chunks_written` — chunks flushed or relocated to disk.
     chunks_written: Counter,
     /// `store.chunk_bytes_raw` — chunk payload bytes before compression.
     chunk_bytes_raw: Counter,
@@ -227,6 +229,57 @@ impl StoreWriter {
         if self.chunk_buf.len() + self.names.encoded_len() >= self.config.target_chunk_bytes {
             self.flush_chunk()?;
         }
+        Ok(())
+    }
+
+    /// Appends one already-stored chunk verbatim — compaction's unit of
+    /// work. Any pending chunk is flushed first; the stored bytes are
+    /// written as they are and the footer entry (record count, time
+    /// range, checksum, [`crate::FileIdFilter`]) is carried over with
+    /// only `offset` rewritten, so nothing is decoded, re-interned,
+    /// re-compressed or re-filtered. A zero-record chunk is dropped.
+    /// The write-side compression counters keep describing only the
+    /// chunks this writer encoded itself.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::OutOfOrder`] when the chunk starts before the
+    /// last record already written, [`StoreError::Format`] when it
+    /// comes from a store of another format version (its footer entry
+    /// would not be valid here — decode and [`StoreWriter::push`]
+    /// instead), or I/O errors.
+    pub fn append_chunk(&mut self, chunk: VerifiedChunk<'_>) -> Result<()> {
+        let VerifiedChunk {
+            version,
+            meta,
+            bytes,
+        } = chunk;
+        if version != self.config.version {
+            return Err(StoreError::Format(format!(
+                "cannot relocate a {version:?} chunk into a {:?} store",
+                self.config.version
+            )));
+        }
+        if meta.records == 0 {
+            return Ok(());
+        }
+        if self.any_pushed && meta.min_micros < self.prev_micros {
+            return Err(StoreError::OutOfOrder {
+                prev: self.prev_micros,
+                next: meta.min_micros,
+            });
+        }
+        self.flush_chunk()?;
+        self.out.write_all(&bytes)?;
+        self.metrics.records_written.add(meta.records);
+        self.metrics.chunks_written.inc();
+        self.chunks.push(ChunkMeta {
+            offset: self.offset,
+            ..meta.clone()
+        });
+        self.offset += meta.len;
+        self.prev_micros = meta.max_micros;
+        self.any_pushed = true;
         Ok(())
     }
 
@@ -374,5 +427,146 @@ impl RecordSink for StoreWriter {
 
     fn push_record(&mut self, record: TraceRecord) -> Result<()> {
         self.push(&record)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::FileIdFilter;
+    use crate::reader::StoreReader;
+    use nfstrace_core::record::{FileId, Op};
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("nfstrace-store-writer-tests");
+        std::fs::create_dir_all(&dir).expect("mkdir tempdir");
+        dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    /// A sealed one-chunk store holding records at `micros`.
+    fn sealed(name: &str, micros: std::ops::Range<u64>) -> StoreReader {
+        let path = tmp(name);
+        let mut w = StoreWriter::create(&path, StoreConfig::default()).expect("create");
+        for t in micros {
+            w.push(&TraceRecord::new(t, Op::Read, FileId(t % 3)))
+                .expect("push");
+        }
+        w.finish().expect("finish");
+        StoreReader::open(&path).expect("open")
+    }
+
+    #[test]
+    fn append_chunk_relocates_bytes_and_footer_entry() {
+        let early = sealed("append-early", 0..10);
+        let late = sealed("append-late", 10..20);
+        let out = tmp("append-out");
+        let mut w = StoreWriter::create(&out, StoreConfig::default()).expect("create");
+        w.append_chunk(early.read_chunk_verified(0).expect("read"))
+            .expect("append");
+        // A pushed record after a relocated chunk opens a fresh chunk,
+        // which the next relocation flushes ahead of itself.
+        w.push(&TraceRecord::new(10, Op::Write, FileId(9)))
+            .expect("push");
+        w.append_chunk(late.read_chunk_verified(0).expect("read"))
+            .expect("append");
+        let summary = w.finish().expect("finish");
+        assert_eq!((summary.total_records, summary.chunks), (21, 3));
+
+        let merged = StoreReader::open(&out).expect("open");
+        for (moved, source) in [(0, &early), (2, &late)] {
+            let expect = ChunkMeta {
+                offset: merged.chunks()[moved].offset,
+                ..source.chunks()[0].clone()
+            };
+            assert_eq!(merged.chunks()[moved], expect);
+            assert_eq!(
+                merged.read_chunk(moved).expect("decode"),
+                source.read_chunk(0).expect("decode")
+            );
+        }
+        for r in [&early, &late, &merged] {
+            std::fs::remove_file(r.path()).ok();
+        }
+    }
+
+    #[test]
+    fn append_chunk_rejects_a_chunk_that_starts_in_the_past() {
+        let early = sealed("order-early", 0..10);
+        let late = sealed("order-late", 5..20);
+        let out = tmp("order-out");
+        let mut w = StoreWriter::create(&out, StoreConfig::default()).expect("create");
+        w.append_chunk(early.read_chunk_verified(0).expect("read"))
+            .expect("append");
+        let err = w
+            .append_chunk(late.read_chunk_verified(0).expect("read"))
+            .expect_err("5 precedes 9");
+        assert!(
+            matches!(err, StoreError::OutOfOrder { prev: 9, next: 5 }),
+            "{err}"
+        );
+        // Equal timestamps across the seam are in order.
+        let tie = sealed("order-tie", 9..12);
+        w.append_chunk(tie.read_chunk_verified(0).expect("read"))
+            .expect("a tie is nondecreasing");
+        for r in [&early, &late, &tie] {
+            std::fs::remove_file(r.path()).ok();
+        }
+        std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
+    fn append_chunk_drops_zero_record_chunks_and_foreign_versions() {
+        let out = tmp("empty-out");
+        let mut w = StoreWriter::create(&out, StoreConfig::default()).expect("create");
+        w.push(&TraceRecord::new(100, Op::Read, FileId(1)))
+            .expect("push");
+        // The reader's normalized empty chunk: no records, the empty
+        // time range — which must neither trip the order check nor
+        // reach the footer.
+        let empty = ChunkMeta {
+            offset: 8,
+            len: 1,
+            records: 0,
+            min_micros: u64::MAX,
+            max_micros: 0,
+            checksum: Some(fnv1a64(&[0])),
+            filter: Some(FileIdFilter::empty()),
+        };
+        w.append_chunk(VerifiedChunk {
+            version: StoreVersion::V3,
+            meta: &empty,
+            bytes: vec![0],
+        })
+        .expect("dropped, not an error");
+        let foreign = w
+            .append_chunk(VerifiedChunk {
+                version: StoreVersion::V2,
+                meta: &empty,
+                bytes: vec![0],
+            })
+            .expect_err("a v2 footer entry is not a v3 one");
+        assert!(matches!(foreign, StoreError::Format(_)), "{foreign}");
+        let summary = w.finish().expect("finish");
+        assert_eq!((summary.total_records, summary.chunks), (1, 1));
+
+        // A v1 store has no checksum to verify, so it never yields a
+        // relocatable chunk in the first place.
+        let v1_config = StoreConfig {
+            version: StoreVersion::V1,
+            ..StoreConfig::default()
+        };
+        let mut v1 = StoreWriter::create(&out, v1_config).expect("create");
+        v1.push(&TraceRecord::new(1, Op::Read, FileId(1)))
+            .expect("push");
+        v1.finish().expect("finish");
+        let unverifiable = StoreReader::open(&out)
+            .expect("open")
+            .read_chunk_verified(0)
+            .expect_err("v1");
+        assert!(
+            matches!(unverifiable, StoreError::Format(_)),
+            "{unverifiable}"
+        );
+        std::fs::remove_file(&out).ok();
     }
 }
