@@ -15,8 +15,8 @@
 //! - the merged segment `StoreIndex` prints the same suite text as the
 //!   batch `--store` path;
 //! - peak resident record counts stay bounded by the slice and
-//!   rotation thresholds (reported on stderr for
-//!   `BENCH_pipeline.json`-style tracking).
+//!   rotation thresholds (reported on stderr; the benchmark's
+//!   `live.peak_hot_records` row is described in `nfsbench/README.md`).
 //!
 //! With `--shards <n>` the same traces run through the sharded
 //! multi-writer daemon ([`nfstrace_live::ShardedLiveIngest`]) instead:
@@ -38,7 +38,7 @@
 //! segments into generation-tagged segments
 //! ([`nfstrace_store::Compactor`]), cascading up the generations —
 //! by relocating verified chunks, which the bin asserts
-//! (`store.compaction_chunks_relocated > 0`, `…_rewritten == 0`). The
+//! (`store.compaction_chunks_relocated > 0`). The
 //! suite over the compacted catalogs must stay byte-identical, the bin
 //! asserts the footer-pruning query planner dismisses whole segments
 //! on a windowed query (`store.segments_pruned > 0`) while decoding
@@ -516,20 +516,11 @@ fn main() {
             );
             let compactions = registry.counter("store.compactions").value();
             assert!(compactions > 0, "store.compactions never fired");
-            // Every segment here was sealed in the ingest's own store
-            // format, so every merge moved verified chunks and none
-            // re-encoded a record.
+            // Every merge moved verified chunks.
             let relocated = registry
                 .counter("store.compaction_chunks_relocated")
                 .value();
-            let rewritten = registry
-                .counter("store.compaction_chunks_rewritten")
-                .value();
-            assert!(
-                relocated > 0 && rewritten == 0,
-                "same-version catalog must compact by relocation: \
-                 {relocated} chunks relocated, {rewritten} rewritten"
-            );
+            assert!(relocated > 0, "compaction relocated no chunks");
 
             // The planner acceptance: a one-day window over the 8-day
             // catalog must dismiss whole segments by footer time range

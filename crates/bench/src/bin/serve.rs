@@ -20,9 +20,9 @@
 //! - the ingested record count equals the batch oracle's.
 //!
 //! Throughput and latency go to **stderr** (machine-greppable
-//! `serve-loop:` lines) in the same shape `BENCH_pipeline.json`
-//! tracks: served calls/sec over the whole roundtrip, replay RTT
-//! p50/p99, and server-side dispatch mean.
+//! `serve-loop:` lines): served calls/sec over the whole roundtrip,
+//! replay RTT p50/p99, and server-side dispatch mean. The tracked
+//! numbers are the `serve-campus` workload's (`nfsbench/README.md`).
 //!
 //! With `--metrics <path>` the loop — server, replay clients, sniffer
 //! source, and ingest daemons — reports into one shared telemetry
@@ -204,7 +204,7 @@ fn main() {
     let campus_s = serve_system("CAMPUS", &campus_plan, &options, &registry, &campus_dir);
     let eecs_s = serve_system("EECS", &eecs_plan, &options, &registry, &eecs_dir);
 
-    // The loop's own telemetry, in the shape BENCH_pipeline.json tracks.
+    // The loop's own telemetry.
     let calls = registry.counter("serve.calls").value();
     let rtt = registry.histogram("replay.rtt_micros").snapshot();
     let dispatch = registry.histogram("serve.dispatch_micros").snapshot();

@@ -1,22 +1,20 @@
 //! Property test: chunk-relocating compaction is invisible to readers.
 //!
 //! For arbitrary record streams × segment counts × `target_chunk_bytes`
-//! × compression on/off × fan-in, cascading to generation ≥ 2, with and
-//! without `.nfseq` sidecars: the compacted catalog's record stream,
-//! sidecars, per-file query results and suite text equal the
-//! uncompacted catalog's. Every merge is checked on the way: a
-//! current-version source's footer entries reappear in the output
-//! verbatim except for `offset`, and v1/v2 sources under the v3
-//! compactor are decoded and re-encoded instead — counted as such —
-//! while satisfying the same equalities.
+//! × fan-in, cascading to generation ≥ 2, with and without `.nfseq`
+//! sidecars: the compacted catalog's record stream, sidecars, per-file
+//! query results and suite text equal the uncompacted catalog's. Every
+//! merge is checked on the way: each source's footer entries reappear
+//! in the output verbatim except for `offset`, in catalog order, and
+//! every one of them is counted as relocated.
 
 use nfstrace_bench::suite::suite_text;
 use nfstrace_core::index::RecordStream;
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_store::compact::{seal_segment, tmp_path, FaultInjector};
 use nfstrace_store::{
-    seqfile, ChunkMeta, CompactionPolicy, Compactor, Compression, SegmentCatalog, StoreConfig,
-    StoreIndex, StoreReader, StoreVersion, StoreWriter,
+    seqfile, ChunkMeta, CompactionPolicy, Compactor, SegmentCatalog, StoreConfig, StoreIndex,
+    StoreReader, StoreWriter,
 };
 use nfstrace_telemetry::Registry;
 use proptest::prelude::*;
@@ -59,17 +57,22 @@ fn seq_of(i: usize) -> u64 {
     i as u64 * 3 + 1
 }
 
-/// Seals `records` as `configs.len()` base segments of near-equal
-/// size, segment `s` written under `configs[s]`, sidecars when `track`.
-fn seal_base_segments(dir: &Path, records: &[TraceRecord], configs: &[StoreConfig], track: bool) {
+/// Seals `records` as `segs` base segments of near-equal size written
+/// under `config`, sidecars when `track`.
+fn seal_base_segments(
+    dir: &Path,
+    records: &[TraceRecord],
+    segs: usize,
+    config: StoreConfig,
+    track: bool,
+) {
     let mut catalog = SegmentCatalog::open(dir).expect("open");
-    let segs = configs.len();
-    for (s, config) in configs.iter().enumerate() {
+    for s in 0..segs {
         let span = s * records.len() / segs..(s + 1) * records.len() / segs;
         let ordinal = catalog.next_ordinal();
         let dest = catalog.path_for(ordinal);
         let tmp = tmp_path(&dest);
-        let mut w = StoreWriter::create(&tmp, *config).expect("create");
+        let mut w = StoreWriter::create(&tmp, config).expect("create");
         for r in &records[span.clone()] {
             w.push(r).expect("push");
         }
@@ -121,45 +124,17 @@ fn observe(dir: &Path, track: bool) -> Observed {
     }
 }
 
-/// One merge checked against its sources (`(version, footer entries,
-/// records)` each, in catalog order): a current-version source's
-/// entries reappear verbatim but for `offset`; runs of other-version
-/// sources were re-encoded into chunks that together hold exactly
-/// their records and never straddle a relocated chunk.
-fn check_merge(
-    sources: &[(StoreVersion, Vec<ChunkMeta>, u64)],
-    output: &StoreReader,
-) -> Result<(), String> {
+/// One merge checked against its sources' footer entries (catalog
+/// order): the output holds exactly those entries, verbatim but for
+/// `offset`.
+fn check_merge(sources: &[ChunkMeta], output: &StoreReader) -> Result<(), String> {
     let anywhere = |m: &ChunkMeta| ChunkMeta {
         offset: 0,
         ..m.clone()
     };
-    let mut out = output.chunks().iter();
-    let mut reencoded = 0u64;
-    let settle =
-        |out: &mut std::slice::Iter<'_, ChunkMeta>, owed: &mut u64| -> Result<(), String> {
-            while *owed > 0 {
-                let m = out.next().ok_or("output ran out of re-encoded chunks")?;
-                prop_assert!(m.records <= *owed, "a re-encoded chunk straddles sources");
-                *owed -= m.records;
-            }
-            Ok(())
-        };
-    for (version, chunks, records) in sources {
-        if *version != StoreVersion::V3 {
-            reencoded += records;
-            continue;
-        }
-        settle(&mut out, &mut reencoded)?;
-        for m in chunks {
-            let moved = out.next().ok_or("output ran out of relocated chunks")?;
-            prop_assert_eq!(anywhere(moved), anywhere(m));
-        }
-    }
-    settle(&mut out, &mut reencoded)?;
-    prop_assert!(
-        out.next().is_none(),
-        "output holds chunks no source explains"
+    prop_assert_eq!(
+        output.chunks().iter().map(anywhere).collect::<Vec<_>>(),
+        sources.iter().map(anywhere).collect::<Vec<_>>()
     );
     Ok(())
 }
@@ -172,90 +147,53 @@ proptest! {
         extra_segs in 0usize..4,
         chunk_bytes in 64usize..2048,
         source_chunk_bytes in 64usize..2048,
-        compress in any::<bool>(),
         track in any::<bool>(),
-        old_version in 0u8..3,
-        old_quarters in 0usize..5,
         case in 0u64..1_000_000,
     ) {
         records.sort_by_key(|r| r.micros);
         // Enough base segments for the cascade to reach generation 2.
         let segs = fan_in * fan_in + extra_segs;
-        let compression = if compress { Compression::Lz } else { Compression::None };
-        let current = StoreConfig {
-            target_chunk_bytes: source_chunk_bytes,
-            compression,
-            version: StoreVersion::V3,
-        };
-        // A catalog begun under an older format: its first segments are
-        // v1 or v2, the rest current.
-        let old = match old_version {
-            0 => StoreVersion::V3,
-            1 => StoreVersion::V2,
-            _ => StoreVersion::V1,
-        };
-        let old_upto = segs * old_quarters / 4;
-        let configs: Vec<StoreConfig> = (0..segs)
-            .map(|s| StoreConfig {
-                version: if s < old_upto { old } else { StoreVersion::V3 },
-                ..current
-            })
-            .collect();
+        let source_config = StoreConfig { target_chunk_bytes: source_chunk_bytes };
 
         let plain = tmpdir("plain", case);
-        seal_base_segments(&plain, &records, &configs, track);
+        seal_base_segments(&plain, &records, segs, source_config, track);
         let work = tmpdir("work", case);
-        seal_base_segments(&work, &records, &configs, track);
+        seal_base_segments(&work, &records, segs, source_config, track);
 
         // The cascade, one pass at a time so every merge can be held
         // against its sources.
         let registry = Registry::new();
         let compactor = Compactor::new(
             CompactionPolicy { fan_in },
-            StoreConfig { target_chunk_bytes: chunk_bytes, ..current },
+            StoreConfig { target_chunk_bytes: chunk_bytes },
             &registry,
         );
         let mut catalog = SegmentCatalog::open_and_sweep(&work).expect("catalog");
-        let (mut relocated, mut rewritten) = (0u64, 0u64);
+        let mut relocated = 0u64;
         while let Some(output) = compactor.policy().plan(catalog.ids()) {
-            let sources: Vec<(StoreVersion, Vec<ChunkMeta>, u64)> = catalog
+            let sources: Vec<ChunkMeta> = catalog
                 .ids()
                 .iter()
                 .filter(|id| output.contains(id))
-                .map(|id| {
+                .flat_map(|id| {
                     let r = StoreReader::open(catalog.path_of(id)).expect("open source");
-                    (r.version(), r.chunks().to_vec(), r.total_records())
+                    r.chunks().to_vec()
                 })
                 .collect();
-            for (version, chunks, _) in &sources {
-                if *version == StoreVersion::V3 {
-                    relocated += chunks.len() as u64;
-                } else {
-                    rewritten += chunks.len() as u64;
-                }
-            }
+            relocated += sources.len() as u64;
             compactor
                 .compact(&mut catalog, output, &mut FaultInjector::none())
                 .expect("compact");
             let merged = StoreReader::open(catalog.path_of(&output)).expect("open output");
-            prop_assert_eq!(merged.version(), StoreVersion::V3);
             check_merge(&sources, &merged)?;
         }
         let top = catalog.ids().iter().map(|id| id.generation).max();
         prop_assert!(top >= Some(2), "cascade stopped at generation {top:?}");
         prop_assert_eq!(
             registry.counter("store.compaction_chunks_relocated").value(),
-            relocated
+            relocated,
+            "every source chunk is relocated"
         );
-        prop_assert_eq!(
-            registry.counter("store.compaction_chunks_rewritten").value(),
-            rewritten
-        );
-        if old == StoreVersion::V3 || old_upto == 0 {
-            prop_assert!(relocated > 0 && rewritten == 0);
-        } else {
-            prop_assert!(rewritten > 0, "old-version sources must be re-encoded");
-        }
 
         let compacted = observe(&work, track);
         prop_assert_eq!(&compacted.records, &records);

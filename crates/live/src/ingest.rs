@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 pub struct LiveConfig {
     /// The segment directory (created if needed).
     pub dir: PathBuf,
-    /// Store layout for each sealed segment (chunking, compression,
-    /// format version).
+    /// Store layout for each sealed segment: its chunk size, the one
+    /// thing the store format leaves to the writer.
     pub store: StoreConfig,
     /// Seal the hot segment once it holds this many records. Also the
     /// hot tail's memory bound.
@@ -45,8 +45,7 @@ pub struct LiveConfig {
     /// are untouched — compaction only re-houses sealed chunks: each
     /// is checksum-verified and moved as it is, keeping its boundaries
     /// and file filter, so the cost at rotation is bytes copied, not
-    /// records re-encoded (only segments sealed under another store
-    /// format version are decoded and rewritten).
+    /// records re-encoded.
     /// `None` (the default) never compacts. Shards of a
     /// [`crate::ShardedLiveIngest`] inherit the policy, each
     /// compacting its own chain.
@@ -153,8 +152,8 @@ pub struct LiveSummary {
 /// hourly buckets, per-file access lists) — the same state any index
 /// over the same records holds — but never raw records. Peak observed
 /// numbers are reported via [`LiveIngest::peak_hot_records`] and
-/// [`LiveSummary`], and the `live` bench records them in
-/// `BENCH_pipeline.json`.
+/// [`LiveSummary`]; the benchmark tracks them as
+/// `live.peak_hot_records` (`nfsbench/README.md`).
 ///
 /// # Snapshot cost
 ///

@@ -44,8 +44,9 @@
 //! Peak resident record memory across the whole pipeline is
 //! `O(slice) + O(rotation threshold)` — one source batch, plus the hot
 //! tail, plus a decoded chunk or two during replays — never
-//! `O(trace)`. The `live` bench bin asserts this shape and records the
-//! observed peaks in `BENCH_pipeline.json`.
+//! `O(trace)`. The `live` bench bin asserts this shape; the observed
+//! peaks are the benchmark's `live.peak_hot_records` and
+//! `peak_heap_mib` rows (`nfsbench/README.md`).
 //!
 //! # Example: ingest a workload live, query it mid-stream
 //!

@@ -171,6 +171,12 @@ impl NameTable {
     }
 }
 
+/// The fewest bytes [`encode_record`] can emit: three one-byte varints
+/// (time delta, reply delta, presence flags), the op and version bytes,
+/// and ten one-byte varints. A chunk header claiming more records than
+/// its payload has room for at this size is corrupt.
+pub const MIN_RECORD_BYTES: u64 = 15;
+
 /// Encodes one record. `prev_micros` is the previous record's capture
 /// time within the chunk (0 for the first record); names are interned
 /// into `names`.
@@ -424,6 +430,14 @@ mod tests {
         let mut pos = 0;
         let back = decode_record(&buf, &mut pos, u64::MAX - 5, &[]).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn the_smallest_record_takes_min_record_bytes() {
+        let mut buf = Vec::new();
+        let r = TraceRecord::new(7, Op::Read, FileId(0));
+        encode_record(&mut buf, &r, 7, &mut NameTable::new());
+        assert_eq!(buf.len() as u64, MIN_RECORD_BYTES);
     }
 
     #[test]

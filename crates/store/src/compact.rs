@@ -32,16 +32,9 @@
 //! sources' chunk boundaries and filters — chunks may sit below
 //! [`StoreConfig::target_chunk_bytes`], exactly as they did in the
 //! separate files they came from — and write amplification is bytes
-//! copied, not records re-encoded.
-//!
-//! A source written in a format version other than the output's cannot
-//! be moved (v1 has no checksum to verify; a v2 footer entry is not a
-//! v3 one): its chunks are decoded and pushed through the writer,
-//! which re-chunks them and builds their filters afresh. Which path a
-//! source takes is a property of the input, never a setting;
-//! `store.compaction_chunks_relocated` and
-//! `store.compaction_chunks_rewritten` count both. Arrival-sequence
-//! sidecars ([`crate::seqfile`]) concatenate alongside either way.
+//! copied, not records re-encoded; `store.compaction_chunks_relocated`
+//! counts the chunks moved. Arrival-sequence sidecars
+//! ([`crate::seqfile`]) concatenate alongside.
 //!
 //! # Crash safety
 //!
@@ -71,7 +64,6 @@
 //! byte-identical to never having retired at all.
 
 use crate::error::{Result, StoreError};
-use crate::format::StoreVersion;
 use crate::reader::StoreReader;
 use crate::segments::{SegmentCatalog, SegmentId};
 use crate::seqfile;
@@ -207,30 +199,27 @@ pub struct CompactionOutcome {
 
 /// The background merge engine: applies a [`CompactionPolicy`] to a
 /// [`SegmentCatalog`], counting passes into `store.compactions` and
-/// the source chunks they moved or re-encoded into
-/// `store.compaction_chunks_relocated` / `…_rewritten`.
+/// the source chunks they moved into
+/// `store.compaction_chunks_relocated`.
 #[derive(Debug)]
 pub struct Compactor {
     policy: CompactionPolicy,
     config: StoreConfig,
     compactions: Counter,
     chunks_relocated: Counter,
-    chunks_rewritten: Counter,
 }
 
 impl Compactor {
-    /// A compactor writing outputs in `config.version` and counting
-    /// into `registry`. Use the ingest's config: sources of that
-    /// version are relocated chunk by chunk, boundaries and filters
-    /// intact, and `config`'s chunk sizing and compression apply only
-    /// to sources of another version, which are re-encoded.
+    /// A compactor counting into `registry`. Every source chunk is
+    /// relocated as it is, boundaries and filters intact, so `config`
+    /// (pass the ingest's) shapes nothing in the output: it is only
+    /// handed to the [`StoreWriter`] that lays the moved chunks down.
     pub fn new(policy: CompactionPolicy, config: StoreConfig, registry: &Registry) -> Self {
         Compactor {
             policy,
             config,
             compactions: registry.counter("store.compactions"),
             chunks_relocated: registry.counter("store.compaction_chunks_relocated"),
-            chunks_rewritten: registry.counter("store.compaction_chunks_rewritten"),
         }
     }
 
@@ -247,8 +236,8 @@ impl Compactor {
     /// The merge reads and writes through private registries so a
     /// shared pipeline registry's `store.*` read/write counters keep
     /// describing the query workload, not maintenance; only
-    /// `store.compactions` and the two `store.compaction_chunks_*`
-    /// counters are reported, once the pass has committed.
+    /// `store.compactions` and `store.compaction_chunks_relocated` are
+    /// reported, once the pass has committed.
     ///
     /// # Errors
     ///
@@ -318,29 +307,13 @@ impl Compactor {
         let tmp = tmp_path(&dest);
         fault.step()?;
         let mut writer = StoreWriter::create(&tmp, self.config)?;
-        let (mut relocated, mut rewritten) = (0u64, 0u64);
+        let mut relocated = 0u64;
         for path in &paths {
             let reader = StoreReader::open(path)?;
-            // A source's stored chunks and footer entries are valid
-            // verbatim in the output iff it was written in the output's
-            // format and carries the checksums that let the move be
-            // verified (v1 has none).
-            let relocate =
-                reader.version() == self.config.version && reader.version() != StoreVersion::V1;
-            let chunks = 0..reader.chunk_count();
-            if relocate {
-                relocated += chunks.len() as u64;
-                for ci in chunks {
-                    writer.append_chunk(reader.read_chunk_verified(ci)?)?;
-                }
-            } else {
-                rewritten += chunks.len() as u64;
-                for ci in chunks {
-                    for record in reader.read_chunk(ci)? {
-                        writer.push(&record)?;
-                    }
-                }
+            for ci in 0..reader.chunk_count() {
+                writer.append_chunk(reader.read_chunk_verified(ci)?)?;
             }
+            relocated += reader.chunk_count() as u64;
         }
         writer.finish()?;
         seal_segment(&tmp, &dest, seqs.as_deref(), fault)?;
@@ -358,7 +331,6 @@ impl Compactor {
         let replaced = catalog.apply_compaction(output);
         self.compactions.inc();
         self.chunks_relocated.add(relocated);
-        self.chunks_rewritten.add(rewritten);
         Ok(CompactionOutcome {
             output,
             replaced,
@@ -519,23 +491,12 @@ mod tests {
     /// Seals `per_seg`-record base segments 0..count into `dir`, with
     /// sidecars when `track`.
     fn seed_catalog(dir: &Path, count: u64, per_seg: u64, track: bool) -> SegmentCatalog {
-        seed_catalog_as(dir, count, per_seg, track, StoreConfig::default())
-    }
-
-    /// [`seed_catalog`] with the segments written under `config`.
-    fn seed_catalog_as(
-        dir: &Path,
-        count: u64,
-        per_seg: u64,
-        track: bool,
-        config: StoreConfig,
-    ) -> SegmentCatalog {
         let mut cat = SegmentCatalog::open(dir).expect("open");
         for s in 0..count {
             let ordinal = cat.next_ordinal();
             let dest = cat.path_for(ordinal);
             let tmp = tmp_path(&dest);
-            let mut w = StoreWriter::create(&tmp, config).expect("create");
+            let mut w = StoreWriter::create(&tmp, StoreConfig::default()).expect("create");
             let base = s * per_seg;
             for i in base..base + per_seg {
                 w.push(&record(i)).expect("push");
@@ -630,9 +591,8 @@ mod tests {
         let expect_seqs: Vec<u64> = (0..200).collect();
         assert_eq!(outcomes[0].seqs.as_deref(), Some(expect_seqs.as_slice()));
         assert_eq!(reg.counter("store.compactions").value(), 1);
-        // Same-version sources move chunk by chunk, none re-encoded.
+        // The sources move chunk by chunk.
         assert_eq!(reg.counter("store.compaction_chunks_relocated").value(), 4);
-        assert_eq!(reg.counter("store.compaction_chunks_rewritten").value(), 0);
         // The merged segment carries the merged sidecar, the sources
         // are gone, and the record stream is unchanged.
         assert_eq!(cat.ids(), &[outcomes[0].output]);
@@ -675,11 +635,7 @@ mod tests {
         );
         assert!(!cat.path_of(&output).exists(), "nothing was committed");
         assert_eq!(cat.ids(), ids_before.as_slice());
-        for counter in [
-            "store.compactions",
-            "store.compaction_chunks_relocated",
-            "store.compaction_chunks_rewritten",
-        ] {
+        for counter in ["store.compactions", "store.compaction_chunks_relocated"] {
             assert_eq!(reg.counter(counter).value(), 0, "{counter}");
         }
         // A sweeping reopen finds the old catalog, sidecars intact, the
@@ -699,50 +655,6 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Sources written in another format version (v2 footer entries
-    /// differ, v1 has no checksum to verify) are decoded and re-encoded
-    /// as before — and a run mixing them with current-version sources
-    /// relocates exactly the latter.
-    #[test]
-    fn other_version_sources_take_the_reencode_path() {
-        for version in [StoreVersion::V1, StoreVersion::V2] {
-            let dir = tmpdir("reencode");
-            let old = StoreConfig {
-                version,
-                ..StoreConfig::default()
-            };
-            seed_catalog_as(&dir, 2, 50, false, old);
-            // The third source is current-version: reopen and append.
-            let mut cat = SegmentCatalog::open(&dir).expect("reopen");
-            let path = cat.path_for(2);
-            let mut w = StoreWriter::create(&path, StoreConfig::default()).expect("create");
-            for i in 100..150 {
-                w.push(&record(i)).expect("push");
-            }
-            w.finish().expect("finish");
-            cat.note_sealed(2);
-            let before = catalog_records(&cat);
-
-            let reg = Registry::new();
-            let compactor =
-                Compactor::new(CompactionPolicy { fan_in: 3 }, StoreConfig::default(), &reg);
-            compactor
-                .compact_all(&mut cat, &mut FaultInjector::none())
-                .expect("compact");
-            assert_eq!(
-                reg.counter("store.compaction_chunks_rewritten").value(),
-                2,
-                "{version:?}"
-            );
-            assert_eq!(reg.counter("store.compaction_chunks_relocated").value(), 1);
-            let merged = StoreReader::open(&cat.paths()[0]).expect("open");
-            assert_eq!(merged.version(), StoreVersion::V3);
-            assert_eq!(merged.chunk_count(), 2, "one re-encoded, one moved");
-            assert_eq!(catalog_records(&cat), before);
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     #[test]

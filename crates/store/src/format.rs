@@ -1,37 +1,30 @@
 //! On-disk layout constants, the per-chunk footer entry, and the chunk
 //! filters.
 //!
-//! Three format revisions exist. **v3** is what [`crate::StoreWriter`]
-//! emits by default; **v1** (the PR 3 layout) and **v2** (the PR 4
-//! layout) are still fully readable — [`crate::StoreReader`] sniffs the
-//! leading magic and parses any of them — and still writable on request
-//! via [`crate::StoreConfig`].
+//! There is one store format; [`crate::StoreWriter`] writes it and
+//! [`crate::StoreReader`] reads it. A file whose leading magic is
+//! anything else — including the two retired layouts, `"NFSTRC1\0"`
+//! and `"NFSTRC2\0"` — is rejected at open with a typed
+//! [`crate::StoreError::Format`].
 //!
 //! ```text
 //! +-------------+---------+---------+ ... +--------+----------------+
 //! | magic (8 B) | chunk 0 | chunk 1 |     | footer | trailer        |
 //! +-------------+---------+---------+ ... +--------+----------------+
 //!
-//! magic    := "NFSTRC1\0" (v1) | "NFSTRC2\0" (v2) | "NFSTRC3\0" (v3)
+//! magic    := "NFSTRC3\0"
 //!
 //! payload  := name_table  (varint count, then varint-len escaped names)
 //!             record_count (varint)
 //!             first_micros (varint)
 //!             record*      (see `codec`)
 //!
-//! chunk v1 := payload
-//! chunk v2 := flags (1 B)                  — bit 0: LZ-compressed;
+//! chunk    := flags (1 B)                  — bit 0: LZ-compressed;
 //!                                            other bits must be zero
 //!             if compressed: raw_len (varint), LZ stream (see
 //!                            `compress`), else: payload verbatim
-//! chunk v3 := identical to chunk v2
 //!
-//! entry v1 := offset, len, records, min_micros, max_micros
-//!             (5 × u64 LE = 40 B)
-//! entry v2 := offset, len, records, min_micros, max_micros,
-//!             min_fh, max_fh, checksum  (8 × u64 LE)
-//!             bloom (BLOOM_BYTES)        — 128 B total
-//! entry v3 := offset, len, records, min_micros, max_micros,
+//! entry    := offset, len, records, min_micros, max_micros,
 //!             min_fh, max_fh, checksum  (8 × u64 LE)
 //!             filter_kind u8:
 //!               1 (exact): count u32 LE, count × u64 LE sorted handles
@@ -39,14 +32,12 @@
 //!                          bytes — variable length, sized from the
 //!                          chunk's distinct-handle count
 //!
-//! footer v1 := entry* ++ chunk_count u64 ++ total_records u64
-//! footer v2 := entry* ++ chunk_count u64 ++ total_records u64
-//!              ++ footer_checksum u64    — FNV-1a of all prior footer
-//!                                          bytes
-//! footer v3 := chunk_count u64 ++ total_records u64 ++ entry*
-//!              ++ footer_checksum u64    — counts lead because the
-//!                                          entries are variable-length
-//! trailer   := footer_offset u64 LE, "NFSTRCE\0"
+//! footer   := chunk_count u64 ++ total_records u64 ++ entry*
+//!             ++ footer_checksum u64     — FNV-1a of all prior footer
+//!                                          bytes; counts lead because
+//!                                          the entries are
+//!                                          variable-length
+//! trailer  := footer_offset u64 LE, "NFSTRCE\0"
 //! ```
 //!
 //! The reader seeks to the trailer (last 16 bytes), validates the end
@@ -55,20 +46,20 @@
 //! how many records it holds, and any chunk can be decoded in isolation
 //! (each chunk carries its own name table and timestamp base).
 //!
-//! v2 added per-chunk compression (negotiated by the flags byte, raw
-//! fallback), FNV-1a corruption detection on every chunk and the
-//! footer, and fixed-size per-chunk [`FileIdFilter`]s. **v3 keeps all
-//! of that and makes the filter adaptive**: the v2 Bloom filter is 512
-//! bits with 3 hashes no matter what, so a chunk holding thousands of
-//! distinct file handles saturates it — every bit set, every probe a
-//! false positive, every per-file query decoding every chunk. Under v3
-//! the writer counts the chunk's distinct primary handles and emits
-//! either the *exact* sorted handle set (at or below
-//! [`EXACT_FILTER_MAX`] distinct handles — zero false positives) or a
-//! Bloom filter sized to ≈[`ADAPTIVE_BITS_PER_HANDLE`] bits per
-//! distinct handle, keeping the false-positive rate — and so the
-//! chunk-skip rate of per-file queries — roughly constant at any
-//! fan-in.
+//! Each chunk is LZ-compressed when that wins (the flags byte records
+//! which form it took; the raw form is the fallback), and every chunk
+//! and the footer carry an FNV-1a checksum, so corruption is a
+//! [`crate::StoreError::Format`] rather than wrong records. The
+//! per-chunk [`FileIdFilter`] is **adaptive**: a fixed-size Bloom
+//! filter saturates once a chunk holds thousands of distinct file
+//! handles — every bit set, every probe a false positive, every
+//! per-file query decoding every chunk — so the writer counts the
+//! chunk's distinct primary handles and emits either the *exact* sorted
+//! handle set (at or below [`EXACT_FILTER_MAX`] distinct handles — zero
+//! false positives) or a Bloom filter sized to
+//! ≈[`ADAPTIVE_BITS_PER_HANDLE`] bits per distinct handle, keeping the
+//! false-positive rate — and so the chunk-skip rate of per-file queries
+//! — roughly constant at any fan-in.
 //!
 //! # Segment file naming: ordinals and generations
 //!
@@ -102,24 +93,13 @@
 use nfstrace_core::record::FileId;
 use std::collections::BTreeSet;
 
-/// Leading file magic, v1 layout.
-pub const MAGIC_V1: &[u8; 8] = b"NFSTRC1\0";
+/// Leading file magic.
+pub const MAGIC: &[u8; 8] = b"NFSTRC3\0";
 
-/// Leading file magic, v2 layout.
-pub const MAGIC_V2: &[u8; 8] = b"NFSTRC2\0";
-
-/// Leading file magic, v3 layout.
-pub const MAGIC_V3: &[u8; 8] = b"NFSTRC3\0";
-
-/// Trailing file magic (all versions).
+/// Trailing file magic.
 pub const END_MAGIC: &[u8; 8] = b"NFSTRCE\0";
 
-/// Footer entry sizes for the fixed-stride versions.
-pub const V1_ENTRY_BYTES: usize = 5 * 8;
-/// See [`V1_ENTRY_BYTES`].
-pub const V2_ENTRY_BYTES: usize = 8 * 8 + BLOOM_BYTES;
-
-/// v2/v3 chunk flags bit: the body is LZ-compressed.
+/// Chunk flags bit: the body is LZ-compressed.
 pub const FLAG_COMPRESSED: u8 = 1 << 0;
 /// Every currently defined flags bit; anything else is a format error.
 pub const FLAG_MASK: u8 = FLAG_COMPRESSED;
@@ -129,41 +109,25 @@ pub const FLAG_MASK: u8 = FLAG_COMPRESSED;
 /// than this is rejected before any allocation.
 pub const MAX_CHUNK_PAYLOAD: u64 = 1 << 30;
 
-/// v3 filter kind tag: exact sorted handle set.
+/// Filter kind tag: exact sorted handle set.
 pub const FILTER_KIND_EXACT: u8 = 1;
-/// v3 filter kind tag: adaptively sized Bloom filter.
+/// Filter kind tag: adaptively sized Bloom filter.
 pub const FILTER_KIND_BLOOM: u8 = 2;
 
-/// Largest distinct-handle count stored as an exact sorted set under
-/// v3; above this the filter switches to an adaptively sized Bloom.
+/// Largest distinct-handle count stored as an exact sorted set; above
+/// this the filter switches to an adaptively sized Bloom.
 pub const EXACT_FILTER_MAX: usize = 64;
 
-/// Target Bloom bits per distinct handle for v3 filters (≈1% false
-/// positives at [`ADAPTIVE_HASHES`] hashes).
+/// Target Bloom bits per distinct handle (≈1% false positives at
+/// [`ADAPTIVE_HASHES`] hashes).
 pub const ADAPTIVE_BITS_PER_HANDLE: usize = 10;
 
-/// Hash probes per handle for v3 Bloom filters (≈0.69 × bits/handle).
+/// Hash probes per handle for Bloom filters (≈0.69 × bits/handle).
 pub const ADAPTIVE_HASHES: u32 = 7;
 
-/// Hard upper bound on a single v3 filter's byte size, enforced at
-/// parse time before any allocation.
+/// Hard upper bound on a single filter's byte size, enforced at parse
+/// time before any allocation.
 pub const MAX_FILTER_BYTES: usize = 1 << 22;
-
-/// The on-disk format revisions this crate reads and writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreVersion {
-    /// The PR 3 layout: raw chunks, 40-byte footer entries, no
-    /// checksums or filters. Still written on request for
-    /// compatibility, always readable.
-    V1,
-    /// The PR 4 layout: compression, checksums, fixed 512-bit Bloom
-    /// filters. Still written on request, always readable.
-    V2,
-    /// Compressed, checksummed layout with adaptively sized per-chunk
-    /// file filters (default).
-    #[default]
-    V3,
-}
 
 /// FNV-1a 64-bit hash — the store's checksum. Not cryptographic; it
 /// exists to catch disk/transport corruption deterministically.
@@ -176,13 +140,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Bytes in each v2 (legacy fixed-size) per-chunk Bloom filter
-/// (512 bits); also the v3 Bloom floor.
+/// Smallest Bloom filter the writer emits, in bytes (512 bits).
 pub const BLOOM_BYTES: usize = 64;
-/// Bits set per inserted file id under the legacy v2 layout.
-const BLOOM_HASHES: u32 = 3;
 
-/// SplitMix64 — the Bloom filters' hash mixer (all versions).
+/// SplitMix64 — the Bloom filters' hash mixer.
 fn mix64(mut v: u64) -> u64 {
     v = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
     v = (v ^ (v >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -222,11 +183,10 @@ fn bloom_test(bits: &[u8], hashes: u32, fh: u64) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterKind {
     /// The chunk's exact distinct primary handles, sorted ascending.
-    /// Zero false positives; v3 uses it for low-fan-in chunks.
+    /// Zero false positives; used for low-fan-in chunks.
     Exact(Vec<u64>),
     /// A Bloom filter over the handles: `hashes` bits probed per
-    /// handle across `bits.len() * 8` bits. v2 filters are always
-    /// `hashes = 3` over 512 bits; v3 sizes `bits` from the chunk's
+    /// handle across `bits.len() * 8` bits, sized from the chunk's
     /// distinct-handle count.
     Bloom {
         /// Bits probed per handle.
@@ -276,9 +236,9 @@ impl FileIdFilter {
 }
 
 /// Accumulates one chunk's distinct primary handles while the chunk is
-/// being written, then finishes into the footer filter the configured
-/// format version wants. Memory is bounded by the chunk's distinct
-/// handles, which the chunk size bounds.
+/// being written, then finishes into the footer filter. Memory is
+/// bounded by the chunk's distinct handles, which the chunk size
+/// bounds.
 #[derive(Debug, Clone, Default)]
 pub struct FilterBuilder {
     distinct: BTreeSet<u64>,
@@ -312,32 +272,12 @@ impl FilterBuilder {
         }
     }
 
-    /// The fixed 512-bit, 3-hash filter of the v2 layout — bit-for-bit
-    /// what the v2 writer always emitted (Bloom insertion is
-    /// commutative and idempotent, so inserting the distinct set equals
-    /// inserting per record).
-    pub fn finish_legacy(&self) -> FileIdFilter {
-        let (min_fh, max_fh) = self.min_max();
-        let mut bits = vec![0u8; BLOOM_BYTES];
-        for &fh in &self.distinct {
-            bloom_set(&mut bits, BLOOM_HASHES, fh);
-        }
-        FileIdFilter {
-            min_fh,
-            max_fh,
-            kind: FilterKind::Bloom {
-                hashes: BLOOM_HASHES,
-                bits,
-            },
-        }
-    }
-
-    /// The v3 filter, sized from the distinct-handle count: exact at or
+    /// The filter, sized from the distinct-handle count: exact at or
     /// below [`EXACT_FILTER_MAX`] handles, otherwise a Bloom filter of
     /// ≈[`ADAPTIVE_BITS_PER_HANDLE`] bits per handle (rounded up to a
-    /// power-of-two byte count, never below the v2 floor) — so the
+    /// power-of-two byte count, never below [`BLOOM_BYTES`]) — so the
     /// false-positive rate stays roughly flat as chunk fan-in grows,
-    /// instead of saturating like the fixed v2 filter.
+    /// where a fixed-size filter would saturate.
     pub fn finish_adaptive(&self) -> FileIdFilter {
         let (min_fh, max_fh) = self.min_max();
         if self.distinct.len() <= EXACT_FILTER_MAX {
@@ -388,12 +328,10 @@ pub struct ChunkMeta {
     pub min_micros: u64,
     /// Last record's capture time.
     pub max_micros: u64,
-    /// FNV-1a 64 of the stored chunk bytes. `None` for v1 stores,
-    /// which carry no checksums.
-    pub checksum: Option<u64>,
-    /// Primary-file-handle filter. `None` for v1 stores, where every
-    /// per-file query must decode every chunk.
-    pub filter: Option<FileIdFilter>,
+    /// FNV-1a 64 of the stored chunk bytes.
+    pub checksum: u64,
+    /// Primary-file-handle filter.
+    pub filter: FileIdFilter,
 }
 
 impl ChunkMeta {
@@ -403,9 +341,9 @@ impl ChunkMeta {
     }
 
     /// Whether this chunk could contain a record whose primary handle is
-    /// `fh`. Conservative: `true` whenever no filter is present (v1).
+    /// `fh` (false positives possible, false negatives not).
     pub fn may_contain_file(&self, fh: FileId) -> bool {
-        self.filter.as_ref().is_none_or(|f| f.may_contain(fh))
+        self.filter.may_contain(fh)
     }
 }
 
@@ -424,32 +362,28 @@ mod tests {
     #[test]
     fn filters_have_no_false_negatives() {
         let members: Vec<u64> = (0..200).map(|i| i * 977 + 13).collect();
-        let b = build(members.iter().copied());
-        for f in [b.finish_legacy(), b.finish_adaptive()] {
-            for &m in &members {
-                assert!(f.may_contain(FileId(m)), "member {m} filtered out");
-            }
+        let f = build(members.iter().copied()).finish_adaptive();
+        assert!(matches!(f.kind, FilterKind::Bloom { .. }));
+        for &m in &members {
+            assert!(f.may_contain(FileId(m)), "member {m} filtered out");
         }
     }
 
     #[test]
     fn filters_reject_out_of_range_and_most_nonmembers() {
-        let b = build(1000..1040);
-        for f in [b.finish_legacy(), b.finish_adaptive()] {
+        // Once as an exact set, once (100 handles) as a Bloom filter.
+        for (lo, hi) in [(1000u64, 1040u64), (1000, 1100)] {
+            let f = build(lo..hi).finish_adaptive();
             assert!(!f.may_contain(FileId(0)));
-            assert!(!f.may_contain(FileId(999)));
-            assert!(!f.may_contain(FileId(1041)));
+            assert!(!f.may_contain(FileId(lo - 1)));
+            assert!(!f.may_contain(FileId(hi)));
             assert!(!f.may_contain(FileId(u64::MAX)));
         }
     }
 
     #[test]
     fn empty_filter_matches_nothing() {
-        for f in [
-            FileIdFilter::empty(),
-            build([]).finish_legacy(),
-            build([]).finish_adaptive(),
-        ] {
+        for f in [FileIdFilter::empty(), build([]).finish_adaptive()] {
             for probe in [0u64, 1, 42, u64::MAX] {
                 assert!(!f.may_contain(FileId(probe)));
             }
@@ -466,34 +400,27 @@ mod tests {
         assert!(!f.may_contain(FileId(4)));
     }
 
-    /// The saturation regression the adaptive filter exists for: at
-    /// high fan-in the fixed v2 Bloom approaches a 100% false-positive
-    /// rate while the adaptive one stays selective.
+    /// At the fan-in that saturated the retired layout's fixed 512-bit
+    /// filter (every probe a false positive), the adaptive filter must
+    /// stay selective.
     #[test]
     fn adaptive_filter_survives_fan_in_that_saturates_legacy() {
         // ~20k distinct handles in one chunk — a production-fan-in
-        // chunk. 512 bits / 3 hashes cannot represent that.
+        // chunk.
         let members: Vec<u64> = (0..20_000u64).map(|i| i * 2 + 1).collect();
-        let b = build(members.iter().copied());
-        let legacy = b.finish_legacy();
-        let adaptive = b.finish_adaptive();
+        let adaptive = build(members.iter().copied()).finish_adaptive();
 
         // Probe in-range nonmembers (even values inside [min, max]) so
-        // the min/max guard cannot help either filter.
+        // the min/max guard cannot help.
         let probes: Vec<u64> = (0..10_000u64).map(|i| i * 4 + 2).collect();
-        let fp = |f: &FileIdFilter| {
-            probes.iter().filter(|&&p| f.may_contain(FileId(p))).count() as f64
-                / probes.len() as f64
-        };
-        let legacy_fp = fp(&legacy);
-        let adaptive_fp = fp(&adaptive);
+        let fp = probes
+            .iter()
+            .filter(|&&p| adaptive.may_contain(FileId(p)))
+            .count() as f64
+            / probes.len() as f64;
         assert!(
-            legacy_fp > 0.99,
-            "the fixed filter should be saturated here, fp = {legacy_fp}"
-        );
-        assert!(
-            adaptive_fp < 0.05,
-            "the adaptive filter must stay selective, fp = {adaptive_fp}"
+            fp < 0.05,
+            "the adaptive filter must stay selective, fp = {fp}"
         );
         // And still no false negatives.
         assert!(members.iter().all(|&m| adaptive.may_contain(FileId(m))));

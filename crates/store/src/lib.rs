@@ -32,22 +32,21 @@
 //!
 //! The record codec (module [`codec`]) delta-encodes timestamps,
 //! varint-packs every numeric field, and interns percent-escaped name
-//! arguments per chunk. On top of that, the **v3** layout (the
-//! default; v1 and v2 stores stay readable and writable) LZ-compresses
-//! each chunk when that wins — negotiated per chunk via a flags byte
-//! with a raw fallback (module [`compress`]) — checksums every chunk
-//! and the footer so corruption surfaces as [`StoreError::Format`]
-//! rather than wrong records, and carries a per-chunk
-//! [`FileIdFilter`] **sized from the chunk's distinct-handle count**
-//! (exact sorted set at low fan-in, adaptively sized Bloom above) so
-//! per-file queries ([`StoreIndex::file_records`],
-//! [`StoreIndex::file_runs`]) keep skipping chunks that cannot match
-//! even where the fixed v2 filter saturates. Module [`format`]
-//! documents all three layouts. Record-replaying analyses batch
-//! through [`nfstrace_core::index::TraceView::prepare`] into a single
-//! fused decode pass, and that pass **pipelines**: with two or more
-//! workers, [`stream_records`] decodes chunk *i+1* on a worker thread
-//! while analyzers consume chunk *i*, output unchanged.
+//! arguments per chunk. On top of that, the file layout (there is
+//! exactly one; module [`format`] documents it) LZ-compresses each
+//! chunk when that wins — negotiated per chunk via a flags byte with a
+//! raw fallback (module [`compress`]) — checksums every chunk and the
+//! footer so corruption surfaces as [`StoreError::Format`] rather than
+//! wrong records, and carries a per-chunk [`FileIdFilter`] **sized
+//! from the chunk's distinct-handle count** (exact sorted set at low
+//! fan-in, adaptively sized Bloom above) so per-file queries
+//! ([`StoreIndex::file_records`], [`StoreIndex::file_runs`]) keep
+//! skipping chunks that cannot match at any fan-in. Record-replaying
+//! analyses batch through
+//! [`nfstrace_core::index::TraceView::prepare`] into a single fused
+//! decode pass, and that pass **pipelines**: with two or more workers,
+//! [`stream_records`] decodes chunk *i+1* on a worker thread while
+//! analyzers consume chunk *i*, output unchanged.
 //!
 //! # Example: write, reopen, analyze
 //!
@@ -65,7 +64,6 @@
 //!     .collect();
 //! let config = StoreConfig {
 //!     target_chunk_bytes: 1024,
-//!     ..StoreConfig::default()
 //! };
 //! let mut w = StoreWriter::create(&path, config).unwrap();
 //! for r in &records {
@@ -103,11 +101,11 @@ pub mod writer;
 
 pub use compact::{CompactionPolicy, Compactor, FaultInjector, RetentionPolicy};
 pub use error::{Result, StoreError};
-pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind, StoreVersion};
+pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind};
 pub use index::{stream_records, stream_records_with_threads, StoreIndex};
 pub use reader::{StoreReader, VerifiedChunk};
 pub use segments::{SegmentCatalog, SegmentId};
-pub use writer::{Compression, StoreConfig, StoreSummary, StoreWriter};
+pub use writer::{StoreConfig, StoreSummary, StoreWriter};
 
 #[cfg(test)]
 mod tests {
@@ -151,7 +149,6 @@ mod tests {
             path,
             StoreConfig {
                 target_chunk_bytes: chunk_bytes,
-                ..StoreConfig::default()
             },
         )
         .expect("create store");

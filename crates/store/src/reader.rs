@@ -1,12 +1,11 @@
-//! Store reader: footer-driven random access to chunks (v1 and v2).
+//! Store reader: footer-driven random access to chunks.
 
-use crate::codec::{decode_record, read_varint, NameTable};
+use crate::codec::{decode_record, read_varint, NameTable, MIN_RECORD_BYTES};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    fnv1a64, ChunkMeta, FileIdFilter, FilterKind, StoreVersion, BLOOM_BYTES, END_MAGIC,
-    FILTER_KIND_BLOOM, FILTER_KIND_EXACT, FLAG_COMPRESSED, FLAG_MASK, MAGIC_V1, MAGIC_V2, MAGIC_V3,
-    MAX_CHUNK_PAYLOAD, MAX_FILTER_BYTES, V1_ENTRY_BYTES, V2_ENTRY_BYTES,
+    fnv1a64, ChunkMeta, FileIdFilter, FilterKind, END_MAGIC, FILTER_KIND_BLOOM, FILTER_KIND_EXACT,
+    FLAG_COMPRESSED, FLAG_MASK, MAGIC, MAX_CHUNK_PAYLOAD, MAX_FILTER_BYTES,
 };
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_telemetry::{Counter, Registry};
@@ -17,17 +16,16 @@ use std::path::{Path, PathBuf};
 /// Reads a chunked trace store.
 ///
 /// Opening parses only the footer; record bytes are read chunk by chunk
-/// on demand. Both on-disk format revisions are readable — the leading
-/// magic selects the parser, so v1 stores written before the v2 layout
-/// (compression, checksums, file filters; see [`crate::format`]) keep
-/// working. [`StoreReader::read_chunk`] takes `&self` and opens its
-/// own file handle, so chunk decodes can run on any number of threads
-/// concurrently — [`nfstrace_core::parallel::run_sharded`] drives the
-/// chunk-parallel index builds in `crate::index`.
+/// on demand. There is one on-disk format ([`crate::format`]); a file
+/// with any other leading magic — the retired v1/v2 layouts included —
+/// is a [`StoreError::Format`] at open. [`StoreReader::read_chunk`]
+/// takes `&self` and opens its own file handle, so chunk decodes can
+/// run on any number of threads concurrently —
+/// [`nfstrace_core::parallel::run_sharded`] drives the chunk-parallel
+/// index builds in `crate::index`.
 #[derive(Debug)]
 pub struct StoreReader {
     path: PathBuf,
-    version: StoreVersion,
     chunks: Vec<ChunkMeta>,
     total_records: u64,
     metrics: StoreReadMetrics,
@@ -64,7 +62,6 @@ impl StoreReadMetrics {
 /// bytes nobody checked cannot be relocated under a fresh footer.
 #[derive(Debug)]
 pub struct VerifiedChunk<'a> {
-    pub(crate) version: StoreVersion,
     pub(crate) meta: &'a ChunkMeta,
     pub(crate) bytes: Vec<u8>,
 }
@@ -92,21 +89,27 @@ impl StoreReader {
         let path = path.as_ref().to_path_buf();
         let mut f = File::open(&path)?;
         let file_len = f.metadata()?.len();
-        let min_len = (MAGIC_V1.len() + END_MAGIC.len() + 8 + 16) as u64;
+        let min_len = (MAGIC.len() + END_MAGIC.len() + 8 + 16) as u64;
         if file_len < min_len {
             return Err(StoreError::Format("file too short for a store".into()));
         }
         let mut head = [0u8; 8];
         f.read_exact(&mut head)?;
-        let version = if &head == MAGIC_V1 {
-            StoreVersion::V1
-        } else if &head == MAGIC_V2 {
-            StoreVersion::V2
-        } else if &head == MAGIC_V3 {
-            StoreVersion::V3
-        } else {
-            return Err(StoreError::Format("bad leading magic".into()));
-        };
+        if &head != MAGIC {
+            // The magic is "NFSTRC", a revision byte, NUL: another
+            // revision of this format gets named; anything else is not
+            // a store at all.
+            let other_revision = head[..6] == MAGIC[..6] && head[7] == MAGIC[7];
+            return Err(StoreError::Format(if other_revision {
+                format!(
+                    "unsupported store format revision {:?} (this build reads only {:?})",
+                    char::from(head[6]),
+                    char::from(MAGIC[6])
+                )
+            } else {
+                "bad leading magic".into()
+            }));
+        }
         f.seek(SeekFrom::End(-16))?;
         let mut trailer = [0u8; 16];
         f.read_exact(&mut trailer)?;
@@ -122,26 +125,21 @@ impl StoreReader {
         let mut footer = vec![0u8; (footer_end - footer_offset) as usize];
         f.read_exact(&mut footer)?;
 
-        if version != StoreVersion::V1 {
-            if footer.len() < 24 {
-                return Err(StoreError::Format("footer size mismatch".into()));
-            }
-            let sum_at = footer.len() - 8;
-            let stored = u64::from_le_bytes(footer[sum_at..].try_into().expect("8 bytes"));
-            if fnv1a64(&footer[..sum_at]) != stored {
-                return Err(StoreError::Format("footer checksum mismatch".into()));
-            }
+        if footer.len() < 24 {
+            return Err(StoreError::Format("footer size mismatch".into()));
         }
-        let (mut chunks, total_records) = match version {
-            StoreVersion::V1 | StoreVersion::V2 => Self::parse_fixed_footer(&footer, version)?,
-            StoreVersion::V3 => Self::parse_v3_footer(&footer)?,
-        };
+        let sum_at = footer.len() - 8;
+        let stored = u64::from_le_bytes(footer[sum_at..].try_into().expect("8 bytes"));
+        if fnv1a64(&footer[..sum_at]) != stored {
+            return Err(StoreError::Format("footer checksum mismatch".into()));
+        }
+        let (mut chunks, total_records) = Self::parse_footer(&footer[..sum_at])?;
         if chunks.iter().map(|m| m.records).sum::<u64>() != total_records {
             return Err(StoreError::Format("record total mismatch".into()));
         }
         // Validate the byte geometry up front so a corrupt footer is a
         // Format error here, not an allocation abort in read_chunk.
-        let mut expect_offset = MAGIC_V1.len() as u64;
+        let mut expect_offset = MAGIC.len() as u64;
         for (i, m) in chunks.iter().enumerate() {
             if m.offset != expect_offset {
                 return Err(StoreError::Format(format!(
@@ -157,23 +155,13 @@ impl StoreReader {
                     "chunk {i} extends past the footer"
                 )));
             }
-            // Every record costs well over one encoded byte; an entry
-            // claiming more records than bytes is corrupt. A compressed
-            // v2 chunk can legitimately pack many records per stored
-            // byte, so its bound is enforced against the decoded
-            // payload in read_chunk instead.
-            if version == StoreVersion::V1 && m.records > m.len {
+            // A compressed chunk can legitimately pack many records per
+            // stored byte, so the record count is bounded against the
+            // decoded payload in read_chunk, not here.
+            if m.records > 0 && m.filter.min_fh > m.filter.max_fh {
                 return Err(StoreError::Format(format!(
-                    "chunk {i} claims {} records in {} bytes",
-                    m.records, m.len
+                    "chunk {i} file filter range is inverted"
                 )));
-            }
-            if let Some(f) = &m.filter {
-                if m.records > 0 && f.min_fh > f.max_fh {
-                    return Err(StoreError::Format(format!(
-                        "chunk {i} file filter range is inverted"
-                    )));
-                }
             }
             if m.records > 0 && m.min_micros > m.max_micros {
                 return Err(StoreError::Format(format!(
@@ -195,68 +183,16 @@ impl StoreReader {
         }
         Ok(StoreReader {
             path,
-            version,
             chunks,
             total_records,
             metrics: StoreReadMetrics::register(registry),
         })
     }
 
-    /// Parses the fixed-stride v1/v2 footer body into chunk metas and
-    /// the total record count.
-    fn parse_fixed_footer(footer: &[u8], version: StoreVersion) -> Result<(Vec<ChunkMeta>, u64)> {
-        let (entry_bytes, tail_bytes) = match version {
-            StoreVersion::V1 => (V1_ENTRY_BYTES, 16),
-            _ => (V2_ENTRY_BYTES, 24),
-        };
-        if footer.len() < tail_bytes || !(footer.len() - tail_bytes).is_multiple_of(entry_bytes) {
-            return Err(StoreError::Format("footer size mismatch".into()));
-        }
-        let tail = &footer[footer.len() - tail_bytes..];
-        let chunk_count = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes")) as usize;
-        let total_records = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-        if chunk_count * entry_bytes != footer.len() - tail_bytes {
-            return Err(StoreError::Format("chunk count mismatch".into()));
-        }
-        let mut chunks = Vec::with_capacity(chunk_count);
-        for i in 0..chunk_count {
-            let e = &footer[i * entry_bytes..(i + 1) * entry_bytes];
-            let word =
-                |j: usize| u64::from_le_bytes(e[j * 8..(j + 1) * 8].try_into().expect("8 bytes"));
-            let (checksum, filter) = match version {
-                StoreVersion::V1 => (None, None),
-                _ => (
-                    Some(word(7)),
-                    Some(FileIdFilter {
-                        min_fh: word(5),
-                        max_fh: word(6),
-                        kind: FilterKind::Bloom {
-                            hashes: 3,
-                            bits: e[64..64 + BLOOM_BYTES].to_vec(),
-                        },
-                    }),
-                ),
-            };
-            chunks.push(ChunkMeta {
-                offset: word(0),
-                len: word(1),
-                records: word(2),
-                min_micros: word(3),
-                max_micros: word(4),
-                checksum,
-                filter,
-            });
-        }
-        Ok((chunks, total_records))
-    }
-
-    /// Parses the v3 footer body (counts first, then variable-length
-    /// entries carrying adaptively sized filters, then the checksum the
-    /// caller already verified).
-    fn parse_v3_footer(footer: &[u8]) -> Result<(Vec<ChunkMeta>, u64)> {
-        // The trailing checksum was verified by the caller; everything
-        // before it is the body this parses exactly to its end.
-        let body = &footer[..footer.len() - 8];
+    /// Parses the footer body — counts first, then variable-length
+    /// entries carrying adaptively sized filters — exactly to its end.
+    /// The caller has verified and stripped the trailing checksum.
+    fn parse_footer(body: &[u8]) -> Result<(Vec<ChunkMeta>, u64)> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
             let s = body
@@ -340,23 +276,18 @@ impl StoreReader {
                 records: word[2],
                 min_micros: word[3],
                 max_micros: word[4],
-                checksum: Some(word[7]),
-                filter: Some(FileIdFilter {
+                checksum: word[7],
+                filter: FileIdFilter {
                     min_fh: word[5],
                     max_fh: word[6],
                     kind,
-                }),
+                },
             });
         }
         if pos != body.len() {
             return Err(StoreError::Format("footer size mismatch".into()));
         }
         Ok((chunks, total_records))
-    }
-
-    /// The on-disk format revision this store was written with.
-    pub fn version(&self) -> StoreVersion {
-        self.version
     }
 
     /// Per-chunk footer entries, in chunk-ordinal order.
@@ -417,14 +348,13 @@ impl StoreReader {
 
     /// Query-planner check for per-file queries: `true` when no chunk
     /// of this segment could contain a record for `fh` (every chunk is
-    /// empty or carries a filter that rejects the handle), counted
-    /// into `store.segments_pruned`. Conservative on v1 stores — a
-    /// chunk without a filter keeps the segment.
+    /// empty or its filter rejects the handle), counted into
+    /// `store.segments_pruned`.
     pub fn prune_file(&self, fh: FileId) -> bool {
         let pruned = self
             .chunks
             .iter()
-            .all(|m| m.records == 0 || (m.filter.is_some() && !m.may_contain_file(fh)));
+            .all(|m| m.records == 0 || !m.may_contain_file(fh));
         if pruned {
             self.metrics.segments_pruned.inc();
         }
@@ -432,8 +362,7 @@ impl StoreReader {
     }
 
     /// Reads one chunk's stored bytes through a private file handle,
-    /// verified against the footer's chunk checksum where the format
-    /// carries one (v2/v3).
+    /// verified against the footer's chunk checksum.
     fn read_stored(&self, ordinal: usize) -> Result<(&ChunkMeta, Vec<u8>)> {
         let meta = self
             .chunks
@@ -443,10 +372,7 @@ impl StoreReader {
         f.seek(SeekFrom::Start(meta.offset))?;
         let mut bytes = vec![0u8; meta.len as usize];
         f.read_exact(&mut bytes)?;
-        if meta
-            .checksum
-            .is_some_and(|expect| fnv1a64(&bytes) != expect)
-        {
+        if fnv1a64(&bytes) != meta.checksum {
             return Err(StoreError::Format(format!(
                 "chunk {ordinal} checksum mismatch"
             )));
@@ -463,22 +389,11 @@ impl StoreReader {
     ///
     /// # Errors
     ///
-    /// On I/O failure, a bad ordinal, stored bytes that do not hash to
-    /// the footer's chunk checksum, or a v1 store — which carries no
-    /// checksum to verify, so its bytes can only be trusted as far as
-    /// they decode ([`StoreError::Format`] in each case).
+    /// On I/O failure, a bad ordinal, or stored bytes that do not hash
+    /// to the footer's chunk checksum ([`StoreError::Format`]).
     pub fn read_chunk_verified(&self, ordinal: usize) -> Result<VerifiedChunk<'_>> {
-        if self.version == StoreVersion::V1 {
-            return Err(StoreError::Format(
-                "v1 chunks carry no checksum to verify".into(),
-            ));
-        }
         let (meta, bytes) = self.read_stored(ordinal)?;
-        Ok(VerifiedChunk {
-            version: self.version,
-            meta,
-            bytes,
-        })
+        Ok(VerifiedChunk { meta, bytes })
     }
 
     /// Reads and decodes one chunk. Thread-safe: opens a private file
@@ -486,39 +401,34 @@ impl StoreReader {
     ///
     /// # Errors
     ///
-    /// On I/O failure, a bad ordinal, or corrupt chunk bytes — under
-    /// v2, any stored byte that does not hash to the footer's chunk
-    /// checksum is a [`StoreError::Format`] before decoding begins.
+    /// On I/O failure, a bad ordinal, or corrupt chunk bytes — any
+    /// stored byte that does not hash to the footer's chunk checksum is
+    /// a [`StoreError::Format`] before decoding begins.
     pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
         let (meta, bytes) = self.read_stored(ordinal)?;
         self.metrics.chunks_decoded.inc();
 
+        let &flags = bytes
+            .first()
+            .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
+        if flags & !FLAG_MASK != 0 {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} has unknown flags {flags:#04x}"
+            )));
+        }
         let decompressed: Vec<u8>;
-        let payload: &[u8] = match self.version {
-            StoreVersion::V1 => &bytes,
-            StoreVersion::V2 | StoreVersion::V3 => {
-                let &flags = bytes
-                    .first()
-                    .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
-                if flags & !FLAG_MASK != 0 {
-                    return Err(StoreError::Format(format!(
-                        "chunk {ordinal} has unknown flags {flags:#04x}"
-                    )));
-                }
-                if flags & FLAG_COMPRESSED != 0 {
-                    let mut pos = 1;
-                    let raw_len = read_varint(&bytes, &mut pos)?;
-                    if raw_len > MAX_CHUNK_PAYLOAD {
-                        return Err(StoreError::Format(format!(
-                            "chunk {ordinal} claims a {raw_len}-byte payload"
-                        )));
-                    }
-                    decompressed = compress::decompress(&bytes[pos..], raw_len as usize)?;
-                    &decompressed
-                } else {
-                    &bytes[1..]
-                }
+        let payload: &[u8] = if flags & FLAG_COMPRESSED != 0 {
+            let mut pos = 1;
+            let raw_len = read_varint(&bytes, &mut pos)?;
+            if raw_len > MAX_CHUNK_PAYLOAD {
+                return Err(StoreError::Format(format!(
+                    "chunk {ordinal} claims a {raw_len}-byte payload"
+                )));
             }
+            decompressed = compress::decompress(&bytes[pos..], raw_len as usize)?;
+            &decompressed
+        } else {
+            &bytes[1..]
         };
 
         let mut pos = 0;
@@ -530,13 +440,19 @@ impl StoreReader {
                 meta.records
             )));
         }
-        if count > payload.len() as u64 {
+        let mut prev = read_varint(payload, &mut pos)?;
+        // Bound the count by what the bytes could hold before
+        // allocating 200-byte records for it.
+        let left = (payload.len() - pos) as u64;
+        if count
+            .checked_mul(MIN_RECORD_BYTES)
+            .is_none_or(|need| need > left)
+        {
             return Err(StoreError::Format(format!(
-                "chunk {ordinal} claims {count} records in a {}-byte payload",
-                payload.len()
+                "chunk {ordinal} claims {count} records in {left} payload bytes \
+                 (a record takes at least {MIN_RECORD_BYTES})"
             )));
         }
-        let mut prev = read_varint(payload, &mut pos)?;
         let mut out = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let r = decode_record(payload, &mut pos, prev, &names)?;
@@ -569,8 +485,7 @@ impl StoreReader {
 
     /// All records whose primary handle is `fh`, in time order,
     /// decoding only the chunks whose footer [`FileIdFilter`] could
-    /// contain it. On a v1 store (no filters) this degrades to a full
-    /// scan; either way the result equals filtering a full scan.
+    /// contain it; the result equals filtering a full scan.
     ///
     /// # Errors
     ///
@@ -608,11 +523,10 @@ impl StoreReader {
                     }
                 }
             }
-            if !holds_file && m.filter.is_some() {
+            if !holds_file {
                 // The footer filter admitted a chunk with no record
                 // for this file: a false positive we paid a decode
-                // for. (v1 chunks have no filter; their full scans
-                // are not the filter's fault.)
+                // for.
                 self.metrics.filter_false_positives.inc();
             }
         }

@@ -1,10 +1,10 @@
 //! Segment naming, generations, and the reopen-and-append catalog.
 //!
-//! A *segment* is an ordinary store file (any format version this
-//! crate writes) that holds one contiguous, time-ordered span of a
-//! trace. A live ingest rotates through segments — sealing the hot one
-//! and starting the next — so a directory of segments **is** the trace:
-//! `seg-000000.nfseg`, `seg-000001.nfseg`, … in ordinal (= time) order.
+//! A *segment* is an ordinary store file that holds one contiguous,
+//! time-ordered span of a trace. A live ingest rotates through
+//! segments — sealing the hot one and starting the next — so a
+//! directory of segments **is** the trace: `seg-000000.nfseg`,
+//! `seg-000001.nfseg`, … in ordinal (= time) order.
 //!
 //! # Generations
 //!

@@ -119,11 +119,14 @@ pub fn read_sidecar(segment: &Path) -> Result<Vec<u64>> {
     if bytes[4] != VERSION {
         return Err(fail("unsupported version".into()));
     }
-    let count = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes")) as usize;
-    let body_end = 13 + count * 8;
-    if bytes.len() != body_end + 8 {
-        return Err(fail("truncated".into()));
-    }
+    // The count is untrusted: size arithmetic on it must not wrap.
+    let count = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
+    let body_end = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .and_then(|n| n.checked_add(13))
+        .filter(|&end| end == bytes.len() - 8)
+        .ok_or_else(|| fail("truncated".into()))?;
     let body = &bytes[13..body_end];
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
     if fnv1a64(body) != stored {
@@ -176,6 +179,24 @@ mod tests {
             read_sidecar(&seg),
             Err(StoreError::Sidecar { .. })
         ));
+        std::fs::remove_dir_all(seg.parent().unwrap()).ok();
+    }
+
+    /// A header claiming 2^61 entries makes `13 + count * 8` wrap to 13:
+    /// the 21-byte file would otherwise pass as an empty sidecar.
+    #[test]
+    fn a_count_that_overflows_the_length_is_truncation() {
+        let seg = temp_segment("overflow");
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(&[]).to_le_bytes());
+        std::fs::write(sidecar_path(&seg), &bytes).expect("write");
+        let err = read_sidecar(&seg).expect_err("the header lies about its count");
+        assert!(
+            matches!(&err, StoreError::Sidecar { problem, .. } if problem == "truncated"),
+            "{err}"
+        );
         std::fs::remove_dir_all(seg.parent().unwrap()).ok();
     }
 

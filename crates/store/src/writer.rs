@@ -4,8 +4,8 @@ use crate::codec::{encode_record, write_varint, NameTable};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    fnv1a64, ChunkMeta, FilterBuilder, FilterKind, StoreVersion, END_MAGIC, FILTER_KIND_BLOOM,
-    FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC_V1, MAGIC_V2, MAGIC_V3,
+    fnv1a64, ChunkMeta, FilterBuilder, FilterKind, END_MAGIC, FILTER_KIND_BLOOM, FILTER_KIND_EXACT,
+    FLAG_COMPRESSED, MAGIC,
 };
 use crate::reader::VerifiedChunk;
 use nfstrace_core::record::TraceRecord;
@@ -15,18 +15,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Per-chunk compression policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Store every chunk raw (still checksummed and filtered under v2).
-    None,
-    /// LZ-compress each chunk, keeping the raw form when it is smaller
-    /// — the flags byte records which form each chunk took (default).
-    #[default]
-    Lz,
-}
-
-/// Store layout knobs.
+/// The one store layout knob.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// Soft cap on a chunk's encoded size: the writer flushes the
@@ -34,12 +23,6 @@ pub struct StoreConfig {
     /// Smaller chunks mean finer-grained parallel indexing and lower
     /// peak memory; larger chunks amortize per-chunk overhead.
     pub target_chunk_bytes: usize,
-    /// Per-chunk compression policy (v2/v3 only; v1 is always raw).
-    pub compression: Compression,
-    /// On-disk format revision to emit. v3 (default) sizes each
-    /// chunk's file filter from its distinct-handle count; v2 and v1
-    /// reproduce the earlier layouts byte for byte.
-    pub version: StoreVersion,
 }
 
 impl Default for StoreConfig {
@@ -49,8 +32,6 @@ impl Default for StoreConfig {
             // chunk: decoded, tens of MB — bounded regardless of how
             // many days the whole trace spans.
             target_chunk_bytes: 4 << 20,
-            compression: Compression::default(),
-            version: StoreVersion::default(),
         }
     }
 }
@@ -60,14 +41,13 @@ impl Default for StoreConfig {
 /// Records are encoded into an in-memory chunk buffer; when the buffer
 /// reaches [`StoreConfig::target_chunk_bytes`] the chunk is flushed to
 /// disk and its [`ChunkMeta`] (offset, length, record count, time
-/// range — plus, under v2/v3, a checksum and a primary-file-handle
-/// filter, adaptively sized under v3) queued for the footer. Under
-/// v2/v3 each flushed chunk is LZ-compressed when that wins
-/// ([`Compression::Lz`]), with the raw form kept otherwise; the choice
-/// is recorded in the chunk's flags byte. [`StoreWriter::finish`]
-/// flushes the trailing chunk and writes the footer — nothing but the
-/// current chunk's encoding (and its distinct-handle set) is ever
-/// resident.
+/// range, checksum, and a primary-file-handle filter sized from the
+/// chunk's distinct-handle count) queued for the footer. Each flushed
+/// chunk is LZ-compressed when that wins, with the raw form kept
+/// otherwise; the choice is recorded in the chunk's flags byte.
+/// [`StoreWriter::finish`] flushes the trailing chunk and writes the
+/// footer — nothing but the current chunk's encoding (and its
+/// distinct-handle set) is ever resident.
 ///
 /// # Examples
 ///
@@ -89,8 +69,8 @@ pub struct StoreWriter {
     names: NameTable,
     chunk_records: u64,
     chunk_min: u64,
-    /// Distinct primary handles of the pending chunk (v2/v3 footer
-    /// filters are finished from this at flush time).
+    /// Distinct primary handles of the pending chunk (its footer
+    /// filter is finished from this at flush time).
     filter: FilterBuilder,
     /// Previous record's `micros` (delta-encoding state + order check).
     prev_micros: u64,
@@ -175,13 +155,8 @@ impl StoreWriter {
         config: StoreConfig,
         registry: &Registry,
     ) -> Result<Self> {
-        let magic = match config.version {
-            StoreVersion::V1 => MAGIC_V1,
-            StoreVersion::V2 => MAGIC_V2,
-            StoreVersion::V3 => MAGIC_V3,
-        };
         let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(magic)?;
+        out.write_all(MAGIC)?;
         Ok(StoreWriter {
             out,
             config,
@@ -192,7 +167,7 @@ impl StoreWriter {
             filter: FilterBuilder::new(),
             prev_micros: 0,
             any_pushed: false,
-            offset: magic.len() as u64,
+            offset: MAGIC.len() as u64,
             chunks: Vec::new(),
             metrics: StoreWriteMetrics::register(registry),
         })
@@ -244,22 +219,9 @@ impl StoreWriter {
     /// # Errors
     ///
     /// [`StoreError::OutOfOrder`] when the chunk starts before the
-    /// last record already written, [`StoreError::Format`] when it
-    /// comes from a store of another format version (its footer entry
-    /// would not be valid here — decode and [`StoreWriter::push`]
-    /// instead), or I/O errors.
+    /// last record already written, or I/O errors.
     pub fn append_chunk(&mut self, chunk: VerifiedChunk<'_>) -> Result<()> {
-        let VerifiedChunk {
-            version,
-            meta,
-            bytes,
-        } = chunk;
-        if version != self.config.version {
-            return Err(StoreError::Format(format!(
-                "cannot relocate a {version:?} chunk into a {:?} store",
-                self.config.version
-            )));
-        }
+        let VerifiedChunk { meta, bytes } = chunk;
         if meta.records == 0 {
             return Ok(());
         }
@@ -294,50 +256,30 @@ impl StoreWriter {
         payload.extend_from_slice(&self.chunk_buf);
         let raw_len = payload.len();
 
-        let stored = match self.config.version {
-            StoreVersion::V1 => payload,
-            StoreVersion::V2 | StoreVersion::V3 => {
-                let mut body = Vec::with_capacity(payload.len() + 1);
-                let compressed = match self.config.compression {
-                    Compression::None => None,
-                    Compression::Lz => {
-                        let c = compress::compress(&payload);
-                        let mut frame = Vec::new();
-                        write_varint(&mut frame, payload.len() as u64);
-                        // Raw fallback: only keep the compressed form
-                        // when flags + frame + stream beat flags + raw.
-                        (frame.len() + c.len() < payload.len()).then_some((frame, c))
-                    }
-                };
-                match compressed {
-                    Some((frame, c)) => {
-                        body.push(FLAG_COMPRESSED);
-                        body.extend_from_slice(&frame);
-                        body.extend_from_slice(&c);
-                    }
-                    None => {
-                        body.push(0);
-                        body.extend_from_slice(&payload);
-                    }
-                }
-                body
-            }
-        };
+        let c = compress::compress(&payload);
+        let mut frame = Vec::new();
+        write_varint(&mut frame, payload.len() as u64);
+        let mut stored = Vec::with_capacity(payload.len() + 1);
+        // Raw fallback: only keep the compressed form when flags +
+        // frame + stream beat flags + raw.
+        if frame.len() + c.len() < payload.len() {
+            stored.push(FLAG_COMPRESSED);
+            stored.extend_from_slice(&frame);
+            stored.extend_from_slice(&c);
+        } else {
+            stored.push(0);
+            stored.extend_from_slice(&payload);
+        }
         self.out.write_all(&stored)?;
         self.metrics.record_chunk(raw_len, stored.len());
-        let (checksum, filter) = match self.config.version {
-            StoreVersion::V1 => (None, None),
-            StoreVersion::V2 => (Some(fnv1a64(&stored)), Some(self.filter.finish_legacy())),
-            StoreVersion::V3 => (Some(fnv1a64(&stored)), Some(self.filter.finish_adaptive())),
-        };
         self.chunks.push(ChunkMeta {
             offset: self.offset,
             len: stored.len() as u64,
             records: self.chunk_records,
             min_micros: self.chunk_min,
             max_micros: self.prev_micros,
-            checksum,
-            filter,
+            checksum: fnv1a64(&stored),
+            filter: self.filter.finish_adaptive(),
         });
         self.offset += stored.len() as u64;
         self.chunk_buf.clear();
@@ -358,57 +300,41 @@ impl StoreWriter {
         let footer_offset = self.offset;
         let total: u64 = self.chunks.iter().map(|m| m.records).sum();
         let mut footer = Vec::with_capacity(self.chunks.len() * 136 + 40);
-        // v3 entries are variable-length, so its counts lead the footer.
-        if self.config.version == StoreVersion::V3 {
-            footer.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
-            footer.extend_from_slice(&total.to_le_bytes());
-        }
+        // Entries are variable-length, so the counts lead the footer.
+        footer.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&total.to_le_bytes());
         for m in &self.chunks {
-            for v in [m.offset, m.len, m.records, m.min_micros, m.max_micros] {
-                footer.extend_from_slice(&v.to_le_bytes());
-            }
-            if self.config.version == StoreVersion::V1 {
-                continue;
-            }
-            let f = m.filter.as_ref().expect("v2/v3 chunks carry filters");
+            let f = &m.filter;
             for v in [
+                m.offset,
+                m.len,
+                m.records,
+                m.min_micros,
+                m.max_micros,
                 f.min_fh,
                 f.max_fh,
-                m.checksum.expect("v2/v3 chunks carry checksums"),
+                m.checksum,
             ] {
                 footer.extend_from_slice(&v.to_le_bytes());
             }
-            match (self.config.version, &f.kind) {
-                (StoreVersion::V2, FilterKind::Bloom { bits, .. }) => {
-                    footer.extend_from_slice(bits);
-                }
-                (StoreVersion::V2, FilterKind::Exact(_)) => {
-                    unreachable!("v2 flushes finish legacy Bloom filters")
-                }
-                (StoreVersion::V3, FilterKind::Exact(handles)) => {
+            match &f.kind {
+                FilterKind::Exact(handles) => {
                     footer.push(FILTER_KIND_EXACT);
                     footer.extend_from_slice(&(handles.len() as u32).to_le_bytes());
                     for h in handles {
                         footer.extend_from_slice(&h.to_le_bytes());
                     }
                 }
-                (StoreVersion::V3, FilterKind::Bloom { hashes, bits }) => {
+                FilterKind::Bloom { hashes, bits } => {
                     footer.push(FILTER_KIND_BLOOM);
                     footer.push(u8::try_from(*hashes).expect("small hash count"));
                     footer.extend_from_slice(&(bits.len() as u32).to_le_bytes());
                     footer.extend_from_slice(bits);
                 }
-                (StoreVersion::V1, _) => unreachable!("handled above"),
             }
         }
-        if self.config.version != StoreVersion::V3 {
-            footer.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
-            footer.extend_from_slice(&total.to_le_bytes());
-        }
-        if self.config.version != StoreVersion::V1 {
-            let sum = fnv1a64(&footer);
-            footer.extend_from_slice(&sum.to_le_bytes());
-        }
+        let sum = fnv1a64(&footer);
+        footer.extend_from_slice(&sum.to_le_bytes());
         footer.extend_from_slice(&footer_offset.to_le_bytes());
         footer.extend_from_slice(END_MAGIC);
         self.out.write_all(&footer)?;
@@ -515,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn append_chunk_drops_zero_record_chunks_and_foreign_versions() {
+    fn append_chunk_drops_zero_record_chunks() {
         let out = tmp("empty-out");
         let mut w = StoreWriter::create(&out, StoreConfig::default()).expect("create");
         w.push(&TraceRecord::new(100, Op::Read, FileId(1)))
@@ -529,44 +455,16 @@ mod tests {
             records: 0,
             min_micros: u64::MAX,
             max_micros: 0,
-            checksum: Some(fnv1a64(&[0])),
-            filter: Some(FileIdFilter::empty()),
+            checksum: fnv1a64(&[0]),
+            filter: FileIdFilter::empty(),
         };
         w.append_chunk(VerifiedChunk {
-            version: StoreVersion::V3,
             meta: &empty,
             bytes: vec![0],
         })
         .expect("dropped, not an error");
-        let foreign = w
-            .append_chunk(VerifiedChunk {
-                version: StoreVersion::V2,
-                meta: &empty,
-                bytes: vec![0],
-            })
-            .expect_err("a v2 footer entry is not a v3 one");
-        assert!(matches!(foreign, StoreError::Format(_)), "{foreign}");
         let summary = w.finish().expect("finish");
         assert_eq!((summary.total_records, summary.chunks), (1, 1));
-
-        // A v1 store has no checksum to verify, so it never yields a
-        // relocatable chunk in the first place.
-        let v1_config = StoreConfig {
-            version: StoreVersion::V1,
-            ..StoreConfig::default()
-        };
-        let mut v1 = StoreWriter::create(&out, v1_config).expect("create");
-        v1.push(&TraceRecord::new(1, Op::Read, FileId(1)))
-            .expect("push");
-        v1.finish().expect("finish");
-        let unverifiable = StoreReader::open(&out)
-            .expect("open")
-            .read_chunk_verified(0)
-            .expect_err("v1");
-        assert!(
-            matches!(unverifiable, StoreError::Format(_)),
-            "{unverifiable}"
-        );
         std::fs::remove_file(&out).ok();
     }
 }

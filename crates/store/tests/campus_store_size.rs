@@ -1,11 +1,13 @@
-//! On-disk size guarantees on a realistic trace: for the scale-0.1
-//! CAMPUS workload, the default (v3, compressed) store is no larger
-//! than an uncompressed v2 store, and strictly smaller than the v1
-//! (PR 3) layout — while all three decode to bit-identical records.
+//! On-disk size guarantee on a realistic trace: for the scale-0.1
+//! CAMPUS workload, per-chunk compression makes the stored chunk bytes
+//! strictly smaller than the encoded payloads they hold — read from the
+//! writer's own `store.chunk_bytes_*` counters — while the file decodes
+//! to bit-identical records.
 
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::DAY;
-use nfstrace_store::{Compression, StoreConfig, StoreReader, StoreVersion, StoreWriter};
+use nfstrace_store::{StoreConfig, StoreReader, StoreWriter};
+use nfstrace_telemetry::Registry;
 use nfstrace_workload::{CampusConfig, CampusWorkload};
 
 /// One day of CAMPUS at scale 0.1 (the repro suite's scaling:
@@ -20,61 +22,31 @@ fn campus_scale_01() -> Vec<TraceRecord> {
     .generate()
 }
 
-fn write(path: &std::path::Path, records: &[TraceRecord], cfg: StoreConfig) -> u64 {
-    let mut w = StoreWriter::create(path, cfg).expect("create");
-    for r in records {
-        w.push(r).expect("push");
-    }
-    w.finish().expect("finish").file_bytes
-}
-
 #[test]
 fn compressed_store_is_smaller_on_campus_trace() {
     let records = campus_scale_01();
     assert!(records.len() > 1000, "workload generated a real trace");
     let dir = std::env::temp_dir().join("nfstrace-store-size");
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let pid = std::process::id();
-    let chunk = StoreConfig::default().target_chunk_bytes;
+    let path = dir.join(format!("campus-{}", std::process::id()));
 
-    let v1_path = dir.join(format!("campus-v1-{pid}"));
-    let v1_bytes = write(
-        &v1_path,
-        &records,
-        StoreConfig {
-            target_chunk_bytes: chunk,
-            compression: Compression::None,
-            version: StoreVersion::V1,
-        },
-    );
-    let raw_path = dir.join(format!("campus-v2raw-{pid}"));
-    let v2_raw_bytes = write(
-        &raw_path,
-        &records,
-        StoreConfig {
-            target_chunk_bytes: chunk,
-            compression: Compression::None,
-            version: StoreVersion::V2,
-        },
-    );
-    let lz_path = dir.join(format!("campus-v3lz-{pid}"));
-    let v3_lz_bytes = write(&lz_path, &records, StoreConfig::default());
-
-    assert!(
-        v3_lz_bytes <= v2_raw_bytes,
-        "compressed ({v3_lz_bytes} B) must not exceed raw ({v2_raw_bytes} B)"
-    );
-    assert!(
-        v3_lz_bytes < v1_bytes,
-        "the default layout ({v3_lz_bytes} B) must beat the v1 layout ({v1_bytes} B)"
-    );
-
-    // All three layouts decode to the same records.
-    for path in [&v1_path, &raw_path, &lz_path] {
-        let reader = StoreReader::open(path).expect("open");
-        let mut back = Vec::with_capacity(records.len());
-        reader.for_each(|r| back.push(r.clone())).expect("stream");
-        assert_eq!(back, records, "layout at {} diverged", path.display());
-        std::fs::remove_file(path).ok();
+    let registry = Registry::new();
+    let mut w = StoreWriter::create_with_registry(&path, StoreConfig::default(), &registry)
+        .expect("create");
+    for r in &records {
+        w.push(r).expect("push");
     }
+    w.finish().expect("finish");
+    let stored = registry.counter("store.chunk_bytes_stored").value();
+    let raw = registry.counter("store.chunk_bytes_raw").value();
+    assert!(
+        stored < raw,
+        "compressed chunks ({stored} B) must be smaller than their payloads ({raw} B)"
+    );
+
+    let reader = StoreReader::open(&path).expect("open");
+    let mut back = Vec::with_capacity(records.len());
+    reader.for_each(|r| back.push(r.clone())).expect("stream");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(back, records);
 }

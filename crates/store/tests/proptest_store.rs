@@ -1,5 +1,5 @@
 //! Property tests for the chunked store: codec round-trips are
-//! bit-identical for any compression mode, chunk-parallel
+//! bit-identical whichever form each chunk negotiates, chunk-parallel
 //! partial-index merges equal the single-pass in-memory index for
 //! arbitrary chunk sizes and thread counts, the fused single-pass
 //! replay matches the per-analysis replay path byte for byte, and
@@ -10,7 +10,8 @@ use nfstrace_core::index::{PartialIndex, ReplayRequest, TraceIndex, TraceView};
 use nfstrace_core::lifetime::LifetimeConfig;
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_core::runs::RunOptions;
-use nfstrace_store::{Compression, StoreConfig, StoreError, StoreIndex, StoreReader, StoreWriter};
+use nfstrace_store::{StoreConfig, StoreError, StoreIndex, StoreReader, StoreWriter};
+use nfstrace_telemetry::Registry;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -90,7 +91,6 @@ proptest! {
             &path,
             nfstrace_store::StoreConfig {
                 target_chunk_bytes: chunk_bytes,
-                ..nfstrace_store::StoreConfig::default()
             },
         ).expect("create");
         for r in &records {
@@ -143,7 +143,6 @@ proptest! {
             &path,
             nfstrace_store::StoreConfig {
                 target_chunk_bytes: chunk_bytes,
-                ..nfstrace_store::StoreConfig::default()
             },
         ).expect("create");
         for r in &records {
@@ -165,28 +164,19 @@ proptest! {
     }
 }
 
-/// Writes `records` to `path` with the given chunk size, compression
-/// policy, and format version.
-fn write_with(
-    path: &std::path::Path,
-    records: &[TraceRecord],
-    chunk_bytes: usize,
-    compression: Compression,
-    version: nfstrace_store::StoreVersion,
-) {
-    let mut w = StoreWriter::create(
-        path,
-        StoreConfig {
-            target_chunk_bytes: chunk_bytes,
-            compression,
-            version,
-        },
-    )
-    .expect("create");
+/// Writes `records` to `path` with the given chunk size; returns the
+/// registry holding the writer's `store.*` counters.
+fn write_with(path: &std::path::Path, records: &[TraceRecord], chunk_bytes: usize) -> Registry {
+    let registry = Registry::new();
+    let config = StoreConfig {
+        target_chunk_bytes: chunk_bytes,
+    };
+    let mut w = StoreWriter::create_with_registry(path, config, &registry).expect("create");
     for r in records {
         w.push(r).expect("push");
     }
     w.finish().expect("finish");
+    registry
 }
 
 /// Reads every record back, or the first error.
@@ -199,51 +189,26 @@ fn read_all(path: &std::path::Path) -> Result<Vec<TraceRecord>, StoreError> {
 
 proptest! {
     /// The compression codec round-trips bit-identically through the
-    /// store for arbitrary record streams × chunk sizes × compression
-    /// on/off — and "mixed" arises naturally, since each chunk
-    /// negotiates its own raw fallback via the flags byte.
+    /// store for arbitrary record streams × chunk sizes, and each
+    /// chunk's negotiation (LZ form or raw fallback, via the flags
+    /// byte) never stores more than the raw payload plus that byte.
     #[test]
     fn compressed_roundtrip_is_bit_identical(
         mut records in proptest::collection::vec(arb_record(), 0..300),
         chunk_bytes in 48usize..8192,
-        compress in any::<bool>(),
-        v3 in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         records.sort_by_key(|r| r.micros);
-        let compression = if compress { Compression::Lz } else { Compression::None };
-        let version = if v3 {
-            nfstrace_store::StoreVersion::V3
-        } else {
-            nfstrace_store::StoreVersion::V2
-        };
         let path = tmp("lz-roundtrip", case);
-        write_with(&path, &records, chunk_bytes, compression, version);
+        let registry = write_with(&path, &records, chunk_bytes);
         let back = read_all(&path).expect("read");
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(back, records);
-    }
-
-    /// v1 stores (the PR 3 layout) remain fully readable, and their
-    /// analysis products match the v2 path over the same records.
-    #[test]
-    fn v1_stores_stay_readable(
-        mut records in proptest::collection::vec(arb_record(), 0..200),
-        chunk_bytes in 64usize..4096,
-        case in 0u64..1_000_000,
-    ) {
-        records.sort_by_key(|r| r.micros);
-        let path = tmp("v1-compat", case);
-        write_with(&path, &records, chunk_bytes, Compression::None, nfstrace_store::StoreVersion::V1);
-        let reader = StoreReader::open(&path).expect("open v1");
-        prop_assert_eq!(reader.version(), nfstrace_store::StoreVersion::V1);
-        let back = read_all(&path).expect("read v1");
-        prop_assert_eq!(&back, &records);
-        let disk = StoreIndex::open(&path).expect("index v1");
-        let mem = TraceIndex::new(records);
-        prop_assert_eq!(disk.summary(), mem.summary());
-        prop_assert_eq!(disk.accesses(7).as_ref(), mem.accesses(7).as_ref());
-        std::fs::remove_file(&path).ok();
+        let counted = |name: &str| registry.counter(name).value();
+        prop_assert!(
+            counted("store.chunk_bytes_stored")
+                <= counted("store.chunk_bytes_raw") + counted("store.chunks_written")
+        );
     }
 
     /// The fused single-pass replay produces byte-identical reports vs
@@ -259,7 +224,7 @@ proptest! {
     ) {
         records.sort_by_key(|r| r.micros);
         let path = tmp("fused", case);
-        write_with(&path, &records, chunk_bytes, Compression::Lz, nfstrace_store::StoreVersion::V2);
+        write_with(&path, &records, chunk_bytes);
         let cfg = LifetimeConfig {
             phase1_start: 0,
             phase1_len: 1_000_000_000,
@@ -325,17 +290,11 @@ proptest! {
         chunk_bytes in 64usize..2048,
         flip_frac in 0u32..10_000,
         bit in 0u8..8,
-        v3 in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         records.sort_by_key(|r| r.micros);
-        let version = if v3 {
-            nfstrace_store::StoreVersion::V3
-        } else {
-            nfstrace_store::StoreVersion::V2
-        };
         let path = tmp("flip", case);
-        write_with(&path, &records, chunk_bytes, Compression::Lz, version);
+        write_with(&path, &records, chunk_bytes);
         let mut bytes = std::fs::read(&path).expect("read file");
         let idx = (u64::from(flip_frac) * (bytes.len() as u64 - 1) / 10_000) as usize;
         bytes[idx] ^= 1 << bit;
@@ -362,7 +321,7 @@ proptest! {
     ) {
         records.sort_by_key(|r| r.micros);
         let path = tmp("trunc2", case);
-        write_with(&path, &records, 256, Compression::Lz, nfstrace_store::StoreVersion::V3);
+        write_with(&path, &records, 256);
         let bytes = std::fs::read(&path).expect("read file");
         let cut = (u64::from(cut_frac) * (bytes.len() as u64 - 1) / 10_000) as usize;
         std::fs::write(&path, &bytes[..cut]).expect("truncate");
@@ -388,13 +347,7 @@ fn clustered_records(n: u64, per_file: u64) -> Vec<TraceRecord> {
 fn per_file_queries_skip_chunks() {
     let records = clustered_records(3000, 300);
     let path = tmp("skip", 0);
-    write_with(
-        &path,
-        &records,
-        2048,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 2048);
 
     let reader = StoreReader::open(&path).expect("open");
     let chunks = reader.chunk_count() as u64;
@@ -431,10 +384,9 @@ fn per_file_queries_skip_chunks() {
 }
 
 /// The saturation regression, end to end: on chunks with thousands of
-/// distinct handles the fixed v2 Bloom filter saturates (per-file
-/// queries for absent files decode nearly every chunk), while the v3
-/// adaptive filter keeps the skip rate high — with identical query
-/// results.
+/// distinct handles a fixed-size Bloom filter saturates (per-file
+/// queries for absent files decode nearly every chunk); the adaptive
+/// filter must keep the skip rate high.
 #[test]
 fn adaptive_filters_keep_skipping_on_high_fan_in_chunks() {
     // Every record a distinct-ish handle, scattered so each chunk's
@@ -448,30 +400,23 @@ fn adaptive_filters_keep_skipping_on_high_fan_in_chunks() {
         .collect();
     let probes: Vec<FileId> = (0..200u64).map(|i| FileId(i * 180 + 2)).collect(); // even: absent
 
-    let mut decodes = [0u64; 2];
-    for (slot, version) in [
-        (0, nfstrace_store::StoreVersion::V2),
-        (1, nfstrace_store::StoreVersion::V3),
-    ] {
-        let path = tmp("fanin", slot as u64);
-        write_with(&path, &records, 96 << 10, Compression::Lz, version);
-        let reader = StoreReader::open(&path).expect("open");
-        assert!(reader.chunk_count() >= 4, "need several chunks");
-        for p in &probes {
-            assert!(
-                reader.records_for_file(*p).expect("query").is_empty(),
-                "even handles are absent by construction"
-            );
-        }
-        decodes[slot] = reader.chunks_decoded();
-        std::fs::remove_file(&path).ok();
+    let path = tmp("fanin", 0);
+    write_with(&path, &records, 96 << 10);
+    let reader = StoreReader::open(&path).expect("open");
+    assert!(reader.chunk_count() >= 4, "need several chunks");
+    for p in &probes {
+        assert!(
+            reader.records_for_file(*p).expect("query").is_empty(),
+            "even handles are absent by construction"
+        );
     }
+    let decoded = reader.chunks_decoded();
+    let full_scans = (probes.len() * reader.chunk_count()) as u64;
+    std::fs::remove_file(&path).ok();
     assert!(
-        decodes[0] > decodes[1] * 10,
-        "v2 (saturated) decoded {} chunks, v3 (adaptive) {} — \
-         the adaptive filter should be skipping at least 10x more",
-        decodes[0],
-        decodes[1]
+        decoded * 10 < full_scans,
+        "the adaptive filter decoded {decoded} chunks where full scans take {full_scans} — \
+         it should be skipping more than 10x"
     );
 }
 
@@ -481,13 +426,7 @@ fn adaptive_filters_keep_skipping_on_high_fan_in_chunks() {
 fn file_accesses_and_runs_match_full_index() {
     let records = clustered_records(2000, 250);
     let path = tmp("filequery", 0);
-    write_with(
-        &path,
-        &records,
-        2048,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 2048);
     let disk = StoreIndex::open(&path).expect("index");
     let probe = FileId(3);
 
@@ -553,13 +492,7 @@ fn mixed_compression_negotiates_per_chunk() {
         records.push(r);
     }
     let path = tmp("mixed", 0);
-    write_with(
-        &path,
-        &records,
-        2000,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 2000);
     let reader = StoreReader::open(&path).expect("open");
     let bytes = std::fs::read(&path).expect("read bytes");
     let mut saw = [false; 2];
@@ -579,14 +512,37 @@ fn patch_word(bytes: &mut [u8], at: usize, v: u64) {
     bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
+/// Where the footer starts, from the trailer. The footer leads with
+/// `chunk_count` and `total_records`.
+fn footer_offset(bytes: &[u8]) -> usize {
+    let len = bytes.len();
+    u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize
+}
+
+/// Byte offset of word `word` of footer entry 0 (offset, len, records,
+/// min_micros, max_micros, min_fh, max_fh, checksum), which follows the
+/// two leading count words.
+fn entry0_word(bytes: &[u8], word: usize) -> usize {
+    footer_offset(bytes) + 16 + word * 8
+}
+
 /// Recomputes the footer checksum after a footer patch so the tampered
 /// field itself — not the checksum — is what the reader must catch.
 fn refresh_footer_checksum(bytes: &mut [u8]) {
-    let len = bytes.len();
-    let footer_offset = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
-    let sum_at = len - 24;
-    let sum = nfstrace_store::format::fnv1a64(&bytes[footer_offset..sum_at]);
+    let sum_at = bytes.len() - 24;
+    let sum = nfstrace_store::format::fnv1a64(&bytes[footer_offset(bytes)..sum_at]);
     patch_word(bytes, sum_at, sum);
+}
+
+/// Recomputes chunk 0's checksum word after its bytes were patched,
+/// then the footer's.
+fn refresh_chunk0_checksum(bytes: &mut [u8], meta: &nfstrace_store::ChunkMeta) {
+    let sum = nfstrace_store::format::fnv1a64(
+        &bytes[meta.offset as usize..(meta.offset + meta.len) as usize],
+    );
+    let at = entry0_word(bytes, 7);
+    patch_word(bytes, at, sum);
+    refresh_footer_checksum(bytes);
 }
 
 /// An unknown flags bit is rejected by flag validation even when every
@@ -595,26 +551,14 @@ fn refresh_footer_checksum(bytes: &mut [u8]) {
 fn unknown_flags_byte_is_a_format_error() {
     let records = clustered_records(200, 50);
     let path = tmp("badflags", 0);
-    write_with(
-        &path,
-        &records,
-        1 << 20,
-        Compression::None,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 1 << 20);
     let reader = StoreReader::open(&path).expect("open");
     let meta = reader.chunks()[0].clone();
     drop(reader);
 
     let mut bytes = std::fs::read(&path).expect("read");
     bytes[meta.offset as usize] = 0x40; // undefined flag bit
-    let new_sum = nfstrace_store::format::fnv1a64(
-        &bytes[meta.offset as usize..(meta.offset + meta.len) as usize],
-    );
-    let len = bytes.len();
-    let footer_offset = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
-    patch_word(&mut bytes, footer_offset + 7 * 8, new_sum); // entry 0 checksum
-    refresh_footer_checksum(&mut bytes);
+    refresh_chunk0_checksum(&mut bytes, &meta);
     std::fs::write(&path, &bytes).expect("write");
 
     let reader = StoreReader::open(&path).expect("footer is consistent");
@@ -632,18 +576,11 @@ fn unknown_flags_byte_is_a_format_error() {
 fn inverted_filter_range_is_a_format_error() {
     let records = clustered_records(200, 50);
     let path = tmp("badfilter", 0);
-    write_with(
-        &path,
-        &records,
-        1 << 20,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 1 << 20);
     let mut bytes = std::fs::read(&path).expect("read");
-    let len = bytes.len();
-    let footer_offset = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
-    patch_word(&mut bytes, footer_offset + 5 * 8, 100); // min_fh
-    patch_word(&mut bytes, footer_offset + 6 * 8, 5); // max_fh < min_fh
+    let (min_fh, max_fh) = (entry0_word(&bytes, 5), entry0_word(&bytes, 6));
+    patch_word(&mut bytes, min_fh, 100);
+    patch_word(&mut bytes, max_fh, 5); // max_fh < min_fh
     refresh_footer_checksum(&mut bytes);
     std::fs::write(&path, &bytes).expect("write");
 
@@ -661,17 +598,9 @@ fn inverted_filter_range_is_a_format_error() {
 fn chunk_footer_checksum_mismatch_is_a_format_error() {
     let records = clustered_records(200, 50);
     let path = tmp("badsum", 0);
-    write_with(
-        &path,
-        &records,
-        1 << 20,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 1 << 20);
     let mut bytes = std::fs::read(&path).expect("read");
-    let len = bytes.len();
-    let footer_offset = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
-    let sum_at = footer_offset + 7 * 8;
+    let sum_at = entry0_word(&bytes, 7);
     let old = u64::from_le_bytes(bytes[sum_at..sum_at + 8].try_into().unwrap());
     patch_word(&mut bytes, sum_at, old ^ 1);
     refresh_footer_checksum(&mut bytes);
@@ -693,18 +622,11 @@ fn chunk_footer_checksum_mismatch_is_a_format_error() {
 fn inverted_time_range_is_a_format_error() {
     let records = clustered_records(200, 50);
     let path = tmp("badtime", 0);
-    write_with(
-        &path,
-        &records,
-        1 << 20,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 1 << 20);
     let mut bytes = std::fs::read(&path).expect("read");
-    let len = bytes.len();
-    let footer_offset = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
-    patch_word(&mut bytes, footer_offset + 3 * 8, 100); // min_micros
-    patch_word(&mut bytes, footer_offset + 4 * 8, 5); // max_micros < min_micros
+    let (min_micros, max_micros) = (entry0_word(&bytes, 3), entry0_word(&bytes, 4));
+    patch_word(&mut bytes, min_micros, 100);
+    patch_word(&mut bytes, max_micros, 5); // max_micros < min_micros
     refresh_footer_checksum(&mut bytes);
     std::fs::write(&path, &bytes).expect("write");
 
@@ -724,20 +646,18 @@ fn inverted_time_range_is_a_format_error() {
 fn zero_record_degenerate_time_range_is_normalized() {
     let records = clustered_records(200, 50);
     let path = tmp("emptyrange", 0);
-    write_with(
-        &path,
-        &records,
-        1 << 20,
-        Compression::Lz,
-        nfstrace_store::StoreVersion::V2,
-    );
+    write_with(&path, &records, 1 << 20);
     let mut bytes = std::fs::read(&path).expect("read");
-    let len = bytes.len();
-    let footer_offset = u64::from_le_bytes(bytes[len - 16..len - 8].try_into().unwrap()) as usize;
-    patch_word(&mut bytes, footer_offset + 2 * 8, 0); // entry 0 records = 0
-    patch_word(&mut bytes, footer_offset + 3 * 8, 100); // min_micros
-    patch_word(&mut bytes, footer_offset + 4 * 8, 5); // max_micros < min_micros
-    patch_word(&mut bytes, len - 32, 0); // footer total_records
+    let total_records = footer_offset(&bytes) + 8;
+    let (records, min_micros, max_micros) = (
+        entry0_word(&bytes, 2),
+        entry0_word(&bytes, 3),
+        entry0_word(&bytes, 4),
+    );
+    patch_word(&mut bytes, records, 0);
+    patch_word(&mut bytes, min_micros, 100);
+    patch_word(&mut bytes, max_micros, 5); // max_micros < min_micros
+    patch_word(&mut bytes, total_records, 0);
     refresh_footer_checksum(&mut bytes);
     std::fs::write(&path, &bytes).expect("write");
 
@@ -757,5 +677,141 @@ fn zero_record_degenerate_time_range_is_normalized() {
         reader.prune_window(0, u64::MAX),
         "the planner dismisses the empty segment from every window"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The two retired layouts (v1 `NFSTRC1`, v2 `NFSTRC2`) are no longer
+/// read: a file carrying either magic is turned away at open with a
+/// typed error that says so, not parsed and not called garbage.
+#[test]
+fn old_magics_are_a_typed_unsupported_error() {
+    let path = tmp("oldmagic", 0);
+    write_with(&path, &clustered_records(200, 50), 1 << 20);
+    let mut bytes = std::fs::read(&path).expect("read");
+    assert_eq!(&bytes[..8], b"NFSTRC3\0");
+    for old in [b'1', b'2'] {
+        bytes[6] = old;
+        std::fs::write(&path, &bytes).expect("write");
+        let err = StoreReader::open(&path).expect_err("an old layout must not open");
+        assert!(
+            matches!(&err, StoreError::Format(m) if m.contains("unsupported store format")),
+            "unexpected error: {err}"
+        );
+    }
+    // Bytes that are no revision of this format stay a magic error.
+    bytes[..8].copy_from_slice(b"RIFFWAVE");
+    std::fs::write(&path, &bytes).expect("write");
+    let err = StoreReader::open(&path).expect_err("not a store");
+    assert!(
+        matches!(&err, StoreError::Format(m) if m.contains("bad leading magic")),
+        "unexpected error: {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A chunk header claiming more records than its payload could hold at
+/// the codec's minimum record size is rejected before the reader
+/// allocates decoded records for the claim — every checksum fixed up,
+/// so the bound itself is what fires.
+#[test]
+fn record_count_beyond_the_payload_is_rejected_before_allocating() {
+    // One record with no repetition to exploit: the chunk falls back
+    // to raw, so its header can be patched in place.
+    let mut record = TraceRecord::new(17, Op::Write, FileId(0x1234_5678)).with_range(1 << 33, 4099);
+    record.reply_micros = 328;
+    record.client = 0x5a5a;
+    record.uid = 501;
+    record.xid = 0x0fed_cba9;
+    let path = tmp("hostilecount", 0);
+    write_with(&path, &[record], 1 << 20);
+    let meta = StoreReader::open(&path).expect("open").chunks()[0].clone();
+    let mut bytes = std::fs::read(&path).expect("read");
+    let at = meta.offset as usize;
+    // flags (raw), empty name table, record count.
+    assert_eq!(bytes[at..at + 3], [0, 0, 1], "a raw one-record chunk");
+
+    // Inside the old bound (count ≤ payload bytes), far outside what
+    // 15-byte records allow.
+    let payload_len = meta.len - 1;
+    let claim = payload_len - 4;
+    assert!(claim < 128 && claim > payload_len / 15);
+    bytes[at + 2] = claim as u8;
+    let (entry_records, total_records) = (entry0_word(&bytes, 2), footer_offset(&bytes) + 8);
+    patch_word(&mut bytes, entry_records, claim);
+    patch_word(&mut bytes, total_records, claim);
+    refresh_chunk0_checksum(&mut bytes, &meta);
+    std::fs::write(&path, &bytes).expect("write");
+
+    let reader = StoreReader::open(&path).expect("footer is consistent");
+    let err = reader.read_chunk(0).expect_err("the count cannot fit");
+    assert!(
+        matches!(&err, StoreError::Format(m) if m.contains("a record takes at least 15")),
+        "unexpected error: {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// The on-disk format, pinned byte for byte: three fixed records
+/// through a 1-byte chunk target (one chunk each — a name table, the
+/// raw fallback, three exact filters, the footer and trailer). Any
+/// change to these bytes is a format change and needs a new magic.
+/// (`mixed_compression_negotiates_per_chunk` covers the LZ form.)
+#[test]
+fn three_record_store_matches_the_golden_bytes() {
+    const GOLDEN: &str = concat!(
+        // magic
+        "4e46535452433300",
+        // chunk 0: raw flag, name table, count, first_micros, record
+        "00010a696e626f782e6c6f636b01c0843d00e8024208030a00f50300effd0207",
+        "00000000009221",
+        // chunk 1: raw flag, name table, count, first_micros, record
+        "000001d0873d00f4031007030a000000f0fd029221804080208020008060",
+        // chunk 2: raw flag, name table, count, first_micros, record
+        "00000180897a00ff91f401800206020000000000070080408040ffffffff0f",
+        // footer: chunk_count, total_records
+        "03000000000000000300000000000000",
+        // entry 0: 8 words, exact filter
+        "08000000000000002700000000000000010000000000000040420f0000000000",
+        "40420f0000000000070000000000000007000000000000006cbab73e39953199",
+        "01010000000700000000000000",
+        // entry 1: 8 words, exact filter
+        "2f000000000000001e000000000000000100000000000000d0430f0000000000",
+        "d0430f0000000000921000000000000092100000000000005d81aabc383f4c3a",
+        "01010000009210000000000000",
+        // entry 2: 8 words, exact filter
+        "4d000000000000001f00000000000000010000000000000080841e0000000000",
+        "80841e0000000000070000000000000007000000000000007c6bc3743860ef70",
+        "01010000000700000000000000",
+        // footer checksum
+        "8948b4855401c547",
+        // trailer: footer_offset, end magic
+        "6c000000000000004e46535452434500",
+    );
+    let mut create = TraceRecord::new(1_000_000, Op::Create, FileId(7)).with_name("inbox.lock");
+    create.reply_micros = 1_000_180;
+    create.client = 10;
+    create.uid = 501;
+    create.xid = 0xbeef;
+    create.new_fh = Some(FileId(4242));
+    let mut write = TraceRecord::new(1_000_400, Op::Write, FileId(4242))
+        .with_range(8192, 4096)
+        .with_post_size(12_288);
+    write.reply_micros = 1_000_650;
+    write.client = 10;
+    write.xid = 0xbef0;
+    let mut read = TraceRecord::new(2_000_000, Op::Read, FileId(7))
+        .with_range(0, 8192)
+        .with_eof(true);
+    read.reply_micros = 0; // lost reply
+    read.status = u32::MAX;
+    read.vers = 2;
+    let records = [create, write, read];
+
+    let path = tmp("golden", 0);
+    write_with(&path, &records, 1);
+    let bytes = std::fs::read(&path).expect("read");
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN, "the store format changed on disk");
+    assert_eq!(read_all(&path).expect("read"), records);
     std::fs::remove_file(&path).ok();
 }
