@@ -362,6 +362,12 @@ impl LiveIngest {
     /// stream contract spans segment boundaries), or I/O errors from
     /// the segment writer.
     pub fn ingest(&mut self, r: &TraceRecord) -> Result<()> {
+        self.ingest_owned(r.clone())
+    }
+
+    /// [`LiveIngest::ingest`] for a caller that is done with the
+    /// record: it moves into the hot tail instead of being cloned.
+    fn ingest_owned(&mut self, r: TraceRecord) -> Result<()> {
         let seq = self.next_seq;
         self.ingest_inner(r, seq)
     }
@@ -386,10 +392,10 @@ impl LiveIngest {
                 self.next_seq
             )));
         }
-        self.ingest_inner(r, seq)
+        self.ingest_inner(r.clone(), seq)
     }
 
-    fn ingest_inner(&mut self, r: &TraceRecord, seq: u64) -> Result<()> {
+    fn ingest_inner(&mut self, r: TraceRecord, seq: u64) -> Result<()> {
         if self.any_ingested && r.micros < self.last_micros {
             return Err(StoreError::OutOfOrder {
                 prev: self.last_micros,
@@ -413,16 +419,17 @@ impl LiveIngest {
         self.hot_writer
             .as_mut()
             .expect("just ensured a writer")
-            .push(r)?;
-        Arc::make_mut(&mut self.hot_records).push(r.clone());
+            .push(&r)?;
         if self.config.track_seqs {
             Arc::make_mut(&mut self.hot_seqs).push(seq);
-            self.running.observe_seq(r, seq);
+            self.running.observe_seq(&r, seq);
             self.next_seq = seq + 1;
         } else {
-            self.running.observe(r);
+            self.running.observe(&r);
         }
-        self.last_micros = r.micros;
+        let micros = r.micros;
+        Arc::make_mut(&mut self.hot_records).push(r);
+        self.last_micros = micros;
         self.any_ingested = true;
         self.total_records += 1;
         self.generation += 1;
@@ -430,7 +437,7 @@ impl LiveIngest {
         self.metrics.records_emitted.inc();
         self.metrics.hot_records.set(self.hot_records.len() as f64);
         if self.hot_records.len() as u64 >= self.config.rotate_records
-            || r.micros.saturating_sub(self.hot_first_micros) >= self.config.rotate_micros
+            || micros.saturating_sub(self.hot_first_micros) >= self.config.rotate_micros
         {
             self.rotate()?;
         }
@@ -509,7 +516,8 @@ impl LiveIngest {
         Ok(())
     }
 
-    /// Pumps `source` to exhaustion through [`LiveIngest::ingest`].
+    /// Pumps `source` to exhaustion through [`LiveIngest::ingest`],
+    /// moving each batch's records into the hot tail.
     ///
     /// # Errors
     ///
@@ -523,8 +531,8 @@ impl LiveIngest {
             }
             self.peak_batch_records = self.peak_batch_records.max(batch.len());
             let _span = span!(self.metrics.batch_micros);
-            for r in &batch {
-                self.ingest(r)?;
+            for r in batch.drain(..) {
+                self.ingest_owned(r)?;
             }
         }
     }
@@ -645,6 +653,6 @@ impl RecordSink for LiveIngest {
     type Err = StoreError;
 
     fn push_record(&mut self, record: TraceRecord) -> Result<()> {
-        self.ingest(&record)
+        self.ingest_owned(record)
     }
 }

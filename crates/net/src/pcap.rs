@@ -6,6 +6,8 @@
 
 use crate::{Error, Result};
 use std::io::{Read, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Little-endian, microsecond-timestamp magic.
 pub const MAGIC_USEC: u32 = 0xa1b2c3d4;
@@ -37,6 +39,74 @@ impl Default for PcapHeader {
     }
 }
 
+/// The owned bytes of one captured frame; derefs to `[u8]`.
+///
+/// Two representations, indistinguishable through the slice:
+///
+/// * a plain `Vec<u8>` — what [`CapturedPacket::new`] wraps (no extra
+///   allocation, the vector moves in) and what [`PcapReader`] hands out
+///   while an earlier packet of its is still alive;
+/// * a prefix of the reader's **lent** frame buffer. The reader shares
+///   one buffer with the packet it last produced and reads the next
+///   frame into the same storage once that packet has been dropped, so
+///   a loop that observes each packet and lets it go — the streaming
+///   capture path — neither allocates nor zero-fills per frame.
+///
+/// Lending is safe to ignore: a packet that is kept (collected, cloned,
+/// batched) keeps its bytes for as long as it lives, because the reader
+/// reuses the buffer only when it is the sole owner again.
+#[derive(Clone)]
+pub struct FrameBytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Owned(Vec<u8>),
+    /// The first `len` bytes of a buffer shared with a [`PcapReader`].
+    /// The buffer keeps its high-water length so that reuse never
+    /// zero-fills; `len` is this frame's part of it.
+    Lent {
+        buf: Arc<Vec<u8>>,
+        len: usize,
+    },
+}
+
+impl Deref for FrameBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Owned(v) => v,
+            Repr::Lent { buf, len } => &buf[..*len],
+        }
+    }
+}
+
+impl From<Vec<u8>> for FrameBytes {
+    fn from(v: Vec<u8>) -> Self {
+        FrameBytes(Repr::Owned(v))
+    }
+}
+
+impl std::fmt::Debug for FrameBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl PartialEq for FrameBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for FrameBytes {}
+
+impl PartialEq<Vec<u8>> for FrameBytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        **self == **other
+    }
+}
+
 /// One captured packet: a microsecond timestamp and the frame bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedPacket {
@@ -46,7 +116,7 @@ pub struct CapturedPacket {
     /// the snap length truncated the capture.
     pub orig_len: u32,
     /// The captured bytes.
-    pub data: Vec<u8>,
+    pub data: FrameBytes,
 }
 
 impl CapturedPacket {
@@ -56,7 +126,7 @@ impl CapturedPacket {
         Self {
             timestamp_micros,
             orig_len,
-            data,
+            data: data.into(),
         }
     }
 }
@@ -131,10 +201,18 @@ impl<W: Write> PcapWriter<W> {
 }
 
 /// Reads pcap files in either byte order.
+///
+/// The reader owns one frame buffer and lends it to the packet it
+/// returns (see [`FrameBytes`]): drop each packet before asking for the
+/// next and the whole file is read through that one buffer; keep
+/// packets and each later one is a plain allocation of its own.
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     inner: R,
     swapped: bool,
+    /// The lent frame buffer; unique again once the packet it was last
+    /// lent to is gone.
+    frame: Arc<Vec<u8>>,
     /// The file's global header, as parsed.
     pub header: PcapHeader,
 }
@@ -165,6 +243,7 @@ impl<R: Read> PcapReader<R> {
         Ok(Self {
             inner,
             swapped,
+            frame: Arc::new(Vec::new()),
             header: PcapHeader {
                 snaplen: rd32(&hdr[16..20]),
                 linktype: rd32(&hdr[20..24]),
@@ -172,20 +251,33 @@ impl<R: Read> PcapReader<R> {
         })
     }
 
-    /// Reads the next packet, or `None` at end of file.
+    /// Reads the next packet, or `None` at end of file (a file that
+    /// ends exactly on a record boundary).
     ///
     /// # Errors
     ///
-    /// I/O errors, including truncation mid-record, or
-    /// [`Error::Unsupported`] for a record header claiming more
-    /// captured bytes than `max(snaplen, 65 535)` — rejected before
-    /// anything is allocated for it.
+    /// I/O errors, including truncation inside a packet's data;
+    /// [`Error::Truncated`] for a file that ends 1–15 bytes into a
+    /// record header; or [`Error::Unsupported`] for a record header
+    /// claiming more captured bytes than `max(snaplen, 65 535)` —
+    /// rejected before any buffer is grown for it.
     pub fn read_packet(&mut self) -> Result<Option<CapturedPacket>> {
         let mut rec = [0u8; 16];
-        match self.inner.read_exact(&mut rec) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let mut have = 0;
+        while have < rec.len() {
+            match self.inner.read(&mut rec[have..]) {
+                Ok(0) if have == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(Error::Truncated {
+                        what: "pcap record header",
+                        needed: rec.len(),
+                        got: have,
+                    })
+                }
+                Ok(n) => have += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
         let rd32 = |b: &[u8]| {
             let arr = [b[0], b[1], b[2], b[3]];
@@ -208,12 +300,30 @@ impl<R: Read> PcapReader<R> {
                 value: incl,
             });
         }
-        let mut data = vec![0u8; incl as usize];
-        self.inner.read_exact(&mut data)?;
+        let incl = incl as usize;
+        let data = match Arc::get_mut(&mut self.frame) {
+            // The previous packet is gone: read into the buffer it had.
+            Some(buf) => {
+                if buf.len() < incl {
+                    buf.resize(incl, 0);
+                }
+                self.inner.read_exact(&mut buf[..incl])?;
+                Repr::Lent {
+                    buf: Arc::clone(&self.frame),
+                    len: incl,
+                }
+            }
+            // The caller kept it: this packet owns a plain allocation.
+            None => {
+                let mut data = vec![0u8; incl];
+                self.inner.read_exact(&mut data)?;
+                Repr::Owned(data)
+            }
+        };
         Ok(Some(CapturedPacket {
             timestamp_micros: secs * 1_000_000 + usecs,
             orig_len,
-            data,
+            data: FrameBytes(data),
         }))
     }
 
@@ -361,5 +471,87 @@ mod tests {
         PcapWriter::new(&mut buf, PcapHeader::default()).unwrap();
         let mut r = PcapReader::new(&buf[..]).unwrap();
         assert!(r.read_packet().unwrap().is_none());
+    }
+
+    /// A file cut inside a record header is damaged, not finished: only
+    /// a cut exactly on a record boundary is a clean end.
+    #[test]
+    fn partial_record_header_is_truncation_not_end_of_file() {
+        for big_endian in [false, true] {
+            let w32 = |v: u32| {
+                if big_endian {
+                    v.to_be_bytes()
+                } else {
+                    v.to_le_bytes()
+                }
+            };
+            let mut file = Vec::new();
+            file.extend_from_slice(&w32(MAGIC_USEC));
+            file.extend_from_slice(&[0; 12]);
+            file.extend_from_slice(&w32(9216));
+            file.extend_from_slice(&w32(LINKTYPE_ETHERNET));
+            for v in [1, 2, 3, 3] {
+                file.extend_from_slice(&w32(v));
+            }
+            file.extend_from_slice(&[7, 8, 9]);
+            let whole = file.len();
+            for v in [4, 5, 1, 1] {
+                file.extend_from_slice(&w32(v));
+            }
+            for cut in 0..16 {
+                let mut r = PcapReader::new(&file[..whole + cut]).unwrap();
+                assert_eq!(r.read_packet().unwrap().unwrap().data, vec![7, 8, 9]);
+                match (cut, r.read_packet()) {
+                    (0, Ok(None)) => {}
+                    (
+                        1..,
+                        Err(Error::Truncated {
+                            what: "pcap record header",
+                            needed: 16,
+                            got,
+                        }),
+                    ) => assert_eq!(got, cut),
+                    (_, other) => panic!("cut {cut}, big_endian {big_endian}: {other:?}"),
+                }
+            }
+            // The complete header, its one data byte missing.
+            let mut r = PcapReader::new(&file[..]).unwrap();
+            r.read_packet().unwrap();
+            assert!(matches!(r.read_packet(), Err(Error::Io(_))));
+        }
+    }
+
+    #[test]
+    fn lent_buffer_is_reused_only_once_its_packet_is_gone() {
+        let mut buf = Vec::new();
+        {
+            let mut w = PcapWriter::new(&mut buf, PcapHeader::default()).unwrap();
+            for i in 0..6u8 {
+                w.write_packet(&CapturedPacket::new(0, vec![i; 8 - usize::from(i)]))
+                    .unwrap();
+            }
+        }
+        let mut r = PcapReader::new(&buf[..]).unwrap();
+        let first = r.read_packet().unwrap().unwrap();
+        let at = first.data.as_ptr();
+        drop(first);
+        // Dropped: the next (shorter) frame lands in the same storage.
+        let second = r.read_packet().unwrap().unwrap();
+        assert_eq!(second.data, vec![1; 7]);
+        assert_eq!(second.data.as_ptr(), at);
+        // Kept, and cloned: later frames go elsewhere, and stay put.
+        let copy = second.clone();
+        let third = r.read_packet().unwrap().unwrap();
+        drop(second);
+        let fourth = r.read_packet().unwrap().unwrap();
+        assert_eq!(copy.data, vec![1; 7]);
+        assert_eq!(third.data, vec![2; 6]);
+        assert_eq!(fourth.data, vec![3; 5]);
+        drop(copy);
+        let fifth = r.read_packet().unwrap().unwrap();
+        assert_eq!(fifth.data.as_ptr(), at);
+        assert_eq!(fifth.data, vec![4; 4]);
+        assert_eq!(format!("{:?}", fifth.data), "[4, 4, 4, 4]");
+        assert_eq!(third.data, vec![2; 6]);
     }
 }

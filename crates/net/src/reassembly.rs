@@ -12,10 +12,20 @@ use std::collections::BTreeMap;
 
 /// Reassembles one direction of one TCP connection.
 ///
-/// Segments are fed in with their 32-bit sequence numbers; in-order bytes
-/// are drained with [`StreamReassembler::read_available`]. If a gap
-/// persists (a dropped segment), [`StreamReassembler::skip_gap`] jumps
-/// over it and counts the lost bytes.
+/// Segments are fed in with their 32-bit sequence numbers. There are
+/// two ways to get the in-order bytes back out, over one state machine:
+///
+/// * [`StreamReassembler::push_read`] feeds a segment and returns what
+///   it made contiguous. For the common segment — at the frontier, with
+///   nothing parked and nothing staged — that is the caller's own
+///   payload slice, **not copied**; anything else is staged and drained
+///   exactly as below.
+/// * [`StreamReassembler::push`] stages the bytes in an internal buffer
+///   and [`StreamReassembler::read_available`] drains it: any number of
+///   pushes, then one read.
+///
+/// If a gap persists (a dropped segment), [`StreamReassembler::skip_gap`]
+/// jumps over it and counts the lost bytes.
 ///
 /// # Examples
 ///
@@ -26,14 +36,14 @@ use std::collections::BTreeMap;
 /// r.push(1004, b"world");   // arrives first, out of order
 /// r.push(1000, b"hell");
 /// assert_eq!(r.read_available(), b"hellworld");
+/// assert_eq!(r.push_read(1009, b"!"), b"!"); // in order: the slice itself
 /// ```
 #[derive(Debug)]
 pub struct StreamReassembler {
-    /// Reused drain buffer behind [`StreamReassembler::read_available`]:
-    /// the sniffer calls that once per packet, and a fresh `Vec` each
-    /// time dominated the hot loop's allocations. In-order segments are
-    /// appended here directly by [`StreamReassembler::push`], skipping
-    /// the pending map entirely.
+    /// Reused drain buffer behind [`StreamReassembler::read_available`].
+    /// [`StreamReassembler::push`] appends in-order segments here
+    /// directly, skipping the pending map; an in-order
+    /// [`StreamReassembler::push_read`] skips this buffer too.
     ready: Vec<u8>,
     /// Whether `ready` has been handed out by `read_available` and must
     /// be cleared before the next bytes are staged.
@@ -88,13 +98,21 @@ impl StreamReassembler {
         }
     }
 
-    /// Feeds one segment's payload at `seq`.
-    ///
-    /// Duplicate and already-delivered bytes are discarded; overlapping
-    /// prefixes are trimmed.
-    pub fn push(&mut self, seq: u32, payload: &[u8]) {
+    /// Appends in-order bytes to the drain buffer.
+    fn stage(&mut self, data: &[u8]) {
+        self.reset_ready();
+        self.ready.extend_from_slice(data);
+    }
+
+    /// The state machine behind both feeding calls: accounts one
+    /// segment, trims what was already delivered, and either parks it
+    /// (`None`) or — when it lands exactly at the frontier with nothing
+    /// parked — advances the frontier over it and returns the accepted
+    /// bytes, still in the caller's buffer, for the caller to splice or
+    /// stage.
+    fn accept<'p>(&mut self, seq: u32, payload: &'p [u8]) -> Option<&'p [u8]> {
         if payload.is_empty() {
-            return;
+            return None;
         }
         self.bytes_in += payload.len() as u64;
         let mut off = self.rel(seq);
@@ -107,21 +125,17 @@ impl StreamReassembler {
             data = &data[overlap..];
             off = self.frontier;
             if data.is_empty() {
-                return;
+                return None;
             }
         }
         if off > self.frontier {
             self.out_of_order += 1;
         }
-        // Fast path for the common in-order stream: the segment lands
-        // exactly at the frontier with nothing parked, so its bytes go
-        // straight to the drain buffer without touching the heap.
+        // The common in-order stream: nothing to park, nothing to merge.
         if off == self.frontier && self.pending.is_empty() {
-            self.reset_ready();
-            self.ready.extend_from_slice(data);
             self.frontier += data.len() as u64;
             self.next_seq = self.origin.wrapping_add(self.frontier as u32);
-            return;
+            return Some(data);
         }
         // Insert, trimming against an existing segment at the same offset.
         match self.pending.get(&off) {
@@ -131,6 +145,38 @@ impl StreamReassembler {
             _ => {
                 self.pending.insert(off, data.to_vec());
             }
+        }
+        None
+    }
+
+    /// Feeds one segment's payload at `seq`, staging whatever it makes
+    /// contiguous for [`StreamReassembler::read_available`].
+    ///
+    /// Duplicate and already-delivered bytes are discarded; overlapping
+    /// prefixes are trimmed.
+    pub fn push(&mut self, seq: u32, payload: &[u8]) {
+        if let Some(data) = self.accept(seq, payload) {
+            self.stage(data);
+        }
+    }
+
+    /// Feeds one segment's payload at `seq` and returns every byte now
+    /// contiguous at the frontier and not yet handed out — exactly what
+    /// [`StreamReassembler::push`] followed by
+    /// [`StreamReassembler::read_available`] returns, without the copy
+    /// when the two can be told apart: a segment that lands at the
+    /// frontier with nothing parked behind a gap and nothing staged by
+    /// an earlier `push` comes back as (the undelivered part of)
+    /// `payload` itself. Every other segment takes the staged path and
+    /// the result borrows the drain buffer.
+    pub fn push_read<'a>(&'a mut self, seq: u32, payload: &'a [u8]) -> &'a [u8] {
+        match self.accept(seq, payload) {
+            Some(data) if self.consumed || self.ready.is_empty() => data,
+            Some(data) => {
+                self.stage(data);
+                self.read_available()
+            }
+            None => self.read_available(),
         }
     }
 
@@ -371,5 +417,29 @@ mod tests {
             r.push((i * 16) as u32, &data[i * 16..(i + 1) * 16]);
         }
         assert_eq!(r.read_available(), data);
+    }
+
+    #[test]
+    fn push_read_lends_the_in_order_payload_and_stages_the_rest() {
+        let mut r = StreamReassembler::new(0);
+        let seg = *b"abcd";
+        let got = r.push_read(0, &seg);
+        assert_eq!(got.as_ptr(), seg.as_ptr(), "in order: the slice itself");
+        // An overlapping retransmit: the undelivered tail of the payload.
+        let seg = *b"cdEF";
+        let got = r.push_read(2, &seg);
+        assert_eq!((got, got.as_ptr()), (&b"EF"[..], seg[2..].as_ptr()));
+        assert!(r.read_available().is_empty(), "nothing was staged");
+        // Behind a gap: parked; then the fill drains both, staged.
+        assert!(r.push_read(8, b"ij").is_empty());
+        assert_eq!(r.push_read(6, b"gh"), b"ghij");
+        // After a staged `push`, order wins over the splice.
+        r.push(10, b"kl");
+        assert_eq!(r.push_read(12, b"mn"), b"klmn");
+        assert_eq!(r.push_read(14, b"op"), b"op");
+        assert_eq!(r.push_read(14, b"op"), b"", "a duplicate yields nothing");
+        assert_eq!(r.next_seq(), 16);
+        assert_eq!(r.stats().duplicate_bytes, 4);
+        assert_eq!(r.stats().out_of_order_segments, 1);
     }
 }

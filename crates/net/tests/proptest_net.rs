@@ -55,6 +55,83 @@ proptest! {
         prop_assert!(!r.has_gap());
     }
 
+    /// `push_read` is `push` + `read_available` without the copy: over
+    /// one stream mixing in-order runs, reordering, duplicates, overlaps
+    /// and gaps that are skipped, two reassemblers fed the same segments
+    /// — one per form, a third mixing both — hand out the same bytes at
+    /// every step and count the same statistics.
+    #[test]
+    fn push_read_equals_push_then_read_available(
+        stream in proptest::collection::vec(any::<u8>(), 64..2048),
+        segments in proptest::collection::vec(
+            // Start (of the stream's length, in 1/1024ths, from the
+            // previous segment's end when in order), length, in order?,
+            // which form the mixed reassembler uses, skip a gap after?
+            (any::<u16>(), 1usize..200, 0u8..4, any::<bool>(), 0u8..8),
+            1..48,
+        ),
+        initial_seq in any::<u32>(),
+    ) {
+        let mut staged = StreamReassembler::new(initial_seq);
+        let mut borrowed = StreamReassembler::new(initial_seq);
+        let mut mixed = StreamReassembler::new(initial_seq);
+        let mut next = 0usize;
+        for (at, len, in_order, mix_borrowed, skip) in segments {
+            // Three in four segments continue where the last one ended
+            // (the fast path); the rest land anywhere: behind the
+            // frontier (duplicate, overlap) or beyond it (gap).
+            let start = if in_order > 0 {
+                next % stream.len()
+            } else {
+                usize::from(at) * stream.len() / 65_536
+            };
+            let end = (start + len).min(stream.len());
+            next = end;
+            let (seq, seg) = (initial_seq.wrapping_add(start as u32), &stream[start..end]);
+
+            staged.push(seq, seg);
+            let want = staged.read_available().to_vec();
+            prop_assert_eq!(borrowed.push_read(seq, seg), &want[..]);
+            if mix_borrowed {
+                prop_assert_eq!(mixed.push_read(seq, seg), &want[..]);
+            } else {
+                mixed.push(seq, seg);
+                prop_assert_eq!(mixed.read_available(), &want[..]);
+            }
+            if skip == 0 {
+                let skipped = staged.skip_gap();
+                prop_assert_eq!(borrowed.skip_gap(), skipped);
+                prop_assert_eq!(mixed.skip_gap(), skipped);
+                let want = staged.read_available().to_vec();
+                prop_assert_eq!(borrowed.read_available(), &want[..]);
+                prop_assert_eq!(mixed.read_available(), &want[..]);
+            }
+            for other in [&borrowed, &mixed] {
+                prop_assert_eq!(other.next_seq(), staged.next_seq());
+                prop_assert_eq!(other.stats(), staged.stats());
+                prop_assert_eq!(other.pending_bytes(), staged.pending_bytes());
+                prop_assert_eq!(other.gap_len(), staged.gap_len());
+            }
+        }
+    }
+
+    /// Several `push`es before one read: `push_read` as the last feed
+    /// returns everything staged plus its own bytes, in stream order.
+    #[test]
+    fn push_read_after_unread_pushes_keeps_stream_order(
+        stream in proptest::collection::vec(any::<u8>(), 3..512),
+        a in any::<u16>(),
+        b in any::<u16>(),
+    ) {
+        let (a, b) = (usize::from(a) % stream.len(), usize::from(b) % stream.len());
+        let (a, b) = (a.min(b), a.max(b));
+        let mut r = StreamReassembler::new(7);
+        r.push(7, &stream[..a]);
+        r.push(7 + a as u32, &stream[a..b]);
+        prop_assert_eq!(r.push_read(7 + b as u32, &stream[b..]), &stream[..]);
+        prop_assert!(r.read_available().is_empty());
+    }
+
     #[test]
     fn udp_frame_roundtrip(
         payload in proptest::collection::vec(any::<u8>(), 0..2048),
@@ -86,7 +163,8 @@ proptest! {
         pkts in proptest::collection::vec(
             (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..256)),
             0..20,
-        )
+        ),
+        keep in proptest::collection::vec(any::<bool>(), 20),
     ) {
         let mut buf = Vec::new();
         {
@@ -102,6 +180,27 @@ proptest! {
             prop_assert_eq!(got.timestamp_micros, u64::from(*ts));
             prop_assert_eq!(&got.data, data);
         }
+
+        // The reader lends its frame buffer to a packet and takes it
+        // back when the packet is dropped: whichever packets the caller
+        // keeps, and for however long, each holds the bytes it was read
+        // with.
+        let mut r = PcapReader::new(&buf[..]).unwrap();
+        let mut kept = Vec::new();
+        for (i, (_, data)) in pkts.iter().enumerate() {
+            let got = r.read_packet().unwrap().unwrap();
+            prop_assert_eq!(&got.data, data);
+            if keep[i] {
+                kept.push((i, got.clone()));
+                kept.push((i, got));
+            } else if i % 2 == 0 {
+                kept.pop();
+            }
+            for (j, k) in &kept {
+                prop_assert_eq!(&k.data, &pkts[*j].1);
+            }
+        }
+        prop_assert!(r.read_packet().unwrap().is_none());
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub fn mark_record_fragmented_into(msg: &[u8], frag_len: usize, out: &mut Vec<u8
 #[derive(Debug, Default)]
 pub struct RecordReader {
     buf: Vec<u8>,
-    /// Offset of unconsumed data in `buf` (compacted periodically).
+    /// Offset of unconsumed data in `buf` (dropped by the next `push`).
     start: usize,
     /// Scratch for records assembled across fragments or pushes. Reused:
     /// the previous record's bytes are cleared lazily on the next call
@@ -111,9 +111,9 @@ pub struct RecordReader {
 pub struct RecordRef<'a> {
     /// The record's bytes (one whole RPC message).
     pub bytes: &'a [u8],
-    /// `true` when the record had to be assembled in the scratch buffer
-    /// (multi-fragment, or split across pushes); `false` when it is a
-    /// direct no-copy view into the stream buffer.
+    /// `true` when the record was assembled in the scratch buffer
+    /// (multi-fragment, or split across pushes — its bytes copied there
+    /// once); `false` when it is a direct view into the stream buffer.
     pub assembled: bool,
 }
 
@@ -124,10 +124,29 @@ impl RecordReader {
     }
 
     /// Appends reassembled stream bytes.
-    pub fn push(&mut self, data: &[u8]) {
-        if self.start > 0 && self.start == self.buf.len() {
-            self.buf.clear();
+    ///
+    /// Bytes that continue the fragment being assembled go straight to
+    /// the record scratch when no earlier byte is still waiting in the
+    /// stream buffer — the body of a record that spans many segments is
+    /// copied once, from the caller's slice into the record. Everything
+    /// else (record marks, the records that follow) is staged in the
+    /// stream buffer for [`RecordReader::next_record_ref`].
+    ///
+    /// The consumed prefix of the stream buffer is dropped on every
+    /// call, so the buffer holds at most what one push delivered plus a
+    /// partial mark, however the stream is cut.
+    pub fn push(&mut self, mut data: &[u8]) {
+        if self.start > 0 {
+            // After a caller has drained its records, fewer than four
+            // bytes (a partial mark) remain to be moved.
+            self.buf.drain(..self.start);
             self.start = 0;
+        }
+        if self.in_fragment && self.buf.is_empty() {
+            let (body, rest) = data.split_at(data.len().min(self.frag_remaining));
+            self.record.extend_from_slice(body);
+            self.frag_remaining -= body.len();
+            data = rest;
         }
         self.buf.extend_from_slice(data);
     }
@@ -366,5 +385,70 @@ mod tests {
         }
         assert_eq!(r.next_record().unwrap().unwrap(), b"AAAA");
         assert_eq!(r.next_record().unwrap().unwrap(), b"BB");
+    }
+
+    /// Segments that each end a byte or so into the next record's mark
+    /// never leave the stream buffer fully consumed; the consumed prefix
+    /// must still be dropped, or the buffer grows with the connection.
+    #[test]
+    fn misaligned_segments_do_not_accumulate_in_the_stream_buffer() {
+        const RECORDS: usize = 10_000;
+        const SEGMENT: usize = 104; // a 100-byte record plus its mark
+        let body = [0x5a_u8; 100];
+        let mut wire = Vec::with_capacity(RECORDS * SEGMENT);
+        for _ in 0..RECORDS {
+            mark_record_into(&body, &mut wire);
+        }
+        let mut r = RecordReader::new();
+        let mut seen = 0;
+        // Shifted by one: every segment ends one byte into the next mark.
+        let (first, rest) = wire.split_at(SEGMENT + 1);
+        for segment in std::iter::once(first).chain(rest.chunks(SEGMENT)) {
+            r.push(segment);
+            while let Some(rec) = r.next_record_ref().unwrap() {
+                assert_eq!(rec.bytes, body);
+                seen += 1;
+            }
+            assert!(
+                r.buf.len() <= SEGMENT + 1 + 4,
+                "stream buffer holds {} bytes after {seen} records",
+                r.buf.len()
+            );
+        }
+        assert_eq!(seen, RECORDS);
+        assert_eq!(r.buffered(), 0);
+        assert!(r.buf.capacity() <= 4 * SEGMENT, "{}", r.buf.capacity());
+    }
+
+    /// The bytes of a fragment under assembly bypass the stream buffer
+    /// when nothing is waiting in it — and only then.
+    #[test]
+    fn fragment_bytes_are_spliced_into_the_record_scratch() {
+        let msg: Vec<u8> = (0..200u8).collect();
+        let mut wire = mark_record(&msg);
+        mark_record_into(b"next", &mut wire);
+        let mut r = RecordReader::new();
+        r.push(&wire[..50]);
+        assert!(r.next_record_ref().unwrap().is_none());
+        assert!(r.in_fragment);
+        // Mid-body: all of it goes to the scratch.
+        r.push(&wire[50..120]);
+        assert_eq!((r.buf.len(), r.record.len()), (0, 116));
+        assert_eq!(r.buffered(), 116);
+        // The body's end, the next record behind it: only the rest is
+        // staged.
+        r.push(&wire[120..]);
+        assert_eq!((r.buf.len(), r.record.len()), (8, 200));
+        // Pushed before the reader ran again: ordered behind the staged
+        // bytes, not spliced.
+        r.push(&mark_record(b"third"));
+        let rec = r.next_record_ref().unwrap().unwrap();
+        assert_eq!((rec.bytes, rec.assembled), (&msg[..], true));
+        let rec = r.next_record_ref().unwrap().unwrap();
+        assert_eq!((rec.bytes, rec.assembled), (&b"next"[..], false));
+        let rec = r.next_record_ref().unwrap().unwrap();
+        assert_eq!((rec.bytes, rec.assembled), (&b"third"[..], false));
+        assert!(r.next_record_ref().unwrap().is_none());
+        assert_eq!(r.buffered(), 0);
     }
 }

@@ -14,16 +14,26 @@
 //!
 //! Every stage between the captured frame and the final record works
 //! on borrowed bytes: [`PacketView`] peels headers without copying the
-//! payload, the per-flow [`RecordReader`] hands out records as slices
-//! of the reassembled stream, the RPC envelope is read through
-//! [`RpcMessageView`], and NFS calls and replies decode through the
-//! borrowed view / streamed-facts types. Owned data is materialized
+//! payload, an in-order TCP payload passes through the
+//! [`StreamReassembler`] as the frame's own slice
+//! ([`StreamReassembler::push_read`]), the per-flow [`RecordReader`]
+//! hands out records as slices of the stream, the RPC envelope is read
+//! through [`RpcMessageView`], and NFS calls and replies decode through
+//! the borrowed view / streamed-facts types. Owned data is materialized
 //! exactly once, at the [`TraceRecord`] itself: file names at call
-//! time, and nothing at reply time. In steady state (contiguous TCP
-//! segments, records inside one segment) a paired call/reply performs
-//! no heap allocation beyond the record's own name strings, and
-//! [`SnifferStats::alloc_fallbacks`] counts the records that needed
-//! the scratch-assembly slow path.
+//! time, and nothing at reply time.
+//!
+//! A payload byte is copied once on its way from the frame to the
+//! decoder, into one of the record reader's two buffers: the stream
+//! buffer, when the record lies inside one segment (then decoded in
+//! place), or the record scratch, when the record spans segments or
+//! fragments — the bytes after the first segment go there directly, so
+//! a large READ or WRITE is assembled once, not staged and re-copied.
+//! [`SnifferStats::alloc_fallbacks`] counts the records assembled that
+//! way. In steady state a frame costs no heap allocation and no atomic
+//! operation here: buffers are reused, the record's name strings are
+//! the only allocations, and the statistics are plain adds on a struct
+//! the sniffer owns, carried to the registry once per drain.
 
 use crate::convert::{v2_apply_facts, v2_call_record, v3_apply_facts, v3_call_record, CallMeta};
 use nfstrace_core::record::TraceRecord;
@@ -77,13 +87,16 @@ fn resync_offset(bytes: &[u8]) -> usize {
     bytes.len()
 }
 
-/// A snapshot of the counters describing a capture session.
+/// The counters describing one sniffer's capture session.
 ///
-/// The authoritative storage is the set of `sniffer.*` counters in
-/// the sniffer's [`Registry`] ([`Sniffer::with_registry`]); this
-/// struct is a point-in-time read of them ([`Sniffer::stats`]), so
-/// the values a test asserts and the values a daemon exports come
-/// from the same cells.
+/// This struct is the tally itself: the sniffer owns one and bumps its
+/// fields with plain adds as frames go by ([`Sniffer::stats`] returns a
+/// copy). The `sniffer.*` counters of the sniffer's [`Registry`]
+/// ([`Sniffer::with_registry`]) receive the difference since the last
+/// hand-over at every [`Sniffer::drain_ready_into`] and at
+/// [`Sniffer::finish`], so the exported values trail the tally by at
+/// most one batch and equal it after each drain — and, on a registry
+/// several sniffers share, sum over them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnifferStats {
     /// Frames observed.
@@ -112,12 +125,11 @@ pub struct SnifferStats {
     pub bytes_decoded: u64,
     /// Trace records produced from paired call/reply messages.
     pub records_emitted: u64,
-    /// RPC records that could not be served as a borrowed slice of the
-    /// reassembled stream and were assembled in the reader's scratch
-    /// buffer instead (multi-fragment records, or records split across
-    /// segment boundaries). Zero on a well-behaved single-segment feed;
-    /// a high ratio against `rpc_messages` means the capture is paying
-    /// for copies.
+    /// RPC records that did not lie whole inside one segment and were
+    /// assembled — once — in the reader's scratch buffer instead
+    /// (multi-fragment records, or records split across segment
+    /// boundaries). Zero on a well-behaved single-segment feed; against
+    /// `rpc_messages`, the share of messages larger than a segment.
     pub alloc_fallbacks: u64,
 }
 
@@ -169,6 +181,8 @@ struct FlowAddrs {
 struct Engine {
     matcher: XidMatcher<Pending>,
     records: Vec<TraceRecord>,
+    /// The running tally, bumped per frame and per message.
+    stats: SnifferStats,
     metrics: SnifferMetrics,
     /// Latest frame timestamp observed (capture feeds are in time
     /// order), half of the [`Sniffer::drain_ready`] watermark.
@@ -176,10 +190,8 @@ struct Engine {
 }
 
 /// Registry handles for the `sniffer.*` metrics, resolved once at
-/// construction: each per-frame/per-record bump is a single relaxed
-/// atomic add — lock-free and allocation-free, which the alloc-budget
-/// test holds the whole record path to.
-#[derive(Debug, Clone)]
+/// construction and touched once per drain, never per frame.
+#[derive(Debug)]
 struct SnifferMetrics {
     frames: Counter,
     ignored_frames: Counter,
@@ -195,6 +207,8 @@ struct SnifferMetrics {
     records_emitted: Counter,
     alloc_fallbacks: Counter,
     loss_rate: Gauge,
+    /// The part of the sniffer's tally the counters have received.
+    published: SnifferStats,
 }
 
 impl SnifferMetrics {
@@ -214,29 +228,45 @@ impl SnifferMetrics {
             records_emitted: registry.counter("sniffer.records_emitted"),
             alloc_fallbacks: registry.counter("sniffer.alloc_fallbacks"),
             loss_rate: registry.gauge("sniffer.estimated_loss_rate"),
+            published: SnifferStats::default(),
         }
     }
 
-    /// Read every counter into a [`SnifferStats`] snapshot and
-    /// refresh the `sniffer.estimated_loss_rate` gauge.
-    fn snapshot(&self) -> SnifferStats {
-        let stats = SnifferStats {
-            frames: self.frames.value(),
-            ignored_frames: self.ignored_frames.value(),
-            rpc_messages: self.rpc_messages.value(),
-            decode_errors: self.decode_errors.value(),
+    /// Adds what the tally `now` has gained since the last call to the
+    /// counters and refreshes the `sniffer.estimated_loss_rate` gauge
+    /// from their new values (everything counted into this registry,
+    /// whichever sniffer counted it).
+    fn publish(&mut self, now: &SnifferStats) {
+        let was = std::mem::replace(&mut self.published, *now);
+        // The handles are named after the tally's fields.
+        macro_rules! carry {
+            ($($field:ident),*) => {
+                $(self.$field.add(now.$field - was.$field);)*
+            };
+        }
+        carry!(
+            frames,
+            ignored_frames,
+            rpc_messages,
+            decode_errors,
+            calls,
+            matched_replies,
+            orphan_replies,
+            lost_replies,
+            tcp_bytes_lost,
+            frames_decoded,
+            bytes_decoded,
+            records_emitted,
+            alloc_fallbacks
+        );
+        let registered = SnifferStats {
             calls: self.calls.value(),
             matched_replies: self.matched_replies.value(),
             orphan_replies: self.orphan_replies.value(),
             lost_replies: self.lost_replies.value(),
-            tcp_bytes_lost: self.tcp_bytes_lost.value(),
-            frames_decoded: self.frames_decoded.value(),
-            bytes_decoded: self.bytes_decoded.value(),
-            records_emitted: self.records_emitted.value(),
-            alloc_fallbacks: self.alloc_fallbacks.value(),
+            ..SnifferStats::default()
         };
-        self.loss_rate.set(stats.estimated_loss_rate());
-        stats
+        self.loss_rate.set(registered.estimated_loss_rate());
     }
 }
 
@@ -270,6 +300,7 @@ impl Sniffer {
             engine: Engine {
                 matcher: XidMatcher::with_registry(CALL_TIMEOUT_MICROS, registry),
                 records: Vec::new(),
+                stats: SnifferStats::default(),
                 metrics: SnifferMetrics::register(registry),
                 last_frame_micros: 0,
             },
@@ -295,18 +326,18 @@ impl Sniffer {
 
     /// Observes one raw frame at `ts` microseconds.
     pub fn observe_frame(&mut self, ts: u64, frame: &[u8]) {
-        self.engine.metrics.frames.inc();
+        self.engine.stats.frames += 1;
         self.engine.last_frame_micros = self.engine.last_frame_micros.max(ts);
         let Ok(pkt) = PacketView::parse(frame) else {
-            self.engine.metrics.ignored_frames.inc();
+            self.engine.stats.ignored_frames += 1;
             return;
         };
         // Only NFS traffic is interesting.
         if pkt.src_port != 2049 && pkt.dst_port != 2049 {
-            self.engine.metrics.ignored_frames.inc();
+            self.engine.stats.ignored_frames += 1;
             return;
         }
-        self.engine.metrics.frames_decoded.inc();
+        self.engine.stats.frames_decoded += 1;
         let addrs = FlowAddrs {
             src_ip: pkt.src_ip.as_u32(),
             dst_ip: pkt.dst_ip.as_u32(),
@@ -326,8 +357,10 @@ impl Sniffer {
                     .entry(key)
                     .or_insert_with(|| (StreamReassembler::new(seq), RecordReader::new()));
                 let engine = &mut self.engine;
-                reasm.push(seq, pkt.payload);
-                reader.push(reasm.read_available());
+                // An in-order payload reaches the record reader as the
+                // frame's own slice; anything else through the
+                // reassembler's drain buffer.
+                reader.push(reasm.push_read(seq, pkt.payload));
                 loop {
                     // Drain every complete record first, decoding each
                     // in place as a slice of the reader's buffers.
@@ -338,7 +371,7 @@ impl Sniffer {
                             }
                             Ok(None) => break,
                             Err(_) => {
-                                engine.metrics.decode_errors.inc();
+                                engine.stats.decode_errors += 1;
                                 reader.reset();
                                 break;
                             }
@@ -349,11 +382,11 @@ impl Sniffer {
                     // the gap (losing the record that spanned it) and
                     // resynchronize on the next plausible record mark.
                     if reasm.has_gap() && reasm.pending_bytes() > GAP_SKIP_THRESHOLD {
-                        engine.metrics.tcp_bytes_lost.add(reasm.skip_gap());
+                        engine.stats.tcp_bytes_lost += reasm.skip_gap();
                         reader.reset();
                         let more = reasm.read_available();
                         let at = resync_offset(more);
-                        engine.metrics.tcp_bytes_lost.add(at as u64);
+                        engine.stats.tcp_bytes_lost += at as u64;
                         reader.push(&more[at..]);
                         continue;
                     }
@@ -363,10 +396,10 @@ impl Sniffer {
         }
     }
 
-    /// Current statistics: a read of the `sniffer.*` counters (also
-    /// refreshes the `sniffer.estimated_loss_rate` gauge).
+    /// Current statistics: this sniffer's own tally, up to the last
+    /// frame observed.
     pub fn stats(&self) -> SnifferStats {
-        self.engine.metrics.snapshot()
+        self.engine.stats
     }
 
     /// Drains the records that are *final*: no frame observed from now
@@ -397,13 +430,15 @@ impl Sniffer {
 
     /// [`Sniffer::drain_ready`] into a caller-owned buffer, appending —
     /// the batched hand-off: a live ingest loop reuses one buffer
-    /// across drains instead of allocating a fresh `Vec` per poll.
+    /// across drains instead of allocating a fresh `Vec` per poll. The
+    /// drain is also where the registry's `sniffer.*` counters catch up
+    /// with [`Sniffer::stats`].
     pub fn drain_ready_into(&mut self, out: &mut Vec<TraceRecord>) {
         // An expired call's late reply is rejected as an orphan, so no
         // record can ever be produced from it: the watermark may move
         // past it.
         let expired = self.engine.matcher.expire();
-        self.engine.metrics.lost_replies.add(expired.len() as u64);
+        self.engine.stats.lost_replies += expired.len() as u64;
         let watermark = self
             .engine
             .matcher
@@ -420,6 +455,7 @@ impl Sniffer {
             .records
             .partition_point(|r| r.micros < watermark);
         out.extend(self.engine.records.drain(..cut));
+        self.engine.metrics.publish(&self.engine.stats);
     }
 
     /// Ends the capture: expires outstanding calls (counted as lost
@@ -430,10 +466,10 @@ impl Sniffer {
     pub fn finish(self) -> (Vec<TraceRecord>, SnifferStats) {
         let mut engine = self.engine;
         let lost = engine.matcher.drain();
-        engine.metrics.lost_replies.add(lost.len() as u64);
+        engine.stats.lost_replies += lost.len() as u64;
         engine.records.sort_by_key(|r| r.micros);
-        let stats = engine.metrics.snapshot();
-        (engine.records, stats)
+        engine.metrics.publish(&engine.stats);
+        (engine.records, engine.stats)
     }
 }
 
@@ -445,15 +481,13 @@ impl Engine {
     /// reader's scratch buffer first; it only feeds the
     /// [`SnifferStats::alloc_fallbacks`] counter.
     fn on_rpc_bytes(&mut self, addrs: FlowAddrs, ts: u64, bytes: &[u8], assembled: bool) {
-        self.metrics.bytes_decoded.add(bytes.len() as u64);
-        if assembled {
-            self.metrics.alloc_fallbacks.inc();
-        }
+        self.stats.bytes_decoded += bytes.len() as u64;
+        self.stats.alloc_fallbacks += u64::from(assembled);
         let Ok(msg) = RpcMessageView::decode(bytes) else {
-            self.metrics.decode_errors.inc();
+            self.stats.decode_errors += 1;
             return;
         };
-        self.metrics.rpc_messages.inc();
+        self.stats.rpc_messages += 1;
         match msg.body {
             MsgBodyView::Call(call) => {
                 if call.prog != PROG_NFS {
@@ -480,7 +514,7 @@ impl Engine {
                                 record: v3_call_record(&meta, &view),
                             },
                             Err(_) => {
-                                self.metrics.decode_errors.inc();
+                                self.stats.decode_errors += 1;
                                 return;
                             }
                         }
@@ -494,14 +528,14 @@ impl Engine {
                                 record: v2_call_record(&meta, &view),
                             },
                             Err(_) => {
-                                self.metrics.decode_errors.inc();
+                                self.stats.decode_errors += 1;
                                 return;
                             }
                         }
                     }
                     _ => return,
                 };
-                self.metrics.calls.inc();
+                self.stats.calls += 1;
                 let key = FlowXid {
                     client_ip: addrs.src_ip,
                     server_ip: addrs.dst_ip,
@@ -520,10 +554,10 @@ impl Engine {
                 let Some(pending) = self.matcher.match_reply(key, ts) else {
                     // "It is impossible to decode an NFS response without
                     // seeing the call."
-                    self.metrics.orphan_replies.inc();
+                    self.stats.orphan_replies += 1;
                     return;
                 };
-                self.metrics.matched_replies.inc();
+                self.stats.matched_replies += 1;
                 let mut record = pending.data.record;
                 let decoded = match pending.data.proc {
                     ProcKind::V3(proc) => ReplyFacts3::decode(proc, reply.results)
@@ -534,9 +568,9 @@ impl Engine {
                 match decoded {
                     Ok(()) => {
                         self.records.push(record);
-                        self.metrics.records_emitted.inc();
+                        self.stats.records_emitted += 1;
                     }
-                    Err(_) => self.metrics.decode_errors.inc(),
+                    Err(_) => self.stats.decode_errors += 1,
                 }
             }
         }
@@ -717,6 +751,86 @@ mod tests {
             assert_eq!(streamed, full, "stride={stride}");
             assert_eq!(stats, full_stats, "stride={stride}");
         }
+    }
+
+    /// What `registry` holds under the `sniffer.*` names.
+    fn registered(registry: &Registry) -> SnifferStats {
+        let snapshot = registry.snapshot();
+        let c = |name: &str| snapshot.counter(name).unwrap_or(0);
+        SnifferStats {
+            frames: c("sniffer.frames"),
+            ignored_frames: c("sniffer.ignored_frames"),
+            rpc_messages: c("sniffer.rpc_messages"),
+            decode_errors: c("sniffer.decode_errors"),
+            calls: c("sniffer.calls"),
+            matched_replies: c("sniffer.matched_replies"),
+            orphan_replies: c("sniffer.orphan_replies"),
+            lost_replies: c("sniffer.lost_replies"),
+            tcp_bytes_lost: c("sniffer.tcp_bytes_lost"),
+            frames_decoded: c("sniffer.frames_decoded"),
+            bytes_decoded: c("sniffer.bytes_decoded"),
+            records_emitted: c("sniffer.records_emitted"),
+            alloc_fallbacks: c("sniffer.alloc_fallbacks"),
+        }
+    }
+
+    /// The tally is the sniffer's own; the registry catches up with it
+    /// at every drain and at `finish`, and adds up the sniffers that
+    /// share it.
+    #[test]
+    fn registry_counters_equal_the_tally_after_every_drain() {
+        let events = session_events(3);
+        let mut enc = WireEncoder::tcp_standard();
+        let mut packets: Vec<CapturedPacket> =
+            events.iter().flat_map(|e| enc.encode_event(e)).collect();
+        // Something for every counter: a lost call (orphan reply), a
+        // lost reply, a frame that is not NFS.
+        packets.remove(0);
+        packets.pop();
+        packets.push(CapturedPacket::new(u64::MAX / 2, b"not a frame".to_vec()));
+
+        let registry = Registry::new();
+        let mut s = Sniffer::with_registry(&registry);
+        let mut out = Vec::new();
+        for batch in packets.chunks(7) {
+            s.observe_batch(batch);
+            assert_eq!(
+                registered(&registry).frames + batch.len() as u64,
+                s.stats().frames,
+                "the registry advances at the drain, not per frame"
+            );
+            s.drain_ready_into(&mut out);
+            assert_eq!(registered(&registry), s.stats());
+            let gauge = registry.snapshot().gauge("sniffer.estimated_loss_rate");
+            assert_eq!(gauge, Some(s.stats().estimated_loss_rate()));
+        }
+        let (tail, stats) = s.finish();
+        assert_eq!(registered(&registry), stats);
+        assert!(stats.orphan_replies > 0 && stats.lost_replies > 0 && stats.ignored_frames > 0);
+        assert!(stats.alloc_fallbacks > 0, "100 KB writes span segments");
+        assert_eq!(out.len() + tail.len(), stats.records_emitted as usize);
+        let (_, private) = sniff(&packets);
+        assert_eq!(stats, private, "a shared registry changes no count");
+
+        // A second sniffer on the same registry: its own tally starts
+        // at zero, the registry holds the sum.
+        let mut second = Sniffer::with_registry(&registry);
+        second.observe_batch(&packets[..20]);
+        assert_eq!(second.stats().frames, 20);
+        assert_eq!(registered(&registry), stats);
+        second.drain_ready();
+        let both = registered(&registry);
+        assert_eq!(both.frames, stats.frames + 20);
+        assert_eq!(both.calls, stats.calls + second.stats().calls);
+        assert_eq!(
+            both.bytes_decoded,
+            stats.bytes_decoded + second.stats().bytes_decoded
+        );
+        assert_eq!(
+            registry.snapshot().gauge("sniffer.estimated_loss_rate"),
+            Some(both.estimated_loss_rate()),
+            "the gauge describes everything counted into the registry"
+        );
     }
 
     #[test]
