@@ -57,7 +57,7 @@ use nfstrace_bench::{scale, scenarios};
 use nfstrace_core::index::TraceView;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::{DAY, HOUR};
-use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest};
+use nfstrace_live::{LiveConfig, LiveIngest, LiveView, ShardedLiveIngest};
 use nfstrace_store::{
     CompactionPolicy, RetentionPolicy, SegmentCatalog, StoreConfig, StoreIndex, StoreReader,
 };
@@ -100,6 +100,25 @@ fn dump_metrics(snapshot: &Snapshot) {
     }
 }
 
+/// The mid-ingest consistency check both daemons run: the live view's
+/// construction products and reorder-corrected accesses must equal
+/// `oracle8` windowed to the records ingested so far (`boundary`).
+fn assert_midpoint(name: &str, view: &LiveView, oracle8: &StoreIndex, boundary: u64) {
+    let window = oracle8.time_window(0, boundary);
+    assert_eq!(view.len(), window.len(), "{name}: mid-ingest len");
+    assert_eq!(
+        view.summary(),
+        window.summary(),
+        "{name}: mid-ingest summary"
+    );
+    assert_eq!(view.hourly(), window.hourly(), "{name}: mid-ingest hourly");
+    assert_eq!(
+        view.accesses(10).as_ref(),
+        window.accesses(10).as_ref(),
+        "{name}: mid-ingest accesses"
+    );
+}
+
 /// Ingests `sliced` to exhaustion; at the first slice boundary at or
 /// past `check_at` (mid-ingest, hot + sealed both populated), asserts
 /// the live view equals `oracle8` windowed to the records so far.
@@ -132,23 +151,7 @@ fn ingest_with_midpoint_check(
         if !checked && boundary >= check_at {
             checked = true;
             let view = ingest.view();
-            let window = oracle8.time_window(0, boundary);
-            assert_eq!(
-                view.len(),
-                TraceView::len(&window),
-                "{name}: mid-ingest len"
-            );
-            assert_eq!(
-                view.summary(),
-                window.summary(),
-                "{name}: mid-ingest summary"
-            );
-            assert_eq!(view.hourly(), window.hourly(), "{name}: mid-ingest hourly");
-            assert_eq!(
-                view.accesses(10).as_ref(),
-                window.accesses(10).as_ref(),
-                "{name}: mid-ingest accesses"
-            );
+            assert_midpoint(name, &view, oracle8, boundary);
             eprintln!(
                 "  {name}: mid-ingest check at {:.1} days — {} records ({} sealed segments, {} hot), consistent",
                 boundary as f64 / DAY as f64,
@@ -202,27 +205,7 @@ fn ingest_sharded_with_midpoint_check(
         if !checked && boundary >= check_at {
             checked = true;
             let view = ingest.view();
-            let window = oracle8.time_window(0, boundary);
-            assert_eq!(
-                view.len(),
-                TraceView::len(&window),
-                "{name}/{shards} shards: mid-ingest len"
-            );
-            assert_eq!(
-                view.summary(),
-                window.summary(),
-                "{name}/{shards} shards: mid-ingest summary"
-            );
-            assert_eq!(
-                view.hourly(),
-                window.hourly(),
-                "{name}/{shards} shards: mid-ingest hourly"
-            );
-            assert_eq!(
-                view.accesses(10).as_ref(),
-                window.accesses(10).as_ref(),
-                "{name}/{shards} shards: mid-ingest accesses"
-            );
+            assert_midpoint(&format!("{name}/{shards} shards"), &view, oracle8, boundary);
             eprintln!(
                 "  {name}: mid-ingest check at {:.1} days — {} records across {} shards \
                  ({} sealed segments, {} hot), consistent",

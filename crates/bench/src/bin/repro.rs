@@ -22,27 +22,56 @@
 //! (construction + fused replay = exactly two decodes per chunk). Its
 //! stdout is **byte-identical** to the in-memory run — CI asserts
 //! exactly that.
+//!
+//! # One artifact
+//!
+//! `repro --only <artifact>` prints a single entry of
+//! `nfstrace_bench::suite::ARTIFACTS` (`table1`…`table5`, `fig1`…`fig5`,
+//! `names`, `coverage`) over the same 8-day traces and analysis-week
+//! windows — the same bytes the full suite prints for it, in either
+//! mode — computing only the analyses that artifact needs.
 
-use nfstrace_bench::suite::suite_text;
+use nfstrace_bench::suite::{artifact_text, suite_text, ARTIFACTS};
 use nfstrace_bench::{scale, scenarios, tables};
+use nfstrace_core::index::TraceView;
 use nfstrace_core::time::DAY;
 use nfstrace_store::StoreConfig;
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro [--store <dir>] [--only <artifact>]\n  artifacts: {}",
+        ARTIFACTS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The whole suite, or the one artifact `--only` named (validated
+/// against [`ARTIFACTS`] while parsing).
+fn render<V: TraceView>(campus8: &V, eecs8: &V, only: Option<&str>) -> String {
+    match only {
+        None => suite_text(campus8, eecs8),
+        Some(artifact) => artifact_text(campus8, eecs8, artifact).expect("validated artifact name"),
+    }
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut store_dir: Option<std::path::PathBuf> = None;
+    let mut only: Option<String> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--store" => {
-                let dir = args.next().unwrap_or_else(|| {
-                    eprintln!("usage: repro [--store <dir>]");
-                    std::process::exit(2);
-                });
-                store_dir = Some(dir.into());
+            "--store" => store_dir = Some(args.next().unwrap_or_else(|| usage()).into()),
+            "--only" => {
+                let artifact = args.next().unwrap_or_else(|| usage());
+                if !ARTIFACTS.contains(&artifact.as_str()) {
+                    eprintln!("unknown artifact {artifact:?}");
+                    usage();
+                }
+                only = Some(artifact);
             }
             other => {
-                eprintln!("unknown argument {other:?}; usage: repro [--store <dir>]");
-                std::process::exit(2);
+                eprintln!("unknown argument {other:?}");
+                usage();
             }
         }
     }
@@ -52,7 +81,7 @@ fn main() {
         None => {
             eprintln!("generating 8-day traces at scale {s} ...");
             let (campus8, eecs8) = scenarios::eight_day_index_pair(s);
-            print!("{}", suite_text(&campus8, &eecs8));
+            print!("{}", render(&campus8, &eecs8, only.as_deref()));
         }
         Some(dir) => {
             eprintln!(
@@ -69,7 +98,11 @@ fn main() {
                 campus8.reader().chunk_count(),
                 eecs8.reader().chunk_count()
             );
-            print!("{}", suite_text(&campus8, &eecs8));
+            print!("{}", render(&campus8, &eecs8, only.as_deref()));
+            if only.is_some() {
+                // The bound below describes the full suite's decodes.
+                return;
+            }
             // The fused-replay bound, at chunk granularity: each chunk
             // set is decoded exactly twice — index construction plus
             // the one fused replay — for the 8-day view and for its

@@ -1,9 +1,12 @@
 //! The benchmark harness: regenerates every table and figure of the
 //! FAST 2003 paper from simulated CAMPUS and EECS workloads.
 //!
-//! Each `src/bin/` binary regenerates one artifact (`table1`…`table5`,
-//! `fig1`…`fig5`, `expt_nfsiod`, `expt_readahead`, `expt_loss`), and
-//! `repro` runs the full suite. Scale is controlled by the
+//! `repro` is the one artifact entry point: it prints the full suite,
+//! or with `--only <artifact>` a single table or figure
+//! ([`suite::ARTIFACTS`]) over the same traces. `expt_nfsiod`,
+//! `expt_readahead` and `expt_loss` run the paper's three side
+//! experiments; `live` and `serve` re-derive the suite through the
+//! ingest daemon and the socket loop. Scale is controlled by the
 //! `NFSTRACE_SCALE` environment variable (default 1.0): user counts and
 //! thus run time grow linearly with it. Absolute numbers scale with the
 //! simulated population; the *shapes* — who wins, by what factor, where

@@ -1,4 +1,5 @@
-//! Standard simulated scenarios used by every table/figure binary.
+//! The standard simulated scenario every artifact is rendered from:
+//! one eight-day CAMPUS/EECS pair, in memory or in chunked stores.
 
 use nfstrace_core::index::TraceIndex;
 use nfstrace_core::record::TraceRecord;
@@ -26,25 +27,14 @@ pub fn eecs(days: u64, scale: f64, seed: u64) -> Vec<TraceRecord> {
     EecsWorkload::new(eecs_config(days, scale, seed)).generate()
 }
 
-/// A full analysis week for both systems.
-pub fn week_pair(scale: f64) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
-    (campus(WEEK_DAYS, scale, 42), eecs(WEEK_DAYS, scale, 1789))
-}
-
-/// Week-long traces for both systems, indexed for analysis.
-pub fn week_index_pair(scale: f64) -> (TraceIndex, TraceIndex) {
-    let (c, e) = week_pair(scale);
-    (TraceIndex::new(c), TraceIndex::new(e))
-}
-
 /// Eight-day traces (the lifetime analyses need a full end margin after
 /// the Friday window), indexed. The canonical analysis week is the
 /// first seven days of these same traces — `idx.time_window(0, 7 * DAY)`
 /// — so `repro` generates each system exactly once.
 pub fn eight_day_index_pair(scale: f64) -> (TraceIndex, TraceIndex) {
     (
-        TraceIndex::new(campus(8, scale, 42)),
-        TraceIndex::new(eecs(8, scale, 1789)),
+        TraceIndex::new(campus(8, scale, CAMPUS_SEED)),
+        TraceIndex::new(eecs(8, scale, EECS_SEED)),
     )
 }
 
@@ -94,12 +84,12 @@ pub fn eight_day_store_pair(
 
     let campus_path = dir.join("campus.nfstore");
     let mut w = StoreWriter::create(&campus_path, config)?;
-    CampusWorkload::new(campus_config(8, scale, 42)).generate_into(threads, &mut w)?;
+    CampusWorkload::new(campus_config(8, scale, CAMPUS_SEED)).generate_into(threads, &mut w)?;
     w.finish()?;
 
     let eecs_path = dir.join("eecs.nfstore");
     let mut w = StoreWriter::create(&eecs_path, config)?;
-    EecsWorkload::new(eecs_config(8, scale, 1789)).generate_into(threads, &mut w)?;
+    EecsWorkload::new(eecs_config(8, scale, EECS_SEED)).generate_into(threads, &mut w)?;
     w.finish()?;
 
     Ok((

@@ -13,10 +13,9 @@
 
 use nfstrace_core::historical;
 use nfstrace_core::hourly::HourlySeries;
-use nfstrace_core::index::{AccessMap, TraceView};
+use nfstrace_core::index::TraceView;
 use nfstrace_core::lifetime::{LifetimeConfig, LifetimeReport};
 use nfstrace_core::names::FileCategory;
-use nfstrace_core::record::{Op, TraceRecord};
 use nfstrace_core::runs::{PatternTable, Run, RunOptions, SizeProfile};
 use nfstrace_core::seqmetric::{cumulative_runs_by_size, metric_by_run_size, MetricPoint};
 use nfstrace_core::time::{DAY, HOUR};
@@ -53,12 +52,6 @@ pub fn table1_lifetime_config<V: TraceView>(idx: &V) -> LifetimeConfig {
     }
 }
 
-/// Sorted per-file accesses after the reorder-window correction,
-/// served from the index's per-window cache.
-pub fn sorted_accesses<V: TraceView>(idx: &V, window_ms: u64) -> Arc<AccessMap> {
-    idx.accesses(window_ms)
-}
-
 /// Table 1: qualitative characterization, computed.
 #[derive(Debug, Clone)]
 pub struct Table1 {
@@ -76,7 +69,7 @@ pub struct Table1 {
     pub text: String,
 }
 
-/// Computes Table 1 from one day of each system.
+/// Computes Table 1 from week-long traces.
 pub fn table1<V: TraceView>(campus: &V, eecs: &V) -> Table1 {
     let mut data_fraction = [0.0; 2];
     let mut rw_bytes = [0.0; 2];
@@ -275,21 +268,15 @@ pub struct Table3 {
     pub text: String,
 }
 
-/// Computes the runs of a trace under raw or processed methodology,
-/// served from the index's run-table cache.
-pub fn trace_runs<V: TraceView>(idx: &V, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
-    idx.runs(window_ms, opts)
-}
-
 /// Computes Table 3 from week-long traces.
 pub fn table3<V: TraceView>(campus: &V, eecs: &V) -> Table3 {
     let raw = [
-        PatternTable::from_runs(&trace_runs(campus, WINDOW_CAMPUS_MS, RunOptions::raw())),
-        PatternTable::from_runs(&trace_runs(eecs, WINDOW_EECS_MS, RunOptions::raw())),
+        PatternTable::from_runs(&campus.runs(WINDOW_CAMPUS_MS, RunOptions::raw())),
+        PatternTable::from_runs(&eecs.runs(WINDOW_EECS_MS, RunOptions::raw())),
     ];
     let processed = [
-        PatternTable::from_runs(&trace_runs(campus, WINDOW_CAMPUS_MS, RunOptions::default())),
-        PatternTable::from_runs(&trace_runs(eecs, WINDOW_EECS_MS, RunOptions::default())),
+        PatternTable::from_runs(&campus.runs(WINDOW_CAMPUS_MS, RunOptions::default())),
+        PatternTable::from_runs(&eecs.runs(WINDOW_EECS_MS, RunOptions::default())),
     ];
     let mut text = String::new();
     let _ = writeln!(
@@ -396,17 +383,10 @@ pub struct Table4 {
     pub text: String,
 }
 
-/// Runs the paper's five weekday 9am-start daily analyses and merges,
-/// served from the index's lifetime cache (Table 4 and Figure 3 share
-/// one computation).
-pub fn weekday_lifetime<V: TraceView>(idx: &V) -> Arc<LifetimeReport> {
-    idx.weekday_lifetime()
-}
-
 /// Computes Table 4 (requires ≥ 8 days of trace for full margins).
 pub fn table4<V: TraceView>(campus: &V, eecs: &V) -> Table4 {
-    let rc = weekday_lifetime(campus);
-    let re = weekday_lifetime(eecs);
+    let rc = campus.weekday_lifetime();
+    let re = eecs.weekday_lifetime();
     let pct = |n: u64, d: u64| {
         if d == 0 {
             0.0
@@ -599,8 +579,8 @@ pub struct Fig2 {
 
 /// Computes Figure 2.
 pub fn fig2<V: TraceView>(campus: &V, eecs: &V) -> Fig2 {
-    let rc = trace_runs(campus, WINDOW_CAMPUS_MS, RunOptions::default());
-    let re = trace_runs(eecs, WINDOW_EECS_MS, RunOptions::default());
+    let rc = campus.runs(WINDOW_CAMPUS_MS, RunOptions::default());
+    let re = eecs.runs(WINDOW_EECS_MS, RunOptions::default());
     let pc = SizeProfile::from_runs(&rc);
     let pe = SizeProfile::from_runs(&re);
     let mut text = String::new();
@@ -667,8 +647,8 @@ pub struct Fig3 {
 /// Table 4 through the index cache).
 pub fn fig3<V: TraceView>(campus: &V, eecs: &V) -> Fig3 {
     let probes = nfstrace_core::lifetime::figure3_probes();
-    let rc = weekday_lifetime(campus);
-    let re = weekday_lifetime(eecs);
+    let rc = campus.weekday_lifetime();
+    let re = eecs.weekday_lifetime();
     let c = rc.cdf(&probes);
     let e = re.cdf(&probes);
     let mut text = String::new();
@@ -763,8 +743,8 @@ pub struct Fig5 {
 /// Computes Figure 5 (its run tables are cache hits after Figure 2).
 pub fn fig5<V: TraceView>(campus: &V, eecs: &V) -> Fig5 {
     use nfstrace_core::runs::RunKind;
-    let rc = trace_runs(campus, WINDOW_CAMPUS_MS, RunOptions::default());
-    let re = trace_runs(eecs, WINDOW_EECS_MS, RunOptions::default());
+    let rc = campus.runs(WINDOW_CAMPUS_MS, RunOptions::default());
+    let re = eecs.runs(WINDOW_EECS_MS, RunOptions::default());
     let f = |runs: &[Run], kind: RunKind| {
         (
             metric_by_run_size(runs, kind, 10),
@@ -877,19 +857,4 @@ pub fn names_report<V: TraceView>(idx: &V) -> String {
         );
     }
     text
-}
-
-/// Marks records as read or write ops for quick tests.
-pub fn op_mix(records: &[TraceRecord]) -> (u64, u64, u64) {
-    let mut r = 0;
-    let mut w = 0;
-    let mut m = 0;
-    for rec in records {
-        match rec.op {
-            Op::Read => r += 1,
-            Op::Write => w += 1,
-            _ => m += 1,
-        }
-    }
-    (r, w, m)
 }

@@ -1,0 +1,55 @@
+//! `repro --only <artifact>`: every entry of `ARTIFACTS` is exactly
+//! its slice of the full suite, and the binary rejects anything else.
+
+use nfstrace_bench::scenarios;
+use nfstrace_bench::suite::{artifact_text, suite_text, ARTIFACTS};
+use std::process::Command;
+
+/// The smallest scale `repro` accepts.
+const SCALE: &str = "0.05";
+
+fn repro(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .env("NFSTRACE_SCALE", SCALE)
+        .output()
+        .expect("run repro")
+}
+
+#[test]
+fn artifacts_in_order_are_the_suite_byte_for_byte() {
+    let (campus8, eecs8) = scenarios::eight_day_index_pair(SCALE.parse().expect("scale"));
+    let mut concatenated = String::new();
+    for artifact in ARTIFACTS {
+        let text = artifact_text(&campus8, &eecs8, artifact).expect("a listed artifact renders");
+        assert!(!text.is_empty(), "{artifact} rendered nothing");
+        concatenated.push_str(&text);
+        concatenated.push('\n');
+    }
+    assert_eq!(concatenated, suite_text(&campus8, &eecs8));
+    assert_eq!(artifact_text(&campus8, &eecs8, "table6"), None);
+
+    // The binary prints that same render, and nothing else, to stdout.
+    let out = repro(&["--only", "fig1"]);
+    assert!(out.status.success(), "repro --only fig1: {:?}", out.status);
+    assert_eq!(
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        artifact_text(&campus8, &eecs8, "fig1").expect("fig1 is listed")
+    );
+}
+
+#[test]
+fn an_unknown_artifact_is_a_usage_error_naming_the_valid_ones() {
+    for args in [&["--only", "table6"][..], &["--only"][..]] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: exit status");
+        assert!(out.stdout.is_empty(), "{args:?}: stdout must stay empty");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        for artifact in ARTIFACTS {
+            assert!(
+                stderr.contains(artifact),
+                "{args:?}: usage omits {artifact}"
+            );
+        }
+    }
+}

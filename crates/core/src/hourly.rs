@@ -126,11 +126,6 @@ impl HourlySeries {
             .map(move |(i, b)| ((self.first_hour + i as u64) * HOUR, b))
     }
 
-    /// The Figure 4 upper panel: `(hour_start_micros, ops)` series.
-    pub fn ops_series(&self) -> Vec<(u64, u64)> {
-        self.iter().map(|(t, b)| (t, b.ops)).collect()
-    }
-
     /// The Figure 4 lower panel: `(hour_start_micros, read/write ratio)`
     /// series, skipping hours with no writes.
     pub fn ratio_series(&self) -> Vec<(u64, f64)> {

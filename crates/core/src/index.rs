@@ -13,9 +13,20 @@
 //! name-prediction report) is computed on first request and cached
 //! behind the shared reference.
 //!
-//! Time-windowed views ([`TraceIndex::time_window`]) share the backing
+//! Time-windowed views ([`TraceView::time_window`]) share the backing
 //! record storage via [`Arc`], so analyzing "the week" and "Wednesday
 //! morning" of one trace never copies a record.
+//!
+//! # One analysis surface
+//!
+//! What a view *is* — construction products ([`IndexBase`]) +
+//! derived-product caches ([`ProductCaches`]) + a replayable record
+//! stream ([`RecordStream`]) — is decided in this module and nowhere
+//! else. [`TraceView`] asks an implementor for those three things and a
+//! way to narrow itself to a time window; every analysis (`summary`,
+//! `runs`, `lifetime`, `prepare`, …) is a provided method written once
+//! here, so `TraceIndex`, the store-backed index and the live snapshot
+//! view cannot drift apart. Import the trait to call them.
 //!
 //! # Partial indices and out-of-core analysis
 //!
@@ -27,8 +38,7 @@
 //! in-memory construction pass, and the `nfstrace_store` crate uses it
 //! to index on-disk chunked traces that never fit in memory at once.
 //! The derived-product caching lives in [`ProductCaches`], shared by
-//! both index flavors, and the analysis surface every table/figure
-//! consumes is the [`TraceView`] trait.
+//! every view type.
 //!
 //! # Fused replay
 //!
@@ -37,16 +47,15 @@
 //! naively, the reproduction suite replays a trace seven times — five
 //! weekday lifetime windows, names, coverage — which for the on-disk
 //! store means seven full chunk-decode passes. Every streaming analyzer
-//! therefore implements [`RecordObserver`], and
-//! [`TraceView::prepare`] / [`ProductCaches::prepare`] [`fan_out`] any
-//! batch of them over **one** replay: callers that know their full
-//! analysis set up front (the `repro` suite) pay one decode pass total,
-//! asserted via [`TraceView::decode_passes`].
+//! therefore implements [`RecordObserver`], and [`TraceView::prepare`]
+//! [`fan_out`]s any batch of them over **one** replay: callers that
+//! know their full analysis set up front (the `repro` suite) pay one
+//! decode pass total, asserted via [`TraceView::decode_passes`].
 //!
 //! # Examples
 //!
 //! ```
-//! use nfstrace_core::index::TraceIndex;
+//! use nfstrace_core::index::{TraceIndex, TraceView};
 //! use nfstrace_core::record::{FileId, Op, TraceRecord};
 //! use nfstrace_core::runs::RunOptions;
 //!
@@ -108,7 +117,7 @@ pub trait RecordStream {
 /// Every streaming analyzer in the suite (name prediction, hierarchy
 /// coverage, each block-lifetime window, the construction-pass
 /// [`PartialIndex`]) implements this, so [`fan_out`] — and the fused
-/// replay in [`ProductCaches::prepare`] — can feed any number of them
+/// replay in [`TraceView::prepare`] — can feed any number of them
 /// from **one** pass over the records. For the on-disk store that means
 /// one chunk-decode pass total instead of one per analysis.
 pub trait RecordObserver {
@@ -123,7 +132,7 @@ impl RecordObserver for PartialIndex {
 }
 
 /// Replays `source` once, feeding every record to every observer in
-/// order. The single-pass engine behind [`ProductCaches::prepare`].
+/// order. The single-pass engine behind [`TraceView::prepare`].
 pub fn fan_out(source: &dyn RecordStream, observers: &mut [&mut dyn RecordObserver]) {
     source.for_each_record(&mut |r| {
         for o in observers.iter_mut() {
@@ -132,7 +141,7 @@ pub fn fan_out(source: &dyn RecordStream, observers: &mut [&mut dyn RecordObserv
     });
 }
 
-/// A replay-derived product that [`ProductCaches::prepare`] can compute
+/// A replay-derived product that [`TraceView::prepare`] can compute
 /// in its next fused pass.
 ///
 /// Callers that know the full set of record-replaying analyses they are
@@ -155,15 +164,40 @@ pub enum ReplayRequest {
 
 /// The analysis surface every paper artifact consumes.
 ///
-/// Both [`TraceIndex`] (records in memory) and the store-backed index
-/// in `nfstrace_store` (records on disk, chunk-parallel partials)
-/// implement this, so the whole table/figure layer is written once and
-/// runs out-of-core unchanged. The contract is **bit-identity**: every
-/// method must return exactly what [`TraceIndex::new`] over the same
-/// records returns.
-pub trait TraceView: RecordStream {
+/// A view *is* three things: the construction-pass products
+/// ([`IndexBase`]), the derived-product caches ([`ProductCaches`]) and
+/// a replayable record stream ([`RecordStream`]). An implementor
+/// supplies exactly those — [`TraceView::base`], [`TraceView::caches`],
+/// the `RecordStream` supertrait — plus how to narrow itself to a time
+/// window; every analysis below is a provided method over them, written
+/// once, so the whole table/figure layer runs unchanged over records in
+/// memory ([`TraceIndex`]), on disk (`nfstrace_store::StoreIndex`) or
+/// mid-ingest (`nfstrace_live::LiveView`).
+///
+/// The contract is **bit-identity**: `base()` must hold what
+/// [`TraceIndex::new`] over the same records builds, and
+/// `for_each_record` must replay those records in the same order — then
+/// every provided method returns exactly what the in-memory index
+/// returns. Provided methods must not be overridden: an override is a
+/// second implementation of an analysis, and the suite's byte-identity
+/// checks across view types are only meaningful while there is one.
+pub trait TraceView: RecordStream + Sized {
+    /// The construction-pass products over this view's records.
+    fn base(&self) -> &IndexBase;
+
+    /// This view's own derived-product caches (a time window must not
+    /// share its parent's: their per-file streams differ).
+    fn caches(&self) -> &ProductCaches;
+
+    /// A view over the records in `[start_micros, end_micros)` that are
+    /// also in this view. An inverted or out-of-range window is empty,
+    /// never a panic.
+    fn time_window(&self, start_micros: u64, end_micros: u64) -> Self;
+
     /// Number of records in this view.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.base().len
+    }
 
     /// Whether the view is empty.
     fn is_empty(&self) -> bool {
@@ -171,57 +205,82 @@ pub trait TraceView: RecordStream {
     }
 
     /// Aggregate counters (Tables 1 and 2).
-    fn summary(&self) -> &SummaryStats;
+    fn summary(&self) -> &SummaryStats {
+        &self.base().summary
+    }
 
     /// Hourly buckets (Figure 4, Table 5).
-    fn hourly(&self) -> &HourlySeries;
+    fn hourly(&self) -> &HourlySeries {
+        &self.base().hourly
+    }
 
     /// The §6.3 name-prediction report, computed on first use.
-    fn names(&self) -> &NamePredictionReport;
+    fn names(&self) -> &NamePredictionReport {
+        self.caches().names(self)
+    }
 
     /// Per-file accesses corrected with a `window_ms` reorder window
-    /// (§4.2). Window 0 returns the arrival-order lists.
-    fn accesses(&self, window_ms: u64) -> Arc<AccessMap>;
+    /// (§4.2). Window 0 returns the arrival-order lists. Each window is
+    /// sorted exactly once per view; repeat calls are cache hits.
+    fn accesses(&self, window_ms: u64) -> Arc<AccessMap> {
+        self.caches().accesses(&self.base().raw, window_ms)
+    }
 
     /// The run table for a reorder window and split/categorization
     /// options (Table 3, Figures 2 and 5), computed once per key.
-    fn runs(&self, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>>;
+    fn runs(&self, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
+        self.caches().runs(&self.base().raw, window_ms, opts)
+    }
 
     /// The block lifetime report for one phase configuration (§5.2),
     /// computed once per configuration.
-    fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport>;
+    fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
+        self.caches().lifetime(self, cfg)
+    }
 
     /// The paper's Table 4 / Figure 3 methodology: five weekday 24-hour
-    /// windows starting 9am, each with a 24-hour end margin, merged.
-    fn weekday_lifetime(&self) -> Arc<LifetimeReport>;
+    /// windows starting 9am, each with a 24-hour end margin, merged —
+    /// all five accumulated in one fused replay.
+    fn weekday_lifetime(&self) -> Arc<LifetimeReport> {
+        self.caches().weekday_lifetime(self)
+    }
 
-    /// The Figure 1 sweep over this view's arrival-order accesses.
-    fn swap_sweep(&self, windows_ms: &[u64]) -> Vec<SwapPoint>;
+    /// The Figure 1 sweep over this view's arrival-order accesses,
+    /// parallelized across files (see [`reorder::swap_fraction_sweep`]).
+    fn swap_sweep(&self, windows_ms: &[u64]) -> Vec<SwapPoint> {
+        reorder::swap_fraction_sweep(&self.base().raw, windows_ms)
+    }
 
-    /// A view over the records in `[start_micros, end_micros)`.
-    fn time_window(&self, start_micros: u64, end_micros: u64) -> Self
-    where
-        Self: Sized;
-
-    /// How many reorder bucket+sort passes this view has performed.
-    fn sort_passes(&self) -> u64;
+    /// How many reorder bucket+sort passes this view has performed —
+    /// one per distinct nonzero window ever requested. The reproduction
+    /// suite asserts this stays at one per (trace, window).
+    fn sort_passes(&self) -> u64 {
+        self.caches().sort_passes()
+    }
 
     /// §4.1.1 hierarchy-reconstruction coverage, computed once per
     /// bucket width and cached (like every other replay product) —
     /// repeat calls share the [`Arc`].
-    fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>>;
+    fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
+        self.caches().coverage(self, bucket_micros)
+    }
 
     /// Computes every not-yet-cached product in `requests` in **one**
-    /// fused replay pass (see [`ProductCaches::prepare`]). Calling the
-    /// individual accessors afterwards is pure cache hits.
-    fn prepare(&self, requests: &[ReplayRequest]);
+    /// fused replay pass. Requests already cached (or duplicated within
+    /// `requests`) cost nothing, and calling the individual accessors
+    /// afterwards is pure cache hits.
+    fn prepare(&self, requests: &[ReplayRequest]) {
+        self.caches().prepare(self, requests);
+    }
 
     /// How many full record-replay passes this view has performed for
     /// its replay-derived products (names, coverage, lifetimes). For
     /// the on-disk store every such pass decodes the view's chunks, so
     /// the reproduction suite asserts this stays at one — the fused
     /// pass — per view, the same way it bounds [`TraceView::sort_passes`].
-    fn decode_passes(&self) -> u64;
+    fn decode_passes(&self) -> u64 {
+        self.caches().decode_passes()
+    }
 }
 
 /// A mergeable shard of the [`TraceIndex`] construction pass.
@@ -317,11 +376,6 @@ impl PartialIndex {
             seqs: Some(Arc::new(SeqMap::new())),
             ..PartialIndex::new()
         }
-    }
-
-    /// Whether this partial records arrival sequence numbers.
-    pub fn tracks_seqs(&self) -> bool {
-        self.seqs.is_some()
     }
 
     /// Builds a partial over one chunk of records in a single pass.
@@ -550,12 +604,14 @@ impl PartialIndex {
 /// weekday lifetime report, and the name-prediction report. Record
 /// access goes through [`RecordStream`], so the same code serves the
 /// in-memory index (slice iteration) and the on-disk store index
-/// (chunk-at-a-time decode).
+/// (chunk-at-a-time decode). Outside this module the type is opaque
+/// apart from its constructors: a view owns one and hands it to
+/// [`TraceView::caches`], whose provided methods are the only readers.
 ///
 /// Pass accounting is two-tier: the `query.*` telemetry instruments
 /// aggregate across every view sharing a [`Registry`] (the pipeline
 /// health export), while the plain per-view counters behind
-/// [`ProductCaches::sort_passes`] / [`ProductCaches::decode_passes`]
+/// [`TraceView::sort_passes`] / [`TraceView::decode_passes`]
 /// keep the exact per-view semantics the suite's single-pass assertions
 /// check — a time window and its parent must not pool those.
 #[derive(Debug)]
@@ -668,7 +724,7 @@ impl ProductCaches {
 
     /// See [`TraceView::accesses`]. Each window is sorted exactly once;
     /// repeat calls are cache hits.
-    pub fn accesses(&self, raw: &Arc<AccessMap>, window_ms: u64) -> Arc<AccessMap> {
+    fn accesses(&self, raw: &Arc<AccessMap>, window_ms: u64) -> Arc<AccessMap> {
         if window_ms == 0 {
             return Arc::clone(raw);
         }
@@ -692,7 +748,7 @@ impl ProductCaches {
     }
 
     /// See [`TraceView::runs`].
-    pub fn runs(&self, raw: &Arc<AccessMap>, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
+    fn runs(&self, raw: &Arc<AccessMap>, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
         let key = (window_ms, opts);
         if let Some(r) = self.runs.lock().expect("index lock").get(&key) {
             return Arc::clone(r);
@@ -710,7 +766,7 @@ impl ProductCaches {
     /// nothing; if everything is cached the replay is skipped entirely,
     /// so [`ProductCaches::decode_passes`] counts exactly the passes
     /// that touched the records.
-    pub fn prepare(&self, source: &dyn RecordStream, requests: &[ReplayRequest]) {
+    fn prepare(&self, source: &dyn RecordStream, requests: &[ReplayRequest]) {
         self.metrics.requests.add(requests.len() as u64);
         let mut jobs: Vec<ReplayJob> = Vec::new();
         let mut want_weekday = false;
@@ -808,7 +864,7 @@ impl ProductCaches {
     }
 
     /// See [`TraceView::lifetime`]; records come from `source`.
-    pub fn lifetime(&self, source: &dyn RecordStream, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
+    fn lifetime(&self, source: &dyn RecordStream, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
         if let Some(r) = self.lifetimes.lock().expect("index lock").get(&cfg) {
             return Arc::clone(r);
         }
@@ -824,13 +880,13 @@ impl ProductCaches {
 
     /// See [`TraceView::weekday_lifetime`]: all five weekday windows
     /// are accumulated in one fused replay over `source` and merged.
-    pub fn weekday_lifetime(&self, source: &dyn RecordStream) -> Arc<LifetimeReport> {
+    fn weekday_lifetime(&self, source: &dyn RecordStream) -> Arc<LifetimeReport> {
         self.prepare(source, &[ReplayRequest::WeekdayLifetime]);
         Arc::clone(self.weekday.get().expect("prepare computed the merge"))
     }
 
     /// See [`TraceView::names`]; records come from `source`.
-    pub fn names(&self, source: &dyn RecordStream) -> &NamePredictionReport {
+    fn names(&self, source: &dyn RecordStream) -> &NamePredictionReport {
         if let Some(n) = self.names.get() {
             return n;
         }
@@ -840,11 +896,7 @@ impl ProductCaches {
 
     /// See [`TraceView::hierarchy_coverage`]; records come from
     /// `source`, one series cached per bucket width.
-    pub fn coverage(
-        &self,
-        source: &dyn RecordStream,
-        bucket_micros: u64,
-    ) -> Arc<Vec<CoveragePoint>> {
+    fn coverage(&self, source: &dyn RecordStream, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
         if let Some(c) = self
             .coverage
             .lock()
@@ -865,14 +917,14 @@ impl ProductCaches {
 
     /// How many reorder bucket+sort passes these caches have performed —
     /// one per distinct nonzero window ever requested.
-    pub fn sort_passes(&self) -> u64 {
+    fn sort_passes(&self) -> u64 {
         self.sort_passes.load(Ordering::Relaxed)
     }
 
     /// How many full record-replay passes these caches have performed —
     /// at most one per [`ProductCaches::prepare`] batch that contained
     /// anything uncached.
-    pub fn decode_passes(&self) -> u64 {
+    fn decode_passes(&self) -> u64 {
         self.decode_passes.load(Ordering::Relaxed)
     }
 }
@@ -940,104 +992,9 @@ impl TraceIndex {
         }
     }
 
-    /// An index over the records in `[start_micros, end_micros)`,
-    /// sharing the backing storage with `self`. The view gets its own
-    /// caches (its per-file streams differ from the parent's).
-    pub fn time_window(&self, start_micros: u64, end_micros: u64) -> TraceIndex {
-        let view = &self.records[self.lo..self.hi];
-        let a = view.partition_point(|r| r.micros < start_micros);
-        let b = view.partition_point(|r| r.micros < end_micros);
-        Self::build(Arc::clone(&self.records), self.lo + a, self.lo + b, 1)
-    }
-
     /// The records in this view, time-sorted.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records[self.lo..self.hi]
-    }
-
-    /// Number of records in this view.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// Aggregate counters (Tables 1 and 2).
-    pub fn summary(&self) -> &SummaryStats {
-        &self.base.summary
-    }
-
-    /// Hourly buckets (Figure 4, Table 5).
-    pub fn hourly(&self) -> &HourlySeries {
-        &self.base.hourly
-    }
-
-    /// The §6.3 name-prediction report, computed on first use.
-    pub fn names(&self) -> &NamePredictionReport {
-        self.caches.names(self)
-    }
-
-    /// Per-file accesses corrected with a `window_ms` reorder window
-    /// (§4.2). Window 0 returns the arrival-order lists. Each window is
-    /// sorted exactly once per index; repeat calls are cache hits.
-    pub fn accesses(&self, window_ms: u64) -> Arc<AccessMap> {
-        self.caches.accesses(&self.base.raw, window_ms)
-    }
-
-    /// The run table for a reorder window and split/categorization
-    /// options (Table 3, Figures 2 and 5), computed once per key.
-    pub fn runs(&self, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
-        self.caches.runs(&self.base.raw, window_ms, opts)
-    }
-
-    /// The block lifetime report for one phase configuration (§5.2),
-    /// computed once per configuration.
-    pub fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
-        self.caches.lifetime(self, cfg)
-    }
-
-    /// The paper's Table 4 / Figure 3 methodology: five weekday
-    /// 24-hour windows starting 9am, each with a 24-hour end margin,
-    /// merged — all five accumulated in one fused replay.
-    pub fn weekday_lifetime(&self) -> Arc<LifetimeReport> {
-        self.caches.weekday_lifetime(self)
-    }
-
-    /// §4.1.1 hierarchy-reconstruction coverage, computed once per
-    /// bucket width and cached.
-    pub fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
-        self.caches.coverage(self, bucket_micros)
-    }
-
-    /// Computes every not-yet-cached replay product in `requests` in one
-    /// fused pass over this view's records (see
-    /// [`ProductCaches::prepare`]).
-    pub fn prepare(&self, requests: &[ReplayRequest]) {
-        self.caches.prepare(self, requests);
-    }
-
-    /// How many full record-replay passes this index has performed for
-    /// its replay-derived products. The reproduction suite asserts this
-    /// stays at one — the fused pass — per view.
-    pub fn decode_passes(&self) -> u64 {
-        self.caches.decode_passes()
-    }
-
-    /// The Figure 1 sweep over this view's arrival-order accesses,
-    /// parallelized across files (see
-    /// [`reorder::swap_fraction_sweep`]).
-    pub fn swap_sweep(&self, windows_ms: &[u64]) -> Vec<SwapPoint> {
-        reorder::swap_fraction_sweep(&self.base.raw, windows_ms)
-    }
-
-    /// How many reorder bucket+sort passes this index has performed —
-    /// one per distinct nonzero window ever requested. The reproduction
-    /// suite asserts this stays at one per (trace, window).
-    pub fn sort_passes(&self) -> u64 {
-        self.caches.sort_passes()
     }
 }
 
@@ -1050,60 +1007,21 @@ impl RecordStream for TraceIndex {
 }
 
 impl TraceView for TraceIndex {
-    fn len(&self) -> usize {
-        TraceIndex::len(self)
+    fn base(&self) -> &IndexBase {
+        &self.base
     }
 
-    fn summary(&self) -> &SummaryStats {
-        TraceIndex::summary(self)
+    fn caches(&self) -> &ProductCaches {
+        &self.caches
     }
 
-    fn hourly(&self) -> &HourlySeries {
-        TraceIndex::hourly(self)
-    }
-
-    fn names(&self) -> &NamePredictionReport {
-        TraceIndex::names(self)
-    }
-
-    fn accesses(&self, window_ms: u64) -> Arc<AccessMap> {
-        TraceIndex::accesses(self, window_ms)
-    }
-
-    fn runs(&self, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
-        TraceIndex::runs(self, window_ms, opts)
-    }
-
-    fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
-        TraceIndex::lifetime(self, cfg)
-    }
-
-    fn weekday_lifetime(&self) -> Arc<LifetimeReport> {
-        TraceIndex::weekday_lifetime(self)
-    }
-
-    fn swap_sweep(&self, windows_ms: &[u64]) -> Vec<SwapPoint> {
-        TraceIndex::swap_sweep(self, windows_ms)
-    }
-
+    /// Shares the backing storage with `self`; the window gets its own
+    /// caches.
     fn time_window(&self, start_micros: u64, end_micros: u64) -> TraceIndex {
-        TraceIndex::time_window(self, start_micros, end_micros)
-    }
-
-    fn sort_passes(&self) -> u64 {
-        TraceIndex::sort_passes(self)
-    }
-
-    fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
-        TraceIndex::hierarchy_coverage(self, bucket_micros)
-    }
-
-    fn prepare(&self, requests: &[ReplayRequest]) {
-        TraceIndex::prepare(self, requests)
-    }
-
-    fn decode_passes(&self) -> u64 {
-        TraceIndex::decode_passes(self)
+        let view = self.records();
+        let a = view.partition_point(|r| r.micros < start_micros);
+        let b = view.partition_point(|r| r.micros < end_micros).max(a);
+        Self::build(Arc::clone(&self.records), self.lo + a, self.lo + b, 1)
     }
 }
 
@@ -1281,17 +1199,6 @@ mod tests {
         let whole = PartialIndex::from_records(&records).finish();
         assert_eq!(merged.summary, whole.summary);
         assert_eq!(merged.hourly, whole.hourly);
-    }
-
-    #[test]
-    fn trait_surface_matches_inherent() {
-        fn generic_total<V: TraceView>(v: &V) -> u64 {
-            let sub = v.time_window(0, 20_000);
-            sub.summary().total_ops + TraceView::summary(v).total_ops
-        }
-        let idx = TraceIndex::new(sample());
-        let direct = idx.time_window(0, 20_000).summary().total_ops + idx.summary().total_ops;
-        assert_eq!(generic_total(&idx), direct);
     }
 
     #[test]

@@ -134,7 +134,7 @@ proptest! {
         window_ms in 0u64..20,
         small_jumps in any::<bool>(),
     ) {
-        use nfstrace_core::index::TraceIndex;
+        use nfstrace_core::index::{TraceIndex, TraceView};
         use nfstrace_core::reorder::accesses_by_file;
         use nfstrace_core::runs::runs_for_trace;
         use nfstrace_core::summary::SummaryStats;

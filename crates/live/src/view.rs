@@ -1,17 +1,8 @@
 //! The queryable snapshot of a live ingest: sealed segments + hot tail,
 //! one chain per shard, merged on read.
 
-use nfstrace_core::hierarchy::CoveragePoint;
-use nfstrace_core::hourly::HourlySeries;
-use nfstrace_core::index::{
-    AccessMap, IndexBase, PartialIndex, ProductCaches, RecordStream, ReplayRequest, TraceView,
-};
-use nfstrace_core::lifetime::{LifetimeConfig, LifetimeReport};
-use nfstrace_core::names::NamePredictionReport;
+use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::record::TraceRecord;
-use nfstrace_core::reorder::SwapPoint;
-use nfstrace_core::runs::{Run, RunOptions};
-use nfstrace_core::summary::SummaryStats;
 use nfstrace_store::{stream_records, StoreReader};
 use nfstrace_telemetry::Registry;
 use std::sync::Arc;
@@ -325,40 +316,12 @@ impl RecordStream for LiveView {
 }
 
 impl TraceView for LiveView {
-    fn len(&self) -> usize {
-        self.base.len
+    fn base(&self) -> &IndexBase {
+        &self.base
     }
 
-    fn summary(&self) -> &SummaryStats {
-        &self.base.summary
-    }
-
-    fn hourly(&self) -> &HourlySeries {
-        &self.base.hourly
-    }
-
-    fn names(&self) -> &NamePredictionReport {
-        self.caches.names(self)
-    }
-
-    fn accesses(&self, window_ms: u64) -> Arc<AccessMap> {
-        self.caches.accesses(&self.base.raw, window_ms)
-    }
-
-    fn runs(&self, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
-        self.caches.runs(&self.base.raw, window_ms, opts)
-    }
-
-    fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
-        self.caches.lifetime(self, cfg)
-    }
-
-    fn weekday_lifetime(&self) -> Arc<LifetimeReport> {
-        self.caches.weekday_lifetime(self)
-    }
-
-    fn swap_sweep(&self, windows_ms: &[u64]) -> Vec<SwapPoint> {
-        nfstrace_core::reorder::swap_fraction_sweep(&self.base.raw, windows_ms)
+    fn caches(&self) -> &ProductCaches {
+        &self.caches
     }
 
     /// A narrower snapshot sharing the chains (sealed readers and hot
@@ -381,21 +344,5 @@ impl TraceView for LiveView {
             partial.finish(),
             &self.registry,
         )
-    }
-
-    fn sort_passes(&self) -> u64 {
-        self.caches.sort_passes()
-    }
-
-    fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
-        self.caches.coverage(self, bucket_micros)
-    }
-
-    fn prepare(&self, requests: &[ReplayRequest]) {
-        self.caches.prepare(self, requests);
-    }
-
-    fn decode_passes(&self) -> u64 {
-        self.caches.decode_passes()
     }
 }

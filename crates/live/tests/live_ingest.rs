@@ -29,7 +29,6 @@ fn live_cfg(dir: &std::path::Path) -> LiveConfig {
     LiveConfig {
         store: StoreConfig {
             target_chunk_bytes: 64 << 10,
-            ..StoreConfig::default()
         },
         rotate_records: 4_000,
         rotate_micros: 6 * HOUR,
@@ -125,6 +124,48 @@ fn mid_ingest_views_match_records_so_far() {
     }
     assert_eq!(checked, 2, "the mid-ingest checkpoints ran");
     ingest.finish().expect("finish");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Inverted, empty and past-the-end windows are empty views — on every
+/// view type, and on a window of a window — never a panic.
+fn assert_degenerate_windows_empty<V: TraceView>(view: &V, ctx: &str) {
+    assert!(view.len() > 0, "{ctx}: the parent view holds records");
+    let past = view.summary().last_micros + 1;
+    let inner = view.time_window(2 * HOUR, 6 * HOUR);
+    for (start, end) in [
+        (10, 5),
+        (u64::MAX, 0),
+        (3 * HOUR, 3 * HOUR),
+        (past, past + DAY),
+    ] {
+        for (parent, v) in [("view", view), ("window", &inner)] {
+            let w = v.time_window(start, end);
+            let ctx = format!("{ctx} {parent} [{start}, {end})");
+            assert_eq!(w.len(), 0, "{ctx}: len");
+            assert!(w.is_empty(), "{ctx}: is_empty");
+            assert_eq!(w.summary().total_ops, 0, "{ctx}: summary");
+            assert!(w.accesses(0).is_empty(), "{ctx}: accesses");
+        }
+    }
+}
+
+#[test]
+fn degenerate_windows_are_empty_on_every_view_type() {
+    let dir = tmpdir("degenerate");
+    let mut ingest = LiveIngest::create(live_cfg(&dir)).expect("create");
+    let mut sliced = SlicedWorkload::campus(campus_cfg(1), 2 * HOUR, 1);
+    while sliced.emitted_to() < 14 * HOUR && sliced.next_slice_into(&mut ingest).expect("slice") {}
+    assert!(ingest.sealed_segments() > 0 && ingest.hot_len() > 0);
+
+    let live = ingest.view();
+    assert_degenerate_windows_empty(&live, "LiveView");
+    let sealed = StoreIndex::open_dir(&dir).expect("open sealed segments");
+    assert_degenerate_windows_empty(&sealed, "StoreIndex");
+    let mut records = Vec::new();
+    use nfstrace_core::index::RecordStream;
+    live.for_each_record(&mut |r| records.push(r.clone()));
+    assert_degenerate_windows_empty(&TraceIndex::new(records), "TraceIndex");
     std::fs::remove_dir_all(&dir).ok();
 }
 

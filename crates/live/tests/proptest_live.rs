@@ -92,7 +92,6 @@ fn ingest_all_compacting(
         dir: dir.to_path_buf(),
         store: StoreConfig {
             target_chunk_bytes: chunk_bytes,
-            ..StoreConfig::default()
         },
         rotate_records,
         rotate_micros,
@@ -187,7 +186,6 @@ proptest! {
             dir: mid_dir.clone(),
             store: StoreConfig {
                 target_chunk_bytes: chunk_bytes,
-                ..StoreConfig::default()
             },
             rotate_records,
             rotate_micros,
@@ -265,7 +263,6 @@ proptest! {
             dir: dir.clone(),
             store: StoreConfig {
                 target_chunk_bytes: chunk_bytes,
-                ..StoreConfig::default()
             },
             rotate_records,
             rotate_micros,
@@ -386,7 +383,7 @@ proptest! {
         // appending past the compacted ranges and sees every record.
         let reopened = LiveIngest::open(LiveConfig {
             dir: dir.clone(),
-            store: StoreConfig { target_chunk_bytes: chunk_bytes, ..StoreConfig::default() },
+            store: StoreConfig { target_chunk_bytes: chunk_bytes },
             rotate_records,
             rotate_micros,
             track_seqs: false,

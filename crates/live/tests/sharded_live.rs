@@ -31,7 +31,6 @@ fn sharded_cfg(dir: &std::path::Path) -> LiveConfig {
     LiveConfig {
         store: StoreConfig {
             target_chunk_bytes: 64 << 10,
-            ..StoreConfig::default()
         },
         rotate_records: 4_000,
         rotate_micros: 6 * HOUR,

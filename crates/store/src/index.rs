@@ -4,18 +4,11 @@
 use crate::error::{Result, StoreError};
 use crate::reader::StoreReader;
 use crate::segments::SegmentCatalog;
-use nfstrace_core::hierarchy::CoveragePoint;
-use nfstrace_core::hourly::HourlySeries;
-use nfstrace_core::index::{
-    AccessMap, IndexBase, PartialIndex, ProductCaches, RecordStream, ReplayRequest, TraceView,
-};
-use nfstrace_core::lifetime::{LifetimeConfig, LifetimeReport};
-use nfstrace_core::names::NamePredictionReport;
+use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
-use nfstrace_core::reorder::{self, Access, SwapPoint};
+use nfstrace_core::reorder::{self, Access};
 use nfstrace_core::runs::{split_runs, Run, RunOptions};
-use nfstrace_core::summary::SummaryStats;
 use nfstrace_telemetry::Registry;
 use std::path::Path;
 use std::sync::Arc;
@@ -222,17 +215,8 @@ impl StoreIndex {
         Self::from_readers_in(readers, parallel::threads(), registry)
     }
 
-    /// Indexes all of an already-open store.
-    ///
-    /// # Errors
-    ///
-    /// On chunk read/decode failure.
-    pub fn from_reader(reader: Arc<StoreReader>) -> Result<Self> {
-        Self::from_reader_with_threads(reader, parallel::threads())
-    }
-
-    /// [`StoreIndex::from_reader`] with an explicit construction-pass
-    /// worker count (bit-identical for any count).
+    /// Indexes all of an already-open store with an explicit
+    /// construction-pass worker count (bit-identical for any count).
     ///
     /// # Errors
     ///
@@ -249,21 +233,6 @@ impl StoreIndex {
     /// On chunk read/decode failure or out-of-order segments.
     pub fn from_readers(readers: Vec<Arc<StoreReader>>) -> Result<Self> {
         Self::from_readers_with_threads(readers, parallel::threads())
-    }
-
-    /// [`StoreIndex::from_readers`] reporting telemetry into
-    /// `registry`. The readers keep whatever registry they were opened
-    /// with; this sets where the index's own `query.*` instruments
-    /// live.
-    ///
-    /// # Errors
-    ///
-    /// On chunk read/decode failure or out-of-order segments.
-    pub fn from_readers_with_registry(
-        readers: Vec<Arc<StoreReader>>,
-        registry: &Registry,
-    ) -> Result<Self> {
-        Self::from_readers_in(readers, parallel::threads(), registry)
     }
 
     /// [`StoreIndex::from_readers`] with an explicit worker count.
@@ -303,16 +272,6 @@ impl StoreIndex {
     }
 
     /// The chunk-parallel construction pass.
-    fn build(
-        readers: Vec<Arc<StoreReader>>,
-        start: u64,
-        end: u64,
-        registry: &Registry,
-    ) -> Result<Self> {
-        Self::build_with_threads(readers, start, end, parallel::threads(), registry)
-    }
-
-    /// See [`StoreIndex::build`].
     fn build_with_threads(
         readers: Vec<Arc<StoreReader>>,
         start: u64,
@@ -442,40 +401,12 @@ impl RecordStream for StoreIndex {
 }
 
 impl TraceView for StoreIndex {
-    fn len(&self) -> usize {
-        self.base.len
+    fn base(&self) -> &IndexBase {
+        &self.base
     }
 
-    fn summary(&self) -> &SummaryStats {
-        &self.base.summary
-    }
-
-    fn hourly(&self) -> &HourlySeries {
-        &self.base.hourly
-    }
-
-    fn names(&self) -> &NamePredictionReport {
-        self.caches.names(self)
-    }
-
-    fn accesses(&self, window_ms: u64) -> Arc<AccessMap> {
-        self.caches.accesses(&self.base.raw, window_ms)
-    }
-
-    fn runs(&self, window_ms: u64, opts: RunOptions) -> Arc<Vec<Run>> {
-        self.caches.runs(&self.base.raw, window_ms, opts)
-    }
-
-    fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
-        self.caches.lifetime(self, cfg)
-    }
-
-    fn weekday_lifetime(&self) -> Arc<LifetimeReport> {
-        self.caches.weekday_lifetime(self)
-    }
-
-    fn swap_sweep(&self, windows_ms: &[u64]) -> Vec<SwapPoint> {
-        nfstrace_core::reorder::swap_fraction_sweep(&self.base.raw, windows_ms)
+    fn caches(&self) -> &ProductCaches {
+        &self.caches
     }
 
     /// # Panics
@@ -484,24 +415,14 @@ impl TraceView for StoreIndex {
     /// [`RecordStream::for_each_record`] on this type).
     fn time_window(&self, start_micros: u64, end_micros: u64) -> StoreIndex {
         let start = start_micros.max(self.start);
-        let end = end_micros.min(self.end);
-        Self::build(self.readers.clone(), start, end.max(start), &self.registry)
-            .unwrap_or_else(|e| panic!("store unreadable while windowing: {e}"))
-    }
-
-    fn sort_passes(&self) -> u64 {
-        self.caches.sort_passes()
-    }
-
-    fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
-        self.caches.coverage(self, bucket_micros)
-    }
-
-    fn prepare(&self, requests: &[ReplayRequest]) {
-        self.caches.prepare(self, requests);
-    }
-
-    fn decode_passes(&self) -> u64 {
-        self.caches.decode_passes()
+        let end = end_micros.min(self.end).max(start);
+        Self::build_with_threads(
+            self.readers.clone(),
+            start,
+            end,
+            parallel::threads(),
+            &self.registry,
+        )
+        .unwrap_or_else(|e| panic!("store unreadable while windowing: {e}"))
     }
 }

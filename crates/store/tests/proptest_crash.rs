@@ -51,7 +51,6 @@ fn seed(dir: &Path, seg_count: u64, per_seg: u64, track: bool) -> SegmentCatalog
             &tmp,
             StoreConfig {
                 target_chunk_bytes: 256,
-                ..StoreConfig::default()
             },
         )
         .expect("create");
@@ -238,7 +237,7 @@ proptest! {
             let registry = Registry::new();
             let compactor = Compactor::new(
                 CompactionPolicy { fan_in: fan_in as usize },
-                StoreConfig { target_chunk_bytes: 256, ..StoreConfig::default() },
+                StoreConfig { target_chunk_bytes: 256 },
                 &registry,
             );
             let planned = compactor.policy().plan(cat.ids()).expect("run is ripe");

@@ -5,7 +5,7 @@
 
 use nfstrace::core::runs::RunOptions;
 use nfstrace::core::time::DAY;
-use nfstrace::core::{reorder, SummaryStats, TraceIndex};
+use nfstrace::core::{reorder, SummaryStats, TraceIndex, TraceView};
 use nfstrace_bench::{scenarios, tables};
 
 #[test]

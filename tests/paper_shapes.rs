@@ -7,8 +7,7 @@ use nfstrace::core::runs::{RunKind, RunOptions};
 use nfstrace::core::seqmetric::metric_by_run_size;
 use nfstrace::core::summary::SummaryStats;
 use nfstrace::core::time::DAY;
-use nfstrace::core::TraceIndex;
-use nfstrace_bench::tables;
+use nfstrace::core::{TraceIndex, TraceView};
 use std::sync::OnceLock;
 
 fn campus() -> &'static TraceIndex {
@@ -47,8 +46,8 @@ fn table2_shape_campus_busier() {
 #[test]
 fn table3_processing_recovers_sequentiality() {
     for (idx, win) in [(campus(), 10u64), (eecs(), 5u64)] {
-        let raw = tables::trace_runs(idx, 0, RunOptions::raw());
-        let processed = tables::trace_runs(idx, win, RunOptions::default());
+        let raw = idx.runs(0, RunOptions::raw());
+        let processed = idx.runs(win, RunOptions::default());
         let random_frac = |runs: &[nfstrace::core::runs::Run]| {
             let total = runs.len().max(1) as f64;
             runs.iter()
@@ -139,7 +138,7 @@ fn table5_peak_hours_cut_variance() {
 
 #[test]
 fn fig5_long_reads_more_sequential_than_writes() {
-    let runs = tables::trace_runs(campus(), 10, RunOptions::default());
+    let runs = campus().runs(10, RunOptions::default());
     let reads = metric_by_run_size(&runs, RunKind::Read, 10);
     // Long reads (1 MB+) are nearly fully sequential with jumps allowed.
     let long_reads: Vec<_> = reads
