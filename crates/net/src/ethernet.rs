@@ -121,12 +121,19 @@ impl<'a> Frame<'a> {
         })
     }
 
-    /// Serializes a frame around `payload`.
-    pub fn encode(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    /// Appends the 14-byte header to `out`; the payload follows it. The
+    /// one place the header layout is written — [`Frame::encode`] and
+    /// [`crate::packet::PacketBuilder`] both build on it.
+    pub fn write_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut Vec<u8>) {
         out.extend_from_slice(&dst.0);
         out.extend_from_slice(&src.0);
         out.extend_from_slice(&ethertype.as_u16().to_be_bytes());
+    }
+
+    /// Serializes a frame around `payload`.
+    pub fn encode(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        Self::write_header(dst, src, ethertype, &mut out);
         out.extend_from_slice(payload);
         out
     }

@@ -128,18 +128,20 @@ impl<'a> Ipv4Packet<'a> {
         })
     }
 
-    /// Serializes a minimal (option-free) IPv4 packet around `payload`.
-    ///
-    /// The header checksum is computed; `ident` increments help exercise
-    /// parsers but carry no semantics here.
-    pub fn encode(
+    /// Appends a minimal (option-free) 20-byte header for a payload of
+    /// `payload_len` bytes to `out`, checksum computed; the payload
+    /// follows it. The one place the header layout is written —
+    /// [`Ipv4Packet::encode`] and [`crate::packet::PacketBuilder`] both
+    /// build on it.
+    pub fn write_header(
         src: Ipv4Addr4,
         dst: Ipv4Addr4,
         protocol: u8,
         ident: u16,
-        payload: &[u8],
-    ) -> Vec<u8> {
-        let total_len = (MIN_HEADER_LEN + payload.len()) as u16;
+        payload_len: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let total_len = (MIN_HEADER_LEN + payload_len) as u16;
         let mut hdr = [0u8; MIN_HEADER_LEN];
         hdr[0] = 0x45; // version 4, ihl 5
         hdr[1] = 0; // dscp/ecn
@@ -152,9 +154,22 @@ impl<'a> Ipv4Packet<'a> {
         hdr[16..20].copy_from_slice(&dst.octets());
         let csum = header_checksum(&hdr);
         hdr[10..12].copy_from_slice(&csum.to_be_bytes());
-
-        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
         out.extend_from_slice(&hdr);
+    }
+
+    /// Serializes a minimal (option-free) IPv4 packet around `payload`.
+    ///
+    /// The header checksum is computed; `ident` increments help exercise
+    /// parsers but carry no semantics here.
+    pub fn encode(
+        src: Ipv4Addr4,
+        dst: Ipv4Addr4,
+        protocol: u8,
+        ident: u16,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
+        Self::write_header(src, dst, protocol, ident, payload.len(), &mut out);
         out.extend_from_slice(payload);
         out
     }

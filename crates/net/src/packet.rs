@@ -8,7 +8,7 @@ use crate::ethernet::{EtherType, Frame, MacAddr};
 use crate::ipv4::{Ipv4Addr4, Ipv4Packet, PROTO_TCP, PROTO_UDP};
 use crate::tcp::{TcpFlags, TcpSegment};
 use crate::udp::UdpDatagram;
-use crate::Result;
+use crate::{ethernet, ipv4, tcp, udp, Result};
 
 /// Which transport a decoded packet used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,11 +136,67 @@ impl<'a> PacketView<'a> {
     }
 }
 
-/// Convenience constructors for complete frames.
+/// Constructors for complete frames, each built in a single `Vec`.
+///
+/// Every layer's header is written straight into the frame by that
+/// layer's `write_header` ([`Frame`], [`Ipv4Packet`], [`TcpSegment`],
+/// [`UdpDatagram`]) — the same functions the per-layer `encode`s are
+/// made of, so a frame from here is byte for byte the composition
+/// `Frame::encode(Ipv4Packet::encode(TcpSegment::encode(..)))` without
+/// its two intermediate buffers. [`PacketBuilder::udp`] and
+/// [`PacketBuilder::tcp`] take the payload whole; the `*_headers` forms
+/// stop after the headers so a caller whose payload lies in several
+/// pieces (a record mark and a slice of a message) can append them
+/// itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PacketBuilder;
 
 impl PacketBuilder {
+    /// The Ethernet/IPv4/UDP headers of a frame whose payload is
+    /// `payload_len` bytes, with room reserved for that payload: append
+    /// exactly `payload_len` bytes to complete the frame.
+    #[allow(clippy::too_many_arguments)]
+    pub fn udp_headers(
+        src_mac: MacAddr,
+        dst_mac: MacAddr,
+        src_ip: Ipv4Addr4,
+        dst_ip: Ipv4Addr4,
+        src_port: u16,
+        dst_port: u16,
+        payload_len: usize,
+    ) -> Vec<u8> {
+        let udp_len = udp::HEADER_LEN + payload_len;
+        let mut out = Vec::with_capacity(ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + udp_len);
+        Frame::write_header(dst_mac, src_mac, EtherType::Ipv4, &mut out);
+        Ipv4Packet::write_header(src_ip, dst_ip, PROTO_UDP, 0, udp_len, &mut out);
+        UdpDatagram::write_header(src_port, dst_port, payload_len, &mut out);
+        out
+    }
+
+    /// The Ethernet/IPv4/TCP headers (`ACK | PSH`, no options) of a
+    /// frame carrying `payload_len` bytes at `seq`, with room reserved
+    /// for that payload: append exactly `payload_len` bytes to complete
+    /// the frame.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tcp_headers(
+        src_mac: MacAddr,
+        dst_mac: MacAddr,
+        src_ip: Ipv4Addr4,
+        dst_ip: Ipv4Addr4,
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        payload_len: usize,
+    ) -> Vec<u8> {
+        let tcp_len = tcp::MIN_HEADER_LEN + payload_len;
+        let mut out = Vec::with_capacity(ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + tcp_len);
+        Frame::write_header(dst_mac, src_mac, EtherType::Ipv4, &mut out);
+        Ipv4Packet::write_header(src_ip, dst_ip, PROTO_TCP, 0, tcp_len, &mut out);
+        let flags = TcpFlags(TcpFlags::ACK | TcpFlags::PSH);
+        TcpSegment::write_header(src_port, dst_port, seq, 0, flags, &mut out);
+        out
+    }
+
     /// Builds an Ethernet/IPv4/UDP frame.
     #[allow(clippy::too_many_arguments)]
     pub fn udp(
@@ -152,9 +208,17 @@ impl PacketBuilder {
         dst_port: u16,
         payload: Vec<u8>,
     ) -> Vec<u8> {
-        let udp = UdpDatagram::encode(src_port, dst_port, &payload);
-        let ip = Ipv4Packet::encode(src_ip, dst_ip, PROTO_UDP, 0, &udp);
-        Frame::encode(dst_mac, src_mac, EtherType::Ipv4, &ip)
+        let mut out = Self::udp_headers(
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            payload.len(),
+        );
+        out.extend_from_slice(&payload);
+        out
     }
 
     /// Builds an Ethernet/IPv4/TCP frame carrying `payload` at `seq`.
@@ -169,16 +233,18 @@ impl PacketBuilder {
         seq: u32,
         payload: Vec<u8>,
     ) -> Vec<u8> {
-        let tcp = TcpSegment::encode(
+        let mut out = Self::tcp_headers(
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
             src_port,
             dst_port,
             seq,
-            0,
-            TcpFlags(TcpFlags::ACK | TcpFlags::PSH),
-            &payload,
+            payload.len(),
         );
-        let ip = Ipv4Packet::encode(src_ip, dst_ip, PROTO_TCP, 0, &tcp);
-        Frame::encode(dst_mac, src_mac, EtherType::Ipv4, &ip)
+        out.extend_from_slice(&payload);
+        out
     }
 }
 

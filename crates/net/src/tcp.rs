@@ -90,6 +90,29 @@ impl<'a> TcpSegment<'a> {
         })
     }
 
+    /// Appends a minimal (option-free) 20-byte header to `out`; the
+    /// payload follows it. The one place the header layout is written —
+    /// [`TcpSegment::encode`] and [`crate::packet::PacketBuilder`] both
+    /// build on it.
+    pub fn write_header(
+        src_port: u16,
+        dst_port: u16,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        out: &mut Vec<u8>,
+    ) {
+        out.extend_from_slice(&src_port.to_be_bytes());
+        out.extend_from_slice(&dst_port.to_be_bytes());
+        out.extend_from_slice(&seq.to_be_bytes());
+        out.extend_from_slice(&ack.to_be_bytes());
+        out.push(5 << 4); // data offset = 5 words
+        out.push(flags.0);
+        out.extend_from_slice(&65535u16.to_be_bytes()); // window
+        out.extend_from_slice(&0u16.to_be_bytes()); // checksum (not computed)
+        out.extend_from_slice(&0u16.to_be_bytes()); // urgent pointer
+    }
+
     /// Serializes a minimal (option-free) segment around `payload`.
     pub fn encode(
         src_port: u16,
@@ -100,15 +123,7 @@ impl<'a> TcpSegment<'a> {
         payload: &[u8],
     ) -> Vec<u8> {
         let mut out = Vec::with_capacity(MIN_HEADER_LEN + payload.len());
-        out.extend_from_slice(&src_port.to_be_bytes());
-        out.extend_from_slice(&dst_port.to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(&ack.to_be_bytes());
-        out.push(5 << 4); // data offset = 5 words
-        out.push(flags.0);
-        out.extend_from_slice(&65535u16.to_be_bytes()); // window
-        out.extend_from_slice(&0u16.to_be_bytes()); // checksum (not computed)
-        out.extend_from_slice(&0u16.to_be_bytes()); // urgent pointer
+        Self::write_header(src_port, dst_port, seq, ack, flags, &mut out);
         out.extend_from_slice(payload);
         out
     }

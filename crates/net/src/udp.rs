@@ -52,15 +52,23 @@ impl<'a> UdpDatagram<'a> {
         })
     }
 
-    /// Serializes a datagram around `payload` (checksum zero: legal for
-    /// IPv4 UDP and what many NFS stacks of the era actually sent).
-    pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
-        let len = (HEADER_LEN + payload.len()) as u16;
-        let mut out = Vec::with_capacity(usize::from(len));
+    /// Appends the 8-byte header for a payload of `payload_len` bytes to
+    /// `out` (checksum zero: legal for IPv4 UDP and what many NFS stacks
+    /// of the era actually sent); the payload follows it. The one place
+    /// the header layout is written — [`UdpDatagram::encode`] and
+    /// [`crate::packet::PacketBuilder`] both build on it.
+    pub fn write_header(src_port: u16, dst_port: u16, payload_len: usize, out: &mut Vec<u8>) {
+        let len = (HEADER_LEN + payload_len) as u16;
         out.extend_from_slice(&src_port.to_be_bytes());
         out.extend_from_slice(&dst_port.to_be_bytes());
         out.extend_from_slice(&len.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes());
+    }
+
+    /// Serializes a datagram around `payload`.
+    pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        Self::write_header(src_port, dst_port, payload.len(), &mut out);
         out.extend_from_slice(payload);
         out
     }

@@ -4,11 +4,13 @@
 //! byte stream under arbitrary segmentation, arbitrary delivery order,
 //! and duplication — the conditions a mirror port actually produces.
 
-use nfstrace_net::ethernet::MacAddr;
-use nfstrace_net::ipv4::Ipv4Addr4;
+use nfstrace_net::ethernet::{self, EtherType, Frame, MacAddr};
+use nfstrace_net::ipv4::{self, Ipv4Addr4, Ipv4Packet, PROTO_TCP, PROTO_UDP};
 use nfstrace_net::packet::{DecodedPacket, PacketBuilder, Transport};
 use nfstrace_net::pcap::{CapturedPacket, PcapHeader, PcapReader, PcapWriter};
 use nfstrace_net::reassembly::StreamReassembler;
+use nfstrace_net::tcp::{TcpFlags, TcpSegment};
+use nfstrace_net::udp::UdpDatagram;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -156,6 +158,37 @@ proptest! {
         prop_assert_eq!(d.src_port, sport);
         prop_assert_eq!(d.dst_port, dport);
         prop_assert_eq!(d.payload, payload);
+    }
+
+    /// The single-buffer frame builder against the layer-by-layer
+    /// composition it replaces: the same bytes, for both transports.
+    #[test]
+    fn packet_builder_equals_the_layered_encoders(
+        payload in proptest::collection::vec(any::<u8>(), 0..9001),
+        macs in any::<u64>(),
+        sip in any::<u32>(),
+        dip in any::<u32>(),
+        sport in any::<u16>(),
+        dport in any::<u16>(),
+        seq in any::<u32>(),
+    ) {
+        let [_, _, m @ ..] = macs.to_be_bytes();
+        let (smac, dmac) = (MacAddr::new(m), MacAddr::new(m.map(|b| !b)));
+        let (sip, dip) = (Ipv4Addr4::from_u32(sip), Ipv4Addr4::from_u32(dip));
+        let ip_header = ethernet::HEADER_LEN..ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN;
+
+        let tcp = PacketBuilder::tcp(smac, dmac, sip, dip, sport, dport, seq, payload.clone());
+        let flags = TcpFlags(TcpFlags::ACK | TcpFlags::PSH);
+        let segment = TcpSegment::encode(sport, dport, seq, 0, flags, &payload);
+        let packet = Ipv4Packet::encode(sip, dip, PROTO_TCP, 0, &segment);
+        prop_assert_eq!(&tcp, &Frame::encode(dmac, smac, EtherType::Ipv4, &packet));
+        prop_assert!(Ipv4Packet::verify_checksum(&tcp[ip_header.clone()]));
+
+        let udp = PacketBuilder::udp(smac, dmac, sip, dip, sport, dport, payload.clone());
+        let datagram = UdpDatagram::encode(sport, dport, &payload);
+        let packet = Ipv4Packet::encode(sip, dip, PROTO_UDP, 0, &datagram);
+        prop_assert_eq!(&udp, &Frame::encode(dmac, smac, EtherType::Ipv4, &packet));
+        prop_assert!(Ipv4Packet::verify_checksum(&udp[ip_header]));
     }
 
     #[test]

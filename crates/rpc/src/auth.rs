@@ -170,12 +170,25 @@ impl<'a> AuthRef<'a> {
     /// (truncation, non-UTF-8 machine name, oversized gids count,
     /// trailing bytes) yields `None`.
     pub fn unix_uid_gid(self) -> Option<(u32, u32)> {
+        self.unix_fields().map(|(_, uid, gid)| (uid, gid))
+    }
+
+    /// Extracts the client machine name from an `AUTH_UNIX` body
+    /// without allocating, under exactly the validation of
+    /// [`AuthRef::unix_uid_gid`]: the whole body must decode, not only
+    /// the name's prefix of it.
+    pub fn unix_machine_name(self) -> Option<&'a str> {
+        self.unix_fields().map(|(name, _, _)| name)
+    }
+
+    /// `(machine_name, uid, gid)` of a fully validated `AUTH_UNIX` body.
+    fn unix_fields(self) -> Option<(&'a str, u32, u32)> {
         if self.flavor != flavor::AUTH_UNIX {
             return None;
         }
         let mut dec = Decoder::new(self.body);
         dec.get_u32().ok()?; // stamp
-        dec.get_str_ref().ok()?; // machine name, UTF-8 checked
+        let machine_name = dec.get_str_ref().ok()?; // UTF-8 checked
         let uid = dec.get_u32().ok()?;
         let gid = dec.get_u32().ok()?;
         // Supplementary gids: replicate `get_array`'s count bound. The
@@ -189,7 +202,7 @@ impl<'a> AuthRef<'a> {
             dec.get_u32().ok()?;
         }
         // `from_xdr_bytes` rejects trailing bytes; mirror that.
-        dec.is_empty().then_some((uid, gid))
+        dec.is_empty().then_some((machine_name, uid, gid))
     }
 }
 
@@ -248,13 +261,24 @@ mod tests {
         let mut trailing = good;
         trailing.body.extend_from_slice(&[0, 0, 0, 1]);
         cases.push(trailing);
-        for auth in cases {
-            let owned = auth.as_unix().and_then(|r| r.ok()).map(|a| (a.uid, a.gid));
+        for (i, auth) in cases.iter().enumerate() {
+            let owned = auth.as_unix().and_then(|r| r.ok());
+            // Only the first case is a valid unix credential.
+            assert_eq!(owned.is_some(), i == 0, "case {i}");
             let view = AuthRef {
                 flavor: auth.flavor,
                 body: &auth.body,
             };
-            assert_eq!(view.unix_uid_gid(), owned);
+            assert_eq!(
+                view.unix_uid_gid(),
+                owned.as_ref().map(|a| (a.uid, a.gid)),
+                "case {i}"
+            );
+            assert_eq!(
+                view.unix_machine_name(),
+                owned.as_ref().map(|a| a.machine_name.as_str()),
+                "case {i}"
+            );
         }
     }
 

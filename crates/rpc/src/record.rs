@@ -27,9 +27,39 @@ pub fn mark_record(msg: &[u8]) -> Vec<u8> {
 /// scratch-buffer-reusing form of [`mark_record`]. `out` is not cleared,
 /// so a stream of records can be marked into one reused buffer.
 pub fn mark_record_into(msg: &[u8], out: &mut Vec<u8>) {
-    let header = LAST_FRAGMENT | (msg.len() as u32);
-    out.extend_from_slice(&header.to_be_bytes());
+    out.extend_from_slice(&record_mark(msg.len()));
     out.extend_from_slice(msg);
+}
+
+/// The 4-byte mark heading a single-fragment record of `len` bytes —
+/// for a sender that puts the mark and the message on the wire from
+/// separate buffers.
+pub fn record_mark(len: usize) -> [u8; 4] {
+    (LAST_FRAGMENT | len as u32).to_be_bytes()
+}
+
+/// Starts a single-fragment record in `out` whose message is about to
+/// be produced in place: reserves the 4-byte mark and returns its
+/// offset. Append the message to `out`, then pass the offset to
+/// [`end_record`] — or `out.truncate(offset)` to abandon the record.
+/// Together the pair is [`mark_record_into`] for a message that does
+/// not exist elsewhere yet, so it need not be copied to be framed.
+pub fn begin_record(out: &mut Vec<u8>) -> usize {
+    let mark_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    mark_at
+}
+
+/// Completes the record started by [`begin_record`] at `mark_at`:
+/// back-patches the mark with the length of everything appended since.
+///
+/// # Panics
+///
+/// Panics if `mark_at` is not an offset [`begin_record`] returned for
+/// this buffer (fewer than four bytes follow it).
+pub fn end_record(out: &mut [u8], mark_at: usize) {
+    let len = out.len() - mark_at - 4;
+    out[mark_at..mark_at + 4].copy_from_slice(&record_mark(len));
 }
 
 /// Encodes one RPC message split into fragments of at most `frag_len`
@@ -370,6 +400,24 @@ mod tests {
         let mut concat = mark_record(b"one");
         concat.extend_from_slice(&mark_record_fragmented(b"twotwo", 4));
         assert_eq!(streamed, concat);
+    }
+
+    #[test]
+    fn begin_end_record_frames_in_place_like_mark_record_into() {
+        let mut in_place = b"earlier bytes".to_vec();
+        let mut copied = in_place.clone();
+        for msg in [&b"reply one"[..], b"", b"three"] {
+            let mark_at = begin_record(&mut in_place);
+            in_place.extend_from_slice(msg);
+            end_record(&mut in_place, mark_at);
+            mark_record_into(msg, &mut copied);
+        }
+        assert_eq!(in_place, copied);
+        // An abandoned record leaves no trace.
+        let mark_at = begin_record(&mut in_place);
+        in_place.truncate(mark_at);
+        assert_eq!(in_place, copied);
+        assert_eq!(record_mark(5), mark_record(b"12345")[..4]);
     }
 
     #[test]

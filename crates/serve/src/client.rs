@@ -10,11 +10,18 @@
 //! pipeline (`crate::pipeline`) later frames into packets for the
 //! sniffer, retransmissions and duplicate replies included.
 //!
+//! Calls go out in **bursts**: every call the window and the pacing
+//! clock admit is record-marked into one reused buffer and the buffer
+//! is written once (and whenever it reaches the serving loop's 64 KiB
+//! flush bound). The tap is per message, not per `write`, so what the
+//! capture path sees does not depend on how calls were batched.
+//!
 //! Telemetry: `replay.calls_sent`, `replay.retransmits`,
 //! `replay.rtt_micros`.
 
 use crate::plan::{PlannedCall, ReplayPlan};
-use nfstrace_rpc::record::{mark_record, RecordReader};
+use crate::server::FLUSH_BYTES;
+use nfstrace_rpc::record::{mark_record_into, RecordReader};
 use nfstrace_telemetry::Registry;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -90,7 +97,13 @@ pub struct TapEvent {
 pub struct ReplayOutcome {
     /// Every message that crossed a connection, in per-connection
     /// observation order (sort by `(idx, dir)` to serialize; the
-    /// pipeline does).
+    /// pipeline does). One event per message however the messages were
+    /// batched into `write`s and `read`s. Calls are copied out of the
+    /// plan; reply records are moved in as read.
+    ///
+    /// [`replay`] returns it full. `serve_roundtrip` frames it and then
+    /// releases it before the ingest starts, so the outcome it hands
+    /// back carries an empty tap.
     pub tap: Vec<TapEvent>,
     /// Calls written, first transmissions only.
     pub calls_sent: u64,
@@ -102,6 +115,20 @@ pub struct ReplayOutcome {
 struct Pending {
     local: usize,
     sent_at: Instant,
+}
+
+impl TapEvent {
+    /// `call`'s own message, on its way to the server.
+    fn of_call(call: &PlannedCall) -> Self {
+        TapEvent {
+            idx: call.idx,
+            dir: 0,
+            micros: call.micros,
+            client_ip: call.client_ip,
+            server_ip: call.server_ip,
+            bytes: call.call_bytes.clone(),
+        }
+    }
 }
 
 /// Replays `plan` against the server at `addr`.
@@ -171,6 +198,15 @@ pub fn replay(
     Ok(merged)
 }
 
+/// Writes the burst in `framed`, if there is one, and empties it.
+fn write_burst(stream: &mut TcpStream, framed: &mut Vec<u8>) -> std::io::Result<()> {
+    if !framed.is_empty() {
+        stream.write_all(framed)?;
+        framed.clear();
+    }
+    Ok(())
+}
+
 /// The per-connection replay loop: window-bounded sends, reply
 /// matching by `(xid → oldest in-flight)`, timeout retransmission.
 #[allow(clippy::too_many_arguments)]
@@ -194,6 +230,8 @@ fn run_connection(
 
     let mut reader = RecordReader::new();
     let mut buf = vec![0u8; 64 * 1024];
+    // The burst under construction: record-marked calls not yet written.
+    let mut framed = Vec::new();
     let mut cursor = 0usize;
     let mut in_flight: HashMap<u32, VecDeque<Pending>> = HashMap::new();
     let mut in_flight_count = 0usize;
@@ -203,7 +241,8 @@ fn run_connection(
     let mut last_done: HashMap<u32, usize> = HashMap::new();
 
     while cursor < calls.len() || in_flight_count > 0 {
-        // Send while the window and the pacing clock allow.
+        // Send while the window and the pacing clock allow — as one
+        // burst, written once.
         while cursor < calls.len() && in_flight_count < options.window {
             let call = calls[cursor];
             if let Pacing::Timescale { speedup } = options.pacing {
@@ -213,17 +252,10 @@ fn run_connection(
                     break;
                 }
             }
-            let framed = mark_record(&call.call_bytes);
-            stream.write_all(&framed)?;
+            let mark_at = framed.len();
+            mark_record_into(&call.call_bytes, &mut framed);
             calls_sent.inc();
-            outcome.tap.push(TapEvent {
-                idx: call.idx,
-                dir: 0,
-                micros: call.micros,
-                client_ip: call.client_ip,
-                server_ip: call.server_ip,
-                bytes: call.call_bytes.clone(),
-            });
+            outcome.tap.push(TapEvent::of_call(call));
             if call.reply_bytes.is_some() {
                 in_flight.entry(call.xid).or_default().push_back(Pending {
                     local: cursor,
@@ -233,21 +265,20 @@ fn run_connection(
             }
             if let Some(every) = options.forced_retransmit_every {
                 if every > 0 && (cursor + 1).is_multiple_of(every) {
-                    stream.write_all(&framed)?;
+                    // The duplicate rides in the same burst, right
+                    // behind its original.
+                    framed.extend_from_within(mark_at..);
                     retransmits.inc();
                     outcome.retransmits += 1;
-                    outcome.tap.push(TapEvent {
-                        idx: call.idx,
-                        dir: 0,
-                        micros: call.micros,
-                        client_ip: call.client_ip,
-                        server_ip: call.server_ip,
-                        bytes: call.call_bytes.clone(),
-                    });
+                    outcome.tap.push(TapEvent::of_call(call));
                 }
             }
             cursor += 1;
+            if framed.len() >= FLUSH_BYTES {
+                write_burst(&mut stream, &mut framed)?;
+            }
         }
+        write_burst(&mut stream, &mut framed)?;
 
         // Drain replies.
         let mut idle = false;
@@ -291,7 +322,7 @@ fn run_connection(
                             micros: call.reply_micros,
                             client_ip: call.client_ip,
                             server_ip: call.server_ip,
-                            bytes: reply.clone(),
+                            bytes: reply,
                         });
                     }
                 }
@@ -314,21 +345,15 @@ fn run_connection(
                 for pending in queue.iter_mut() {
                     if pending.sent_at.elapsed() >= options.timeout {
                         let call = calls[pending.local];
-                        stream.write_all(&mark_record(&call.call_bytes))?;
+                        mark_record_into(&call.call_bytes, &mut framed);
                         pending.sent_at = Instant::now();
                         retransmits.inc();
                         outcome.retransmits += 1;
-                        outcome.tap.push(TapEvent {
-                            idx: call.idx,
-                            dir: 0,
-                            micros: call.micros,
-                            client_ip: call.client_ip,
-                            server_ip: call.server_ip,
-                            bytes: call.call_bytes.clone(),
-                        });
+                        outcome.tap.push(TapEvent::of_call(call));
                     }
                 }
             }
+            write_burst(&mut stream, &mut framed)?;
         }
     }
     outcome.calls_sent = outcome

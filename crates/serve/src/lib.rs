@@ -9,8 +9,9 @@
 //! 1. **The serving loop** ([`server`]) — a concurrent RFC 1813-shaped
 //!    NFS/RPC server on loopback TCP: record-marked framing
 //!    ([`nfstrace_rpc::record`]), one thread per connection, XID-correct
-//!    replies, v3 and v2 dispatch. What it answers comes from an
-//!    [`NfsService`]: either a genuine shared filesystem
+//!    replies written a burst at a time (one `write` for all the calls
+//!    one `read` delivered), v3 and v2 dispatch. What it answers comes
+//!    from an [`NfsService`]: either a genuine shared filesystem
 //!    ([`service::FsService`] over [`nfstrace_fssim::SharedNfsServer`])
 //!    or a trace-faithful replay plan with a duplicate-request cache
 //!    ([`service::ReplayService`]).

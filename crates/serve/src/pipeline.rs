@@ -70,7 +70,11 @@ pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
 /// What one full serve → capture → ingest pass produced.
 #[derive(Debug)]
 pub struct RoundtripOutcome {
-    /// The replay client's side: tap, send and retransmit counts.
+    /// The replay client's side: send and retransmit counts. Its `tap`
+    /// comes back **empty**: the tap is framed into packets and released
+    /// before the ingest starts, instead of being carried — megabytes
+    /// of dead messages — through the ingest and out to the caller.
+    /// Call [`replay`] directly to keep a tap.
     pub replay: ReplayOutcome,
     /// The live ingest summary for the written store directory.
     pub summary: LiveSummary,
@@ -85,6 +89,10 @@ pub struct RoundtripOutcome {
 
 /// Serves `plan` over loopback TCP, replays it with `options`, and
 /// ingests the captured byte streams into a live store at `dir`.
+///
+/// Each stage's memory is released as soon as the next has what it
+/// needs: the server and its reply schedule once the replay is done,
+/// the tap once it is framed.
 ///
 /// Metrics for every stage land in `registry`.
 ///
@@ -101,12 +109,18 @@ pub fn serve_roundtrip(
     let server_ip = plan.calls.first().map_or(1, |c| c.server_ip);
     let service = Arc::new(ReplayService::new(plan, server_ip));
     let mut server = NfsTcpServer::spawn(Arc::clone(&service) as Arc<dyn NfsService>, registry)?;
-    let replay_outcome = replay(plan, server.addr(), options, registry)?;
+    let mut replay_outcome = replay(plan, server.addr(), options, registry)?;
     server.shutdown();
+    let unplanned_calls = service.unplanned_calls();
+    drop(server);
+    drop(service);
 
     // Mirror the tap into the capture path, then sniff + ingest.
+    let tap = std::mem::take(&mut replay_outcome.tap);
+    let framed = tap_to_packets(&tap);
+    drop(tap);
     let mut mirror = MirrorPort::new(MirrorConfig::lossless());
-    let packets: Vec<CapturedPacket> = tap_to_packets(&replay_outcome.tap)
+    let packets: Vec<CapturedPacket> = framed
         .into_iter()
         .filter(|p| mirror.offer(p.timestamp_micros, p.data.len()) == MirrorVerdict::Forwarded)
         .collect();
@@ -119,6 +133,6 @@ pub fn serve_roundtrip(
         summary,
         sniffer: source.stats(),
         mirror: mirror.stats(),
-        unplanned_calls: service.unplanned_calls(),
+        unplanned_calls,
     })
 }

@@ -16,7 +16,6 @@ use nfstrace_core::index::RecordStream;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_xdr::Pack;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// One trace record, compiled to wire form.
 #[derive(Debug, Clone)]
@@ -80,17 +79,20 @@ impl ReplayPlan {
     }
 
     /// The server side of the plan: per `(client, xid)`, the planned
-    /// replies in call order. A FIFO (not a map to one reply) because
+    /// replies in call order. A list (not a map to one reply) because
     /// a long trace reuses XIDs; calls for one client arrive on one
-    /// connection in plan order, so FIFO pop pairs them correctly.
-    /// `None` entries (lost replies) are kept so a reused XID behind a
-    /// lost reply still lines up.
-    pub fn reply_schedule(&self) -> HashMap<(u32, u32), VecDeque<Option<Vec<u8>>>> {
-        let mut map: HashMap<(u32, u32), VecDeque<Option<Vec<u8>>>> = HashMap::new();
+    /// connection in plan order, so serving the list front to back
+    /// pairs them correctly. `None` entries (lost replies) are kept so
+    /// a reused XID behind a lost reply still lines up.
+    ///
+    /// This is the one copy of the reply bytes the serving side makes:
+    /// the plan is only borrowed, so the schedule owns its bytes.
+    pub fn reply_schedule(&self) -> HashMap<(u32, u32), Vec<Option<Vec<u8>>>> {
+        let mut map: HashMap<(u32, u32), Vec<Option<Vec<u8>>>> = HashMap::new();
         for c in &self.calls {
             map.entry((c.client_ip, c.xid))
                 .or_default()
-                .push_back(c.reply_bytes.clone());
+                .push(c.reply_bytes.clone());
         }
         map
     }

@@ -1,7 +1,8 @@
 //! What the serving loop answers with: plan-driven or filesystem-backed.
 //!
 //! A [`NfsService`] maps one inbound RPC record to at most one
-//! outbound RPC record. Two implementations:
+//! outbound RPC message, written into the connection's output buffer.
+//! Two implementations:
 //!
 //! - [`FsService`] is a genuine NFS server: it decodes the call and
 //!   services it against a [`SharedNfsServer`] filesystem. This is the
@@ -21,21 +22,31 @@ use crate::reverse::client_ip_of_machine_name;
 use nfstrace_fssim::SharedNfsServer;
 use nfstrace_nfs::v2::{Call2, Proc2};
 use nfstrace_nfs::v3::{Call3, Proc3};
-use nfstrace_rpc::msg::accept_stat;
-use nfstrace_rpc::msg::CallBody;
+use nfstrace_rpc::msg::{accept_stat, CallView};
 use nfstrace_rpc::{MsgBodyView, RpcMessage, RpcMessageView, PROG_NFS};
-use nfstrace_xdr::Pack;
-use std::collections::{HashMap, VecDeque};
+use nfstrace_xdr::{Encoder, Pack};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Maps one inbound RPC record to at most one outbound RPC record.
+/// Maps one inbound RPC record to at most one outbound RPC message.
 ///
-/// `None` means the server stays silent — undecodable garbage, a
-/// reply-shaped message on the inbound side, or a planned lost reply.
+/// The service does not return the reply, it *appends* it to a buffer
+/// the connection loop owns and reuses. That buffer already holds the
+/// framed replies to the earlier calls of the same burst, and the loop
+/// — not the service — does the framing (it reserves the record mark
+/// before the call and back-patches the length after it, see
+/// [`nfstrace_rpc::record::begin_record`]). A reply therefore goes
+/// from wherever the service keeps it to the bytes handed to `write`
+/// in one copy, with no allocation.
 pub trait NfsService: Send + Sync {
-    /// Serve one call; returns the encoded RPC reply message.
-    fn serve(&self, call_msg: &[u8]) -> Option<Vec<u8>>;
+    /// Serves one call: appends the encoded RPC reply message (unframed)
+    /// to `out` and returns `true`, or returns `false` when the server
+    /// stays silent — undecodable garbage, a reply-shaped message on
+    /// the inbound side, or a planned lost reply. `out` is never
+    /// cleared or read; whatever a silent call appended is discarded by
+    /// the caller.
+    fn serve(&self, call_msg: &[u8], out: &mut Vec<u8>) -> bool;
 }
 
 /// A real NFS server behind the socket: decode, dispatch, encode.
@@ -62,7 +73,7 @@ impl FsService {
         &self.server
     }
 
-    fn dispatch(&self, call: &CallBody, xid: u32) -> RpcMessage {
+    fn dispatch(&self, call: &CallView<'_>, xid: u32) -> RpcMessage {
         if call.prog != PROG_NFS {
             return RpcMessage::reply_error(xid, accept_stat::PROG_UNAVAIL);
         }
@@ -72,7 +83,7 @@ impl FsService {
                 let Ok(proc) = Proc3::from_u32(call.proc) else {
                     return RpcMessage::reply_error(xid, accept_stat::PROC_UNAVAIL);
                 };
-                let Ok(decoded) = Call3::decode(proc, &call.args) else {
+                let Ok(decoded) = Call3::decode(proc, call.args) else {
                     return RpcMessage::reply_error(xid, accept_stat::GARBAGE_ARGS);
                 };
                 let reply = self.server.handle_v3(&decoded, now);
@@ -82,7 +93,7 @@ impl FsService {
                 let Ok(proc) = Proc2::from_u32(call.proc) else {
                     return RpcMessage::reply_error(xid, accept_stat::PROC_UNAVAIL);
                 };
-                let Ok(decoded) = Call2::decode(proc, &call.args) else {
+                let Ok(decoded) = Call2::decode(proc, call.args) else {
                     return RpcMessage::reply_error(xid, accept_stat::GARBAGE_ARGS);
                 };
                 let reply = self.server.handle_v2(&decoded, now);
@@ -94,24 +105,40 @@ impl FsService {
 }
 
 impl NfsService for FsService {
-    fn serve(&self, call_msg: &[u8]) -> Option<Vec<u8>> {
-        let view = RpcMessageView::decode(call_msg).ok()?;
-        let xid = view.xid;
-        let call = (*view.as_call()?).to_owned();
-        Some(self.dispatch(&call, xid).to_xdr_bytes())
+    fn serve(&self, call_msg: &[u8], out: &mut Vec<u8>) -> bool {
+        let Ok(view) = RpcMessageView::decode(call_msg) else {
+            return false;
+        };
+        let Some(call) = view.as_call() else {
+            return false;
+        };
+        let reply = self.dispatch(call, view.xid);
+        // Pack straight onto the end of the caller's buffer.
+        let mut enc = Encoder::from(std::mem::take(out));
+        reply.pack(&mut enc);
+        *out = enc.into_bytes();
+        true
     }
 }
 
 /// Replay state for one `(client, xid)` key.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct XidState {
-    /// Planned replies not yet served, in call order.
-    pending: VecDeque<Option<Vec<u8>>>,
-    /// The last reply served — what a retransmitted call gets.
-    last: Option<Vec<u8>>,
+    /// The key's planned replies, in call order; `None` is a planned
+    /// lost reply.
+    planned: Vec<Option<Vec<u8>>>,
+    /// How many of them have been served. The entry before this cursor
+    /// is the last reply served — what a retransmitted call gets — so
+    /// the duplicate-request cache needs no copy of its own.
+    next: usize,
 }
 
 /// A trace-faithful responder: planned reply bytes plus a DRC.
+///
+/// Holds the plan's reply schedule (its one copy of the reply bytes)
+/// for as long as it lives and serves out of it in place: a served
+/// reply is copied once, from the schedule into the connection's
+/// output buffer. Drop the service to release the schedule.
 pub struct ReplayService {
     states: Mutex<HashMap<(u32, u32), XidState>>,
     fallback: FsService,
@@ -133,15 +160,7 @@ impl ReplayService {
         let states = plan
             .reply_schedule()
             .into_iter()
-            .map(|(key, pending)| {
-                (
-                    key,
-                    XidState {
-                        pending,
-                        last: None,
-                    },
-                )
-            })
+            .map(|(key, planned)| (key, XidState { planned, next: 0 }))
             .collect();
         ReplayService {
             states: Mutex::new(states),
@@ -164,36 +183,45 @@ impl ReplayService {
 }
 
 impl NfsService for ReplayService {
-    fn serve(&self, call_msg: &[u8]) -> Option<Vec<u8>> {
-        let view = RpcMessageView::decode(call_msg).ok()?;
-        let xid = view.xid;
+    fn serve(&self, call_msg: &[u8], out: &mut Vec<u8>) -> bool {
+        let Ok(view) = RpcMessageView::decode(call_msg) else {
+            return false;
+        };
         let MsgBodyView::Call(call) = &view.body else {
-            return None;
+            return false;
         };
         let client_ip = call
             .cred
-            .to_owned()
-            .as_unix()
-            .and_then(|u| u.ok())
-            .and_then(|u| client_ip_of_machine_name(&u.machine_name));
+            .unix_machine_name()
+            .and_then(client_ip_of_machine_name);
         if let Some(client_ip) = client_ip {
             let mut states = self.lock_states();
-            if let Some(state) = states.get_mut(&(client_ip, xid)) {
-                if let Some(planned) = state.pending.pop_front() {
+            if let Some(state) = states.get_mut(&(client_ip, view.xid)) {
+                let reply = match state.planned.get(state.next) {
                     // The next planned call for this key: serve its
-                    // reply (or planned silence) and remember it.
-                    state.last.clone_from(&planned);
-                    return planned;
-                }
-                if state.last.is_some() {
+                    // reply (or planned silence) and step past it.
+                    Some(planned) => {
+                        state.next += 1;
+                        Some(planned)
+                    }
                     // Schedule exhausted: a retransmission. The DRC
-                    // answers with the same bytes as last time.
-                    return state.last.clone();
+                    // answers with the same bytes as last time; after a
+                    // planned silence it has none and the call counts
+                    // as unplanned.
+                    None => state.planned.last().filter(|last| last.is_some()),
+                };
+                match reply {
+                    Some(Some(bytes)) => {
+                        out.extend_from_slice(bytes);
+                        return true;
+                    }
+                    Some(None) => return false,
+                    None => {}
                 }
             }
         }
         self.unplanned.fetch_add(1, Ordering::Relaxed);
-        self.fallback.serve(call_msg)
+        self.fallback.serve(call_msg, out)
     }
 }
 
@@ -202,6 +230,15 @@ mod tests {
     use super::*;
     use crate::reverse::cred_of_record;
     use nfstrace_core::record::{FileId, Op, TraceRecord};
+
+    /// One call through the trait, as the connection loop makes it:
+    /// into a buffer that already holds earlier bytes.
+    fn serve(service: &dyn NfsService, call_msg: &[u8]) -> Option<Vec<u8>> {
+        let mut out = b"earlier".to_vec();
+        let replied = service.serve(call_msg, &mut out);
+        assert_eq!(&out[..7], b"earlier", "a service only appends");
+        replied.then(|| out.split_off(7))
+    }
 
     fn rec(client: u32, xid: u32, size: u64) -> TraceRecord {
         let mut r = TraceRecord::new(xid as u64, Op::Getattr, FileId(2));
@@ -220,17 +257,38 @@ mod tests {
         let call0 = plan.calls[0].call_bytes.clone();
         let call1 = plan.calls[1].call_bytes.clone();
 
-        let r0 = service.serve(&call0).expect("first planned reply");
+        let r0 = serve(&service, &call0).expect("first planned reply");
         assert_eq!(Some(&r0), plan.calls[0].reply_bytes.as_ref());
-        let r1 = service.serve(&call1).expect("second planned reply");
+        let r1 = serve(&service, &call1).expect("second planned reply");
         assert_eq!(Some(&r1), plan.calls[1].reply_bytes.as_ref());
         assert_ne!(r0, r1, "distinct planned replies");
 
         // Schedule exhausted: any further copy of the call is a
         // retransmission and must re-receive the *last* reply.
-        let dup = service.serve(&call1).expect("DRC hit");
+        let dup = serve(&service, &call1).expect("DRC hit");
         assert_eq!(dup, r1);
         assert_eq!(service.unplanned_calls(), 0);
+    }
+
+    #[test]
+    fn planned_silence_is_served_as_silence_and_leaves_the_drc_empty() {
+        let mut lost = rec(9, 7, 100);
+        lost.status = u32::MAX;
+        lost.reply_micros = 0;
+        let plan = ReplayPlan::from_records(&[lost, rec(9, 8, 100)]);
+        assert!(plan.calls[0].reply_bytes.is_none());
+        let service = ReplayService::new(&plan, 1);
+        let call = plan.calls[0].call_bytes.clone();
+
+        assert_eq!(serve(&service, &call), None, "the planned lost reply");
+        assert_eq!(service.unplanned_calls(), 0);
+        // A retransmission of it finds nothing to repeat and is served
+        // by the filesystem, counted as unplanned.
+        assert!(serve(&service, &call).is_some());
+        assert_eq!(service.unplanned_calls(), 1);
+        // The other key's schedule is untouched.
+        let r = serve(&service, &plan.calls[1].call_bytes).expect("planned reply");
+        assert_eq!(Some(&r), plan.calls[1].reply_bytes.as_ref());
     }
 
     #[test]
@@ -243,7 +301,7 @@ mod tests {
         r.xid = 1234;
         let call =
             nfstrace_rpc::RpcMessage::call(r.xid, PROG_NFS, 3, 0, cred_of_record(&r), Vec::new());
-        let reply = service.serve(&call.to_xdr_bytes()).expect("NULL reply");
+        let reply = serve(&service, &call.to_xdr_bytes()).expect("NULL reply");
         let view = RpcMessageView::decode(&reply).unwrap();
         assert_eq!(view.xid, 1234);
         assert!(view.as_reply().is_some());
@@ -272,7 +330,7 @@ mod tests {
                 accept_stat::GARBAGE_ARGS,
             ),
         ] {
-            let reply = service.serve(&msg.to_xdr_bytes()).expect("an error reply");
+            let reply = serve(&service, &msg.to_xdr_bytes()).expect("an error reply");
             let view = RpcMessageView::decode(&reply).unwrap();
             let body = view.as_reply().expect("a reply body");
             assert_eq!(body.accept_stat, want, "xid {}", view.xid);

@@ -127,3 +127,66 @@ fn timescale_pacing_preserves_the_trace() {
     assert_eq!(stored_records(&dir), expected(&records));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn window_of_one_sends_bursts_of_one() {
+    let records = campus(4, 6);
+    assert!(records.len() > 100);
+    let plan = ReplayPlan::from_records(&records);
+    let registry = Registry::new();
+    let dir = tmpdir("window1");
+
+    // One call in flight per connection: every burst is a single call,
+    // answered before the next is sent.
+    let options = ReplayOptions {
+        connections: 2,
+        window: 1,
+        ..ReplayOptions::default()
+    };
+    let outcome = serve_roundtrip(&plan, &options, &registry, &dir).expect("roundtrip");
+    assert_eq!(outcome.unplanned_calls, 0);
+    assert_eq!(outcome.replay.retransmits, 0);
+    assert_eq!(outcome.replay.calls_sent, records.len() as u64);
+    assert!(
+        outcome.replay.tap.is_empty(),
+        "the tap is released once framed"
+    );
+    assert_eq!(stored_records(&dir), expected(&records));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn forced_duplicates_travel_in_the_burst_of_their_original() {
+    let records = campus(4, 6);
+    assert!(records.len() > 100);
+    let plan = ReplayPlan::from_records(&records);
+    let registry = Registry::new();
+    let dir = tmpdir("retrans-burst");
+
+    let options = ReplayOptions {
+        connections: 2,
+        forced_retransmit_every: Some(3),
+        ..ReplayOptions::default()
+    };
+    let outcome = serve_roundtrip(&plan, &options, &registry, &dir).expect("roundtrip");
+    // Every third call of each connection goes out twice; clients are
+    // dealt to connections round-robin in order of first appearance.
+    let ips = plan.client_ips();
+    let forced: u64 = (0..2)
+        .map(|conn| {
+            let on_conn = |ip| ips.iter().position(|known| *known == ip).unwrap() % 2 == conn;
+            plan.calls.iter().filter(|c| on_conn(c.client_ip)).count() as u64 / 3
+        })
+        .sum();
+    assert!(forced > 0);
+    assert_eq!(outcome.replay.retransmits, forced);
+    assert_eq!(registry.counter("replay.retransmits").value(), forced);
+    assert_eq!(outcome.replay.calls_sent, records.len() as u64);
+    assert_eq!(
+        registry.counter("serve.calls").value(),
+        records.len() as u64 + forced
+    );
+    assert_eq!(outcome.unplanned_calls, 0, "the DRC absorbed every dup");
+    assert_eq!(stored_records(&dir), expected(&records));
+    std::fs::remove_dir_all(&dir).ok();
+}

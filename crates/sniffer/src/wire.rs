@@ -17,7 +17,7 @@ use nfstrace_net::pcap::CapturedPacket;
 use nfstrace_nfs::v2::{Call2, DirOpArgs2, Reply2, Sattr2};
 use nfstrace_nfs::v3::{Call3, Reply3, Reply3Body};
 use nfstrace_rpc::auth::{AuthUnix, OpaqueAuth};
-use nfstrace_rpc::record::mark_record;
+use nfstrace_rpc::record::record_mark;
 use nfstrace_rpc::{RpcMessage, PROG_NFS};
 use nfstrace_telemetry::{Counter, Registry};
 use nfstrace_xdr::Pack;
@@ -207,6 +207,13 @@ impl WireEncoder {
     /// primitive behind [`WireEncoder::encode_event`]; the serving
     /// loop's capture tap uses it directly to replay the byte streams
     /// it observed on real sockets.
+    ///
+    /// Each frame is one allocation: its headers, then its share of the
+    /// record mark and of `msg`, are written straight into the frame's
+    /// own `Vec` — the marked stream `mark ‖ msg` is cut at every `mss`
+    /// bytes without ever being materialized. Segment `i` is stamped
+    /// `ts + i`, so the segments of one message share the capture tick
+    /// but stay ordered.
     pub fn encode_message(
         &mut self,
         ts: u64,
@@ -222,16 +229,22 @@ impl WireEncoder {
         let dmac = Self::mac_of(dst_ip);
         match self.mode {
             TransportMode::Udp => {
-                let frame = PacketBuilder::udp(smac, dmac, src, dst, sport, dport, msg.to_vec());
+                let mut frame =
+                    PacketBuilder::udp_headers(smac, dmac, src, dst, sport, dport, msg.len());
+                frame.extend_from_slice(msg);
                 vec![CapturedPacket::new(ts, frame)]
             }
             TransportMode::Tcp { mss } => {
-                let stream = mark_record(msg);
+                let mark = record_mark(msg.len());
+                let stream_len = mark.len() + msg.len();
                 let key = (src_ip, dst_ip, sport, dport);
                 let seq = self.seq.entry(key).or_insert(self.initial_seq);
-                let mut pkts = Vec::new();
-                for (i, chunk) in stream.chunks(mss).enumerate() {
-                    let frame = PacketBuilder::tcp(
+                let mut pkts = Vec::with_capacity(stream_len.div_ceil(mss));
+                // Segment bounds in the marked stream; the mark is its
+                // first four bytes, `msg` the rest.
+                for (i, lo) in (0..stream_len).step_by(mss).enumerate() {
+                    let hi = (lo + mss).min(stream_len);
+                    let mut frame = PacketBuilder::tcp_headers(
                         smac,
                         dmac,
                         src,
@@ -239,12 +252,14 @@ impl WireEncoder {
                         sport,
                         dport,
                         *seq,
-                        chunk.to_vec(),
+                        hi - lo,
                     );
-                    // Segments of one message share the capture tick but
-                    // stay ordered.
+                    frame.extend_from_slice(&mark[lo.min(mark.len())..hi.min(mark.len())]);
+                    frame.extend_from_slice(
+                        &msg[lo.saturating_sub(mark.len())..hi.saturating_sub(mark.len())],
+                    );
                     pkts.push(CapturedPacket::new(ts + i as u64, frame));
-                    *seq = seq.wrapping_add(chunk.len() as u32);
+                    *seq = seq.wrapping_add((hi - lo) as u32);
                 }
                 pkts
             }
@@ -463,6 +478,7 @@ mod tests {
     use nfstrace_nfs::fh::FileHandle;
     use nfstrace_nfs::types::NfsStat3;
     use nfstrace_nfs::v3::{Read3Args, Read3Res};
+    use nfstrace_rpc::record::mark_record;
     use nfstrace_xdr::Unpack;
 
     fn event(vers: u8) -> EmittedCall {
@@ -528,6 +544,51 @@ mod tests {
         let server_to_client: Vec<&DecodedPacket> =
             decoded.iter().filter(|d| d.src_port == 2049).collect();
         assert!(server_to_client.len() >= 3);
+    }
+
+    /// The frames `encode_message` builds in place against the marked
+    /// stream they replace, at every message length where the mark or
+    /// the message's end meets a segment boundary.
+    #[test]
+    fn tcp_message_segments_are_the_marked_stream_cut_at_mss() {
+        use nfstrace_net::packet::Transport;
+        const ISN: u32 = u32::MAX - 100;
+        for (mss, make) in [
+            (1448, WireEncoder::tcp_standard as fn() -> WireEncoder),
+            (8948, WireEncoder::tcp_jumbo),
+        ] {
+            let mut enc = make().with_initial_seq(ISN);
+            let mut next_seq = ISN;
+            let lens = [0, 1, mss - 5, mss - 4, mss - 3, 2 * mss - 4, 2 * mss - 3];
+            for (m, len) in lens.into_iter().enumerate() {
+                let msg: Vec<u8> = (0..len).map(|i| (i * 7 + m) as u8).collect();
+                let stream = mark_record(&msg);
+                let ts = 1_000 * m as u64;
+                let pkts = enc.encode_message(ts, 0x0a00_0001, 0x0a00_0002, 700, 2049, &msg);
+                assert_eq!(
+                    pkts.len(),
+                    stream.len().div_ceil(mss),
+                    "mss {mss} len {len}"
+                );
+                let mut payloads = Vec::new();
+                for (i, p) in pkts.iter().enumerate() {
+                    assert_eq!(p.timestamp_micros, ts + i as u64);
+                    let d = DecodedPacket::parse(&p.data).unwrap();
+                    let want = (stream.len() - i * mss).min(mss);
+                    assert_eq!(d.payload.len(), want, "mss {mss} len {len} segment {i}");
+                    let Transport::Tcp { seq, .. } = d.transport else {
+                        panic!("expected tcp, got {:?}", d.transport);
+                    };
+                    // One flow throughout: continuous across messages
+                    // and across the 32-bit wrap.
+                    assert_eq!(seq, next_seq, "mss {mss} len {len} segment {i}");
+                    next_seq = next_seq.wrapping_add(want as u32);
+                    payloads.extend_from_slice(&d.payload);
+                }
+                assert_eq!(payloads, stream, "mss {mss} len {len}");
+            }
+            assert!(next_seq < ISN, "the flow must have wrapped");
+        }
     }
 
     #[test]

@@ -117,9 +117,28 @@ impl Encoder {
     }
 }
 
+/// Continues encoding at the end of an existing buffer: items are
+/// appended after the bytes `buf` already holds (every XDR item is a
+/// whole number of words, so alignment is relative to where the
+/// message starts, not to the buffer). [`Encoder::into_bytes`] hands
+/// the buffer back — a message can be packed into a caller's reused
+/// `Vec` without an intermediate copy.
+impl From<Vec<u8>> for Encoder {
+    fn from(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_vec_appends_after_existing_bytes() {
+        let mut enc = Encoder::from(vec![9, 9, 9]);
+        enc.put_opaque_var(&[0xaa]);
+        assert_eq!(enc.into_bytes(), [9, 9, 9, 0, 0, 0, 1, 0xaa, 0, 0, 0]);
+    }
 
     #[test]
     fn u32_is_big_endian() {
