@@ -1,12 +1,14 @@
 //! The benchmark harness: regenerates every table and figure of the
 //! FAST 2003 paper from simulated CAMPUS and EECS workloads.
 //!
-//! `repro` is the one artifact entry point: it prints the full suite,
-//! or with `--only <artifact>` a single table or figure
-//! ([`suite::ARTIFACTS`]) over the same traces. `expt_nfsiod`,
-//! `expt_readahead` and `expt_loss` run the paper's three side
-//! experiments; `live` and `serve` re-derive the suite through the
-//! ingest daemon and the socket loop. Scale is controlled by the
+//! `repro` is the one entry point: it prints the full suite, or with
+//! `--only <artifact>` a single table or figure ([`suite::ARTIFACTS`]),
+//! over whichever of the pipeline's five paths `--via` picks — in
+//! memory, out of core, through the live ingest daemon (plain or
+//! sharded), or through the socket loop. What each path is lives in
+//! [`scenarios`]; the binary is argument parsing plus one call.
+//! `expt_nfsiod`, `expt_readahead` and `expt_loss` run the paper's
+//! three side experiments. Scale is controlled by the
 //! `NFSTRACE_SCALE` environment variable (default 1.0): user counts and
 //! thus run time grow linearly with it. Absolute numbers scale with the
 //! simulated population; the *shapes* — who wins, by what factor, where
@@ -16,7 +18,7 @@
 //! built once per trace, so the suite buckets and sorts each trace
 //! exactly once per reorder window; `NFSTRACE_THREADS` shards trace
 //! generation, chunk indexing, and the Figure 1 sweep across worker
-//! threads without changing any output bit. `repro --store <dir>` runs
+//! threads without changing any output bit. `repro --via store` runs
 //! the identical suite out-of-core through the `nfstrace_store` chunked
 //! trace store — byte-identical stdout, record memory bounded by chunk
 //! size.

@@ -135,9 +135,8 @@ pub fn suite_text<V: TraceView>(campus8: &V, eecs8: &V) -> String {
 }
 
 /// Peak resident set size of this process so far, in kilobytes
-/// (`VmHWM` on Linux; `None` elsewhere). What the `live` bin reports
-/// alongside wall-clock; the benchmark's own memory rows are described
-/// in `nfsbench/README.md`.
+/// (`VmHWM` on Linux; `None` elsewhere) — the benchmark's
+/// `bench.vm_hwm_mib` row (`nfsbench/README.md`).
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

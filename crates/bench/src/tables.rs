@@ -35,7 +35,7 @@ pub const COVERAGE_BUCKET_MICROS: u64 = 30 * 60 * 1_000_000;
 
 /// The Wednesday 9am–12pm sub-window [`fig1`] sweeps, as
 /// `(start, end)` in microseconds — public so the out-of-core decode
-/// accounting in `repro --store` can count the chunks its construction
+/// accounting in `repro --via store` can count the chunks its construction
 /// touches.
 pub const FIG1_WINDOW_MICROS: (u64, u64) = (3 * DAY + 9 * HOUR, 3 * DAY + 12 * HOUR);
 

@@ -1,5 +1,6 @@
 //! `repro --only <artifact>`: every entry of `ARTIFACTS` is exactly
-//! its slice of the full suite, and the binary rejects anything else.
+//! its slice of the full suite, on any `--via` path, and the binary
+//! rejects anything else.
 
 use nfstrace_bench::scenarios;
 use nfstrace_bench::suite::{artifact_text, suite_text, ARTIFACTS};
@@ -29,27 +30,51 @@ fn artifacts_in_order_are_the_suite_byte_for_byte() {
     assert_eq!(concatenated, suite_text(&campus8, &eecs8));
     assert_eq!(artifact_text(&campus8, &eecs8, "table6"), None);
 
-    // The binary prints that same render, and nothing else, to stdout.
-    let out = repro(&["--only", "fig1"]);
-    assert!(out.status.success(), "repro --only fig1: {:?}", out.status);
-    assert_eq!(
-        String::from_utf8(out.stdout).expect("utf-8 stdout"),
-        artifact_text(&campus8, &eecs8, "fig1").expect("fig1 is listed")
-    );
+    // The binary prints that same render, and nothing else, to stdout
+    // — in memory and out of core alike.
+    for args in [
+        &["--only", "fig1"][..],
+        &["--via", "store", "--only", "fig1"],
+    ] {
+        let out = repro(args);
+        assert!(out.status.success(), "repro {args:?}: {:?}", out.status);
+        assert_eq!(
+            String::from_utf8(out.stdout).expect("utf-8 stdout"),
+            artifact_text(&campus8, &eecs8, "fig1").expect("fig1 is listed"),
+            "repro {args:?}"
+        );
+    }
+}
+
+/// Exit status 2, nothing on stdout, the usage (which names every
+/// artifact) on stderr.
+fn assert_usage_error(args: &[&str]) {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: exit status");
+    assert!(out.stdout.is_empty(), "{args:?}: stdout must stay empty");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.contains("usage: repro"), "{args:?}: no usage");
+    for artifact in ARTIFACTS {
+        assert!(
+            stderr.contains(artifact),
+            "{args:?}: usage omits {artifact}"
+        );
+    }
 }
 
 #[test]
 fn an_unknown_artifact_is_a_usage_error_naming_the_valid_ones() {
-    for args in [&["--only", "table6"][..], &["--only"][..]] {
-        let out = repro(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: exit status");
-        assert!(out.stdout.is_empty(), "{args:?}: stdout must stay empty");
-        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-        for artifact in ARTIFACTS {
-            assert!(
-                stderr.contains(artifact),
-                "{args:?}: usage omits {artifact}"
-            );
-        }
-    }
+    assert_usage_error(&["--only", "table6"]);
+    assert_usage_error(&["--only"]);
+}
+
+#[test]
+fn an_unknown_path_or_a_flag_off_its_path_is_a_usage_error() {
+    assert_usage_error(&["--via", "tape"]);
+    assert_usage_error(&["--via"]);
+    // `--shards` and `--compact` belong to `--via live`.
+    assert_usage_error(&["--shards", "2"]);
+    assert_usage_error(&["--via", "store", "--compact", "3"]);
+    // `--store <dir>` is `--via store --dir <dir>` now.
+    assert_usage_error(&["--store", "x"]);
 }

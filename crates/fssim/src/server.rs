@@ -4,10 +4,10 @@
 //! filesystem, and produces replies with faithful attributes and WCC
 //! data — the material the client caches key on and the analyses mine.
 
-use crate::fs::{FsError, SimFs};
+use crate::fs::SimFs;
 use nfstrace_nfs::fh::FileHandle;
 use nfstrace_nfs::types::{Fattr3, NfsStat3, WccAttr, WccData};
-use nfstrace_nfs::v2::{Call2, Fattr2, Reply2};
+use nfstrace_nfs::v2::{Call2, DowngradeStats, Reply2};
 use nfstrace_nfs::v3::{
     Access3Res, Call3, Commit3Res, Create3Res, DirEntry3, DirEntryPlus3, Fsinfo3Res, Fsstat3Res,
     Getattr3Res, Link3Res, Lookup3Res, Pathconf3Res, Read3Res, Readdir3Res, Readdirplus3Res,
@@ -20,6 +20,8 @@ pub struct NfsServer {
     fs: SimFs,
     /// Server identity used in traces.
     pub server_ip: u32,
+    /// What narrowing v3 replies for v2 callers has saturated.
+    v2_narrowed: DowngradeStats,
 }
 
 impl NfsServer {
@@ -28,6 +30,7 @@ impl NfsServer {
         Self {
             fs: SimFs::new(),
             server_ip,
+            v2_narrowed: DowngradeStats::default(),
         }
     }
 
@@ -405,269 +408,25 @@ impl NfsServer {
         }
     }
 
-    /// Handles one NFSv2 call at simulation time `now` (µs).
+    /// Handles one NFSv2 call at simulation time `now` (µs): widen it
+    /// ([`Call2::to_v3`]), serve the v3 call, narrow the reply
+    /// ([`Reply2::from_v3`]). There is one file server; how the two
+    /// protocol versions correspond is `nfstrace_nfs::v2`'s business.
+    /// File ids and cookies the narrowing had to saturate are counted
+    /// in [`NfsServer::v2_narrowings`].
     pub fn handle_v2(&mut self, call: &Call2, now: u64) -> Reply2 {
-        let attr2 = |s: &Self, id: u64| s.attr_of(id).map(Fattr2::from);
-        match call {
-            Call2::Null | Call2::Root | Call2::Writecache => Reply2::Void,
-            Call2::Getattr(fh) => match self.fh_id(fh) {
-                Ok(id) => Reply2::AttrStat {
-                    status: NfsStat3::Ok,
-                    attributes: attr2(self, id),
-                },
-                Err(s) => Reply2::AttrStat {
-                    status: s,
-                    attributes: None,
-                },
-            },
-            Call2::Setattr { file, attributes } => {
-                let id = match self.fh_id(file) {
-                    Ok(id) => id,
-                    Err(s) => {
-                        return Reply2::AttrStat {
-                            status: s,
-                            attributes: None,
-                        }
-                    }
-                };
-                if let Some(size) = attributes.size_opt() {
-                    let _ = self.fs.set_size(id, u64::from(size), now);
-                }
-                Reply2::AttrStat {
-                    status: NfsStat3::Ok,
-                    attributes: attr2(self, id),
-                }
-            }
-            Call2::Lookup(a) => {
-                let dir = match self.fh_id(&a.dir) {
-                    Ok(d) => d,
-                    Err(s) => {
-                        return Reply2::DirOpRes {
-                            status: s,
-                            file: None,
-                            attributes: None,
-                        }
-                    }
-                };
-                match self.fs.lookup(dir, &a.name) {
-                    Ok(child) => Reply2::DirOpRes {
-                        status: NfsStat3::Ok,
-                        file: Some(FileHandle::from_u64(child)),
-                        attributes: attr2(self, child),
-                    },
-                    Err(e) => Reply2::DirOpRes {
-                        status: e.to_nfsstat(),
-                        file: None,
-                        attributes: None,
-                    },
-                }
-            }
-            Call2::Readlink(fh) => {
-                let id = match self.fh_id(fh) {
-                    Ok(id) => id,
-                    Err(s) => {
-                        return Reply2::Readlink {
-                            status: s,
-                            target: String::new(),
-                        }
-                    }
-                };
-                match self.fs.inode(id).ok().and_then(|i| i.link_target.clone()) {
-                    Some(target) => Reply2::Readlink {
-                        status: NfsStat3::Ok,
-                        target,
-                    },
-                    None => Reply2::Readlink {
-                        status: NfsStat3::Inval,
-                        target: String::new(),
-                    },
-                }
-            }
-            Call2::Read {
-                file,
-                offset,
-                count,
-                ..
-            } => {
-                let id = match self.fh_id(file) {
-                    Ok(id) => id,
-                    Err(s) => {
-                        return Reply2::Read {
-                            status: s,
-                            attributes: None,
-                            data: Vec::new(),
-                        }
-                    }
-                };
-                match self.fs.read(id, u64::from(*offset), *count, now) {
-                    Ok((n, _eof, _)) => Reply2::Read {
-                        status: NfsStat3::Ok,
-                        attributes: attr2(self, id),
-                        data: vec![0u8; n as usize],
-                    },
-                    Err(e) => Reply2::Read {
-                        status: e.to_nfsstat(),
-                        attributes: None,
-                        data: Vec::new(),
-                    },
-                }
-            }
-            Call2::Write {
-                file, offset, data, ..
-            } => {
-                let id = match self.fh_id(file) {
-                    Ok(id) => id,
-                    Err(s) => {
-                        return Reply2::AttrStat {
-                            status: s,
-                            attributes: None,
-                        }
-                    }
-                };
-                match self
-                    .fs
-                    .write(id, u64::from(*offset), data.len() as u32, now)
-                {
-                    Ok(_) => Reply2::AttrStat {
-                        status: NfsStat3::Ok,
-                        attributes: attr2(self, id),
-                    },
-                    Err(e) => Reply2::AttrStat {
-                        status: e.to_nfsstat(),
-                        attributes: None,
-                    },
-                }
-            }
-            Call2::Create { where_, .. } => {
-                let dir = match self.fh_id(&where_.dir) {
-                    Ok(d) => d,
-                    Err(s) => {
-                        return Reply2::DirOpRes {
-                            status: s,
-                            file: None,
-                            attributes: None,
-                        }
-                    }
-                };
-                match self.fs.create(dir, &where_.name, 0, 0, now) {
-                    Ok((id, _)) => Reply2::DirOpRes {
-                        status: NfsStat3::Ok,
-                        file: Some(FileHandle::from_u64(id)),
-                        attributes: attr2(self, id),
-                    },
-                    Err(e) => Reply2::DirOpRes {
-                        status: e.to_nfsstat(),
-                        file: None,
-                        attributes: None,
-                    },
-                }
-            }
-            Call2::Mkdir { where_, .. } => {
-                let dir = match self.fh_id(&where_.dir) {
-                    Ok(d) => d,
-                    Err(s) => {
-                        return Reply2::DirOpRes {
-                            status: s,
-                            file: None,
-                            attributes: None,
-                        }
-                    }
-                };
-                match self.fs.mkdir(dir, &where_.name, 0, 0, now) {
-                    Ok(id) => Reply2::DirOpRes {
-                        status: NfsStat3::Ok,
-                        file: Some(FileHandle::from_u64(id)),
-                        attributes: attr2(self, id),
-                    },
-                    Err(e) => Reply2::DirOpRes {
-                        status: e.to_nfsstat(),
-                        file: None,
-                        attributes: None,
-                    },
-                }
-            }
-            Call2::Remove(a) => self.stat_op(|fs| {
-                let dir = a.dir.as_u64().ok_or(FsError::Stale)?;
-                fs.remove(dir, &a.name, now).map(|_| ())
-            }),
-            Call2::Rmdir(a) => self.stat_op(|fs| {
-                let dir = a.dir.as_u64().ok_or(FsError::Stale)?;
-                fs.rmdir(dir, &a.name, now).map(|_| ())
-            }),
-            Call2::Rename { from, to } => self.stat_op(|fs| {
-                let f = from.dir.as_u64().ok_or(FsError::Stale)?;
-                let t = to.dir.as_u64().ok_or(FsError::Stale)?;
-                fs.rename(f, &from.name, t, &to.name, now).map(|_| ())
-            }),
-            Call2::Link { from, to } => self.stat_op(|fs| {
-                let f = from.as_u64().ok_or(FsError::Stale)?;
-                let d = to.dir.as_u64().ok_or(FsError::Stale)?;
-                fs.link(f, d, &to.name, now)
-            }),
-            Call2::Symlink { where_, target, .. } => self.stat_op(|fs| {
-                let d = where_.dir.as_u64().ok_or(FsError::Stale)?;
-                fs.symlink(d, &where_.name, target, 0, 0, now).map(|_| ())
-            }),
-            Call2::Readdir { dir, cookie, .. } => {
-                let d = match self.fh_id(dir) {
-                    Ok(d) => d,
-                    Err(s) => {
-                        return Reply2::Readdir {
-                            status: s,
-                            entries: Vec::new(),
-                            eof: false,
-                        }
-                    }
-                };
-                match self.fs.readdir(d) {
-                    Ok(entries) => {
-                        let skip = *cookie as usize;
-                        let page: Vec<nfstrace_nfs::v2::DirEntry2> = entries
-                            .iter()
-                            .enumerate()
-                            .skip(skip)
-                            .take(64)
-                            .map(|(i, (name, id))| nfstrace_nfs::v2::DirEntry2 {
-                                fileid: *id as u32,
-                                name: name.clone(),
-                                cookie: (i + 1) as u32,
-                            })
-                            .collect();
-                        let eof = skip + page.len() >= entries.len();
-                        Reply2::Readdir {
-                            status: NfsStat3::Ok,
-                            entries: page,
-                            eof,
-                        }
-                    }
-                    Err(e) => Reply2::Readdir {
-                        status: e.to_nfsstat(),
-                        entries: Vec::new(),
-                        eof: false,
-                    },
-                }
-            }
-            Call2::Statfs(fh) => match self.fh_id(fh) {
-                Ok(_) => Reply2::Statfs {
-                    status: NfsStat3::Ok,
-                    info: [8192, 8192, 6_400_000, 2_400_000, 2_400_000],
-                },
-                Err(s) => Reply2::Statfs {
-                    status: s,
-                    info: [0; 5],
-                },
-            },
-        }
+        let call3 = call.to_v3();
+        let reply3 = self.handle_v3(&call3, now);
+        Reply2::from_v3(&reply3, &mut self.v2_narrowed)
     }
 
-    fn stat_op<F>(&mut self, f: F) -> Reply2
-    where
-        F: FnOnce(&mut SimFs) -> Result<(), FsError>,
-    {
-        match f(&mut self.fs) {
-            Ok(()) => Reply2::Stat(NfsStat3::Ok),
-            Err(e) => Reply2::Stat(e.to_nfsstat()),
-        }
+    /// How many directory-entry file ids and cookies [`handle_v2`]
+    /// replies have saturated to `u32::MAX` so far (simulated inode
+    /// ids are 64-bit; v2 names 32).
+    ///
+    /// [`handle_v2`]: NfsServer::handle_v2
+    pub fn v2_narrowings(&self) -> DowngradeStats {
+        self.v2_narrowed
     }
 
     fn fh_id(&self, fh: &FileHandle) -> Result<u64, NfsStat3> {
@@ -928,6 +687,55 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Simulated inode ids are 64-bit (the workloads base each user's
+    /// at `(u + 2) << 32`): a v2 listing must not truncate them into
+    /// small, valid-looking file ids.
+    #[test]
+    fn v2_readdir_saturates_wide_inode_ids_and_counts_them() {
+        let mut s = NfsServer::new(1);
+        let root = s.root_fh();
+        create(&mut s, root.clone(), "narrow", 0);
+        s.fs_mut().set_next_id(3 << 32);
+        create(&mut s, root.clone(), "wide-a", 1);
+        create(&mut s, root.clone(), "wide-b", 2);
+        let r = s.handle_v2(
+            &Call2::Readdir {
+                dir: root,
+                cookie: 0,
+                count: 4096,
+            },
+            3,
+        );
+        let Reply2::Readdir {
+            status,
+            entries,
+            eof,
+        } = r
+        else {
+            panic!("unexpected {r:?}");
+        };
+        assert!(status.is_ok() && eof);
+        let ids: Vec<(&str, u32)> = entries
+            .iter()
+            .map(|e| (e.name.as_str(), e.fileid))
+            .collect();
+        assert_eq!(
+            ids,
+            [("narrow", 2), ("wide-a", u32::MAX), ("wide-b", u32::MAX)]
+        );
+        assert_eq!(
+            entries.iter().map(|e| e.cookie).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        assert_eq!(
+            s.v2_narrowings(),
+            DowngradeStats {
+                saturated_cookies: 0,
+                saturated_fileids: 2
+            }
+        );
     }
 
     #[test]

@@ -28,14 +28,6 @@ pub struct LiveConfig {
     pub rotate_records: u64,
     /// … or once it spans this much trace time, in microseconds.
     pub rotate_micros: u64,
-    /// Stamp every record with a global **arrival sequence number** and
-    /// persist a [`crate::seqfile`] sidecar next to each sealed
-    /// segment. Off by default: a plain single-writer ingest needs no
-    /// sequences and its segment directory stays byte-identical to
-    /// earlier versions. [`crate::ShardedLiveIngest`] turns this on for
-    /// every shard so the merged view can replay the exact original
-    /// interleave, equal timestamps included.
-    pub track_seqs: bool,
     /// Run LSM-style background compaction behind the ingest: after
     /// each seal, contiguous runs of `fan_in` same-generation segments
     /// merge into one generation-bumped segment
@@ -69,7 +61,6 @@ impl LiveConfig {
             store: StoreConfig::default(),
             rotate_records: 250_000,
             rotate_micros: nfstrace_core::time::DAY,
-            track_seqs: false,
             compaction: None,
             registry: Registry::new(),
         }
@@ -175,11 +166,11 @@ pub struct LiveSummary {
 /// name and is renamed only after its footer lands, so a crash
 /// mid-segment never leaves an unreadable `seg-*.nfseg`: reopening
 /// sweeps the stale temp and resumes from the last seal (records past
-/// it were never durable and are the rollback unit). With
-/// [`LiveConfig::track_seqs`], each segment's sequence sidecar is
-/// written and renamed *before* the segment itself, so a sealed
-/// segment always has its sidecar; orphan sidecars from a crash in
-/// between are swept alongside the temps.
+/// it were never durable and are the rollback unit). A shard of a
+/// [`crate::ShardedLiveIngest`] also writes a sequence sidecar per
+/// segment, renamed *before* the segment itself, so a sealed segment
+/// always has its sidecar; orphan sidecars from a crash in between are
+/// swept alongside the temps.
 ///
 /// # Determinism
 ///
@@ -191,10 +182,17 @@ pub struct LiveSummary {
 #[derive(Debug)]
 pub struct LiveIngest {
     config: LiveConfig,
+    /// Whether every record carries a global **arrival sequence
+    /// number**, persisted in a [`crate::seqfile`] sidecar next to each
+    /// sealed segment. A plain single-writer ingest needs no sequences
+    /// and writes none; [`crate::ShardedLiveIngest`] tracks them on
+    /// every shard so the merged view can replay the exact original
+    /// interleave, equal timestamps included.
+    track_seqs: bool,
     catalog: SegmentCatalog,
     sealed: Vec<Arc<StoreReader>>,
     /// Arrival sequences per sealed segment, parallel to `sealed`
-    /// (empty unless [`LiveConfig::track_seqs`]).
+    /// (empty unless tracking).
     sealed_seqs: Vec<Arc<Vec<u64>>>,
     /// Running construction products over every ingested record,
     /// sealed and hot alike.
@@ -209,8 +207,8 @@ pub struct LiveIngest {
     hot_first_micros: u64,
     last_micros: u64,
     /// The next arrival sequence a plain [`LiveIngest::ingest`] call
-    /// self-stamps, and the floor [`LiveIngest::ingest_with_seq`]
-    /// enforces (tracking only).
+    /// self-stamps, and the floor `ingest_with_seq` enforces (tracking
+    /// only).
     next_seq: u64,
     any_ingested: bool,
     total_records: u64,
@@ -237,6 +235,12 @@ impl LiveIngest {
     /// If the directory already holds sealed segments (reopen those
     /// with [`LiveIngest::open`]) or cannot be created.
     pub fn create(config: LiveConfig) -> Result<Self> {
+        Self::create_with(config, false)
+    }
+
+    /// [`LiveIngest::create`], tracking arrival sequences iff
+    /// `track_seqs` — the sharded router's shards do.
+    pub(crate) fn create_with(config: LiveConfig, track_seqs: bool) -> Result<Self> {
         let catalog = SegmentCatalog::open_and_sweep(&config.dir)?;
         if !catalog.is_empty() {
             return Err(StoreError::Format(format!(
@@ -244,24 +248,34 @@ impl LiveIngest {
                 config.dir.display()
             )));
         }
-        Ok(Self::with_catalog(config, catalog, Vec::new()))
+        Ok(Self::with_catalog(config, track_seqs, catalog, Vec::new()))
     }
 
     /// Reopens an existing segment directory and resumes appending
     /// after the last sealed segment. The running construction
     /// products are rebuilt from the sealed segments in one streaming
-    /// decode pass; with [`LiveConfig::track_seqs`], each segment's
-    /// sequence sidecar is loaded alongside it and self-stamping
-    /// resumes past the highest sealed sequence.
+    /// decode pass. Sequence sidecars a sharded ingest left in the
+    /// directory are invisible to this plain writer.
     ///
     /// # Errors
     ///
-    /// On directory or segment open/decode failure, or — when tracking
-    /// — a precise [`StoreError::Sidecar`] for a missing, corrupt, or
+    /// On directory or segment open/decode failure.
+    pub fn open(config: LiveConfig) -> Result<Self> {
+        Self::open_with(config, false)
+    }
+
+    /// [`LiveIngest::open`], tracking arrival sequences iff `track_seqs`:
+    /// each segment's sequence sidecar is loaded alongside it and
+    /// stamping resumes past the highest sealed sequence.
+    ///
+    /// # Errors
+    ///
+    /// As [`LiveIngest::open`], plus — when tracking — a precise
+    /// [`StoreError::Sidecar`] for a missing, corrupt, or
     /// count-mismatched sequence sidecar (the directory was written
     /// without tracking, or a sidecar rotted, and cannot seed a
     /// sharded merge).
-    pub fn open(config: LiveConfig) -> Result<Self> {
+    pub(crate) fn open_with(config: LiveConfig, track_seqs: bool) -> Result<Self> {
         let catalog = SegmentCatalog::open_and_sweep(&config.dir)?;
         let mut sealed = Vec::with_capacity(catalog.len());
         for path in catalog.paths() {
@@ -270,15 +284,14 @@ impl LiveIngest {
                 &config.registry,
             )?));
         }
-        let track = config.track_seqs;
-        let mut ingest = Self::with_catalog(config, catalog, sealed);
-        let mut partial = if track {
+        let mut ingest = Self::with_catalog(config, track_seqs, catalog, sealed);
+        let mut partial = if track_seqs {
             PartialIndex::with_seq_tracking()
         } else {
             PartialIndex::new()
         };
         for reader in &ingest.sealed {
-            if track {
+            if track_seqs {
                 let seqs = seqfile::read_sidecar(reader.path())?;
                 if seqs.len() as u64 != reader.total_records() {
                     return Err(StoreError::Sidecar {
@@ -314,10 +327,11 @@ impl LiveIngest {
 
     fn with_catalog(
         config: LiveConfig,
+        track_seqs: bool,
         catalog: SegmentCatalog,
         sealed: Vec<Arc<StoreReader>>,
     ) -> Self {
-        let running = if config.track_seqs {
+        let running = if track_seqs {
             PartialIndex::with_seq_tracking()
         } else {
             PartialIndex::new()
@@ -328,6 +342,7 @@ impl LiveIngest {
             .map(|policy| Compactor::new(policy, config.store, &config.registry));
         LiveIngest {
             config,
+            track_seqs,
             catalog,
             sealed,
             sealed_seqs: Vec::new(),
@@ -351,10 +366,9 @@ impl LiveIngest {
     }
 
     /// Ingests one record: into the hot segment's writer, records, and
-    /// partial — then seals if a rotation threshold was crossed. With
-    /// [`LiveConfig::track_seqs`], the record self-stamps the next
-    /// arrival sequence; a sharded router passes explicit global
-    /// sequences via [`LiveIngest::ingest_with_seq`] instead.
+    /// partial — then seals if a rotation threshold was crossed. (A
+    /// tracking writer self-stamps the next arrival sequence here; the
+    /// sharded router passes explicit global sequences instead.)
     ///
     /// # Errors
     ///
@@ -380,10 +394,10 @@ impl LiveIngest {
     /// [`StoreError::Format`] when sequence tracking is off or `seq`
     /// is not strictly increasing, plus everything
     /// [`LiveIngest::ingest`] can return.
-    pub fn ingest_with_seq(&mut self, r: &TraceRecord, seq: u64) -> Result<()> {
-        if !self.config.track_seqs {
+    pub(crate) fn ingest_with_seq(&mut self, r: &TraceRecord, seq: u64) -> Result<()> {
+        if !self.track_seqs {
             return Err(StoreError::Format(
-                "ingest_with_seq requires LiveConfig::track_seqs".into(),
+                "ingest_with_seq requires a sequence-tracking writer".into(),
             ));
         }
         if seq < self.next_seq {
@@ -420,7 +434,7 @@ impl LiveIngest {
             .as_mut()
             .expect("just ensured a writer")
             .push(&r)?;
-        if self.config.track_seqs {
+        if self.track_seqs {
             Arc::make_mut(&mut self.hot_seqs).push(seq);
             self.running.observe_seq(&r, seq);
             self.next_seq = seq + 1;
@@ -464,7 +478,6 @@ impl LiveIngest {
         writer.finish()?;
         let path = self.catalog.path_for(self.hot_ordinal);
         let seqs = self
-            .config
             .track_seqs
             .then(|| std::mem::replace(&mut self.hot_seqs, Arc::new(Vec::new())));
         compact::seal_segment(
@@ -505,7 +518,7 @@ impl LiveIngest {
                 &self.config.registry,
             )?);
             self.sealed.splice(first..first + count, [reader]);
-            if self.config.track_seqs {
+            if self.track_seqs {
                 let merged = outcome
                     .seqs
                     .expect("tracked segments compact with sidecars");
@@ -654,5 +667,46 @@ impl RecordSink for LiveIngest {
 
     fn push_record(&mut self, record: TraceRecord) -> Result<()> {
         self.ingest_owned(record)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nfstrace_core::record::{FileId, Op};
+
+    /// The tracking writer (what every shard of a sharded ingest is):
+    /// it self-stamps dense sequences, resumes past them on reopen,
+    /// and refuses an explicit sequence that does not increase; the
+    /// plain writer refuses explicit sequences altogether.
+    #[test]
+    fn sequence_stamping_guards() {
+        let dir = std::env::temp_dir().join(format!("nfstrace-live-seqs-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = || LiveConfig {
+            rotate_records: 4,
+            ..LiveConfig::new(&dir)
+        };
+        let mut ingest = LiveIngest::create_with(config(), true).expect("create");
+        for i in 0..10u64 {
+            ingest
+                .ingest(&TraceRecord::new(i * 1000, Op::Read, FileId(i % 3)))
+                .expect("ingest");
+        }
+        assert_eq!(ingest.next_seq(), 10);
+        assert!(ingest
+            .ingest_with_seq(&TraceRecord::new(20_000, Op::Read, FileId(1)), 5)
+            .is_err());
+        ingest.finish().expect("finish");
+        let reopened = LiveIngest::open_with(config(), true).expect("reopen tracked");
+        assert_eq!(reopened.next_seq(), 10);
+        drop(reopened);
+        // A plain reopen of the same directory still works — the
+        // sidecars are invisible to it.
+        let mut plain = LiveIngest::open(config()).expect("reopen untracked");
+        assert!(plain
+            .ingest_with_seq(&TraceRecord::new(20_000, Op::Read, FileId(1)), 10)
+            .is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,12 +9,11 @@
 //! online shape, built from three pieces:
 //!
 //! - **[`RecordSource`]** — an incremental, pull-driven producer of
-//!   time-ordered record batches. Two adapters ship:
-//!   [`SlicedWorkloadSource`] drives the time-sliced workload
-//!   generator ([`nfstrace_workload::SlicedWorkload`] — every user's
-//!   simulation advanced one bounded slice at a time, k-way merged
-//!   slice by slice), and [`SnifferSource`] feeds a packet capture
-//!   through the passive sniffer's incremental
+//!   time-ordered record batches. Two sources ship: the time-sliced
+//!   workload generator itself ([`nfstrace_workload::SlicedWorkload`]
+//!   — every user's simulation advanced one bounded slice at a time,
+//!   k-way merged slice by slice), and [`SnifferSource`], which feeds
+//!   a packet capture through the passive sniffer's incremental
 //!   `drain_ready` API, so neither path ever buffers a whole trace.
 //! - **[`LiveIngest`]** — the daemon loop. Records accumulate in a
 //!   *hot segment* (a pending [`nfstrace_store::StoreWriter`] chunk
@@ -44,7 +43,7 @@
 //! Peak resident record memory across the whole pipeline is
 //! `O(slice) + O(rotation threshold)` — one source batch, plus the hot
 //! tail, plus a decoded chunk or two during replays — never
-//! `O(trace)`. The `live` bench bin asserts this shape; the observed
+//! `O(trace)`. `crates/bench/tests/paths.rs` asserts this shape; the observed
 //! peaks are the benchmark's `live.peak_hot_records` and
 //! `peak_heap_mib` rows (`nfsbench/README.md`).
 //!
@@ -53,7 +52,7 @@
 //! ```
 //! use nfstrace_core::index::TraceView;
 //! use nfstrace_core::time::HOUR;
-//! use nfstrace_live::{LiveConfig, LiveIngest, SlicedWorkloadSource};
+//! use nfstrace_live::{LiveConfig, LiveIngest};
 //! use nfstrace_workload::{CampusConfig, SlicedWorkload};
 //!
 //! let dir = std::env::temp_dir().join(format!("nfstrace-live-doc-{}", std::process::id()));
@@ -65,7 +64,7 @@
 //! .unwrap();
 //!
 //! let config = CampusConfig { users: 2, duration_micros: 8 * HOUR, ..CampusConfig::default() };
-//! let mut source = SlicedWorkloadSource::new(SlicedWorkload::campus(config, HOUR, 1));
+//! let mut source = SlicedWorkload::campus(config, HOUR, 1);
 //! ingest.run(&mut source).unwrap();
 //!
 //! // Mid-ingest (here: post-run, pre-finish) queries see everything so far.
@@ -93,5 +92,5 @@ pub use nfstrace_store::seqfile;
 
 pub use ingest::{LiveConfig, LiveIngest, LiveSummary};
 pub use sharded::{shard_for_client, ShardedLiveIngest, ShardedSummary, SHARD_MANIFEST};
-pub use source::{RecordSource, SlicedWorkloadSource, SnifferSource};
+pub use source::{RecordSource, SnifferSource};
 pub use view::{LiveView, ShardChain};

@@ -21,8 +21,9 @@
 //! the original stream exactly by k-way merging the shard chains on
 //! those sequences, while the aggregate products come from
 //! [`nfstrace_core::index::PartialIndex::merge`] over the shards'
-//! running partials. The invariant — pinned by property tests and the
-//! CI live-smoke job — is that the full analysis suite over a merged
+//! running partials. The invariant — pinned by property tests,
+//! `crates/bench/tests/paths.rs` and the CI equivalence smoke — is
+//! that the full analysis suite over a merged
 //! view is **byte-identical** to a single-writer daemon's and to the
 //! batch pipeline's, for any shard count.
 
@@ -32,7 +33,7 @@ use crate::view::LiveView;
 use nfstrace_core::index::{IndexBase, PartialIndex};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
-use nfstrace_store::segments::{open_shard_catalogs, shard_dir_name};
+use nfstrace_store::segments::{open_shard_catalogs, shard_dir_name, shard_dirs_present};
 use nfstrace_store::{Result, StoreError};
 use std::path::Path;
 use std::sync::Mutex;
@@ -104,9 +105,8 @@ pub struct ShardedLiveIngest {
 impl ShardedLiveIngest {
     /// Starts a fresh sharded ingest: `config.dir` is the root,
     /// `config`'s rotation thresholds and store layout apply to every
-    /// shard, and `shards` is pinned into the manifest.
-    /// `config.track_seqs` is implied — every shard tracks arrival
-    /// sequences.
+    /// shard, and `shards` is pinned into the manifest. Every shard
+    /// tracks arrival sequences.
     ///
     /// # Errors
     ///
@@ -126,7 +126,7 @@ impl ShardedLiveIngest {
         }
         open_shard_catalogs(&root, shards)?;
         let writers = (0..shards)
-            .map(|i| LiveIngest::create(Self::shard_config(&config, i)))
+            .map(|i| LiveIngest::create_with(Self::shard_config(&config, i), true))
             .collect::<Result<Vec<_>>>()?;
         std::fs::write(root.join(SHARD_MANIFEST), format!("{shards}\n"))?;
         Ok(Self::assemble(config, writers))
@@ -137,16 +137,35 @@ impl ShardedLiveIngest {
     /// segment. Sequence stamping continues past the highest sealed
     /// sequence on any shard.
     ///
+    /// The manifest is input, not truth: it must name exactly the
+    /// shard directories present, `shard-000` … `shard-(n−1)`. A count
+    /// that disagrees — in either direction — is refused before
+    /// anything is touched, because [`shard_for_client`] depends on the
+    /// count (a wrong one re-routes every client) and only
+    /// [`ShardedLiveIngest::create`] makes directories.
+    ///
     /// # Errors
     ///
-    /// On a missing or unparseable manifest, shard directories
-    /// exceeding the manifest count, or any shard's open failure.
+    /// On a missing or unparseable manifest, a manifest count that is
+    /// not the set of shard directories present
+    /// ([`StoreError::Format`], naming both), or any shard's open
+    /// failure.
     pub fn open(config: LiveConfig) -> Result<Self> {
         let root = config.dir.clone();
         let shards = Self::read_manifest(&root)?;
-        open_shard_catalogs(&root, shards)?;
+        let present = shard_dirs_present(&root)?;
+        if present.len() != shards || present.iter().enumerate().any(|(i, &idx)| i != idx) {
+            return Err(StoreError::Format(format!(
+                "shard manifest {} pins {shards} shards, but {} shard directories are present \
+                 (expected exactly {} … {})",
+                root.join(SHARD_MANIFEST).display(),
+                present.len(),
+                shard_dir_name(0),
+                shard_dir_name(shards - 1),
+            )));
+        }
         let writers = (0..shards)
-            .map(|i| LiveIngest::open(Self::shard_config(&config, i)))
+            .map(|i| LiveIngest::open_with(Self::shard_config(&config, i), true))
             .collect::<Result<Vec<_>>>()?;
         Ok(Self::assemble(config, writers))
     }
@@ -154,7 +173,6 @@ impl ShardedLiveIngest {
     fn shard_config(config: &LiveConfig, shard: usize) -> LiveConfig {
         LiveConfig {
             dir: config.dir.join(shard_dir_name(shard)),
-            track_seqs: true,
             ..config.clone()
         }
     }

@@ -23,32 +23,12 @@ pub trait RecordSource {
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool;
 }
 
-/// A [`RecordSource`] over the time-sliced workload generator: each
-/// batch is one simulated time slice of the merged CAMPUS or EECS
-/// trace (see [`SlicedWorkload`]) — bit-identical, concatenated, to
-/// the batch generator's output.
-#[derive(Debug)]
-pub struct SlicedWorkloadSource {
-    inner: SlicedWorkload,
-}
-
-impl SlicedWorkloadSource {
-    /// Wraps a sliced generator.
-    pub fn new(inner: SlicedWorkload) -> Self {
-        SlicedWorkloadSource { inner }
-    }
-
-    /// The generator, for progress inspection
-    /// ([`SlicedWorkload::emitted_to`],
-    /// [`SlicedWorkload::peak_resident_records`]).
-    pub fn generator(&self) -> &SlicedWorkload {
-        &self.inner
-    }
-}
-
-impl RecordSource for SlicedWorkloadSource {
+/// The time-sliced workload generator as a source: each batch is one
+/// simulated time slice of the merged CAMPUS or EECS trace —
+/// bit-identical, concatenated, to the batch generator's output.
+impl RecordSource for SlicedWorkload {
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool {
-        into_ok(self.inner.next_slice_into(out))
+        into_ok(self.next_slice_into(out))
     }
 }
 
@@ -134,8 +114,7 @@ mod tests {
             ..CampusConfig::default()
         };
         let batch = CampusWorkload::new(cfg.clone()).generate_with_threads(1);
-        let mut src =
-            SlicedWorkloadSource::new(SlicedWorkload::campus(cfg, nfstrace_core::time::HOUR, 1));
+        let mut src = SlicedWorkload::campus(cfg, nfstrace_core::time::HOUR, 1);
         let mut all = Vec::new();
         let mut buf = Vec::new();
         while {

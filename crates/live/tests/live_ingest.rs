@@ -4,7 +4,7 @@
 use nfstrace_core::index::{TraceIndex, TraceView};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::{DAY, HOUR};
-use nfstrace_live::{LiveConfig, LiveIngest, SlicedWorkloadSource, SnifferSource};
+use nfstrace_live::{LiveConfig, LiveIngest, SnifferSource};
 use nfstrace_store::{StoreConfig, StoreIndex};
 use nfstrace_workload::{CampusConfig, CampusWorkload, SlicedWorkload};
 
@@ -60,7 +60,7 @@ fn live_ingest_equals_batch_and_bounds_memory() {
     let batch = CampusWorkload::new(campus_cfg(1)).generate_with_threads(1);
 
     let mut ingest = LiveIngest::create(live_cfg(&dir)).expect("create");
-    let mut source = SlicedWorkloadSource::new(SlicedWorkload::campus(campus_cfg(1), HOUR, 2));
+    let mut source = SlicedWorkload::campus(campus_cfg(1), HOUR, 2);
     ingest.run(&mut source).expect("run");
     let peak_hot = ingest.peak_hot_records();
     let summary = ingest.finish().expect("finish");
@@ -207,7 +207,7 @@ fn reopen_appends_where_the_last_run_stopped() {
 fn segment_bytes_are_identical_for_any_slicing_and_threads() {
     let reference_dir = tmpdir("det-ref");
     let mut ingest = LiveIngest::create(live_cfg(&reference_dir)).expect("create");
-    let mut src = SlicedWorkloadSource::new(SlicedWorkload::campus(campus_cfg(1), HOUR, 1));
+    let mut src = SlicedWorkload::campus(campus_cfg(1), HOUR, 1);
     ingest.run(&mut src).expect("run");
     ingest.finish().expect("finish");
     let reference: Vec<(String, Vec<u8>)> = read_dir_sorted(&reference_dir);
@@ -216,8 +216,7 @@ fn segment_bytes_are_identical_for_any_slicing_and_threads() {
     for (slice, threads, tag) in [(3 * HOUR, 2, "a"), (5 * HOUR + 7, 4, "b")] {
         let dir = tmpdir(&format!("det-{tag}"));
         let mut ingest = LiveIngest::create(live_cfg(&dir)).expect("create");
-        let mut src =
-            SlicedWorkloadSource::new(SlicedWorkload::campus(campus_cfg(1), slice, threads));
+        let mut src = SlicedWorkload::campus(campus_cfg(1), slice, threads);
         ingest.run(&mut src).expect("run");
         ingest.finish().expect("finish");
         assert_eq!(

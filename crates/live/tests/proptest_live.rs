@@ -95,7 +95,6 @@ fn ingest_all_compacting(
         },
         rotate_records,
         rotate_micros,
-        track_seqs: false,
         compaction,
         registry: Default::default(),
     })
@@ -189,7 +188,6 @@ proptest! {
             },
             rotate_records,
             rotate_micros,
-            track_seqs: false,
             compaction: None,
             registry: Default::default(),
         })
@@ -266,7 +264,6 @@ proptest! {
             },
             rotate_records,
             rotate_micros,
-            track_seqs: false, // implied per shard by the router
             compaction: None,
             registry: Default::default(),
         };
@@ -386,7 +383,6 @@ proptest! {
             store: StoreConfig { target_chunk_bytes: chunk_bytes },
             rotate_records,
             rotate_micros,
-            track_seqs: false,
             compaction: Some(policy),
             registry: Default::default(),
         })

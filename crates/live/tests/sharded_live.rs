@@ -5,8 +5,7 @@ use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_core::time::{DAY, HOUR};
 use nfstrace_live::{
-    seqfile, shard_for_client, LiveConfig, LiveIngest, ShardedLiveIngest, SlicedWorkloadSource,
-    SHARD_MANIFEST,
+    seqfile, shard_for_client, LiveConfig, LiveIngest, ShardedLiveIngest, SHARD_MANIFEST,
 };
 use nfstrace_store::segments::shard_dir_name;
 use nfstrace_store::StoreConfig;
@@ -65,7 +64,7 @@ fn sharded_ingest_equals_batch_across_shard_counts() {
     for shards in [1usize, 2, 4] {
         let dir = tmpdir(&format!("counts-{shards}"));
         let mut ingest = ShardedLiveIngest::create(sharded_cfg(&dir), shards).expect("create");
-        let mut source = SlicedWorkloadSource::new(SlicedWorkload::campus(campus_cfg(), HOUR, 2));
+        let mut source = SlicedWorkload::campus(campus_cfg(), HOUR, 2);
         ingest.run(&mut source).expect("run");
         assert_eq!(ingest.total_records(), batch.len() as u64);
 
@@ -205,6 +204,29 @@ fn manifest_and_order_guards() {
     // manifest pinning fewer shards than exist on disk is rejected.
     std::fs::write(dir.join(SHARD_MANIFEST), "1\n").expect("shrink manifest");
     assert!(ShardedLiveIngest::open(sharded_cfg(&dir)).is_err());
+    // ... and so is one pinning more: the manifest is input, not truth.
+    // It must not conjure shard directories (or, at 4 000 000, try to)
+    // and re-route every client.
+    let listing = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .expect("read root")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing(&dir);
+    assert_eq!(before.len(), 3, "SHARDS + two shard directories");
+    for wider in ["3\n", "4000000\n"] {
+        std::fs::write(dir.join(SHARD_MANIFEST), wider).expect("widen manifest");
+        let err = ShardedLiveIngest::open(sharded_cfg(&dir)).expect_err("wider manifest");
+        let (pinned, msg) = (wider.trim(), err.to_string());
+        assert!(
+            msg.contains(&format!("pins {pinned} shards")) && msg.contains("2 shard directories"),
+            "{msg}"
+        );
+        assert_eq!(listing(&dir), before, "a refused open must create nothing");
+    }
     std::fs::write(dir.join(SHARD_MANIFEST), "2\n").expect("restore manifest");
     ShardedLiveIngest::open(sharded_cfg(&dir)).expect("open resumes");
     // A garbage or missing manifest is an error, not a guess.
@@ -218,46 +240,17 @@ fn manifest_and_order_guards() {
 
 #[test]
 fn sequence_stamping_guards_and_plain_ingest_stays_sidecar_free() {
-    // A tracked single writer self-stamps dense sequences and resumes
-    // past them on reopen.
-    let dir = tmpdir("selfstamp");
-    let tracked = |dir: &std::path::Path| LiveConfig {
-        rotate_records: 4,
-        track_seqs: true,
-        ..LiveConfig::new(dir)
-    };
-    let mut ingest = LiveIngest::create(tracked(&dir)).expect("create");
-    for i in 0..10u64 {
-        ingest
-            .ingest(&TraceRecord::new(i * 1000, Op::Read, FileId(i % 3)))
-            .expect("ingest");
-    }
-    assert_eq!(ingest.next_seq(), 10);
-    // Explicit sequences must keep increasing.
-    assert!(ingest
-        .ingest_with_seq(&TraceRecord::new(20_000, Op::Read, FileId(1)), 5)
-        .is_err());
-    ingest.finish().expect("finish");
-    let reopened = LiveIngest::open(tracked(&dir)).expect("reopen tracked");
-    assert_eq!(reopened.next_seq(), 10);
-    drop(reopened);
-    // A non-tracking reopen of the same directory still works — the
-    // sidecars are invisible to the plain path.
-    LiveIngest::open(LiveConfig::new(&dir)).expect("reopen untracked");
-    std::fs::remove_dir_all(&dir).ok();
-
-    // The default single-writer ingest writes no sidecars (its segment
-    // directory stays byte-identical to pre-sharding layouts), and
-    // explicit sequences without tracking are rejected.
+    // The sequence guards themselves are unit-tested beside the
+    // tracking writer (`ingest.rs`), which only the sharded router can
+    // construct. The public single-writer ingest writes no sidecars:
+    // its segment directory stays byte-identical to pre-sharding
+    // layouts.
     let dir = tmpdir("plain");
     let mut plain = LiveIngest::create(LiveConfig {
         rotate_records: 4,
         ..LiveConfig::new(&dir)
     })
     .expect("create plain");
-    assert!(plain
-        .ingest_with_seq(&TraceRecord::new(0, Op::Read, FileId(1)), 0)
-        .is_err());
     for i in 0..10u64 {
         plain
             .ingest(&TraceRecord::new(i * 1000, Op::Read, FileId(1)))

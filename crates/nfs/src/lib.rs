@@ -9,7 +9,6 @@
 //! - [`types`]: attributes, times, status codes, and other shared types.
 //! - [`v3`]: all 22 NFSv3 procedures with argument/result codecs.
 //! - [`v2`]: all 18 NFSv2 procedures with argument/result codecs.
-//! - [`taxonomy`]: the paper's data-vs-metadata operation classification.
 //!
 //! # Examples
 //!
@@ -32,11 +31,9 @@
 #![warn(clippy::redundant_clone)]
 
 pub mod fh;
-pub mod taxonomy;
 pub mod types;
 pub mod v2;
 pub mod v3;
 
 pub use fh::FileHandle;
-pub use taxonomy::{OpClass, OpKind};
 pub use types::{Fattr3, Ftype3, NfsStat3, NfsTime3, Sattr3};

@@ -5,7 +5,8 @@
 //! sizes and offsets, and `timeval` (seconds/microseconds) timestamps.
 
 use crate::fh::FileHandle;
-use crate::types::{Ftype3, NfsStat3};
+use crate::types::{Fattr3, Ftype3, NfsStat3, Sattr3};
+use crate::v3::{self, Call3, Reply3, Reply3Body};
 use nfstrace_xdr::{Decoder, Encoder, Error, Pack, Result, Unpack};
 
 /// NFSv2 procedure numbers.
@@ -218,8 +219,8 @@ impl Unpack for Fattr2 {
     }
 }
 
-impl From<crate::types::Fattr3> for Fattr2 {
-    fn from(a: crate::types::Fattr3) -> Self {
+impl From<Fattr3> for Fattr2 {
+    fn from(a: Fattr3) -> Self {
         Fattr2 {
             ftype: a.ftype,
             mode: a.mode,
@@ -1193,6 +1194,318 @@ impl ReplyFacts2 {
     }
 }
 
+/// How often narrowing a v3 message into v2's 32-bit fields had to
+/// **saturate**. A cookie or file id past `u32::MAX` becomes `u32::MAX`
+/// and counts here — never a silent `as u32` truncation, which would
+/// fabricate a small, valid-looking cookie or file id out of a large
+/// one. [`Call2::from_v3`] and [`Reply2::from_v3`] add to the tally
+/// they are handed; where the counts end up (the wire encoder's
+/// `wire.downgrade.*` counters, the simulated server's own tally) is
+/// the caller's business, so this crate needs no telemetry.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DowngradeStats {
+    /// READDIR/READDIRPLUS cookies that exceeded 32 bits.
+    pub saturated_cookies: u64,
+    /// Directory-entry file ids that exceeded 32 bits.
+    pub saturated_fileids: u64,
+}
+
+impl DowngradeStats {
+    /// Total saturated narrowings.
+    pub fn total(&self) -> u64 {
+        self.saturated_cookies + self.saturated_fileids
+    }
+}
+
+/// Narrows a 64-bit wire field to v2's 32 bits, saturating (and
+/// counting) instead of truncating.
+fn narrow32(v: u64, saturations: &mut u64) -> u32 {
+    u32::try_from(v).unwrap_or_else(|_| {
+        *saturations += 1;
+        u32::MAX
+    })
+}
+
+/// Byte offsets and sizes past v2's 32 bits clamp to the largest one
+/// v2 can name.
+fn clamp32(v: u64) -> u32 {
+    u32::try_from(v).unwrap_or(u32::MAX)
+}
+
+fn dirop3(a: &DirOpArgs2) -> v3::DirOpArgs {
+    v3::DirOpArgs {
+        dir: a.dir.clone(),
+        name: a.name.clone(),
+    }
+}
+
+fn dirop2(a: &v3::DirOpArgs) -> DirOpArgs2 {
+    DirOpArgs2 {
+        dir: a.dir.clone(),
+        name: a.name.clone(),
+    }
+}
+
+/// How the two protocol versions correspond, call side. Together with
+/// [`Reply2::from_v3`] this is the one statement of it: the wire
+/// encoder narrows a v2-tagged client's v3 exchange with `from_v3`,
+/// and the simulated server answers a v2 call by widening it with
+/// [`Call2::to_v3`], serving the v3 call and narrowing the reply.
+impl Call2 {
+    /// Widens this call to the NFSv3 call that asks for the same thing:
+    /// 32-bit offsets, counts and cookies become 64-bit, a set
+    /// [`Sattr2::size_opt`] becomes a 64-bit size, `STATFS` becomes
+    /// `FSSTAT`, `CREATE` becomes an `UNCHECKED` create, and the two
+    /// procedures no server implements (`ROOT`, `WRITECACHE`) become
+    /// `NULL`, whose void reply is theirs too.
+    ///
+    /// v3 has nowhere to put `beginoffset`, `totalcount` or the
+    /// non-size [`Sattr2`] fields; they are dropped. Up to those,
+    /// [`Call2::from_v3`] gives the call back.
+    pub fn to_v3(&self) -> Call3 {
+        let fh = |object: &FileHandle| v3::FhArgs {
+            object: object.clone(),
+        };
+        match self {
+            Call2::Null | Call2::Root | Call2::Writecache => Call3::Null,
+            Call2::Getattr(f) => Call3::Getattr(fh(f)),
+            Call2::Setattr { file, attributes } => Call3::Setattr(v3::Setattr3Args {
+                object: file.clone(),
+                new_attributes: Sattr3 {
+                    size: attributes.size_opt().map(u64::from),
+                    ..Sattr3::default()
+                },
+                guard_ctime: None,
+            }),
+            Call2::Lookup(a) => Call3::Lookup(dirop3(a)),
+            Call2::Readlink(f) => Call3::Readlink(fh(f)),
+            Call2::Read {
+                file,
+                offset,
+                count,
+                ..
+            } => Call3::Read(v3::Read3Args {
+                file: file.clone(),
+                offset: u64::from(*offset),
+                count: *count,
+            }),
+            // A v2 write is synchronous and as long as its payload.
+            Call2::Write {
+                file, offset, data, ..
+            } => Call3::Write(v3::Write3Args {
+                file: file.clone(),
+                offset: u64::from(*offset),
+                count: data.len() as u32,
+                stable: v3::StableHow::FileSync,
+                data: data.clone(),
+            }),
+            Call2::Create { where_, .. } => Call3::Create(v3::Create3Args {
+                where_: dirop3(where_),
+                how: v3::CreateHow::Unchecked,
+                attributes: Sattr3::default(),
+            }),
+            Call2::Remove(a) => Call3::Remove(dirop3(a)),
+            Call2::Rename { from, to } => Call3::Rename(v3::Rename3Args {
+                from: dirop3(from),
+                to: dirop3(to),
+            }),
+            Call2::Link { from, to } => Call3::Link(v3::Link3Args {
+                file: from.clone(),
+                link: dirop3(to),
+            }),
+            Call2::Symlink { where_, target, .. } => Call3::Symlink(v3::Symlink3Args {
+                where_: dirop3(where_),
+                attributes: Sattr3::default(),
+                target: target.clone(),
+            }),
+            Call2::Mkdir { where_, .. } => Call3::Mkdir(v3::Mkdir3Args {
+                where_: dirop3(where_),
+                attributes: Sattr3::default(),
+            }),
+            Call2::Rmdir(a) => Call3::Rmdir(dirop3(a)),
+            Call2::Readdir { dir, cookie, count } => Call3::Readdir(v3::Readdir3Args {
+                dir: dir.clone(),
+                cookie: u64::from(*cookie),
+                cookieverf: [0; 8],
+                count: *count,
+            }),
+            Call2::Statfs(f) => Call3::Fsstat(fh(f)),
+        }
+    }
+
+    /// Narrows a v3 call to the v2 call a v2 client would have sent in
+    /// its place. v3-only procedures fall back to their closest v2
+    /// equivalent, mirroring how v2 clients actually behaved: `ACCESS`
+    /// → `GETATTR`, `READDIRPLUS` → `READDIR`, `MKNOD` → `CREATE`,
+    /// `FSINFO` / `PATHCONF` → `STATFS`, and `COMMIT` (v2 writes are
+    /// synchronous) → the `NULL` ping. Offsets and sizes clamp to
+    /// `u32::MAX`; READDIR cookies saturate and count in `narrowed`.
+    pub fn from_v3(call: &Call3, narrowed: &mut DowngradeStats) -> Call2 {
+        match call {
+            Call3::Null => Call2::Null,
+            Call3::Getattr(a) => Call2::Getattr(a.object.clone()),
+            Call3::Readlink(a) => Call2::Readlink(a.object.clone()),
+            // v2 has no ACCESS: clients issued GETATTR instead.
+            Call3::Access(a) => Call2::Getattr(a.object.clone()),
+            Call3::Fsstat(a) | Call3::Fsinfo(a) | Call3::Pathconf(a) => {
+                Call2::Statfs(a.object.clone())
+            }
+            Call3::Setattr(a) => Call2::Setattr {
+                file: a.object.clone(),
+                attributes: Sattr2 {
+                    size: a.new_attributes.size.map_or(u32::MAX, clamp32),
+                    ..Sattr2::default()
+                },
+            },
+            Call3::Lookup(a) => Call2::Lookup(dirop2(a)),
+            Call3::Remove(a) => Call2::Remove(dirop2(a)),
+            Call3::Rmdir(a) => Call2::Rmdir(dirop2(a)),
+            Call3::Read(a) => Call2::Read {
+                file: a.file.clone(),
+                offset: clamp32(a.offset),
+                count: a.count,
+                totalcount: 0,
+            },
+            Call3::Write(a) => Call2::Write {
+                file: a.file.clone(),
+                beginoffset: 0,
+                offset: clamp32(a.offset),
+                totalcount: 0,
+                data: a.data.clone(),
+            },
+            Call3::Create(a) => Call2::Create {
+                where_: dirop2(&a.where_),
+                attributes: Sattr2::default(),
+            },
+            Call3::Mkdir(a) => Call2::Mkdir {
+                where_: dirop2(&a.where_),
+                attributes: Sattr2::default(),
+            },
+            Call3::Symlink(a) => Call2::Symlink {
+                where_: dirop2(&a.where_),
+                target: a.target.clone(),
+                attributes: Sattr2::default(),
+            },
+            Call3::Mknod(a) => Call2::Create {
+                where_: dirop2(&a.where_),
+                attributes: Sattr2::default(),
+            },
+            Call3::Rename(a) => Call2::Rename {
+                from: dirop2(&a.from),
+                to: dirop2(&a.to),
+            },
+            Call3::Link(a) => Call2::Link {
+                from: a.file.clone(),
+                to: dirop2(&a.link),
+            },
+            Call3::Readdir(a) => Call2::Readdir {
+                dir: a.dir.clone(),
+                cookie: narrow32(a.cookie, &mut narrowed.saturated_cookies),
+                count: a.count,
+            },
+            Call3::Readdirplus(a) => Call2::Readdir {
+                dir: a.dir.clone(),
+                cookie: narrow32(a.cookie, &mut narrowed.saturated_cookies),
+                count: a.maxcount,
+            },
+            // v2 has no COMMIT; a null ping is the closest no-op.
+            Call3::Commit(_) => Call2::Null,
+        }
+    }
+}
+
+impl Reply2 {
+    /// Narrows a v3 reply to the v2 reply for the narrowed call
+    /// ([`Call2::from_v3`] of the call it answers): the reply decodes
+    /// under that call's procedure. The post-op attributes a v3 error
+    /// reply may still carry are dropped — a v2 error is its status
+    /// alone. Directory-entry file ids and cookies saturate and count in
+    /// `narrowed`; `STATFS` reports one fixed filesystem geometry
+    /// whichever of `FSSTAT` / `FSINFO` / `PATHCONF` it stands in for.
+    pub fn from_v3(reply: &Reply3, narrowed: &mut DowngradeStats) -> Reply2 {
+        let status = reply.status;
+        let attr = |a: Option<Fattr3>| a.filter(|_| status.is_ok()).map(Fattr2::from);
+        let mut entry = |fileid: u64, name: &str, cookie: u64| DirEntry2 {
+            fileid: narrow32(fileid, &mut narrowed.saturated_fileids),
+            name: name.to_owned(),
+            cookie: narrow32(cookie, &mut narrowed.saturated_cookies),
+        };
+        match &reply.body {
+            Reply3Body::Null | Reply3Body::Commit(_) => Reply2::Void,
+            Reply3Body::Getattr(res) => Reply2::AttrStat {
+                status,
+                attributes: attr(res.attributes),
+            },
+            Reply3Body::Access(res) => Reply2::AttrStat {
+                status,
+                attributes: attr(res.obj_attributes),
+            },
+            Reply3Body::Setattr(res) => Reply2::AttrStat {
+                status,
+                attributes: attr(res.wcc.after),
+            },
+            Reply3Body::Write(res) => Reply2::AttrStat {
+                status,
+                attributes: attr(res.wcc.after),
+            },
+            Reply3Body::Lookup(res) => Reply2::DirOpRes {
+                status,
+                file: res.object.clone(),
+                attributes: attr(res.obj_attributes),
+            },
+            Reply3Body::Create(res) | Reply3Body::Mkdir(res) | Reply3Body::Mknod(res) => {
+                Reply2::DirOpRes {
+                    status,
+                    file: res.obj.clone(),
+                    attributes: attr(res.obj_attributes),
+                }
+            }
+            Reply3Body::Readlink(res) => Reply2::Readlink {
+                status,
+                target: res.target.clone(),
+            },
+            Reply3Body::Read(res) => Reply2::Read {
+                status,
+                attributes: attr(res.file_attributes),
+                data: res.data.clone(),
+            },
+            Reply3Body::Symlink(_)
+            | Reply3Body::Remove(_)
+            | Reply3Body::Rmdir(_)
+            | Reply3Body::Rename(_)
+            | Reply3Body::Link(_) => Reply2::Stat(status),
+            Reply3Body::Readdir(res) => Reply2::Readdir {
+                status,
+                entries: res
+                    .entries
+                    .iter()
+                    .map(|e| entry(e.fileid, &e.name, e.cookie))
+                    .collect(),
+                eof: res.eof,
+            },
+            Reply3Body::Readdirplus(res) => Reply2::Readdir {
+                status,
+                entries: res
+                    .entries
+                    .iter()
+                    .map(|e| entry(e.fileid, &e.name, e.cookie))
+                    .collect(),
+                eof: res.eof,
+            },
+            Reply3Body::Fsstat(_) | Reply3Body::Fsinfo(_) | Reply3Body::Pathconf(_) => {
+                Reply2::Statfs {
+                    status,
+                    info: if status.is_ok() {
+                        [8192, 8192, 6_400_000, 2_400_000, 2_400_000]
+                    } else {
+                        [0; 5]
+                    },
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1712,5 +2025,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every v3 sample exchange, ok and error, narrowed: the call and
+    /// the reply agree on the procedure — the reply encodes, decodes
+    /// under the *narrowed call's* procedure to itself, and the
+    /// streaming decoder accepts it. (READLINK once went out as a
+    /// GETATTR call answered by a READLINK-shaped body, which the
+    /// sniffer dropped.)
+    #[test]
+    fn narrowed_replies_decode_under_the_narrowed_calls_procedure() {
+        let calls = v3::sample_calls();
+        let mut narrowed = DowngradeStats::default();
+        for (proc3, reply3) in v3::sample_replies() {
+            let call3 = calls
+                .iter()
+                .find(|c| c.proc() == proc3)
+                .expect("every procedure has a sample call");
+            let call2 = Call2::from_v3(call3, &mut narrowed);
+            let reply2 = Reply2::from_v3(&reply3, &mut narrowed);
+            let proc2 = call2.proc();
+            let ctx = format!("{proc3:?} ({:?}) as {proc2:?}", reply3.status);
+            roundtrip_call(call2);
+            let bytes = reply2.encode_results();
+            assert_eq!(Reply2::decode(proc2, &bytes), Ok(reply2.clone()), "{ctx}");
+            assert_eq!(
+                ReplyFacts2::decode(proc2, &bytes),
+                Ok(facts_of(&reply2)),
+                "{ctx}"
+            );
+        }
+        assert_eq!(narrowed.total(), 0, "no sample is wider than 32 bits");
+    }
+
+    /// Narrowing undoes widening, up to what v3 has nowhere to put:
+    /// `beginoffset`, `totalcount`, the non-size `Sattr2` fields (all
+    /// of them on the create family), and the two void procedures that
+    /// widen to NULL.
+    #[test]
+    fn widening_then_narrowing_gives_the_call_back() {
+        let fh = FileHandle::from_u64(4);
+        let unset = Sattr2::default();
+        let mut narrowed = DowngradeStats::default();
+        let mut back = |call: &Call2| Call2::from_v3(&call.to_v3(), &mut narrowed);
+        for call in sample_calls() {
+            let want = match call.clone() {
+                Call2::Root | Call2::Writecache => Call2::Null,
+                Call2::Mkdir { where_, .. } => Call2::Mkdir {
+                    where_,
+                    attributes: unset,
+                },
+                carried_whole => carried_whole,
+            };
+            assert_eq!(back(&call), want, "{call:?}");
+        }
+        // The widest values a v2 field holds come back exactly; the
+        // fields no sample sets come back zeroed or unset.
+        let read = |totalcount| Call2::Read {
+            file: fh.clone(),
+            offset: u32::MAX,
+            count: u32::MAX,
+            totalcount,
+        };
+        assert_eq!(back(&read(99)), read(0));
+        let write = |beginoffset, totalcount| Call2::Write {
+            file: fh.clone(),
+            beginoffset,
+            offset: u32::MAX,
+            totalcount,
+            data: vec![1, 2],
+        };
+        assert_eq!(back(&write(3, 5)), write(0, 0));
+        let setattr = |mode| Call2::Setattr {
+            file: fh.clone(),
+            attributes: Sattr2 {
+                mode,
+                size: u32::MAX - 1,
+                ..unset
+            },
+        };
+        assert_eq!(back(&setattr(0o600)), setattr(u32::MAX));
+        let readdir = Call2::Readdir {
+            dir: fh.clone(),
+            cookie: u32::MAX,
+            count: 512,
+        };
+        assert_eq!(back(&readdir), readdir);
+        assert_eq!(narrowed.total(), 0, "a widened v2 field always fits back");
     }
 }

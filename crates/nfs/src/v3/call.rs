@@ -783,7 +783,7 @@ impl<'a> Call3View<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn roundtrip(call: Call3) {
@@ -960,7 +960,7 @@ mod tests {
         assert!(Call3::decode(Proc3::Read, &[0, 0, 0, 1]).is_err());
     }
 
-    fn sample_calls() -> Vec<Call3> {
+    pub(crate) fn sample_calls() -> Vec<Call3> {
         vec![
             Call3::Null,
             Call3::Getattr(FhArgs {

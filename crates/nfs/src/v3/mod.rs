@@ -10,6 +10,11 @@ mod reply;
 pub use call::*;
 pub use reply::*;
 
+/// One sample of every procedure's call and replies (ok and error),
+/// shared with the v2 ↔ v3 correspondence sweep in [`crate::v2`].
+#[cfg(test)]
+pub(crate) use {call::tests::sample_calls, reply::tests::sample_replies};
+
 use nfstrace_xdr::Error;
 
 /// NFSv3 procedure numbers.

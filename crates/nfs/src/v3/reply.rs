@@ -957,7 +957,7 @@ impl ReplyFacts3 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::types::{NfsTime3, WccAttr};
 
@@ -1243,7 +1243,7 @@ mod tests {
         f
     }
 
-    fn sample_replies() -> Vec<(Proc3, Reply3)> {
+    pub(crate) fn sample_replies() -> Vec<(Proc3, Reply3)> {
         let wcc = WccData {
             before: Some(WccAttr {
                 size: 100,

@@ -24,14 +24,16 @@
 //! tagged `vers == 2`. The canonical record is precisely the v3
 //! flattening (the generators flatten v2-tagged clients through
 //! `v3_to_record` too), while the genuine v2 wire narrowing is lossy —
-//! it has no ACCESS or COMMIT, drops `pre_size`, and truncates 64-bit
-//! sizes (`nfstrace_sniffer::wire::DowngradeCounters` exists to count
-//! exactly that). A record round-tripped through the serving loop
-//! therefore reproduces every analysis-bearing field; the one
-//! discrepancy is that v2-tagged records re-capture as `vers == 3`, a
-//! tag no analysis product consumes. Genuine v2 *callers* are still
-//! served faithfully — by the live filesystem service's v2 dispatch,
-//! not by replay.
+//! it has no ACCESS or COMMIT, drops `pre_size`, and narrows 64-bit
+//! fields (`nfstrace_nfs::v2::{Call2, Reply2}::from_v3` define the
+//! narrowing and tally what it saturates in a
+//! `nfstrace_nfs::v2::DowngradeStats`, which the wire encoder adds to
+//! its `wire.downgrade.*` counters). A record round-tripped through
+//! the serving loop therefore reproduces every analysis-bearing field;
+//! the one discrepancy is that v2-tagged records re-capture as
+//! `vers == 3`, a tag no analysis product consumes. Genuine v2
+//! *callers* are still served faithfully — by the live filesystem
+//! service's v2 dispatch (widen, `handle_v3`, narrow), not by replay.
 
 use nfstrace_core::record::{Op, TraceRecord};
 use nfstrace_nfs::fh::FileHandle;

@@ -4,18 +4,19 @@
 //! puts them on the simulated wire as actual Ethernet/IPv4/UDP-or-TCP
 //! frames carrying XDR-encoded RPC, so the sniffer exercises the same
 //! decoding work the paper's tracer did. NFSv2-tagged clients (a share
-//! of EECS workstations) are encoded with genuine NFSv2 wire messages;
-//! v3-only procedures fall back to their closest v2 equivalent
-//! (ACCESS → GETATTR, READDIRPLUS → READDIR), mirroring how v2 clients
-//! actually behaved.
+//! of EECS workstations) are encoded with genuine NFSv2 wire messages,
+//! narrowed by [`Call2::from_v3`] / [`Reply2::from_v3`]: v3-only
+//! procedures fall back to their closest v2 equivalent (ACCESS →
+//! GETATTR, READDIRPLUS → READDIR), mirroring how v2 clients actually
+//! behaved.
 
 use nfstrace_client::EmittedCall;
 use nfstrace_net::ethernet::MacAddr;
 use nfstrace_net::ipv4::Ipv4Addr4;
 use nfstrace_net::packet::PacketBuilder;
 use nfstrace_net::pcap::CapturedPacket;
-use nfstrace_nfs::v2::{Call2, DirOpArgs2, Reply2, Sattr2};
-use nfstrace_nfs::v3::{Call3, Reply3, Reply3Body};
+pub use nfstrace_nfs::v2::DowngradeStats;
+use nfstrace_nfs::v2::{Call2, Reply2};
 use nfstrace_rpc::auth::{AuthUnix, OpaqueAuth};
 use nfstrace_rpc::record::record_mark;
 use nfstrace_rpc::{RpcMessage, PROG_NFS};
@@ -35,27 +36,9 @@ pub enum TransportMode {
     },
 }
 
-/// A snapshot of how often the v3→v2 downgrade had to narrow a 64-bit
-/// field into v2's 32 bits. Narrowing **saturates** to `u32::MAX` and
-/// counts here — never a silent `as u32` truncation, which would
-/// fabricate a small, valid-looking cookie or file id out of a large
-/// one. Read from [`DowngradeCounters::snapshot`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DowngradeStats {
-    /// READDIR/READDIRPLUS cookies that exceeded 32 bits.
-    pub saturated_cookies: u64,
-    /// Directory-entry file ids that exceeded 32 bits.
-    pub saturated_fileids: u64,
-}
-
-impl DowngradeStats {
-    /// Total saturated narrowings.
-    pub fn total(&self) -> u64 {
-        self.saturated_cookies + self.saturated_fileids
-    }
-}
-
-/// The registry-backed accumulator behind [`DowngradeStats`]: the
+/// The registry-backed accumulator behind [`DowngradeStats`] — the
+/// tally [`Call2::from_v3`] / [`Reply2::from_v3`] keep of 64-bit
+/// cookies and file ids saturated into v2's 32 bits — as the
 /// `wire.downgrade.*` counters. `Default` counts into a private
 /// registry; [`DowngradeCounters::with_registry`] joins a shared one.
 #[derive(Debug, Clone)]
@@ -80,6 +63,12 @@ impl DowngradeCounters {
         }
     }
 
+    /// Adds one message pair's narrowings to the counters.
+    fn add(&self, narrowed: DowngradeStats) {
+        self.saturated_cookies.add(narrowed.saturated_cookies);
+        self.saturated_fileids.add(narrowed.saturated_fileids);
+    }
+
     /// Point-in-time read of the counters.
     pub fn snapshot(&self) -> DowngradeStats {
         DowngradeStats {
@@ -87,15 +76,6 @@ impl DowngradeCounters {
             saturated_fileids: self.saturated_fileids.value(),
         }
     }
-}
-
-/// Narrows a 64-bit wire field to v2's 32 bits, saturating (and
-/// counting) instead of truncating.
-fn narrow32(v: u64, saturations: &Counter) -> u32 {
-    u32::try_from(v).unwrap_or_else(|_| {
-        saturations.inc();
-        u32::MAX
-    })
 }
 
 /// Encodes events into captured packets.
@@ -276,8 +256,10 @@ pub fn build_rpc_pair(e: &EmittedCall, downgrade: &DowngradeCounters) -> (RpcMes
         e.gid,
     ));
     if e.vers == 2 {
-        let call2 = call3_to_v2(&e.call, downgrade);
-        let reply2 = reply3_to_v2(&e.call, &e.reply, downgrade);
+        let mut narrowed = DowngradeStats::default();
+        let call2 = Call2::from_v3(&e.call, &mut narrowed);
+        let reply2 = Reply2::from_v3(&e.reply, &mut narrowed);
+        downgrade.add(narrowed);
         let call_msg = RpcMessage::call(
             e.xid,
             PROG_NFS,
@@ -302,182 +284,13 @@ pub fn build_rpc_pair(e: &EmittedCall, downgrade: &DowngradeCounters) -> (RpcMes
     }
 }
 
-/// Downgrades a v3 call to its v2 equivalent. Fields wider than v2's
-/// 32 bits saturate and count in `downgrade` rather than silently
-/// truncating.
-pub fn call3_to_v2(call: &Call3, downgrade: &DowngradeCounters) -> Call2 {
-    match call {
-        Call3::Null => Call2::Null,
-        Call3::Getattr(a) | Call3::Readlink(a) => Call2::Getattr(a.object.clone()),
-        // v2 has no ACCESS: clients issued GETATTR instead.
-        Call3::Access(a) => Call2::Getattr(a.object.clone()),
-        Call3::Fsstat(a) | Call3::Fsinfo(a) | Call3::Pathconf(a) => Call2::Statfs(a.object.clone()),
-        Call3::Setattr(a) => Call2::Setattr {
-            file: a.object.clone(),
-            attributes: Sattr2 {
-                size: a
-                    .new_attributes
-                    .size
-                    .map(|s| s.min(u64::from(u32::MAX)) as u32)
-                    .unwrap_or(u32::MAX),
-                ..Sattr2::default()
-            },
-        },
-        Call3::Lookup(a) => Call2::Lookup(dirop2(a)),
-        Call3::Remove(a) => Call2::Remove(dirop2(a)),
-        Call3::Rmdir(a) => Call2::Rmdir(dirop2(a)),
-        Call3::Read(a) => Call2::Read {
-            file: a.file.clone(),
-            offset: a.offset.min(u64::from(u32::MAX)) as u32,
-            count: a.count,
-            totalcount: 0,
-        },
-        Call3::Write(a) => Call2::Write {
-            file: a.file.clone(),
-            beginoffset: 0,
-            offset: a.offset.min(u64::from(u32::MAX)) as u32,
-            totalcount: 0,
-            data: a.data.clone(),
-        },
-        Call3::Create(a) => Call2::Create {
-            where_: dirop2(&a.where_),
-            attributes: Sattr2::default(),
-        },
-        Call3::Mkdir(a) => Call2::Mkdir {
-            where_: dirop2(&a.where_),
-            attributes: Sattr2::default(),
-        },
-        Call3::Symlink(a) => Call2::Symlink {
-            where_: dirop2(&a.where_),
-            target: a.target.clone(),
-            attributes: Sattr2::default(),
-        },
-        Call3::Mknod(a) => Call2::Create {
-            where_: dirop2(&a.where_),
-            attributes: Sattr2::default(),
-        },
-        Call3::Rename(a) => Call2::Rename {
-            from: dirop2(&a.from),
-            to: dirop2(&a.to),
-        },
-        Call3::Link(a) => Call2::Link {
-            from: a.file.clone(),
-            to: dirop2(&a.link),
-        },
-        Call3::Readdir(a) => Call2::Readdir {
-            dir: a.dir.clone(),
-            cookie: narrow32(a.cookie, &downgrade.saturated_cookies),
-            count: a.count,
-        },
-        Call3::Readdirplus(a) => Call2::Readdir {
-            dir: a.dir.clone(),
-            cookie: narrow32(a.cookie, &downgrade.saturated_cookies),
-            count: a.maxcount,
-        },
-        // v2 has no COMMIT; a null ping is the closest no-op.
-        Call3::Commit(_) => Call2::Null,
-    }
-}
-
-fn dirop2(a: &nfstrace_nfs::v3::DirOpArgs) -> DirOpArgs2 {
-    DirOpArgs2 {
-        dir: a.dir.clone(),
-        name: a.name.clone(),
-    }
-}
-
-/// Downgrades a v3 reply to the v2 reply for the downgraded call.
-/// Directory-entry file ids and cookies saturate and count in
-/// `downgrade` rather than silently truncating.
-pub fn reply3_to_v2(call: &Call3, reply: &Reply3, downgrade: &DowngradeCounters) -> Reply2 {
-    let status = reply.status;
-    match (&reply.body, call) {
-        (Reply3Body::Null, _) => Reply2::Void,
-        (Reply3Body::Getattr(res), _) => Reply2::AttrStat {
-            status,
-            attributes: res.attributes.map(Into::into),
-        },
-        (Reply3Body::Access(res), _) => Reply2::AttrStat {
-            status,
-            attributes: res.obj_attributes.map(Into::into),
-        },
-        (Reply3Body::Setattr(res), _) => Reply2::AttrStat {
-            status,
-            attributes: res.wcc.after.map(Into::into),
-        },
-        (Reply3Body::Write(res), _) => Reply2::AttrStat {
-            status,
-            attributes: res.wcc.after.map(Into::into),
-        },
-        (Reply3Body::Lookup(res), _) => Reply2::DirOpRes {
-            status,
-            file: res.object.clone(),
-            attributes: res.obj_attributes.map(Into::into),
-        },
-        (Reply3Body::Create(res), _)
-        | (Reply3Body::Mkdir(res), _)
-        | (Reply3Body::Mknod(res), _) => Reply2::DirOpRes {
-            status,
-            file: res.obj.clone(),
-            attributes: res.obj_attributes.map(Into::into),
-        },
-        (Reply3Body::Symlink(_), _) => Reply2::Stat(status),
-        (Reply3Body::Readlink(res), _) => Reply2::Readlink {
-            status,
-            target: res.target.clone(),
-        },
-        (Reply3Body::Read(res), _) => Reply2::Read {
-            status,
-            attributes: res.file_attributes.map(Into::into),
-            data: res.data.clone(),
-        },
-        (Reply3Body::Remove(_), _)
-        | (Reply3Body::Rmdir(_), _)
-        | (Reply3Body::Rename(_), _)
-        | (Reply3Body::Link(_), _) => Reply2::Stat(status),
-        (Reply3Body::Readdir(res), _) => Reply2::Readdir {
-            status,
-            entries: res
-                .entries
-                .iter()
-                .map(|e| nfstrace_nfs::v2::DirEntry2 {
-                    fileid: narrow32(e.fileid, &downgrade.saturated_fileids),
-                    name: e.name.clone(),
-                    cookie: narrow32(e.cookie, &downgrade.saturated_cookies),
-                })
-                .collect(),
-            eof: res.eof,
-        },
-        (Reply3Body::Readdirplus(res), _) => Reply2::Readdir {
-            status,
-            entries: res
-                .entries
-                .iter()
-                .map(|e| nfstrace_nfs::v2::DirEntry2 {
-                    fileid: narrow32(e.fileid, &downgrade.saturated_fileids),
-                    name: e.name.clone(),
-                    cookie: narrow32(e.cookie, &downgrade.saturated_cookies),
-                })
-                .collect(),
-            eof: res.eof,
-        },
-        (Reply3Body::Fsstat(_), _) | (Reply3Body::Fsinfo(_), _) | (Reply3Body::Pathconf(_), _) => {
-            Reply2::Statfs {
-                status,
-                info: [8192, 8192, 6_400_000, 2_400_000, 2_400_000],
-            }
-        }
-        (Reply3Body::Commit(_), _) => Reply2::Void,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nfstrace_net::packet::DecodedPacket;
     use nfstrace_nfs::fh::FileHandle;
     use nfstrace_nfs::types::NfsStat3;
-    use nfstrace_nfs::v3::{Read3Args, Read3Res};
+    use nfstrace_nfs::v3::{Call3, Read3Args, Read3Res, Reply3, Reply3Body};
     use nfstrace_rpc::record::mark_record;
     use nfstrace_xdr::Unpack;
 
@@ -607,6 +420,25 @@ mod tests {
         assert!(matches!(call, Call2::Read { .. }));
     }
 
+    /// A v2-tagged exchange as `build_rpc_pair` puts it on the wire:
+    /// the call decoded under the call message's procedure number, the
+    /// reply decoded under that same procedure.
+    fn v2_pair(call: Call3, reply: Reply3, counters: &DowngradeCounters) -> (Call2, Reply2) {
+        let e = EmittedCall {
+            call,
+            reply,
+            ..event(2)
+        };
+        let (call_msg, reply_msg) = build_rpc_pair(&e, counters);
+        let body = call_msg.as_call().unwrap();
+        assert_eq!(body.vers, 2);
+        let proc = nfstrace_nfs::v2::Proc2::from_u32(body.proc).unwrap();
+        (
+            Call2::decode(proc, &body.args).unwrap(),
+            Reply2::decode(proc, &reply_msg.as_reply().unwrap().results).unwrap(),
+        )
+    }
+
     #[test]
     fn v2_downgrade_covers_all_ops() {
         use nfstrace_nfs::v3::*;
@@ -622,6 +454,7 @@ mod tests {
                 object: fh.clone(),
                 access: 1,
             }),
+            Call3::Readlink(FhArgs { object: fh.clone() }),
             Call3::Lookup(dir),
             Call3::Readdirplus(Readdirplus3Args {
                 dir: fh.clone(),
@@ -636,70 +469,62 @@ mod tests {
                 count: 0,
             }),
         ];
+        let counters = DowngradeCounters::default();
         for c in calls {
-            let c2 = call3_to_v2(&c, &DowngradeCounters::default());
-            // Round-trip the downgraded call over the wire format.
-            let bytes = c2.encode_args();
-            assert_eq!(Call2::decode(c2.proc(), &bytes).unwrap(), c2);
+            // The pair decodes under one v2 procedure, and it is the
+            // narrowing `nfs::v2` defines.
+            let reply = Reply3::error(c.proc(), NfsStat3::Stale);
+            let mut narrowed = DowngradeStats::default();
+            let want = (
+                Call2::from_v3(&c, &mut narrowed),
+                Reply2::from_v3(&reply, &mut narrowed),
+            );
+            assert_eq!(v2_pair(c, reply, &counters), want);
         }
+        assert_eq!(counters.snapshot().total(), 0);
     }
 
     /// Regression: 64-bit cookies and file ids past `u32::MAX` must
-    /// saturate (and be counted), never wrap into small valid-looking
-    /// v2 values — `0x1_0000_0005 as u32` used to come out as `5`.
+    /// saturate, never wrap into small valid-looking v2 values —
+    /// `0x1_0000_0005 as u32` used to come out as `5` — and every one
+    /// the encoder saturates lands in the `wire.downgrade.*` counters.
     #[test]
     fn v2_downgrade_saturates_wide_cookies_and_fileids() {
         use nfstrace_nfs::v3::*;
-        let fh = FileHandle::from_u64(1);
-        let counters = DowngradeCounters::default();
-
+        let registry = Registry::new();
+        let counters = DowngradeCounters::with_registry(&registry);
         let call = Call3::Readdir(Readdir3Args {
-            dir: fh.clone(),
+            dir: FileHandle::from_u64(1),
             cookie: u64::from(u32::MAX) + 6, // would truncate to 5
             cookieverf: [0; 8],
             count: 512,
         });
-        match call3_to_v2(&call, &counters) {
-            Call2::Readdir { cookie, .. } => assert_eq!(cookie, u32::MAX),
-            other => panic!("unexpected downgrade: {other:?}"),
-        }
-        assert_eq!(counters.snapshot().saturated_cookies, 1);
-
-        // An in-range cookie passes through exactly and counts nothing.
-        let small = Call3::Readdirplus(Readdirplus3Args {
-            dir: fh,
-            cookie: 7,
+        let reply = Reply3::ok(Reply3Body::Readdir(Readdir3Res {
+            dir_attributes: None,
             cookieverf: [0; 8],
-            dircount: 100,
-            maxcount: 200,
-        });
-        match call3_to_v2(&small, &counters) {
-            Call2::Readdir { cookie, .. } => assert_eq!(cookie, 7),
-            other => panic!("unexpected downgrade: {other:?}"),
-        }
-        assert_eq!(counters.snapshot().saturated_cookies, 1);
-
-        let reply = Reply3 {
-            status: NfsStat3::Ok,
-            body: Reply3Body::Readdir(Readdir3Res {
-                dir_attributes: None,
-                cookieverf: [0; 8],
-                entries: vec![
-                    DirEntry3 {
-                        fileid: u64::from(u32::MAX) + 2,
-                        name: "wide".into(),
-                        cookie: u64::from(u32::MAX) + 3,
-                    },
-                    DirEntry3 {
-                        fileid: 42,
-                        name: "narrow".into(),
-                        cookie: 43,
-                    },
-                ],
-                eof: true,
-            }),
-        };
-        match reply3_to_v2(&call, &reply, &counters) {
+            entries: vec![
+                DirEntry3 {
+                    fileid: u64::from(u32::MAX) + 2,
+                    name: "wide".into(),
+                    cookie: u64::from(u32::MAX) + 3,
+                },
+                DirEntry3 {
+                    fileid: 42,
+                    name: "narrow".into(),
+                    cookie: 43,
+                },
+            ],
+            eof: true,
+        }));
+        let (call2, reply2) = v2_pair(call, reply, &counters);
+        assert!(matches!(
+            call2,
+            Call2::Readdir {
+                cookie: u32::MAX,
+                ..
+            }
+        ));
+        match reply2 {
             Reply2::Readdir { entries, .. } => {
                 assert_eq!((entries[0].fileid, entries[0].cookie), (u32::MAX, u32::MAX));
                 assert_eq!((entries[1].fileid, entries[1].cookie), (42, 43));
@@ -710,5 +535,9 @@ mod tests {
         assert_eq!(stats.saturated_fileids, 1);
         assert_eq!(stats.saturated_cookies, 2);
         assert_eq!(stats.total(), 3);
+        assert_eq!(
+            registry.counter("wire.downgrade.saturated_cookies").value(),
+            2
+        );
     }
 }

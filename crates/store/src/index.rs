@@ -128,7 +128,7 @@ fn overlapping_chunks(readers: &[Arc<StoreReader>], start: u64, end: u64) -> Vec
 /// multi-worker runs — and batched through [`TraceView::prepare`] they
 /// all ride **one** fused decode pass, so a full analysis suite costs
 /// construction + one replay ≈ two decodes per chunk (asserted end to
-/// end by `repro --store` via [`TraceView::decode_passes`] and
+/// end by `repro --via store` via [`TraceView::decode_passes`] and
 /// [`StoreReader::chunks_decoded`]).
 ///
 /// Time windows ([`TraceView::time_window`]) share the underlying

@@ -363,6 +363,22 @@ pub fn parse_shard_dir_name(name: &str) -> Option<usize> {
     digits.parse().ok()
 }
 
+/// The indices of the `shard-NNN/` directories present under `root`,
+/// ascending.
+///
+/// # Errors
+///
+/// On failure to read `root`.
+pub fn shard_dirs_present<P: AsRef<Path>>(root: P) -> Result<Vec<usize>> {
+    let mut present = Vec::new();
+    for entry in std::fs::read_dir(root).map_err(StoreError::Io)? {
+        let name = entry.map_err(StoreError::Io)?.file_name();
+        present.extend(name.to_str().and_then(parse_shard_dir_name));
+    }
+    present.sort_unstable();
+    Ok(present)
+}
+
 /// Opens (creating as needed) the `count` per-shard segment catalogs
 /// under `root`: `root/shard-000` … — the on-disk layout of a sharded
 /// live ingest, each shard rotating its own independent segment chain.
@@ -375,16 +391,14 @@ pub fn parse_shard_dir_name(name: &str) -> Option<usize> {
 pub fn open_shard_catalogs<P: AsRef<Path>>(root: P, count: usize) -> Result<Vec<SegmentCatalog>> {
     let root = root.as_ref();
     std::fs::create_dir_all(root).map_err(StoreError::Io)?;
-    for entry in std::fs::read_dir(root).map_err(StoreError::Io)? {
-        let entry = entry.map_err(StoreError::Io)?;
-        if let Some(idx) = entry.file_name().to_str().and_then(parse_shard_dir_name) {
-            if idx >= count {
-                return Err(StoreError::Format(format!(
-                    "shard directory {} exceeds the configured shard count {count}",
-                    entry.path().display()
-                )));
-            }
-        }
+    if let Some(&idx) = shard_dirs_present(root)?
+        .last()
+        .filter(|&&idx| idx >= count)
+    {
+        return Err(StoreError::Format(format!(
+            "shard directory {} exceeds the configured shard count {count}",
+            root.join(shard_dir_name(idx)).display()
+        )));
     }
     (0..count)
         .map(|i| SegmentCatalog::open(root.join(shard_dir_name(i))))

@@ -5,7 +5,7 @@
 //!
 //! - **JSON-lines**: one self-contained JSON object per tick,
 //!   appended to a `.jsonl` file. Greppable, parseable, and the form
-//!   the CI metrics-smoke step asserts on.
+//!   the CI equivalence smoke asserts on.
 //! - **Prometheus text exposition**: the latest snapshot rewritten in
 //!   place (`<path>.prom` next to the JSONL file), ready for a scrape
 //!   or `promtool check metrics`-style tooling.
