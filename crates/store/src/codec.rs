@@ -52,10 +52,28 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
 
 /// Reads a LEB128 varint, advancing `pos`.
 ///
+/// The one-byte case — most of a chunk's fields, and 85 % of an LZ
+/// stream's lengths and distances — is decided inline at the call
+/// site; anything longer (or truncated) goes through the general loop.
+///
 /// # Errors
 ///
 /// On truncated input or a varint longer than 10 bytes.
+#[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
+    match bytes.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        _ => read_long_varint(bytes, pos),
+    }
+}
+
+/// [`read_varint`] past its inline case: multi-byte values and every
+/// error.
+#[inline(never)]
+fn read_long_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -149,10 +167,20 @@ impl NameTable {
     ///
     /// # Errors
     ///
-    /// On truncation, invalid UTF-8, or a bad percent escape.
+    /// On a count the remaining bytes cannot hold (checked before
+    /// anything is reserved for it), truncation, invalid UTF-8, or a
+    /// bad percent escape.
     pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Vec<String>> {
         let n = read_varint(bytes, pos)?;
-        let mut names = Vec::with_capacity(n.min(1 << 20) as usize);
+        // Each entry takes at least its one-byte length: bound the
+        // count by the bytes that remain before reserving for it.
+        let left = bytes.len() - *pos;
+        if n > left as u64 {
+            return Err(StoreError::Format(format!(
+                "name table claims {n} names in {left} bytes"
+            )));
+        }
+        let mut names = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let len = read_varint(bytes, pos)? as usize;
             let end = pos
@@ -258,8 +286,209 @@ pub fn encode_record(buf: &mut Vec<u8>, r: &TraceRecord, prev_micros: u64, names
     }
 }
 
-/// Decodes one record. `prev_micros` mirrors the encode side; `names`
-/// is the chunk's decoded name table.
+/// One record as it sits in a chunk: every scalar decoded and checked,
+/// the two names still indices into the chunk's name table — the
+/// store's counterpart of the borrowed wire forms (`Call3View`,
+/// `ReplyFacts3`). It is `Copy` and owns nothing, so a reader can test
+/// `fh` or `micros` on every record of a chunk and pay for a
+/// [`TraceRecord`] (200 bytes and a cloned `String` per name) only for
+/// the ones it keeps, via [`RecordFields::materialize`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordFields {
+    /// Capture time of the call.
+    pub micros: u64,
+    /// Capture time of the reply (0: lost).
+    pub reply_micros: u64,
+    /// Client host.
+    pub client: u32,
+    /// Server host.
+    pub server: u32,
+    /// Caller uid.
+    pub uid: u32,
+    /// Caller gid.
+    pub gid: u32,
+    /// RPC transaction id.
+    pub xid: u32,
+    /// NFS protocol version.
+    pub vers: u8,
+    /// The operation.
+    pub op: Op,
+    /// Primary file handle.
+    pub fh: FileId,
+    /// Secondary file handle.
+    pub fh2: Option<FileId>,
+    /// Index of the name argument in the chunk's name table.
+    pub name: Option<usize>,
+    /// Index of the second name argument in the chunk's name table.
+    pub name2: Option<usize>,
+    /// Byte offset.
+    pub offset: u64,
+    /// Bytes requested.
+    pub count: u32,
+    /// Bytes returned.
+    pub ret_count: u32,
+    /// The reply reported end of file.
+    pub eof: bool,
+    /// NFS status (`u32::MAX`: no reply).
+    pub status: u32,
+    /// File size before the operation.
+    pub pre_size: Option<u64>,
+    /// File size after the operation.
+    pub post_size: Option<u64>,
+    /// Size a SETATTR truncates to.
+    pub truncate_to: Option<u64>,
+    /// Handle the operation created or looked up.
+    pub new_fh: Option<FileId>,
+    /// File type of `new_fh`.
+    pub ftype: Option<u8>,
+}
+
+impl RecordFields {
+    /// Parses and validates one record at `pos` — the one place that
+    /// reads the record layout [`encode_record`] writes. `prev_micros`
+    /// mirrors the encode side; `names` is the length of the chunk's
+    /// decoded name table, against which both name indices are checked,
+    /// so that [`RecordFields::materialize`] over that table cannot
+    /// fail.
+    ///
+    /// # Errors
+    ///
+    /// On truncation anywhere, a timestamp delta overflowing `u64`, an
+    /// unknown op byte, a narrow field past `u32::MAX`, or a name index
+    /// out of range.
+    // Forced into the chunk walker's loop: left to itself rustc keeps
+    // this a call that returns the whole struct through memory, and a
+    // point query that reads `fh` and drops the rest pays for all of it.
+    #[inline(always)]
+    pub fn parse(bytes: &[u8], pos: &mut usize, prev_micros: u64, names: usize) -> Result<Self> {
+        let micros = prev_micros
+            .checked_add(read_varint(bytes, pos)?)
+            .ok_or_else(|| StoreError::Format("timestamp delta overflows".into()))?;
+        let reply_delta = unzigzag(read_varint(bytes, pos)?);
+        let flags = read_varint(bytes, pos)? as u32;
+
+        let take_byte = |pos: &mut usize| -> Result<u8> {
+            let &b = bytes
+                .get(*pos)
+                .ok_or_else(|| StoreError::Format("truncated record".into()))?;
+            *pos += 1;
+            Ok(b)
+        };
+        let op_idx = take_byte(pos)?;
+        let op = *Op::ALL
+            .get(usize::from(op_idx))
+            .ok_or_else(|| StoreError::Format(format!("unknown op byte {op_idx}")))?;
+        let vers = take_byte(pos)?;
+
+        let u32_field = |pos: &mut usize| -> Result<u32> {
+            let v = read_varint(bytes, pos)?;
+            u32::try_from(v).map_err(|_| StoreError::Format("u32 field out of range".into()))
+        };
+        let client = u32_field(pos)?;
+        let server = u32_field(pos)?;
+        let uid = u32_field(pos)?;
+        let gid = u32_field(pos)?;
+        let xid = u32_field(pos)?;
+        let fh = FileId(read_varint(bytes, pos)?);
+        let offset = read_varint(bytes, pos)?;
+        let count = u32_field(pos)?;
+        let ret_count = u32_field(pos)?;
+        let status = u32_field(pos)?;
+
+        let name_index = |pos: &mut usize| -> Result<usize> {
+            let i = read_varint(bytes, pos)?;
+            usize::try_from(i)
+                .ok()
+                .filter(|&i| i < names)
+                .ok_or_else(|| StoreError::Format(format!("name index {i} out of range")))
+        };
+        let fh2 = (flags & F_FH2 != 0)
+            .then(|| read_varint(bytes, pos).map(FileId))
+            .transpose()?;
+        let name = (flags & F_NAME != 0).then(|| name_index(pos)).transpose()?;
+        let name2 = (flags & F_NAME2 != 0)
+            .then(|| name_index(pos))
+            .transpose()?;
+        let pre_size = (flags & F_PRE_SIZE != 0)
+            .then(|| read_varint(bytes, pos))
+            .transpose()?;
+        let post_size = (flags & F_POST_SIZE != 0)
+            .then(|| read_varint(bytes, pos))
+            .transpose()?;
+        let truncate_to = (flags & F_TRUNCATE != 0)
+            .then(|| read_varint(bytes, pos))
+            .transpose()?;
+        let new_fh = (flags & F_NEW_FH != 0)
+            .then(|| read_varint(bytes, pos).map(FileId))
+            .transpose()?;
+        let ftype = (flags & F_FTYPE != 0).then(|| take_byte(pos)).transpose()?;
+
+        Ok(RecordFields {
+            micros,
+            reply_micros: (micros as i64).wrapping_add(reply_delta) as u64,
+            client,
+            server,
+            uid,
+            gid,
+            xid,
+            vers,
+            op,
+            fh,
+            fh2,
+            name,
+            name2,
+            offset,
+            count,
+            ret_count,
+            eof: flags & F_EOF != 0,
+            status,
+            pre_size,
+            post_size,
+            truncate_to,
+            new_fh,
+            ftype,
+        })
+    }
+
+    /// Builds the owned record: the scalars copied, each name cloned
+    /// out of `names` — the only allocations a decoded record costs.
+    ///
+    /// # Panics
+    ///
+    /// If `names` is shorter than the table length this record was
+    /// [parsed](RecordFields::parse) against.
+    pub fn materialize(&self, names: &[String]) -> TraceRecord {
+        TraceRecord {
+            micros: self.micros,
+            reply_micros: self.reply_micros,
+            client: self.client,
+            server: self.server,
+            uid: self.uid,
+            gid: self.gid,
+            xid: self.xid,
+            vers: self.vers,
+            op: self.op,
+            fh: self.fh,
+            fh2: self.fh2,
+            name: self.name.map(|i| names[i].clone()),
+            name2: self.name2.map(|i| names[i].clone()),
+            offset: self.offset,
+            count: self.count,
+            ret_count: self.ret_count,
+            eof: self.eof,
+            status: self.status,
+            pre_size: self.pre_size,
+            post_size: self.post_size,
+            truncate_to: self.truncate_to,
+            new_fh: self.new_fh,
+            ftype: self.ftype,
+        }
+    }
+}
+
+/// Decodes one record: [`RecordFields::parse`], then
+/// [`RecordFields::materialize`]. `prev_micros` mirrors the encode
+/// side; `names` is the chunk's decoded name table.
 ///
 /// # Errors
 ///
@@ -270,94 +499,7 @@ pub fn decode_record(
     prev_micros: u64,
     names: &[String],
 ) -> Result<TraceRecord> {
-    let micros = prev_micros
-        .checked_add(read_varint(bytes, pos)?)
-        .ok_or_else(|| StoreError::Format("timestamp delta overflows".into()))?;
-    let reply_delta = unzigzag(read_varint(bytes, pos)?);
-    let flags = read_varint(bytes, pos)? as u32;
-
-    let take_byte = |pos: &mut usize| -> Result<u8> {
-        let &b = bytes
-            .get(*pos)
-            .ok_or_else(|| StoreError::Format("truncated record".into()))?;
-        *pos += 1;
-        Ok(b)
-    };
-    let op_idx = take_byte(pos)?;
-    let op = *Op::ALL
-        .get(usize::from(op_idx))
-        .ok_or_else(|| StoreError::Format(format!("unknown op byte {op_idx}")))?;
-    let vers = take_byte(pos)?;
-
-    let u32_field = |pos: &mut usize| -> Result<u32> {
-        let v = read_varint(bytes, pos)?;
-        u32::try_from(v).map_err(|_| StoreError::Format("u32 field out of range".into()))
-    };
-    let client = u32_field(pos)?;
-    let server = u32_field(pos)?;
-    let uid = u32_field(pos)?;
-    let gid = u32_field(pos)?;
-    let xid = u32_field(pos)?;
-    let fh = FileId(read_varint(bytes, pos)?);
-    let offset = read_varint(bytes, pos)?;
-    let count = u32_field(pos)?;
-    let ret_count = u32_field(pos)?;
-    let status = u32_field(pos)?;
-
-    let name_at = |i: u64| -> Result<String> {
-        names
-            .get(i as usize)
-            .cloned()
-            .ok_or_else(|| StoreError::Format(format!("name index {i} out of range")))
-    };
-    let fh2 = (flags & F_FH2 != 0)
-        .then(|| read_varint(bytes, pos).map(FileId))
-        .transpose()?;
-    let name = (flags & F_NAME != 0)
-        .then(|| read_varint(bytes, pos).and_then(name_at))
-        .transpose()?;
-    let name2 = (flags & F_NAME2 != 0)
-        .then(|| read_varint(bytes, pos).and_then(name_at))
-        .transpose()?;
-    let pre_size = (flags & F_PRE_SIZE != 0)
-        .then(|| read_varint(bytes, pos))
-        .transpose()?;
-    let post_size = (flags & F_POST_SIZE != 0)
-        .then(|| read_varint(bytes, pos))
-        .transpose()?;
-    let truncate_to = (flags & F_TRUNCATE != 0)
-        .then(|| read_varint(bytes, pos))
-        .transpose()?;
-    let new_fh = (flags & F_NEW_FH != 0)
-        .then(|| read_varint(bytes, pos).map(FileId))
-        .transpose()?;
-    let ftype = (flags & F_FTYPE != 0).then(|| take_byte(pos)).transpose()?;
-
-    Ok(TraceRecord {
-        micros,
-        reply_micros: (micros as i64).wrapping_add(reply_delta) as u64,
-        client,
-        server,
-        uid,
-        gid,
-        xid,
-        vers,
-        op,
-        fh,
-        fh2,
-        name,
-        name2,
-        offset,
-        count,
-        ret_count,
-        eof: flags & F_EOF != 0,
-        status,
-        pre_size,
-        post_size,
-        truncate_to,
-        new_fh,
-        ftype,
-    })
+    Ok(RecordFields::parse(bytes, pos, prev_micros, names.len())?.materialize(names))
 }
 
 #[cfg(test)]

@@ -27,6 +27,13 @@
 //! so corrupt streams surface as [`crate::StoreError::Format`] — never
 //! as silently wrong bytes (the chunk checksum catches flips even in
 //! streams that would still parse).
+//!
+//! On chunk payloads a sequence is short — a literal run of about one
+//! byte, a match of about ten, three or four sequences a record — and
+//! one match in a thousand overlaps its own output. [`decompress`] is
+//! shaped for that: it writes by index into a buffer sized once, moves a
+//! match as one block whenever source and destination are disjoint, and
+//! copies byte by byte only when they are not.
 
 use crate::codec::{read_varint, write_varint};
 use crate::error::{Result, StoreError};
@@ -84,6 +91,18 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 
 /// Decompresses a [`compress`] stream into exactly `raw_len` bytes.
 ///
+/// The output buffer is allocated once, at `raw_len` (callers bound it:
+/// the reader by `MAX_CHUNK_PAYLOAD`), and filled by index. A back
+/// reference *overlaps* when `dist < len`: its last bytes are copies of
+/// bytes the same reference produces (`dist` 1 is a run of one byte),
+/// so only that case goes byte by byte. Otherwise source and
+/// destination are disjoint and the match moves as one block — and when
+/// `len ≤ 16 ≤ dist` with 16 bytes of room left, as a fixed 16-byte
+/// move, which may write up to `16 - len` bytes past the match's end:
+/// never past `raw_len` (the room is checked), and only into positions
+/// no sequence has produced yet, every one of which a later sequence
+/// overwrites before the loop can end at `raw_len` produced bytes.
+///
 /// # Errors
 ///
 /// [`StoreError::Format`] on any malformed stream: a literal run or
@@ -91,7 +110,11 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// the bytes produced so far, a truncated varint, or trailing input
 /// after the output is complete.
 pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw_len);
+    /// Width of the fixed-size move (most matches fit in one).
+    const BLOCK: usize = 16;
+    let mut out = vec![0u8; raw_len];
+    // Bytes of `out` produced so far, and bytes of `input` consumed.
+    let mut at = 0usize;
     let mut pos = 0usize;
     loop {
         let lit = read_varint(input, &mut pos)? as usize;
@@ -99,14 +122,15 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
             .checked_add(lit)
             .filter(|&e| e <= input.len())
             .ok_or_else(|| StoreError::Format("truncated literal run".into()))?;
-        if out.len().checked_add(lit).is_none_or(|n| n > raw_len) {
+        if lit > raw_len - at {
             return Err(StoreError::Format(
                 "literal run overflows the raw length".into(),
             ));
         }
-        out.extend_from_slice(&input[pos..end]);
+        out[at..at + lit].copy_from_slice(&input[pos..end]);
+        at += lit;
         pos = end;
-        if out.len() == raw_len {
+        if at == raw_len {
             break;
         }
         let dist = read_varint(input, &mut pos)? as usize;
@@ -114,21 +138,26 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
         let mlen = MIN_MATCH
             .checked_add(extra)
             .ok_or_else(|| StoreError::Format("match length overflows".into()))?;
-        if dist == 0 || dist > out.len() {
+        if dist == 0 || dist > at {
             return Err(StoreError::Format("match distance out of range".into()));
         }
-        if out.len().checked_add(mlen).is_none_or(|n| n > raw_len) {
+        if mlen > raw_len - at {
             return Err(StoreError::Format(
                 "back reference overflows the raw length".into(),
             ));
         }
-        // Byte-at-a-time on purpose: dist < mlen means the copy overlaps
-        // its own output (the classic LZ run-length trick).
-        let start = out.len() - dist;
-        for i in 0..mlen {
-            let b = out[start + i];
-            out.push(b);
+        let start = at - dist;
+        if dist < mlen {
+            for i in 0..mlen {
+                out[at + i] = out[start + i];
+            }
+        } else if mlen <= BLOCK && dist >= BLOCK && raw_len - at >= BLOCK {
+            let (produced, rest) = out.split_at_mut(at);
+            rest[..BLOCK].copy_from_slice(&produced[start..start + BLOCK]);
+        } else {
+            out.copy_within(start..start + mlen, at);
         }
+        at += mlen;
     }
     if pos != input.len() {
         return Err(StoreError::Format(
@@ -141,10 +170,80 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The decompressor as it was before block copies: output grown by
+    /// `push`, every match copied byte by byte. Kept as the reference
+    /// [`decompress`] must agree with — bytes on `Ok`, message on `Err`.
+    fn decompress_reference(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut pos = 0usize;
+        loop {
+            let lit = read_varint(input, &mut pos)? as usize;
+            let end = pos
+                .checked_add(lit)
+                .filter(|&e| e <= input.len())
+                .ok_or_else(|| StoreError::Format("truncated literal run".into()))?;
+            if out.len().checked_add(lit).is_none_or(|n| n > raw_len) {
+                return Err(StoreError::Format(
+                    "literal run overflows the raw length".into(),
+                ));
+            }
+            out.extend_from_slice(&input[pos..end]);
+            pos = end;
+            if out.len() == raw_len {
+                break;
+            }
+            let dist = read_varint(input, &mut pos)? as usize;
+            let extra = read_varint(input, &mut pos)? as usize;
+            let mlen = MIN_MATCH
+                .checked_add(extra)
+                .ok_or_else(|| StoreError::Format("match length overflows".into()))?;
+            if dist == 0 || dist > out.len() {
+                return Err(StoreError::Format("match distance out of range".into()));
+            }
+            if out.len().checked_add(mlen).is_none_or(|n| n > raw_len) {
+                return Err(StoreError::Format(
+                    "back reference overflows the raw length".into(),
+                ));
+            }
+            let start = out.len() - dist;
+            for i in 0..mlen {
+                let b = out[start + i];
+                out.push(b);
+            }
+        }
+        if pos != input.len() {
+            return Err(StoreError::Format(
+                "trailing bytes after the compressed stream".into(),
+            ));
+        }
+        Ok(out)
+    }
+
+    /// Asserts [`decompress`] and the reference agree on `(stream,
+    /// raw_len)` and returns what they agreed on.
+    fn agree(stream: &[u8], raw_len: usize) -> std::result::Result<Vec<u8>, String> {
+        let got = decompress(stream, raw_len).map_err(|e| e.to_string());
+        let want = decompress_reference(stream, raw_len).map_err(|e| e.to_string());
+        assert_eq!(got, want, "stream {stream:02x?}, raw_len {raw_len}");
+        got
+    }
+
+    /// Appends one sequence: a literal run, then (if given) a back
+    /// reference `(dist, match length)`.
+    fn push_seq(stream: &mut Vec<u8>, literals: &[u8], back: Option<(usize, usize)>) {
+        write_varint(stream, literals.len() as u64);
+        stream.extend_from_slice(literals);
+        if let Some((dist, mlen)) = back {
+            write_varint(stream, dist as u64);
+            write_varint(stream, (mlen - MIN_MATCH) as u64);
+        }
+    }
 
     fn roundtrip(input: &[u8]) {
         let c = compress(input);
-        let back = decompress(&c, input.len()).expect("decompress");
+        let back = agree(&c, input.len()).expect("decompress");
         assert_eq!(back, input);
     }
 
@@ -238,5 +337,150 @@ mod tests {
         let mut bogus = Vec::new();
         crate::codec::write_varint(&mut bogus, u64::MAX - 1);
         assert!(decompress(&bogus, 1 << 20).is_err());
+    }
+
+    /// Distinct bytes, so a copy from the wrong place shows.
+    fn prefix(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 7 + 1) as u8).collect()
+    }
+
+    #[test]
+    fn block_copies_agree_with_the_byte_loop() {
+        // Overlapping (dist < len), exactly adjacent (dist == len) and
+        // far (dist > len) matches on both sides of the 16-byte move,
+        // each with and without room after the match.
+        for dist in [1usize, 2, 3, 15, 16, 17] {
+            for mlen in [4usize, 15, 16, 17, 40] {
+                for tail in [0usize, 1, 15, 16, 40] {
+                    let lead = prefix(dist.max(20));
+                    let mut stream = Vec::new();
+                    push_seq(&mut stream, &lead, Some((dist, mlen)));
+                    push_seq(&mut stream, &prefix(tail), None);
+                    let raw_len = lead.len() + mlen + tail;
+                    let out = agree(&stream, raw_len).expect("a valid stream");
+                    assert_eq!(out.len(), raw_len);
+                    for i in 0..mlen {
+                        assert_eq!(
+                            out[lead.len() + i],
+                            out[lead.len() + i - dist],
+                            "dist {dist} len {mlen} tail {tail} byte {i}"
+                        );
+                    }
+                    assert_eq!(out[lead.len() + mlen..], prefix(tail));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sequences_ending_at_the_raw_length_agree() {
+        // A match ending exactly at raw_len (the stream then closes
+        // with an empty literal run).
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(32), Some((20, 8)));
+        push_seq(&mut stream, &[], None);
+        assert_eq!(agree(&stream, 40).expect("valid").len(), 40);
+        // A short far match starting fewer than 16 bytes before
+        // raw_len: the fixed-width move has no room and must not run.
+        for room in 4..16 {
+            let mut stream = Vec::new();
+            push_seq(&mut stream, &prefix(32), Some((32, 4)));
+            push_seq(&mut stream, &prefix(room - 4), None);
+            let out = agree(&stream, 32 + room).expect("valid");
+            assert_eq!(out[32..36], out[..4]);
+        }
+        // A stream that is one literal run, ending at raw_len (the
+        // tails above are the runs that end there after a match).
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(9), None);
+        assert_eq!(agree(&stream, 9).expect("valid"), prefix(9));
+        // Two matches back to back, the second reading the first's
+        // bytes — a 16-byte move's overshoot must not leak into them.
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(40), Some((40, 5)));
+        push_seq(&mut stream, &[], Some((5, 16)));
+        push_seq(&mut stream, &prefix(30), None);
+        agree(&stream, 40 + 5 + 16 + 30).expect("valid");
+    }
+
+    #[test]
+    fn every_error_branch_agrees_with_the_reference() {
+        let expect = |stream: &[u8], raw_len: usize, what: &str| {
+            let err = agree(stream, raw_len).expect_err(what);
+            assert!(err.contains(what), "{err:?} does not name {what:?}");
+        };
+        // Literal run longer than the input that is left.
+        expect(&[5, 1, 2], 10, "truncated literal run");
+        // Literal run longer than the output that is left.
+        expect(&[3, 1, 2, 3], 2, "literal run overflows the raw length");
+        // Back reference longer than the output that is left.
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(20), Some((20, 17)));
+        expect(&stream, 36, "back reference overflows the raw length");
+        // Distance zero, and distance past what has been produced.
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(8), Some((0, 4)));
+        expect(&stream, 64, "match distance out of range");
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(8), Some((9, 4)));
+        expect(&stream, 64, "match distance out of range");
+        // Match length past usize.
+        let mut stream = vec![1u8, 0xaa, 1];
+        write_varint(&mut stream, u64::MAX - 2);
+        expect(&stream, 1 << 20, "match length overflows");
+        // Input left over once the output is complete.
+        let mut stream = Vec::new();
+        push_seq(&mut stream, &prefix(6), None);
+        stream.push(0);
+        expect(&stream, 6, "trailing bytes after the compressed stream");
+        // A varint cut short at each of the three positions: literal
+        // length, distance, extra.
+        expect(&[0x80], 10, "truncated varint");
+        expect(&[2, 7, 7, 0x80], 10, "truncated varint");
+        expect(&[2, 7, 7, 1, 0x80], 10, "truncated varint");
+        expect(&[], 10, "truncated varint");
+        // And one too long to be a u64.
+        expect(&[0xff; 11], 10, "varint overflows u64");
+    }
+
+    proptest! {
+        /// Random sequence lists, half of them well formed and half
+        /// with one fault planted: whatever the reference says — bytes
+        /// or message — `decompress` says.
+        #[test]
+        fn random_sequences_agree_with_the_reference(
+            seqs in proptest::collection::vec(
+                (proptest::collection::vec(any::<u8>(), 0..24), 0usize..4096, 0usize..40),
+                1..24,
+            ),
+            fault in 0usize..10,
+            at in 0usize..24,
+        ) {
+            let mut stream = Vec::new();
+            let mut produced = 0usize;
+            for (i, (literals, dist, extra)) in seqs.iter().enumerate() {
+                produced += literals.len();
+                let dist = match fault {
+                    5 if i == at % seqs.len() => 0,
+                    6 if i == at % seqs.len() => produced + 1,
+                    _ => 1 + dist % produced.max(1),
+                };
+                push_seq(&mut stream, literals, Some((dist, MIN_MATCH + extra)));
+                produced += MIN_MATCH + extra;
+            }
+            push_seq(&mut stream, &[], None);
+            let (raw_len, cut) = match fault {
+                7 => (produced + 1, 0),
+                8 => (produced - 1, 0),
+                9 => (produced, 1 + at % stream.len()),
+                _ => (produced, 0),
+            };
+            let outcome = agree(&stream[..stream.len() - cut], raw_len);
+            // A first sequence with no literals has nothing to refer
+            // back to; everything else unfaulted must decode.
+            if fault < 5 && !seqs[0].0.is_empty() {
+                prop_assert_eq!(outcome.map(|out| out.len()), Ok(produced));
+            }
+        }
     }
 }

@@ -52,13 +52,8 @@ pub fn stream_records_with_threads(
     f: &mut dyn FnMut(&TraceRecord),
 ) {
     let jobs: Vec<(usize, usize)> = overlapping_chunks(readers, start, end);
-    let deliver = |records: Vec<TraceRecord>, f: &mut dyn FnMut(&TraceRecord)| {
-        for r in &records {
-            if r.micros >= start && r.micros < end {
-                f(r);
-            }
-        }
-    };
+    // `read_chunk_in` builds only the in-window records of an edge
+    // chunk, so each batch is delivered whole.
     if threads >= 2 && jobs.len() > 1 {
         let jobs = &jobs;
         std::thread::scope(|scope| {
@@ -67,23 +62,25 @@ pub fn stream_records_with_threads(
             let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Vec<TraceRecord>>>(1);
             scope.spawn(move || {
                 for &(ri, ci) in jobs {
-                    if tx.send(readers[ri].read_chunk(ci)).is_err() {
+                    if tx.send(readers[ri].read_chunk_in(ci, start, end)).is_err() {
                         break; // consumer went away (panic unwinding)
                     }
                 }
             });
             for batch in rx {
-                let records =
-                    batch.unwrap_or_else(|e| panic!("store chunk unreadable mid-analysis: {e}"));
-                deliver(records, f);
+                batch
+                    .unwrap_or_else(|e| panic!("store chunk unreadable mid-analysis: {e}"))
+                    .iter()
+                    .for_each(&mut *f);
             }
         });
     } else {
         for (ri, ci) in jobs {
-            let records = readers[ri]
-                .read_chunk(ci)
-                .unwrap_or_else(|e| panic!("store chunk {ci} unreadable mid-analysis: {e}"));
-            deliver(records, f);
+            readers[ri]
+                .read_chunk_in(ci, start, end)
+                .unwrap_or_else(|e| panic!("store chunk {ci} unreadable mid-analysis: {e}"))
+                .iter()
+                .for_each(&mut *f);
         }
     }
 }
@@ -282,12 +279,8 @@ impl StoreIndex {
         let chunks = overlapping_chunks(&readers, start, end);
         let parts: Vec<Result<PartialIndex>> = parallel::run_sharded(chunks.len(), threads, |i| {
             let (ri, ci) = chunks[i];
-            let records = readers[ri].read_chunk(ci)?;
-            Ok(PartialIndex::from_records(
-                records
-                    .iter()
-                    .filter(|r| r.micros >= start && r.micros < end),
-            ))
+            let records = readers[ri].read_chunk_in(ci, start, end)?;
+            Ok(PartialIndex::from_records(&records))
         });
         let mut ordered = Vec::with_capacity(parts.len());
         for p in parts {

@@ -33,7 +33,7 @@
 //! The record codec (module [`codec`]) delta-encodes timestamps,
 //! varint-packs every numeric field, and interns percent-escaped name
 //! arguments per chunk. On top of that, the file layout (there is
-//! exactly one; module [`format`] documents it) LZ-compresses each
+//! exactly one; module [`mod@format`] documents it) LZ-compresses each
 //! chunk when that wins — negotiated per chunk via a flags byte with a
 //! raw fallback (module [`compress`]) — checksums every chunk and the
 //! footer so corruption surfaces as [`StoreError::Format`] rather than

@@ -1,6 +1,6 @@
 //! Store reader: footer-driven random access to chunks.
 
-use crate::codec::{decode_record, read_varint, NameTable, MIN_RECORD_BYTES};
+use crate::codec::{read_varint, NameTable, RecordFields, MIN_RECORD_BYTES};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
@@ -396,19 +396,18 @@ impl StoreReader {
         Ok(VerifiedChunk { meta, bytes })
     }
 
-    /// Reads and decodes one chunk. Thread-safe: opens a private file
-    /// handle.
-    ///
-    /// # Errors
-    ///
-    /// On I/O failure, a bad ordinal, or corrupt chunk bytes — any
-    /// stored byte that does not hash to the footer's chunk checksum is
-    /// a [`StoreError::Format`] before decoding begins.
-    pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
-        let (meta, bytes) = self.read_stored(ordinal)?;
+    /// Reads one chunk up to its first record — the one chunk walker
+    /// behind every decoding read: stored bytes verified against the
+    /// footer checksum (and counted in `store.chunks_decoded`), flags
+    /// checked, the payload decompressed, the name table decoded, the
+    /// record count held to the footer's and to what the remaining
+    /// bytes could hold. [`OpenChunk::for_each`] then parses the
+    /// records.
+    fn open_chunk(&self, ordinal: usize) -> Result<OpenChunk> {
+        let (meta, mut payload) = self.read_stored(ordinal)?;
         self.metrics.chunks_decoded.inc();
 
-        let &flags = bytes
+        let &flags = payload
             .first()
             .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
         if flags & !FLAG_MASK != 0 {
@@ -416,33 +415,29 @@ impl StoreReader {
                 "chunk {ordinal} has unknown flags {flags:#04x}"
             )));
         }
-        let decompressed: Vec<u8>;
-        let payload: &[u8] = if flags & FLAG_COMPRESSED != 0 {
-            let mut pos = 1;
-            let raw_len = read_varint(&bytes, &mut pos)?;
+        let mut pos = 1;
+        if flags & FLAG_COMPRESSED != 0 {
+            let raw_len = read_varint(&payload, &mut pos)?;
             if raw_len > MAX_CHUNK_PAYLOAD {
                 return Err(StoreError::Format(format!(
                     "chunk {ordinal} claims a {raw_len}-byte payload"
                 )));
             }
-            decompressed = compress::decompress(&bytes[pos..], raw_len as usize)?;
-            &decompressed
-        } else {
-            &bytes[1..]
-        };
+            payload = compress::decompress(&payload[pos..], raw_len as usize)?;
+            pos = 0;
+        }
 
-        let mut pos = 0;
-        let names = NameTable::decode(payload, &mut pos)?;
-        let count = read_varint(payload, &mut pos)?;
+        let names = NameTable::decode(&payload, &mut pos)?;
+        let count = read_varint(&payload, &mut pos)?;
         if count != meta.records {
             return Err(StoreError::Format(format!(
                 "chunk {ordinal}: header says {count} records, footer {}",
                 meta.records
             )));
         }
-        let mut prev = read_varint(payload, &mut pos)?;
-        // Bound the count by what the bytes could hold before
-        // allocating 200-byte records for it.
+        let first_micros = read_varint(&payload, &mut pos)?;
+        // Bound the count by what the bytes could hold before anyone
+        // allocates 200-byte records for it.
         let left = (payload.len() - pos) as u64;
         if count
             .checked_mul(MIN_RECORD_BYTES)
@@ -453,18 +448,55 @@ impl StoreReader {
                  (a record takes at least {MIN_RECORD_BYTES})"
             )));
         }
-        let mut out = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let r = decode_record(payload, &mut pos, prev, &names)?;
-            prev = r.micros;
-            out.push(r);
-        }
-        if pos != payload.len() {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal}: {} trailing bytes",
-                payload.len() - pos
-            )));
-        }
+        Ok(OpenChunk {
+            ordinal,
+            payload,
+            names,
+            count: count as usize,
+            first_micros,
+            records_at: pos,
+        })
+    }
+
+    /// Reads and decodes one chunk: every record parsed, checked and
+    /// built. Thread-safe: opens a private file handle.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failure, a bad ordinal, or corrupt chunk bytes — any
+    /// stored byte that does not hash to the footer's chunk checksum is
+    /// a [`StoreError::Format`] before decoding begins.
+    pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
+        let chunk = self.open_chunk(ordinal)?;
+        let mut out = Vec::with_capacity(chunk.count);
+        chunk.for_each(|r| out.push(r.materialize(&chunk.names)))?;
+        Ok(out)
+    }
+
+    /// [`StoreReader::read_chunk`] keeping only capture times in
+    /// `[start, end)`: every record is parsed and checked — the read
+    /// fails exactly when `read_chunk` would — but only the kept ones
+    /// are built, so the edge chunk of a time window costs what the
+    /// window holds of it.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_chunk`].
+    pub(crate) fn read_chunk_in(
+        &self,
+        ordinal: usize,
+        start: u64,
+        end: u64,
+    ) -> Result<Vec<TraceRecord>> {
+        let chunk = self.open_chunk(ordinal)?;
+        let meta = &self.chunks[ordinal];
+        let whole = meta.min_micros >= start && meta.max_micros < end;
+        let mut out = Vec::with_capacity(if whole { chunk.count } else { 0 });
+        chunk.for_each(|r| {
+            if r.micros >= start && r.micros < end {
+                out.push(r.materialize(&chunk.names));
+            }
+        })?;
         Ok(out)
     }
 
@@ -499,6 +531,11 @@ impl StoreReader {
     /// windowed views (`StoreIndex::file_records`) and whole-store
     /// queries share the same chunk-skipping logic.
     ///
+    /// In each admitted chunk every record is parsed and checked, only
+    /// the matches are built: a corrupt record of *another* file still
+    /// fails the query, exactly when a full scan would fail, while the
+    /// query allocates for what it returns rather than for the chunk.
+    ///
     /// # Errors
     ///
     /// Propagates the first chunk read/decode failure.
@@ -514,15 +551,16 @@ impl StoreReader {
                 self.metrics.chunks_skipped.inc();
                 continue;
             }
+            let chunk = self.open_chunk(i)?;
             let mut holds_file = false;
-            for r in self.read_chunk(i)? {
+            chunk.for_each(|r| {
                 if r.fh == fh {
                     holds_file = true;
                     if r.micros >= start && r.micros < end {
-                        out.push(r);
+                        out.push(r.materialize(&chunk.names));
                     }
                 }
-            }
+            })?;
             if !holds_file {
                 // The footer filter admitted a chunk with no record
                 // for this file: a false positive we paid a decode
@@ -531,5 +569,46 @@ impl StoreReader {
             }
         }
         Ok(out)
+    }
+}
+
+/// A chunk read, verified and decoded up to its first record; made by
+/// [`StoreReader::open_chunk`] only.
+struct OpenChunk {
+    ordinal: usize,
+    /// The raw payload (decompressed if it was stored compressed; the
+    /// stored bytes, flags byte included, otherwise).
+    payload: Vec<u8>,
+    /// The chunk's name table, unescaped.
+    names: Vec<String>,
+    /// Records in the chunk — equal to the footer's count and bounded
+    /// by the payload's size, so safe to reserve for.
+    count: usize,
+    first_micros: u64,
+    /// Where in `payload` the first record starts.
+    records_at: usize,
+}
+
+impl OpenChunk {
+    /// Parses and checks every record in order, handing each to
+    /// `visit` as [`RecordFields`] (materialize against `self.names`);
+    /// the records must end exactly where the payload does.
+    fn for_each(&self, mut visit: impl FnMut(&RecordFields)) -> Result<()> {
+        let payload = &self.payload[..];
+        let mut pos = self.records_at;
+        let mut prev = self.first_micros;
+        for _ in 0..self.count {
+            let r = RecordFields::parse(payload, &mut pos, prev, self.names.len())?;
+            prev = r.micros;
+            visit(&r);
+        }
+        if pos != payload.len() {
+            return Err(StoreError::Format(format!(
+                "chunk {}: {} trailing bytes",
+                self.ordinal,
+                payload.len() - pos
+            )));
+        }
+        Ok(())
     }
 }

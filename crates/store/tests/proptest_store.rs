@@ -280,6 +280,94 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A point query on a windowed view answers what filtering the
+    /// view's own record stream answers — for any file, any window
+    /// (empty and inverted ones included), any chunk size — and moves
+    /// the three counters `store.chunks_decoded_per_query` and
+    /// `store.filter_false_positive_share` are made of exactly as the
+    /// footer says it must: building only the matching records skips
+    /// no chunk, no check and no count.
+    #[test]
+    fn windowed_file_query_equals_the_filtered_stream(
+        mut records in proptest::collection::vec(arb_record(), 0..300),
+        chunk_bytes in 48usize..4096,
+        pick in 0usize..400,
+        (a, b, shape) in (0u64..2_100_000_000, 0u64..2_100_000_000, 0u8..4),
+        case in 0u64..1_000_000,
+    ) {
+        records.sort_by_key(|r| r.micros);
+        let path = tmp("windowquery", case);
+        write_with(&path, &records, chunk_bytes);
+        // A file of the trace more often than not; a window that is
+        // proper, whole, as drawn (inverted half the time) or empty.
+        let fh = records.get(pick).map_or(FileId(pick as u64), |r| r.fh);
+        let (start, end) = match shape {
+            0 => (a.min(b), a.max(b)),
+            1 => (0, u64::MAX),
+            2 => (a, b),
+            _ => (a, a),
+        };
+        let registry = Registry::new();
+        let whole = StoreIndex::open_with_registry(&path, &registry).expect("open");
+        let view = whole.time_window(start, end);
+        let (start, end) = (start, end.max(start));
+
+        // What the footer and a full decode say the query must do.
+        let reader = whole.reader();
+        let pruned = reader
+            .time_range()
+            .is_none_or(|(min, max)| !(min < end && max >= start))
+            || reader
+                .chunks()
+                .iter()
+                .all(|m| m.records == 0 || !m.may_contain_file(fh));
+        let oracle = StoreReader::open(&path).expect("open");
+        let (mut decoded, mut skipped, mut false_positives) = (0u64, 0u64, 0u64);
+        for (i, m) in oracle.chunks().iter().enumerate() {
+            if pruned {
+                break;
+            }
+            if !m.overlaps(start, end) || !m.may_contain_file(fh) {
+                skipped += 1;
+                continue;
+            }
+            decoded += 1;
+            let holds = oracle.read_chunk(i).expect("chunk").iter().any(|r| r.fh == fh);
+            false_positives += u64::from(!holds);
+        }
+
+        let counted = |name: &str| registry.counter(name).value();
+        let before = [
+            counted("store.chunks_decoded"),
+            counted("store.chunks_skipped"),
+            counted("store.filter_false_positives"),
+        ];
+        let answer = view.file_records(fh).expect("query");
+        prop_assert_eq!(
+            [
+                counted("store.chunks_decoded") - before[0],
+                counted("store.chunks_skipped") - before[1],
+                counted("store.filter_false_positives") - before[2],
+            ],
+            [decoded, skipped, false_positives]
+        );
+
+        let mut streamed = Vec::new();
+        nfstrace_core::index::RecordStream::for_each_record(&view, &mut |r| {
+            if r.fh == fh {
+                streamed.push(r.clone());
+            }
+        });
+        prop_assert_eq!(&answer, &streamed);
+        let direct: Vec<TraceRecord> = records
+            .iter()
+            .filter(|r| r.fh == fh && r.micros >= start && r.micros < end)
+            .cloned()
+            .collect();
+        prop_assert_eq!(&answer, &direct);
+        std::fs::remove_file(&path).ok();
+    }
+
     /// Any single flipped bit anywhere in a compressed store surfaces
     /// as an error (almost always `Format`: checksums cover chunks and
     /// footer, magic and geometry cover the rest) — never as a silently
@@ -748,6 +836,113 @@ fn record_count_beyond_the_payload_is_rejected_before_allocating() {
         matches!(&err, StoreError::Format(m) if m.contains("a record takes at least 15")),
         "unexpected error: {err}"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A name-table count the payload has no room for is rejected before
+/// the reader reserves a `String` per claimed name — by the full decode
+/// and by the point query alike, every checksum fixed up so the bound
+/// itself is what fires.
+#[test]
+fn name_count_beyond_the_payload_is_rejected_before_allocating() {
+    let mut record = TraceRecord::new(17, Op::Write, FileId(0x1234_5678)).with_range(1 << 33, 4099);
+    record.reply_micros = 328;
+    record.client = 0x5a5a;
+    record.uid = 501;
+    record.xid = 0x0fed_cba9;
+    let path = tmp("hostilenames", 0);
+    write_with(&path, &[record], 1 << 20);
+    let meta = StoreReader::open(&path).expect("open").chunks()[0].clone();
+    let mut bytes = std::fs::read(&path).expect("read");
+    let at = meta.offset as usize;
+    // flags (raw), empty name table, record count.
+    assert_eq!(bytes[at..at + 3], [0, 0, 1], "a raw one-record chunk");
+    assert!(meta.len < 100, "100 names cannot fit");
+    bytes[at + 1] = 100;
+    refresh_chunk0_checksum(&mut bytes, &meta);
+    std::fs::write(&path, &bytes).expect("write");
+
+    let reader = StoreReader::open(&path).expect("footer is consistent");
+    let left = meta.len - 2;
+    let expected = format!("name table claims 100 names in {left} bytes");
+    for err in [
+        reader.read_chunk(0).expect_err("the names cannot fit"),
+        reader
+            .records_for_file(FileId(0x1234_5678))
+            .expect_err("the names cannot fit"),
+    ] {
+        assert!(
+            matches!(&err, StoreError::Format(m) if *m == expected),
+            "unexpected error: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A point query parses and checks the records it does not keep: with
+/// a record of file B corrupted three ways, the query for file A fails
+/// exactly as the full decode of the chunk fails.
+#[test]
+fn a_corrupt_record_of_another_file_fails_the_query_as_it_fails_the_scan() {
+    // Two records sharing no field value, so the chunk falls back to
+    // raw and B's bytes — the chunk's tail — can be patched in place.
+    let mut a = TraceRecord::new(1_000, Op::Read, FileId(0x0123_4567)).with_range(1 << 20, 513);
+    a.reply_micros = 1_300;
+    a.client = 0x0a01_0203;
+    a.server = 0x0b04_0506;
+    a.xid = 0x00c0_ffee;
+    let mut b = TraceRecord::new(1_007, Op::Lookup, FileId(0x7654_3210)).with_name("q");
+    b.reply_micros = 1_050;
+    b.client = u32::MAX;
+    b.server = 0x1c1d_1e1f;
+    b.uid = 77;
+    b.xid = 0x7eed_f00d;
+    let path = tmp("corruptother", 0);
+    write_with(&path, &[a.clone(), b.clone()], 1 << 20);
+    let meta = StoreReader::open(&path).expect("open").chunks()[0].clone();
+    let clean = std::fs::read(&path).expect("read");
+    let (chunk_at, chunk_end) = (meta.offset as usize, (meta.offset + meta.len) as usize);
+    assert_eq!(clean[chunk_at], 0, "a raw chunk");
+
+    // B as the codec wrote it: time delta, reply delta and presence
+    // flags (one byte each), op, version, then `client` — u32::MAX, a
+    // five-byte varint ending 0x0f — … and the name index last.
+    let mut encoded = Vec::new();
+    nfstrace_store::codec::encode_record(
+        &mut encoded,
+        &b,
+        a.micros,
+        &mut nfstrace_store::codec::NameTable::new(),
+    );
+    let b_at = chunk_end - encoded.len();
+    assert_eq!(clean[b_at..chunk_end], encoded[..], "B is the chunk's tail");
+    assert_eq!(encoded[5..10], [0xff, 0xff, 0xff, 0xff, 0x0f]);
+    assert_eq!(encoded[encoded.len() - 1], 0, "name index 0");
+
+    let reader = StoreReader::open(&path).expect("open");
+    assert_eq!(reader.records_for_file(a.fh).expect("clean"), [a.clone()]);
+
+    let corruptions: [(usize, u8, &str); 3] = [
+        (encoded.len() - 1, 5, "name index 5 out of range"),
+        (3, Op::ALL.len() as u8, "unknown op byte"),
+        (9, 0x1f, "u32 field out of range"),
+    ];
+    for (offset, byte, message) in corruptions {
+        let mut bytes = clean.clone();
+        bytes[b_at + offset] = byte;
+        refresh_chunk0_checksum(&mut bytes, &meta);
+        std::fs::write(&path, &bytes).expect("write");
+        let reader = StoreReader::open(&path).expect("footer is consistent");
+        let scan = reader.read_chunk(0).expect_err("the scan must fail");
+        let query = reader
+            .records_for_file(a.fh)
+            .expect_err("the query must fail");
+        assert!(
+            matches!(&scan, StoreError::Format(m) if m.contains(message)),
+            "unexpected error: {scan}"
+        );
+        assert_eq!(query.to_string(), scan.to_string());
+    }
     std::fs::remove_file(&path).ok();
 }
 
