@@ -23,13 +23,17 @@
 //! temp dir, removed on success). `--only <artifact>` prints a single
 //! entry of `nfstrace_bench::suite::ARTIFACTS` — the same bytes the
 //! full suite prints for it, on any path — computing only the analyses
-//! that artifact needs. With `--metrics <path>` the whole pipeline
-//! reports into one shared telemetry [`Registry`], exported every
-//! second as JSON lines to `<path>` (plus Prometheus text exposition to
-//! `<path>.prom`) and dumped once to **stderr** at exit; stdout is
-//! untouched. `NFSTRACE_THREADS` scales generation and chunk indexing
-//! across worker threads without changing the output.
+//! that artifact needs. `--only loss|nfsiod|readahead` prints one of
+//! the paper's side experiments (`experiments::EXPERIMENTS`) instead:
+//! not views of the traces, they take no other flag and generate no
+//! 8-day pair. With `--metrics <path>` the whole pipeline reports into
+//! one shared telemetry [`Registry`], exported every second as JSON
+//! lines to `<path>` (plus Prometheus text exposition to `<path>.prom`)
+//! and dumped once to **stderr** at exit; stdout is untouched.
+//! `NFSTRACE_THREADS` scales generation and chunk indexing across
+//! worker threads without changing the output.
 
+use nfstrace_bench::experiments::{experiment_text, EXPERIMENTS};
 use nfstrace_bench::suite::{artifact_text, suite_text, ARTIFACTS};
 use nfstrace_bench::{scale, scenarios, tables};
 use nfstrace_core::index::TraceView;
@@ -45,8 +49,10 @@ fn usage() -> ! {
          \x20            [--shards <n>] [--compact <fan_in>] [--metrics <path>]\n\
          \x20 --dir needs a path that writes (store, live, serve); \
          --shards (>= 1) and --compact (>= 2) need --via live\n\
-         \x20 artifacts: {}",
-        ARTIFACTS.join(" ")
+         \x20 artifacts: {}\n\
+         \x20 experiments (--only <experiment> and no other flag): {}",
+        ARTIFACTS.join(" "),
+        EXPERIMENTS.join(" ")
     );
     std::process::exit(2);
 }
@@ -95,7 +101,12 @@ fn parse_args() -> Args {
             "--dir" => parsed.dir = Some(value(&mut args).into()),
             "--only" => {
                 let artifact = value(&mut args);
-                if !ARTIFACTS.contains(&artifact.as_str()) {
+                if EXPERIMENTS.contains(&artifact.as_str()) {
+                    // Not a view of the traces: no other flag applies.
+                    if std::env::args().len() != 3 {
+                        usage();
+                    }
+                } else if !ARTIFACTS.contains(&artifact.as_str()) {
                     eprintln!("unknown artifact {artifact:?}");
                     usage();
                 }
@@ -209,6 +220,10 @@ fn main() {
     let args = parse_args();
     let s = scale();
     let only = args.only.as_deref();
+    if let Some(text) = only.and_then(|name| experiment_text(name, s)) {
+        print!("{text}");
+        return;
+    }
     // One registry for the whole pipeline, whichever path it takes.
     let registry = Registry::new();
     let exporter = args

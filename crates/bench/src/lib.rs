@@ -7,8 +7,9 @@
 //! memory, out of core, through the live ingest daemon (plain or
 //! sharded), or through the socket loop. What each path is lives in
 //! [`scenarios`]; the binary is argument parsing plus one call.
-//! `expt_nfsiod`, `expt_readahead` and `expt_loss` run the paper's
-//! three side experiments. Scale is controlled by the
+//! `repro --only loss|nfsiod|readahead` prints one of the paper's three
+//! side experiments ([`experiments`]), which are not views of the traces
+//! and stay out of the suite text. Scale is controlled by the
 //! `NFSTRACE_SCALE` environment variable (default 1.0): user counts and
 //! thus run time grow linearly with it. Absolute numbers scale with the
 //! simulated population; the *shapes* — who wins, by what factor, where
@@ -27,6 +28,7 @@
 // flag clones of values whose last use this was.
 #![warn(clippy::redundant_clone)]
 
+pub mod experiments;
 pub mod scenarios;
 pub mod suite;
 pub mod tables;

@@ -1,10 +1,10 @@
 //! The full reproduction suite as a reusable, view-generic function.
 //!
-//! `repro` (in-memory and `--store` out-of-core) and `live` (segment
-//! directories written by a rotating ingest) all print **the same
-//! bytes** for the same records; keeping the suite in one place is
-//! what makes "byte-identical stdout" a meaningful cross-binary
-//! assertion (CI `cmp`s the outputs). [`ARTIFACTS`] is that place: the
+//! `repro` prints **the same bytes** for the same records over every
+//! `--via` path (in memory, out of core, live segment directories,
+//! the socket loop); keeping the suite in one place is what makes
+//! "byte-identical stdout" a meaningful cross-path assertion (CI
+//! `cmp`s the outputs). [`ARTIFACTS`] is that place: the
 //! full suite is every entry in order, and `repro --only <artifact>` is
 //! one entry over the same views — so a single table prints exactly
 //! the numbers the suite prints for it.

@@ -114,8 +114,6 @@ pub struct LiveSummary {
     /// Largest hot tail ever resident, in records — the ingest-side
     /// memory observable, bounded by the rotation thresholds.
     pub peak_hot_records: usize,
-    /// Largest single source batch consumed by [`LiveIngest::run`].
-    pub peak_batch_records: usize,
 }
 
 /// The live ingest daemon: consumes time-ordered records incrementally
@@ -213,7 +211,6 @@ pub struct LiveIngest {
     any_ingested: bool,
     total_records: u64,
     peak_hot_records: usize,
-    peak_batch_records: usize,
     /// Bumped on every mutation; keys the snapshot cache.
     generation: u64,
     /// The last finished [`IndexBase`] and the generation it was built
@@ -357,7 +354,6 @@ impl LiveIngest {
             any_ingested: false,
             total_records: 0,
             peak_hot_records: 0,
-            peak_batch_records: 0,
             generation: 0,
             base_cache: Mutex::new(None),
             compactor,
@@ -542,7 +538,6 @@ impl LiveIngest {
             if !source.next_batch(&mut batch) {
                 return Ok(());
             }
-            self.peak_batch_records = self.peak_batch_records.max(batch.len());
             let _span = span!(self.metrics.batch_micros);
             for r in batch.drain(..) {
                 self.ingest_owned(r)?;
@@ -610,7 +605,6 @@ impl LiveIngest {
             segments: self.catalog.len(),
             total_records: self.total_records,
             peak_hot_records: self.peak_hot_records,
-            peak_batch_records: self.peak_batch_records,
         })
     }
 
@@ -634,11 +628,6 @@ impl LiveIngest {
         self.peak_hot_records
     }
 
-    /// Largest single source batch consumed by [`LiveIngest::run`].
-    pub fn peak_batch_records(&self) -> usize {
-        self.peak_batch_records
-    }
-
     /// The next arrival sequence this ingest would self-stamp — past
     /// every sequence it has seen, sealed or hot (tracking only).
     pub fn next_seq(&self) -> u64 {
@@ -654,11 +643,6 @@ impl LiveIngest {
     /// found at reopen).
     pub fn any_ingested(&self) -> bool {
         self.any_ingested
-    }
-
-    /// The ingest configuration.
-    pub fn config(&self) -> &LiveConfig {
-        &self.config
     }
 }
 

@@ -68,10 +68,6 @@ pub struct ShardedSummary {
     /// Records ingested across all shards, over the daemon's whole
     /// life.
     pub total_records: u64,
-    /// Largest single batch passed to
-    /// [`ShardedLiveIngest::ingest_batch`] (directly or via
-    /// [`ShardedLiveIngest::run`]).
-    pub peak_batch_records: usize,
 }
 
 /// N independent [`LiveIngest`] writers behind one router; see the
@@ -93,7 +89,6 @@ pub struct ShardedLiveIngest {
     last_micros: u64,
     any_ingested: bool,
     total_records: u64,
-    peak_batch_records: usize,
     /// Bumped on every batch; keys the merged-snapshot cache.
     generation: u64,
     /// The last merged [`IndexBase`] and the generation it was built
@@ -212,7 +207,6 @@ impl ShardedLiveIngest {
             last_micros,
             any_ingested,
             total_records,
-            peak_batch_records: 0,
             generation: 0,
             base_cache: Mutex::new(None),
         }
@@ -245,7 +239,6 @@ impl ShardedLiveIngest {
         if records.is_empty() {
             return Ok(());
         }
-        self.peak_batch_records = self.peak_batch_records.max(records.len());
         let n = self.shards.len();
         let mut per_shard: Vec<Vec<(u64, TraceRecord)>> = vec![Vec::new(); n];
         for (i, r) in records.iter().enumerate() {
@@ -334,7 +327,6 @@ impl ShardedLiveIngest {
         Ok(ShardedSummary {
             segments: shards.iter().map(|s| s.segments).sum(),
             total_records: shards.iter().map(|s| s.total_records).sum(),
-            peak_batch_records: self.peak_batch_records,
             shards,
         })
     }
@@ -363,19 +355,6 @@ impl ShardedLiveIngest {
     /// Records resident in hot tails right now, across shards.
     pub fn hot_len(&self) -> usize {
         self.shards.iter().map(LiveIngest::hot_len).sum()
-    }
-
-    /// Largest single batch passed to
-    /// [`ShardedLiveIngest::ingest_batch`] (directly or via
-    /// [`ShardedLiveIngest::run`]).
-    pub fn peak_batch_records(&self) -> usize {
-        self.peak_batch_records
-    }
-
-    /// The router configuration (the root directory and the per-shard
-    /// knobs).
-    pub fn config(&self) -> &LiveConfig {
-        &self.config
     }
 }
 

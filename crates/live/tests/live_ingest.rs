@@ -379,3 +379,31 @@ fn create_refuses_a_dirty_directory_and_ingest_rejects_time_travel() {
     LiveIngest::open(LiveConfig::new(&dir)).expect("open resumes instead");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Catalog names are untrusted input: a validly sealed segment renamed
+/// to the last ordinal used to open fine and overflow `next_ordinal`
+/// at the first `ingest` (a panic under overflow checks; in release a
+/// wrap to `seg-000000`). The directory is refused up front instead.
+#[test]
+fn open_refuses_a_segment_named_for_the_last_ordinal() {
+    let dir = tmpdir("last-ordinal");
+    let mut ingest = LiveIngest::create(LiveConfig::new(&dir)).expect("create");
+    let record = TraceRecord::new(
+        1000,
+        nfstrace_core::record::Op::Read,
+        nfstrace_core::record::FileId(1),
+    );
+    ingest.ingest(&record).expect("ingest");
+    assert_eq!(ingest.finish().expect("finish").segments, 1);
+    let renamed = "seg-18446744073709551615.nfseg";
+    std::fs::rename(dir.join("seg-000000.nfseg"), dir.join(renamed)).expect("rename");
+    let Err(err) = LiveIngest::open(LiveConfig::new(&dir)) else {
+        panic!("a directory holding {renamed} must not open");
+    };
+    assert!(
+        matches!(err, nfstrace_store::StoreError::Format(_)),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains(renamed), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -131,8 +131,16 @@ pub fn parse_segment_name(name: &str) -> Option<SegmentId> {
 ///
 /// If two survivors' ordinal ranges overlap — a directory no crash of
 /// this crate's protocols can produce, so it is reported rather than
-/// silently resolved.
+/// silently resolved — or if any name claims ordinal `u64::MAX`: file
+/// names are untrusted input, and [`SegmentCatalog::next_ordinal`] has
+/// no ordinal to hand out past it.
 fn resolve(mut ids: Vec<SegmentId>) -> Result<(Vec<SegmentId>, Vec<SegmentId>)> {
+    if let Some(id) = ids.iter().find(|id| id.hi == u64::MAX) {
+        return Err(StoreError::Format(format!(
+            "segment {} claims the last ordinal; no segment can follow it",
+            id.file_name()
+        )));
+    }
     ids.sort_unstable();
     let superseded: Vec<SegmentId> = ids
         .iter()
@@ -190,7 +198,8 @@ impl SegmentCatalog {
     /// # Errors
     ///
     /// On directory create/read failure, or a directory whose
-    /// surviving segments overlap.
+    /// surviving segments overlap or whose names reach ordinal
+    /// `u64::MAX`.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(StoreError::Io)?;
@@ -533,6 +542,33 @@ mod tests {
         assert_eq!(reopened.next_ordinal(), 3);
         assert_eq!(reopened.paths().len(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// File names are untrusted input: a name claiming the last ordinal
+    /// leaves `next_ordinal` nothing to hand out (`hi + 1` overflows),
+    /// so both openers refuse the directory, naming the file.
+    #[test]
+    fn a_name_claiming_the_last_ordinal_is_refused_at_open() {
+        for (tag, name) in [
+            ("base", "seg-18446744073709551615.nfseg"),
+            ("gen", "seg-000000-18446744073709551615.g01.nfseg"),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("nfstrace-catalog-max-{tag}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            std::fs::write(dir.join(name), b"x").expect("touch");
+            assert!(parse_segment_name(name).is_some(), "{name} parses");
+            for open in [SegmentCatalog::open, SegmentCatalog::open_and_sweep] {
+                let Err(err) = open(&dir) else {
+                    panic!("a directory holding {name} must not open");
+                };
+                assert!(matches!(err, StoreError::Format(_)), "{err:?}");
+                assert!(err.to_string().contains(name), "{err}");
+            }
+            assert!(dir.join(name).exists(), "the refusal deletes nothing");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

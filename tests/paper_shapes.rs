@@ -1,6 +1,7 @@
 //! Shape assertions: the qualitative relations each paper artifact
 //! reports must hold on small regenerated traces.
 
+use nfstrace::client::ReorderStats;
 use nfstrace::core::lifetime;
 use nfstrace::core::reorder;
 use nfstrace::core::runs::{RunKind, RunOptions};
@@ -183,4 +184,75 @@ fn hierarchy_coverage_climbs_within_minutes() {
         .sum::<f64>()
         / 3.0;
     assert!(late > 0.5, "late coverage {late}");
+}
+
+#[test]
+fn loss_message_loss_far_exceeds_packet_loss() {
+    // §4.1.4, on one CAMPUS day replayed through the mirror-port model.
+    let day = nfstrace_bench::scenarios::campus(1, 0.1, 42);
+    let loss = nfstrace_bench::experiments::loss(&day);
+    let [lossless, tcp, udp] = &loss.rows;
+    assert_eq!(lossless.planned, day.len());
+
+    // A lossless mirror delivers, and the sniffer pairs, every record.
+    assert_eq!(lossless.mirror.dropped, 0);
+    assert_eq!(lossless.intact, lossless.planned);
+    assert_eq!(lossless.paired, lossless.planned);
+    assert_eq!(lossless.sniffer.estimated_loss_rate(), 0.0);
+    assert_eq!(lossless.sniffer.tcp_bytes_lost, 0);
+
+    // Oversubscribed, one datagram per message: the sniffer pairs
+    // exactly what the mirror delivered whole, and the pairs lost —
+    // measured, not estimated — far exceed the packets lost.
+    assert!(udp.mirror.drop_rate() > 0.05, "{}", udp.mirror.drop_rate());
+    assert_eq!(udp.paired, udp.intact);
+    assert!(udp.intact < udp.planned);
+    assert!(
+        udp.true_pair_loss() > udp.mirror.drop_rate(),
+        "pair loss {} vs packet loss {}",
+        udp.true_pair_loss(),
+        udp.mirror.drop_rate()
+    );
+    assert!(udp.sniffer.estimated_loss_rate() > 0.0);
+
+    // Over TCP a lost segment also costs pairs behind it in the stream.
+    assert!(tcp.paired <= tcp.intact, "{} > {}", tcp.paired, tcp.intact);
+    assert!(tcp.intact < tcp.planned);
+    assert!(tcp.sniffer.orphan_replies + tcp.sniffer.lost_replies > 0);
+}
+
+#[test]
+fn nfsiod_reordering_rises_with_daemons() {
+    // §4.1.5: none at one nfsiod, more with each one added, ~10 % in
+    // the most extreme case.
+    let rows = nfstrace_bench::experiments::nfsiod().rows;
+    assert_eq!(rows[0].daemons, 1);
+    assert_eq!(rows[0].paced.reordered, 0);
+    assert_eq!(rows[0].saturated.reordered, 0);
+    for w in rows.windows(2) {
+        assert!(w[1].daemons > w[0].daemons);
+        let rising = |a: ReorderStats, b: ReorderStats| b.reorder_fraction() > a.reorder_fraction();
+        assert!(rising(w[0].paced, w[1].paced), "{w:?}");
+        assert!(rising(w[0].saturated, w[1].saturated), "{w:?}");
+    }
+    let most = rows.last().expect("rows");
+    assert_eq!(most.daemons, 8);
+    assert!(most.saturated.reorder_fraction() >= 0.10, "{most:?}");
+}
+
+#[test]
+fn readahead_metric_beats_strict_under_reordering() {
+    // §6.4: >5 % faster large sequential transfers at ~10 % reordering,
+    // nothing lost on an in-order stream.
+    let rows = nfstrace_bench::experiments::readahead().rows;
+    let at = |pct: usize| {
+        rows.iter()
+            .find(|r| r.reordered_pct == pct)
+            .unwrap_or_else(|| panic!("no {pct} % row"))
+    };
+    assert!(at(0).speedup().abs() <= 0.005, "{:?}", at(0));
+    assert!(at(10).speedup() >= 0.05, "{:?}", at(10));
+    for r in &rows {
+        assert!(r.metric.total_micros <= r.strict.total_micros, "{r:?}");
+    }
 }
