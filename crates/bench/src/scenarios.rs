@@ -160,8 +160,8 @@ pub fn live_config(
 ///
 /// The path checks nothing itself — its contract is the suite's bytes,
 /// and `crates/bench/tests/paths.rs` holds it (mid-ingest views,
-/// compaction by relocation, the pruning planner, retention, the
-/// bounded resident peak).
+/// compaction by relocation, the pruning planner, the bounded resident
+/// peak).
 ///
 /// # Errors
 ///

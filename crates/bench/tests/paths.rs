@@ -3,8 +3,8 @@
 //! must be what `repro` renders, byte for byte — and on the way, what
 //! only those paths can show: a live view queried mid-ingest equals
 //! the batch trace windowed to the records so far, compaction relocates
-//! chunks and the query planner prunes whole segments, retention loses
-//! nothing, and resident records stay bounded.
+//! chunks and the query planner prunes whole segments, and resident
+//! records stay bounded.
 //!
 //! The fifth path (`--via serve`, 15 s in release) stays a CI smoke
 //! beside `crates/serve/tests/e2e.rs`.
@@ -15,14 +15,11 @@ use nfstrace_core::index::{TraceIndex, TraceView};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::DAY;
 use nfstrace_live::{LiveIngest, ShardedLiveIngest};
-use nfstrace_store::compact::apply_retention;
-use nfstrace_store::{
-    CompactionPolicy, RetentionPolicy, SegmentCatalog, StoreConfig, StoreIndex, StoreReader,
-};
+use nfstrace_store::{CompactionPolicy, SegmentCatalog, StoreConfig};
 use nfstrace_telemetry::Registry;
 use nfstrace_workload::SlicedWorkload;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The smallest scale `repro` accepts.
 const SCALE: f64 = 0.05;
@@ -148,7 +145,7 @@ fn mid_ingest_views_equal_the_batch_trace_windowed_to_the_records_so_far() {
 }
 
 #[test]
-fn compacted_catalog_renders_the_same_suite_prunes_windows_and_survives_retention() {
+fn compacted_catalog_renders_the_same_suite_and_prunes_windows() {
     let want = &reference().text;
     let registry = Registry::new();
     let dir = tmpdir("compact");
@@ -191,32 +188,5 @@ fn compacted_catalog_renders_the_same_suite_prunes_windows_and_survives_retentio
     );
     let oracle = reference().campus.time_window(2 * DAY, 3 * DAY);
     assert_eq!(TraceView::len(&day), TraceView::len(&oracle));
-
-    // Retention: archive the oldest segments down to a byte budget,
-    // then nothing is lost — archived ∪ retained renders the suite.
-    let mut union = Vec::new();
-    for segments in [campus_dir, dir.join("eecs-segments")] {
-        let mut catalog = SegmentCatalog::open_and_sweep(&segments).expect("reopen for retention");
-        let archive = segments.join("archive");
-        let retention = RetentionPolicy {
-            max_total_bytes: Some(1_000_000),
-            max_age_micros: None,
-            archive_dir: Some(archive.clone()),
-        };
-        let retired = apply_retention(&mut catalog, &retention, &registry).expect("retention");
-        assert!(!retired.is_empty(), "the budget retired nothing");
-        let archived = SegmentCatalog::open(&archive).expect("open archive");
-        let readers = archived
-            .paths()
-            .iter()
-            .chain(catalog.paths().iter())
-            .map(|p| Arc::new(StoreReader::open(p).expect("reopen segment")))
-            .collect();
-        union.push(StoreIndex::from_readers(readers).expect("index the union"));
-    }
-    assert!(
-        suite_text(&union[0], &union[1]) == *want,
-        "archived + retained union diverged"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -164,11 +164,6 @@ impl SimFs {
         self.next_id = self.next_id.max(next);
     }
 
-    /// Number of live inodes.
-    pub fn inode_count(&self) -> usize {
-        self.inodes.len()
-    }
-
     /// Fetches an inode.
     ///
     /// # Errors

@@ -175,11 +175,6 @@ impl ReadServer {
         }
         cost
     }
-
-    /// Total time the disk has spent.
-    pub fn disk_busy_micros(&self) -> u64 {
-        self.disk.busy_micros()
-    }
 }
 
 /// Outcome of replaying one stream under one policy.

@@ -412,7 +412,7 @@ impl NfsServer {
     /// ([`Call2::to_v3`]), serve the v3 call, narrow the reply
     /// ([`Reply2::from_v3`]). There is one file server; how the two
     /// protocol versions correspond is `nfstrace_nfs::v2`'s business.
-    /// File ids and cookies the narrowing had to saturate are counted
+    /// Ids and cookies the narrowing had to saturate are counted
     /// in [`NfsServer::v2_narrowings`].
     pub fn handle_v2(&mut self, call: &Call2, now: u64) -> Reply2 {
         let call3 = call.to_v3();
@@ -420,7 +420,7 @@ impl NfsServer {
         Reply2::from_v3(&reply3, &mut self.v2_narrowed)
     }
 
-    /// How many directory-entry file ids and cookies [`handle_v2`]
+    /// How many file ids, filesystem ids and cookies [`handle_v2`]
     /// replies have saturated to `u32::MAX` so far (simulated inode
     /// ids are 64-bit; v2 names 32).
     ///
@@ -698,7 +698,7 @@ mod tests {
         let root = s.root_fh();
         create(&mut s, root.clone(), "narrow", 0);
         s.fs_mut().set_next_id(3 << 32);
-        create(&mut s, root.clone(), "wide-a", 1);
+        let wide_a = create(&mut s, root.clone(), "wide-a", 1);
         create(&mut s, root.clone(), "wide-b", 2);
         let r = s.handle_v2(
             &Call2::Readdir {
@@ -736,6 +736,19 @@ mod tests {
                 saturated_fileids: 2
             }
         );
+
+        // The same id in attributes saturates and counts too, never
+        // truncating to its low 32 bits (here 0).
+        let r = s.handle_v2(&Call2::Getattr(wide_a), 4);
+        let Reply2::AttrStat {
+            attributes: Some(attributes),
+            ..
+        } = r
+        else {
+            panic!("unexpected {r:?}");
+        };
+        assert_eq!((attributes.fileid, attributes.fsid), (u32::MAX, 1));
+        assert_eq!(s.v2_narrowings().saturated_fileids, 3);
     }
 
     #[test]

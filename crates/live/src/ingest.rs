@@ -13,6 +13,7 @@ use nfstrace_store::{
 };
 use nfstrace_telemetry::{span, Counter, Gauge, Histogram, Registry};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Ingest knobs: where segments land and when the hot segment seals.
@@ -49,6 +50,15 @@ pub struct LiveConfig {
     /// every view it snapshots. Shards of a
     /// [`crate::ShardedLiveIngest`] inherit it, so shard histograms
     /// merge into one distribution.
+    ///
+    /// Nothing is published per record. The ingest publishes its
+    /// `live.*` tally at the end of each [`LiveIngest::run`] batch,
+    /// after each shard's share of a sharded batch, and at every
+    /// rotation, view and finish; its segment writers add a chunk's
+    /// records to `store.records_written` when the chunk reaches the
+    /// file. Exported values therefore trail the tally
+    /// ([`LiveIngest::total_records`], [`LiveIngest::hot_len`]) by at
+    /// most one batch and equal it at [`LiveIngest::finish`].
     pub registry: Registry,
 }
 
@@ -74,7 +84,9 @@ impl LiveConfig {
     }
 }
 
-/// The `live.*` slice of the pipeline-health export.
+/// The `live.*` slice of the pipeline-health export, written by
+/// [`LiveIngest::publish`] at batch boundaries (see
+/// [`LiveConfig::registry`]).
 #[derive(Debug)]
 pub(crate) struct LiveMetrics {
     /// `live.records_emitted` — records accepted into the hot segment.
@@ -89,6 +101,10 @@ pub(crate) struct LiveMetrics {
     pub(crate) batch_micros: Histogram,
     /// `live.snapshot_micros` — wall time of each view snapshot.
     pub(crate) snapshot_micros: Histogram,
+    /// The part of `total_records` `records_emitted` has received.
+    /// Atomic only because [`LiveIngest::view`] publishes through
+    /// `&self`.
+    published: AtomicU64,
 }
 
 impl LiveMetrics {
@@ -99,6 +115,7 @@ impl LiveMetrics {
             hot_records: registry.gauge("live.hot_records"),
             batch_micros: registry.histogram("live.batch_micros"),
             snapshot_micros: registry.histogram("live.snapshot_micros"),
+            published: AtomicU64::new(0),
         }
     }
 }
@@ -319,6 +336,8 @@ impl LiveIngest {
             }
         }
         ingest.running = partial;
+        // Records found on disk were emitted by an earlier run.
+        *ingest.metrics.published.get_mut() = ingest.total_records;
         Ok(ingest)
     }
 
@@ -444,8 +463,6 @@ impl LiveIngest {
         self.total_records += 1;
         self.generation += 1;
         self.peak_hot_records = self.peak_hot_records.max(self.hot_records.len());
-        self.metrics.records_emitted.inc();
-        self.metrics.hot_records.set(self.hot_records.len() as f64);
         if self.hot_records.len() as u64 >= self.config.rotate_records
             || micros.saturating_sub(self.hot_first_micros) >= self.config.rotate_micros
         {
@@ -492,8 +509,20 @@ impl LiveIngest {
         self.catalog.note_sealed(self.hot_ordinal);
         self.hot_records = Arc::new(Vec::new());
         self.metrics.segments_sealed.inc();
-        self.metrics.hot_records.set(0.0);
+        self.publish();
         self.maybe_compact()
+    }
+
+    /// Copies the tally's growth since the last call into the `live.*`
+    /// instruments: the records ingested into `live.records_emitted`,
+    /// the hot tail's size into `live.hot_records`.
+    pub(crate) fn publish(&self) {
+        let was = self
+            .metrics
+            .published
+            .swap(self.total_records, Ordering::Relaxed);
+        self.metrics.records_emitted.add(self.total_records - was);
+        self.metrics.hot_records.set(self.hot_records.len() as f64);
     }
 
     /// Runs compaction passes until the policy finds nothing ripe,
@@ -542,6 +571,7 @@ impl LiveIngest {
             for r in batch.drain(..) {
                 self.ingest_owned(r)?;
             }
+            self.publish();
         }
     }
 
@@ -582,6 +612,7 @@ impl LiveIngest {
     /// — sealed segments plus the hot tail, queryable mid-ingest.
     pub fn view(&self) -> LiveView {
         let _span = span!(self.metrics.snapshot_micros);
+        self.publish();
         LiveView::assemble(
             self.chain(),
             0,
@@ -601,6 +632,7 @@ impl LiveIngest {
     /// On the final seal's I/O failure.
     pub fn finish(mut self) -> Result<LiveSummary> {
         self.rotate()?;
+        self.publish();
         Ok(LiveSummary {
             segments: self.catalog.len(),
             total_records: self.total_records,
@@ -691,6 +723,61 @@ mod tests {
         assert!(plain
             .ingest_with_seq(&TraceRecord::new(20_000, Op::Read, FileId(1)), 10)
             .is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Fixed batches, in order.
+    struct Batches(std::vec::IntoIter<Vec<TraceRecord>>);
+
+    impl RecordSource for Batches {
+        fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool {
+            self.0.next().map(|b| out.extend(b)).is_some()
+        }
+    }
+
+    /// The `live.*` instruments are published at batch boundaries: after
+    /// `run` they equal the tally, a record ingested outside a batch
+    /// waits for the next boundary, and `finish` is one.
+    #[test]
+    fn registry_equals_the_tally_after_run() {
+        let dir =
+            std::env::temp_dir().join(format!("nfstrace-live-publish-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let registry = Registry::new();
+        let config = LiveConfig {
+            rotate_records: 4,
+            ..LiveConfig::new(&dir)
+        };
+        let mut ingest = LiveIngest::create(config.with_registry(&registry)).expect("create");
+        let record = |i: u64| TraceRecord::new(i * 1000, Op::Read, FileId(i % 3));
+        let batches: Vec<Vec<TraceRecord>> = (0..10)
+            .map(record)
+            .collect::<Vec<_>>()
+            .chunks(3)
+            .map(<[_]>::to_vec)
+            .collect();
+        ingest.run(&mut Batches(batches.into_iter())).expect("run");
+        let exported = |registry: &Registry| {
+            let snapshot = registry.snapshot();
+            (
+                snapshot.counter("live.records_emitted"),
+                snapshot.gauge("live.hot_records"),
+            )
+        };
+        assert_eq!((ingest.total_records(), ingest.hot_len()), (10, 2));
+        assert_eq!(
+            exported(&registry),
+            (Some(ingest.total_records()), Some(ingest.hot_len() as f64))
+        );
+
+        ingest.ingest(&record(10)).expect("ingest");
+        assert_eq!(
+            exported(&registry),
+            (Some(10), Some(2.0)),
+            "no boundary yet"
+        );
+        ingest.finish().expect("finish");
+        assert_eq!(exported(&registry), (Some(11), Some(0.0)));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

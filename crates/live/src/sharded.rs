@@ -257,6 +257,7 @@ impl ShardedLiveIngest {
                 for (seq, r) in &per_shard[shard] {
                     ingest.ingest_with_seq(r, *seq)?;
                 }
+                ingest.publish();
                 Ok(())
             },
         );

@@ -323,10 +323,8 @@ proptest! {
 proptest! {
     /// The segment-lifecycle invariant: for any record stream ×
     /// rotation thresholds × compaction fan-in, the analysis suite
-    /// over a compacted (and then retention-trimmed) catalog is
-    /// byte-identical to the uncompacted one — live mid-cascade views
-    /// and from-disk reopens alike — and the archive tier plus the
-    /// trimmed catalog still reconstructs the full stream.
+    /// over a compacted catalog is byte-identical to the uncompacted
+    /// one — live mid-cascade views and from-disk reopens alike.
     #[test]
     fn compacted_catalog_is_byte_identical_to_uncompacted(
         mut records in proptest::collection::vec(arb_record(), 1..250),
@@ -393,44 +391,6 @@ proptest! {
         view.for_each_record(&mut |r| live_back.push(r.clone()));
         prop_assert_eq!(&live_back, &records);
         drop(reopened);
-
-        // Retention-trim the compacted catalog into an archive tier:
-        // archive ∪ trimmed catalog must still be the identical trace.
-        let mut catalog =
-            nfstrace_store::SegmentCatalog::open_and_sweep(&dir).expect("reopen catalog");
-        let archive = dir.join("archive");
-        let retention = nfstrace_store::RetentionPolicy {
-            max_total_bytes: Some(0), // trim to the always-kept newest segment
-            max_age_micros: None,
-            archive_dir: Some(archive.clone()),
-        };
-        let registry = nfstrace_telemetry::Registry::new();
-        let retired =
-            nfstrace_store::compact::apply_retention(&mut catalog, &retention, &registry)
-                .expect("retention");
-        prop_assert_eq!(catalog.len(), 1, "trimmed to the always-kept newest segment");
-        prop_assert!(
-            retired.iter().all(|r| r.archived_to.is_some()),
-            "with an archive_dir every retired segment is moved, not dropped"
-        );
-        let mut union: Vec<std::sync::Arc<nfstrace_store::StoreReader>> = Vec::new();
-        if archive.is_dir() {
-            for p in nfstrace_store::SegmentCatalog::open(&archive).expect("archive").paths() {
-                union.push(std::sync::Arc::new(
-                    nfstrace_store::StoreReader::open(p).expect("open archived"),
-                ));
-            }
-        }
-        for p in catalog.paths() {
-            union.push(std::sync::Arc::new(
-                nfstrace_store::StoreReader::open(p).expect("open retained"),
-            ));
-        }
-        let rejoined = StoreIndex::from_readers(union).expect("union index");
-        let mut union_records = Vec::new();
-        rejoined.for_each_record(&mut |r| union_records.push(r.clone()));
-        prop_assert_eq!(&union_records, &records);
-        prop_assert_eq!(rejoined.summary(), plain.summary());
 
         for d in [&plain_dir, &dir] {
             std::fs::remove_dir_all(d).ok();

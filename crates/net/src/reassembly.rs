@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 ///   pushes, then one read.
 ///
 /// If a gap persists (a dropped segment), [`StreamReassembler::skip_gap`]
-/// jumps over it and counts the lost bytes.
+/// jumps over it and returns how many bytes it skipped.
 ///
 /// # Examples
 ///
@@ -58,14 +58,6 @@ pub struct StreamReassembler {
     origin: u32,
     /// Relative offset of `next_seq` from the origin.
     frontier: u64,
-    /// Total payload bytes accepted.
-    bytes_in: u64,
-    /// Bytes skipped over unrecoverable gaps.
-    bytes_lost: u64,
-    /// Count of segments that arrived out of order.
-    out_of_order: u64,
-    /// Count of duplicate/overlapping bytes discarded.
-    dup_bytes: u64,
 }
 
 impl StreamReassembler {
@@ -78,10 +70,6 @@ impl StreamReassembler {
             pending: BTreeMap::new(),
             origin: initial_seq,
             frontier: 0,
-            bytes_in: 0,
-            bytes_lost: 0,
-            out_of_order: 0,
-            dup_bytes: 0,
         }
     }
 
@@ -104,8 +92,8 @@ impl StreamReassembler {
         self.ready.extend_from_slice(data);
     }
 
-    /// The state machine behind both feeding calls: accounts one
-    /// segment, trims what was already delivered, and either parks it
+    /// The state machine behind both feeding calls: trims what of one
+    /// segment was already delivered, and either parks it
     /// (`None`) or — when it lands exactly at the frontier with nothing
     /// parked — advances the frontier over it and returns the accepted
     /// bytes, still in the caller's buffer, for the caller to splice or
@@ -114,22 +102,17 @@ impl StreamReassembler {
         if payload.is_empty() {
             return None;
         }
-        self.bytes_in += payload.len() as u64;
         let mut off = self.rel(seq);
         let mut data = payload;
 
         // Trim any prefix already delivered.
         if off < self.frontier {
             let overlap = (self.frontier - off).min(data.len() as u64) as usize;
-            self.dup_bytes += overlap as u64;
             data = &data[overlap..];
             off = self.frontier;
             if data.is_empty() {
                 return None;
             }
-        }
-        if off > self.frontier {
-            self.out_of_order += 1;
         }
         // The common in-order stream: nothing to park, nothing to merge.
         if off == self.frontier && self.pending.is_empty() {
@@ -137,14 +120,13 @@ impl StreamReassembler {
             self.next_seq = self.origin.wrapping_add(self.frontier as u32);
             return Some(data);
         }
-        // Insert, trimming against an existing segment at the same offset.
-        match self.pending.get(&off) {
-            Some(existing) if existing.len() >= data.len() => {
-                self.dup_bytes += data.len() as u64;
-            }
-            _ => {
-                self.pending.insert(off, data.to_vec());
-            }
+        // Insert, unless a segment at the same offset already covers it.
+        if self
+            .pending
+            .get(&off)
+            .is_none_or(|existing| existing.len() < data.len())
+        {
+            self.pending.insert(off, data.to_vec());
         }
         None
     }
@@ -192,11 +174,9 @@ impl StreamReassembler {
             let seg_end = off + seg.len() as u64;
             if seg_end <= self.frontier {
                 // Entirely stale.
-                self.dup_bytes += seg.len() as u64;
                 continue;
             }
             let skip = (self.frontier - off) as usize;
-            self.dup_bytes += skip as u64;
             self.ready.extend_from_slice(&seg[skip..]);
             self.frontier = seg_end;
             self.next_seq = self.origin.wrapping_add(self.frontier as u32);
@@ -230,8 +210,7 @@ impl StreamReassembler {
     }
 
     /// Abandons the current gap: advances the frontier to the oldest
-    /// pending segment, recording the skipped bytes as lost. Returns the
-    /// number of bytes skipped.
+    /// pending segment. Returns the number of bytes skipped — lost.
     ///
     /// The sniffer calls this when a gap has aged out, then
     /// resynchronizes on RPC record marks.
@@ -240,7 +219,6 @@ impl StreamReassembler {
         if skipped > 0 {
             self.frontier += skipped;
             self.next_seq = self.origin.wrapping_add(self.frontier as u32);
-            self.bytes_lost += skipped;
         }
         skipped
     }
@@ -249,30 +227,6 @@ impl StreamReassembler {
     pub fn next_seq(&self) -> u32 {
         self.next_seq
     }
-
-    /// Statistics counters: (bytes in, bytes lost, out-of-order segments,
-    /// duplicate bytes).
-    pub fn stats(&self) -> ReassemblyStats {
-        ReassemblyStats {
-            bytes_in: self.bytes_in,
-            bytes_lost: self.bytes_lost,
-            out_of_order_segments: self.out_of_order,
-            duplicate_bytes: self.dup_bytes,
-        }
-    }
-}
-
-/// Counters describing one reassembled stream direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReassemblyStats {
-    /// Total payload bytes pushed in.
-    pub bytes_in: u64,
-    /// Bytes skipped over gaps.
-    pub bytes_lost: u64,
-    /// Segments that arrived ahead of the frontier.
-    pub out_of_order_segments: u64,
-    /// Bytes discarded as duplicates or overlaps.
-    pub duplicate_bytes: u64,
 }
 
 #[cfg(test)]
@@ -297,7 +251,7 @@ mod tests {
         assert!(r.read_available().is_empty());
         r.push(100, b"abc");
         assert_eq!(r.read_available(), b"abcdef");
-        assert_eq!(r.stats().out_of_order_segments, 1);
+        assert!(!r.has_gap());
     }
 
     #[test]
@@ -307,7 +261,8 @@ mod tests {
         assert_eq!(r.read_available(), b"abcd");
         r.push(0, b"abcd");
         assert!(r.read_available().is_empty());
-        assert_eq!(r.stats().duplicate_bytes, 4);
+        assert_eq!(r.pending_bytes(), 0, "nothing parked either");
+        assert_eq!(r.next_seq(), 4);
     }
 
     #[test]
@@ -329,7 +284,8 @@ mod tests {
         assert_eq!(r.gap_len(), 8);
         assert_eq!(r.skip_gap(), 8);
         assert_eq!(r.read_available(), b"xy");
-        assert_eq!(r.stats().bytes_lost, 8);
+        assert_eq!(r.skip_gap(), 0, "no gap left to skip");
+        assert_eq!(r.next_seq(), 12);
     }
 
     #[test]
@@ -364,7 +320,7 @@ mod tests {
         assert_eq!(r.read_available(), data);
         assert!(!r.has_gap());
         assert_eq!(r.next_seq(), start.wrapping_add(data.len() as u32));
-        assert_eq!(r.stats().bytes_lost, 0);
+        assert_eq!(r.skip_gap(), 0);
     }
 
     #[test]
@@ -372,7 +328,8 @@ mod tests {
         let mut r = StreamReassembler::new(5);
         r.push(5, b"");
         assert!(r.read_available().is_empty());
-        assert_eq!(r.stats().bytes_in, 0);
+        assert!(!r.has_gap());
+        assert_eq!(r.next_seq(), 5);
     }
 
     /// The in-order fast path stages bytes without a heap copy but must
@@ -390,8 +347,8 @@ mod tests {
         assert_eq!(r.read_available(), b"efgh");
         r.push(8, b"ij"); // fast path again after the drain
         assert_eq!(r.read_available(), b"ij");
-        assert_eq!(r.stats().bytes_lost, 0);
-        assert_eq!(r.stats().out_of_order_segments, 1);
+        assert_eq!(r.skip_gap(), 0);
+        assert_eq!(r.next_seq(), 10);
     }
 
     #[test]
@@ -439,7 +396,6 @@ mod tests {
         assert_eq!(r.push_read(14, b"op"), b"op");
         assert_eq!(r.push_read(14, b"op"), b"", "a duplicate yields nothing");
         assert_eq!(r.next_seq(), 16);
-        assert_eq!(r.stats().duplicate_bytes, 4);
-        assert_eq!(r.stats().out_of_order_segments, 1);
+        assert!(r.read_available().is_empty() && !r.has_gap());
     }
 }

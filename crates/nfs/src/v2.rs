@@ -5,7 +5,7 @@
 //! sizes and offsets, and `timeval` (seconds/microseconds) timestamps.
 
 use crate::fh::FileHandle;
-use crate::types::{Fattr3, Ftype3, NfsStat3, Sattr3};
+use crate::types::{Fattr3, Ftype3, NfsStat3, NfsTime3, Sattr3};
 use crate::v3::{self, Call3, Reply3, Reply3Body};
 use nfstrace_xdr::{Decoder, Encoder, Error, Pack, Result, Unpack};
 
@@ -216,36 +216,6 @@ impl Unpack for Fattr2 {
             mtime: TimeVal2::unpack(dec)?,
             ctime: TimeVal2::unpack(dec)?,
         })
-    }
-}
-
-impl From<Fattr3> for Fattr2 {
-    fn from(a: Fattr3) -> Self {
-        Fattr2 {
-            ftype: a.ftype,
-            mode: a.mode,
-            nlink: a.nlink,
-            uid: a.uid,
-            gid: a.gid,
-            size: a.size.min(u64::from(u32::MAX)) as u32,
-            blocksize: 8192,
-            rdev: a.rdev.0,
-            blocks: (a.used / 512) as u32,
-            fsid: a.fsid as u32,
-            fileid: a.fileid as u32,
-            atime: TimeVal2 {
-                seconds: a.atime.seconds,
-                useconds: a.atime.nseconds / 1000,
-            },
-            mtime: TimeVal2 {
-                seconds: a.mtime.seconds,
-                useconds: a.mtime.nseconds / 1000,
-            },
-            ctime: TimeVal2 {
-                seconds: a.ctime.seconds,
-                useconds: a.ctime.nseconds / 1000,
-            },
-        }
     }
 }
 
@@ -1206,7 +1176,8 @@ impl ReplyFacts2 {
 pub struct DowngradeStats {
     /// READDIR/READDIRPLUS cookies that exceeded 32 bits.
     pub saturated_cookies: u64,
-    /// Directory-entry file ids that exceeded 32 bits.
+    /// File ids and filesystem ids that exceeded 32 bits, in directory
+    /// entries and in attributes alike.
     pub saturated_fileids: u64,
 }
 
@@ -1230,6 +1201,34 @@ fn narrow32(v: u64, saturations: &mut u64) -> u32 {
 /// v2 can name.
 fn clamp32(v: u64) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
+}
+
+/// Narrows v3 attributes to v2's: the size and block count clamp, and
+/// the file id and filesystem id saturate and count in
+/// `saturated_fileids` exactly as a directory entry's file id does — so
+/// one id never reads `u32::MAX` in an entry and its low 32 bits in
+/// that entry's attributes.
+fn narrow_fattr(a: Fattr3, narrowed: &mut DowngradeStats) -> Fattr2 {
+    let time = |t: NfsTime3| TimeVal2 {
+        seconds: t.seconds,
+        useconds: t.nseconds / 1000,
+    };
+    Fattr2 {
+        ftype: a.ftype,
+        mode: a.mode,
+        nlink: a.nlink,
+        uid: a.uid,
+        gid: a.gid,
+        size: clamp32(a.size),
+        blocksize: 8192,
+        rdev: a.rdev.0,
+        blocks: clamp32(a.used / 512),
+        fsid: narrow32(a.fsid, &mut narrowed.saturated_fileids),
+        fileid: narrow32(a.fileid, &mut narrowed.saturated_fileids),
+        atime: time(a.atime),
+        mtime: time(a.mtime),
+        ctime: time(a.ctime),
+    }
 }
 
 fn dirop3(a: &DirOpArgs2) -> v3::DirOpArgs {
@@ -1419,17 +1418,21 @@ impl Reply2 {
     /// ([`Call2::from_v3`] of the call it answers): the reply decodes
     /// under that call's procedure. The post-op attributes a v3 error
     /// reply may still carry are dropped — a v2 error is its status
-    /// alone. Directory-entry file ids and cookies saturate and count in
+    /// alone. File ids, filesystem ids and cookies saturate and count in
     /// `narrowed`; `STATFS` reports one fixed filesystem geometry
     /// whichever of `FSSTAT` / `FSINFO` / `PATHCONF` it stands in for.
     pub fn from_v3(reply: &Reply3, narrowed: &mut DowngradeStats) -> Reply2 {
         let status = reply.status;
-        let attr = |a: Option<Fattr3>| a.filter(|_| status.is_ok()).map(Fattr2::from);
-        let mut entry = |fileid: u64, name: &str, cookie: u64| DirEntry2 {
-            fileid: narrow32(fileid, &mut narrowed.saturated_fileids),
-            name: name.to_owned(),
-            cookie: narrow32(cookie, &mut narrowed.saturated_cookies),
+        let mut attr = |a: Option<Fattr3>| {
+            a.filter(|_| status.is_ok())
+                .map(|a| narrow_fattr(a, &mut *narrowed))
         };
+        let entry =
+            |fileid: u64, name: &str, cookie: u64, narrowed: &mut DowngradeStats| DirEntry2 {
+                fileid: narrow32(fileid, &mut narrowed.saturated_fileids),
+                name: name.to_owned(),
+                cookie: narrow32(cookie, &mut narrowed.saturated_cookies),
+            };
         match &reply.body {
             Reply3Body::Null | Reply3Body::Commit(_) => Reply2::Void,
             Reply3Body::Getattr(res) => Reply2::AttrStat {
@@ -1479,7 +1482,7 @@ impl Reply2 {
                 entries: res
                     .entries
                     .iter()
-                    .map(|e| entry(e.fileid, &e.name, e.cookie))
+                    .map(|e| entry(e.fileid, &e.name, e.cookie, narrowed))
                     .collect(),
                 eof: res.eof,
             },
@@ -1488,7 +1491,7 @@ impl Reply2 {
                 entries: res
                     .entries
                     .iter()
-                    .map(|e| entry(e.fileid, &e.name, e.cookie))
+                    .map(|e| entry(e.fileid, &e.name, e.cookie, narrowed))
                     .collect(),
                 eof: res.eof,
             },
@@ -1676,12 +1679,22 @@ mod tests {
 
     #[test]
     fn fattr2_from_fattr3_clamps_size() {
-        let big = crate::types::Fattr3 {
+        let big = Fattr3 {
             size: u64::from(u32::MAX) + 10,
-            ..crate::types::Fattr3::default()
+            used: u64::MAX,
+            fileid: (3 << 32) | 7,
+            fsid: 1,
+            ..Fattr3::default()
         };
-        let v2: Fattr2 = big.into();
-        assert_eq!(v2.size, u32::MAX);
+        let mut narrowed = DowngradeStats::default();
+        let v2 = narrow_fattr(big, &mut narrowed);
+        assert_eq!((v2.size, v2.blocks), (u32::MAX, u32::MAX));
+        assert_eq!(
+            (v2.fileid, v2.fsid),
+            (u32::MAX, 1),
+            "saturated, not truncated to 7"
+        );
+        assert_eq!(narrowed.saturated_fileids, 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! - [`auth`]: `AUTH_UNIX` credentials carrying the UID/GID the
 //!   anonymizer must rewrite.
 //! - [`record`]: RPC record marking for TCP streams.
-//! - [`xid`]: the call/reply matcher with orphan accounting.
+//! - [`xid`]: the call/reply matcher.
 
 // The zero-copy capture path is only as good as the code around it:
 // flag clones of values whose last use this was.
@@ -34,4 +34,4 @@ pub use msg::{
     RpcMessageView,
 };
 pub use record::RecordRef;
-pub use xid::{XidMatcher, XidStats};
+pub use xid::XidMatcher;

@@ -3,13 +3,13 @@
 //! The tracer estimates packet loss "by counting the number of call and
 //! response messages that had no corresponding response or call"
 //! (paper §4.1.4). [`XidMatcher`] keeps a table of outstanding calls per
-//! (client, server, xid) key, pairs each reply with its call, expires
-//! calls that never see a reply, and counts orphan replies whose call was
-//! lost by the mirror port.
+//! (client, server, xid) key, pairs each reply with its call, and expires
+//! calls that never see a reply. It counts nothing: every operation
+//! returns what happened — a retransmission, a pairing or an orphan, the
+//! calls that expired — and the caller keeps the tally (the sniffer's
+//! `SnifferStats`, which states the accounting rules).
 
 use std::collections::HashMap;
-
-use nfstrace_telemetry::{Counter, Gauge, Registry};
 
 /// Key identifying an outstanding call: the flow plus the XID.
 ///
@@ -38,59 +38,6 @@ pub struct PendingCall<T> {
     pub data: T,
 }
 
-/// A snapshot of matching statistics (see [`XidMatcher::stats`]).
-///
-/// The authoritative storage is the set of `rpc.xid.*` counters in
-/// the matcher's [`Registry`] — this struct is a point-in-time read
-/// of them, so what a test asserts and what a daemon exports can
-/// never drift apart.
-///
-/// Accounting rules:
-///
-/// - Every *distinct* transaction bumps `calls` exactly once. A
-///   retransmission — the same [`FlowXid`] inserted while a call is
-///   still outstanding — bumps `retransmits` instead: it is the same
-///   transaction on the wire twice, not a new one, and counting it as
-///   fresh would inflate the loss-rate denominator.
-/// - A transaction then resolves exactly one way: its reply pairs
-///   (`matched`), or it ages out or survives to the end of the capture
-///   (`expired_calls` — [`XidMatcher::expire`] and
-///   [`XidMatcher::drain`] both count there).
-/// - A reply with no outstanding call bumps `orphan_replies`; its call
-///   was never captured, so it never appears in `calls`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct XidStats {
-    /// Distinct calls inserted (retransmissions excluded).
-    pub calls: u64,
-    /// Replies paired with a call.
-    pub matched: u64,
-    /// Replies with no outstanding call (the call was lost).
-    pub orphan_replies: u64,
-    /// Calls expired without a reply (the reply was lost).
-    pub expired_calls: u64,
-    /// Retransmitted calls (same key while one is outstanding); these
-    /// do **not** count in `calls`.
-    pub retransmits: u64,
-}
-
-impl XidStats {
-    /// The §4.1.4 loss estimate.
-    ///
-    /// Unmatched messages over all messages seen:
-    /// `(orphan_replies + expired_calls) / (calls + matched +
-    /// orphan_replies)`. A lost call surfaces as an orphan reply, a
-    /// lost reply as an expired call; `retransmits` feeds neither side
-    /// of the ratio.
-    pub fn estimated_loss_rate(&self) -> f64 {
-        let total = self.calls + self.matched + self.orphan_replies;
-        if total == 0 {
-            0.0
-        } else {
-            (self.orphan_replies + self.expired_calls) as f64 / total as f64
-        }
-    }
-}
-
 /// Matches replies to calls with timeout-based expiry.
 ///
 /// `T` is whatever the caller wants carried from call to reply time
@@ -103,98 +50,52 @@ impl XidStats {
 ///
 /// let mut m: XidMatcher<&'static str> = XidMatcher::new(2_000_000);
 /// let key = FlowXid { client_ip: 1, server_ip: 2, client_port: 900, xid: 7 };
-/// m.insert_call(key, 1_000, "read call");
+/// assert!(!m.insert_call(key, 1_000, "read call"));
+/// assert!(m.insert_call(key, 1_500, "retransmitted"), "same key: a retransmission");
 /// let hit = m.match_reply(key, 2_500).expect("paired");
-/// assert_eq!(hit.data, "read call");
+/// assert_eq!(hit.data, "retransmitted");
+/// assert!(m.match_reply(key, 2_600).is_none(), "nothing pending: an orphan");
 /// ```
 #[derive(Debug)]
 pub struct XidMatcher<T> {
     pending: HashMap<FlowXid, PendingCall<T>>,
     timeout_micros: u64,
-    metrics: XidMetrics,
     /// Most recent timestamp observed, for expiry sweeps.
     now_micros: u64,
 }
 
-/// Registry handles for the `rpc.xid.*` metrics, resolved once at
-/// construction so every hot-path bump is a single relaxed atomic.
-#[derive(Debug, Clone)]
-struct XidMetrics {
-    calls: Counter,
-    matched: Counter,
-    orphan_replies: Counter,
-    expired_calls: Counter,
-    retransmits: Counter,
-    loss_rate: Gauge,
-}
-
-impl XidMetrics {
-    fn register(registry: &Registry) -> Self {
-        XidMetrics {
-            calls: registry.counter("rpc.xid.calls"),
-            matched: registry.counter("rpc.xid.matched"),
-            orphan_replies: registry.counter("rpc.xid.orphan_replies"),
-            expired_calls: registry.counter("rpc.xid.expired_calls"),
-            retransmits: registry.counter("rpc.xid.retransmits"),
-            loss_rate: registry.gauge("rpc.xid.estimated_loss_rate"),
-        }
-    }
-}
-
 impl<T> XidMatcher<T> {
     /// Creates a matcher that expires unanswered calls after
-    /// `timeout_micros`, counting into a private registry.
+    /// `timeout_micros`.
     pub fn new(timeout_micros: u64) -> Self {
-        Self::with_registry(timeout_micros, &Registry::new())
-    }
-
-    /// Like [`XidMatcher::new`], but counts into `registry` (metric
-    /// names `rpc.xid.*`). Sharing one registry across matchers sums
-    /// their counts.
-    pub fn with_registry(timeout_micros: u64, registry: &Registry) -> Self {
         Self {
             pending: HashMap::new(),
             timeout_micros,
-            metrics: XidMetrics::register(registry),
             now_micros: 0,
         }
     }
 
     /// Records an outgoing call observed at `call_micros`.
     ///
-    /// A duplicate key counts as a retransmit — not a fresh call in
-    /// [`XidStats::calls`], since it is the same transaction resent —
-    /// and replaces the stored call (the reply will match the
+    /// Returns `true` when the key was already pending: a
+    /// retransmission, the same transaction on the wire again. It
+    /// replaces the stored call (the reply will match the
     /// retransmission).
-    pub fn insert_call(&mut self, key: FlowXid, call_micros: u64, data: T) {
+    pub fn insert_call(&mut self, key: FlowXid, call_micros: u64, data: T) -> bool {
         self.now_micros = self.now_micros.max(call_micros);
-        if self
-            .pending
+        self.pending
             .insert(key, PendingCall { call_micros, data })
             .is_some()
-        {
-            self.metrics.retransmits.inc();
-        } else {
-            self.metrics.calls.inc();
-        }
     }
 
     /// Attempts to pair a reply observed at `reply_micros` with its call.
     ///
-    /// Returns the pending call on success; `None` means the call was
-    /// never captured (counted as an orphan reply).
+    /// Returns the pending call on success; `None` means no call is
+    /// pending under `key` — an orphan reply, whose call was never
+    /// captured.
     pub fn match_reply(&mut self, key: FlowXid, reply_micros: u64) -> Option<PendingCall<T>> {
         self.now_micros = self.now_micros.max(reply_micros);
-        match self.pending.remove(&key) {
-            Some(call) => {
-                self.metrics.matched.inc();
-                Some(call)
-            }
-            None => {
-                self.metrics.orphan_replies.inc();
-                None
-            }
-        }
+        self.pending.remove(&key)
     }
 
     /// Expires calls older than the timeout relative to the most recent
@@ -212,7 +113,6 @@ impl<T> XidMatcher<T> {
         let mut out = Vec::with_capacity(expired_keys.len());
         for k in expired_keys {
             if let Some(c) = self.pending.remove(&k) {
-                self.metrics.expired_calls.inc();
                 out.push((k, c));
             }
         }
@@ -220,12 +120,10 @@ impl<T> XidMatcher<T> {
         out
     }
 
-    /// Drains every outstanding call (end of capture), counting each as
-    /// expired. Ordered by `(call_micros, key)`, like
-    /// [`XidMatcher::expire`].
+    /// Drains every outstanding call (end of capture). Ordered by
+    /// `(call_micros, key)`, like [`XidMatcher::expire`].
     pub fn drain(&mut self) -> Vec<(FlowXid, PendingCall<T>)> {
         let mut out: Vec<_> = self.pending.drain().collect();
-        self.metrics.expired_calls.add(out.len() as u64);
         out.sort_by_key(|(k, c)| (c.call_micros, *k));
         out
     }
@@ -243,22 +141,6 @@ impl<T> XidMatcher<T> {
     /// with its call's capture time, which is at least this.
     pub fn oldest_pending_micros(&self) -> Option<u64> {
         self.pending.values().map(|c| c.call_micros).min()
-    }
-
-    /// Matching statistics so far: a read of the `rpc.xid.*`
-    /// counters. Also refreshes the `rpc.xid.estimated_loss_rate`
-    /// gauge, so any registry export after a `stats()` call carries
-    /// the current §4.1.4 loss estimate.
-    pub fn stats(&self) -> XidStats {
-        let stats = XidStats {
-            calls: self.metrics.calls.value(),
-            matched: self.metrics.matched.value(),
-            orphan_replies: self.metrics.orphan_replies.value(),
-            expired_calls: self.metrics.expired_calls.value(),
-            retransmits: self.metrics.retransmits.value(),
-        };
-        self.metrics.loss_rate.set(stats.estimated_loss_rate());
-        stats
     }
 }
 
@@ -278,18 +160,17 @@ mod tests {
     #[test]
     fn call_then_reply_pairs() {
         let mut m = XidMatcher::new(1_000_000);
-        m.insert_call(key(1), 100, ());
+        assert!(!m.insert_call(key(1), 100, ()));
         assert_eq!(m.outstanding(), 1);
         assert!(m.match_reply(key(1), 200).is_some());
         assert_eq!(m.outstanding(), 0);
-        assert_eq!(m.stats().matched, 1);
     }
 
     #[test]
     fn orphan_reply_counted() {
         let mut m: XidMatcher<()> = XidMatcher::new(1_000_000);
         assert!(m.match_reply(key(9), 50).is_none());
-        assert_eq!(m.stats().orphan_replies, 1);
+        assert_eq!(m.outstanding(), 0);
     }
 
     #[test]
@@ -301,15 +182,13 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].0.xid, 1);
         assert_eq!(m.outstanding(), 1);
-        assert_eq!(m.stats().expired_calls, 1);
     }
 
     #[test]
     fn retransmit_detected() {
         let mut m = XidMatcher::new(1_000_000);
-        m.insert_call(key(1), 100, "first");
-        m.insert_call(key(1), 300, "retry");
-        assert_eq!(m.stats().retransmits, 1);
+        assert!(!m.insert_call(key(1), 100, "first"));
+        assert!(m.insert_call(key(1), 300, "retry"));
         assert_eq!(m.match_reply(key(1), 400).unwrap().data, "retry");
     }
 
@@ -332,18 +211,20 @@ mod tests {
         assert_eq!(m.match_reply(k1, 1).unwrap().data, "a");
     }
 
+    /// What the §4.1.4 estimate needs, from return values alone: the
+    /// pairs, and the orphans whose calls were dropped.
     #[test]
     fn loss_rate_estimate() {
         let mut m: XidMatcher<()> = XidMatcher::new(1_000);
+        let mut paired = 0;
         for i in 0..90 {
             m.insert_call(key(i), 0, ());
-            m.match_reply(key(i), 1);
+            paired += usize::from(m.match_reply(key(i), 1).is_some());
         }
-        for i in 100..110 {
-            m.match_reply(key(i), 1); // orphans: their calls were dropped
-        }
-        let rate = m.stats().estimated_loss_rate();
-        assert!(rate > 0.04 && rate < 0.06, "rate = {rate}");
+        let orphans = (100..110)
+            .filter(|&i| m.match_reply(key(i), 1).is_none())
+            .count();
+        assert_eq!((paired, orphans, m.outstanding()), (90, 10, 0));
     }
 
     #[test]
@@ -406,23 +287,21 @@ mod tests {
     }
 
     /// A retransmission is the same transaction twice, not a fresh
-    /// call: it must move `retransmits`, not `calls`, or the loss-rate
-    /// denominator inflates.
+    /// call: it says so, and holds one pending slot, which one reply
+    /// resolves.
     #[test]
     fn retransmit_does_not_count_as_fresh_call() {
         let mut m = XidMatcher::new(1_000_000);
-        m.insert_call(key(1), 100, "first");
-        m.insert_call(key(1), 300, "retry");
-        m.insert_call(key(1), 500, "retry again");
-        let stats = m.stats();
-        assert_eq!(stats.calls, 1);
-        assert_eq!(stats.retransmits, 2);
+        assert!(!m.insert_call(key(1), 100, "first"));
+        assert!(m.insert_call(key(1), 300, "retry"));
+        assert!(m.insert_call(key(1), 500, "retry again"));
+        assert_eq!(m.outstanding(), 1);
         assert!(m.match_reply(key(1), 600).is_some());
-        // One transaction, resolved once: the loss estimate sees a
-        // clean capture.
-        let stats = m.stats();
-        assert_eq!(stats.matched, 1);
-        assert_eq!(stats.estimated_loss_rate(), 0.0);
+        assert_eq!(m.outstanding(), 0);
+        assert!(
+            m.drain().is_empty(),
+            "resolved once, nothing left to expire"
+        );
     }
 
     #[test]
@@ -432,6 +311,6 @@ mod tests {
         m.insert_call(key(2), 0, ());
         let drained = m.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(m.stats().expired_calls, 2);
+        assert_eq!(m.outstanding(), 0);
     }
 }

@@ -87,7 +87,8 @@ fn resync_offset(bytes: &[u8]) -> usize {
     bytes.len()
 }
 
-/// The counters describing one sniffer's capture session.
+/// The counters describing one sniffer's capture session — the one
+/// tally of the §4.1.4 completeness estimate.
 ///
 /// This struct is the tally itself: the sniffer owns one and bumps its
 /// fields with plain adds as frames go by ([`Sniffer::stats`] returns a
@@ -97,6 +98,23 @@ fn resync_offset(bytes: &[u8]) -> usize {
 /// [`Sniffer::finish`], so the exported values trail the tally by at
 /// most one batch and equal it after each drain — and, on a registry
 /// several sniffers share, sum over them.
+///
+/// Accounting rules for the XID table (the matcher itself counts
+/// nothing; these fields are what its return values add up to):
+///
+/// - Every *distinct* transaction bumps `calls` exactly once. A
+///   retransmission — the same flow and XID seen again while the call
+///   is still outstanding — bumps `retransmits` instead: it is the same
+///   transaction on the wire twice, and counting it as fresh would
+///   inflate the loss-rate denominator.
+/// - A transaction then resolves exactly one way: its reply pairs
+///   (`matched_replies`), or it outwaits the 120 s reply timeout or the
+///   end of the capture (`lost_replies`).
+/// - A reply with no outstanding call bumps `orphan_replies`; its call
+///   was never captured, so it never appears in `calls`.
+///
+/// Expiry order is deterministic (call time, then flow key), so loss
+/// reports are bit-stable across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnifferStats {
     /// Frames observed.
@@ -107,8 +125,11 @@ pub struct SnifferStats {
     pub rpc_messages: u64,
     /// RPC decode failures (corrupt or partial messages).
     pub decode_errors: u64,
-    /// NFS calls seen.
+    /// Distinct NFS call transactions seen (retransmissions excluded).
     pub calls: u64,
+    /// Calls seen again under a flow and XID still awaiting its reply;
+    /// these do **not** count in `calls`.
+    pub retransmits: u64,
     /// Replies paired with calls.
     pub matched_replies: u64,
     /// Replies whose call was never captured (call lost).
@@ -134,7 +155,10 @@ pub struct SnifferStats {
 }
 
 impl SnifferStats {
-    /// The §4.1.4 loss estimate: unmatched messages over all messages.
+    /// The §4.1.4 loss estimate: unmatched messages over all messages,
+    /// `(orphan_replies + lost_replies) / (calls + matched_replies +
+    /// orphan_replies)`. A lost call surfaces as an orphan reply, a lost
+    /// reply as a lost reply; `retransmits` feeds neither side.
     ///
     /// This is what the *sniffer* failed to pair, not what the tap
     /// failed to deliver: over TCP a lost segment also costs the pairs
@@ -205,6 +229,7 @@ struct SnifferMetrics {
     rpc_messages: Counter,
     decode_errors: Counter,
     calls: Counter,
+    retransmits: Counter,
     matched_replies: Counter,
     orphan_replies: Counter,
     lost_replies: Counter,
@@ -226,6 +251,7 @@ impl SnifferMetrics {
             rpc_messages: registry.counter("sniffer.rpc_messages"),
             decode_errors: registry.counter("sniffer.decode_errors"),
             calls: registry.counter("sniffer.calls"),
+            retransmits: registry.counter("sniffer.retransmits"),
             matched_replies: registry.counter("sniffer.matched_replies"),
             orphan_replies: registry.counter("sniffer.orphan_replies"),
             lost_replies: registry.counter("sniffer.lost_replies"),
@@ -257,6 +283,7 @@ impl SnifferMetrics {
             rpc_messages,
             decode_errors,
             calls,
+            retransmits,
             matched_replies,
             orphan_replies,
             lost_replies,
@@ -296,16 +323,16 @@ impl Sniffer {
         Self::with_registry(&Registry::new())
     }
 
-    /// Like [`Sniffer::new`], but counts into `registry`: the
-    /// `sniffer.*` metrics, plus the XID table's `rpc.xid.*` metrics
-    /// (the same registry is handed down to the matcher). A daemon
-    /// passes its shared registry here so the capture layer shows up
-    /// in the unified export.
+    /// Like [`Sniffer::new`], but publishes into `registry`: the
+    /// `sniffer.*` metrics, carried over from the sniffer's own
+    /// [`SnifferStats`] at every drain and at `finish`, never per frame.
+    /// A daemon passes its shared registry here so the capture layer
+    /// shows up in the unified export.
     pub fn with_registry(registry: &Registry) -> Self {
         Sniffer {
             streams: HashMap::new(),
             engine: Engine {
-                matcher: XidMatcher::with_registry(CALL_TIMEOUT_MICROS, registry),
+                matcher: XidMatcher::new(CALL_TIMEOUT_MICROS),
                 records: Vec::new(),
                 stats: SnifferStats::default(),
                 metrics: SnifferMetrics::register(registry),
@@ -542,14 +569,17 @@ impl Engine {
                     }
                     _ => return,
                 };
-                self.stats.calls += 1;
                 let key = FlowXid {
                     client_ip: addrs.src_ip,
                     server_ip: addrs.dst_ip,
                     client_port: addrs.src_port,
                     xid: msg.xid,
                 };
-                self.matcher.insert_call(key, ts, pending);
+                if self.matcher.insert_call(key, ts, pending) {
+                    self.stats.retransmits += 1;
+                } else {
+                    self.stats.calls += 1;
+                }
             }
             MsgBodyView::Reply(reply) => {
                 let key = FlowXid {
@@ -734,6 +764,23 @@ mod tests {
         assert_eq!(records.len(), events.len() - 1);
     }
 
+    /// A call retransmitted on the same flow and XID is one transaction:
+    /// when no reply ever comes, it is one call with a lost reply, and
+    /// the capture lost everything it saw of that transaction.
+    #[test]
+    fn retransmitted_call_without_reply_is_one_lost_transaction() {
+        let events = session_events(3);
+        let call = WireEncoder::udp().encode_event(&events[0]).remove(0);
+        let mut again = call.clone();
+        again.timestamp_micros += 1_000_000;
+        let (records, stats) = sniff(&[call, again]);
+        assert!(records.is_empty());
+        assert_eq!(stats.calls, 1);
+        assert_eq!(stats.retransmits, 1);
+        assert_eq!(stats.lost_replies, 1);
+        assert_eq!(stats.estimated_loss_rate(), 1.0);
+    }
+
     #[test]
     fn incremental_drain_equals_one_shot_finish() {
         let events = session_events(3);
@@ -770,6 +817,7 @@ mod tests {
             rpc_messages: c("sniffer.rpc_messages"),
             decode_errors: c("sniffer.decode_errors"),
             calls: c("sniffer.calls"),
+            retransmits: c("sniffer.retransmits"),
             matched_replies: c("sniffer.matched_replies"),
             orphan_replies: c("sniffer.orphan_replies"),
             lost_replies: c("sniffer.lost_replies"),

@@ -141,11 +141,6 @@ impl WireEncoder {
         self
     }
 
-    /// Lossy v3→v2 narrowings this encoder has performed so far.
-    pub fn downgrade_stats(&self) -> DowngradeStats {
-        self.downgrade.snapshot()
-    }
-
     /// Stable client port derived from the client address.
     pub fn client_port(client_ip: u32) -> u16 {
         700 + (client_ip % 251) as u16

@@ -93,6 +93,7 @@ fn mutate(bytes: &[u8], (kind, pos, val): Mutation) -> Vec<u8> {
 struct RefCounts {
     rpc_messages: u64,
     calls: u64,
+    retransmits: u64,
     matched_replies: u64,
     orphan_replies: u64,
     lost_replies: u64,
@@ -162,16 +163,24 @@ fn reference(frames: &[WireMsg]) -> (Vec<TraceRecord>, RefCounts) {
                         },
                         _ => continue,
                     };
-                c.calls += 1;
-                pending.insert(
-                    (src_ip, dst_ip, src_port, msg.xid),
-                    RefPending {
-                        ts: *ts,
-                        uid,
-                        gid,
-                        kind,
-                    },
-                );
+                // A call under a key still pending is that transaction
+                // again, not a new one.
+                let resent = pending
+                    .insert(
+                        (src_ip, dst_ip, src_port, msg.xid),
+                        RefPending {
+                            ts: *ts,
+                            uid,
+                            gid,
+                            kind,
+                        },
+                    )
+                    .is_some();
+                if resent {
+                    c.retransmits += 1;
+                } else {
+                    c.calls += 1;
+                }
             }
             MsgBody::Reply(reply) => {
                 let key = (dst_ip, src_ip, dst_port, msg.xid);
@@ -247,6 +256,7 @@ proptest! {
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(stats.rpc_messages, counts.rpc_messages);
         prop_assert_eq!(stats.calls, counts.calls);
+        prop_assert_eq!(stats.retransmits, counts.retransmits);
         prop_assert_eq!(stats.matched_replies, counts.matched_replies);
         prop_assert_eq!(stats.orphan_replies, counts.orphan_replies);
         prop_assert_eq!(stats.lost_replies, counts.lost_replies);

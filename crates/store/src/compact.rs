@@ -1,14 +1,13 @@
-//! Segment lifecycle: LSM-style compaction, retention tiering, and the
-//! crash-safe seal protocol they share with live ingest.
+//! Segment lifecycle: LSM-style compaction and the crash-safe seal
+//! protocol it shares with live ingest.
 //!
 //! A long-running ingest seals thousands of small segments; a
 //! multi-month archive queried through a flat list of them pays a
 //! footer parse per segment per open and leaves the directory fragile
 //! to crash leftovers. This module merges adjacent sealed segments
 //! into larger **generation-tagged** segments (see
-//! [`crate::segments`]) and retires the oldest under a retention
-//! budget, both without ever making a reader choose between torn
-//! states.
+//! [`crate::segments`]) without ever making a reader choose between
+//! torn states.
 //!
 //! # Compaction
 //!
@@ -54,14 +53,6 @@
 //! [`FaultInjector`] makes the kill points testable: the crash-recovery
 //! proptest runs every protocol with a budget of *n* filesystem steps
 //! for every possible *n* and reopens after each induced crash.
-//!
-//! # Retention
-//!
-//! [`RetentionPolicy`] retires oldest-first while the catalog exceeds a
-//! byte budget or segments age past a horizon — deleting them, or
-//! moving them (with sidecars) into an archive directory, which keeps
-//! the full trace reconstructable: the archive ∪ the live catalog is
-//! byte-identical to never having retired at all.
 
 use crate::error::{Result, StoreError};
 use crate::reader::StoreReader;
@@ -167,7 +158,7 @@ impl CompactionPolicy {
     /// The first mergeable run in `ids` (ascending catalog order), as
     /// the generation-bumped output id covering it — `None` when
     /// nothing is ripe. A run is `fan_in` segments of equal generation
-    /// whose ordinal ranges are contiguous (no retention gap).
+    /// whose ordinal ranges are contiguous (no ordinal gap).
     pub fn plan(&self, ids: &[SegmentId]) -> Option<SegmentId> {
         let k = self.fan_in.max(2);
         ids.windows(k).find_map(|w| {
@@ -358,117 +349,6 @@ impl Compactor {
     }
 }
 
-/// What to keep: the retention budget a catalog is trimmed to, oldest
-/// segments first. All limits are optional; an unset policy retires
-/// nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RetentionPolicy {
-    /// Retire oldest segments while the catalog's total segment bytes
-    /// exceed this.
-    pub max_total_bytes: Option<u64>,
-    /// Retire segments whose newest record is more than this many
-    /// microseconds older than the catalog's newest record.
-    pub max_age_micros: Option<u64>,
-    /// Where retired segments go: `Some` moves them (with sidecars)
-    /// into this directory — the archive tier, from which the full
-    /// trace remains reconstructable — `None` deletes them.
-    pub archive_dir: Option<PathBuf>,
-}
-
-impl RetentionPolicy {
-    /// Whether this policy can ever retire anything.
-    pub fn is_unbounded(&self) -> bool {
-        self.max_total_bytes.is_none() && self.max_age_micros.is_none()
-    }
-}
-
-/// One segment retired by [`apply_retention`].
-#[derive(Debug)]
-pub struct RetiredSegment {
-    /// Which segment.
-    pub id: SegmentId,
-    /// Its on-disk size when retired.
-    pub bytes: u64,
-    /// Where it went (`None` = deleted).
-    pub archived_to: Option<PathBuf>,
-}
-
-/// Trims `catalog` to `policy`, oldest segments first, counting each
-/// into `store.segments_retired`. The newest segment is always kept —
-/// a catalog never retires itself to emptiness — and retirement never
-/// splits the middle of the timeline, so what remains is still a
-/// contiguous, openable catalog.
-///
-/// # Errors
-///
-/// On I/O failure reading segment footers or moving/removing files.
-pub fn apply_retention(
-    catalog: &mut SegmentCatalog,
-    policy: &RetentionPolicy,
-    registry: &Registry,
-) -> Result<Vec<RetiredSegment>> {
-    let retired_counter = registry.counter("store.segments_retired");
-    let mut retired = Vec::new();
-    if policy.is_unbounded() {
-        return Ok(retired);
-    }
-    // Size from metadata, age from the footer — neither decodes a
-    // chunk, so retention stays cheap at archive scale.
-    struct SegmentInfo {
-        id: SegmentId,
-        bytes: u64,
-        range: Option<(u64, u64)>,
-    }
-    let mut infos: Vec<SegmentInfo> = Vec::with_capacity(catalog.len());
-    for id in catalog.ids().to_vec() {
-        let path = catalog.path_of(&id);
-        let bytes = std::fs::metadata(&path)?.len();
-        let range = StoreReader::open(&path)?.time_range();
-        infos.push(SegmentInfo { id, bytes, range });
-    }
-    let mut total: u64 = infos.iter().map(|i| i.bytes).sum();
-    let newest = infos.iter().filter_map(|i| i.range.map(|(_, hi)| hi)).max();
-    let mut idx = 0;
-    while infos.len() - idx > 1 {
-        let SegmentInfo { id, bytes, range } = infos[idx];
-        let over_budget = policy.max_total_bytes.is_some_and(|cap| total > cap);
-        let too_old = match (policy.max_age_micros, newest, range) {
-            (Some(age), Some(newest), Some((_, seg_max))) => seg_max < newest.saturating_sub(age),
-            _ => false,
-        };
-        if !over_budget && !too_old {
-            break;
-        }
-        let path = catalog.path_of(&id);
-        let sidecar = seqfile::sidecar_path(&path);
-        let archived_to = if let Some(dir) = &policy.archive_dir {
-            std::fs::create_dir_all(dir)?;
-            let dest = dir.join(id.file_name());
-            std::fs::rename(&path, &dest)?;
-            if sidecar.exists() {
-                std::fs::rename(&sidecar, seqfile::sidecar_path(&dest))?;
-            }
-            Some(dest)
-        } else {
-            std::fs::remove_file(&path)?;
-            if sidecar.exists() {
-                std::fs::remove_file(&sidecar)?;
-            }
-            None
-        };
-        catalog.forget(&id);
-        total -= bytes;
-        retired_counter.inc();
-        retired.push(RetiredSegment {
-            id,
-            bytes,
-            archived_to,
-        });
-        idx += 1;
-    }
-    Ok(retired)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,19 +395,15 @@ mod tests {
         cat
     }
 
-    fn collect(readers: &[Arc<StoreReader>]) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        stream_records(readers, 0, u64::MAX, &mut |r| out.push(r.clone()));
-        out
-    }
-
     fn catalog_records(cat: &SegmentCatalog) -> Vec<TraceRecord> {
         let readers: Vec<Arc<StoreReader>> = cat
             .paths()
             .iter()
             .map(|p| Arc::new(StoreReader::open(p).expect("open")))
             .collect();
-        collect(&readers)
+        let mut out = Vec::new();
+        stream_records(&readers, 0, u64::MAX, &mut |r| out.push(r.clone()));
+        out
     }
 
     #[test]
@@ -543,7 +419,7 @@ mod tests {
             })
         );
         assert_eq!(policy.plan(&base[..2]), None, "too few");
-        // A retention gap breaks contiguity.
+        // An ordinal gap breaks contiguity.
         let gapped = [SegmentId::base(0), SegmentId::base(2), SegmentId::base(3)];
         assert_eq!(policy.plan(&gapped), None);
         // Mixed generations do not merge; a run of equals later does.
@@ -672,77 +548,6 @@ mod tests {
         assert!(
             matches!(&err, StoreError::Sidecar { segment, .. } if segment.ends_with("seg-000001.nfseg")),
             "{err}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn retention_trims_oldest_and_archives_reconstructably() {
-        let dir = tmpdir("retain");
-        let mut cat = seed_catalog(&dir, 4, 50, false);
-        let before = catalog_records(&cat);
-        let seg_bytes = std::fs::metadata(cat.path_for(0)).expect("meta").len();
-        let reg = Registry::new();
-        let archive = dir.join("archive");
-        let policy = RetentionPolicy {
-            // Budget for two segments: the two oldest retire.
-            max_total_bytes: Some(seg_bytes * 2 + seg_bytes / 2),
-            max_age_micros: None,
-            archive_dir: Some(archive.clone()),
-        };
-        let retired = apply_retention(&mut cat, &policy, &reg).expect("retain");
-        assert_eq!(
-            retired.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![SegmentId::base(0), SegmentId::base(1)]
-        );
-        assert_eq!(reg.counter("store.segments_retired").value(), 2);
-        assert_eq!(cat.ids(), &[SegmentId::base(2), SegmentId::base(3)]);
-        // Archive ∪ live catalog reconstructs the original stream.
-        let archived = SegmentCatalog::open(&archive).expect("archive catalog");
-        assert_eq!(archived.ids(), &[SegmentId::base(0), SegmentId::base(1)]);
-        let mut union: Vec<Arc<StoreReader>> = Vec::new();
-        for p in archived.paths().iter().chain(cat.paths().iter()) {
-            union.push(Arc::new(StoreReader::open(p).expect("open")));
-        }
-        assert_eq!(collect(&union), before);
-        // An unbounded policy retires nothing; the newest segment is
-        // never retired even under an impossible budget.
-        assert!(apply_retention(&mut cat, &RetentionPolicy::default(), &reg)
-            .expect("noop")
-            .is_empty());
-        let brutal = RetentionPolicy {
-            max_total_bytes: Some(0),
-            max_age_micros: None,
-            archive_dir: None,
-        };
-        apply_retention(&mut cat, &brutal, &reg).expect("brutal");
-        assert_eq!(cat.ids(), &[SegmentId::base(3)], "newest survives");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn retention_by_age_uses_footer_time_ranges() {
-        let dir = tmpdir("age");
-        // 4 segments × 50 records × 1000 µs: segment s spans
-        // [s·50_000, s·50_000 + 49_000].
-        let mut cat = seed_catalog(&dir, 4, 50, false);
-        let reg = Registry::new();
-        let policy = RetentionPolicy {
-            max_total_bytes: None,
-            // Newest record is at 199_000 µs; a 110_000 µs horizon
-            // retires segments whose newest record predates 89_000 µs
-            // — segment 0 (max 49_000) only.
-            max_age_micros: Some(110_000),
-            archive_dir: None,
-        };
-        let retired = apply_retention(&mut cat, &policy, &reg).expect("retain");
-        assert_eq!(
-            retired.iter().map(|r| r.id).collect::<Vec<_>>(),
-            vec![SegmentId::base(0)]
-        );
-        assert_eq!(
-            cat.ids(),
-            &[SegmentId::base(1), SegmentId::base(2), SegmentId::base(3)]
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -99,7 +99,7 @@ pub mod segments;
 pub mod seqfile;
 pub mod writer;
 
-pub use compact::{CompactionPolicy, Compactor, FaultInjector, RetentionPolicy};
+pub use compact::{CompactionPolicy, Compactor, FaultInjector};
 pub use error::{Result, StoreError};
 pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind};
 pub use index::{stream_records, stream_records_with_threads, StoreIndex};

@@ -314,12 +314,6 @@ impl SegmentCatalog {
         self.ids.push(SegmentId::base(ordinal));
     }
 
-    /// Removes `id` from the in-memory catalog — retention retired its
-    /// file (deleted or moved to the archive tier).
-    pub fn forget(&mut self, id: &SegmentId) {
-        self.ids.retain(|x| x != id);
-    }
-
     /// Records that a compaction's `output` segment replaced the
     /// contiguous run of catalog entries its ordinal range covers, and
     /// returns that run's position as `(first index, length)` — the

@@ -84,8 +84,10 @@ pub struct StoreWriter {
 /// The write-side `store.*` slice of the pipeline-health export.
 #[derive(Debug)]
 struct StoreWriteMetrics {
-    /// `store.records_written` — records accepted by [`StoreWriter::push`]
-    /// or relocated by [`StoreWriter::append_chunk`].
+    /// `store.records_written` — records in the chunks this writer has
+    /// flushed or relocated by [`StoreWriter::append_chunk`]: counted
+    /// per chunk, when the chunk reaches the file, never per
+    /// [`StoreWriter::push`].
     records_written: Counter,
     /// `store.chunks_written` — chunks flushed or relocated to disk.
     chunks_written: Counter,
@@ -110,8 +112,10 @@ impl StoreWriteMetrics {
         }
     }
 
-    /// Accounts one flushed chunk and refreshes the ratio gauge.
-    fn record_chunk(&self, raw_len: usize, stored_len: usize) {
+    /// Accounts one flushed chunk of `records` records and refreshes
+    /// the ratio gauge.
+    fn record_chunk(&self, records: u64, raw_len: usize, stored_len: usize) {
+        self.records_written.add(records);
         self.chunks_written.inc();
         self.chunk_bytes_raw.add(raw_len as u64);
         self.chunk_bytes_stored.add(stored_len as u64);
@@ -200,7 +204,6 @@ impl StoreWriter {
         self.prev_micros = r.micros;
         self.any_pushed = true;
         self.chunk_records += 1;
-        self.metrics.records_written.inc();
         if self.chunk_buf.len() + self.names.encoded_len() >= self.config.target_chunk_bytes {
             self.flush_chunk()?;
         }
@@ -271,7 +274,8 @@ impl StoreWriter {
             stored.extend_from_slice(&payload);
         }
         self.out.write_all(&stored)?;
-        self.metrics.record_chunk(raw_len, stored.len());
+        self.metrics
+            .record_chunk(self.chunk_records, raw_len, stored.len());
         self.chunks.push(ChunkMeta {
             offset: self.offset,
             len: stored.len() as u64,

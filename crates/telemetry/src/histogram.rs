@@ -10,14 +10,11 @@
 //! commutative, and bit-for-bit equal to what a single recorder would
 //! have produced. The proptest suite pins exactly that property.
 //!
-//! Recording is lock-free and allocation-free: the histogram stripes
-//! its buckets the same way [`crate::Counter`] does, and a record is
-//! three relaxed `fetch_add`s on this thread's stripe.
+//! Recording is lock-free and allocation-free: a record is three
+//! relaxed `fetch_add`s on one cache-line-aligned set of buckets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use crate::registry::{stripe, STRIPES};
 
 /// Number of buckets: one for zero plus one per power of two.
 pub const BUCKETS: usize = 64;
@@ -45,33 +42,28 @@ pub fn bucket_upper_bound(i: usize) -> Option<u64> {
     }
 }
 
+#[repr(align(64))]
 #[derive(Debug)]
-struct Stripe {
+struct Buckets {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-impl Default for Stripe {
-    fn default() -> Self {
-        Stripe {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A striped log-scale histogram. Cloning shares the stripes.
+/// A log-scale histogram. Cloning shares the buckets.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    stripes: Arc<[Stripe; STRIPES]>,
+    inner: Arc<Buckets>,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            stripes: Arc::new(std::array::from_fn(|_| Stripe::default())),
+            inner: Arc::new(Buckets {
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0),
+            }),
         }
     }
 }
@@ -85,25 +77,20 @@ impl Histogram {
     /// Record one observation. Lock-free, allocation-free.
     #[inline]
     pub fn record(&self, v: u64) {
-        let s = &self.stripes[stripe()];
-        s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
+        let h = &self.inner;
+        h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        h.count.fetch_add(1, Ordering::Relaxed);
+        h.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Merge all stripes into a plain-data snapshot.
+    /// A plain-data snapshot of the buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot::default();
-        for s in self.stripes.iter() {
-            for (i, b) in s.buckets.iter().enumerate() {
-                snap.buckets[i] += b.load(Ordering::Relaxed);
-            }
-            snap.count += s.count.load(Ordering::Relaxed);
-            // `record` accumulates with wrapping `fetch_add`, so the
-            // cross-stripe total must wrap the same way.
-            snap.sum = snap.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
+        let h = &self.inner;
+        HistogramSnapshot {
+            buckets: std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed)),
+            count: h.count.load(Ordering::Relaxed),
+            sum: h.sum.load(Ordering::Relaxed),
         }
-        snap
     }
 }
 

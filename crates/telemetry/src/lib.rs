@@ -1,5 +1,5 @@
-//! Unified pipeline telemetry: a sharded metrics registry, stage
-//! spans, and a periodic exporter.
+//! Unified pipeline telemetry: a metrics registry, stage spans, and a
+//! periodic exporter.
 //!
 //! The paper's collector ran unattended against a production mirror
 //! port for months; its loss counters were the published evidence that
@@ -10,11 +10,18 @@
 //!
 //! # Design constraints
 //!
-//! - **Lock-free hot path.** [`Counter::inc`], [`Gauge::set`], and
+//! - **Publish at boundaries.** A layer counts in its own plain tally
+//!   and copies the tally's growth into the registry at a boundary it
+//!   already has — the sniffer per drain, the live ingest per batch,
+//!   a store writer per chunk — so exported values trail the tally by
+//!   at most one batch and equal it when the layer finishes. Nothing
+//!   on the capture, ingest or store-write path touches the registry
+//!   per record.
+//! - **Plain atomics.** [`Counter::inc`], [`Gauge::set`], and
 //!   [`Histogram::record`] are a handful of relaxed atomic operations
-//!   on cache-line-padded stripes — no locks, and **no heap
-//!   allocation** (the sniffer's alloc-budget test pins zero
-//!   steady-state allocations per record, telemetry included). The
+//!   on one cache-line-aligned instrument — not striped per thread,
+//!   because publishing at boundaries leaves no instrument that two
+//!   threads bump per record. No locks and **no heap allocation**; the
 //!   only lock is a registration-time mutex in [`Registry`].
 //! - **Deterministic, mergeable histograms.** [`Histogram`] uses
 //!   fixed power-of-two bucket edges, so snapshots from any number of

@@ -5,56 +5,31 @@
 //! [`Registry::gauge`] / [`Registry::histogram`]) takes a mutex and
 //! allocates; it happens once, at component construction. The
 //! returned [`Counter`] / [`Gauge`] / [`Histogram`] handles are then
-//! pure relaxed-atomic instruments: lock-free and allocation-free, so
-//! they are safe to touch from per-packet and per-record hot paths.
+//! pure relaxed-atomic instruments: lock-free and allocation-free.
 //!
-//! Counters are striped across cache-line-padded atomics with a
-//! thread-local stripe assignment, so concurrent writers (the sharded
-//! live ingest, pipelined store decode) do not bounce one cache line.
-//! Reads sum the stripes; a read concurrent with writes sees some
-//! prefix of them, which is the usual monotonic-counter contract.
+//! They are still not meant to be touched per record. The pipeline's
+//! layers keep their own plain tallies and publish them at boundaries
+//! (a drain, a batch, a chunk, a call), so no hot path has two threads
+//! bumping one counter per record, and no instrument is striped per
+//! thread: a [`Counter`] is one atomic on its own cache line.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::export::Snapshot;
 use crate::histogram::Histogram;
 
-/// Number of cache-line-padded stripes per counter/histogram. Threads
-/// are assigned stripes round-robin; more threads than stripes share.
-pub(crate) const STRIPES: usize = 8;
-
+/// One `u64` on its own cache line, so two instruments written from
+/// different threads never share one.
 #[repr(align(64))]
 #[derive(Debug, Default)]
-pub(crate) struct PaddedU64(pub(crate) AtomicU64);
+struct PaddedU64(AtomicU64);
 
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// This thread's stripe index, assigned round-robin on first use.
-/// Allocation-free (const-initialized thread local).
-pub(crate) fn stripe() -> usize {
-    STRIPE.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-            s.set(v);
-            v
-        }
-    })
-}
-
-/// A monotonic counter. Cloning shares the underlying stripes.
+/// A monotonic counter. Cloning shares the underlying atomic.
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    stripes: Arc<[PaddedU64; STRIPES]>,
+    value: Arc<PaddedU64>,
 }
 
 impl Counter {
@@ -72,15 +47,12 @@ impl Counter {
     /// Add `n`. Lock-free, allocation-free.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value: the sum over all stripes.
+    /// Current value.
     pub fn value(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.0.load(Ordering::Relaxed)
     }
 }
 
@@ -223,7 +195,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_stripes_sum() {
+    fn counter_sums_its_adds() {
         let c = Counter::new();
         c.inc();
         c.add(41);
