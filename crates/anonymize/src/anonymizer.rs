@@ -1,12 +1,19 @@
 //! The record-level anonymizer.
 
+use crate::blob::{malformed, read_sorted, read_u32, write_sorted};
 use crate::names::NameAnonymizer;
 use crate::tables::IdTable;
 use nfstrace_core::record::{FileId, TraceRecord};
-use serde::{Deserialize, Serialize};
+use nfstrace_store::codec::{read_varint, write_varint};
+use nfstrace_store::error::Result;
+use nfstrace_store::format::fnv1a64;
+use std::collections::HashMap;
+
+const MAGIC: &[u8; 4] = b"NFAN";
+const VERSION: u8 = 1;
 
 /// What to anonymize and what to omit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnonymizerConfig {
     /// Secret seed; keep it out of published traces.
     pub seed: u64,
@@ -48,7 +55,7 @@ impl Default for AnonymizerConfig {
 /// // Consistency: anonymizing again gives the same output.
 /// assert_eq!(anon.anonymize(&rec), out);
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Anonymizer {
     config: AnonymizerConfig,
     uids: IdTable,
@@ -59,14 +66,9 @@ pub struct Anonymizer {
     /// Direct whole-handle map shadowing `fhs`. File handles are the
     /// hottest identities (up to three per record), and the half-based
     /// `IdTable` scheme costs two lookups each; this cache answers
-    /// repeat handles with one. Rebuilt lazily after deserialization —
-    /// the `IdTable` mappings it mirrors are stable.
-    #[serde(skip, default = "default_fh_cache")]
-    fh_cache: std::collections::HashMap<u64, u64>,
-}
-
-fn default_fh_cache() -> std::collections::HashMap<u64, u64> {
-    std::collections::HashMap::new()
+    /// repeat handles with one. Rebuilt lazily after a restore — the
+    /// `IdTable` mappings it mirrors are stable.
+    fh_cache: HashMap<u64, u64>,
 }
 
 impl Anonymizer {
@@ -78,7 +80,7 @@ impl Anonymizer {
             ips: IdTable::new(config.seed ^ 0x3, &[]),
             fhs: IdTable::new(config.seed ^ 0x4, &[]),
             names: NameAnonymizer::new(config.seed ^ 0x5),
-            fh_cache: default_fh_cache(),
+            fh_cache: HashMap::new(),
             config,
         }
     }
@@ -133,23 +135,88 @@ impl Anonymizer {
         records.iter().map(|r| self.anonymize(r)).collect()
     }
 
-    /// Serializes the mapping state to JSON (to be stored under access
-    /// control at the traced site).
+    /// Serializes the mapping, which the traced site keeps under access
+    /// control, as a checksummed binary blob; one mapping always gives
+    /// the same bytes.
     ///
-    /// # Errors
+    /// Layout, like the store's sidecars ([`nfstrace_store::seqfile`]):
+    /// magic `NFAN`, a `u8` version, a body of LEB128 varints, and a
+    /// little-endian `u64` FNV-1a checksum of the body. The body holds
+    /// the configuration (seed; passthrough uids, then gids; flags, bit
+    /// 0 `omit_names` and bit 1 `omit_identities`), the assigned pairs
+    /// of the uid, gid, ip and file-handle [`IdTable`]s, then the name
+    /// anonymizer's passthrough names and suffixes and the assigned
+    /// pairs of its stem and suffix tables. Each set or map is a count
+    /// and its entries, sorted; a string is its length and UTF-8 bytes.
     ///
-    /// Any `serde_json` serialization error.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
+    /// Derived, not stored: each table's seed and token prefix (from
+    /// the configured seed, as [`Anonymizer::new`] derives them), the
+    /// used tokens (passthrough ∪ assigned), the generators, and the
+    /// file-handle cache.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let config = &self.config;
+        let mut body = Vec::new();
+        write_varint(&mut body, config.seed);
+        for ids in [&config.passthrough_uids, &config.passthrough_gids] {
+            write_sorted(&mut body, ids, |buf, &id| write_varint(buf, id.into()));
+        }
+        let flags = u64::from(config.omit_names) | (u64::from(config.omit_identities) << 1);
+        write_varint(&mut body, flags);
+        for table in [&self.uids, &self.gids, &self.ips, &self.fhs] {
+            table.write_assigned(&mut body);
+        }
+        self.names.write_to(&mut body);
+        let checksum = fnv1a64(&body).to_le_bytes();
+        [MAGIC.as_slice(), &[VERSION], &body, &checksum].concat()
     }
 
-    /// Restores an anonymizer (with its mappings) from JSON.
+    /// Restores an anonymizer from [`Anonymizer::to_bytes`]. It maps all
+    /// the original had mapped exactly as the original did, and keeps
+    /// assigning new tokens without collisions.
     ///
     /// # Errors
     ///
-    /// Any `serde_json` deserialization error.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
+    /// [`nfstrace_store::StoreError::Format`] on a bad magic, version or
+    /// checksum, truncation, trailing bytes, a count the remaining bytes
+    /// cannot hold (checked before anything is reserved for it), entries
+    /// out of order or repeated, or a token assigned twice.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let (head, checksum) = bytes
+            .split_last_chunk::<8>()
+            .ok_or_else(|| malformed("truncated"))?;
+        let (&version, body) = head
+            .strip_prefix(MAGIC)
+            .and_then(<[u8]>::split_first)
+            .ok_or_else(|| malformed("bad magic"))?;
+        if version != VERSION {
+            return Err(malformed(&format!("unsupported version {version}")));
+        }
+        if fnv1a64(body) != u64::from_le_bytes(*checksum) {
+            return Err(malformed("checksum mismatch"));
+        }
+        let pos = &mut 0;
+        let seed = read_varint(body, pos)?;
+        let passthrough_uids = read_sorted(body, pos, 1, read_u32)?;
+        let passthrough_gids = read_sorted(body, pos, 1, read_u32)?;
+        let flags = read_varint(body, pos)?;
+        if flags > 0b11 {
+            return Err(malformed(&format!("unknown flags {flags:#x}")));
+        }
+        let mut anon = Anonymizer::new(AnonymizerConfig {
+            seed,
+            passthrough_uids,
+            passthrough_gids,
+            omit_names: flags & 1 != 0,
+            omit_identities: flags & 2 != 0,
+        });
+        for table in [&mut anon.uids, &mut anon.gids, &mut anon.ips, &mut anon.fhs] {
+            table.read_assigned(body, pos)?;
+        }
+        anon.names.read_from(body, pos)?;
+        if *pos != body.len() {
+            return Err(malformed("trailing bytes"));
+        }
+        Ok(anon)
     }
 }
 
@@ -243,26 +310,32 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrips_through_json() {
-        let mut a = Anonymizer::new(AnonymizerConfig::default());
+    fn state_roundtrips_through_bytes() {
+        let mut a = Anonymizer::new(AnonymizerConfig {
+            passthrough_uids: vec![7, 0, 7],
+            omit_names: true,
+            ..AnonymizerConfig::default()
+        });
         let before = a.anonymize(&rec(1001, "keep.dat"));
-        let json = a.to_json().unwrap();
-        let mut b = Anonymizer::from_json(&json).unwrap();
+        let bytes = a.to_bytes();
+        let mut b = Anonymizer::from_bytes(&bytes).unwrap();
+        assert_eq!(b.to_bytes(), bytes);
         let after = b.anonymize(&rec(1001, "keep.dat"));
         assert_eq!(before, after);
+        assert_eq!(b.anonymize(&rec(7, "x")).uid, 7, "passthrough restored");
+        assert_eq!(after.name, None, "omission restored");
     }
 
     #[test]
     fn fh_fast_path_matches_table_path() {
         // The whole-handle cache must be invisible: hitting it, missing
-        // it, and rebuilding it after deserialization all yield the
-        // mapping the underlying IdTable halves define.
+        // it, and rebuilding it after a restore all yield the mapping
+        // the underlying IdTable halves define.
         let mut a = Anonymizer::new(AnonymizerConfig::default());
         let fh = FileId(0xdead_beef_0042);
         let first = a.map_fh(fh);
         assert_eq!(a.map_fh(fh), first, "cache hit differs from miss");
-        let json = a.to_json().unwrap();
-        let mut b = Anonymizer::from_json(&json).unwrap();
+        let mut b = Anonymizer::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(b.map_fh(fh), first, "rebuilt cache diverged");
         // A handle sharing one 32-bit half still shares that half.
         let sibling = FileId(0xdead_beef_0042 ^ (1 << 40));

@@ -29,6 +29,7 @@
 #![warn(clippy::redundant_clone)]
 
 pub mod anonymizer;
+mod blob;
 pub mod names;
 pub mod tables;
 

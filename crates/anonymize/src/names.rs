@@ -10,12 +10,13 @@
 //!   components (`lock`) pass through unchanged;
 //! - a leading dot is structural (a dot file stays a dot file).
 
+use crate::blob::{read_sorted, read_str, write_sorted, write_str};
 use crate::tables::StringTable;
-use serde::{Deserialize, Serialize};
+use nfstrace_store::error::Result;
 use std::collections::HashSet;
 
 /// Anonymizes last-path-components.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct NameAnonymizer {
     stems: StringTable,
     suffixes: StringTable,
@@ -117,6 +118,26 @@ impl NameAnonymizer {
             self.stems.map(stem)
         }
     }
+
+    /// Appends the passthrough name and suffix sets, then the stem and
+    /// suffix tables.
+    pub(crate) fn write_to(&self, buf: &mut Vec<u8>) {
+        for set in [&self.passthrough_names, &self.passthrough_suffixes] {
+            write_sorted(buf, set, |buf, s| write_str(buf, s));
+        }
+        self.stems.write_assigned(buf);
+        self.suffixes.write_assigned(buf);
+    }
+
+    /// Reads what [`NameAnonymizer::write_to`] wrote into this new
+    /// anonymizer: the stored passthrough sets replace the defaults.
+    pub(crate) fn read_from(&mut self, bytes: &[u8], pos: &mut usize) -> Result<()> {
+        for set in [&mut self.passthrough_names, &mut self.passthrough_suffixes] {
+            *set = read_sorted(bytes, pos, 1, read_str)?.into_iter().collect();
+        }
+        self.stems.read_assigned(bytes, pos)?;
+        self.suffixes.read_assigned(bytes, pos)
+    }
 }
 
 #[cfg(test)]
@@ -210,11 +231,17 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_mapping() {
+    fn byte_roundtrip_preserves_mapping() {
         let mut a = anon();
+        a.add_passthrough_name("keep-me");
         let before = a.map("keepsake.doc");
-        let json = serde_json::to_string(&a).unwrap();
-        let mut b: NameAnonymizer = serde_json::from_str(&json).unwrap();
+        let mut buf = Vec::new();
+        a.write_to(&mut buf);
+        let mut b = anon();
+        let mut pos = 0;
+        b.read_from(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
         assert_eq!(b.map("keepsake.doc"), before);
+        assert_eq!(b.map("keep-me"), "keep-me");
     }
 }

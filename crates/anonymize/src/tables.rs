@@ -1,16 +1,28 @@
 //! Consistent random-assignment tables.
 
+use crate::blob::{malformed, read_sorted, read_str, read_u32, write_sorted, write_str};
+use nfstrace_store::codec::write_varint;
+use nfstrace_store::error::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+
+/// The generator a table holding `len` assignments draws from next: a
+/// new table starts from its seed, a restored one from the seed salted
+/// by how many assignments it already holds.
+fn table_rng(seed: u64, len: usize, salt_shift: u32) -> StdRng {
+    StdRng::seed_from_u64(seed ^ ((len as u64) << salt_shift))
+}
 
 /// Maps 32-bit identities (UIDs, GIDs, IPs) to arbitrary-but-consistent
 /// replacement values.
 ///
 /// Assignments are random draws (never hashes), collision-free, and
-/// remembered for the table's lifetime. The whole table serializes so a
-/// site can keep its mapping under access control.
+/// remembered for the table's lifetime. [`crate::Anonymizer::to_bytes`]
+/// stores only the assigned pairs: a varint count, then varint
+/// `(identity, token)` pairs sorted by identity. A restore derives the
+/// rest: seed and passthrough set from the configuration, used tokens
+/// as passthrough ∪ assigned, the generator from `seed ^ (len << 13)`.
 ///
 /// # Examples
 ///
@@ -22,18 +34,13 @@ use std::collections::{HashMap, HashSet};
 /// assert_eq!(t.map(1001), a);   // consistent
 /// assert_eq!(t.map(0), 0);      // passthrough
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct IdTable {
     seed: u64,
     assigned: HashMap<u32, u32>,
     used: HashSet<u32>,
     passthrough: HashSet<u32>,
-    #[serde(skip, default = "default_rng")]
-    rng: Option<StdRng>,
-}
-
-fn default_rng() -> Option<StdRng> {
-    None
+    rng: StdRng,
 }
 
 impl IdTable {
@@ -47,7 +54,7 @@ impl IdTable {
             assigned: HashMap::new(),
             used: passthrough.clone(),
             passthrough,
-            rng: Some(StdRng::seed_from_u64(seed)),
+            rng: table_rng(seed, 0, 13),
         }
     }
 
@@ -59,14 +66,9 @@ impl IdTable {
         if let Some(&v) = self.assigned.get(&id) {
             return v;
         }
-        let rng = self.rng.get_or_insert_with(|| {
-            // After deserialization the RNG resumes from a state salted
-            // by how many assignments already exist.
-            StdRng::seed_from_u64(self.seed ^ (self.assigned.len() as u64) << 13)
-        });
-        let mut candidate = rng.gen::<u32>();
+        let mut candidate = self.rng.gen::<u32>();
         while self.used.contains(&candidate) {
-            candidate = rng.gen::<u32>();
+            candidate = self.rng.gen::<u32>();
         }
         self.assigned.insert(id, candidate);
         self.used.insert(candidate);
@@ -82,17 +84,41 @@ impl IdTable {
     pub fn is_empty(&self) -> bool {
         self.assigned.is_empty()
     }
+
+    /// Appends the assigned pairs, sorted by identity.
+    pub(crate) fn write_assigned(&self, buf: &mut Vec<u8>) {
+        write_sorted(buf, &self.assigned, |buf, (&id, &token)| {
+            write_varint(buf, id.into());
+            write_varint(buf, token.into());
+        });
+    }
+
+    /// Reads [`IdTable::write_assigned`]'s pairs into this new table. A
+    /// token assigned twice, or equal to a passthrough identity, would
+    /// merge two identities: that is an error.
+    pub(crate) fn read_assigned(&mut self, bytes: &[u8], pos: &mut usize) -> Result<()> {
+        let pairs = read_sorted(bytes, pos, 2, |b, p| Ok((read_u32(b, p)?, read_u32(b, p)?)))?;
+        for (id, token) in pairs {
+            if self.assigned.insert(id, token).is_some() || !self.used.insert(token) {
+                return Err(malformed("an identity or token is assigned twice"));
+            }
+        }
+        self.rng = table_rng(self.seed, self.assigned.len(), 13);
+        Ok(())
+    }
 }
 
 /// Maps strings (name stems, suffixes) to consistent random tokens.
-#[derive(Debug, Serialize, Deserialize)]
+///
+/// Stored like [`IdTable`], with the prefix derived too and the
+/// generator re-seeded with `seed ^ (len << 17)`.
+#[derive(Debug)]
 pub struct StringTable {
     seed: u64,
     prefix: String,
     assigned: HashMap<String, String>,
     used: HashSet<String>,
-    #[serde(skip, default = "default_rng")]
-    rng: Option<StdRng>,
+    rng: StdRng,
 }
 
 impl StringTable {
@@ -104,7 +130,7 @@ impl StringTable {
             prefix: prefix.to_string(),
             assigned: HashMap::new(),
             used: HashSet::new(),
-            rng: Some(StdRng::seed_from_u64(seed)),
+            rng: table_rng(seed, 0, 17),
         }
     }
 
@@ -113,13 +139,9 @@ impl StringTable {
         if let Some(v) = self.assigned.get(s) {
             return v.clone();
         }
-        let prefix = self.prefix.clone();
-        let rng = self.rng.get_or_insert_with(|| {
-            StdRng::seed_from_u64(self.seed ^ (self.assigned.len() as u64) << 17)
-        });
-        let mut token = format!("{prefix}{:06x}", rng.gen::<u32>() & 0xff_ffff);
+        let mut token = format!("{}{:06x}", self.prefix, self.rng.gen::<u32>() & 0xff_ffff);
         while self.used.contains(&token) {
-            token = format!("{prefix}{:06x}", rng.gen::<u32>() & 0xff_ffff);
+            token = format!("{}{:06x}", self.prefix, self.rng.gen::<u32>() & 0xff_ffff);
         }
         self.assigned.insert(s.to_string(), token.clone());
         self.used.insert(token.clone());
@@ -134,6 +156,27 @@ impl StringTable {
     /// Whether no assignment has been made.
     pub fn is_empty(&self) -> bool {
         self.assigned.is_empty()
+    }
+
+    /// Appends the assigned pairs, sorted by string.
+    pub(crate) fn write_assigned(&self, buf: &mut Vec<u8>) {
+        write_sorted(buf, &self.assigned, |buf, (s, token)| {
+            write_str(buf, s);
+            write_str(buf, token);
+        });
+    }
+
+    /// Reads [`StringTable::write_assigned`]'s pairs into this new
+    /// table; a token assigned twice is an error.
+    pub(crate) fn read_assigned(&mut self, bytes: &[u8], pos: &mut usize) -> Result<()> {
+        let pairs = read_sorted(bytes, pos, 2, |b, p| Ok((read_str(b, p)?, read_str(b, p)?)))?;
+        for (s, token) in pairs {
+            if !self.used.insert(token.clone()) || self.assigned.insert(s, token).is_some() {
+                return Err(malformed("a string or token is assigned twice"));
+            }
+        }
+        self.rng = table_rng(self.seed, self.assigned.len(), 17);
+        Ok(())
     }
 }
 
@@ -169,15 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn id_table_serde_roundtrip_keeps_assignments() {
+    fn id_table_byte_roundtrip_keeps_assignments() {
         let mut t = IdTable::new(4, &[]);
         let a = t.map(77);
-        let json = serde_json::to_string(&t).unwrap();
-        let mut t2: IdTable = serde_json::from_str(&json).unwrap();
+        let mut buf = Vec::new();
+        t.write_assigned(&mut buf);
+        let mut t2 = IdTable::new(4, &[]);
+        let mut pos = 0;
+        t2.read_assigned(&buf, &mut pos).unwrap();
+        assert_eq!(pos, buf.len());
         assert_eq!(t2.map(77), a);
-        // New assignments still work after deserialization.
+        // New assignments still work after a restore, drawn from the
+        // seed salted by the one assignment already held.
         let b = t2.map(88);
         assert_ne!(a, b);
+        assert_eq!(b, StdRng::seed_from_u64(4 ^ (1 << 13)).gen::<u32>());
     }
 
     #[test]
@@ -188,6 +237,19 @@ mod tests {
         assert!(a.starts_with('n'));
         assert_ne!(t.map("other"), a);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn string_table_byte_roundtrip_keeps_assignments() {
+        let mut t = StringTable::new(5, "n");
+        let a = t.map("inbox-stem");
+        let mut buf = Vec::new();
+        t.write_assigned(&mut buf);
+        let mut t2 = StringTable::new(5, "n");
+        t2.read_assigned(&buf, &mut 0).unwrap();
+        assert_eq!(t2.map("inbox-stem"), a);
+        let draw = StdRng::seed_from_u64(5 ^ (1 << 17)).gen::<u32>() & 0xff_ffff;
+        assert_eq!(t2.map("other"), format!("n{draw:06x}"));
     }
 
     #[test]

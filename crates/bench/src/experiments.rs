@@ -10,6 +10,7 @@ use nfstrace_core::record::TraceRecord;
 use nfstrace_fssim::readahead::{replay, MetricReadAhead, ReplayOutcome, StrictSequential};
 use nfstrace_fssim::{DiskModel, DiskParams};
 use nfstrace_net::mirror::{MirrorConfig, MirrorPort, MirrorStats, MirrorVerdict};
+use nfstrace_net::udp::NFS_PORT;
 use nfstrace_serve::ReplayPlan;
 use nfstrace_sniffer::{Sniffer, SnifferStats, WireEncoder};
 use std::fmt::Write as _;
@@ -78,7 +79,6 @@ pub type Loss = Experiment<LossRow, 3>;
 /// record whose reply the trace lost is not a pair and stays off the
 /// wire.
 pub fn loss(records: &[TraceRecord]) -> Loss {
-    const NFS_PORT: u16 = 2049;
     // The CAMPUS monitor in a burst: 500 Mb/s of mirror, 160 KiB deep.
     let tap = MirrorConfig {
         rate_bytes_per_sec: 62_000_000.0,

@@ -7,13 +7,10 @@
 //! are folded into one [`Op`] enumeration, as the paper's own analyses
 //! treat the two protocol versions uniformly.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A server-assigned file identity (derived from the file handle).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct FileId(pub u64);
 
 impl fmt::Display for FileId {
@@ -23,7 +20,7 @@ impl fmt::Display for FileId {
 }
 
 /// Version-independent NFS operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Op {
     Null,
@@ -161,7 +158,7 @@ impl fmt::Display for Op {
 /// Optional fields are populated when the operation carries them: `name`
 /// for directory ops, `offset`/`count` for data ops, sizes from reply
 /// attributes, and so on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Capture time of the call, microseconds since the trace epoch.
     pub micros: u64,

@@ -17,16 +17,12 @@ use crate::service::{NfsService, ReplayService};
 use nfstrace_live::{LiveConfig, LiveIngest, LiveSummary, SnifferSource};
 use nfstrace_net::mirror::{MirrorConfig, MirrorPort, MirrorStats, MirrorVerdict};
 use nfstrace_net::pcap::CapturedPacket;
+use nfstrace_net::udp::NFS_PORT;
 use nfstrace_sniffer::{SnifferStats, WireEncoder};
 use nfstrace_store::error::Result;
 use nfstrace_telemetry::Registry;
 use std::path::Path;
 use std::sync::Arc;
-
-/// The NFS port the synthesized frames carry (the real server binds an
-/// ephemeral loopback port; the tap re-addresses to the canonical one
-/// so captured flows look like production traffic).
-const NFS_PORT: u16 = 2049;
 
 /// Packets fed to the sniffer per streaming batch.
 const PACKETS_PER_BATCH: usize = 512;
@@ -35,7 +31,9 @@ const PACKETS_PER_BATCH: usize = 512;
 /// would have seen them: tap events serialized by `(trace idx, dir)`
 /// — each call immediately followed by its reply, retransmissions and
 /// duplicates in place — then record-marked, MSS-chunked, and
-/// timestamped with the trace clock.
+/// timestamped with the trace clock. The frames carry the canonical
+/// [`NFS_PORT`], not the ephemeral loopback port the real server binds,
+/// so captured flows look like production traffic.
 pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
     let mut ordered: Vec<&TapEvent> = tap.iter().collect();
     ordered.sort_by_key(|e| (e.idx, e.dir));

@@ -40,6 +40,7 @@ use nfstrace_core::record::TraceRecord;
 use nfstrace_net::packet::{PacketView, Transport};
 use nfstrace_net::pcap::CapturedPacket;
 use nfstrace_net::reassembly::StreamReassembler;
+use nfstrace_net::udp::NFS_PORT;
 use nfstrace_nfs::v2::{Call2View, Proc2, ReplyFacts2};
 use nfstrace_nfs::v3::{Call3View, Proc3, ReplyFacts3};
 use nfstrace_rpc::record::RecordReader;
@@ -367,7 +368,7 @@ impl Sniffer {
             return;
         };
         // Only NFS traffic is interesting.
-        if pkt.src_port != 2049 && pkt.dst_port != 2049 {
+        if pkt.src_port != NFS_PORT && pkt.dst_port != NFS_PORT {
             self.engine.stats.ignored_frames += 1;
             return;
         }

@@ -15,6 +15,7 @@ use nfstrace_net::ethernet::MacAddr;
 use nfstrace_net::ipv4::Ipv4Addr4;
 use nfstrace_net::packet::PacketBuilder;
 use nfstrace_net::pcap::CapturedPacket;
+use nfstrace_net::udp::NFS_PORT;
 pub use nfstrace_nfs::v2::DowngradeStats;
 use nfstrace_nfs::v2::{Call2, Reply2};
 use nfstrace_rpc::auth::{AuthUnix, OpaqueAuth};
@@ -91,9 +92,6 @@ pub struct WireEncoder {
     /// Lossy v3→v2 narrowings observed while encoding.
     downgrade: DowngradeCounters,
 }
-
-/// The well-known NFS port.
-const NFS_PORT: u16 = 2049;
 
 impl WireEncoder {
     /// A UDP encoder (the EECS configuration).

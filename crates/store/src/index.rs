@@ -223,16 +223,7 @@ impl StoreIndex {
     }
 
     /// Indexes the concatenation of already-open stores (segments in
-    /// time order).
-    ///
-    /// # Errors
-    ///
-    /// On chunk read/decode failure or out-of-order segments.
-    pub fn from_readers(readers: Vec<Arc<StoreReader>>) -> Result<Self> {
-        Self::from_readers_with_threads(readers, parallel::threads())
-    }
-
-    /// [`StoreIndex::from_readers`] with an explicit worker count.
+    /// time order) with an explicit worker count.
     ///
     /// # Errors
     ///

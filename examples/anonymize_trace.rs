@@ -55,10 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         s_raw.rw_bytes_ratio()
     );
 
-    // The mapping (kept private by the traced site) can be stored.
-    let mapping = anonymizer.to_json()?;
+    // The mapping (kept private by the traced site) can be stored, and
+    // restoring it continues the very same mapping.
+    let mapping = anonymizer.to_bytes();
+    let mut restored = Anonymizer::from_bytes(&mapping)?;
+    assert_eq!(restored.anonymize_trace(&records), anonymized);
     println!(
-        "anonymization map: {} bytes of JSON (keep it secret)",
+        "anonymization map: {} bytes (keep it secret); restored, it re-anonymizes the trace identically",
         mapping.len()
     );
     Ok(())
