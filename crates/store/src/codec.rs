@@ -36,6 +36,8 @@ const F_TRUNCATE: u32 = 1 << 5;
 const F_NEW_FH: u32 = 1 << 6;
 const F_FTYPE: u32 = 1 << 7;
 const F_EOF: u32 = 1 << 8;
+/// Every bit the presence bitmap defines.
+const F_KNOWN: u64 = (F_EOF as u64) * 2 - 1;
 
 /// Appends a LEB128 varint.
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -353,9 +355,9 @@ impl RecordFields {
     ///
     /// # Errors
     ///
-    /// On truncation anywhere, a timestamp delta overflowing `u64`, an
-    /// unknown op byte, a narrow field past `u32::MAX`, or a name index
-    /// out of range.
+    /// On truncation anywhere, a timestamp delta overflowing `u64`, a
+    /// presence flag the codec does not define, an unknown op byte, a
+    /// narrow field past `u32::MAX`, or a name index out of range.
     // Forced into the chunk walker's loop: left to itself rustc keeps
     // this a call that returns the whole struct through memory, and a
     // point query that reads `fh` and drops the rest pays for all of it.
@@ -365,7 +367,13 @@ impl RecordFields {
             .checked_add(read_varint(bytes, pos)?)
             .ok_or_else(|| StoreError::Format("timestamp delta overflows".into()))?;
         let reply_delta = unzigzag(read_varint(bytes, pos)?);
-        let flags = read_varint(bytes, pos)? as u32;
+        let flags = read_varint(bytes, pos)?;
+        if flags & !F_KNOWN != 0 {
+            return Err(StoreError::Format(format!(
+                "unknown record flags {flags:#x}"
+            )));
+        }
+        let flags = flags as u32;
 
         let take_byte = |pos: &mut usize| -> Result<u8> {
             let &b = bytes
@@ -492,7 +500,7 @@ impl RecordFields {
 ///
 /// # Errors
 ///
-/// On truncation, an unknown op byte, or a name index out of range.
+/// As [`RecordFields::parse`].
 pub fn decode_record(
     bytes: &[u8],
     pos: &mut usize,

@@ -10,6 +10,7 @@ use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_core::reorder::{self, Access};
 use nfstrace_core::runs::{split_runs, Run, RunOptions};
 use nfstrace_telemetry::Registry;
+use std::borrow::Borrow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -107,6 +108,63 @@ fn overlapping_chunks(readers: &[Arc<StoreReader>], start: u64, end: u64) -> Vec
         }
     }
     jobs
+}
+
+/// The point-query planner behind [`StoreIndex::file_records`] and
+/// [`StoreReader::records_for_file_in`]: `fh`'s records in
+/// `[start, end)` across `readers`, in time order.
+///
+/// The plan is made once, as [`overlapping_chunks`] makes a window's:
+/// a segment is dismissed whole when [`StoreReader::prune_window`] or
+/// [`StoreReader::prune_file`] says so, and of the rest every chunk
+/// whose footer time range or [`crate::format::FileIdFilter`] rules
+/// `fh` out is counted into `store.chunks_skipped`. The admitted
+/// chunks are decoded by [`parallel::run_sharded`] on `threads`
+/// workers (one job runs inline), then — in chunk order — false
+/// positives are counted, the first failure is returned, and the
+/// matches are moved into one exactly sized `Vec`.
+pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
+    readers: &[R],
+    fh: FileId,
+    start: u64,
+    end: u64,
+    threads: usize,
+) -> Result<Vec<TraceRecord>> {
+    let mut jobs = Vec::new();
+    for (ri, reader) in readers.iter().enumerate() {
+        let reader = reader.borrow();
+        if reader.prune_window(start, end) || reader.prune_file(fh) {
+            continue;
+        }
+        for (ci, m) in reader.chunks().iter().enumerate() {
+            if m.overlaps(start, end) && m.may_contain_file(fh) {
+                jobs.push((ri, ci));
+            } else {
+                reader.metrics.chunks_skipped.inc();
+            }
+        }
+    }
+    let parts = parallel::run_sharded(jobs.len(), threads, |i| {
+        let (ri, ci) = jobs[i];
+        readers[ri].borrow().file_chunk_records(ci, fh, start, end)
+    });
+    // Up to the first failure: the chunks that held no record of `fh`
+    // (a decode the filter made us pay for) and the answer's size.
+    let mut len = 0;
+    for (part, &(ri, _)) in parts.iter().zip(&jobs) {
+        let Ok((records, holds_file)) = part else {
+            break;
+        };
+        if !holds_file {
+            readers[ri].borrow().metrics.filter_false_positives.inc();
+        }
+        len += records.len();
+    }
+    let mut out = Vec::with_capacity(len);
+    for part in parts {
+        out.extend(part?.0);
+    }
+    Ok(out)
 }
 
 /// A [`TraceView`] whose records live on disk — in one store file or
@@ -315,30 +373,34 @@ impl StoreIndex {
 
     /// This view's records whose primary handle is `fh`, in time order.
     ///
-    /// Planned in two cuts: whole segments are dismissed first — by
-    /// folded footer time range against the view's window, then by
+    /// Planned once, in two cuts: whole segments are dismissed first —
+    /// by folded footer time range against the view's window, then by
     /// "no chunk filter admits `fh`" ([`StoreReader::prune_window`] /
     /// [`StoreReader::prune_file`], counted as
     /// `store.segments_pruned`) — and only the survivors' chunks are
     /// tested individually against their footer time ranges and
-    /// [`crate::format::FileIdFilter`]s. On a multi-segment catalog a
-    /// single file's records usually live in a handful of chunks, so
-    /// most segments are never touched (observable via
-    /// [`StoreReader::chunks_decoded`]). The result always equals
-    /// filtering a full scan.
+    /// [`crate::format::FileIdFilter`]s (`store.chunks_skipped`). On a
+    /// multi-segment catalog a single file's records usually live in a
+    /// handful of chunks, so most segments are never touched
+    /// (observable via [`StoreReader::chunks_decoded`]).
+    ///
+    /// The admitted (segment, chunk) pairs are decoded on
+    /// `NFSTRACE_THREADS` workers — a one-chunk query runs inline —
+    /// each parsing and checking every record of its chunk and
+    /// building only `fh`'s. The matches are concatenated once, in
+    /// chunk order (segments in catalog order), into one exactly sized
+    /// `Vec`, so the result equals filtering a full scan at any worker
+    /// count; `store.filter_false_positives` counts, in the same
+    /// order, the admitted chunks that held no record of `fh`.
     ///
     /// # Errors
     ///
-    /// On chunk read/decode failure.
+    /// The error of the first failing admitted chunk in chunk order —
+    /// the one a serial walk would stop at. Admitted chunks after it
+    /// may already have been decoded by then, and counted in
+    /// `store.chunks_decoded`.
     pub fn file_records(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
-        let mut out = Vec::new();
-        for reader in &self.readers {
-            if reader.prune_window(self.start, self.end) || reader.prune_file(fh) {
-                continue;
-            }
-            out.extend(reader.records_for_file_in(fh, self.start, self.end)?);
-        }
-        Ok(out)
+        file_records_in(&self.readers, fh, self.start, self.end, parallel::threads())
     }
 
     /// One file's reorder-corrected access stream — the single-file
@@ -408,5 +470,132 @@ impl TraceView for StoreIndex {
             &self.registry,
         )
         .unwrap_or_else(|e| panic!("store unreadable while windowing: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{StoreConfig, StoreWriter};
+    use nfstrace_core::record::Op;
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+
+    /// Writes `records` as a catalog of `segments` contiguous stretches
+    /// under a fresh directory named after `tag`.
+    fn write_catalog(tag: &str, records: &[TraceRecord], segments: usize, chunk: usize) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("nfstrace-plan-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut catalog = SegmentCatalog::open(&dir).expect("catalog");
+        for part in records.chunks(records.len().div_ceil(segments)) {
+            let ordinal = catalog.next_ordinal();
+            let config = StoreConfig {
+                target_chunk_bytes: chunk,
+            };
+            let mut w = StoreWriter::create(catalog.path_for(ordinal), config).expect("create");
+            for r in part {
+                w.push(r).expect("push");
+            }
+            w.finish().expect("finish");
+            catalog.note_sealed(ordinal);
+        }
+        dir
+    }
+
+    const PLANNER_COUNTERS: [&str; 4] = [
+        "store.chunks_decoded",
+        "store.chunks_skipped",
+        "store.filter_false_positives",
+        "store.segments_pruned",
+    ];
+
+    proptest! {
+        /// A point query is the filtered full scan at 1, 2, 3 and 8
+        /// workers, on any catalog and any window, and moves the
+        /// planner's four counters by the same amounts at each: the
+        /// same chunks are skipped and decoded, only concurrently.
+        #[test]
+        fn a_point_query_is_the_same_at_every_worker_count(
+            draws in proptest::collection::vec((0u64..3_000_000, 0u64..12, any::<bool>()), 1..400),
+            segments in 1usize..5,
+            chunk in 48usize..1024,
+            (a, b, windowed) in (0u64..3_000_000, 0u64..3_000_000, any::<bool>()),
+            pick in 0usize..500,
+        ) {
+            let mut records: Vec<TraceRecord> = draws
+                .iter()
+                .map(|&(micros, fh, named)| {
+                    let r = TraceRecord::new(micros, Op::Read, FileId(fh)).with_range(micros, 4096);
+                    if named { r.with_name(format!("f{fh}")) } else { r }
+                })
+                .collect();
+            records.sort_by_key(|r| r.micros);
+            let dir = write_catalog("workers", &records, segments, chunk);
+            let registry = Registry::new();
+            let whole = StoreIndex::open_dir_with_registry(&dir, &registry).expect("open");
+            let view = if windowed { whole.time_window(a.min(b), a.max(b)) } else { whole };
+            // A file of the trace more often than not.
+            let fh = records.get(pick).map_or(FileId(99), |r| r.fh);
+            let scan: Vec<TraceRecord> = records
+                .iter()
+                .filter(|r| r.fh == fh && r.micros >= view.start && r.micros < view.end)
+                .cloned()
+                .collect();
+
+            let counted = || PLANNER_COUNTERS.map(|name| registry.counter(name).value());
+            let mut serial_moves = None;
+            for threads in [1, 2, 3, 8] {
+                let before = counted();
+                let answer = file_records_in(&view.readers, fh, view.start, view.end, threads)
+                    .expect("query");
+                let after = counted();
+                let moves: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+                prop_assert_eq!(&answer, &scan, "threads={}", threads);
+                prop_assert_eq!(moves, *serial_moves.get_or_insert(moves), "threads={}", threads);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// With admitted chunks corrupt in two segments, every worker count
+    /// fails the query with the serial walk's error — that of the first
+    /// corrupt chunk in chunk order — and none panics or hangs.
+    #[test]
+    fn a_corrupt_chunk_fails_the_query_alike_at_every_worker_count() {
+        // Every chunk holds the probed file, so every chunk is admitted.
+        let records: Vec<TraceRecord> = (0..3_000u64)
+            .map(|i| TraceRecord::new(i * 100, Op::Read, FileId(i % 3)).with_range(i * 8192, 8192))
+            .collect();
+        let dir = write_catalog("corrupt", &records, 2, 1024);
+        let index = StoreIndex::open_dir(&dir).expect("open");
+        let [first, second] = [0, 1].map(|s| index.readers[s].chunks().len());
+        assert!(first >= 4 && second >= 4, "several chunks per segment");
+
+        // Chunk ⌊n/2⌋ of the first segment, chunk 1 of the second: the
+        // second comes later in chunk order but has the smaller
+        // ordinal, so the message shows which one was reported.
+        let corrupt = [(0, first / 2), (1, 1)];
+        for (s, ci) in corrupt {
+            let reader = &index.readers[s];
+            let m = &reader.chunks()[ci];
+            let mut bytes = std::fs::read(reader.path()).expect("read");
+            bytes[(m.offset + m.len / 2) as usize] ^= 0x10;
+            std::fs::write(reader.path(), &bytes).expect("write");
+        }
+        let probe = FileId(1);
+        let serial = file_records_in(&index.readers, probe, 0, u64::MAX, 1)
+            .expect_err("a corrupt admitted chunk fails the query")
+            .to_string();
+        assert_eq!(
+            serial,
+            format!("malformed store: chunk {} checksum mismatch", first / 2)
+        );
+        for threads in [2, 3, 8] {
+            let err = file_records_in(&index.readers, probe, 0, u64::MAX, threads)
+                .expect_err("a corrupt admitted chunk fails the query");
+            assert_eq!(err.to_string(), serial, "threads={threads}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

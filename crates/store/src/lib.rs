@@ -41,8 +41,9 @@
 //! from the chunk's distinct-handle count** (exact sorted set at low
 //! fan-in, adaptively sized Bloom above) so per-file queries
 //! ([`StoreIndex::file_records`], [`StoreIndex::file_runs`]) keep
-//! skipping chunks that cannot match at any fan-in. Record-replaying
-//! analyses batch through
+//! skipping chunks that cannot match at any fan-in, and decode the
+//! chunks they do admit on the `NFSTRACE_THREADS` workers.
+//! Record-replaying analyses batch through
 //! [`nfstrace_core::index::TraceView::prepare`] into a single fused
 //! decode pass, and that pass **pipelines**: with two or more workers,
 //! [`stream_records`] decodes chunk *i+1* on a worker thread while

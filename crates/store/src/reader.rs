@@ -7,6 +7,7 @@ use crate::format::{
     fnv1a64, ChunkMeta, FileIdFilter, FilterKind, END_MAGIC, FILTER_KIND_BLOOM, FILTER_KIND_EXACT,
     FLAG_COMPRESSED, FLAG_MASK, MAGIC, MAX_CHUNK_PAYLOAD, MAX_FILTER_BYTES,
 };
+use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_telemetry::{Counter, Registry};
 use std::fs::File;
@@ -22,13 +23,13 @@ use std::path::{Path, PathBuf};
 /// takes `&self` and opens its own file handle, so chunk decodes can
 /// run on any number of threads concurrently —
 /// [`nfstrace_core::parallel::run_sharded`] drives the chunk-parallel
-/// index builds in `crate::index`.
+/// index builds and point queries in `crate::index`.
 #[derive(Debug)]
 pub struct StoreReader {
     path: PathBuf,
     chunks: Vec<ChunkMeta>,
     total_records: u64,
-    metrics: StoreReadMetrics,
+    pub(crate) metrics: StoreReadMetrics,
 }
 
 /// Registry handles for the read-side `store.*` metrics: decodes
@@ -37,11 +38,11 @@ pub struct StoreReader {
 /// queries that decoded a chunk the filter admitted but that held no
 /// record for the file (the filter's false positives).
 #[derive(Debug, Clone)]
-struct StoreReadMetrics {
+pub(crate) struct StoreReadMetrics {
     chunks_decoded: Counter,
-    chunks_skipped: Counter,
+    pub(crate) chunks_skipped: Counter,
     segments_pruned: Counter,
-    filter_false_positives: Counter,
+    pub(crate) filter_false_positives: Counter,
 }
 
 impl StoreReadMetrics {
@@ -521,54 +522,72 @@ impl StoreReader {
     ///
     /// # Errors
     ///
-    /// Propagates the first chunk read/decode failure.
+    /// As [`StoreReader::records_for_file_in`].
     pub fn records_for_file(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
         self.records_for_file_in(fh, 0, u64::MAX)
     }
 
     /// [`StoreReader::records_for_file`] restricted to capture times in
-    /// `[start, end)` — the one copy of the skip-then-filter loop, so
-    /// windowed views (`StoreIndex::file_records`) and whole-store
-    /// queries share the same chunk-skipping logic.
+    /// `[start, end)`: the one-segment call of the point-query planner
+    /// behind `StoreIndex::file_records`, so a store file and a
+    /// segment catalog answer through the same plan and the same
+    /// per-chunk body.
     ///
-    /// In each admitted chunk every record is parsed and checked, only
+    /// The plan dismisses the whole store when its footer time range
+    /// misses the window or no chunk filter admits `fh`
+    /// (`store.segments_pruned`); otherwise every chunk whose time
+    /// range or [`FileIdFilter`] rules the query out is skipped
+    /// (`store.chunks_skipped`). The admitted chunks are decoded on
+    /// `NFSTRACE_THREADS` workers — a one-chunk query runs inline —
+    /// and in each of them every record is parsed and checked, only
     /// the matches are built: a corrupt record of *another* file still
     /// fails the query, exactly when a full scan would fail, while the
     /// query allocates for what it returns rather than for the chunk.
+    /// The matches are returned in chunk order, which is time order,
+    /// in one exactly sized `Vec`.
     ///
     /// # Errors
     ///
-    /// Propagates the first chunk read/decode failure.
+    /// The error of the first failing admitted chunk, in chunk order —
+    /// the one a serial walk would stop at. Admitted chunks after it
+    /// may have been decoded by then, and counted in
+    /// `store.chunks_decoded`.
     pub fn records_for_file_in(
         &self,
         fh: FileId,
         start: u64,
         end: u64,
     ) -> Result<Vec<TraceRecord>> {
+        crate::index::file_records_in(&[self], fh, start, end, parallel::threads())
+    }
+
+    /// One admitted chunk of a point query: every record parsed and
+    /// checked, `fh`'s records in `[start, end)` built. The flag says
+    /// whether the chunk held any record of `fh` at all — the filter
+    /// admitted it either way, so `false` is a false positive.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_chunk`].
+    pub(crate) fn file_chunk_records(
+        &self,
+        ordinal: usize,
+        fh: FileId,
+        start: u64,
+        end: u64,
+    ) -> Result<(Vec<TraceRecord>, bool)> {
+        let chunk = self.open_chunk(ordinal)?;
         let mut out = Vec::new();
-        for (i, m) in self.chunks.iter().enumerate() {
-            if !m.overlaps(start, end) || !m.may_contain_file(fh) {
-                self.metrics.chunks_skipped.inc();
-                continue;
-            }
-            let chunk = self.open_chunk(i)?;
-            let mut holds_file = false;
-            chunk.for_each(|r| {
-                if r.fh == fh {
-                    holds_file = true;
-                    if r.micros >= start && r.micros < end {
-                        out.push(r.materialize(&chunk.names));
-                    }
+        let mut holds_file = false;
+        chunk.for_each(|r| {
+            if r.fh == fh {
+                holds_file = true;
+                if r.micros >= start && r.micros < end {
+                    out.push(r.materialize(&chunk.names));
                 }
-            })?;
-            if !holds_file {
-                // The footer filter admitted a chunk with no record
-                // for this file: a false positive we paid a decode
-                // for.
-                self.metrics.filter_false_positives.inc();
             }
-        }
-        Ok(out)
+        })?;
+        Ok((out, holds_file))
     }
 }
 

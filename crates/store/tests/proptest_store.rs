@@ -946,6 +946,69 @@ fn a_corrupt_record_of_another_file_fails_the_query_as_it_fails_the_scan() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Presence-flag bits the codec does not define are an error, not
+/// bits to ignore: a record whose flags varint carries bit 9 or bit 32
+/// — every checksum fixed up — fails the full decode and the point
+/// query with the same message.
+#[test]
+fn unknown_record_flags_fail_the_scan_and_the_query() {
+    let mut r = TraceRecord::new(2_000, Op::Getattr, FileId(0x0246_8ace)).with_range(1 << 30, 777);
+    r.reply_micros = 2_040;
+    r.client = u32::MAX;
+    r.server = 0x0c0d_0e0f;
+    r.xid = 0x1bad_cafe;
+    let path = tmp("badrecordflags", 0);
+    write_with(&path, &[r.clone()], 1 << 20);
+    let meta = StoreReader::open(&path).expect("open").chunks()[0].clone();
+    let clean = std::fs::read(&path).expect("read");
+    let chunk_end = (meta.offset + meta.len) as usize;
+    assert_eq!(clean[meta.offset as usize], 0, "a raw chunk");
+
+    // The record is the chunk's tail: time delta, reply delta, flags
+    // (one byte, 0), op, version, then `client` as five bytes.
+    let mut encoded = Vec::new();
+    nfstrace_store::codec::encode_record(
+        &mut encoded,
+        &r,
+        r.micros,
+        &mut nfstrace_store::codec::NameTable::new(),
+    );
+    let at = chunk_end - encoded.len();
+    assert_eq!(clean[at..chunk_end], encoded[..], "the record is the tail");
+    assert_eq!(encoded[2], 0, "no optional field present");
+    assert_eq!(encoded[5..10], [0xff, 0xff, 0xff, 0xff, 0x0f]);
+
+    for flags in [1u64 << 9, 1 << 32] {
+        // A longer flags varint, paid for by a shorter `client` (all
+        // ones, the bytes the flags took over), so the chunk keeps its
+        // length and every other field still parses.
+        let mut patched = encoded[..2].to_vec();
+        nfstrace_store::codec::write_varint(&mut patched, flags);
+        let client_len = 10 - patched.len() - 2;
+        patched.extend_from_slice(&encoded[3..5]);
+        patched.extend(std::iter::repeat_n(0xff, client_len - 1));
+        patched.push(0x7f);
+        patched.extend_from_slice(&encoded[10..]);
+        assert_eq!(patched.len(), encoded.len());
+
+        let mut bytes = clean.clone();
+        bytes[at..chunk_end].copy_from_slice(&patched);
+        refresh_chunk0_checksum(&mut bytes, &meta);
+        std::fs::write(&path, &bytes).expect("write");
+        let reader = StoreReader::open(&path).expect("footer is consistent");
+        let scan = reader.read_chunk(0).expect_err("the scan must fail");
+        let query = reader
+            .records_for_file(r.fh)
+            .expect_err("the query must fail");
+        assert!(
+            matches!(&scan, StoreError::Format(m) if m.contains("unknown record flags")),
+            "flags {flags:#x}: unexpected error: {scan}"
+        );
+        assert_eq!(query.to_string(), scan.to_string());
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// The on-disk format, pinned byte for byte: three fixed records
 /// through a 1-byte chunk target (one chunk each — a name table, the
 /// raw fallback, three exact filters, the footer and trailer). Any
