@@ -95,10 +95,6 @@ pub type AccessList = Arc<Vec<Access>>;
 /// Per-file access lists, the unit the reorder and run analyses consume.
 pub type AccessMap = HashMap<FileId, AccessList>;
 
-/// Per-file arrival sequence numbers, aligned index-for-index with the
-/// [`AccessMap`] lists of a seq-tracked [`PartialIndex`].
-type SeqMap = HashMap<FileId, Arc<Vec<u64>>>;
-
 /// Cached run tables keyed by (reorder window ms, run options).
 type RunCache = HashMap<(u64, RunOptions), Arc<Vec<Run>>>;
 
@@ -313,24 +309,11 @@ pub trait TraceView: RecordStream + Sized {
 /// lists are copy-on-write ([`AccessList`]), so a snapshot costs
 /// O(counters + hourly buckets) — **not** O(distinct files + accesses)
 /// — and later observes re-copy only the lists a snapshot still holds.
-///
-/// # Sequence tracking
-///
-/// A partial built with [`PartialIndex::with_seq_tracking`] additionally
-/// records, per access, a caller-supplied global arrival sequence
-/// number ([`PartialIndex::observe_seq`]). Seq-tracked partials over
-/// *overlapping* time ranges — the per-shard partials of a sharded live
-/// ingest — can then be merged exactly with [`PartialIndex::merge`]:
-/// sequence numbers recover the original cross-shard interleave that
-/// timestamps alone cannot (equal-microsecond ties).
 #[derive(Debug, Clone)]
 pub struct PartialIndex {
     summary: SummaryStats,
     hourly: HourlyBuilder,
     raw: Arc<AccessMap>,
-    /// Arrival seqs aligned with `raw`; `Some` only for seq-tracked
-    /// partials.
-    seqs: Option<Arc<SeqMap>>,
     len: usize,
 }
 
@@ -363,18 +346,7 @@ impl PartialIndex {
             summary: SummaryStats::accumulator(),
             hourly: HourlyBuilder::default(),
             raw: Arc::new(AccessMap::new()),
-            seqs: None,
             len: 0,
-        }
-    }
-
-    /// An empty partial that records a global arrival sequence number
-    /// per access ([`PartialIndex::observe_seq`]), enabling
-    /// [`PartialIndex::merge`] across time-overlapping partials.
-    pub fn with_seq_tracking() -> Self {
-        PartialIndex {
-            seqs: Some(Arc::new(SeqMap::new())),
-            ..PartialIndex::new()
         }
     }
 
@@ -392,36 +364,11 @@ impl PartialIndex {
 
     /// Folds one record into the summary counters, the hourly buckets,
     /// and the per-file access lists simultaneously.
-    ///
-    /// On a seq-tracked partial use [`PartialIndex::observe_seq`]
-    /// instead, so the seq lists stay aligned with the access lists.
     pub fn observe(&mut self, r: &TraceRecord) {
-        debug_assert!(
-            self.seqs.is_none(),
-            "seq-tracked partials must use observe_seq"
-        );
         self.summary.add(r);
         self.hourly.observe(r);
         if let Some(a) = Access::from_record(r) {
             Arc::make_mut(Arc::make_mut(&mut self.raw).entry(r.fh).or_default()).push(a);
-        }
-        self.len += 1;
-    }
-
-    /// [`PartialIndex::observe`] plus the record's global arrival
-    /// sequence number. Requires [`PartialIndex::with_seq_tracking`].
-    /// Seqs must be unique across every partial later merged together
-    /// and ascending within each partial (an arrival counter is both).
-    pub fn observe_seq(&mut self, r: &TraceRecord, seq: u64) {
-        self.summary.add(r);
-        self.hourly.observe(r);
-        if let Some(a) = Access::from_record(r) {
-            Arc::make_mut(Arc::make_mut(&mut self.raw).entry(r.fh).or_default()).push(a);
-            let seqs = self
-                .seqs
-                .as_mut()
-                .expect("observe_seq requires with_seq_tracking");
-            Arc::make_mut(Arc::make_mut(seqs).entry(r.fh).or_default()).push(seq);
         }
         self.len += 1;
     }
@@ -442,42 +389,23 @@ impl PartialIndex {
     /// `later` is taken to follow every record already folded into
     /// `self`, so the per-file access lists concatenate in trace order.
     pub fn absorb(&mut self, later: PartialIndex) {
-        debug_assert_eq!(
-            self.seqs.is_some(),
-            later.seqs.is_some(),
-            "absorb requires matching seq-tracking modes"
-        );
         self.summary.absorb(&later.summary);
         self.hourly.absorb(later.hourly);
-        Self::absorb_map(&mut self.raw, later.raw);
-        if let (Some(mine), Some(theirs)) = (&mut self.seqs, later.seqs) {
-            Self::absorb_map(mine, theirs);
-        }
-        self.len += later.len;
-    }
-
-    /// Concatenates `later`'s per-key lists after `this`'s. Lists only
-    /// `later` holds are moved in wholesale (the `Arc` is shared, not
-    /// copied).
-    fn absorb_map<K, V>(
-        this: &mut Arc<HashMap<K, Arc<Vec<V>>>>,
-        later: Arc<HashMap<K, Arc<Vec<V>>>>,
-    ) where
-        K: std::hash::Hash + Eq + Clone,
-        V: Clone,
-    {
-        let later = Arc::try_unwrap(later).unwrap_or_else(|a| a.as_ref().clone());
-        let this = Arc::make_mut(this);
-        for (key, list) in later {
-            match this.entry(key) {
+        // Lists only `later` holds move in wholesale (the `Arc` is
+        // shared, not copied).
+        let later_raw = Arc::try_unwrap(later.raw).unwrap_or_else(|a| a.as_ref().clone());
+        let raw = Arc::make_mut(&mut self.raw);
+        for (fh, list) in later_raw {
+            match raw.entry(fh) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
-                    Arc::make_mut(e.get_mut()).extend(list.iter().cloned());
+                    Arc::make_mut(e.get_mut()).extend(list.iter().copied());
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(list);
                 }
             }
         }
+        self.len += later.len;
     }
 
     /// Merges per-chunk partials — ordered by chunk ordinal — into the
@@ -514,84 +442,6 @@ impl PartialIndex {
             hourly: self.hourly.finish(),
             raw: self.raw,
             len: self.len,
-        }
-    }
-
-    /// Merges seq-tracked partials over **overlapping** time ranges —
-    /// the per-shard partials of a sharded live ingest — into the
-    /// finished construction products, exactly as one pass over the
-    /// records in arrival-sequence order would build them.
-    ///
-    /// The counters and hourly buckets are order-insensitive sums; the
-    /// per-file access lists are rebuilt by merging each file's
-    /// per-partial runs in ascending sequence order. A file all of
-    /// whose accesses came through one partial (the common case when
-    /// sharding by client) shares that partial's list `Arc` unmerged.
-    ///
-    /// # Panics
-    ///
-    /// If any partial was not built with
-    /// [`PartialIndex::with_seq_tracking`].
-    pub fn merge<I>(parts: I) -> IndexBase
-    where
-        I: IntoIterator<Item = PartialIndex>,
-    {
-        let mut summary = SummaryStats::accumulator();
-        let mut hourly = HourlyBuilder::default();
-        let mut len = 0usize;
-        // One file's access lists from every partial that saw it, each
-        // paired with its arrival-sequence list.
-        type SeqTaggedLists = Vec<(AccessList, Arc<Vec<u64>>)>;
-        let mut sources: HashMap<FileId, SeqTaggedLists> = HashMap::new();
-        for p in parts {
-            summary.absorb(&p.summary);
-            hourly.absorb(p.hourly);
-            len += p.len;
-            let seqs = p
-                .seqs
-                .expect("PartialIndex::merge requires seq-tracked partials");
-            for (fh, list) in p.raw.iter() {
-                let sq = seqs.get(fh).expect("seq lists aligned with access lists");
-                debug_assert_eq!(list.len(), sq.len());
-                sources
-                    .entry(*fh)
-                    .or_default()
-                    .push((Arc::clone(list), Arc::clone(sq)));
-            }
-        }
-        let mut raw = AccessMap::with_capacity(sources.len());
-        for (fh, mut lists) in sources {
-            let merged = if lists.len() == 1 {
-                lists.pop().expect("one source").0
-            } else {
-                // K-way merge by globally unique arrival seq. The fan-in
-                // is the shard count, so a linear min-scan per access is
-                // cheaper than a heap.
-                let total = lists.iter().map(|(l, _)| l.len()).sum();
-                let mut out = Vec::with_capacity(total);
-                let mut pos = vec![0usize; lists.len()];
-                for _ in 0..total {
-                    let mut best = usize::MAX;
-                    let mut best_seq = u64::MAX;
-                    for (i, (l, s)) in lists.iter().enumerate() {
-                        if pos[i] < l.len() && s[pos[i]] <= best_seq {
-                            best_seq = s[pos[i]];
-                            best = i;
-                        }
-                    }
-                    out.push(lists[best].0[pos[best]]);
-                    pos[best] += 1;
-                }
-                Arc::new(out)
-            };
-            raw.insert(fh, merged);
-        }
-        summary.finish();
-        IndexBase {
-            summary,
-            hourly: hourly.finish(),
-            raw: Arc::new(raw),
-            len,
         }
     }
 }
@@ -1318,76 +1168,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&snap1.raw[&FileId(1)], &snap2.raw[&FileId(1)]));
         assert_eq!(snap1.raw[&FileId(1)].len(), 1);
         assert_eq!(snap2.raw[&FileId(1)].len(), 2);
-    }
-
-    /// The sharded-ingest contract: partials fed disjoint, interleaved
-    /// (and time-overlapping) slices of one stream, each access stamped
-    /// with its global arrival seq, merge to exactly the single-pass
-    /// products — including equal-microsecond ties on a shared file
-    /// split across shards.
-    #[test]
-    fn seq_merge_matches_single_pass_over_any_sharding() {
-        let mut records = sample();
-        // Equal-micros ties on one file, arriving from different shards.
-        for i in 0..6u64 {
-            records.push(rec(77_777, Op::Write, 50, i * 4096, 4096));
-        }
-        records.sort_by_key(|r| r.micros);
-        let whole = PartialIndex::from_records(&records).finish();
-        for shards in [1usize, 2, 3, 5] {
-            let mut parts: Vec<PartialIndex> = (0..shards)
-                .map(|_| PartialIndex::with_seq_tracking())
-                .collect();
-            for (seq, r) in records.iter().enumerate() {
-                // Deterministic but time-uncorrelated routing.
-                let shard = (r.fh.0 as usize ^ (seq / 7)) % shards;
-                parts[shard].observe_seq(r, seq as u64);
-            }
-            let single_source: Vec<FileId> = parts
-                .iter()
-                .flat_map(|p| p.raw.keys().copied())
-                .collect::<std::collections::HashSet<_>>()
-                .into_iter()
-                .filter(|fh| parts.iter().filter(|p| p.raw.contains_key(fh)).count() == 1)
-                .collect();
-            let originals: HashMap<FileId, AccessList> = parts
-                .iter()
-                .flat_map(|p| p.raw.iter().map(|(k, v)| (*k, Arc::clone(v))))
-                .filter(|(k, _)| single_source.contains(k))
-                .collect();
-            let merged = PartialIndex::merge(parts);
-            assert_eq!(merged.summary, whole.summary, "shards={shards}");
-            assert_eq!(merged.hourly, whole.hourly, "shards={shards}");
-            assert_eq!(merged.raw, whole.raw, "shards={shards}");
-            assert_eq!(merged.len, whole.len, "shards={shards}");
-            // Files observed through exactly one shard share that
-            // shard's list Arc instead of being re-merged.
-            for (fh, list) in &originals {
-                assert!(
-                    Arc::ptr_eq(list, &merged.raw[fh]),
-                    "single-source file {fh:?} should share its Arc"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn seq_tracked_absorb_keeps_alignment() {
-        let records = sample();
-        let mut a = PartialIndex::with_seq_tracking();
-        let mut b = PartialIndex::with_seq_tracking();
-        for (seq, r) in records.iter().enumerate() {
-            if seq < records.len() / 2 {
-                a.observe_seq(r, seq as u64);
-            } else {
-                b.observe_seq(r, seq as u64);
-            }
-        }
-        a.absorb(b);
-        let merged = PartialIndex::merge([a]);
-        let whole = PartialIndex::from_records(&records).finish();
-        assert_eq!(merged.raw, whole.raw);
-        assert_eq!(merged.summary, whole.summary);
     }
 
     #[test]

@@ -1,20 +1,17 @@
-//! The bounded-memory ingest loop: hot segment, rotation, sealing.
+//! The bounded-memory ingest loop: one segment chain, one running
+//! index.
 
+use crate::chain::SegmentChain;
 use crate::source::RecordSource;
-use crate::view::{LiveView, ShardChain};
+use crate::view::{for_each_merged, LiveView, ShardChain};
 use nfstrace_core::index::{IndexBase, PartialIndex};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
-use nfstrace_store::compact::{self, FaultInjector};
-use nfstrace_store::seqfile;
-use nfstrace_store::{
-    CompactionPolicy, Compactor, Result, SegmentCatalog, StoreConfig, StoreError, StoreReader,
-    StoreWriter,
-};
+use nfstrace_store::{CompactionPolicy, Result, StoreConfig, StoreError};
 use nfstrace_telemetry::{span, Counter, Gauge, Histogram, Registry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Ingest knobs: where segments land and when the hot segment seals.
 #[derive(Debug, Clone)]
@@ -48,15 +45,15 @@ pub struct LiveConfig {
     /// in one shared [`Registry`] to get a single pipeline-health
     /// export across the daemon, its segment writers/readers, and
     /// every view it snapshots. Shards of a
-    /// [`crate::ShardedLiveIngest`] inherit it, so shard histograms
-    /// merge into one distribution.
+    /// [`crate::ShardedLiveIngest`] write into it too.
     ///
     /// Nothing is published per record. The ingest publishes its
-    /// `live.*` tally at the end of each [`LiveIngest::run`] batch,
-    /// after each shard's share of a sharded batch, and at every
-    /// rotation, view and finish; its segment writers add a chunk's
-    /// records to `store.records_written` when the chunk reaches the
-    /// file. Exported values therefore trail the tally
+    /// `live.*` tally at the end of each batch (a [`LiveIngest::run`]
+    /// batch, a [`crate::ShardedLiveIngest::ingest_batch`]), at every
+    /// rotation of the single writer, and at every view and finish;
+    /// its segment writers add a chunk's records to
+    /// `store.records_written` when the chunk reaches the file.
+    /// Exported values therefore trail the tally
     /// ([`LiveIngest::total_records`], [`LiveIngest::hot_len`]) by at
     /// most one batch and equal it at [`LiveIngest::finish`].
     pub registry: Registry,
@@ -85,38 +82,163 @@ impl LiveConfig {
 }
 
 /// The `live.*` slice of the pipeline-health export, written by
-/// [`LiveIngest::publish`] at batch boundaries (see
+/// [`RunningIndex::publish`] at batch boundaries (see
 /// [`LiveConfig::registry`]).
 #[derive(Debug)]
-pub(crate) struct LiveMetrics {
+struct LiveMetrics {
     /// `live.records_emitted` — records accepted into the hot segment.
     records_emitted: Counter,
-    /// `live.segments_sealed` — hot segments rotated to disk.
-    segments_sealed: Counter,
     /// `live.hot_records` — records currently resident in the hot tail.
     hot_records: Gauge,
-    /// `live.batch_micros` — wall time of each source batch ingested
-    /// (per shard under a sharded ingest; shards share the registry, so
-    /// the per-shard samples merge into one distribution).
-    pub(crate) batch_micros: Histogram,
+    /// `live.batch_micros` — wall time of each batch ingested, one
+    /// sample per batch on either ingest.
+    batch_micros: Histogram,
     /// `live.snapshot_micros` — wall time of each view snapshot.
-    pub(crate) snapshot_micros: Histogram,
+    snapshot_micros: Histogram,
     /// The part of `total_records` `records_emitted` has received.
-    /// Atomic only because [`LiveIngest::view`] publishes through
-    /// `&self`.
+    /// Atomic only because a view publishes through `&self`.
     published: AtomicU64,
 }
 
-impl LiveMetrics {
-    fn register(registry: &Registry) -> Self {
-        LiveMetrics {
-            records_emitted: registry.counter("live.records_emitted"),
-            segments_sealed: registry.counter("live.segments_sealed"),
-            hot_records: registry.gauge("live.hot_records"),
-            batch_micros: registry.histogram("live.batch_micros"),
-            snapshot_micros: registry.histogram("live.snapshot_micros"),
-            published: AtomicU64::new(0),
+/// What either ingest keeps exactly once, however many segment chains
+/// it writes: the global order check, the running [`PartialIndex`] fed
+/// every record in arrival order, its snapshot cache, and the `live.*`
+/// tally.
+#[derive(Debug)]
+pub(crate) struct RunningIndex {
+    index: PartialIndex,
+    last_micros: u64,
+    /// The last finished [`IndexBase`] and the record count (the
+    /// ingest's *generation*) it was built at — repeated views between
+    /// records reuse it.
+    base_cache: Mutex<Option<(usize, IndexBase)>>,
+    registry: Registry,
+    metrics: LiveMetrics,
+}
+
+impl RunningIndex {
+    pub(crate) fn new(registry: &Registry) -> Self {
+        RunningIndex {
+            index: PartialIndex::new(),
+            last_micros: 0,
+            base_cache: Mutex::new(None),
+            registry: registry.clone(),
+            metrics: LiveMetrics {
+                records_emitted: registry.counter("live.records_emitted"),
+                hot_records: registry.gauge("live.hot_records"),
+                batch_micros: registry.histogram("live.batch_micros"),
+                snapshot_micros: registry.histogram("live.snapshot_micros"),
+                published: AtomicU64::new(0),
+            },
         }
+    }
+
+    /// Rebuilds the running state over chains found on disk with one
+    /// replay through [`for_each_merged`], the merge views use, and
+    /// returns it with the arrival sequence past the last one replayed.
+    ///
+    /// # Errors
+    ///
+    /// On chunk read failure, or a [`StoreError::Sidecar`] naming a
+    /// segment whose sequences do not strictly increase.
+    pub(crate) fn replay(registry: &Registry, chains: &[ShardChain]) -> Result<(Self, u64)> {
+        let mut running = RunningIndex::new(registry);
+        let next_seq = for_each_merged(chains, 0, u64::MAX, &mut |r| running.observe(r))?;
+        // Records found on disk were emitted by an earlier run.
+        *running.metrics.published.get_mut() = running.total_records();
+        Ok((running, next_seq))
+    }
+
+    /// Checks that `batch` continues the stream in time order, against
+    /// everything ingested so far — the contract spans batches,
+    /// segments and chains.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::OutOfOrder`] on the first time-travelling record.
+    pub(crate) fn check_order(&self, batch: &[TraceRecord]) -> Result<()> {
+        let mut last = self.last_micros;
+        let mut any = !self.index.is_empty();
+        for r in batch {
+            if any && r.micros < last {
+                return Err(StoreError::OutOfOrder {
+                    prev: last,
+                    next: r.micros,
+                });
+            }
+            last = r.micros;
+            any = true;
+        }
+        Ok(())
+    }
+
+    /// Folds the stream's next record in.
+    pub(crate) fn observe(&mut self, r: &TraceRecord) {
+        self.index.observe(r);
+        self.last_micros = r.micros;
+    }
+
+    /// One `live.batch_micros` sample, ending when dropped.
+    pub(crate) fn batch_span(&self) -> nfstrace_telemetry::SpanTimer {
+        span!(self.metrics.batch_micros)
+    }
+
+    /// The finished products over everything observed so far — a
+    /// copy-on-write snapshot of the running index, cached per
+    /// generation: O(counters + hourly buckets) the first time after a
+    /// record, a pure clone after that.
+    pub(crate) fn snapshot_base(&self) -> IndexBase {
+        let mut cache = self.base_cache.lock().expect("snapshot cache poisoned");
+        if let Some((generation, base)) = cache.as_ref() {
+            if *generation == self.index.len() {
+                return base.clone();
+            }
+        }
+        let base = self.index.snapshot_base();
+        *cache = Some((self.index.len(), base.clone()));
+        base
+    }
+
+    /// Copies the tally's growth since the last call into the `live.*`
+    /// instruments: the records ingested into `live.records_emitted`,
+    /// `hot_len` into `live.hot_records`.
+    pub(crate) fn publish(&self, hot_len: usize) {
+        let total = self.total_records();
+        let was = self.metrics.published.swap(total, Ordering::Relaxed);
+        self.metrics.records_emitted.add(total - was);
+        self.metrics.hot_records.set(hot_len as f64);
+    }
+
+    /// Snapshots a [`LiveView`] over `chains`, which must hold exactly
+    /// the records observed so far, `hot_len` of them hot.
+    pub(crate) fn view(&self, chains: Vec<ShardChain>, hot_len: usize) -> LiveView {
+        let _span = span!(self.metrics.snapshot_micros);
+        self.publish(hot_len);
+        LiveView::assemble(chains, 0, u64::MAX, self.snapshot_base(), &self.registry)
+    }
+
+    pub(crate) fn total_records(&self) -> u64 {
+        self.index.len() as u64
+    }
+}
+
+/// Pumps `source` to exhaustion, handing each batch to `ingest` — the
+/// one source loop behind both ingests' `run`.
+///
+/// # Errors
+///
+/// Propagates the first batch's error.
+pub(crate) fn pump<S: RecordSource + ?Sized>(
+    source: &mut S,
+    mut ingest: impl FnMut(&mut Vec<TraceRecord>) -> Result<()>,
+) -> Result<()> {
+    let mut batch = Vec::new();
+    loop {
+        batch.clear();
+        if !source.next_batch(&mut batch) {
+            return Ok(());
+        }
+        ingest(&mut batch)?;
     }
 }
 
@@ -135,13 +257,13 @@ pub struct LiveSummary {
 
 /// The live ingest daemon: consumes time-ordered records incrementally
 /// from any [`RecordSource`], accumulates them in an in-memory **hot
-/// segment** (a pending [`StoreWriter`] chunk stream plus a running
-/// [`PartialIndex`]), and **seals** the hot segment to an on-disk
-/// store segment whenever it crosses the configured record-count or
-/// time-span threshold. At any instant, [`LiveIngest::view`] snapshots
-/// a [`LiveView`] answering the full analysis suite over *sealed +
-/// hot* — queries run mid-ingest, against exactly the records ingested
-/// so far.
+/// segment** (a pending [`nfstrace_store::StoreWriter`] chunk stream)
+/// while folding each into a running [`PartialIndex`], and **seals**
+/// the hot segment to an on-disk store segment whenever it crosses the
+/// configured record-count or time-span threshold. At any instant,
+/// [`LiveIngest::view`] snapshots a [`LiveView`] answering the full
+/// analysis suite over *sealed + hot* — queries run mid-ingest, against
+/// exactly the records ingested so far.
 ///
 /// # The bounded-memory contract
 ///
@@ -149,8 +271,7 @@ pub struct LiveSummary {
 ///
 /// - the **hot tail** (records pushed since the last seal) is bounded
 ///   by [`LiveConfig::rotate_records`] / [`LiveConfig::rotate_micros`];
-/// - the pending [`StoreWriter`] chunk is bounded by the store's
-///   chunk size;
+/// - the pending writer's chunk is bounded by the store's chunk size;
 /// - sealed records live on disk and are re-decoded chunk-at-a-time
 ///   when a view replays them.
 ///
@@ -163,29 +284,25 @@ pub struct LiveSummary {
 ///
 /// # Snapshot cost
 ///
-/// The running partial's products sit behind copy-on-write [`Arc`]s,
-/// so [`LiveIngest::view`] is a handle clone plus a summary/hourly
-/// copy — O(counters + hourly buckets), **not** O(distinct files) or
-/// O(accesses) — and the finished [`IndexBase`] is cached per ingest
-/// *generation*: repeated views between mutations are pure clones.
-/// Ingest pays for the sharing lazily, copying only the per-file lists
-/// it touches after a snapshot.
+/// The running index's products sit behind copy-on-write
+/// [`std::sync::Arc`]s, so [`LiveIngest::view`] is a handle clone plus
+/// a summary/hourly copy — O(counters + hourly buckets), **not**
+/// O(distinct files) or O(accesses) — and the finished [`IndexBase`] is
+/// cached per ingest *generation*: repeated views between mutations are
+/// pure clones. Ingest pays for the sharing lazily, copying only the
+/// per-file lists it touches after a snapshot.
 ///
 /// # Restartability
 ///
-/// Segments are named by ordinal ([`SegmentCatalog`]); a stopped
-/// ingest reopened with [`LiveIngest::open`] scans the directory,
-/// rebuilds its running partial from the sealed segments (one decode
-/// pass), and appends from the next ordinal — the durable trace is the
-/// segment directory itself. The hot segment grows under a `.tmp`
-/// name and is renamed only after its footer lands, so a crash
+/// Segments are named by ordinal ([`nfstrace_store::SegmentCatalog`]);
+/// a stopped ingest reopened with [`LiveIngest::open`] scans the
+/// directory, rebuilds its running index from the sealed segments (one
+/// decode pass), and appends from the next ordinal — the durable trace
+/// is the segment directory itself. The hot segment grows under a
+/// `.tmp` name and is renamed only after its footer lands, so a crash
 /// mid-segment never leaves an unreadable `seg-*.nfseg`: reopening
 /// sweeps the stale temp and resumes from the last seal (records past
-/// it were never durable and are the rollback unit). A shard of a
-/// [`crate::ShardedLiveIngest`] also writes a sequence sidecar per
-/// segment, renamed *before* the segment itself, so a sealed segment
-/// always has its sidecar; orphan sidecars from a crash in between are
-/// swept alongside the temps.
+/// it were never durable and are the rollback unit).
 ///
 /// # Determinism
 ///
@@ -196,49 +313,8 @@ pub struct LiveSummary {
 /// exactly that.
 #[derive(Debug)]
 pub struct LiveIngest {
-    config: LiveConfig,
-    /// Whether every record carries a global **arrival sequence
-    /// number**, persisted in a [`crate::seqfile`] sidecar next to each
-    /// sealed segment. A plain single-writer ingest needs no sequences
-    /// and writes none; [`crate::ShardedLiveIngest`] tracks them on
-    /// every shard so the merged view can replay the exact original
-    /// interleave, equal timestamps included.
-    track_seqs: bool,
-    catalog: SegmentCatalog,
-    sealed: Vec<Arc<StoreReader>>,
-    /// Arrival sequences per sealed segment, parallel to `sealed`
-    /// (empty unless tracking).
-    sealed_seqs: Vec<Arc<Vec<u64>>>,
-    /// Running construction products over every ingested record,
-    /// sealed and hot alike.
-    running: PartialIndex,
-    /// The hot segment's writer (created with its first record).
-    hot_writer: Option<StoreWriter>,
-    hot_ordinal: u64,
-    hot_records: Arc<Vec<TraceRecord>>,
-    /// Arrival sequences of the hot tail, parallel to `hot_records`
-    /// (empty unless tracking).
-    hot_seqs: Arc<Vec<u64>>,
-    hot_first_micros: u64,
-    last_micros: u64,
-    /// The next arrival sequence a plain [`LiveIngest::ingest`] call
-    /// self-stamps, and the floor `ingest_with_seq` enforces (tracking
-    /// only).
-    next_seq: u64,
-    any_ingested: bool,
-    total_records: u64,
-    peak_hot_records: usize,
-    /// Bumped on every mutation; keys the snapshot cache.
-    generation: u64,
-    /// The last finished [`IndexBase`] and the generation it was built
-    /// at — repeated [`LiveIngest::view`] calls between mutations
-    /// reuse it.
-    base_cache: Mutex<Option<(u64, IndexBase)>>,
-    /// The background merge engine (present iff
-    /// [`LiveConfig::compaction`]).
-    compactor: Option<Compactor>,
-    /// Registry-backed `live.*` instruments (see [`LiveConfig::registry`]).
-    pub(crate) metrics: LiveMetrics,
+    chain: SegmentChain,
+    running: RunningIndex,
 }
 
 impl LiveIngest {
@@ -249,141 +325,32 @@ impl LiveIngest {
     /// If the directory already holds sealed segments (reopen those
     /// with [`LiveIngest::open`]) or cannot be created.
     pub fn create(config: LiveConfig) -> Result<Self> {
-        Self::create_with(config, false)
-    }
-
-    /// [`LiveIngest::create`], tracking arrival sequences iff
-    /// `track_seqs` — the sharded router's shards do.
-    pub(crate) fn create_with(config: LiveConfig, track_seqs: bool) -> Result<Self> {
-        let catalog = SegmentCatalog::open_and_sweep(&config.dir)?;
-        if !catalog.is_empty() {
-            return Err(StoreError::Format(format!(
-                "segment directory {} is not empty; use LiveIngest::open to resume",
-                config.dir.display()
-            )));
-        }
-        Ok(Self::with_catalog(config, track_seqs, catalog, Vec::new()))
+        let running = RunningIndex::new(&config.registry);
+        Ok(LiveIngest {
+            chain: SegmentChain::create(config, false)?,
+            running,
+        })
     }
 
     /// Reopens an existing segment directory and resumes appending
-    /// after the last sealed segment. The running construction
-    /// products are rebuilt from the sealed segments in one streaming
-    /// decode pass. Sequence sidecars a sharded ingest left in the
-    /// directory are invisible to this plain writer.
+    /// after the last sealed segment. The running index is rebuilt
+    /// from the sealed segments in one streaming decode pass. Sequence
+    /// sidecars a sharded ingest left in the directory are invisible
+    /// to this plain writer.
     ///
     /// # Errors
     ///
     /// On directory or segment open/decode failure.
     pub fn open(config: LiveConfig) -> Result<Self> {
-        Self::open_with(config, false)
+        let registry = config.registry.clone();
+        let chain = SegmentChain::open(config, false)?;
+        let (running, _) = RunningIndex::replay(&registry, &[chain.snapshot()])?;
+        Ok(LiveIngest { chain, running })
     }
 
-    /// [`LiveIngest::open`], tracking arrival sequences iff `track_seqs`:
-    /// each segment's sequence sidecar is loaded alongside it and
-    /// stamping resumes past the highest sealed sequence.
-    ///
-    /// # Errors
-    ///
-    /// As [`LiveIngest::open`], plus — when tracking — a precise
-    /// [`StoreError::Sidecar`] for a missing, corrupt, or
-    /// count-mismatched sequence sidecar (the directory was written
-    /// without tracking, or a sidecar rotted, and cannot seed a
-    /// sharded merge).
-    pub(crate) fn open_with(config: LiveConfig, track_seqs: bool) -> Result<Self> {
-        let catalog = SegmentCatalog::open_and_sweep(&config.dir)?;
-        let mut sealed = Vec::with_capacity(catalog.len());
-        for path in catalog.paths() {
-            sealed.push(Arc::new(StoreReader::open_with_registry(
-                path,
-                &config.registry,
-            )?));
-        }
-        let mut ingest = Self::with_catalog(config, track_seqs, catalog, sealed);
-        let mut partial = if track_seqs {
-            PartialIndex::with_seq_tracking()
-        } else {
-            PartialIndex::new()
-        };
-        for reader in &ingest.sealed {
-            if track_seqs {
-                let seqs = seqfile::read_sidecar(reader.path())?;
-                if seqs.len() as u64 != reader.total_records() {
-                    return Err(StoreError::Sidecar {
-                        segment: reader.path().to_path_buf(),
-                        problem: format!(
-                            "holds {} entries for {} records",
-                            seqs.len(),
-                            reader.total_records()
-                        ),
-                    });
-                }
-                let mut at = 0usize;
-                reader.for_each(|r| {
-                    partial.observe_seq(r, seqs[at]);
-                    at += 1;
-                })?;
-                if let Some(&last) = seqs.last() {
-                    ingest.next_seq = ingest.next_seq.max(last + 1);
-                }
-                ingest.sealed_seqs.push(Arc::new(seqs));
-            } else {
-                reader.for_each(|r| partial.observe(r))?;
-            }
-            ingest.total_records += reader.total_records();
-            if let Some(m) = reader.chunks().iter().rfind(|m| m.records > 0) {
-                ingest.last_micros = ingest.last_micros.max(m.max_micros);
-                ingest.any_ingested = true;
-            }
-        }
-        ingest.running = partial;
-        // Records found on disk were emitted by an earlier run.
-        *ingest.metrics.published.get_mut() = ingest.total_records;
-        Ok(ingest)
-    }
-
-    fn with_catalog(
-        config: LiveConfig,
-        track_seqs: bool,
-        catalog: SegmentCatalog,
-        sealed: Vec<Arc<StoreReader>>,
-    ) -> Self {
-        let running = if track_seqs {
-            PartialIndex::with_seq_tracking()
-        } else {
-            PartialIndex::new()
-        };
-        let metrics = LiveMetrics::register(&config.registry);
-        let compactor = config
-            .compaction
-            .map(|policy| Compactor::new(policy, config.store, &config.registry));
-        LiveIngest {
-            config,
-            track_seqs,
-            catalog,
-            sealed,
-            sealed_seqs: Vec::new(),
-            running,
-            hot_writer: None,
-            hot_ordinal: 0,
-            hot_records: Arc::new(Vec::new()),
-            hot_seqs: Arc::new(Vec::new()),
-            hot_first_micros: 0,
-            last_micros: 0,
-            next_seq: 0,
-            any_ingested: false,
-            total_records: 0,
-            peak_hot_records: 0,
-            generation: 0,
-            base_cache: Mutex::new(None),
-            compactor,
-            metrics,
-        }
-    }
-
-    /// Ingests one record: into the hot segment's writer, records, and
-    /// partial — then seals if a rotation threshold was crossed. (A
-    /// tracking writer self-stamps the next arrival sequence here; the
-    /// sharded router passes explicit global sequences instead.)
+    /// Ingests one record: into the running index and the hot
+    /// segment's writer and tail — then seals if a rotation threshold
+    /// was crossed.
     ///
     /// # Errors
     ///
@@ -397,87 +364,18 @@ impl LiveIngest {
     /// [`LiveIngest::ingest`] for a caller that is done with the
     /// record: it moves into the hot tail instead of being cloned.
     fn ingest_owned(&mut self, r: TraceRecord) -> Result<()> {
-        let seq = self.next_seq;
-        self.ingest_inner(r, seq)
-    }
-
-    /// Ingests one record stamped with an explicit global arrival
-    /// sequence — the sharded router's entry point.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Format`] when sequence tracking is off or `seq`
-    /// is not strictly increasing, plus everything
-    /// [`LiveIngest::ingest`] can return.
-    pub(crate) fn ingest_with_seq(&mut self, r: &TraceRecord, seq: u64) -> Result<()> {
-        if !self.track_seqs {
-            return Err(StoreError::Format(
-                "ingest_with_seq requires a sequence-tracking writer".into(),
-            ));
-        }
-        if seq < self.next_seq {
-            return Err(StoreError::Format(format!(
-                "arrival sequence {seq} is not increasing (next expected ≥ {})",
-                self.next_seq
-            )));
-        }
-        self.ingest_inner(r.clone(), seq)
-    }
-
-    fn ingest_inner(&mut self, r: TraceRecord, seq: u64) -> Result<()> {
-        if self.any_ingested && r.micros < self.last_micros {
-            return Err(StoreError::OutOfOrder {
-                prev: self.last_micros,
-                next: r.micros,
-            });
-        }
-        if self.hot_writer.is_none() {
-            self.hot_ordinal = self.catalog.next_ordinal();
-            // The hot segment grows under a .tmp name and is renamed to
-            // its sealed name only after its footer is written: a crash
-            // mid-segment leaves a stale temp file (cleaned at the next
-            // create/open), never a footerless seg-*.nfseg that would
-            // poison the whole directory.
-            self.hot_writer = Some(StoreWriter::create_with_registry(
-                compact::tmp_path(&self.catalog.path_for(self.hot_ordinal)),
-                self.config.store,
-                &self.config.registry,
-            )?);
-            self.hot_first_micros = r.micros;
-        }
-        self.hot_writer
-            .as_mut()
-            .expect("just ensured a writer")
-            .push(&r)?;
-        if self.track_seqs {
-            Arc::make_mut(&mut self.hot_seqs).push(seq);
-            self.running.observe_seq(&r, seq);
-            self.next_seq = seq + 1;
-        } else {
-            self.running.observe(&r);
-        }
-        let micros = r.micros;
-        Arc::make_mut(&mut self.hot_records).push(r);
-        self.last_micros = micros;
-        self.any_ingested = true;
-        self.total_records += 1;
-        self.generation += 1;
-        self.peak_hot_records = self.peak_hot_records.max(self.hot_records.len());
-        if self.hot_records.len() as u64 >= self.config.rotate_records
-            || micros.saturating_sub(self.hot_first_micros) >= self.config.rotate_micros
-        {
-            self.rotate()?;
+        self.running.check_order(std::slice::from_ref(&r))?;
+        self.running.observe(&r);
+        if self.chain.push(r, None)? {
+            self.publish();
         }
         Ok(())
     }
 
-    /// Seals the hot segment now (no-op when it is empty): finishes the
-    /// segment file, publishes it via the shared crash-safe seal
-    /// protocol ([`nfstrace_store::compact::seal_segment`] — sidecar
-    /// first when tracking), opens it for reading, drops the hot tail,
-    /// and runs any [`LiveConfig::compaction`] passes the new segment
-    /// made ripe. The running partial already covers these records and
-    /// is untouched; with compaction on, a [`LiveView`] snapshotted
+    /// Seals the hot segment now (no-op when it is empty) and runs any
+    /// [`LiveConfig::compaction`] passes the new segment made ripe.
+    /// The running index already covers these records and is
+    /// untouched; with compaction on, a [`LiveView`] snapshotted
     /// *before* this call may reference source segments the merge
     /// deletes — snapshot views after mutations, not across them.
     ///
@@ -485,73 +383,13 @@ impl LiveIngest {
     ///
     /// On finish/open/compaction I/O failure.
     pub fn rotate(&mut self) -> Result<()> {
-        let Some(writer) = self.hot_writer.take() else {
-            return Ok(());
-        };
-        writer.finish()?;
-        let path = self.catalog.path_for(self.hot_ordinal);
-        let seqs = self
-            .track_seqs
-            .then(|| std::mem::replace(&mut self.hot_seqs, Arc::new(Vec::new())));
-        compact::seal_segment(
-            &compact::tmp_path(&path),
-            &path,
-            seqs.as_ref().map(|s| s.as_slice()),
-            &mut FaultInjector::none(),
-        )?;
-        if let Some(seqs) = seqs {
-            self.sealed_seqs.push(seqs);
-        }
-        self.sealed.push(Arc::new(StoreReader::open_with_registry(
-            path,
-            &self.config.registry,
-        )?));
-        self.catalog.note_sealed(self.hot_ordinal);
-        self.hot_records = Arc::new(Vec::new());
-        self.metrics.segments_sealed.inc();
+        self.chain.rotate()?;
         self.publish();
-        self.maybe_compact()
-    }
-
-    /// Copies the tally's growth since the last call into the `live.*`
-    /// instruments: the records ingested into `live.records_emitted`,
-    /// the hot tail's size into `live.hot_records`.
-    pub(crate) fn publish(&self) {
-        let was = self
-            .metrics
-            .published
-            .swap(self.total_records, Ordering::Relaxed);
-        self.metrics.records_emitted.add(self.total_records - was);
-        self.metrics.hot_records.set(self.hot_records.len() as f64);
-    }
-
-    /// Runs compaction passes until the policy finds nothing ripe,
-    /// mirroring each on-disk swap in the in-memory reader chain: the
-    /// merged readers (and their sequence sidecars) are spliced out
-    /// for the output's, so views keep seeing the identical record
-    /// stream. No-op without a policy.
-    fn maybe_compact(&mut self) -> Result<()> {
-        let Some(compactor) = &self.compactor else {
-            return Ok(());
-        };
-        while let Some(output) = compactor.policy().plan(self.catalog.ids()) {
-            let outcome =
-                compactor.compact(&mut self.catalog, output, &mut FaultInjector::none())?;
-            let (first, count) = outcome.replaced;
-            let reader = Arc::new(StoreReader::open_with_registry(
-                self.catalog.path_of(&outcome.output),
-                &self.config.registry,
-            )?);
-            self.sealed.splice(first..first + count, [reader]);
-            if self.track_seqs {
-                let merged = outcome
-                    .seqs
-                    .expect("tracked segments compact with sidecars");
-                self.sealed_seqs
-                    .splice(first..first + count, [Arc::new(merged)]);
-            }
-        }
         Ok(())
+    }
+
+    fn publish(&self) {
+        self.running.publish(self.chain.hot_len());
     }
 
     /// Pumps `source` to exhaustion through [`LiveIngest::ingest`],
@@ -561,65 +399,29 @@ impl LiveIngest {
     ///
     /// Propagates the first ingest error.
     pub fn run<S: RecordSource + ?Sized>(&mut self, source: &mut S) -> Result<()> {
-        let mut batch = Vec::new();
-        loop {
-            batch.clear();
-            if !source.next_batch(&mut batch) {
-                return Ok(());
-            }
-            let _span = span!(self.metrics.batch_micros);
+        pump(source, |batch| {
+            let _span = self.running.batch_span();
             for r in batch.drain(..) {
                 self.ingest_owned(r)?;
             }
             self.publish();
-        }
+            Ok(())
+        })
     }
 
     /// The finished construction products over everything ingested so
-    /// far — a copy-on-write snapshot of the running partial, cached
-    /// per generation: O(counters + hourly buckets) the first time
-    /// after a mutation, a pure clone after that.
+    /// far — a copy-on-write snapshot of the running index, cached per
+    /// generation: O(counters + hourly buckets) the first time after a
+    /// mutation, a pure clone after that.
     pub fn snapshot_base(&self) -> IndexBase {
-        let mut cache = self.base_cache.lock().expect("snapshot cache poisoned");
-        if let Some((generation, base)) = cache.as_ref() {
-            if *generation == self.generation {
-                return base.clone();
-            }
-        }
-        let base = self.running.clone().finish();
-        *cache = Some((self.generation, base.clone()));
-        base
-    }
-
-    /// A copy-on-write clone of the running partial — what
-    /// [`crate::ShardedLiveIngest`] merges across shards.
-    pub(crate) fn snapshot_partial(&self) -> PartialIndex {
-        self.running.clone()
-    }
-
-    /// This ingest's segment chain (sealed readers + sequences + hot
-    /// tail), the per-shard ingredient of a merged view.
-    pub(crate) fn chain(&self) -> ShardChain {
-        ShardChain::new(
-            self.sealed.clone(),
-            self.sealed_seqs.clone(),
-            Arc::clone(&self.hot_records),
-            Arc::clone(&self.hot_seqs),
-        )
+        self.running.snapshot_base()
     }
 
     /// Snapshots a stable [`LiveView`] over everything ingested so far
     /// — sealed segments plus the hot tail, queryable mid-ingest.
     pub fn view(&self) -> LiveView {
-        let _span = span!(self.metrics.snapshot_micros);
-        self.publish();
-        LiveView::assemble(
-            self.chain(),
-            0,
-            u64::MAX,
-            self.snapshot_base(),
-            &self.config.registry,
-        )
+        self.running
+            .view(vec![self.chain.snapshot()], self.chain.hot_len())
     }
 
     /// Seals the trailing hot segment and reports totals. The segment
@@ -630,51 +432,30 @@ impl LiveIngest {
     /// # Errors
     ///
     /// On the final seal's I/O failure.
-    pub fn finish(mut self) -> Result<LiveSummary> {
-        self.rotate()?;
-        self.publish();
-        Ok(LiveSummary {
-            segments: self.catalog.len(),
-            total_records: self.total_records,
-            peak_hot_records: self.peak_hot_records,
-        })
+    pub fn finish(self) -> Result<LiveSummary> {
+        let summary = self.chain.finish()?;
+        self.running.publish(0);
+        Ok(summary)
     }
 
     /// Sealed segments so far.
     pub fn sealed_segments(&self) -> usize {
-        self.sealed.len()
+        self.chain.sealed_segments()
     }
 
     /// Records in the hot (unsealed) tail right now.
     pub fn hot_len(&self) -> usize {
-        self.hot_records.len()
+        self.chain.hot_len()
     }
 
     /// Records ingested so far (sealed + hot).
     pub fn total_records(&self) -> u64 {
-        self.total_records
+        self.running.total_records()
     }
 
     /// Largest hot tail ever resident, in records.
     pub fn peak_hot_records(&self) -> usize {
-        self.peak_hot_records
-    }
-
-    /// The next arrival sequence this ingest would self-stamp — past
-    /// every sequence it has seen, sealed or hot (tracking only).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// The last ingested timestamp (0 before any record).
-    pub fn last_micros(&self) -> u64 {
-        self.last_micros
-    }
-
-    /// Whether any record was ever ingested (including sealed ones
-    /// found at reopen).
-    pub fn any_ingested(&self) -> bool {
-        self.any_ingested
+        self.chain.peak_hot_records()
     }
 }
 
@@ -690,41 +471,6 @@ impl RecordSink for LiveIngest {
 mod tests {
     use super::*;
     use nfstrace_core::record::{FileId, Op};
-
-    /// The tracking writer (what every shard of a sharded ingest is):
-    /// it self-stamps dense sequences, resumes past them on reopen,
-    /// and refuses an explicit sequence that does not increase; the
-    /// plain writer refuses explicit sequences altogether.
-    #[test]
-    fn sequence_stamping_guards() {
-        let dir = std::env::temp_dir().join(format!("nfstrace-live-seqs-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let config = || LiveConfig {
-            rotate_records: 4,
-            ..LiveConfig::new(&dir)
-        };
-        let mut ingest = LiveIngest::create_with(config(), true).expect("create");
-        for i in 0..10u64 {
-            ingest
-                .ingest(&TraceRecord::new(i * 1000, Op::Read, FileId(i % 3)))
-                .expect("ingest");
-        }
-        assert_eq!(ingest.next_seq(), 10);
-        assert!(ingest
-            .ingest_with_seq(&TraceRecord::new(20_000, Op::Read, FileId(1)), 5)
-            .is_err());
-        ingest.finish().expect("finish");
-        let reopened = LiveIngest::open_with(config(), true).expect("reopen tracked");
-        assert_eq!(reopened.next_seq(), 10);
-        drop(reopened);
-        // A plain reopen of the same directory still works — the
-        // sidecars are invisible to it.
-        let mut plain = LiveIngest::open(config()).expect("reopen untracked");
-        assert!(plain
-            .ingest_with_seq(&TraceRecord::new(20_000, Op::Read, FileId(1)), 10)
-            .is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     /// Fixed batches, in order.
     struct Batches(std::vec::IntoIter<Vec<TraceRecord>>);

@@ -17,10 +17,10 @@
 //!   `drain_ready` API, so neither path ever buffers a whole trace.
 //! - **[`LiveIngest`]** — the daemon loop. Records accumulate in a
 //!   *hot segment* (a pending [`nfstrace_store::StoreWriter`] chunk
-//!   stream plus a running
-//!   [`nfstrace_core::index::PartialIndex`]); crossing a record-count
-//!   or time-span threshold **seals** the hot segment into an
-//!   immutable store file named by ordinal
+//!   stream) at the end of one segment chain, and each is folded into
+//!   a running [`nfstrace_core::index::PartialIndex`]; crossing a
+//!   record-count or time-span threshold **seals** the hot segment
+//!   into an immutable store file named by ordinal
 //!   ([`nfstrace_store::segments`]). A stopped ingest reopens its
 //!   directory and appends where it left off.
 //! - **[`LiveView`]** — a stable snapshot implementing
@@ -28,15 +28,16 @@
 //!   any instant mid-ingest. Every table and figure in the repro suite
 //!   runs against it unchanged, and its products are bit-identical to
 //!   an in-memory index over the same records.
-//! - **[`ShardedLiveIngest`]** — the multi-writer shape: the stream
-//!   splits by client hash across N independent [`LiveIngest`] shards
-//!   (each with its own hot segment, rotation clock, and `shard-NNN/`
-//!   segment directory), the router stamps every record with a global
-//!   arrival sequence (persisted in [`seqfile`] sidecars), and the
-//!   merged [`LiveView`] k-way merges the shards back into the exact
-//!   original stream — the analysis suite over it stays byte-identical
-//!   to a single-writer daemon and to the batch pipeline, for any
-//!   shard count.
+//! - **[`ShardedLiveIngest`]** — the multi-writer shape: the stream's
+//!   storage splits by client hash across N segment chains (each with
+//!   its own hot segment, rotation clock, and `shard-NNN/` directory),
+//!   the router stamps every record with a global arrival sequence
+//!   (persisted in [`seqfile`] sidecars) and folds the stream into one
+//!   running index, as the single writer does. Record replays k-way
+//!   merge the chains back into the exact original stream — the
+//!   analysis suite over a view stays byte-identical to a
+//!   single-writer daemon and to the batch pipeline, for any shard
+//!   count.
 //!
 //! # The bounded-memory contract
 //!
@@ -81,6 +82,7 @@
 // flag clones of values whose last use this was.
 #![warn(clippy::redundant_clone)]
 
+mod chain;
 pub mod ingest;
 pub mod sharded;
 pub mod source;

@@ -3,45 +3,31 @@
 
 use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::record::TraceRecord;
-use nfstrace_store::{stream_records, StoreReader};
+use nfstrace_store::{stream_records, Result, StoreError, StoreReader};
 use nfstrace_telemetry::Registry;
 use std::sync::Arc;
 
-/// One shard's contribution to a [`LiveView`]: its sealed segment
-/// chain, the arrival sequences of every sealed record (sidecars,
+/// One segment chain's contribution to a [`LiveView`]: its sealed
+/// segments, the arrival sequences of every sealed record (sidecars,
 /// loaded per segment), and a snapshot of its hot tail with the
 /// sequences of those records.
 ///
 /// A single-writer ingest produces one chain with empty sequence
-/// vectors — sequences are only consulted when two or more chains must
-/// be interleaved.
+/// vectors — sequences are only consulted when chains of a sharded
+/// ingest must be interleaved.
 #[derive(Debug, Clone)]
 pub struct ShardChain {
-    sealed: Vec<Arc<StoreReader>>,
+    pub(crate) sealed: Vec<Arc<StoreReader>>,
     /// Arrival sequences per sealed segment, parallel to `sealed`
-    /// (empty when the ingest does not track sequences).
-    sealed_seqs: Vec<Arc<Vec<u64>>>,
-    hot: Arc<Vec<TraceRecord>>,
-    /// Arrival sequences of the hot tail, parallel to `hot` (empty
-    /// when not tracking).
-    hot_seqs: Arc<Vec<u64>>,
+    /// (empty on a chain without sequences).
+    pub(crate) sealed_seqs: Vec<Arc<Vec<u64>>>,
+    pub(crate) hot: Arc<Vec<TraceRecord>>,
+    /// Arrival sequences of the hot tail, parallel to `hot` (empty on
+    /// a chain without sequences).
+    pub(crate) hot_seqs: Arc<Vec<u64>>,
 }
 
 impl ShardChain {
-    pub(crate) fn new(
-        sealed: Vec<Arc<StoreReader>>,
-        sealed_seqs: Vec<Arc<Vec<u64>>>,
-        hot: Arc<Vec<TraceRecord>>,
-        hot_seqs: Arc<Vec<u64>>,
-    ) -> Self {
-        ShardChain {
-            sealed,
-            sealed_seqs,
-            hot,
-            hot_seqs,
-        }
-    }
-
     /// The sealed segment readers of this chain.
     pub fn sealed(&self) -> &[Arc<StoreReader>] {
         &self.sealed
@@ -56,10 +42,11 @@ impl ShardChain {
 /// A streaming cursor over one chain restricted to `[start, end)`:
 /// sealed chunks decoded lazily one at a time (skipping chunks whose
 /// time range misses the window, while still advancing the sequence
-/// index past their records), then the hot tail. Within a chain,
-/// arrival sequences are strictly increasing, so [`ChainCursor::peek`]
-/// exposes exactly the next sequence the chain would emit — the k-way
-/// merge pops the chain with the smallest one.
+/// index past their records), then the hot tail.
+/// [`ChainCursor::peek`] exposes the arrival sequence of the next
+/// record the chain would emit — the k-way merge pops the chain with
+/// the smallest one. A chain without sequences keys its records by
+/// position, which only a chain replayed alone can use.
 struct ChainCursor<'a> {
     chain: &'a ShardChain,
     start: u64,
@@ -74,6 +61,8 @@ struct ChainCursor<'a> {
     buf: Vec<TraceRecord>,
     buf_pos: usize,
     hot_pos: usize,
+    /// Records popped so far: the positional key.
+    emitted: u64,
 }
 
 impl<'a> ChainCursor<'a> {
@@ -88,6 +77,7 @@ impl<'a> ChainCursor<'a> {
             buf: Vec::new(),
             buf_pos: 0,
             hot_pos: 0,
+            emitted: 0,
         }
     }
 
@@ -96,27 +86,29 @@ impl<'a> ChainCursor<'a> {
     }
 
     /// Positions the cursor at its next in-window record and returns
-    /// that record's arrival sequence; `None` once the chain is
-    /// exhausted. O(1) when already positioned.
+    /// that record's key; `None` once the chain is exhausted. O(1) when
+    /// already positioned.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// On chunk read/decode failure — a sealed segment corrupted (or
-    /// deleted) mid-analysis.
-    fn peek(&mut self) -> Option<u64> {
+    /// On chunk read/decode failure.
+    fn peek(&mut self) -> Result<Option<u64>> {
         loop {
             if self.seg == self.chain.sealed.len() {
                 while self.hot_pos < self.chain.hot.len() {
                     if self.in_window(&self.chain.hot[self.hot_pos]) {
-                        return Some(self.chain.hot_seqs[self.hot_pos]);
+                        let seq = self.chain.hot_seqs.get(self.hot_pos);
+                        return Ok(Some(seq.copied().unwrap_or(self.emitted)));
                     }
                     self.hot_pos += 1;
                 }
-                return None;
+                return Ok(None);
             }
             while self.buf_pos < self.buf.len() {
                 if self.in_window(&self.buf[self.buf_pos]) {
-                    return Some(self.chain.sealed_seqs[self.seg][self.seq_off + self.buf_pos]);
+                    let seqs = self.chain.sealed_seqs.get(self.seg);
+                    let at = self.seq_off + self.buf_pos;
+                    return Ok(Some(seqs.map_or(self.emitted, |s| s[at])));
                 }
                 self.buf_pos += 1;
             }
@@ -139,9 +131,7 @@ impl<'a> ChainCursor<'a> {
                     self.chunk += 1;
                     continue;
                 }
-                self.buf = reader
-                    .read_chunk(self.chunk)
-                    .expect("sealed chunk must stay readable under a live view");
+                self.buf = reader.read_chunk(self.chunk)?;
                 self.chunk += 1;
                 break;
             }
@@ -158,54 +148,81 @@ impl<'a> ChainCursor<'a> {
             f(&self.buf[self.buf_pos]);
             self.buf_pos += 1;
         }
+        self.emitted += 1;
+    }
+
+    /// A sequence error at the cursor's position, naming its segment.
+    fn sequence_error(&self, problem: String) -> StoreError {
+        match self.chain.sealed.get(self.seg) {
+            Some(reader) => StoreError::Sidecar {
+                segment: reader.path().to_path_buf(),
+                problem,
+            },
+            None => StoreError::Format(format!("hot tail: {problem}")),
+        }
     }
 }
 
-/// Replays every in-window record of `chains` in global arrival order.
-/// One chain streams directly (the single-writer fast path: pipelined
-/// chunk decode, no sequences consulted); two or more are k-way merged
-/// by arrival sequence with a linear min-scan — chain counts are small.
-fn for_each_merged(chains: &[ShardChain], start: u64, end: u64, f: &mut dyn FnMut(&TraceRecord)) {
-    if let [chain] = chains {
-        stream_records(&chain.sealed, start, end, f);
-        for r in chain.hot.iter() {
-            if r.micros >= start && r.micros < end {
-                f(r);
-            }
-        }
-        return;
-    }
+/// Replays every in-window record of `chains` in global arrival order,
+/// k-way merging them by arrival sequence with a linear min-scan (chain
+/// counts are small), and returns the sequence past the last record
+/// replayed. The replay at reopen and every multi-chain view replay run
+/// through here.
+///
+/// # Errors
+///
+/// On chunk read/decode failure, and a [`StoreError::Sidecar`] naming
+/// the segment when the merged sequences do not strictly increase —
+/// out of order within a chain or colliding across chains — or reach
+/// `u64::MAX`, which leaves no sequence to resume at.
+pub(crate) fn for_each_merged(
+    chains: &[ShardChain],
+    start: u64,
+    end: u64,
+    f: &mut dyn FnMut(&TraceRecord),
+) -> Result<u64> {
     let mut cursors: Vec<ChainCursor> = chains
         .iter()
         .map(|c| ChainCursor::new(c, start, end))
         .collect();
+    let mut next = 0u64;
     loop {
         let mut best: Option<(u64, usize)> = None;
         for (i, cursor) in cursors.iter_mut().enumerate() {
-            if let Some(seq) = cursor.peek() {
+            if let Some(seq) = cursor.peek()? {
                 if best.is_none_or(|(s, _)| seq < s) {
                     best = Some((seq, i));
                 }
             }
         }
-        let Some((_, i)) = best else {
-            return;
+        let Some((seq, i)) = best else {
+            return Ok(next);
         };
-        cursors[i].pop(f);
+        let cursor = &mut cursors[i];
+        if seq < next {
+            return Err(cursor.sequence_error(format!(
+                "arrival sequence {seq} does not follow {}",
+                next - 1
+            )));
+        }
+        next = seq.checked_add(1).ok_or_else(|| {
+            cursor.sequence_error(format!("arrival sequence {seq} leaves none to resume at"))
+        })?;
+        cursor.pop(f);
     }
 }
 
 /// A [`TraceView`] over everything a [`crate::LiveIngest`] (or a
 /// [`crate::ShardedLiveIngest`]) has ingested at one instant: per
-/// shard, the sealed on-disk segments plus a snapshot of the hot (not
+/// chain, the sealed on-disk segments plus a snapshot of the hot (not
 /// yet sealed) records.
 ///
 /// A `LiveView` is **stable**: the sealed segment files are immutable,
 /// the hot tails are snapshotted behind [`Arc`]s at view time (the
 /// ingest copies on its next write, never in place), and the
 /// construction-pass products come from a copy-on-write snapshot of
-/// the running [`nfstrace_core::index::PartialIndex`] state — so
-/// queries answered mid-ingest keep answering identically while
+/// the ingest's one running [`nfstrace_core::index::PartialIndex`] —
+/// so queries answered mid-ingest keep answering identically while
 /// records continue to flow in behind them. It answers the full
 /// table/figure suite: the analysis layer is generic over
 /// [`TraceView`], and this view's contract is the usual bit-identity
@@ -231,26 +248,12 @@ pub struct LiveView {
 }
 
 impl LiveView {
-    /// Assembles a single-chain snapshot view. `base` must be the
-    /// finished construction products over exactly (sealed ++ hot)
-    /// restricted to `[start, end)` — [`crate::LiveIngest::view`]
-    /// maintains that running partial and hands in its snapshot, so
-    /// building a view is O(snapshot), not a decode pass.
+    /// Assembles a snapshot view over `chains`. `base` must be the
+    /// finished construction products over exactly their records in
+    /// `[start, end)`, in arrival order — an ingest hands in its
+    /// running index's snapshot, so building a view is O(snapshot),
+    /// not a decode pass.
     pub(crate) fn assemble(
-        chain: ShardChain,
-        start: u64,
-        end: u64,
-        base: IndexBase,
-        registry: &Registry,
-    ) -> Self {
-        Self::assemble_sharded(vec![chain], start, end, base, registry)
-    }
-
-    /// Assembles a view over any number of shard chains. With two or
-    /// more chains, every chain must carry arrival sequences for all
-    /// of its records and `base` must be the merged products over the
-    /// union — [`crate::ShardedLiveIngest::view`]'s contract.
-    pub(crate) fn assemble_sharded(
         chains: Vec<ShardChain>,
         start: u64,
         end: u64,
@@ -267,37 +270,32 @@ impl LiveView {
         }
     }
 
-    /// The shard chains behind this snapshot (one for a single-writer
-    /// ingest).
+    /// The chains behind this snapshot: one for a single-writer ingest,
+    /// one per shard, in shard order, for a sharded one.
     pub fn chains(&self) -> &[ShardChain] {
         &self.chains
-    }
-
-    /// The sealed segment readers behind this snapshot, across all
-    /// chains.
-    pub fn sealed(&self) -> Vec<Arc<StoreReader>> {
-        self.chains
-            .iter()
-            .flat_map(|c| c.sealed.iter().cloned())
-            .collect()
-    }
-
-    /// The hot (unsealed) records in this snapshot's range — windowed
-    /// views yield only the hot records inside their window, consistent
-    /// with [`LiveView::record_count`] and the replay stream. Across
-    /// chains, in chain order (use the replay stream for global
-    /// arrival order).
-    pub fn hot_records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.chains.iter().flat_map(move |c| {
-            c.hot
-                .iter()
-                .filter(|r| r.micros >= self.start && r.micros < self.end)
-        })
     }
 
     /// Records in this view (sealed + hot, inside the range).
     pub fn record_count(&self) -> usize {
         self.base.len
+    }
+
+    /// Replays `[start, end)` in arrival order: one chain streams
+    /// directly (pipelined chunk decode, no sequences consulted), more
+    /// go through [`for_each_merged`].
+    fn replay(&self, start: u64, end: u64, f: &mut dyn FnMut(&TraceRecord)) {
+        if let [chain] = &self.chains[..] {
+            stream_records(&chain.sealed, start, end, f);
+            for r in chain.hot.iter() {
+                if r.micros >= start && r.micros < end {
+                    f(r);
+                }
+            }
+        } else {
+            for_each_merged(&self.chains, start, end, f)
+                .expect("sealed chunk must stay readable under a live view");
+        }
     }
 }
 
@@ -311,7 +309,7 @@ impl RecordStream for LiveView {
     /// On chunk read/decode failure — a sealed segment corrupted (or
     /// deleted) mid-analysis.
     fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord)) {
-        for_each_merged(&self.chains, self.start, self.end, f);
+        self.replay(self.start, self.end, f);
     }
 }
 
@@ -336,8 +334,8 @@ impl TraceView for LiveView {
         let start = start_micros.max(self.start);
         let end = end_micros.min(self.end).max(start);
         let mut partial = PartialIndex::new();
-        for_each_merged(&self.chains, start, end, &mut |r| partial.observe(r));
-        LiveView::assemble_sharded(
+        self.replay(start, end, &mut |r| partial.observe(r));
+        LiveView::assemble(
             self.chains.clone(),
             start,
             end,

@@ -243,7 +243,9 @@ proptest! {
     /// the exact original stream (equal-timestamp ties included) and
     /// its analysis products equal the in-memory index's — mid-ingest
     /// over sealed + hot, and again after sealing and reopening
-    /// entirely from disk (sequence sidecars included).
+    /// entirely from disk (sequence sidecars included). With a
+    /// compaction fan-in, every chain compacts behind the ingest and
+    /// splices its merged sidecars in.
     #[test]
     fn sharded_ingest_equals_single_writer_and_memory(
         mut records in proptest::collection::vec(arb_tied_record(), 1..250),
@@ -252,6 +254,7 @@ proptest! {
         rotate_records in 8u64..120,
         rotate_micros in 200u64..4_000_000,
         chunk_bytes in 64usize..4096,
+        fan_in in proptest::option::of(2usize..5),
         case in 0u64..1_000_000,
     ) {
         // Stable sort: equal timestamps keep generation (arrival) order.
@@ -264,7 +267,7 @@ proptest! {
             },
             rotate_records,
             rotate_micros,
-            compaction: None,
+            compaction: fan_in.map(|fan_in| nfstrace_store::CompactionPolicy { fan_in }),
             registry: Default::default(),
         };
         let mut ingest = ShardedLiveIngest::create(config(), shards).expect("create sharded");
@@ -300,13 +303,13 @@ proptest! {
         prop_assert_eq!(vw.summary(), mw.summary());
         prop_assert_eq!(vw.accesses(7).as_ref(), mw.accesses(7).as_ref());
 
-        // Each shard's hot tail stays bounded by the rotation threshold.
-        for shard in ingest.shards() {
-            prop_assert!(shard.peak_hot_records() as u64 <= rotate_records);
-        }
-
         // Sealed + reopened: the same stream, now entirely from disk.
-        ingest.finish().expect("finish");
+        // Each shard's hot tail stayed bounded by the rotation threshold.
+        let summary = ingest.finish().expect("finish");
+        prop_assert_eq!(summary.shards.len(), shards);
+        for shard in &summary.shards {
+            prop_assert!(shard.peak_hot_records as u64 <= rotate_records);
+        }
         let reopened = ShardedLiveIngest::open(config()).expect("reopen");
         prop_assert_eq!(reopened.total_records(), records.len() as u64);
         let view = reopened.view();

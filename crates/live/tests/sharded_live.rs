@@ -77,13 +77,16 @@ fn sharded_ingest_equals_batch_across_shard_counts() {
         assert_views_agree(&view, &mem, &format!("{shards} shards vs in-memory"));
 
         // Every record landed on the shard its client hashes to.
-        for (i, shard) in ingest.shards().iter().enumerate() {
-            let mut shard_view = Vec::new();
-            shard
-                .view()
-                .for_each_record(&mut |r| shard_view.push(r.client));
+        assert_eq!(view.chains().len(), shards);
+        for (i, chain) in view.chains().iter().enumerate() {
+            let mut clients: Vec<u32> = chain.hot().iter().map(|r| r.client).collect();
+            for reader in chain.sealed() {
+                reader
+                    .for_each(|r| clients.push(r.client))
+                    .expect("sealed segment");
+            }
             assert!(
-                shard_view.iter().all(|&c| shard_for_client(c, shards) == i),
+                clients.iter().all(|&c| shard_for_client(c, shards) == i),
                 "shard {i} holds a foreign client"
             );
         }
@@ -238,13 +241,92 @@ fn manifest_and_order_guards() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two shards, one segment each, sealed: the 24 records alternate
+/// clients, so shard 0 holds the even arrival sequences and shard 1
+/// the odd ones. Returns the root and each shard's one segment.
+fn two_sealed_shards(tag: &str) -> (std::path::PathBuf, [std::path::PathBuf; 2]) {
+    let dir = tmpdir(tag);
+    let mut ingest = ShardedLiveIngest::create(sharded_cfg(&dir), 2).expect("create");
+    let clients: Vec<u32> = {
+        let a = (0..).find(|&c| shard_for_client(c, 2) == 0).unwrap();
+        let b = (0..).find(|&c| shard_for_client(c, 2) == 1).unwrap();
+        vec![a, b]
+    };
+    let records: Vec<TraceRecord> = (0..24u64)
+        .map(|i| {
+            let mut r = TraceRecord::new(1000 + i, Op::Read, FileId(i % 5));
+            r.client = clients[i as usize % 2];
+            r
+        })
+        .collect();
+    ingest.ingest_batch(&records).expect("ingest");
+    let summary = ingest.finish().expect("finish");
+    assert!(summary.shards.iter().all(|s| s.segments == 1));
+    let segments = [0, 1].map(|i| dir.join(shard_dir_name(i)).join("seg-000000.nfseg"));
+    for (i, segment) in segments.iter().enumerate() {
+        assert_eq!(
+            seqfile::read_sidecar(segment).expect("sidecar"),
+            (i as u64..24).step_by(2).collect::<Vec<u64>>()
+        );
+    }
+    (dir, segments)
+}
+
+fn assert_sidecar_error(err: nfstrace_store::StoreError, want: &std::path::Path) {
+    match &err {
+        nfstrace_store::StoreError::Sidecar { segment, .. } => assert_eq!(segment, want),
+        other => panic!(
+            "expected a Sidecar error naming {}, got {other}",
+            want.display()
+        ),
+    }
+}
+
+/// A checksummed sidecar ending at `u64::MAX` leaves no sequence to
+/// resume stamping at: reopen refuses it, naming the segment, instead
+/// of overflowing.
+#[test]
+fn a_sidecar_ending_at_u64_max_is_a_sidecar_error() {
+    let (dir, [segment, _]) = two_sealed_shards("seq-max");
+    let mut seqs = seqfile::read_sidecar(&segment).expect("sidecar");
+    *seqs.last_mut().unwrap() = u64::MAX;
+    seqfile::write_sidecar(&segment, &seqs).expect("rewrite");
+    let err = ShardedLiveIngest::open(sharded_cfg(&dir)).expect_err("u64::MAX sidecar");
+    assert_sidecar_error(err, &segment);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sequences that do not strictly increase across the merged replay —
+/// reversed within one chain, or equal to another chain's — would
+/// reorder the stream and let stamping resume below sequences on disk:
+/// reopen refuses them, naming the segment.
+#[test]
+fn sequences_that_do_not_increase_are_a_sidecar_error() {
+    let (dir, segments) = two_sealed_shards("seq-order");
+    // Shard 0 reversed: [22, 20, …, 0].
+    let mut reversed = seqfile::read_sidecar(&segments[0]).expect("sidecar");
+    reversed.reverse();
+    // Shard 1 still increasing, but holding shard 0's 4: [1, 3, 4, 7, …].
+    let mut colliding = seqfile::read_sidecar(&segments[1]).expect("sidecar");
+    colliding[2] = 4;
+    for (segment, bad) in segments.iter().zip([reversed, colliding]) {
+        let original = seqfile::read_sidecar(segment).expect("sidecar");
+        seqfile::write_sidecar(segment, &bad).expect("rewrite");
+        let err = ShardedLiveIngest::open(sharded_cfg(&dir)).expect_err("bad sequences");
+        let msg = err.to_string();
+        assert_sidecar_error(err, segment);
+        assert!(msg.contains("does not follow"), "{msg}");
+        seqfile::write_sidecar(segment, &original).expect("restore");
+    }
+    let reopened = ShardedLiveIngest::open(sharded_cfg(&dir)).expect("reopen");
+    assert_eq!(reopened.total_records(), 24);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sequence_stamping_guards_and_plain_ingest_stays_sidecar_free() {
-    // The sequence guards themselves are unit-tested beside the
-    // tracking writer (`ingest.rs`), which only the sharded router can
-    // construct. The public single-writer ingest writes no sidecars:
-    // its segment directory stays byte-identical to pre-sharding
-    // layouts.
+    // The public single-writer ingest writes no sidecars: its segment
+    // directory stays byte-identical to pre-sharding layouts.
     let dir = tmpdir("plain");
     let mut plain = LiveIngest::create(LiveConfig {
         rotate_records: 4,

@@ -1,20 +1,20 @@
 //! Per-segment arrival-sequence sidecars (`seg-NNNNNN.nfseq`).
 //!
-//! A sharded ingest splits one globally ordered record stream across
-//! shards, so a single shard's segments no longer carry enough
-//! information to reconstruct the original interleave: records with
-//! equal timestamps tie-break on *arrival order*, which the store
-//! format does not (and should not) record. When sequence tracking is
-//! on, each sealed segment gets a sidecar file holding the **global
-//! arrival sequence number** of every record in it, in record order —
-//! the merge-on-read view k-way merges shards by these sequences and
-//! replays the exact original stream, and the compactor
+//! A sharded ingest stores one globally ordered record stream across
+//! per-shard segment chains, so a single chain's segments no longer
+//! carry enough information to reconstruct the original interleave:
+//! records with equal timestamps tie-break on *arrival order*, which
+//! the store format does not (and should not) record. Sidecars belong
+//! to those sharded chains: each sealed segment of one gets a sidecar
+//! file holding the **global arrival sequence number** of every record
+//! in it, in record order — record replays k-way merge the chains by
+//! these sequences into the exact original stream, and the compactor
 //! ([`crate::compact`]) concatenates sidecars when it merges adjacent
 //! segments.
 //!
-//! The sidecar is deliberately *not* part of the store format: a plain
-//! segment directory stays byte-identical with or without tracking,
-//! and every store reader keeps working unchanged. Durability follows
+//! The sidecar is deliberately *not* part of the store format: a
+//! single-writer segment directory has none, and every store reader
+//! keeps working unchanged with or without them. Durability follows
 //! the segment protocol: the sidecar is written (tmp + rename) **before**
 //! its segment is renamed to its sealed name, so a sealed segment always
 //! has its sidecar; a crash in between leaves an orphan sidecar that the
