@@ -144,19 +144,21 @@ impl<'a> PacketView<'a> {
 /// made of, so a frame from here is byte for byte the composition
 /// `Frame::encode(Ipv4Packet::encode(TcpSegment::encode(..)))` without
 /// its two intermediate buffers. [`PacketBuilder::udp`] and
-/// [`PacketBuilder::tcp`] take the payload whole; the `*_headers` forms
-/// stop after the headers so a caller whose payload lies in several
-/// pieces (a record mark and a slice of a message) can append them
-/// itself.
+/// [`PacketBuilder::tcp`] take the payload whole; the `write_*_headers`
+/// forms stop after the headers, written into a buffer the caller
+/// already has (a lent frame buffer, reused frame to frame), so a
+/// caller whose payload lies in several pieces (a record mark and a
+/// slice of a message) can append them itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PacketBuilder;
 
 impl PacketBuilder {
-    /// The Ethernet/IPv4/UDP headers of a frame whose payload is
-    /// `payload_len` bytes, with room reserved for that payload: append
-    /// exactly `payload_len` bytes to complete the frame.
+    /// Appends the Ethernet/IPv4/UDP headers of a frame whose payload
+    /// is `payload_len` bytes to `out`, growing `out`, if need be, to
+    /// hold the whole frame: append exactly `payload_len` bytes to
+    /// complete it.
     #[allow(clippy::too_many_arguments)]
-    pub fn udp_headers(
+    pub fn write_udp_headers(
         src_mac: MacAddr,
         dst_mac: MacAddr,
         src_ip: Ipv4Addr4,
@@ -164,21 +166,21 @@ impl PacketBuilder {
         src_port: u16,
         dst_port: u16,
         payload_len: usize,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         let udp_len = udp::HEADER_LEN + payload_len;
-        let mut out = Vec::with_capacity(ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + udp_len);
-        Frame::write_header(dst_mac, src_mac, EtherType::Ipv4, &mut out);
-        Ipv4Packet::write_header(src_ip, dst_ip, PROTO_UDP, 0, udp_len, &mut out);
-        UdpDatagram::write_header(src_port, dst_port, payload_len, &mut out);
-        out
+        out.reserve(ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + udp_len);
+        Frame::write_header(dst_mac, src_mac, EtherType::Ipv4, out);
+        Ipv4Packet::write_header(src_ip, dst_ip, PROTO_UDP, 0, udp_len, out);
+        UdpDatagram::write_header(src_port, dst_port, payload_len, out);
     }
 
-    /// The Ethernet/IPv4/TCP headers (`ACK | PSH`, no options) of a
-    /// frame carrying `payload_len` bytes at `seq`, with room reserved
-    /// for that payload: append exactly `payload_len` bytes to complete
-    /// the frame.
+    /// Appends the Ethernet/IPv4/TCP headers (`ACK | PSH`, no options)
+    /// of a frame carrying `payload_len` bytes at `seq` to `out`,
+    /// growing `out`, if need be, to hold the whole frame: append
+    /// exactly `payload_len` bytes to complete it.
     #[allow(clippy::too_many_arguments)]
-    pub fn tcp_headers(
+    pub fn write_tcp_headers(
         src_mac: MacAddr,
         dst_mac: MacAddr,
         src_ip: Ipv4Addr4,
@@ -187,14 +189,14 @@ impl PacketBuilder {
         dst_port: u16,
         seq: u32,
         payload_len: usize,
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         let tcp_len = tcp::MIN_HEADER_LEN + payload_len;
-        let mut out = Vec::with_capacity(ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + tcp_len);
-        Frame::write_header(dst_mac, src_mac, EtherType::Ipv4, &mut out);
-        Ipv4Packet::write_header(src_ip, dst_ip, PROTO_TCP, 0, tcp_len, &mut out);
+        out.reserve(ethernet::HEADER_LEN + ipv4::MIN_HEADER_LEN + tcp_len);
+        Frame::write_header(dst_mac, src_mac, EtherType::Ipv4, out);
+        Ipv4Packet::write_header(src_ip, dst_ip, PROTO_TCP, 0, tcp_len, out);
         let flags = TcpFlags(TcpFlags::ACK | TcpFlags::PSH);
-        TcpSegment::write_header(src_port, dst_port, seq, 0, flags, &mut out);
-        out
+        TcpSegment::write_header(src_port, dst_port, seq, 0, flags, out);
     }
 
     /// Builds an Ethernet/IPv4/UDP frame.
@@ -208,7 +210,8 @@ impl PacketBuilder {
         dst_port: u16,
         payload: Vec<u8>,
     ) -> Vec<u8> {
-        let mut out = Self::udp_headers(
+        let mut out = Vec::new();
+        Self::write_udp_headers(
             src_mac,
             dst_mac,
             src_ip,
@@ -216,6 +219,7 @@ impl PacketBuilder {
             src_port,
             dst_port,
             payload.len(),
+            &mut out,
         );
         out.extend_from_slice(&payload);
         out
@@ -233,7 +237,8 @@ impl PacketBuilder {
         seq: u32,
         payload: Vec<u8>,
     ) -> Vec<u8> {
-        let mut out = Self::tcp_headers(
+        let mut out = Vec::new();
+        Self::write_tcp_headers(
             src_mac,
             dst_mac,
             src_ip,
@@ -242,6 +247,7 @@ impl PacketBuilder {
             dst_port,
             seq,
             payload.len(),
+            &mut out,
         );
         out.extend_from_slice(&payload);
         out

@@ -44,16 +44,17 @@ impl Default for PcapHeader {
 /// Two representations, indistinguishable through the slice:
 ///
 /// * a plain `Vec<u8>` — what [`CapturedPacket::new`] wraps (no extra
-///   allocation, the vector moves in) and what [`PcapReader`] hands out
-///   while an earlier packet of its is still alive;
-/// * a prefix of the reader's **lent** frame buffer. The reader shares
-///   one buffer with the packet it last produced and reads the next
-///   frame into the same storage once that packet has been dropped, so
-///   a loop that observes each packet and lets it go — the streaming
-///   capture path — neither allocates nor zero-fills per frame.
+///   allocation, the vector moves in) and what a [`FrameLender`] hands
+///   out while an earlier packet of its is still alive;
+/// * a prefix of a [`FrameLender`]'s **lent** frame buffer. The lender
+///   shares one buffer with the packet it last produced and writes the
+///   next frame into the same storage once that packet has been
+///   dropped, so a loop that observes each packet and lets it go — the
+///   streaming capture path, the serving loop's tap — neither allocates
+///   nor zero-fills per frame.
 ///
 /// Lending is safe to ignore: a packet that is kept (collected, cloned,
-/// batched) keeps its bytes for as long as it lives, because the reader
+/// batched) keeps its bytes for as long as it lives, because the lender
 /// reuses the buffer only when it is the sole owner again.
 #[derive(Clone)]
 pub struct FrameBytes(Repr);
@@ -61,7 +62,7 @@ pub struct FrameBytes(Repr);
 #[derive(Clone)]
 enum Repr {
     Owned(Vec<u8>),
-    /// The first `len` bytes of a buffer shared with a [`PcapReader`].
+    /// The first `len` bytes of a buffer shared with a [`FrameLender`].
     /// The buffer keeps its high-water length so that reuse never
     /// zero-fills; `len` is this frame's part of it.
     Lent {
@@ -104,6 +105,63 @@ impl Eq for FrameBytes {}
 impl PartialEq<Vec<u8>> for FrameBytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
         **self == **other
+    }
+}
+
+/// The one frame buffer behind [`FrameBytes`]' lent form: every frame
+/// producer that hands out packets one at a time — [`PcapReader`], and
+/// the wire encoder's frame cursor — lends through one of these.
+///
+/// [`FrameLender::lend`] writes the next frame into the buffer the last
+/// frame was lent from when that frame is gone (the lender is the
+/// buffer's sole owner again), and into a fresh `Vec` otherwise. A
+/// consumer that drops each packet before asking for the next thus
+/// costs no allocation per frame; one that keeps packets gets plain
+/// allocations, never bytes overwritten under it.
+#[derive(Debug, Default)]
+pub struct FrameLender {
+    buf: Arc<Vec<u8>>,
+}
+
+impl FrameLender {
+    /// A lender with an empty buffer; it grows to the largest frame
+    /// lent from it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Produces one frame: `fill` writes it into the vector it is given
+    /// and returns its length, the frame being that prefix of the
+    /// vector. The vector is the lent buffer — holding the previous
+    /// frames' bytes, its length their high-water mark, so a fill that
+    /// overwrites a prefix need not zero it — or, while the last frame
+    /// is still alive, an empty `Vec` of the frame's own.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fill` returns; the frame is then discarded.
+    pub fn lend<E>(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> std::result::Result<usize, E>,
+    ) -> std::result::Result<FrameBytes, E> {
+        let repr = match Arc::get_mut(&mut self.buf) {
+            // The previous frame is gone: reuse the buffer it had.
+            Some(buf) => {
+                let len = fill(buf)?;
+                Repr::Lent {
+                    buf: Arc::clone(&self.buf),
+                    len,
+                }
+            }
+            // The caller kept it: this frame owns a plain allocation.
+            None => {
+                let mut data = Vec::new();
+                let len = fill(&mut data)?;
+                data.truncate(len);
+                Repr::Owned(data)
+            }
+        };
+        Ok(FrameBytes(repr))
     }
 }
 
@@ -202,17 +260,15 @@ impl<W: Write> PcapWriter<W> {
 
 /// Reads pcap files in either byte order.
 ///
-/// The reader owns one frame buffer and lends it to the packet it
-/// returns (see [`FrameBytes`]): drop each packet before asking for the
-/// next and the whole file is read through that one buffer; keep
-/// packets and each later one is a plain allocation of its own.
+/// The reader lends its frames through one [`FrameLender`]: drop each
+/// packet before asking for the next and the whole file is read through
+/// one buffer; keep packets and each later one is a plain allocation of
+/// its own.
 #[derive(Debug)]
 pub struct PcapReader<R: Read> {
     inner: R,
     swapped: bool,
-    /// The lent frame buffer; unique again once the packet it was last
-    /// lent to is gone.
-    frame: Arc<Vec<u8>>,
+    frames: FrameLender,
     /// The file's global header, as parsed.
     pub header: PcapHeader,
 }
@@ -243,7 +299,7 @@ impl<R: Read> PcapReader<R> {
         Ok(Self {
             inner,
             swapped,
-            frame: Arc::new(Vec::new()),
+            frames: FrameLender::new(),
             header: PcapHeader {
                 snaplen: rd32(&hdr[16..20]),
                 linktype: rd32(&hdr[20..24]),
@@ -301,29 +357,17 @@ impl<R: Read> PcapReader<R> {
             });
         }
         let incl = incl as usize;
-        let data = match Arc::get_mut(&mut self.frame) {
-            // The previous packet is gone: read into the buffer it had.
-            Some(buf) => {
-                if buf.len() < incl {
-                    buf.resize(incl, 0);
-                }
-                self.inner.read_exact(&mut buf[..incl])?;
-                Repr::Lent {
-                    buf: Arc::clone(&self.frame),
-                    len: incl,
-                }
+        let inner = &mut self.inner;
+        let data = self.frames.lend(|buf| {
+            if buf.len() < incl {
+                buf.resize(incl, 0);
             }
-            // The caller kept it: this packet owns a plain allocation.
-            None => {
-                let mut data = vec![0u8; incl];
-                self.inner.read_exact(&mut data)?;
-                Repr::Owned(data)
-            }
-        };
+            inner.read_exact(&mut buf[..incl]).map(|()| incl)
+        })?;
         Ok(Some(CapturedPacket {
             timestamp_micros: secs * 1_000_000 + usecs,
             orig_len,
-            data: FrameBytes(data),
+            data,
         }))
     }
 

@@ -8,7 +8,10 @@
 //! from a socket is also recorded in a **tap** ([`TapEvent`]) — the
 //! message-level mirror of the server's byte stream that the capture
 //! pipeline (`crate::pipeline`) later frames into packets for the
-//! sniffer, retransmissions and duplicate replies included.
+//! sniffer, retransmissions and duplicate replies included. The tap
+//! lives as long as the plan and borrows from it: a call's bytes are
+//! always the plan's, and so are a reply's whenever the server sent
+//! exactly the planned reply. Only a reply that differs is copied.
 //!
 //! Calls go out in **bursts**: every call the window and the pacing
 //! clock admit is record-marked into one reused buffer and the buffer
@@ -23,6 +26,7 @@ use crate::plan::{PlannedCall, ReplayPlan};
 use crate::server::FLUSH_BYTES;
 use nfstrace_rpc::record::{mark_record_into, RecordReader};
 use nfstrace_telemetry::Registry;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -48,7 +52,7 @@ pub struct ReplayOptions {
     /// Connection count; trace clients are spread across these
     /// round-robin (never split: one client, one connection).
     pub connections: usize,
-    /// Per-connection in-flight call cap.
+    /// Per-connection in-flight call cap; at least 1.
     pub window: usize,
     /// Retransmit a call not answered within this long. Generous by
     /// default: on loopback a retransmission means something is wrong,
@@ -74,8 +78,11 @@ impl Default for ReplayOptions {
 }
 
 /// One message observed on a replay connection, tagged for the tap.
+///
+/// `'p` is the [`ReplayPlan`]'s lifetime: the message bytes are
+/// borrowed from the plan wherever they are the planned bytes.
 #[derive(Debug, Clone)]
-pub struct TapEvent {
+pub struct TapEvent<'p> {
     /// Trace index of the call this message belongs to.
     pub idx: usize,
     /// 0 = client→server (call), 1 = server→client (reply).
@@ -88,23 +95,27 @@ pub struct TapEvent {
     pub client_ip: u32,
     /// Server address.
     pub server_ip: u32,
-    /// The raw RPC message bytes as written/read (unframed).
-    pub bytes: Vec<u8>,
+    /// The raw RPC message bytes as written/read (unframed). A call is
+    /// always [`Cow::Borrowed`] from its [`PlannedCall`] — it is what
+    /// was written. A reply is borrowed from the planned reply when it
+    /// is byte-equal to it, and otherwise [`Cow::Owned`]: the bytes the
+    /// server actually sent, never the plan's in their place.
+    pub bytes: Cow<'p, [u8]>,
 }
 
-/// What a replay run produced.
+/// What a replay run produced; `'p` is the plan's lifetime, which the
+/// tap borrows.
 #[derive(Debug, Default)]
-pub struct ReplayOutcome {
+pub struct ReplayOutcome<'p> {
     /// Every message that crossed a connection, in per-connection
     /// observation order (sort by `(idx, dir)` to serialize; the
     /// pipeline does). One event per message however the messages were
-    /// batched into `write`s and `read`s. Calls are copied out of the
-    /// plan; reply records are moved in as read.
+    /// batched into `write`s and `read`s. On a faithful replay no event
+    /// holds bytes of its own (see [`TapEvent::bytes`]).
     ///
-    /// [`replay`] returns it full. `serve_roundtrip` frames it and then
-    /// releases it before the ingest starts, so the outcome it hands
-    /// back carries an empty tap.
-    pub tap: Vec<TapEvent>,
+    /// [`replay`] returns it full. `serve_roundtrip` frames it into the
+    /// ingest and hands back an empty one.
+    pub tap: Vec<TapEvent<'p>>,
     /// Calls written, first transmissions only.
     pub calls_sent: u64,
     /// Retransmissions (timeout-driven plus forced).
@@ -117,31 +128,59 @@ struct Pending {
     sent_at: Instant,
 }
 
-impl TapEvent {
+impl<'p> TapEvent<'p> {
     /// `call`'s own message, on its way to the server.
-    fn of_call(call: &PlannedCall) -> Self {
+    fn of_call(call: &'p PlannedCall) -> Self {
         TapEvent {
             idx: call.idx,
             dir: 0,
             micros: call.micros,
             client_ip: call.client_ip,
             server_ip: call.server_ip,
-            bytes: call.call_bytes.clone(),
+            bytes: Cow::Borrowed(&call.call_bytes),
+        }
+    }
+
+    /// `reply`, read off the connection, as the answer to `call`:
+    /// borrowed from the plan when it is the planned reply.
+    fn of_reply(call: &'p PlannedCall, reply: &[u8]) -> Self {
+        let bytes = match &call.reply_bytes {
+            Some(planned) if planned[..] == *reply => Cow::Borrowed(&planned[..]),
+            _ => Cow::Owned(reply.to_vec()),
+        };
+        TapEvent {
+            idx: call.idx,
+            dir: 1,
+            micros: call.reply_micros,
+            client_ip: call.client_ip,
+            server_ip: call.server_ip,
+            bytes,
         }
     }
 }
 
-/// Replays `plan` against the server at `addr`.
+/// Replays `plan` against the server at `addr`. The outcome's tap
+/// borrows from `plan` (see [`TapEvent::bytes`]).
 ///
 /// # Errors
 ///
-/// Propagates connect/socket failures from any connection worker.
-pub fn replay(
-    plan: &ReplayPlan,
+/// [`ErrorKind::InvalidInput`] for a zero `options.window` (no call
+/// could ever be admitted), before any connection is made;
+/// [`ErrorKind::InvalidData`] for a reply stream that is not
+/// record-marked RPC, or a reply record too short to hold an xid;
+/// otherwise connect/socket failures from any connection worker.
+pub fn replay<'p>(
+    plan: &'p ReplayPlan,
     addr: SocketAddr,
     options: &ReplayOptions,
     registry: &Registry,
-) -> std::io::Result<ReplayOutcome> {
+) -> std::io::Result<ReplayOutcome<'p>> {
+    if options.window == 0 {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidInput,
+            "replay window must admit at least one call",
+        ));
+    }
     let calls_sent = registry.counter("replay.calls_sent");
     let retransmits = registry.counter("replay.retransmits");
     let rtt_micros = registry.histogram("replay.rtt_micros");
@@ -210,8 +249,8 @@ fn write_burst(stream: &mut TcpStream, framed: &mut Vec<u8>) -> std::io::Result<
 /// The per-connection replay loop: window-bounded sends, reply
 /// matching by `(xid → oldest in-flight)`, timeout retransmission.
 #[allow(clippy::too_many_arguments)]
-fn run_connection(
-    calls: &[&PlannedCall],
+fn run_connection<'p>(
+    calls: &[&'p PlannedCall],
     addr: SocketAddr,
     options: &ReplayOptions,
     first_micros: u64,
@@ -219,7 +258,7 @@ fn run_connection(
     calls_sent: &nfstrace_telemetry::Counter,
     retransmits: &nfstrace_telemetry::Counter,
     rtt_micros: &nfstrace_telemetry::Histogram,
-) -> std::io::Result<ReplayOutcome> {
+) -> std::io::Result<ReplayOutcome<'p>> {
     let mut outcome = ReplayOutcome::default();
     if calls.is_empty() {
         return Ok(outcome);
@@ -291,11 +330,17 @@ fn run_connection(
             }
             Ok(n) => {
                 reader.push(&buf[..n]);
-                while let Some(reply) = reader
-                    .next_record()
+                while let Some(record) = reader
+                    .next_record_ref()
                     .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?
                 {
-                    let xid = u32::from_be_bytes([reply[0], reply[1], reply[2], reply[3]]);
+                    let reply = record.bytes;
+                    let Some(xid) = reply.first_chunk().copied().map(u32::from_be_bytes) else {
+                        return Err(std::io::Error::new(
+                            ErrorKind::InvalidData,
+                            format!("{}-byte reply record holds no xid", reply.len()),
+                        ));
+                    };
                     let completed = in_flight
                         .get_mut(&xid)
                         .and_then(|q| q.pop_front())
@@ -314,16 +359,8 @@ fn run_connection(
                     // A reply we can't attribute (no such xid ever) is
                     // dropped from the tap: nothing to anchor it to.
                     if let Some(local) = completed {
-                        let call = calls[local];
                         last_done.insert(xid, local);
-                        outcome.tap.push(TapEvent {
-                            idx: call.idx,
-                            dir: 1,
-                            micros: call.reply_micros,
-                            client_ip: call.client_ip,
-                            server_ip: call.server_ip,
-                            bytes: reply,
-                        });
+                        outcome.tap.push(TapEvent::of_reply(calls[local], reply));
                     }
                 }
             }

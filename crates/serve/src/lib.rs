@@ -38,7 +38,7 @@ pub mod server;
 pub mod service;
 
 pub use client::{replay, Pacing, ReplayOptions, ReplayOutcome, TapEvent};
-pub use pipeline::{serve_roundtrip, tap_to_packets, RoundtripOutcome};
+pub use pipeline::{serve_roundtrip, tap_frames, tap_to_packets, RoundtripOutcome};
 pub use plan::{PlannedCall, ReplayPlan};
 pub use server::NfsTcpServer;
 pub use service::{FsService, NfsService, ReplayService};

@@ -16,9 +16,9 @@ use crate::server::NfsTcpServer;
 use crate::service::{NfsService, ReplayService};
 use nfstrace_live::{LiveConfig, LiveIngest, LiveSummary, SnifferSource};
 use nfstrace_net::mirror::{MirrorConfig, MirrorPort, MirrorStats, MirrorVerdict};
-use nfstrace_net::pcap::CapturedPacket;
+use nfstrace_net::pcap::{CapturedPacket, FrameLender};
 use nfstrace_net::udp::NFS_PORT;
-use nfstrace_sniffer::{SnifferStats, WireEncoder};
+use nfstrace_sniffer::{MessageFrames, SnifferStats, WireEncoder};
 use nfstrace_store::error::Result;
 use nfstrace_telemetry::Registry;
 use std::path::Path;
@@ -27,53 +27,82 @@ use std::sync::Arc;
 /// Packets fed to the sniffer per streaming batch.
 const PACKETS_PER_BATCH: usize = 512;
 
-/// Turns the replay tap into captured frames, exactly as a span port
-/// would have seen them: tap events serialized by `(trace idx, dir)`
-/// — each call immediately followed by its reply, retransmissions and
-/// duplicates in place — then record-marked, MSS-chunked, and
+/// The replay tap as captured frames, one at a time, exactly as a span
+/// port would have seen them: tap events serialized by `(trace idx,
+/// dir)` — each call immediately followed by its reply, retransmissions
+/// and duplicates in place — then record-marked, MSS-chunked, and
 /// timestamped with the trace clock. The frames carry the canonical
 /// [`NFS_PORT`], not the ephemeral loopback port the real server binds,
 /// so captured flows look like production traffic.
-pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
+///
+/// Every frame is written into one [`FrameLender`] buffer: a consumer
+/// that drops each packet before taking the next (the sniffer) frames
+/// the whole tap without an allocation per frame, and one that keeps
+/// packets gets them owning their bytes.
+pub fn tap_frames<'t>(tap: &'t [TapEvent<'_>]) -> impl Iterator<Item = CapturedPacket> + 't {
     let mut ordered: Vec<&TapEvent> = tap.iter().collect();
     ordered.sort_by_key(|e| (e.idx, e.dir));
-    let mut enc = WireEncoder::tcp_jumbo();
-    let mut out = Vec::new();
-    for e in ordered {
-        let cport = WireEncoder::client_port(e.client_ip);
-        let pkts = if e.dir == 0 {
-            enc.encode_message(
-                e.micros,
-                e.client_ip,
-                e.server_ip,
-                cport,
-                NFS_PORT,
-                &e.bytes,
-            )
-        } else {
-            enc.encode_message(
-                e.micros,
-                e.server_ip,
-                e.client_ip,
-                NFS_PORT,
-                cport,
-                &e.bytes,
-            )
-        };
-        out.extend(pkts);
+    TapFrames {
+        events: ordered.into_iter(),
+        encoder: WireEncoder::tcp_jumbo(),
+        message: None,
+        lender: FrameLender::new(),
     }
-    out
+}
+
+/// The frames of a tap, lent one at a time: what [`tap_frames`]
+/// returns.
+struct TapFrames<'t> {
+    events: std::vec::IntoIter<&'t TapEvent<'t>>,
+    encoder: WireEncoder,
+    /// The frames left of the message being framed.
+    message: Option<MessageFrames<'t>>,
+    lender: FrameLender,
+}
+
+impl Iterator for TapFrames<'_> {
+    type Item = CapturedPacket;
+
+    fn next(&mut self) -> Option<CapturedPacket> {
+        loop {
+            if let Some(packet) = self
+                .message
+                .as_mut()
+                .and_then(|m| m.lend_next(&mut self.lender))
+            {
+                return Some(packet);
+            }
+            let e = self.events.next()?;
+            let cport = WireEncoder::client_port(e.client_ip);
+            let (src, dst, sport, dport) = if e.dir == 0 {
+                (e.client_ip, e.server_ip, cport, NFS_PORT)
+            } else {
+                (e.server_ip, e.client_ip, NFS_PORT, cport)
+            };
+            self.message = Some(
+                self.encoder
+                    .frames(e.micros, src, dst, sport, dport, &e.bytes),
+            );
+        }
+    }
+}
+
+/// [`tap_frames`] collected: every frame of the tap, each owning its
+/// bytes (the first in the lender's buffer, the rest in an allocation
+/// apiece). Byte for byte the concatenation of
+/// [`WireEncoder::encode_message`] over the serialized tap.
+pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
+    tap_frames(tap).collect()
 }
 
 /// What one full serve → capture → ingest pass produced.
 #[derive(Debug)]
 pub struct RoundtripOutcome {
     /// The replay client's side: send and retransmit counts. Its `tap`
-    /// comes back **empty**: the tap is framed into packets and released
-    /// before the ingest starts, instead of being carried — megabytes
-    /// of dead messages — through the ingest and out to the caller.
-    /// Call [`replay`] directly to keep a tap.
-    pub replay: ReplayOutcome,
+    /// comes back **empty**: the tap borrows the caller's plan, and its
+    /// frames went straight into the ingest. Call [`replay`] directly
+    /// to keep a tap.
+    pub replay: ReplayOutcome<'static>,
     /// The live ingest summary for the written store directory.
     pub summary: LiveSummary,
     /// Passive capture statistics (retransmits seen, orphans, ...).
@@ -88,9 +117,11 @@ pub struct RoundtripOutcome {
 /// Serves `plan` over loopback TCP, replays it with `options`, and
 /// ingests the captured byte streams into a live store at `dir`.
 ///
-/// Each stage's memory is released as soon as the next has what it
-/// needs: the server and its reply schedule once the replay is done,
-/// the tap once it is framed.
+/// The server and its reply schedule are released once the replay is
+/// done. The tap then lives through the ingest, but it holds no bytes
+/// of a faithful replay — they are the plan's — and its frames are
+/// lent one at a time through the [`MirrorPort`] into the
+/// [`SnifferSource`], so no packet list is ever built.
 ///
 /// Metrics for every stage land in `registry`.
 ///
@@ -107,29 +138,30 @@ pub fn serve_roundtrip(
     let server_ip = plan.calls.first().map_or(1, |c| c.server_ip);
     let service = Arc::new(ReplayService::new(plan, server_ip));
     let mut server = NfsTcpServer::spawn(Arc::clone(&service) as Arc<dyn NfsService>, registry)?;
-    let mut replay_outcome = replay(plan, server.addr(), options, registry)?;
+    let replayed = replay(plan, server.addr(), options, registry)?;
     server.shutdown();
     let unplanned_calls = service.unplanned_calls();
     drop(server);
     drop(service);
 
     // Mirror the tap into the capture path, then sniff + ingest.
-    let tap = std::mem::take(&mut replay_outcome.tap);
-    let framed = tap_to_packets(&tap);
-    drop(tap);
     let mut mirror = MirrorPort::new(MirrorConfig::lossless());
-    let packets: Vec<CapturedPacket> = framed
-        .into_iter()
-        .filter(|p| mirror.offer(p.timestamp_micros, p.data.len()) == MirrorVerdict::Forwarded)
-        .collect();
-    let mut source = SnifferSource::new(packets.into_iter(), PACKETS_PER_BATCH);
+    let forwarded = tap_frames(&replayed.tap)
+        .filter(|p| mirror.offer(p.timestamp_micros, p.data.len()) == MirrorVerdict::Forwarded);
+    let mut source = SnifferSource::new(forwarded, PACKETS_PER_BATCH);
     let mut ingest = LiveIngest::create(LiveConfig::new(dir).with_registry(registry))?;
     ingest.run(&mut source)?;
     let summary = ingest.finish()?;
+    let sniffer = source.stats();
+    drop(source);
     Ok(RoundtripOutcome {
-        replay: replay_outcome,
+        replay: ReplayOutcome {
+            tap: Vec::new(),
+            calls_sent: replayed.calls_sent,
+            retransmits: replayed.retransmits,
+        },
         summary,
-        sniffer: source.stats(),
+        sniffer,
         mirror: mirror.stats(),
         unplanned_calls,
     })

@@ -10,10 +10,11 @@ use nfstrace_core::time::{DAY, HOUR};
 use nfstrace_serve::{tap_to_packets, ReplayPlan, TapEvent};
 use nfstrace_sniffer::Sniffer;
 use nfstrace_workload::{CampusConfig, CampusWorkload, EecsConfig, EecsWorkload};
+use std::borrow::Cow;
 
 /// Expands a plan into the tap a loss-free, retransmission-free replay
 /// would record: call then reply, per record, in trace order.
-fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent> {
+fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent<'_>> {
     let mut tap = Vec::new();
     for c in &plan.calls {
         tap.push(TapEvent {
@@ -22,7 +23,7 @@ fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent> {
             micros: c.micros,
             client_ip: c.client_ip,
             server_ip: c.server_ip,
-            bytes: c.call_bytes.clone(),
+            bytes: Cow::Borrowed(&c.call_bytes),
         });
         if let Some(reply) = &c.reply_bytes {
             tap.push(TapEvent {
@@ -31,7 +32,7 @@ fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent> {
                 micros: c.reply_micros,
                 client_ip: c.client_ip,
                 server_ip: c.server_ip,
-                bytes: reply.clone(),
+                bytes: Cow::Borrowed(reply),
             });
         }
     }

@@ -26,4 +26,4 @@ pub mod wire;
 
 pub use capture::{Sniffer, SnifferStats};
 pub use convert::{v2_to_record, v3_to_record, CallMeta};
-pub use wire::WireEncoder;
+pub use wire::{MessageFrames, WireEncoder};

@@ -14,7 +14,7 @@ use nfstrace_client::EmittedCall;
 use nfstrace_net::ethernet::MacAddr;
 use nfstrace_net::ipv4::Ipv4Addr4;
 use nfstrace_net::packet::PacketBuilder;
-use nfstrace_net::pcap::CapturedPacket;
+use nfstrace_net::pcap::{CapturedPacket, FrameLender};
 use nfstrace_net::udp::NFS_PORT;
 pub use nfstrace_nfs::v2::DowngradeStats;
 use nfstrace_nfs::v2::{Call2, Reply2};
@@ -24,6 +24,7 @@ use nfstrace_rpc::{RpcMessage, PROG_NFS};
 use nfstrace_telemetry::{Counter, Registry};
 use nfstrace_xdr::Pack;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Which transport a flow uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,16 +178,10 @@ impl WireEncoder {
     /// Puts one already-encoded RPC message on the wire as captured
     /// frames: UDP datagram or record-marked, MSS-chunked TCP segments
     /// with per-flow sequence numbers. This is the frame-synthesis
-    /// primitive behind [`WireEncoder::encode_event`]; the serving
-    /// loop's capture tap uses it directly to replay the byte streams
-    /// it observed on real sockets.
-    ///
-    /// Each frame is one allocation: its headers, then its share of the
-    /// record mark and of `msg`, are written straight into the frame's
-    /// own `Vec` — the marked stream `mark ‖ msg` is cut at every `mss`
-    /// bytes without ever being materialized. Segment `i` is stamped
-    /// `ts + i`, so the segments of one message share the capture tick
-    /// but stay ordered.
+    /// primitive behind [`WireEncoder::encode_event`]: the
+    /// [`WireEncoder::frames`] cursor collected, each frame one exactly
+    /// sized allocation of its own. A caller that observes each frame
+    /// and lets it go frames through the cursor instead.
     pub fn encode_message(
         &mut self,
         ts: u64,
@@ -196,49 +191,168 @@ impl WireEncoder {
         dport: u16,
         msg: &[u8],
     ) -> Vec<CapturedPacket> {
-        let src = Ipv4Addr4::from_u32(src_ip);
-        let dst = Ipv4Addr4::from_u32(dst_ip);
-        let smac = Self::mac_of(src_ip);
-        let dmac = Self::mac_of(dst_ip);
-        match self.mode {
-            TransportMode::Udp => {
-                let mut frame =
-                    PacketBuilder::udp_headers(smac, dmac, src, dst, sport, dport, msg.len());
-                frame.extend_from_slice(msg);
-                vec![CapturedPacket::new(ts, frame)]
-            }
+        self.frames(ts, src_ip, dst_ip, sport, dport, msg).collect()
+    }
+
+    /// A cursor over the frames that put `msg` on the wire, one at a
+    /// time: lent from a caller's buffer ([`MessageFrames::lend_next`])
+    /// or as owned packets (its `Iterator` impl). The flow's sequence number advances past the
+    /// whole message now, so the cursor borrows only `msg`; frames of
+    /// one flow must be taken in the order their cursors were made.
+    ///
+    /// Under TCP the marked stream `mark ‖ msg` is cut at every `mss`
+    /// bytes without ever being materialized: each frame is its
+    /// headers, then its share of the record mark and of `msg`. Segment
+    /// `i` is stamped `ts + i`, so the segments of one message share
+    /// the capture tick but stay ordered.
+    pub fn frames<'m>(
+        &mut self,
+        ts: u64,
+        src_ip: u32,
+        dst_ip: u32,
+        sport: u16,
+        dport: u16,
+        msg: &'m [u8],
+    ) -> MessageFrames<'m> {
+        let (seq, count) = match self.mode {
+            TransportMode::Udp => (0, 1),
             TransportMode::Tcp { mss } => {
-                let mark = record_mark(msg.len());
-                let stream_len = mark.len() + msg.len();
-                let key = (src_ip, dst_ip, sport, dport);
-                let seq = self.seq.entry(key).or_insert(self.initial_seq);
-                let mut pkts = Vec::with_capacity(stream_len.div_ceil(mss));
-                // Segment bounds in the marked stream; the mark is its
-                // first four bytes, `msg` the rest.
-                for (i, lo) in (0..stream_len).step_by(mss).enumerate() {
-                    let hi = (lo + mss).min(stream_len);
-                    let mut frame = PacketBuilder::tcp_headers(
-                        smac,
-                        dmac,
-                        src,
-                        dst,
-                        sport,
-                        dport,
-                        *seq,
-                        hi - lo,
-                    );
-                    frame.extend_from_slice(&mark[lo.min(mark.len())..hi.min(mark.len())]);
-                    frame.extend_from_slice(
-                        &msg[lo.saturating_sub(mark.len())..hi.saturating_sub(mark.len())],
-                    );
-                    pkts.push(CapturedPacket::new(ts + i as u64, frame));
-                    *seq = seq.wrapping_add((hi - lo) as u32);
-                }
-                pkts
+                let stream_len = 4 + msg.len();
+                let next = self
+                    .seq
+                    .entry((src_ip, dst_ip, sport, dport))
+                    .or_insert(self.initial_seq);
+                let seq = *next;
+                *next = next.wrapping_add(stream_len as u32);
+                (seq, stream_len.div_ceil(mss))
             }
+        };
+        MessageFrames {
+            mode: self.mode,
+            ts,
+            smac: Self::mac_of(src_ip),
+            dmac: Self::mac_of(dst_ip),
+            src: Ipv4Addr4::from_u32(src_ip),
+            dst: Ipv4Addr4::from_u32(dst_ip),
+            sport,
+            dport,
+            seq,
+            msg,
+            next: 0,
+            count,
         }
     }
 }
+
+/// The frames of one message, in wire order: what
+/// [`WireEncoder::frames`] returns. One segmentation loop writes every
+/// frame; the owned and lent forms differ only in whose buffer it lands
+/// in.
+#[derive(Debug)]
+pub struct MessageFrames<'m> {
+    mode: TransportMode,
+    ts: u64,
+    smac: MacAddr,
+    dmac: MacAddr,
+    src: Ipv4Addr4,
+    dst: Ipv4Addr4,
+    sport: u16,
+    dport: u16,
+    /// TCP: sequence number of the first byte of the marked stream.
+    seq: u32,
+    msg: &'m [u8],
+    /// Index of the next frame.
+    next: usize,
+    /// Frames in all.
+    count: usize,
+}
+
+impl MessageFrames<'_> {
+    /// Appends the next frame to `out` and returns its capture time, or
+    /// `None` once every frame has been written.
+    fn write_next(&mut self, out: &mut Vec<u8>) -> Option<u64> {
+        if self.next == self.count {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        match self.mode {
+            TransportMode::Udp => {
+                PacketBuilder::write_udp_headers(
+                    self.smac,
+                    self.dmac,
+                    self.src,
+                    self.dst,
+                    self.sport,
+                    self.dport,
+                    self.msg.len(),
+                    out,
+                );
+                out.extend_from_slice(self.msg);
+            }
+            TransportMode::Tcp { mss } => {
+                // Segment bounds in the marked stream; the mark is its
+                // first four bytes, `msg` the rest.
+                let mark = record_mark(self.msg.len());
+                let lo = i * mss;
+                let hi = (lo + mss).min(mark.len() + self.msg.len());
+                PacketBuilder::write_tcp_headers(
+                    self.smac,
+                    self.dmac,
+                    self.src,
+                    self.dst,
+                    self.sport,
+                    self.dport,
+                    self.seq.wrapping_add(lo as u32),
+                    hi - lo,
+                    out,
+                );
+                out.extend_from_slice(&mark[lo.min(mark.len())..hi.min(mark.len())]);
+                out.extend_from_slice(
+                    &self.msg[lo.saturating_sub(mark.len())..hi.saturating_sub(mark.len())],
+                );
+            }
+        }
+        Some(self.ts + i as u64)
+    }
+
+    /// The next frame, written into `lender`'s buffer: no allocation
+    /// when the frame lent before it is gone (see [`FrameLender`]).
+    pub fn lend_next(&mut self, lender: &mut FrameLender) -> Option<CapturedPacket> {
+        if self.next == self.count {
+            return None;
+        }
+        let mut ts = 0;
+        let Ok(data) = lender.lend(|buf| {
+            buf.clear();
+            ts = self.write_next(buf).expect("a frame remains");
+            Ok::<_, Infallible>(buf.len())
+        });
+        Some(CapturedPacket {
+            timestamp_micros: ts,
+            orig_len: data.len() as u32,
+            data,
+        })
+    }
+}
+
+impl Iterator for MessageFrames<'_> {
+    type Item = CapturedPacket;
+
+    /// The next frame as a packet owning its bytes.
+    fn next(&mut self) -> Option<CapturedPacket> {
+        let mut frame = Vec::new();
+        let ts = self.write_next(&mut frame)?;
+        Some(CapturedPacket::new(ts, frame))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.count - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for MessageFrames<'_> {}
 
 /// Builds the RPC call and reply messages for an event, choosing the
 /// protocol version by the event's tag.
