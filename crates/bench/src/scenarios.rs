@@ -12,12 +12,14 @@
 
 use nfstrace_core::index::TraceIndex;
 use nfstrace_core::record::TraceRecord;
-use nfstrace_core::time::{DAY, HOUR};
+use nfstrace_core::time::DAY;
 use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest};
 use nfstrace_serve::{serve_roundtrip, ReplayOptions, ReplayPlan};
 use nfstrace_store::{CompactionPolicy, Result, StoreConfig, StoreIndex, StoreWriter};
 use nfstrace_telemetry::Registry;
-use nfstrace_workload::{CampusConfig, CampusWorkload, EecsConfig, EecsWorkload, SlicedWorkload};
+use nfstrace_workload::{
+    CampusConfig, CampusWorkload, EecsConfig, EecsWorkload, SlicedWorkload, SLICE_MICROS,
+};
 use std::path::Path;
 
 /// Base CAMPUS population at scale 1.0.
@@ -79,9 +81,9 @@ pub const EECS_SEED: u64 = 1789;
 
 /// The out-of-core twin of [`eight_day_index_pair`]: generates the same
 /// eight-day traces (same seeds, bit-identical record streams) directly
-/// into chunked store files under `dir` — the merged record vectors are
-/// never materialized — then opens chunk-parallel [`StoreIndex`]es over
-/// them.
+/// into chunked store files under `dir` — one generation slice of
+/// records resident at a time, never the trace — then opens
+/// chunk-parallel [`StoreIndex`]es over them.
 ///
 /// # Errors
 ///
@@ -110,17 +112,14 @@ pub fn eight_day_store_pair(
     ))
 }
 
-/// Simulated time per generation slice on the live paths.
-pub const LIVE_SLICE_MICROS: u64 = 6 * HOUR;
-
 /// The eight-day CAMPUS trace as a time-sliced generator — a
 /// [`nfstrace_live::RecordSource`] whose slices, concatenated, are
-/// [`campus`]'s stream bit for bit, with only one
-/// [`LIVE_SLICE_MICROS`] slice of records ever resident.
+/// [`campus`]'s stream bit for bit (it is the driver `campus` runs),
+/// with only one [`SLICE_MICROS`] slice of records ever resident.
 pub fn campus_slices(scale: f64) -> SlicedWorkload {
     SlicedWorkload::campus(
         campus_config(8, scale, CAMPUS_SEED),
-        LIVE_SLICE_MICROS,
+        SLICE_MICROS,
         nfstrace_core::parallel::threads(),
     )
 }
@@ -129,7 +128,7 @@ pub fn campus_slices(scale: f64) -> SlicedWorkload {
 pub fn eecs_slices(scale: f64) -> SlicedWorkload {
     SlicedWorkload::eecs(
         eecs_config(8, scale, EECS_SEED),
-        LIVE_SLICE_MICROS,
+        SLICE_MICROS,
         nfstrace_core::parallel::threads(),
     )
 }

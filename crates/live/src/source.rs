@@ -103,18 +103,25 @@ impl<I: Iterator<Item = CapturedPacket>> RecordSource for SnifferSource<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfstrace_workload::{CampusConfig, CampusWorkload};
+    use nfstrace_workload::EecsConfig;
 
     #[test]
     fn sliced_source_replays_the_batch_trace() {
-        let cfg = CampusConfig {
-            users: 2,
-            duration_micros: nfstrace_core::time::HOUR * 8,
+        // EECS users emit records with equal timestamps, so the replay
+        // must keep tie order too.
+        let cfg = EecsConfig {
+            users: 3,
+            duration_micros: nfstrace_core::time::DAY,
             seed: 3,
-            ..CampusConfig::default()
+            ..EecsConfig::default()
         };
-        let batch = CampusWorkload::new(cfg.clone()).generate_with_threads(1);
-        let mut src = SlicedWorkload::campus(cfg, nfstrace_core::time::HOUR, 1);
+        // The reference: one slice spanning the run, so every user's
+        // simulation runs to the end in one step before the merge.
+        let mut batch = Vec::new();
+        nfstrace_core::sink::into_ok(
+            SlicedWorkload::eecs(cfg.clone(), u64::MAX, 1).run_into(&mut batch),
+        );
+        let mut src = SlicedWorkload::eecs(cfg, nfstrace_core::time::HOUR, 1);
         let mut all = Vec::new();
         let mut buf = Vec::new();
         while {

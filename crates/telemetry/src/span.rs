@@ -6,7 +6,7 @@ use crate::histogram::Histogram;
 
 /// Records elapsed wall-clock microseconds into a [`Histogram`] when
 /// dropped. Construct via [`SpanTimer::start`] or the
-/// [`span!`](crate::span) macro; bind it to a named variable
+/// [`span!`](macro@crate::span) macro; bind it to a named variable
 /// (`let _span = ...`) so it lives to the end of the stage.
 ///
 /// The timer itself costs one `Instant::now()` on each end and a

@@ -27,10 +27,9 @@
 //! only — the merged trace is bit-identical for any thread count.
 
 use crate::convert::append_records;
-use crate::driver::{
-    exp_gap, flip, lognormal, merge_user_records_into, pick, user_first_xid, user_seed, EventQueue,
-};
+use crate::driver::{exp_gap, flip, lognormal, pick, user_first_xid, user_seed, EventQueue};
 use crate::rate::DiurnalRate;
+use crate::sliced::{SlicedWorkload, UserSim, SLICE_MICROS};
 use nfstrace_client::{CacheConfig, ClientConfig, ClientMachine};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_fssim::NfsServer;
@@ -144,9 +143,10 @@ impl CampusWorkload {
     }
 
     /// Streams the merged trace straight into `sink` — a `Vec`, an
-    /// on-disk store writer, a partial index — without materializing
-    /// the merged record vector. The record sequence is bit-identical
-    /// to [`CampusWorkload::generate`] for any worker count.
+    /// on-disk store writer, a partial index — one [`SLICE_MICROS`]
+    /// slice at a time, so only a slice of records is ever resident.
+    /// The record sequence is [`CampusWorkload::generate`]'s for any
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -156,28 +156,16 @@ impl CampusWorkload {
         threads: usize,
         sink: &mut S,
     ) -> Result<(), S::Err> {
-        let per_user = nfstrace_core::parallel::run_sharded(self.config.users, threads, |u| {
-            self.simulate_user(u)
-        });
-        merge_user_records_into(per_user, sink)
-    }
-
-    /// Simulates one user's whole trace against a private filesystem
-    /// replica. Deterministic given `(config, u)`.
-    fn simulate_user(&self, u: usize) -> Vec<TraceRecord> {
-        let mut sim = self.user_sim(u);
-        let mut out = Vec::new();
-        sim.advance_until(u64::MAX, &mut out);
-        out
+        SlicedWorkload::campus(self.config.clone(), SLICE_MICROS, threads).run_into(sink)
     }
 
     /// Builds user `u`'s resident simulation, positioned at time zero.
+    /// Deterministic given `(config, u)`.
     ///
-    /// [`CampusUserSim::advance_until`] then steps it forward in
-    /// arbitrary time slices; running a single slice to the configured
-    /// duration reproduces [`CampusWorkload::generate`]'s per-user
-    /// stream bit for bit.
-    pub fn user_sim(&self, u: usize) -> CampusUserSim {
+    /// [`UserSim::advance_until`] then steps it forward in
+    /// arbitrary time slices; the user's stream does not depend on how
+    /// the run is sliced.
+    pub(crate) fn user_sim(&self, u: usize) -> CampusUserSim {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(user_seed(cfg.seed, u));
         let mut server = NfsServer::new(0x0a01_0002);
@@ -517,17 +505,15 @@ impl CampusWorkload {
 /// One user's resident CAMPUS simulation, steppable in bounded time
 /// slices.
 ///
-/// Holds everything [`CampusWorkload::generate`] used to keep on the
-/// stack for the whole run — the filesystem replica, the three
-/// infrastructure client machines, the RNG, and the event queue — so a
-/// caller can advance the simulation slice by slice and stream records
-/// out as simulated time passes instead of materializing the user's
-/// whole stream. Driving a single slice to the end produces exactly the
-/// batch per-user stream, and slicing never changes a single bit of it:
-/// the event pop order, RNG draw order, and client cache state are all
-/// functions of the event sequence alone.
+/// Holds the user's whole simulation state — the filesystem replica,
+/// the three infrastructure client machines, the RNG, and the event
+/// queue — so the sliced driver can advance it slice by slice and
+/// stream records out as simulated time passes. Slicing never changes a
+/// single bit of the user's stream: the event pop order, RNG draw
+/// order, and client cache state are all functions of the event
+/// sequence alone.
 #[derive(Debug)]
-pub struct CampusUserSim {
+pub(crate) struct CampusUserSim {
     wl: CampusWorkload,
     server: NfsServer,
     smtp: ClientMachine,
@@ -538,7 +524,7 @@ pub struct CampusUserSim {
     q: EventQueue<Ev>,
 }
 
-impl CampusUserSim {
+impl UserSim for CampusUserSim {
     /// Runs every pending event strictly before `end_micros` (capped at
     /// the configured duration), appending the records they emit to
     /// `out` in emission order.
@@ -547,7 +533,7 @@ impl CampusUserSim {
     /// after this returns every *future* record of this user carries a
     /// timestamp `>= end_micros` — the watermark the sliced driver uses
     /// to know which records are final.
-    pub fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>) {
+    fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>) {
         let end = end_micros.min(self.wl.config.duration_micros);
         let day = nfstrace_core::time::DAY as f64;
         let drain = |m: &mut ClientMachine, out: &mut Vec<TraceRecord>| {

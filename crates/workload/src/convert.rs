@@ -26,18 +26,11 @@ pub fn emitted_to_record(e: &EmittedCall) -> TraceRecord {
     v3_to_record(&meta, &e.call, &e.reply)
 }
 
-/// Converts and time-sorts a batch of events (capture order).
-pub fn events_to_records(events: &[EmittedCall]) -> Vec<TraceRecord> {
-    let mut records: Vec<TraceRecord> = events.iter().map(emitted_to_record).collect();
-    records.sort_by_key(|r| r.micros);
-    records
-}
-
 /// Appends a batch of events to `out` as records, unsorted.
 ///
-/// The generators' hot drain path: per-batch sorting (and the
-/// intermediate `Vec`) is wasted work there, because the merged trace
-/// is globally sorted once at the end.
+/// The generators' hot drain path: per-batch sorting (and an
+/// intermediate `Vec`) is wasted work there, because the sliced driver
+/// sorts each user's records once per slice.
 pub fn append_records(events: &[EmittedCall], out: &mut Vec<TraceRecord>) {
     out.reserve(events.len());
     out.extend(events.iter().map(emitted_to_record));
@@ -49,6 +42,12 @@ mod tests {
     use nfstrace_client::{ClientConfig, ClientMachine};
     use nfstrace_core::record::Op;
     use nfstrace_fssim::NfsServer;
+
+    fn records(client: &mut ClientMachine) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        append_records(&client.take_events(), &mut out);
+        out
+    }
 
     #[test]
     fn read_write_fields_mapped() {
@@ -67,7 +66,7 @@ mod tests {
             .write(fh.as_u64().unwrap(), 10_000, 2_000, t + 1)
             .unwrap();
         client.read_file(&mut server, t + 60_000_000, &fh);
-        let records = events_to_records(&client.take_events());
+        let records = records(&mut client);
         assert!(records.iter().any(|r| r.op == Op::Read && r.eof));
 
         let create = records.iter().find(|r| r.op == Op::Create).unwrap();
@@ -85,7 +84,7 @@ mod tests {
     }
 
     #[test]
-    fn records_sorted_by_wire_time() {
+    fn records_keep_emission_order_and_wire_time() {
         let mut server = NfsServer::new(9);
         let root = server.root_fh();
         let mut client = ClientMachine::new(ClientConfig {
@@ -104,9 +103,15 @@ mod tests {
             client.read(&mut server, now, &fh, i * 8192, 8192);
             now += 200;
         }
-        let records = events_to_records(&client.take_events());
-        for w in records.windows(2) {
-            assert!(w[0].micros <= w[1].micros);
+        // Eight nfsiods put calls on the wire out of issue order; the
+        // records stay in emission order, each stamped with its wire
+        // time, for the driver's per-slice stable sort.
+        let events = client.take_events();
+        let mut records = Vec::new();
+        append_records(&events, &mut records);
+        assert_eq!(records.len(), events.len());
+        for (r, e) in records.iter().zip(&events) {
+            assert_eq!((r.micros, r.xid), (e.wire_micros, e.xid));
         }
     }
 
@@ -117,7 +122,7 @@ mod tests {
         let mut client = ClientMachine::new(ClientConfig::default());
         let (_, t) = client.create(&mut server, 0, &root, "a");
         client.rename(&mut server, t, &root, "a", &root, "b");
-        let records = events_to_records(&client.take_events());
+        let records = records(&mut client);
         let rn = records.iter().find(|r| r.op == Op::Rename).unwrap();
         assert_eq!(rn.name.as_deref(), Some("a"));
         assert_eq!(rn.name2.as_deref(), Some("b"));
@@ -133,7 +138,7 @@ mod tests {
         let fh = fh.unwrap();
         let t = client.write(&mut server, t, &fh, 0, 5000);
         client.truncate(&mut server, t, &fh, 0);
-        let records = events_to_records(&client.take_events());
+        let records = records(&mut client);
         let s = records.iter().find(|r| r.op == Op::Setattr).unwrap();
         assert_eq!(s.truncate_to, Some(0));
         assert_eq!(s.pre_size, Some(5000));

@@ -120,44 +120,38 @@ pub fn user_first_xid(base: u64, user: usize) -> u32 {
 /// Merges per-user record streams into one time-sorted trace.
 ///
 /// Streams are concatenated in user order and then stable-sorted by
-/// timestamp, so ties break on user index — deterministically, and
-/// independently of how many threads produced the streams.
-pub fn merge_user_records(per_user: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    let total = per_user.iter().map(Vec::len).sum();
-    let mut out: Vec<TraceRecord> = Vec::with_capacity(total);
-    for stream in per_user {
-        out.extend(stream);
-    }
+/// timestamp, so ties break on user index and then on emission order.
+/// This is the definition of the generated trace's order; the tests
+/// hold [`merge_user_records_into`] and the sliced driver to it.
+#[cfg(test)]
+pub(crate) fn merge_user_records(per_user: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
+    let mut out: Vec<TraceRecord> = per_user.into_iter().flatten().collect();
     out.sort_by_key(|r| r.micros);
     out
 }
 
-/// Merges per-user record streams **into a sink**, k-way, without ever
-/// materializing the merged trace.
+/// K-way merges per-user record streams, each already stable-sorted by
+/// timestamp, **into a sink**, ties broken by user index.
 ///
-/// Each stream is stable-sorted by timestamp first (per-user simulation
-/// emits records nearly — but not exactly — in time order), then the
-/// streams are heap-merged with ties broken by user index. That is
-/// exactly the order [`merge_user_records`]'s concatenate-and-
-/// stable-sort produces, so the record sequence reaching the sink is
-/// bit-identical to the `Vec` path for any thread count — the
-/// `generate_into` entry points on both workloads rely on this.
+/// That is the order `merge_user_records`'s concatenate-and-stable-sort
+/// gives the same streams, without materializing the merged trace.
 ///
 /// # Errors
 ///
 /// Propagates the sink's error (infallible for `Vec<TraceRecord>`).
-pub fn merge_user_records_into<S: nfstrace_core::sink::RecordSink>(
+pub(crate) fn merge_user_records_into<S: nfstrace_core::sink::RecordSink>(
     per_user: Vec<Vec<TraceRecord>>,
     sink: &mut S,
 ) -> Result<(), S::Err> {
+    debug_assert!(
+        per_user
+            .iter()
+            .all(|s| s.windows(2).all(|w| w[0].micros <= w[1].micros)),
+        "per-user streams must arrive time-sorted"
+    );
     let mut cursors: Vec<std::iter::Peekable<std::vec::IntoIter<TraceRecord>>> = per_user
         .into_iter()
-        .map(|mut stream| {
-            // Stable: equal-timestamp records keep their emission
-            // order, as they would under the global stable sort.
-            stream.sort_by_key(|r| r.micros);
-            stream.into_iter().peekable()
-        })
+        .map(|stream| stream.into_iter().peekable())
         .collect();
     // Min-heap over (timestamp, user index); each pop emits the next
     // record of one user's stream. Equal timestamps drain lower user
@@ -250,7 +244,8 @@ mod tests {
     #[test]
     fn kway_merge_equals_concat_and_stable_sort() {
         use nfstrace_core::record::{FileId, Op};
-        // Adversarial streams: internal disorder, cross-stream ties.
+        // Adversarial streams: internal disorder (sorted below, as the
+        // sliced driver sorts each user's slice), cross-stream ties.
         let mk = |seed: u64| -> Vec<TraceRecord> {
             (0..50u64)
                 .map(|i| {
@@ -259,17 +254,14 @@ mod tests {
                 })
                 .collect()
         };
-        let streams: Vec<Vec<TraceRecord>> = (0..4).map(mk).collect();
-        let legacy = {
-            let mut sorted = streams.clone();
-            for s in &mut sorted {
-                s.sort_by_key(|r| r.micros);
-            }
-            merge_user_records(sorted)
-        };
+        let mut streams: Vec<Vec<TraceRecord>> = (0..4).map(mk).collect();
+        for s in &mut streams {
+            s.sort_by_key(|r| r.micros);
+        }
+        let reference = merge_user_records(streams.clone());
         let mut merged: Vec<TraceRecord> = Vec::new();
         nfstrace_core::sink::into_ok(merge_user_records_into(streams, &mut merged));
-        assert_eq!(merged, legacy);
+        assert_eq!(merged, reference);
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! the merged trace.
 
 use crate::convert::append_records;
-use crate::driver::{
-    exp_gap, flip, lognormal, merge_user_records_into, pick, user_first_xid, user_seed, EventQueue,
-};
+use crate::driver::{exp_gap, flip, lognormal, pick, user_first_xid, user_seed, EventQueue};
 use crate::rate::DiurnalRate;
+use crate::sliced::{SlicedWorkload, UserSim, SLICE_MICROS};
 use nfstrace_client::{CacheConfig, ClientConfig, ClientMachine};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_fssim::NfsServer;
@@ -162,10 +161,9 @@ pub struct EecsWorkload {
 /// both derived from the base seed before any shard starts.
 ///
 /// Build it once with [`EecsWorkload::sim_seed`] and hand it to every
-/// [`EecsWorkload::user_sim`] call, exactly as the batch generator
-/// does internally.
+/// [`EecsWorkload::user_sim`] call.
 #[derive(Debug, Clone)]
-pub struct EecsSimSeed {
+pub(crate) struct EecsSimSeed {
     shared_sizes: std::sync::Arc<Vec<u32>>,
     schedule: std::sync::Arc<Vec<Refresh>>,
 }
@@ -193,9 +191,10 @@ impl EecsWorkload {
     }
 
     /// Streams the merged trace straight into `sink` — a `Vec`, an
-    /// on-disk store writer, a partial index — without materializing
-    /// the merged record vector. The record sequence is bit-identical
-    /// to [`EecsWorkload::generate`] for any worker count.
+    /// on-disk store writer, a partial index — one [`SLICE_MICROS`]
+    /// slice at a time, so only a slice of records is ever resident.
+    /// The record sequence is [`EecsWorkload::generate`]'s for any
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -205,18 +204,14 @@ impl EecsWorkload {
         threads: usize,
         sink: &mut S,
     ) -> Result<(), S::Err> {
-        let seed = self.sim_seed();
-        let per_user = nfstrace_core::parallel::run_sharded(self.config.users, threads, |u| {
-            self.simulate_user(u, &seed)
-        });
-        merge_user_records_into(per_user, sink)
+        SlicedWorkload::eecs(self.config.clone(), SLICE_MICROS, threads).run_into(sink)
     }
 
     /// Precomputes the cross-user state every shard needs. Everything
     /// here is derived from the base seed before the shards start:
     /// shared dataset sizes and the nightly refresh schedule are
     /// identical in every replica.
-    pub fn sim_seed(&self) -> EecsSimSeed {
+    pub(crate) fn sim_seed(&self) -> EecsSimSeed {
         let cfg = &self.config;
         let mut srng = StdRng::seed_from_u64(cfg.seed ^ 0x5AED_CAFE);
         let shared_sizes: Vec<u32> = (0..cfg.shared_files.max(1))
@@ -252,20 +247,11 @@ impl EecsWorkload {
         out
     }
 
-    /// Simulates one workstation's whole trace against a private
-    /// filesystem replica. Deterministic given `(config, u)`.
-    fn simulate_user(&self, u: usize, seed: &EecsSimSeed) -> Vec<TraceRecord> {
-        let mut sim = self.user_sim(u, seed);
-        let mut out = Vec::new();
-        sim.advance_until(u64::MAX, &mut out);
-        out
-    }
-
     /// Builds workstation `u`'s resident simulation, positioned at time
     /// zero. Same contract as [`crate::CampusWorkload::user_sim`]:
-    /// advancing it under any slicing reproduces the batch per-user
-    /// stream bit for bit.
-    pub fn user_sim(&self, u: usize, seed: &EecsSimSeed) -> EecsUserSim {
+    /// deterministic given `(config, seed, u)`, and its stream does not
+    /// depend on how the run is sliced.
+    pub(crate) fn user_sim(&self, u: usize, seed: &EecsSimSeed) -> EecsUserSim {
         let shared_sizes: &[u32] = &seed.shared_sizes;
         let schedule: &[Refresh] = &seed.schedule;
         let cfg = &self.config;
@@ -705,7 +691,7 @@ impl EecsWorkload {
 /// time slices (the EECS twin of
 /// [`crate::campus::CampusUserSim`]).
 #[derive(Debug)]
-pub struct EecsUserSim {
+pub(crate) struct EecsUserSim {
     wl: EecsWorkload,
     shared_sizes: std::sync::Arc<Vec<u32>>,
     server: NfsServer,
@@ -714,12 +700,12 @@ pub struct EecsUserSim {
     q: EventQueue<Ev>,
 }
 
-impl EecsUserSim {
+impl UserSim for EecsUserSim {
     /// Runs every pending event strictly before `end_micros` (capped at
     /// the configured duration), appending the records they emit to
     /// `out` in emission order. Future records are stamped
     /// `>= end_micros` once this returns.
-    pub fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>) {
+    fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>) {
         let end = end_micros.min(self.wl.config.duration_micros);
         let day = nfstrace_core::time::DAY as f64;
         while self.q.next_time().is_some_and(|t| t < end) {

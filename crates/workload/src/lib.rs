@@ -20,39 +20,24 @@
 //! - [`driver`]: the discrete-event scaffolding and deterministic
 //!   random samplers.
 //!
-//! # Sharded generation
+//! # Generation
 //!
 //! Both generators simulate every user independently — its own
 //! filesystem replica (disjoint inode base), its own client machines,
 //! its own [`driver::user_seed`]-derived RNG — and merge the per-user
-//! streams by timestamp. Users are distributed across `std::thread`
-//! workers; the `NFSTRACE_THREADS` environment variable (default:
-//! available parallelism) sets the pool size and never changes the
-//! output: `generate_with_threads(1)` and `generate_with_threads(n)`
-//! are bit-identical for the same seed.
-//!
-//! # Streaming into a sink
-//!
-//! Both generators also expose `generate_into`, which k-way-merges the
-//! per-user streams straight into any
-//! [`nfstrace_core::sink::RecordSink`] — an on-disk
+//! streams by timestamp, ties broken by user index. One driver,
+//! [`SlicedWorkload`], runs every path: it keeps each user's simulation
+//! resident, advances all of them one time slice at a time across
+//! `std::thread` workers, and k-way merges each slice's final records
+//! into any [`nfstrace_core::sink::RecordSink`] — an on-disk
 //! `nfstrace_store::StoreWriter`, a
-//! [`nfstrace_core::index::PartialIndex`], or a plain `Vec` — without
-//! ever materializing the **merged** trace, in the exact record order
-//! `generate` returns. With `generate_into` the per-user simulation
-//! outputs still coexist until the merge drains them, so that path
-//! peaks at O(sum of per-user streams).
-//!
-//! # Time-sliced generation
-//!
-//! [`sliced::SlicedWorkload`] bounds the write path completely: every
-//! user's simulation stays resident and is advanced one bounded time
-//! slice at a time, with each slice's records k-way merged into the
-//! sink and dropped before the next slice runs. Peak resident record
-//! memory is O(records per slice) regardless of trace length, and the
-//! record stream is bit-identical to `generate()` for any slice length
-//! and worker count — this is what feeds the `nfstrace_live` ingest
-//! daemon.
+//! [`nfstrace_core::index::PartialIndex`], a live ingest, or a plain
+//! `Vec` — before the next slice runs. Peak resident record memory is
+//! O(records per slice) whatever the trace length. `generate_into`
+//! runs it at [`SLICE_MICROS`], and `generate` collects that run into a
+//! `Vec`. The `NFSTRACE_THREADS` environment variable (default:
+//! available parallelism) sets the pool size, and neither it nor the
+//! slice length ever changes the output.
 
 // The zero-copy capture path is only as good as the code around it:
 // flag clones of values whose last use this was.
@@ -65,7 +50,7 @@ pub mod eecs;
 pub mod rate;
 pub mod sliced;
 
-pub use campus::{CampusConfig, CampusUserSim, CampusWorkload};
+pub use campus::{CampusConfig, CampusWorkload};
 pub use convert::emitted_to_record;
-pub use eecs::{EecsConfig, EecsUserSim, EecsWorkload};
-pub use sliced::SlicedWorkload;
+pub use eecs::{EecsConfig, EecsWorkload};
+pub use sliced::{SlicedWorkload, SLICE_MICROS};

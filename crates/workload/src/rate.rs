@@ -1,6 +1,6 @@
 //! The diurnal/weekly activity rhythm (§6.2, Figure 4).
 //!
-//! "Peak load periods [are] highly correlated with day of week and time
+//! "Peak load periods \[are\] highly correlated with day of week and time
 //! of day" on CAMPUS; EECS follows the same peak hours with more
 //! variance plus off-hours batch activity. The model: a base rate
 //! multiplied by an hour-of-day curve (low at night, high 9am–6pm) and a

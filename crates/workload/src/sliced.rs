@@ -1,22 +1,20 @@
-//! Time-sliced generation: bounded-memory streaming of the simulated
-//! workloads.
+//! Time-sliced generation: the one driver of both simulated workloads.
 //!
-//! The batch generators (`generate` / `generate_into`) simulate every
-//! user's **whole** trace before the k-way merge drains it, so the
-//! write path peaks at O(sum of per-user streams) even when the sink
-//! streams to disk. [`SlicedWorkload`] removes that peak: every user's
-//! simulation stays resident ([`crate::campus::CampusUserSim`],
-//! [`crate::eecs::EecsUserSim`]) and is advanced one bounded time slice
-//! at a time; after each slice the users' fresh records are k-way
-//! merged — by `(timestamp, user index)`, exactly like the batch merge
-//! — into the sink and dropped. Peak resident record memory is
-//! O(records per slice), not O(trace length).
+//! Every user's simulation (its filesystem replica, client machines,
+//! RNG and event queue) stays resident and is advanced one bounded
+//! time slice at a time; after each slice the users' final records are
+//! k-way merged — by `(timestamp, user index)` — into the sink and
+//! dropped. Peak resident record memory is O(records per slice), not
+//! O(trace length). The workloads'
+//! `generate`, `generate_with_threads` and `generate_into` are this
+//! driver run at [`SLICE_MICROS`].
 //!
 //! # Bit-identity
 //!
-//! The record sequence reaching the sink is **bit-identical** to
-//! `generate()` for any slice length and any worker count. Two facts
-//! make that hold:
+//! The record sequence reaching the sink is the one each user's
+//! simulation would emit if run to the end in one go, concatenated in
+//! user order and stable-sorted by timestamp — for any slice length and
+//! any worker count. Two facts make that hold:
 //!
 //! 1. Slicing never perturbs a simulation. The event queue is peeked,
 //!    not popped, at a slice boundary, so event order, RNG draw order,
@@ -31,50 +29,49 @@
 //! # Examples
 //!
 //! ```
+//! use nfstrace_core::sink::into_ok;
 //! use nfstrace_core::time::HOUR;
-//! use nfstrace_workload::{CampusConfig, CampusWorkload, SlicedWorkload};
+//! use nfstrace_workload::{CampusConfig, SlicedWorkload};
 //!
 //! let config = CampusConfig {
 //!     users: 2,
 //!     duration_micros: 6 * HOUR,
 //!     ..CampusConfig::default()
 //! };
-//! let batch = CampusWorkload::new(config.clone()).generate_with_threads(1);
-//!
+//! // Pump one hour at a time, as a live ingest does (`run_into` drains
+//! // every slice at once).
 //! let mut sliced = SlicedWorkload::campus(config, HOUR, 1);
-//! let mut streamed = Vec::new();
-//! nfstrace_core::sink::into_ok(sliced.run_into(&mut streamed));
-//! assert_eq!(streamed, batch);
-//! assert!(sliced.peak_resident_records() <= batch.len());
+//! let mut trace = Vec::new();
+//! let mut slices = 0;
+//! while into_ok(sliced.next_slice_into(&mut trace)) {
+//!     slices += 1;
+//!     assert_eq!(sliced.emitted_to(), slices * HOUR);
+//! }
+//! assert_eq!(slices, 6);
+//! assert!(trace.windows(2).all(|w| w[0].micros <= w[1].micros));
+//! assert!(sliced.peak_resident_records() <= trace.len());
 //! ```
 
-use crate::campus::{CampusConfig, CampusUserSim, CampusWorkload};
+use crate::campus::{CampusConfig, CampusWorkload};
 use crate::driver::merge_user_records_into;
-use crate::eecs::{EecsConfig, EecsUserSim, EecsWorkload};
+use crate::eecs::{EecsConfig, EecsWorkload};
 use nfstrace_core::parallel;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
+use nfstrace_core::time::HOUR;
+
+/// Simulated time per slice when a workload generates its whole trace
+/// (`generate`, `generate_into`) and on the live paths.
+pub const SLICE_MICROS: u64 = 6 * HOUR;
 
 /// A resident, sliceable user simulation. Implemented by both
 /// workloads' per-user simulators so [`SlicedWorkload`] can drive a
 /// mixed population behind one interface.
-pub trait UserSim: Send {
+pub(crate) trait UserSim: Send {
     /// Runs every pending event strictly before `end_micros`, appending
     /// emitted records (stamped `>=` the event time) to `out` in
     /// emission order.
     fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>);
-}
-
-impl UserSim for CampusUserSim {
-    fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>) {
-        CampusUserSim::advance_until(self, end_micros, out)
-    }
-}
-
-impl UserSim for EecsUserSim {
-    fn advance_until(&mut self, end_micros: u64, out: &mut Vec<TraceRecord>) {
-        EecsUserSim::advance_until(self, end_micros, out)
-    }
 }
 
 /// One user's resident simulation plus the records it emitted that are
@@ -116,10 +113,10 @@ impl std::fmt::Debug for SlicedWorkload {
 }
 
 impl SlicedWorkload {
-    /// A sliced CAMPUS generator: same record stream as
-    /// [`CampusWorkload::generate`] over `config`, produced
+    /// A sliced CAMPUS generator over `config`, producing
     /// `slice_micros` of simulated time at a time across `threads`
-    /// workers.
+    /// workers. The stream is [`CampusWorkload::generate`]'s for any
+    /// slice length and worker count.
     pub fn campus(config: CampusConfig, slice_micros: u64, threads: usize) -> Self {
         let wl = CampusWorkload::new(config);
         let duration = wl.config.duration_micros;
@@ -129,8 +126,8 @@ impl SlicedWorkload {
         Self::new(sims, duration, slice_micros, threads)
     }
 
-    /// A sliced EECS generator: same record stream as
-    /// [`EecsWorkload::generate`] over `config`.
+    /// A sliced EECS generator over `config`; the stream is
+    /// [`EecsWorkload::generate`]'s.
     pub fn eecs(config: EecsConfig, slice_micros: u64, threads: usize) -> Self {
         let wl = EecsWorkload::new(config);
         let duration = wl.config.duration_micros;
@@ -165,9 +162,8 @@ impl SlicedWorkload {
     }
 
     /// Advances every user one slice and streams the slice's final
-    /// records — k-way merged across users, bit-identical to the
-    /// corresponding span of the batch trace — into `sink`. Returns
-    /// `false` once the stream is exhausted (nothing was pushed).
+    /// records, k-way merged across users, into `sink`. Returns `false`
+    /// once the stream is exhausted (nothing was pushed).
     ///
     /// # Errors
     ///
@@ -176,40 +172,30 @@ impl SlicedWorkload {
         if self.finished {
             return Ok(false);
         }
-        let boundary = self.emitted_to.saturating_add(self.slice_micros);
+        let watermark = self.emitted_to;
+        let boundary = watermark.saturating_add(self.slice_micros);
         let last = boundary >= self.duration_micros;
-        // Advance every user to the boundary; each appends its fresh
-        // records (in emission order) to its own carry buffer.
-        parallel::run_sharded_mut(&mut self.slots, self.threads, |_, slot| {
+        // Each user appends its fresh records (in emission order) to its
+        // carry, then splits out the final ones: everything stamped
+        // before the boundary (on the last slice: everything — events
+        // before the duration cap can legally emit a short tail beyond
+        // it, and the trace keeps that tail too). The sort is stable,
+        // so equal timestamps keep their emission order.
+        let ready = parallel::run_sharded_mut(&mut self.slots, self.threads, |_, slot| {
             slot.sim.advance_until(boundary, &mut slot.carry);
+            slot.carry.sort_by_key(|r| r.micros);
+            debug_assert!(
+                slot.carry.first().is_none_or(|r| r.micros >= watermark),
+                "record before the watermark"
+            );
+            if last {
+                return std::mem::take(&mut slot.carry);
+            }
+            let rest = slot
+                .carry
+                .split_off(slot.carry.partition_point(|r| r.micros < boundary));
+            std::mem::replace(&mut slot.carry, rest)
         });
-        // Split out the final records: everything stamped before the
-        // boundary (on the last slice: everything — events before the
-        // duration cap can legally emit a short tail beyond it, and the
-        // batch trace keeps that tail too). Sorting each user's batch is
-        // stable, so equal timestamps keep their emission order exactly
-        // as the batch path's whole-stream stable sort would.
-        let mut ready: Vec<Vec<TraceRecord>> = Vec::with_capacity(self.slots.len());
-        for slot in &mut self.slots {
-            let mut batch = if last {
-                std::mem::take(&mut slot.carry)
-            } else {
-                let mut batch = Vec::new();
-                let mut rest = Vec::new();
-                for r in slot.carry.drain(..) {
-                    debug_assert!(r.micros >= self.emitted_to, "record before the watermark");
-                    if r.micros < boundary {
-                        batch.push(r);
-                    } else {
-                        rest.push(r);
-                    }
-                }
-                slot.carry = rest;
-                batch
-            };
-            batch.sort_by_key(|r| r.micros);
-            ready.push(batch);
-        }
         let resident: usize = ready.iter().map(Vec::len).sum::<usize>()
             + self.slots.iter().map(|s| s.carry.len()).sum::<usize>();
         self.peak_resident_records = self.peak_resident_records.max(resident);
@@ -251,8 +237,9 @@ impl SlicedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::merge_user_records;
     use nfstrace_core::sink::into_ok;
-    use nfstrace_core::time::{DAY, HOUR};
+    use nfstrace_core::time::DAY;
 
     fn campus_cfg() -> CampusConfig {
         CampusConfig {
@@ -272,41 +259,74 @@ mod tests {
         }
     }
 
+    /// The reference trace: every user's simulation run to the end in
+    /// one step, the streams concatenated in user order and
+    /// stable-sorted by timestamp.
+    fn whole_run(sims: impl Iterator<Item = Box<dyn UserSim>>) -> Vec<TraceRecord> {
+        merge_user_records(
+            sims.map(|mut sim| {
+                let mut out = Vec::new();
+                sim.advance_until(u64::MAX, &mut out);
+                out
+            })
+            .collect(),
+        )
+    }
+
+    fn campus_reference() -> Vec<TraceRecord> {
+        let wl = CampusWorkload::new(campus_cfg());
+        whole_run((0..wl.config.users).map(|u| Box::new(wl.user_sim(u)) as Box<dyn UserSim>))
+    }
+
+    fn eecs_reference() -> Vec<TraceRecord> {
+        let wl = EecsWorkload::new(eecs_cfg());
+        let seed = wl.sim_seed();
+        whole_run((0..wl.config.users).map(|u| Box::new(wl.user_sim(u, &seed)) as Box<dyn UserSim>))
+    }
+
     #[test]
     fn campus_sliced_equals_batch_for_any_slice_and_threads() {
-        let batch = CampusWorkload::new(campus_cfg()).generate_with_threads(1);
+        let reference = campus_reference();
         for (slice, threads) in [(HOUR, 1), (3 * HOUR, 2), (7 * HOUR + 1234, 3), (2 * DAY, 1)] {
             let mut sliced = SlicedWorkload::campus(campus_cfg(), slice, threads);
             let mut out: Vec<TraceRecord> = Vec::new();
             into_ok(sliced.run_into(&mut out));
-            assert_eq!(out, batch, "slice={slice} threads={threads}");
+            assert_eq!(out, reference, "slice={slice} threads={threads}");
             assert!(sliced.is_finished());
         }
+        assert_eq!(
+            CampusWorkload::new(campus_cfg()).generate_with_threads(2),
+            reference
+        );
     }
 
     #[test]
     fn eecs_sliced_equals_batch_for_any_slice_and_threads() {
-        let batch = EecsWorkload::new(eecs_cfg()).generate_with_threads(1);
+        let reference = eecs_reference();
         for (slice, threads) in [(2 * HOUR, 1), (5 * HOUR, 2)] {
             let mut sliced = SlicedWorkload::eecs(eecs_cfg(), slice, threads);
             let mut out: Vec<TraceRecord> = Vec::new();
             into_ok(sliced.run_into(&mut out));
-            assert_eq!(out, batch, "slice={slice} threads={threads}");
+            assert_eq!(out, reference, "slice={slice} threads={threads}");
         }
+        assert_eq!(
+            EecsWorkload::new(eecs_cfg()).generate_with_threads(2),
+            reference
+        );
     }
 
     #[test]
     fn small_slices_bound_resident_records() {
-        let batch = CampusWorkload::new(campus_cfg()).generate_with_threads(1);
+        let reference = campus_reference();
         let mut sliced = SlicedWorkload::campus(campus_cfg(), HOUR, 1);
         let mut out: Vec<TraceRecord> = Vec::new();
         into_ok(sliced.run_into(&mut out));
-        assert_eq!(out.len(), batch.len());
+        assert_eq!(out, reference);
         assert!(
-            sliced.peak_resident_records() < batch.len() / 2,
+            sliced.peak_resident_records() < reference.len() / 2,
             "peak {} of {} total records — slicing should bound the write path",
             sliced.peak_resident_records(),
-            batch.len()
+            reference.len()
         );
     }
 
