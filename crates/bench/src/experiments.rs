@@ -10,8 +10,8 @@ use nfstrace_core::record::TraceRecord;
 use nfstrace_fssim::readahead::{replay, MetricReadAhead, ReplayOutcome, StrictSequential};
 use nfstrace_fssim::{DiskModel, DiskParams};
 use nfstrace_net::mirror::{MirrorConfig, MirrorPort, MirrorStats, MirrorVerdict};
-use nfstrace_net::udp::NFS_PORT;
 use nfstrace_serve::ReplayPlan;
+use nfstrace_sniffer::wire::Direction;
 use nfstrace_sniffer::{Sniffer, SnifferStats, WireEncoder};
 use std::fmt::Write as _;
 
@@ -74,7 +74,7 @@ pub type Loss = Experiment<LossRow, 3>;
 
 /// Compiles `records` with [`ReplayPlan::from_records`] — every op,
 /// real credentials and XIDs — frames each planned call and reply as
-/// the serve loop's tap does (`nfstrace_serve::tap_to_packets`), and
+/// the serve loop's tap does ([`WireEncoder::exchange_frames`]), and
 /// offers every frame to a [`MirrorPort`] in front of a [`Sniffer`]. A
 /// record whose reply the trace lost is not a pair and stays off the
 /// wire.
@@ -95,15 +95,13 @@ pub fn loss(records: &[TraceRecord]) -> Loss {
         let (mut port, mut sniffer) = (MirrorPort::new(config), Sniffer::new());
         let mut intact = 0;
         for (c, reply) in pairs() {
-            let (client, server) = (c.client_ip, c.server_ip);
-            let cport = WireEncoder::client_port(client);
             let messages = [
-                (c.micros, client, server, cport, NFS_PORT, &c.call_bytes),
-                (c.reply_micros, server, client, NFS_PORT, cport, reply),
+                (c.micros, Direction::Call, &c.call_bytes),
+                (c.reply_micros, Direction::Reply, reply),
             ];
             let mut whole = true;
-            for (ts, src, dst, sport, dport, msg) in messages {
-                for pkt in enc.encode_message(ts, src, dst, sport, dport, msg) {
+            for (ts, dir, msg) in messages {
+                for pkt in enc.exchange_frames(ts, c.client_ip, c.server_ip, dir, msg) {
                     if port.offer(pkt.timestamp_micros, pkt.data.len()) == MirrorVerdict::Forwarded
                     {
                         sniffer.observe(&pkt);

@@ -1,8 +1,9 @@
 //! Doc lint: every metric name registered anywhere in the pipeline
-//! must appear in the README's Observability table. A metric that
-//! exports without documentation is invisible to an operator; this
-//! test fails the build the moment code registers a name the table
-//! doesn't carry.
+//! must appear in the README's Observability table, and every name the
+//! table carries must be registered somewhere. A metric that exports
+//! without documentation is invisible to an operator, and a row whose
+//! code is gone documents a metric nothing exports; these tests fail
+//! the build the moment either happens.
 //!
 //! The scan covers string literals passed to `.counter("...")`,
 //! `.gauge("...")`, `.histogram("...")`, and the two-argument
@@ -67,14 +68,11 @@ fn registered_names(text: &str) -> Vec<String> {
     names
 }
 
-#[test]
-fn every_registered_metric_is_documented_in_the_readme() {
-    let root = workspace_root();
-    let readme = std::fs::read_to_string(root.join("README.md")).expect("read README.md");
-
-    let crates_dir = root.join("crates");
+/// Every metric registration in the `crates/*/src` trees the scan
+/// covers, as (file, name).
+fn registrations(root: &Path) -> Vec<(PathBuf, String)> {
     let mut sources = Vec::new();
-    for entry in std::fs::read_dir(&crates_dir).expect("read crates/") {
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
         let path = entry.expect("dir entry").path();
         if path.file_name().is_some_and(|n| n == "telemetry") {
             continue;
@@ -85,25 +83,78 @@ fn every_registered_metric_is_documented_in_the_readme() {
         }
     }
     assert!(sources.len() > 10, "source scan found almost nothing");
-
-    let mut undocumented = Vec::new();
-    let mut checked = 0usize;
+    let mut found = Vec::new();
     for path in sources {
         let text = std::fs::read_to_string(&path).expect("read source file");
         for name in registered_names(&text) {
-            checked += 1;
-            if !readme.contains(&format!("`{name}`")) {
-                undocumented.push(format!("{} registers {name:?}", path.display()));
-            }
+            found.push((path.clone(), name));
         }
     }
     assert!(
-        checked >= 40,
-        "only {checked} metric registrations found; the scan is likely broken"
+        found.len() >= 40,
+        "only {} metric registrations found; the scan is likely broken",
+        found.len()
     );
+    found
+}
+
+fn readme(root: &Path) -> String {
+    std::fs::read_to_string(root.join("README.md")).expect("read README.md")
+}
+
+/// The metric names in the first column of the README's Observability
+/// table.
+fn documented_names(readme: &str) -> Vec<&str> {
+    let rows = readme
+        .split_once("| metric | type | unit | meaning |")
+        .expect("the Observability table header")
+        .1
+        .lines()
+        .skip(2) // the rest of the header line, and the separator row
+        .take_while(|line| line.starts_with('|'));
+    let names: Vec<&str> = rows
+        .map(|row| {
+            let cell = row.split('|').nth(1).expect("a first cell").trim();
+            cell.strip_prefix('`')
+                .and_then(|c| c.strip_suffix('`'))
+                .unwrap_or_else(|| panic!("metric cell is not one code span: {row}"))
+        })
+        .collect();
+    assert!(names.len() >= 40, "only {} table rows found", names.len());
+    names
+}
+
+#[test]
+fn every_registered_metric_is_documented_in_the_readme() {
+    let root = workspace_root();
+    let readme = readme(&root);
+    let undocumented: Vec<String> = registrations(&root)
+        .into_iter()
+        .filter(|(_, name)| !readme.contains(&format!("`{name}`")))
+        .map(|(path, name)| format!("{} registers {name:?}", path.display()))
+        .collect();
     assert!(
         undocumented.is_empty(),
         "metrics missing from the README Observability table:\n  {}",
         undocumented.join("\n  ")
+    );
+}
+
+#[test]
+fn every_documented_metric_is_registered() {
+    let root = workspace_root();
+    let readme = readme(&root);
+    let registered: Vec<String> = registrations(&root)
+        .into_iter()
+        .map(|(_, name)| name)
+        .collect();
+    let stale: Vec<&str> = documented_names(&readme)
+        .into_iter()
+        .filter(|name| !registered.iter().any(|r| r == name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "README Observability rows no crates/*/src file registers:\n  {}",
+        stale.join("\n  ")
     );
 }

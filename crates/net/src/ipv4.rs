@@ -132,7 +132,7 @@ impl<'a> Ipv4Packet<'a> {
     /// `payload_len` bytes to `out`, checksum computed; the payload
     /// follows it. The one place the header layout is written —
     /// [`Ipv4Packet::encode`] and [`crate::packet::PacketBuilder`] both
-    /// build on it.
+    /// build on it. Panics if the 16-bit total length cannot count it.
     pub fn write_header(
         src: Ipv4Addr4,
         dst: Ipv4Addr4,
@@ -141,7 +141,9 @@ impl<'a> Ipv4Packet<'a> {
         payload_len: usize,
         out: &mut Vec<u8>,
     ) {
-        let total_len = (MIN_HEADER_LEN + payload_len) as u16;
+        let Ok(total_len) = u16::try_from(MIN_HEADER_LEN + payload_len) else {
+            panic!("a {payload_len}-byte IPv4 payload exceeds the 65515-byte limit");
+        };
         let mut hdr = [0u8; MIN_HEADER_LEN];
         hdr[0] = 0x45; // version 4, ihl 5
         hdr[1] = 0; // dscp/ecn
@@ -217,6 +219,13 @@ mod tests {
         assert_eq!(p.protocol, PROTO_UDP);
         assert_eq!(p.ident, 42);
         assert_eq!(p.payload, b"data");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65515-byte limit")]
+    fn header_refuses_a_length_it_cannot_count() {
+        let (a, b) = (Ipv4Addr4::new(1, 2, 3, 4), Ipv4Addr4::new(5, 6, 7, 8));
+        Ipv4Packet::write_header(a, b, PROTO_UDP, 0, 70_000, &mut Vec::new());
     }
 
     #[test]

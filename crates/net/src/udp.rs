@@ -8,6 +8,9 @@ use crate::{Error, Result};
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
 
+/// The longest payload one datagram carries over option-free IPv4.
+pub const MAX_PAYLOAD_LEN: usize = u16::MAX as usize - crate::ipv4::MIN_HEADER_LEN - HEADER_LEN;
+
 /// The well-known NFS server port.
 pub const NFS_PORT: u16 = 2049;
 
@@ -56,9 +59,12 @@ impl<'a> UdpDatagram<'a> {
     /// `out` (checksum zero: legal for IPv4 UDP and what many NFS stacks
     /// of the era actually sent); the payload follows it. The one place
     /// the header layout is written — [`UdpDatagram::encode`] and
-    /// [`crate::packet::PacketBuilder`] both build on it.
+    /// [`crate::packet::PacketBuilder`] both build on it. Panics if the
+    /// 16-bit length field cannot count the datagram.
     pub fn write_header(src_port: u16, dst_port: u16, payload_len: usize, out: &mut Vec<u8>) {
-        let len = (HEADER_LEN + payload_len) as u16;
+        let Ok(len) = u16::try_from(HEADER_LEN + payload_len) else {
+            panic!("a {payload_len}-byte UDP payload exceeds the 65527-byte limit");
+        };
         out.extend_from_slice(&src_port.to_be_bytes());
         out.extend_from_slice(&dst_port.to_be_bytes());
         out.extend_from_slice(&len.to_be_bytes());
@@ -85,6 +91,12 @@ mod tests {
         assert_eq!(d.src_port, 1023);
         assert_eq!(d.dst_port, NFS_PORT);
         assert_eq!(d.payload, b"rpc call");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65527-byte limit")]
+    fn header_refuses_a_length_it_cannot_count() {
+        UdpDatagram::write_header(1, 2, 70_000, &mut Vec::new());
     }
 
     #[test]

@@ -1169,9 +1169,9 @@ impl ReplyFacts2 {
 /// and counts here — never a silent `as u32` truncation, which would
 /// fabricate a small, valid-looking cookie or file id out of a large
 /// one. [`Call2::from_v3`] and [`Reply2::from_v3`] add to the tally
-/// they are handed; where the counts end up (the wire encoder's
-/// `wire.downgrade.*` counters, the simulated server's own tally) is
-/// the caller's business, so this crate needs no telemetry.
+/// they are handed; where the counts end up (the simulated server's
+/// own tally, the caller of the wire encoder's `build_rpc_pair`) is the
+/// caller's business, so this crate needs no telemetry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DowngradeStats {
     /// READDIR/READDIRPLUS cookies that exceeded 32 bits.

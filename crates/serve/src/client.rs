@@ -25,6 +25,7 @@
 use crate::plan::{PlannedCall, ReplayPlan};
 use crate::server::FLUSH_BYTES;
 use nfstrace_rpc::record::{mark_record_into, RecordReader};
+use nfstrace_sniffer::wire::Direction;
 use nfstrace_telemetry::Registry;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -85,8 +86,8 @@ impl Default for ReplayOptions {
 pub struct TapEvent<'p> {
     /// Trace index of the call this message belongs to.
     pub idx: usize,
-    /// 0 = client→server (call), 1 = server→client (reply).
-    pub dir: u8,
+    /// Which way the message went: a call to the server, or a reply.
+    pub dir: Direction,
     /// Trace-clock capture time: the record's call time for calls
     /// (retransmissions included — the trace has one timestamp), the
     /// record's reply time for replies.
@@ -133,7 +134,7 @@ impl<'p> TapEvent<'p> {
     fn of_call(call: &'p PlannedCall) -> Self {
         TapEvent {
             idx: call.idx,
-            dir: 0,
+            dir: Direction::Call,
             micros: call.micros,
             client_ip: call.client_ip,
             server_ip: call.server_ip,
@@ -150,7 +151,7 @@ impl<'p> TapEvent<'p> {
         };
         TapEvent {
             idx: call.idx,
-            dir: 1,
+            dir: Direction::Reply,
             micros: call.reply_micros,
             client_ip: call.client_ip,
             server_ip: call.server_ip,
@@ -396,7 +397,7 @@ fn run_connection<'p>(
     outcome.calls_sent = outcome
         .tap
         .iter()
-        .filter(|e| e.dir == 0)
+        .filter(|e| e.dir == Direction::Call)
         .count()
         .saturating_sub(outcome.retransmits as usize) as u64;
     Ok(outcome)

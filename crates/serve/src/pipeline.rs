@@ -17,7 +17,6 @@ use crate::service::{NfsService, ReplayService};
 use nfstrace_live::{LiveConfig, LiveIngest, LiveSummary, SnifferSource};
 use nfstrace_net::mirror::{MirrorConfig, MirrorPort, MirrorStats, MirrorVerdict};
 use nfstrace_net::pcap::{CapturedPacket, FrameLender};
-use nfstrace_net::udp::NFS_PORT;
 use nfstrace_sniffer::{MessageFrames, SnifferStats, WireEncoder};
 use nfstrace_store::error::Result;
 use nfstrace_telemetry::Registry;
@@ -31,9 +30,10 @@ const PACKETS_PER_BATCH: usize = 512;
 /// port would have seen them: tap events serialized by `(trace idx,
 /// dir)` — each call immediately followed by its reply, retransmissions
 /// and duplicates in place — then record-marked, MSS-chunked, and
-/// timestamped with the trace clock. The frames carry the canonical
-/// [`NFS_PORT`], not the ephemeral loopback port the real server binds,
-/// so captured flows look like production traffic.
+/// timestamped with the trace clock. The frames carry the canonical NFS
+/// port ([`WireEncoder::exchange_frames`]), not the ephemeral loopback
+/// port the real server binds, so captured flows look like production
+/// traffic.
 ///
 /// Every frame is written into one [`FrameLender`] buffer: a consumer
 /// that drops each packet before taking the next (the sniffer) frames
@@ -73,16 +73,13 @@ impl Iterator for TapFrames<'_> {
                 return Some(packet);
             }
             let e = self.events.next()?;
-            let cport = WireEncoder::client_port(e.client_ip);
-            let (src, dst, sport, dport) = if e.dir == 0 {
-                (e.client_ip, e.server_ip, cport, NFS_PORT)
-            } else {
-                (e.server_ip, e.client_ip, NFS_PORT, cport)
-            };
-            self.message = Some(
-                self.encoder
-                    .frames(e.micros, src, dst, sport, dport, &e.bytes),
-            );
+            self.message = Some(self.encoder.exchange_frames(
+                e.micros,
+                e.client_ip,
+                e.server_ip,
+                e.dir,
+                &e.bytes,
+            ));
         }
     }
 }
@@ -90,7 +87,7 @@ impl Iterator for TapFrames<'_> {
 /// [`tap_frames`] collected: every frame of the tap, each owning its
 /// bytes (the first in the lender's buffer, the rest in an allocation
 /// apiece). Byte for byte the concatenation of
-/// [`WireEncoder::encode_message`] over the serialized tap.
+/// [`WireEncoder::exchange_frames`] over the serialized tap.
 pub fn tap_to_packets(tap: &[TapEvent]) -> Vec<CapturedPacket> {
     tap_frames(tap).collect()
 }

@@ -26,14 +26,17 @@
 //! `v3_to_record` too), while the genuine v2 wire narrowing is lossy —
 //! it has no ACCESS or COMMIT, drops `pre_size`, and narrows 64-bit
 //! fields (`nfstrace_nfs::v2::{Call2, Reply2}::from_v3` define the
-//! narrowing and tally what it saturates in a
-//! `nfstrace_nfs::v2::DowngradeStats`, which the wire encoder adds to
-//! its `wire.downgrade.*` counters). A record round-tripped through
-//! the serving loop therefore reproduces every analysis-bearing field;
-//! the one discrepancy is that v2-tagged records re-capture as
-//! `vers == 3`, a tag no analysis product consumes. Genuine v2
-//! *callers* are still served faithfully — by the live filesystem
-//! service's v2 dispatch (widen, `handle_v3`, narrow), not by replay.
+//! narrowing). A record round-tripped through the serving loop
+//! therefore reproduces every analysis-bearing field; the one
+//! discrepancy is that v2-tagged records re-capture as `vers == 3`, a
+//! tag no analysis product consumes. Genuine v2 *callers* are still
+//! served faithfully — by the live filesystem service's v2 dispatch
+//! (widen, `handle_v3`, narrow), not by replay.
+//!
+//! The RPC envelope around the reconstructed call and reply — XID,
+//! version, and the client's AUTH_UNIX credential — is the simulator's
+//! own, [`nfstrace_sniffer::wire::Envelope`], so a replayed call
+//! names its client exactly as a simulated one does.
 
 use nfstrace_core::record::{Op, TraceRecord};
 use nfstrace_nfs::fh::FileHandle;
@@ -44,8 +47,8 @@ use nfstrace_nfs::v3::{
     Readdir3Res, Readdirplus3Args, Readdirplus3Res, Rename3Args, Reply3, Reply3Body, Setattr3Args,
     Setattr3Res, Symlink3Args, Write3Args, Write3Res,
 };
-use nfstrace_rpc::auth::{AuthUnix, OpaqueAuth};
-use nfstrace_rpc::{RpcMessage, PROG_NFS};
+use nfstrace_rpc::RpcMessage;
+use nfstrace_sniffer::wire::Envelope;
 
 fn fh_of(id: u64) -> FileHandle {
     FileHandle::from_u64(id)
@@ -256,60 +259,42 @@ pub fn reply_of_record(r: &TraceRecord) -> Option<Reply3> {
     Some(Reply3 { status, body })
 }
 
-/// The AUTH_UNIX credential a record's client stamps on its calls:
-/// the same shape the simulator's wire encoder uses, so the sniffer
-/// recovers identical `uid`/`gid` and the server can recover the
-/// client address from the machine name.
-pub fn cred_of_record(r: &TraceRecord) -> OpaqueAuth {
-    OpaqueAuth::unix(&AuthUnix::new(
-        format!("client{:x}", r.client),
-        r.uid,
-        r.gid,
-    ))
-}
-
 /// Reconstructs the full RPC messages for a record: the call, and the
 /// reply if one was captured.
 pub fn rpc_pair_of_record(r: &TraceRecord) -> (RpcMessage, Option<RpcMessage>) {
+    let env = Envelope {
+        xid: r.xid,
+        client_ip: r.client,
+        uid: r.uid,
+        gid: r.gid,
+    };
     let call = call_of_record(r);
-    let call_msg = RpcMessage::call(
-        r.xid,
-        PROG_NFS,
-        3,
-        call.proc().as_u32(),
-        cred_of_record(r),
-        call.encode_args(),
-    );
-    let reply_msg =
-        reply_of_record(r).map(|rep| RpcMessage::reply_success(r.xid, rep.encode_results()));
-    (call_msg, reply_msg)
-}
-
-/// Parses the client address back out of an AUTH_UNIX machine name of
-/// the form `client<hex>` — the inverse of [`cred_of_record`]'s
-/// naming, used by the serving loop to key its replay plan.
-pub fn client_ip_of_machine_name(name: &str) -> Option<u32> {
-    u32::from_str_radix(name.strip_prefix("client")?, 16).ok()
+    let reply = reply_of_record(r).map(|rep| env.reply(rep.encode_results()));
+    (env.call(3, call.proc().as_u32(), call.encode_args()), reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nfstrace_core::record::FileId;
+    use nfstrace_sniffer::wire::client_ip_of_machine_name;
 
+    /// A reconstructed call names its record's client, uid and gid the
+    /// way the replay server reads them back.
     #[test]
     fn machine_name_roundtrips() {
         for ip in [0u32, 1, 0x0a00_0001, u32::MAX] {
             let r = TraceRecord {
                 client: ip,
+                uid: 5,
+                gid: 6,
                 ..TraceRecord::new(0, Op::Null, FileId(0))
             };
-            let cred = cred_of_record(&r);
-            let unix = cred.as_unix().unwrap().unwrap();
+            let (call, _) = rpc_pair_of_record(&r);
+            let unix = call.as_call().unwrap().cred.as_unix().unwrap().unwrap();
+            assert_eq!((unix.uid, unix.gid), (5, 6));
             assert_eq!(client_ip_of_machine_name(&unix.machine_name), Some(ip));
         }
-        assert_eq!(client_ip_of_machine_name("host12"), None);
-        assert_eq!(client_ip_of_machine_name("clientzz"), None);
     }
 
     #[test]

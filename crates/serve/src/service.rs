@@ -18,12 +18,12 @@
 //!   through to an [`FsService`].
 
 use crate::plan::ReplayPlan;
-use crate::reverse::client_ip_of_machine_name;
 use nfstrace_fssim::SharedNfsServer;
 use nfstrace_nfs::v2::{Call2, Proc2};
 use nfstrace_nfs::v3::{Call3, Proc3};
 use nfstrace_rpc::msg::{accept_stat, CallView};
 use nfstrace_rpc::{MsgBodyView, RpcMessage, RpcMessageView, PROG_NFS};
+use nfstrace_sniffer::wire::client_ip_of_machine_name;
 use nfstrace_xdr::{Encoder, Pack};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,8 +228,8 @@ impl NfsService for ReplayService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reverse::cred_of_record;
     use nfstrace_core::record::{FileId, Op, TraceRecord};
+    use nfstrace_sniffer::wire::{client_cred, Envelope};
 
     /// One call through the trait, as the connection loop makes it:
     /// into a buffer that already holds earlier bytes.
@@ -296,11 +296,13 @@ mod tests {
         let plan = ReplayPlan::from_records(std::iter::empty());
         let service = ReplayService::new(&plan, 1);
         // A NULL ping from a client the plan has never heard of.
-        let mut r = TraceRecord::new(0, Op::Null, FileId(0));
-        r.client = 77;
-        r.xid = 1234;
-        let call =
-            nfstrace_rpc::RpcMessage::call(r.xid, PROG_NFS, 3, 0, cred_of_record(&r), Vec::new());
+        let call = Envelope {
+            xid: 1234,
+            client_ip: 77,
+            uid: 0,
+            gid: 0,
+        }
+        .call(3, 0, Vec::new());
         let reply = serve(&service, &call.to_xdr_bytes()).expect("NULL reply");
         let view = RpcMessageView::decode(&reply).unwrap();
         assert_eq!(view.xid, 1234);
@@ -311,7 +313,7 @@ mod tests {
     #[test]
     fn bad_program_and_version_get_rpc_errors() {
         let service = FsService::new(SharedNfsServer::new(1));
-        let cred = cred_of_record(&TraceRecord::new(0, Op::Null, FileId(0)));
+        let cred = client_cred(0, 0, 0);
         for (msg, want) in [
             (
                 RpcMessage::call(1, 100_005, 3, 0, cred.clone(), Vec::new()),

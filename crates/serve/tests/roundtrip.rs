@@ -8,6 +8,7 @@
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::{DAY, HOUR};
 use nfstrace_serve::{tap_to_packets, ReplayPlan, TapEvent};
+use nfstrace_sniffer::wire::Direction;
 use nfstrace_sniffer::Sniffer;
 use nfstrace_workload::{CampusConfig, CampusWorkload, EecsConfig, EecsWorkload};
 use std::borrow::Cow;
@@ -19,7 +20,7 @@ fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent<'_>> {
     for c in &plan.calls {
         tap.push(TapEvent {
             idx: c.idx,
-            dir: 0,
+            dir: Direction::Call,
             micros: c.micros,
             client_ip: c.client_ip,
             server_ip: c.server_ip,
@@ -28,7 +29,7 @@ fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent<'_>> {
         if let Some(reply) = &c.reply_bytes {
             tap.push(TapEvent {
                 idx: c.idx,
-                dir: 1,
+                dir: Direction::Reply,
                 micros: c.reply_micros,
                 client_ip: c.client_ip,
                 server_ip: c.server_ip,

@@ -12,6 +12,7 @@ use nfstrace_serve::{
     replay, tap_frames, tap_to_packets, NfsService, NfsTcpServer, ReplayOptions, ReplayOutcome,
     ReplayPlan, ReplayService, TapEvent,
 };
+use nfstrace_sniffer::wire::Direction;
 use nfstrace_sniffer::WireEncoder;
 use nfstrace_store::StoreIndex;
 use nfstrace_telemetry::Registry;
@@ -64,9 +65,9 @@ fn tap_of_plan(plan: &ReplayPlan) -> Vec<TapEvent<'_>> {
             server_ip: c.server_ip,
             bytes: Cow::Owned(bytes.to_vec()),
         };
-        tap.push(event(0, c.micros, &c.call_bytes));
+        tap.push(event(Direction::Call, c.micros, &c.call_bytes));
         if let Some(reply) = &c.reply_bytes {
-            tap.push(event(1, c.reply_micros, reply));
+            tap.push(event(Direction::Reply, c.reply_micros, reply));
         }
     }
     tap
@@ -100,12 +101,16 @@ fn a_faithful_replay_borrows_every_tapped_message_from_the_plan() {
     };
     let outcome = replay_against(&plan, &plan, &options);
     assert!(outcome.retransmits > 0, "the forcing hook must have fired");
-    let replies = outcome.tap.iter().filter(|e| e.dir == 1).count();
+    let replies = outcome
+        .tap
+        .iter()
+        .filter(|e| e.dir == Direction::Reply)
+        .count();
     assert!(replies > plan.calls.len(), "DRC duplicates reach the tap");
     for e in &outcome.tap {
         assert!(
             matches!(e.bytes, Cow::Borrowed(_)),
-            "event (idx {}, dir {}) holds a copy",
+            "event (idx {}, {:?}) holds a copy",
             e.idx,
             e.dir
         );
@@ -133,10 +138,10 @@ fn a_reply_that_differs_from_the_plan_is_tapped_as_read() {
     let outcome = replay_against(&served, &replayed, &ReplayOptions::default());
     assert_eq!(outcome.retransmits, 0);
     for e in &outcome.tap {
-        let differs = (e.idx, e.dir) == (idx, 1);
+        let differs = (e.idx, e.dir) == (idx, Direction::Reply);
         match &e.bytes {
             Cow::Owned(bytes) => {
-                assert!(differs, "event (idx {}, dir {}) copied", e.idx, e.dir);
+                assert!(differs, "event (idx {}, {:?}) copied", e.idx, e.dir);
                 assert_eq!(&bytes[..], server_reply, "the reply as the server sent it");
             }
             Cow::Borrowed(_) => assert!(!differs, "the differing reply was borrowed"),
@@ -191,9 +196,9 @@ proptest! {
     ) {
         let tap: Vec<TapEvent> = events
             .iter()
-            .map(|&(idx, dir, micros, client, len, seed)| TapEvent {
+            .map(|&(idx, reply, micros, client, len, seed)| TapEvent {
                 idx,
-                dir,
+                dir: if reply == 1 { Direction::Reply } else { Direction::Call },
                 micros,
                 client_ip: 0x0a00_0010 + client,
                 server_ip: 0x0a00_0001,
@@ -207,7 +212,7 @@ proptest! {
         let mut expected = Vec::new();
         for e in ordered {
             let cport = WireEncoder::client_port(e.client_ip);
-            expected.extend(if e.dir == 0 {
+            expected.extend(if e.dir == Direction::Call {
                 enc.encode_message(e.micros, e.client_ip, e.server_ip, cport, NFS_PORT, &e.bytes)
             } else {
                 enc.encode_message(e.micros, e.server_ip, e.client_ip, NFS_PORT, cport, &e.bytes)

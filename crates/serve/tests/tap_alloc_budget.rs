@@ -19,6 +19,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nfstrace_serve::{tap_frames, tap_to_packets, TapEvent};
+use nfstrace_sniffer::wire::Direction;
 
 struct CountingAlloc;
 
@@ -53,11 +54,11 @@ const CALLS: usize = 600;
 const LENT_BUDGET: u64 = 24;
 
 /// Message `dir` of call `idx`; six clients share one server.
-fn event(idx: usize, dir: u8, bytes: &[u8]) -> TapEvent<'_> {
+fn event(idx: usize, dir: Direction, bytes: &[u8]) -> TapEvent<'_> {
     TapEvent {
         idx,
         dir,
-        micros: 1_000 * idx as u64 + u64::from(dir),
+        micros: 1_000 * idx as u64 + u64::from(dir == Direction::Reply),
         client_ip: 0x0a00_0010 + (idx % 6) as u32,
         server_ip: 0x0a00_0001,
         bytes: Cow::Borrowed(bytes),
@@ -77,7 +78,12 @@ fn lent_tap_frames_allocate_a_constant_tap_to_packets_one_per_frame() {
         .iter()
         .enumerate()
         // Out of order, as per-connection observation leaves it.
-        .flat_map(|(idx, (call, reply))| [event(idx, 1, reply), event(idx, 0, call)])
+        .flat_map(|(idx, (call, reply))| {
+            [
+                event(idx, Direction::Reply, reply),
+                event(idx, Direction::Call, call),
+            ]
+        })
         .collect();
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);

@@ -980,10 +980,10 @@ mod tests {
 
     #[test]
     fn resync_accepts_non_final_fragment_marks() {
-        use crate::wire::{build_rpc_pair, DowngradeCounters};
+        use crate::wire::{build_rpc_pair, DowngradeStats};
         use nfstrace_rpc::record::mark_record_fragmented;
         let events = session_events(3);
-        let (call_msg, _) = build_rpc_pair(&events[0], &DowngradeCounters::default());
+        let (call_msg, _) = build_rpc_pair(&events[0], &mut DowngradeStats::default());
         let call_bytes = call_msg.to_xdr_bytes();
         assert!(call_bytes.len() > 40, "need a multi-fragment record");
 
@@ -1000,7 +1000,7 @@ mod tests {
     /// last-fragment bit and skipped into the record instead, losing it.
     #[test]
     fn gap_resync_lands_on_fragmented_record() {
-        use crate::wire::{build_rpc_pair, DowngradeCounters};
+        use crate::wire::{build_rpc_pair, DowngradeStats};
         use nfstrace_net::ethernet::MacAddr;
         use nfstrace_net::ipv4::Ipv4Addr4;
         use nfstrace_net::packet::PacketBuilder;
@@ -1008,10 +1008,10 @@ mod tests {
 
         let events = session_events(3);
         assert!(events.len() >= 4);
-        let narrowings = DowngradeCounters::default();
+        let mut narrowings = DowngradeStats::default();
         let pairs: Vec<(RpcMessage, RpcMessage)> = events
             .iter()
-            .map(|e| build_rpc_pair(e, &narrowings))
+            .map(|e| build_rpc_pair(e, &mut narrowings))
             .collect();
         let call_bytes: Vec<Vec<u8>> = pairs.iter().map(|(c, _)| c.to_xdr_bytes()).collect();
 

@@ -1,27 +1,27 @@
-//! Encoding simulated call/reply events into real packets.
+//! How a simulated client's NFS exchange looks on the wire — decided
+//! here only, for every traffic generator: the addresses and ports of
+//! each [`Direction`]; the client's AUTH_UNIX identity
+//! ([`client_cred`]) and its inverse; the RPC [`Envelope`]; and the
+//! framing of each message as one [`MessageFrames`] cursor
+//! ([`WireEncoder::exchange_frames`]).
 //!
-//! The workload simulator produces decoded [`EmittedCall`]s; this module
-//! puts them on the simulated wire as actual Ethernet/IPv4/UDP-or-TCP
-//! frames carrying XDR-encoded RPC, so the sniffer exercises the same
-//! decoding work the paper's tracer did. NFSv2-tagged clients (a share
-//! of EECS workstations) are encoded with genuine NFSv2 wire messages,
-//! narrowed by [`Call2::from_v3`] / [`Reply2::from_v3`]: v3-only
-//! procedures fall back to their closest v2 equivalent (ACCESS →
-//! GETATTR, READDIRPLUS → READDIR), mirroring how v2 clients actually
-//! behaved.
+//! [`WireEncoder::encode_event`] puts the simulator's [`EmittedCall`]s
+//! on the wire, so the sniffer does the decoding work the paper's
+//! tracer did. NFSv2-tagged clients get genuine NFSv2 messages,
+//! narrowed by [`Call2::from_v3`] / [`Reply2::from_v3`] (ACCESS →
+//! GETATTR, READDIRPLUS → READDIR), as v2 clients behaved.
 
 use nfstrace_client::EmittedCall;
 use nfstrace_net::ethernet::MacAddr;
 use nfstrace_net::ipv4::Ipv4Addr4;
 use nfstrace_net::packet::PacketBuilder;
 use nfstrace_net::pcap::{CapturedPacket, FrameLender};
-use nfstrace_net::udp::NFS_PORT;
+use nfstrace_net::udp::{self, NFS_PORT};
 pub use nfstrace_nfs::v2::DowngradeStats;
 use nfstrace_nfs::v2::{Call2, Reply2};
 use nfstrace_rpc::auth::{AuthUnix, OpaqueAuth};
 use nfstrace_rpc::record::record_mark;
 use nfstrace_rpc::{RpcMessage, PROG_NFS};
-use nfstrace_telemetry::{Counter, Registry};
 use nfstrace_xdr::Pack;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -38,45 +38,55 @@ pub enum TransportMode {
     },
 }
 
-/// The registry-backed accumulator behind [`DowngradeStats`] — the
-/// tally [`Call2::from_v3`] / [`Reply2::from_v3`] keep of 64-bit
-/// cookies and file ids saturated into v2's 32 bits — as the
-/// `wire.downgrade.*` counters. `Default` counts into a private
-/// registry; [`DowngradeCounters::with_registry`] joins a shared one.
-#[derive(Debug, Clone)]
-pub struct DowngradeCounters {
-    saturated_cookies: Counter,
-    saturated_fileids: Counter,
+/// Which way a message of an exchange travels: a call from the
+/// client's port to [`NFS_PORT`], a reply back. Calls order first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Direction {
+    /// Client to server.
+    Call,
+    /// Server to client.
+    Reply,
 }
 
-impl Default for DowngradeCounters {
-    fn default() -> Self {
-        Self::with_registry(&Registry::new())
-    }
+/// The AUTH_UNIX credential a simulated client stamps on its calls:
+/// machine name `client<hex address>`, so the sniffer recovers `uid`
+/// and `gid` and a server recovers the address
+/// ([`client_ip_of_machine_name`]).
+pub fn client_cred(client_ip: u32, uid: u32, gid: u32) -> OpaqueAuth {
+    OpaqueAuth::unix(&AuthUnix::new(format!("client{client_ip:x}"), uid, gid))
 }
 
-impl DowngradeCounters {
-    /// Counters registered as `wire.downgrade.saturated_cookies` /
-    /// `wire.downgrade.saturated_fileids` in `registry`.
-    pub fn with_registry(registry: &Registry) -> Self {
-        DowngradeCounters {
-            saturated_cookies: registry.counter("wire.downgrade.saturated_cookies"),
-            saturated_fileids: registry.counter("wire.downgrade.saturated_fileids"),
-        }
+/// The client address in a machine name [`client_cred`] wrote, or
+/// `None` for any other name.
+pub fn client_ip_of_machine_name(name: &str) -> Option<u32> {
+    u32::from_str_radix(name.strip_prefix("client")?, 16).ok()
+}
+
+/// The RPC envelope of one NFS exchange: transaction and client
+/// identity around the call's arguments and the reply's results.
+#[derive(Debug, Clone, Copy)]
+pub struct Envelope {
+    /// RPC transaction id.
+    pub xid: u32,
+    /// Client address, named in the credential.
+    pub client_ip: u32,
+    /// Caller's uid.
+    pub uid: u32,
+    /// Caller's gid.
+    pub gid: u32,
+}
+
+impl Envelope {
+    /// The call: `args` for NFS version `vers`, procedure `proc`, under
+    /// the client's [`client_cred`].
+    pub fn call(&self, vers: u32, proc: u32, args: Vec<u8>) -> RpcMessage {
+        let cred = client_cred(self.client_ip, self.uid, self.gid);
+        RpcMessage::call(self.xid, PROG_NFS, vers, proc, cred, args)
     }
 
-    /// Adds one message pair's narrowings to the counters.
-    fn add(&self, narrowed: DowngradeStats) {
-        self.saturated_cookies.add(narrowed.saturated_cookies);
-        self.saturated_fileids.add(narrowed.saturated_fileids);
-    }
-
-    /// Point-in-time read of the counters.
-    pub fn snapshot(&self) -> DowngradeStats {
-        DowngradeStats {
-            saturated_cookies: self.saturated_cookies.value(),
-            saturated_fileids: self.saturated_fileids.value(),
-        }
+    /// The accepted, successful reply carrying `results`.
+    pub fn reply(&self, results: Vec<u8>) -> RpcMessage {
+        RpcMessage::reply_success(self.xid, results)
     }
 }
 
@@ -90,39 +100,30 @@ pub struct WireEncoder {
     /// arbitrary 32-bit ISN, so a long flow *will* wrap past `u32::MAX`;
     /// seeding this near the top exercises that in a short capture.
     initial_seq: u32,
-    /// Lossy v3→v2 narrowings observed while encoding.
-    downgrade: DowngradeCounters,
 }
 
 impl WireEncoder {
-    /// A UDP encoder (the EECS configuration).
-    pub fn udp() -> Self {
+    fn new(mode: TransportMode) -> Self {
         WireEncoder {
-            mode: TransportMode::Udp,
+            mode,
             seq: HashMap::new(),
             initial_seq: 1,
-            downgrade: DowngradeCounters::default(),
         }
+    }
+
+    /// A UDP encoder (the EECS configuration).
+    pub fn udp() -> Self {
+        Self::new(TransportMode::Udp)
     }
 
     /// A TCP encoder with jumbo-frame MSS (the CAMPUS configuration).
     pub fn tcp_jumbo() -> Self {
-        WireEncoder {
-            mode: TransportMode::Tcp { mss: 8948 },
-            seq: HashMap::new(),
-            initial_seq: 1,
-            downgrade: DowngradeCounters::default(),
-        }
+        Self::new(TransportMode::Tcp { mss: 8948 })
     }
 
     /// A TCP encoder with standard-Ethernet MSS.
     pub fn tcp_standard() -> Self {
-        WireEncoder {
-            mode: TransportMode::Tcp { mss: 1448 },
-            seq: HashMap::new(),
-            initial_seq: 1,
-            downgrade: DowngradeCounters::default(),
-        }
+        Self::new(TransportMode::Tcp { mss: 1448 })
     }
 
     /// Starts every new flow at `seq` instead of 1. A value just below
@@ -133,14 +134,7 @@ impl WireEncoder {
         self
     }
 
-    /// Counts the `wire.downgrade.*` narrowings into `registry`
-    /// instead of this encoder's private one.
-    pub fn with_registry(mut self, registry: &Registry) -> Self {
-        self.downgrade = DowngradeCounters::with_registry(registry);
-        self
-    }
-
-    /// Stable client port derived from the client address.
+    /// The one port a client's flows use, derived from its address.
     pub fn client_port(client_ip: u32) -> u16 {
         700 + (client_ip % 251) as u16
     }
@@ -153,35 +147,41 @@ impl WireEncoder {
     /// Encodes one event into its call and reply packets, in capture
     /// order (call first even if timestamps tie).
     pub fn encode_event(&mut self, e: &EmittedCall) -> Vec<CapturedPacket> {
-        let (call_msg, reply_msg) = build_rpc_pair(e, &self.downgrade);
-        let cport = Self::client_port(e.client_ip);
-        let mut out = Vec::new();
-        out.extend(self.encode_message(
-            e.wire_micros,
-            e.client_ip,
-            e.server_ip,
-            cport,
-            NFS_PORT,
-            &call_msg.to_xdr_bytes(),
-        ));
-        out.extend(self.encode_message(
-            e.reply_micros,
-            e.server_ip,
-            e.client_ip,
-            NFS_PORT,
-            cport,
-            &reply_msg.to_xdr_bytes(),
-        ));
+        let (call, reply) = build_rpc_pair(e, &mut DowngradeStats::default());
+        let (call, reply) = (call.to_xdr_bytes(), reply.to_xdr_bytes());
+        let (client, server) = (e.client_ip, e.server_ip);
+        let mut out: Vec<_> = self
+            .exchange_frames(e.wire_micros, client, server, Direction::Call, &call)
+            .collect();
+        out.extend(self.exchange_frames(e.reply_micros, client, server, Direction::Reply, &reply));
         out
+    }
+
+    /// The frames that put one message of `client_ip`'s exchange with
+    /// `server_ip` on the wire: a call from the client's port to
+    /// [`NFS_PORT`], a reply back. Every framer of a simulated exchange
+    /// goes through here.
+    pub fn exchange_frames<'m>(
+        &mut self,
+        ts: u64,
+        client_ip: u32,
+        server_ip: u32,
+        dir: Direction,
+        msg: &'m [u8],
+    ) -> MessageFrames<'m> {
+        let cport = Self::client_port(client_ip);
+        match dir {
+            Direction::Call => self.frames(ts, client_ip, server_ip, cport, NFS_PORT, msg),
+            Direction::Reply => self.frames(ts, server_ip, client_ip, NFS_PORT, cport, msg),
+        }
     }
 
     /// Puts one already-encoded RPC message on the wire as captured
     /// frames: UDP datagram or record-marked, MSS-chunked TCP segments
-    /// with per-flow sequence numbers. This is the frame-synthesis
-    /// primitive behind [`WireEncoder::encode_event`]: the
-    /// [`WireEncoder::frames`] cursor collected, each frame one exactly
-    /// sized allocation of its own. A caller that observes each frame
-    /// and lets it go frames through the cursor instead.
+    /// with per-flow sequence numbers: the [`WireEncoder::frames`]
+    /// cursor collected, each frame one exactly sized allocation of its
+    /// own. A caller that observes each frame and lets it go frames
+    /// through the cursor instead.
     pub fn encode_message(
         &mut self,
         ts: u64,
@@ -204,7 +204,8 @@ impl WireEncoder {
     /// bytes without ever being materialized: each frame is its
     /// headers, then its share of the record mark and of `msg`. Segment
     /// `i` is stamped `ts + i`, so the segments of one message share
-    /// the capture tick but stay ordered.
+    /// the capture tick but stay ordered. Under UDP, panics if `msg`
+    /// does not fit one datagram ([`udp::MAX_PAYLOAD_LEN`]).
     pub fn frames<'m>(
         &mut self,
         ts: u64,
@@ -215,7 +216,11 @@ impl WireEncoder {
         msg: &'m [u8],
     ) -> MessageFrames<'m> {
         let (seq, count) = match self.mode {
-            TransportMode::Udp => (0, 1),
+            TransportMode::Udp => {
+                let limit = udp::MAX_PAYLOAD_LEN;
+                assert!(msg.len() <= limit, "UDP message over {limit} bytes");
+                (0, 1)
+            }
             TransportMode::Tcp { mss } => {
                 let stream_len = 4 + msg.len();
                 let next = self
@@ -355,39 +360,29 @@ impl Iterator for MessageFrames<'_> {
 impl ExactSizeIterator for MessageFrames<'_> {}
 
 /// Builds the RPC call and reply messages for an event, choosing the
-/// protocol version by the event's tag.
-pub fn build_rpc_pair(e: &EmittedCall, downgrade: &DowngradeCounters) -> (RpcMessage, RpcMessage) {
-    let cred = OpaqueAuth::unix(&AuthUnix::new(
-        format!("client{:x}", e.client_ip),
-        e.uid,
-        e.gid,
-    ));
+/// protocol version by the event's tag; a v2 event adds what its
+/// narrowing saturated to `narrowed`.
+pub fn build_rpc_pair(e: &EmittedCall, narrowed: &mut DowngradeStats) -> (RpcMessage, RpcMessage) {
+    let env = Envelope {
+        xid: e.xid,
+        client_ip: e.client_ip,
+        uid: e.uid,
+        gid: e.gid,
+    };
     if e.vers == 2 {
-        let mut narrowed = DowngradeStats::default();
-        let call2 = Call2::from_v3(&e.call, &mut narrowed);
-        let reply2 = Reply2::from_v3(&e.reply, &mut narrowed);
-        downgrade.add(narrowed);
-        let call_msg = RpcMessage::call(
-            e.xid,
-            PROG_NFS,
-            2,
-            call2.proc().as_u32(),
-            cred,
-            call2.encode_args(),
-        );
-        let reply_msg = RpcMessage::reply_success(e.xid, reply2.encode_results());
-        (call_msg, reply_msg)
+        let call = Call2::from_v3(&e.call, narrowed);
+        let reply = Reply2::from_v3(&e.reply, narrowed);
+        let proc = call.proc().as_u32();
+        (
+            env.call(2, proc, call.encode_args()),
+            env.reply(reply.encode_results()),
+        )
     } else {
-        let call_msg = RpcMessage::call(
-            e.xid,
-            PROG_NFS,
-            3,
-            e.call.proc().as_u32(),
-            cred,
-            e.call.encode_args(),
-        );
-        let reply_msg = RpcMessage::reply_success(e.xid, e.reply.encode_results());
-        (call_msg, reply_msg)
+        let proc = e.call.proc().as_u32();
+        (
+            env.call(3, proc, e.call.encode_args()),
+            env.reply(e.reply.encode_results()),
+        )
     }
 }
 
@@ -530,13 +525,13 @@ mod tests {
     /// A v2-tagged exchange as `build_rpc_pair` puts it on the wire:
     /// the call decoded under the call message's procedure number, the
     /// reply decoded under that same procedure.
-    fn v2_pair(call: Call3, reply: Reply3, counters: &DowngradeCounters) -> (Call2, Reply2) {
+    fn v2_pair(call: Call3, reply: Reply3, narrowed: &mut DowngradeStats) -> (Call2, Reply2) {
         let e = EmittedCall {
             call,
             reply,
             ..event(2)
         };
-        let (call_msg, reply_msg) = build_rpc_pair(&e, counters);
+        let (call_msg, reply_msg) = build_rpc_pair(&e, narrowed);
         let body = call_msg.as_call().unwrap();
         assert_eq!(body.vers, 2);
         let proc = nfstrace_nfs::v2::Proc2::from_u32(body.proc).unwrap();
@@ -576,7 +571,7 @@ mod tests {
                 count: 0,
             }),
         ];
-        let counters = DowngradeCounters::default();
+        let mut tally = DowngradeStats::default();
         for c in calls {
             // The pair decodes under one v2 procedure, and it is the
             // narrowing `nfs::v2` defines.
@@ -586,20 +581,19 @@ mod tests {
                 Call2::from_v3(&c, &mut narrowed),
                 Reply2::from_v3(&reply, &mut narrowed),
             );
-            assert_eq!(v2_pair(c, reply, &counters), want);
+            assert_eq!(v2_pair(c, reply, &mut tally), want);
         }
-        assert_eq!(counters.snapshot().total(), 0);
+        assert_eq!(tally.total(), 0);
     }
 
     /// Regression: 64-bit cookies and file ids past `u32::MAX` must
     /// saturate, never wrap into small valid-looking v2 values —
     /// `0x1_0000_0005 as u32` used to come out as `5` — and every one
-    /// the encoder saturates lands in the `wire.downgrade.*` counters.
+    /// the encoder saturates lands in the tally it is handed.
     #[test]
     fn v2_downgrade_saturates_wide_cookies_and_fileids() {
         use nfstrace_nfs::v3::*;
-        let registry = Registry::new();
-        let counters = DowngradeCounters::with_registry(&registry);
+        let mut tally = DowngradeStats::default();
         let call = Call3::Readdir(Readdir3Args {
             dir: FileHandle::from_u64(1),
             cookie: u64::from(u32::MAX) + 6, // would truncate to 5
@@ -623,7 +617,7 @@ mod tests {
             ],
             eof: true,
         }));
-        let (call2, reply2) = v2_pair(call, reply, &counters);
+        let (call2, reply2) = v2_pair(call, reply, &mut tally);
         assert!(matches!(
             call2,
             Call2::Readdir {
@@ -638,13 +632,38 @@ mod tests {
             }
             other => panic!("unexpected downgrade: {other:?}"),
         }
-        let stats = counters.snapshot();
-        assert_eq!(stats.saturated_fileids, 1);
-        assert_eq!(stats.saturated_cookies, 2);
-        assert_eq!(stats.total(), 3);
-        assert_eq!(
-            registry.counter("wire.downgrade.saturated_cookies").value(),
-            2
-        );
+        assert_eq!(tally.saturated_fileids, 1);
+        assert_eq!(tally.saturated_cookies, 2);
+        assert_eq!(tally.total(), 3);
+    }
+
+    /// The machine name parses back only from what `client_cred`
+    /// writes.
+    #[test]
+    fn machine_name_parses_back_to_the_client() {
+        for ip in [0u32, 1, 0x0a00_0001, u32::MAX] {
+            let unix = client_cred(ip, 5, 6).as_unix().unwrap().unwrap();
+            assert_eq!((unix.uid, unix.gid), (5, 6));
+            assert_eq!(client_ip_of_machine_name(&unix.machine_name), Some(ip));
+        }
+        assert_eq!(client_ip_of_machine_name("host12"), None);
+        assert_eq!(client_ip_of_machine_name("clientzz"), None);
+    }
+
+    /// One datagram carries at most 65 507 bytes of message over
+    /// IPv4; a longer one is refused before any frame is written, not
+    /// sent with wrapped length fields.
+    #[test]
+    #[should_panic(expected = "UDP message over 65507 bytes")]
+    fn udp_refuses_a_message_over_one_datagram() {
+        let msg = vec![0; 70_000];
+        WireEncoder::udp().encode_message(0, 0x0a00_0001, 0x0a00_0002, 700, 2049, &msg);
+    }
+
+    #[test]
+    fn udp_carries_a_message_of_exactly_one_datagram() {
+        let msg = vec![7; udp::MAX_PAYLOAD_LEN];
+        let pkts = WireEncoder::udp().encode_message(0, 0x0a00_0001, 0x0a00_0002, 700, 2049, &msg);
+        assert_eq!(DecodedPacket::parse(&pkts[0].data).unwrap().payload, msg);
     }
 }

@@ -8,11 +8,14 @@
 //! and counter-for-counter: a mangled frame may be dropped and counted
 //! as a decode error, an orphan, or a lost reply, but it can never
 //! flatten into a wrong record.
+//!
+//! Below that, the simulator's own framing: `WireEncoder::encode_event`
+//! against the same exchange put on the wire by hand.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use nfstrace_client::{ClientConfig, ClientMachine};
+use nfstrace_client::{ClientConfig, ClientMachine, EmittedCall};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_fssim::NfsServer;
 use nfstrace_net::ethernet::MacAddr;
@@ -21,8 +24,8 @@ use nfstrace_net::packet::PacketBuilder;
 use nfstrace_nfs::v2::{Call2, Proc2, Reply2};
 use nfstrace_nfs::v3::{Call3, Proc3, Reply3};
 use nfstrace_rpc::{MsgBody, RpcMessage, PROG_NFS};
-use nfstrace_sniffer::wire::{build_rpc_pair, DowngradeCounters};
-use nfstrace_sniffer::{v2_to_record, v3_to_record, CallMeta, Sniffer};
+use nfstrace_sniffer::wire::{build_rpc_pair, DowngradeStats};
+use nfstrace_sniffer::{v2_to_record, v3_to_record, CallMeta, Sniffer, WireEncoder};
 use nfstrace_xdr::{Pack, Unpack};
 use proptest::prelude::*;
 
@@ -33,9 +36,8 @@ const SERVER_IP: Ipv4Addr4 = Ipv4Addr4::new(10, 0, 0, 2);
 /// One wire message: timestamp, direction, and its RPC record bytes.
 type WireMsg = (u64, bool, Vec<u8>);
 
-/// A short session's call/reply messages at the RPC-bytes level, built
-/// once — the proptest mutates these per case.
-fn session_messages(vers: u8) -> Vec<WireMsg> {
+/// A short session's events: create, write, read back, remove.
+fn session_events(vers: u8) -> Vec<EmittedCall> {
     let mut server = NfsServer::new(0x0a000002);
     let root = server.root_fh();
     let mut client = ClientMachine::new(ClientConfig {
@@ -48,16 +50,31 @@ fn session_messages(vers: u8) -> Vec<WireMsg> {
     let t = client.write(&mut server, t, &fh, 0, 30_000);
     let t = client.read_file(&mut server, t + 1_000_000, &fh);
     client.remove(&mut server, t, &root, "inbox");
+    client.take_events()
+}
 
-    let downgrade = DowngradeCounters::default();
+/// A short session's call/reply messages at the RPC-bytes level, built
+/// once — the proptest mutates these per case.
+fn session_messages(vers: u8) -> Vec<WireMsg> {
+    let mut narrowed = DowngradeStats::default();
     let mut msgs = Vec::new();
-    for e in client.take_events() {
-        let (call, reply) = build_rpc_pair(&e, &downgrade);
+    for e in session_events(vers) {
+        let (call, reply) = build_rpc_pair(&e, &mut narrowed);
         msgs.push((e.wire_micros, true, call.to_xdr_bytes()));
         msgs.push((e.reply_micros, false, reply.to_xdr_bytes()));
     }
     msgs.sort_by_key(|(ts, _, _)| *ts);
     msgs
+}
+
+/// The session's events under NFSv3 and under NFSv2.
+fn events() -> &'static [EmittedCall] {
+    static EVENTS: OnceLock<Vec<EmittedCall>> = OnceLock::new();
+    EVENTS.get_or_init(|| {
+        let mut events = session_events(3);
+        events.extend(session_events(2));
+        events
+    })
 }
 
 fn corpus() -> &'static [WireMsg] {
@@ -296,5 +313,47 @@ proptest! {
         prop_assert!(
             stats.decode_errors + stats.orphan_replies + stats.lost_replies >= dropped
         );
+    }
+
+    /// `encode_event` is the event's call from the client's port to
+    /// 2049, then its reply from 2049 back, each framed by a twin
+    /// encoder's `encode_message` — for v2 and v3 events, on UDP and at
+    /// both TCP segment sizes, from any initial sequence number.
+    #[test]
+    fn encode_event_is_the_call_then_the_reply_framed_by_hand(
+        picks in proptest::collection::vec((any::<u16>(), 0u32..3), 1..16),
+        vers in 2u8..4,
+        kind in 0u8..3,
+        isn in any::<u32>(),
+    ) {
+        let pool: Vec<&EmittedCall> = events().iter().filter(|e| e.vers == vers).collect();
+        prop_assert!(!pool.is_empty());
+        let encoder = || match kind {
+            0 => WireEncoder::udp(),
+            1 => WireEncoder::tcp_standard(),
+            _ => WireEncoder::tcp_jumbo(),
+        }
+        .with_initial_seq(isn);
+        let (mut enc, mut twin) = (encoder(), encoder());
+        for (pick, client) in picks {
+            let e = EmittedCall {
+                client_ip: 0x0a00_0010 + client,
+                ..pool[usize::from(pick) % pool.len()].clone()
+            };
+            let (call, reply) = build_rpc_pair(&e, &mut DowngradeStats::default());
+            let (client, server) = (e.client_ip, e.server_ip);
+            let cport = WireEncoder::client_port(client);
+            let mut want =
+                twin.encode_message(e.wire_micros, client, server, cport, 2049, &call.to_xdr_bytes());
+            want.extend(twin.encode_message(
+                e.reply_micros,
+                server,
+                client,
+                2049,
+                cport,
+                &reply.to_xdr_bytes(),
+            ));
+            prop_assert_eq!(enc.encode_event(&e), want);
+        }
     }
 }
