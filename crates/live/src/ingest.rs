@@ -11,7 +11,8 @@ use nfstrace_store::{CompactionPolicy, Result, StoreConfig, StoreError};
 use nfstrace_telemetry::{span, Counter, Gauge, Histogram, Registry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Ingest knobs: where segments land and when the hot segment seals.
 #[derive(Debug, Clone)]
@@ -95,6 +96,9 @@ struct LiveMetrics {
     batch_micros: Histogram,
     /// `live.snapshot_micros` — wall time of each view snapshot.
     snapshot_micros: Histogram,
+    /// `live.source_wait_micros` / `live.sink_wait_micros` — what each
+    /// stage of [`pump`] waited for the other.
+    waits: PumpWaits,
     /// The part of `total_records` `records_emitted` has received.
     /// Atomic only because a view publishes through `&self`.
     published: AtomicU64,
@@ -128,6 +132,10 @@ impl RunningIndex {
                 hot_records: registry.gauge("live.hot_records"),
                 batch_micros: registry.histogram("live.batch_micros"),
                 snapshot_micros: registry.histogram("live.snapshot_micros"),
+                waits: PumpWaits {
+                    source: registry.counter("live.source_wait_micros"),
+                    sink: registry.counter("live.sink_wait_micros"),
+                },
                 published: AtomicU64::new(0),
             },
         }
@@ -178,6 +186,11 @@ impl RunningIndex {
         self.last_micros = r.micros;
     }
 
+    /// The counters [`pump`] charges its stages' waits to.
+    pub(crate) fn waits(&self) -> PumpWaits {
+        self.metrics.waits.clone()
+    }
+
     /// One `live.batch_micros` sample, ending when dropped.
     pub(crate) fn batch_span(&self) -> nfstrace_telemetry::SpanTimer {
         span!(self.metrics.batch_micros)
@@ -222,24 +235,106 @@ impl RunningIndex {
     }
 }
 
+/// Where [`pump`] charges the time one stage waits for the other.
+#[derive(Debug, Clone)]
+pub(crate) struct PumpWaits {
+    /// `live.source_wait_micros`: the source had filled a batch and
+    /// waited for a free buffer — the capture is sink-bound.
+    pub(crate) source: Counter,
+    /// `live.sink_wait_micros`: the sink had sunk its batch and waited
+    /// for the next — the capture is source-bound.
+    pub(crate) sink: Counter,
+}
+
+/// A stage's wait clock: each timed wait accrues, and whole
+/// microseconds go to the counter as soon as they add up.
+struct Waited<'a> {
+    counter: &'a Counter,
+    carry: Duration,
+}
+
+impl<'a> Waited<'a> {
+    fn new(counter: &'a Counter) -> Self {
+        Waited {
+            counter,
+            carry: Duration::ZERO,
+        }
+    }
+
+    fn time<T>(&mut self, wait: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = wait();
+        self.carry += start.elapsed();
+        let micros = self.carry.as_micros();
+        if micros > 0 {
+            self.counter.add(micros as u64);
+            self.carry -= Duration::from_micros(micros as u64);
+        }
+        out
+    }
+}
+
 /// Pumps `source` to exhaustion, handing each batch to `ingest` — the
 /// one source loop behind both ingests' `run`.
 ///
+/// The loop is a two-stage pipeline: `source` fills the next batch on
+/// the caller's thread while `ingest` sinks the one before on a scoped
+/// worker. Two batch buffers go back and forth through bounded
+/// channels, so at most two batches are resident, and once both have
+/// grown no batch allocates. `ingest` sees the batches in source order,
+/// so what it does — every rotation, every segment byte — is what an
+/// alternating loop would do. The stages' waits on each other go to
+/// `waits`.
+///
 /// # Errors
 ///
-/// Propagates the first batch's error.
+/// The first error `ingest` returns. The source fills ahead, so by then
+/// it may have been asked for the batch after the failing one, never
+/// for a second.
+///
+/// # Panics
+///
+/// A panic in either stage reaches the caller, after the other stage
+/// has stopped.
 pub(crate) fn pump<S: RecordSource + ?Sized>(
     source: &mut S,
-    mut ingest: impl FnMut(&mut Vec<TraceRecord>) -> Result<()>,
+    waits: &PumpWaits,
+    mut ingest: impl FnMut(&mut Vec<TraceRecord>) -> Result<()> + Send,
 ) -> Result<()> {
-    let mut batch = Vec::new();
-    loop {
-        batch.clear();
-        if !source.next_batch(&mut batch) {
-            return Ok(());
+    std::thread::scope(|scope| {
+        // Created inside the scope, so that a panicking source drops its
+        // ends on the way out and the sink, seeing them gone, stops
+        // before the scope waits for it.
+        let (full_tx, full_rx) = mpsc::sync_channel::<Vec<TraceRecord>>(1);
+        let (free_tx, free_rx) = mpsc::sync_channel::<Vec<TraceRecord>>(2);
+        for _ in 0..2 {
+            free_tx.send(Vec::new()).expect("room for both buffers");
         }
-        ingest(&mut batch)?;
-    }
+        let sink = scope.spawn(move || -> Result<()> {
+            let mut waited = Waited::new(&waits.sink);
+            // Ends when the source hangs up: exhausted, or stopped
+            // because this stage did.
+            while let Ok(mut batch) = waited.time(|| full_rx.recv()) {
+                ingest(&mut batch)?;
+                if free_tx.send(batch).is_err() {
+                    break;
+                }
+            }
+            Ok(())
+        });
+        let mut waited = Waited::new(&waits.source);
+        // No buffer comes back once the sink has stopped, on an error or
+        // a panic: the source stops with it.
+        while let Ok(mut batch) = waited.time(|| free_rx.recv()) {
+            batch.clear();
+            if !source.next_batch(&mut batch) || full_tx.send(batch).is_err() {
+                break;
+            }
+        }
+        drop(full_tx);
+        sink.join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
 }
 
 /// What [`LiveIngest::finish`] reports.
@@ -271,6 +366,8 @@ pub struct LiveSummary {
 ///
 /// - the **hot tail** (records pushed since the last seal) is bounded
 ///   by [`LiveConfig::rotate_records`] / [`LiveConfig::rotate_micros`];
+/// - [`LiveIngest::run`] holds at most two source batches: the one
+///   being sunk and the one the source fills meanwhile;
 /// - the pending writer's chunk is bounded by the store's chunk size;
 /// - sealed records live on disk and are re-decoded chunk-at-a-time
 ///   when a view replays them.
@@ -393,13 +490,18 @@ impl LiveIngest {
     }
 
     /// Pumps `source` to exhaustion through [`LiveIngest::ingest`],
-    /// moving each batch's records into the hot tail.
+    /// moving each batch's records into the hot tail. The source fills
+    /// the next batch on this thread while the ingest sinks the last on
+    /// another; the segments written are those of one stage after the
+    /// other.
     ///
     /// # Errors
     ///
-    /// Propagates the first ingest error.
+    /// Propagates the first ingest error. The source may by then have
+    /// been asked for one batch past the failing one, never two.
     pub fn run<S: RecordSource + ?Sized>(&mut self, source: &mut S) -> Result<()> {
-        pump(source, |batch| {
+        let waits = self.running.waits();
+        pump(source, &waits, |batch| {
             let _span = self.running.batch_span();
             for r in batch.drain(..) {
                 self.ingest_owned(r)?;
@@ -495,7 +597,6 @@ mod tests {
             ..LiveConfig::new(&dir)
         };
         let mut ingest = LiveIngest::create(config.with_registry(&registry)).expect("create");
-        let record = |i: u64| TraceRecord::new(i * 1000, Op::Read, FileId(i % 3));
         let batches: Vec<Vec<TraceRecord>> = (0..10)
             .map(record)
             .collect::<Vec<_>>()
@@ -525,5 +626,184 @@ mod tests {
         ingest.finish().expect("finish");
         assert_eq!(exported(&registry), (Some(11), Some(0.0)));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn record(i: u64) -> TraceRecord {
+        TraceRecord::new(i * 1000, Op::Read, FileId(i % 3))
+    }
+
+    /// Batches of uneven sizes, some empty: batch `k` holds `k % 4`
+    /// records.
+    fn uneven_batches(n: u64) -> Vec<Vec<TraceRecord>> {
+        let mut next = 0;
+        (0..n)
+            .map(|k| {
+                let batch = (next..next + k % 4).map(record).collect();
+                next += k % 4;
+                batch
+            })
+            .collect()
+    }
+
+    /// Counts the batches handed out, and panics at one if asked to.
+    struct Counted {
+        batches: Batches,
+        calls: usize,
+        panic_at: Option<usize>,
+    }
+
+    impl Counted {
+        fn new(batches: Vec<Vec<TraceRecord>>) -> Self {
+            Counted {
+                batches: Batches(batches.into_iter()),
+                calls: 0,
+                panic_at: None,
+            }
+        }
+    }
+
+    impl RecordSource for Counted {
+        fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool {
+            self.calls += 1;
+            assert_ne!(Some(self.calls), self.panic_at, "source panics");
+            self.batches.next_batch(out)
+        }
+    }
+
+    fn waits() -> PumpWaits {
+        PumpWaits {
+            source: Counter::new(),
+            sink: Counter::new(),
+        }
+    }
+
+    /// The sink gets every batch in source order, and never more than
+    /// two batches are out at once.
+    #[test]
+    fn the_sink_gets_every_batch_in_order() {
+        let batches = uneven_batches(200);
+        let filled = std::sync::atomic::AtomicUsize::new(0);
+        let mut source = Counted::new(batches.clone());
+        let mut seen = Vec::new();
+        struct Filling<'a>(&'a mut Counted, &'a std::sync::atomic::AtomicUsize);
+        impl RecordSource for Filling<'_> {
+            fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool {
+                let more = self.0.next_batch(out);
+                self.1.fetch_add(usize::from(more), Ordering::SeqCst);
+                more
+            }
+        }
+        pump(&mut Filling(&mut source, &filled), &waits(), |batch| {
+            assert!(filled.load(Ordering::SeqCst) <= 2, "a third batch is out");
+            seen.push(std::mem::take(batch));
+            filled.fetch_sub(1, Ordering::SeqCst);
+            Ok(())
+        })
+        .expect("pump");
+        assert_eq!(seen, batches);
+    }
+
+    /// A sink error on batch `k` is what the pump returns, and the
+    /// source has been asked for at most one batch past it.
+    #[test]
+    fn a_sink_error_stops_the_source_within_one_batch() {
+        for k in [1usize, 2, 3, 17] {
+            let mut source = Counted::new(uneven_batches(40));
+            let mut sunk = 0;
+            let err = pump(&mut source, &waits(), |_| {
+                sunk += 1;
+                if sunk == k {
+                    return Err(StoreError::Format(format!("batch {k} fails")));
+                }
+                Ok(())
+            })
+            .expect_err("the sink fails");
+            assert!(
+                err.to_string().contains(&format!("batch {k} fails")),
+                "{err}"
+            );
+            assert!(
+                (k..=k + 1).contains(&source.calls),
+                "k {k}: the source was asked {} times",
+                source.calls
+            );
+        }
+    }
+
+    /// Runs `pump` on a thread of its own and returns its panic message,
+    /// failing if it neither panics nor returns within a minute.
+    fn panic_of(pump: impl FnOnce() -> Result<()> + Send + 'static) -> String {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(pump));
+            done_tx.send(outcome).ok();
+        });
+        let outcome = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the pump hung");
+        let panic = outcome.expect_err("the pump panics");
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    /// A panic in either stage reaches the caller, and neither stage is
+    /// left waiting for the other.
+    #[test]
+    fn a_panic_in_either_stage_reaches_the_caller() {
+        for at in [1usize, 2, 5] {
+            let message = panic_of(move || {
+                let mut source = Counted::new(uneven_batches(40));
+                let mut sunk = 0;
+                pump(&mut source, &waits(), |_| {
+                    sunk += 1;
+                    assert_ne!(sunk, at, "sink panics");
+                    Ok(())
+                })
+            });
+            assert!(message.contains("sink panics"), "{message:?}");
+
+            let message = panic_of(move || {
+                let mut source = Counted::new(uneven_batches(40));
+                source.panic_at = Some(at);
+                pump(&mut source, &waits(), |_| Ok(()))
+            });
+            assert!(message.contains("source panics"), "{message:?}");
+        }
+    }
+
+    /// Each stage's waits reach its counter: a slow sink makes the
+    /// source wait, a slow source the sink.
+    #[test]
+    fn waits_are_charged_to_the_stage_that_waited() {
+        let nap = || std::thread::sleep(Duration::from_millis(2));
+        let sink_bound = waits();
+        let mut source = Counted::new(uneven_batches(20));
+        pump(&mut source, &sink_bound, |_| {
+            nap();
+            Ok(())
+        })
+        .expect("pump");
+        assert!(
+            sink_bound.source.value() > sink_bound.sink.value(),
+            "{sink_bound:?}"
+        );
+
+        struct Slow(Counted);
+        impl RecordSource for Slow {
+            fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool {
+                std::thread::sleep(Duration::from_millis(2));
+                self.0.next_batch(out)
+            }
+        }
+        let source_bound = waits();
+        let mut source = Slow(Counted::new(uneven_batches(20)));
+        pump(&mut source, &source_bound, |_| Ok(())).expect("pump");
+        assert!(
+            source_bound.sink.value() > source_bound.source.value(),
+            "{source_bound:?}"
+        );
     }
 }

@@ -42,8 +42,9 @@
 //! # The bounded-memory contract
 //!
 //! Peak resident record memory across the whole pipeline is
-//! `O(slice) + O(rotation threshold)` — one source batch, plus the hot
-//! tail, plus a decoded chunk or two during replays — never
+//! `O(slice) + O(rotation threshold)` — two source batches (one being
+//! sunk, one being filled), plus the hot tail, plus a decoded chunk or
+//! two during replays — never
 //! `O(trace)`. `crates/bench/tests/paths.rs` asserts this shape; the observed
 //! peaks are the benchmark's `live.peak_hot_records` and
 //! `peak_heap_mib` rows (`nfsbench/README.md`).

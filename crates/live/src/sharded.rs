@@ -240,13 +240,20 @@ impl ShardedLiveIngest {
     }
 
     /// Pumps `source` to exhaustion through
-    /// [`ShardedLiveIngest::ingest_batch`].
+    /// [`ShardedLiveIngest::ingest_batch`], the source filling the next
+    /// batch while the last one sinks, as [`crate::LiveIngest::run`]
+    /// does. The source's thread runs beside the
+    /// [`nfstrace_core::parallel::threads`] workers `ingest_batch` fans
+    /// out to, one busy thread more than the worker count; no benchmark
+    /// row drives this `run`, so what that costs is unmeasured.
     ///
     /// # Errors
     ///
-    /// Propagates the first batch's error.
+    /// Propagates the first batch's error. The source may by then have
+    /// been asked for one batch past the failing one, never two.
     pub fn run<S: RecordSource + ?Sized>(&mut self, source: &mut S) -> Result<()> {
-        pump(source, |batch| self.ingest_batch(batch))
+        let waits = self.running.waits();
+        pump(source, &waits, |batch| self.ingest_batch(batch))
     }
 
     /// Snapshots a stable [`LiveView`] over everything every shard has

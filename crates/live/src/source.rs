@@ -12,9 +12,11 @@ use nfstrace_workload::SlicedWorkload;
 /// A source yields its stream in *batches*: each batch is internally
 /// time-sorted and follows every previous batch in time, so the
 /// concatenation of all batches is one time-ordered trace. Sources are
-/// pull-driven — the ingest asks for the next batch when it has sunk
-/// the previous one — which is what keeps the whole pipeline's resident
-/// record memory bounded by one batch.
+/// pull-driven — the ingest asks for the next batch once a buffer is
+/// free, filling one while it sinks the one before — which is what
+/// keeps the whole pipeline's resident record memory bounded by two
+/// batches. The source is only ever called from the thread that runs
+/// the ingest, so it need not be [`Send`].
 pub trait RecordSource {
     /// Appends the next batch to `out` (which the caller has cleared).
     /// Returns `false` once the stream is exhausted; a `true` return

@@ -44,31 +44,74 @@ pub const MIN_MATCH: usize = 4;
 
 const HASH_BITS: u32 = 15;
 
-fn hash4(window: &[u8]) -> usize {
-    let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
-    (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+/// The empty slot of the position table: no anchor position reaches
+/// it, since [`compress`] takes at most `u32::MAX` bytes.
+const EMPTY: u32 = u32::MAX;
+
+/// The four bytes at `at`, as one little-endian word.
+fn load4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("four bytes"))
+}
+
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+}
+
+/// How many leading bytes `ahead` shares with `behind`, which is at
+/// least as long: eight bytes a step while a whole word is left, the
+/// first mismatch found by the xor's trailing zeros.
+fn common_prefix(behind: &[u8], ahead: &[u8]) -> usize {
+    let word =
+        |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().expect("eight bytes"));
+    let mut len = 0;
+    while len + 8 <= ahead.len() {
+        let diff = word(behind, len) ^ word(ahead, len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < ahead.len() && behind[len] == ahead[len] {
+        len += 1;
+    }
+    len
 }
 
 /// Compresses `input`. Never fails; the output of an incompressible
 /// input is the input plus small framing overhead (callers compare
 /// sizes and keep the raw form when it wins).
+///
+/// The match search keeps one `u32` position per hash slot, checks a
+/// candidate's 4-byte anchor as one word and extends a match eight
+/// bytes at a time; what it finds, and so every byte it emits, is what
+/// a byte-at-a-time search over a `usize` table finds.
+///
+/// # Panics
+///
+/// If `input` is longer than `u32::MAX` bytes. The store writer flushes
+/// chunks long before that (`MAX_CHUNK_PAYLOAD`).
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    assert!(
+        u32::try_from(input.len()).is_ok(),
+        "compress takes at most {} bytes, got {}",
+        u32::MAX,
+        input.len()
+    );
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let mut table = vec![EMPTY; 1 << HASH_BITS];
     let mut lit_start = 0usize;
     let mut pos = 0usize;
     while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
+        let anchor = load4(input, pos);
+        let h = hash4(anchor);
         let cand = table[h];
-        table[h] = pos;
-        if cand == usize::MAX || input[cand..cand + MIN_MATCH] != input[pos..pos + MIN_MATCH] {
+        table[h] = pos as u32;
+        if cand == EMPTY || load4(input, cand as usize) != anchor {
             pos += 1;
             continue;
         }
-        let mut len = MIN_MATCH;
-        while pos + len < input.len() && input[cand + len] == input[pos + len] {
-            len += 1;
-        }
+        let cand = cand as usize;
+        let len = MIN_MATCH + common_prefix(&input[cand + MIN_MATCH..], &input[pos + MIN_MATCH..]);
         write_varint(&mut out, (pos - lit_start) as u64);
         out.extend_from_slice(&input[lit_start..pos]);
         write_varint(&mut out, (pos - cand) as u64);
@@ -76,10 +119,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         // Index the positions the match covers so later data can still
         // anchor inside it, then continue past it.
         let end = pos + len;
-        pos += 1;
-        while pos < end && pos + MIN_MATCH <= input.len() {
-            table[hash4(&input[pos..])] = pos;
-            pos += 1;
+        for at in pos + 1..end.min(input.len() + 1 - MIN_MATCH) {
+            table[hash4(load4(input, at))] = at as u32;
         }
         pos = end;
         lit_start = end;
@@ -171,6 +212,49 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The compressor as it was before word-wide search: a `usize`
+    /// table, a byte-slice anchor compare and byte-at-a-time match
+    /// extension. Kept as the reference [`compress`] must agree with,
+    /// byte for byte.
+    fn compress_reference(input: &[u8]) -> Vec<u8> {
+        fn hash4(window: &[u8]) -> usize {
+            let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
+            (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+        }
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        let mut table = vec![usize::MAX; 1 << HASH_BITS];
+        let mut lit_start = 0usize;
+        let mut pos = 0usize;
+        while pos + MIN_MATCH <= input.len() {
+            let h = hash4(&input[pos..]);
+            let cand = table[h];
+            table[h] = pos;
+            if cand == usize::MAX || input[cand..cand + MIN_MATCH] != input[pos..pos + MIN_MATCH] {
+                pos += 1;
+                continue;
+            }
+            let mut len = MIN_MATCH;
+            while pos + len < input.len() && input[cand + len] == input[pos + len] {
+                len += 1;
+            }
+            write_varint(&mut out, (pos - lit_start) as u64);
+            out.extend_from_slice(&input[lit_start..pos]);
+            write_varint(&mut out, (pos - cand) as u64);
+            write_varint(&mut out, (len - MIN_MATCH) as u64);
+            let end = pos + len;
+            pos += 1;
+            while pos < end && pos + MIN_MATCH <= input.len() {
+                table[hash4(&input[pos..])] = pos;
+                pos += 1;
+            }
+            pos = end;
+            lit_start = end;
+        }
+        write_varint(&mut out, (input.len() - lit_start) as u64);
+        out.extend_from_slice(&input[lit_start..]);
+        out
+    }
 
     /// The decompressor as it was before block copies: output grown by
     /// `push`, every match copied byte by byte. Kept as the reference
@@ -443,6 +527,41 @@ mod tests {
         expect(&[0xff; 11], 10, "varint overflows u64");
     }
 
+    /// Inputs shaped like chunk payloads: a few short words, repeated
+    /// in a seeded order with occasional noise, so matches of every
+    /// length end at every offset of an eight-byte step.
+    fn low_entropy(words: &[Vec<u8>], picks: &[(usize, u8)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(pick, noise) in picks {
+            if words.is_empty() || noise < 16 {
+                out.push(noise);
+            } else {
+                out.extend_from_slice(&words[pick % words.len()]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn compress_matches_the_reference_on_edge_shapes() {
+        let mut inputs: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"abc".to_vec(),
+            b"abcd".to_vec(),
+            vec![7u8; 100_000],
+            b"abcdabcdabcdabcdabcdxyzabcdabcd".to_vec(),
+        ];
+        // A match running to the very end, at every residue mod 8.
+        for tail in 0..24 {
+            let mut v = prefix(40);
+            v.extend_from_slice(&prefix(40)[..tail]);
+            inputs.push(v);
+        }
+        for input in &inputs {
+            assert_eq!(compress(input), compress_reference(input), "{input:02x?}");
+        }
+    }
+
     proptest! {
         /// Random sequence lists, half of them well formed and half
         /// with one fault planted: whatever the reference says — bytes
@@ -481,6 +600,24 @@ mod tests {
             if fault < 5 && !seqs[0].0.is_empty() {
                 prop_assert_eq!(outcome.map(|out| out.len()), Ok(produced));
             }
+        }
+
+        /// Arbitrary bytes compress exactly as the reference does.
+        #[test]
+        fn compress_matches_the_reference(input in proptest::collection::vec(any::<u8>(), 0..2048)) {
+            prop_assert_eq!(compress(&input), compress_reference(&input));
+        }
+
+        /// So do low-entropy inputs, where nearly every position
+        /// anchors a match and match ends fall anywhere in a word.
+        #[test]
+        fn compress_matches_the_reference_on_low_entropy_input(
+            words in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..12), 0..6),
+            picks in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..600),
+        ) {
+            let input = low_entropy(&words, &picks);
+            prop_assert_eq!(compress(&input), compress_reference(&input));
+            prop_assert_eq!(decompress(&compress(&input), input.len()).expect("roundtrip"), input);
         }
     }
 }

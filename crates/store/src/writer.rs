@@ -5,7 +5,7 @@ use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
     fnv1a64, ChunkMeta, FilterBuilder, FilterKind, END_MAGIC, FILTER_KIND_BLOOM, FILTER_KIND_EXACT,
-    FLAG_COMPRESSED, MAGIC,
+    FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
 };
 use crate::reader::VerifiedChunk;
 use nfstrace_core::record::TraceRecord;
@@ -20,6 +20,9 @@ use std::path::Path;
 pub struct StoreConfig {
     /// Soft cap on a chunk's encoded size: the writer flushes the
     /// pending chunk once its record bytes plus name table reach this.
+    /// Whatever the cap, a chunk's payload never grows past
+    /// [`MAX_CHUNK_PAYLOAD`], the most a reader accepts: the writer
+    /// flushes before a record could take it there.
     /// Smaller chunks mean finer-grained parallel indexing and lower
     /// peak memory; larger chunks amortize per-chunk overhead.
     pub target_chunk_bytes: usize,
@@ -79,6 +82,15 @@ pub struct StoreWriter {
     offset: u64,
     chunks: Vec<ChunkMeta>,
     metrics: StoreWriteMetrics,
+}
+
+/// The most bytes `r` can add to a chunk payload: every field a
+/// full-width varint, and each name a new table entry escaped at three
+/// bytes a byte behind a full-width length.
+fn record_payload_bound(r: &TraceRecord) -> usize {
+    const FIELDS: usize = 24 * 10;
+    let name = |n: &Option<String>| n.as_ref().map_or(0, |n| 3 * n.len() + 10);
+    FIELDS + name(&r.name) + name(&r.name2)
 }
 
 /// The write-side `store.*` slice of the pipeline-health export.
@@ -182,14 +194,31 @@ impl StoreWriter {
     ///
     /// # Errors
     ///
-    /// [`StoreError::OutOfOrder`] on a time-travelling record, or I/O
-    /// errors from a chunk flush.
+    /// [`StoreError::OutOfOrder`] on a time-travelling record,
+    /// [`StoreError::Format`] on a record whose names could not fit
+    /// even an empty chunk under [`MAX_CHUNK_PAYLOAD`], or I/O errors
+    /// from a chunk flush.
     pub fn push(&mut self, r: &TraceRecord) -> Result<()> {
+        self.push_under(r, MAX_CHUNK_PAYLOAD as usize)
+    }
+
+    /// [`StoreWriter::push`], keeping each chunk payload within
+    /// `ceiling` bytes (tests pass a small one to reach it cheaply).
+    fn push_under(&mut self, r: &TraceRecord, ceiling: usize) -> Result<()> {
         if self.any_pushed && r.micros < self.prev_micros {
             return Err(StoreError::OutOfOrder {
                 prev: self.prev_micros,
                 next: r.micros,
             });
+        }
+        let most = record_payload_bound(r);
+        if self.payload_bound() + most > ceiling {
+            self.flush_chunk()?;
+            if self.payload_bound() + most > ceiling {
+                return Err(StoreError::Format(format!(
+                    "a record of up to {most} bytes does not fit a chunk payload of at most {ceiling} bytes"
+                )));
+            }
         }
         if self.chunk_records == 0 {
             self.chunk_min = r.micros;
@@ -208,6 +237,15 @@ impl StoreWriter {
             self.flush_chunk()?;
         }
         Ok(())
+    }
+
+    /// An upper bound on the pending chunk's payload: its records; its
+    /// name table, whose running estimate allows two bytes for each
+    /// length varint and four for the count, where either may take
+    /// ten; and the two varints [`StoreWriter::flush_chunk`] puts in
+    /// front.
+    fn payload_bound(&self) -> usize {
+        self.chunk_buf.len() + self.names.encoded_len() + 8 * self.names.len() + 6 + 2 * 10
     }
 
     /// Appends one already-stored chunk verbatim — compaction's unit of
@@ -470,5 +508,60 @@ mod tests {
         let summary = w.finish().expect("finish");
         assert_eq!((summary.total_records, summary.chunks), (1, 1));
         std::fs::remove_file(&out).ok();
+    }
+
+    /// The raw payload length of each stored chunk: the frame's varint
+    /// when compressed, the bytes after the flags byte when not.
+    fn payload_lens(reader: &StoreReader) -> Vec<usize> {
+        (0..reader.chunks().len())
+            .map(|i| {
+                let chunk = reader.read_chunk_verified(i).expect("read");
+                if chunk.bytes[0] & FLAG_COMPRESSED != 0 {
+                    let mut pos = 1;
+                    crate::codec::read_varint(&chunk.bytes, &mut pos).expect("frame") as usize
+                } else {
+                    chunk.bytes.len() - 1
+                }
+            })
+            .collect()
+    }
+
+    /// A chunk target past what any reader accepts still writes a
+    /// readable store: the writer flushes before a payload could pass
+    /// the ceiling (here 4 KiB through `push_under`, since the
+    /// `MAX_CHUNK_PAYLOAD` that `push` keeps to is 1 GiB, more than a
+    /// test can afford to reach), and refuses a record that could
+    /// not fit even an empty chunk.
+    #[test]
+    fn no_chunk_payload_passes_the_ceiling() {
+        let path = tmp("ceiling");
+        let config = StoreConfig {
+            target_chunk_bytes: usize::MAX,
+        };
+        let mut w = StoreWriter::create(&path, config).expect("create");
+        let records: Vec<TraceRecord> = (0..2_000u64)
+            .map(|t| {
+                TraceRecord::new(t, Op::Lookup, FileId(t % 7)).with_name(format!("name-{}", t % 50))
+            })
+            .collect();
+        for r in &records {
+            w.push_under(r, 4096).expect("push");
+        }
+        let huge = TraceRecord::new(2_000, Op::Lookup, FileId(1)).with_name("x".repeat(2_000));
+        assert!(
+            matches!(w.push_under(&huge, 4096), Err(StoreError::Format(m)) if m.contains("does not fit")),
+            "a record that fits no chunk is refused"
+        );
+        let summary = w.finish().expect("finish");
+        assert!(summary.chunks > 1, "{} chunk(s)", summary.chunks);
+
+        let reader = StoreReader::open(&path).expect("open");
+        for (i, len) in payload_lens(&reader).into_iter().enumerate() {
+            assert!(len <= 4096, "chunk {i} holds a {len}-byte payload");
+        }
+        let mut back = Vec::new();
+        reader.for_each(|r| back.push(r.clone())).expect("decode");
+        assert_eq!(back, records);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1073,3 +1073,71 @@ fn three_record_store_matches_the_golden_bytes() {
     assert_eq!(read_all(&path).expect("read"), records);
     std::fs::remove_file(&path).ok();
 }
+
+/// Twenty-four mail-shaped records — a lock lookup, a read and a write
+/// per round — small and repetitive enough to land in one LZ chunk.
+fn lz_golden_records() -> Vec<TraceRecord> {
+    (0..24u64)
+        .map(|i| {
+            let micros = 1_000_000 + i * 250;
+            let mut r = match i % 3 {
+                0 => TraceRecord::new(micros, Op::Lookup, FileId(7)).with_name("inbox.lock"),
+                1 => TraceRecord::new(micros, Op::Read, FileId(4242)).with_range(i * 8192, 8192),
+                _ => TraceRecord::new(micros, Op::Write, FileId(4242))
+                    .with_range(i * 4096, 4096)
+                    .with_post_size((i + 1) * 4096),
+            };
+            r.reply_micros = micros + 150;
+            r.client = 10;
+            r.uid = 501;
+            r.xid = 0xbeef + i as u32;
+            r
+        })
+        .collect()
+}
+
+/// A compressed chunk pinned byte for byte, as the LZ encoder wrote it
+/// before its match search moved to a `u32` table, word-wide anchor
+/// checks and eight-byte match extension: stores written then still
+/// decode, and the encoder still writes exactly these bytes.
+#[test]
+fn lz_chunk_matches_the_golden_bytes() {
+    const GOLDEN: &str = concat!(
+        // magic
+        "4e46535452433300",
+        // chunk 0: LZ flag, raw length, then the compressed stream
+        "01dc0420010a696e626f782e6c6f636b18c0843d00ac020203030a00f50300ef",
+        "fd020700010006fa01ac020006150207f0fd0292218040020000180102100718",
+        "0201f11803062080200080601a0000470401f2471001f32f01028002480d01f4",
+        "190102a001490202c0011c00004a0401f54a1001f6310102c0034a0d01f71901",
+        "0280024a0202a0021c00004a0401f84a1001f9310201054a0d01fa190101e04a",
+        "030280031c00004a0401fb4a1001fc310102c0064a0d01fd190201034a0201e0",
+        "4a0901fe4a1001ff31010280084a0d0280fe190002a0044a0202c0041c00004a",
+        "040281fe4a0f0182310102c0094a0d018319010280054a0202a0051c00004a04",
+        "01844a1001853102010b4a0d0186190101e04a03028006",
+        // footer, its checksum and the trailer
+        "0100000000000000180000000000000008000000000000001701000000000000",
+        "180000000000000040420f0000000000b6580f00000000000700000000000000",
+        "9210000000000000844f96c59c4395ca01020000000700000000000000921000",
+        "0000000000116f8722e0c2d3d71f010000000000004e46535452434500",
+    );
+    let records = lz_golden_records();
+    let golden: Vec<u8> = (0..GOLDEN.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).expect("hex"))
+        .collect();
+    assert_eq!(
+        golden[8],
+        nfstrace_store::format::FLAG_COMPRESSED,
+        "the chunk is stored compressed"
+    );
+    let path = tmp("golden-lz", 0);
+    std::fs::write(&path, &golden).expect("write");
+    assert_eq!(read_all(&path).expect("decode"), records);
+
+    write_with(&path, &records, 1 << 20);
+    let bytes = std::fs::read(&path).expect("read");
+    let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN, "the LZ encoder's output changed");
+    std::fs::remove_file(&path).ok();
+}
