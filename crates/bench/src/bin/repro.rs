@@ -261,8 +261,9 @@ fn main() {
         }
         (Via::Live, Some(shards)) => {
             let pair = scenarios::eight_day_sharded_pair(s, &dir, shards, compaction, &registry);
-            let (campus8, eecs8) = or_exit(pair);
-            let text = render(&campus8.view(), &eecs8.view(), only);
+            let (mut campus8, mut eecs8) = or_exit(pair);
+            let views = (or_exit(campus8.try_view()), or_exit(eecs8.try_view()));
+            let text = render(&views.0, &views.1, only);
             or_exit(campus8.finish());
             or_exit(eecs8.finish());
             text

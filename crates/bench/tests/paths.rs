@@ -65,7 +65,7 @@ fn store_live_and_sharded_paths_render_the_in_memory_suite() {
     std::fs::remove_dir_all(&dir).ok();
 
     let dir = tmpdir("sharded");
-    let (campus, eecs) =
+    let (mut campus, mut eecs) =
         scenarios::eight_day_sharded_pair(SCALE, &dir, 2, None, &registry).expect("sharded path");
     assert!(
         suite_text(&campus.view(), &eecs.view()) == *want,

@@ -8,6 +8,28 @@
 //! also carry every record's global arrival sequence, sealed into a
 //! [`seqfile`] sidecar per segment. Chains hold no index: the ingest
 //! that owns them folds its whole stream once, in arrival order.
+//!
+//! # Sealing behind the sink
+//!
+//! A rotation hands the hot segment to a **sealing thread** and the
+//! chain starts the next hot segment at once. The thread frees the
+//! segment's hot tail, then runs the seal protocol — the writer's
+//! `finish` (last chunk, footer, `sync_all`), the sidecar, the rename,
+//! the reopen for reading — and the compaction passes the new segment
+//! made ripe. While it runs it owns everything a seal changes
+//! ([`Sealed`]: the catalog, the sealed readers and their sequences,
+//! the compactor); joining it hands them back.
+//!
+//! At most one seal is in flight. The next rotation, a snapshot,
+//! [`SegmentChain::sealed_segments`], [`SegmentChain::finish`] and
+//! `Drop` each **settle** first — join the seal in flight — so every
+//! caller sees the chain exactly as an inline seal would have left it,
+//! and no sealing thread outlives its chain. The seal and compaction
+//! sequence is the inline one, in the same order, so every segment
+//! byte is too. A seal's error is returned by the settle that joins it
+//! (a panic on the sealing thread resumes there); from then on the
+//! chain is poisoned and every push, rotation, snapshot and finish
+//! returns [`StoreError::Poisoned`].
 
 use crate::ingest::{LiveConfig, LiveSummary};
 use crate::view::ShardChain;
@@ -15,32 +37,135 @@ use nfstrace_core::record::TraceRecord;
 use nfstrace_store::compact::{self, FaultInjector};
 use nfstrace_store::seqfile;
 use nfstrace_store::{Compactor, Result, SegmentCatalog, StoreError, StoreReader, StoreWriter};
-use nfstrace_telemetry::Counter;
+use nfstrace_telemetry::{Counter, Registry};
+use std::path::PathBuf;
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
+
+/// What a seal changes: the catalog, the sealed readers with their
+/// sequences, and the compactor that merges them. The chain holds it
+/// between seals; the sealing thread holds it during one.
+#[derive(Debug)]
+struct Sealed {
+    catalog: SegmentCatalog,
+    readers: Vec<Arc<StoreReader>>,
+    /// Arrival sequences per sealed segment, parallel to `readers`;
+    /// `None` for a chain that carries no sequences.
+    seqs: Option<Vec<Arc<Vec<u64>>>>,
+    /// The background merge engine (present iff
+    /// [`LiveConfig::compaction`]).
+    compactor: Option<Compactor>,
+    /// Where the readers it opens count.
+    registry: Registry,
+    /// `live.segments_sealed` — hot segments rotated to disk.
+    segments_sealed: Counter,
+}
+
+impl Sealed {
+    /// Seals base segment `ordinal`, whose bytes `writer` holds: finishes
+    /// the segment file, publishes it via the shared crash-safe seal
+    /// protocol ([`nfstrace_store::compact::seal_segment`] — sidecar
+    /// first when `seqs` is given), opens it for reading, and runs any
+    /// compaction passes the new segment made ripe.
+    fn seal(
+        &mut self,
+        writer: StoreWriter,
+        ordinal: u64,
+        seqs: Option<Arc<Vec<u64>>>,
+    ) -> Result<()> {
+        writer.finish()?;
+        let path = self.catalog.path_for(ordinal);
+        compact::seal_segment(
+            &compact::tmp_path(&path),
+            &path,
+            seqs.as_ref().map(|s| s.as_slice()),
+            &mut FaultInjector::none(),
+        )?;
+        if let (Some(sealed_seqs), Some(seqs)) = (&mut self.seqs, seqs) {
+            sealed_seqs.push(seqs);
+        }
+        self.readers.push(Arc::new(StoreReader::open_with_registry(
+            path,
+            &self.registry,
+        )?));
+        self.catalog.note_sealed(ordinal);
+        self.segments_sealed.inc();
+        self.maybe_compact()
+    }
+
+    /// Runs compaction passes until the policy finds nothing ripe,
+    /// mirroring each on-disk swap in the in-memory reader chain: the
+    /// merged readers (and their sequence sidecars) are spliced out
+    /// for the output's, so views keep seeing the identical record
+    /// stream. No-op without a policy.
+    fn maybe_compact(&mut self) -> Result<()> {
+        let Some(compactor) = &self.compactor else {
+            return Ok(());
+        };
+        while let Some(output) = compactor.policy().plan(self.catalog.ids()) {
+            let outcome =
+                compactor.compact(&mut self.catalog, output, &mut FaultInjector::none())?;
+            let (first, count) = outcome.replaced;
+            let reader = Arc::new(StoreReader::open_with_registry(
+                self.catalog.path_of(&outcome.output),
+                &self.registry,
+            )?);
+            self.readers.splice(first..first + count, [reader]);
+            if let Some(sealed_seqs) = &mut self.seqs {
+                let merged = outcome
+                    .seqs
+                    .expect("sequenced segments compact with sidecars");
+                sealed_seqs.splice(first..first + count, [Arc::new(merged)]);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The seal in flight: its thread hands [`Sealed`] back when joined.
+#[derive(Debug)]
+struct Sealing {
+    thread: JoinHandle<(Sealed, Result<()>)>,
+    /// The base ordinal being sealed.
+    ordinal: u64,
+}
+
+/// Why a poisoned chain refuses work.
+#[derive(Debug)]
+struct Failure {
+    segment: PathBuf,
+    cause: String,
+}
 
 /// A segment directory being appended to; see the module docs.
 #[derive(Debug)]
 pub(crate) struct SegmentChain {
     config: LiveConfig,
-    catalog: SegmentCatalog,
-    sealed: Vec<Arc<StoreReader>>,
-    /// Arrival sequences per sealed segment, parallel to `sealed`;
-    /// `None` for a chain that carries no sequences.
-    sealed_seqs: Option<Vec<Arc<Vec<u64>>>>,
+    /// Everything a seal changes; `None` while the seal in flight holds
+    /// it, and for good once a sealing thread could not start or
+    /// panicked.
+    sealed: Option<Sealed>,
+    sealing: Option<Sealing>,
+    /// Set by the first failed write or seal; the chain then refuses
+    /// all work.
+    failed: Option<Failure>,
+    sequenced: bool,
     /// The hot segment's writer (created with its first record).
     hot_writer: Option<StoreWriter>,
     hot_ordinal: u64,
+    /// The ordinal the next hot segment takes: one past the last
+    /// sealed one, whether or not its seal has landed yet.
+    next_ordinal: u64,
     hot_records: Arc<Vec<TraceRecord>>,
     /// Arrival sequences of the hot tail, parallel to `hot_records`
     /// (empty without sequences).
     hot_seqs: Arc<Vec<u64>>,
     hot_first_micros: u64,
     peak_hot_records: usize,
-    /// The background merge engine (present iff
-    /// [`LiveConfig::compaction`]).
-    compactor: Option<Compactor>,
-    /// `live.segments_sealed` — hot segments rotated to disk.
-    segments_sealed: Counter,
+    /// `live.seal_wait_micros` — time settles waited for the seal in
+    /// flight.
+    seal_wait: Counter,
 }
 
 impl SegmentChain {
@@ -105,57 +230,104 @@ impl SegmentChain {
     fn with_catalog(
         config: LiveConfig,
         catalog: SegmentCatalog,
-        sealed: Vec<Arc<StoreReader>>,
-        sealed_seqs: Option<Vec<Arc<Vec<u64>>>>,
+        readers: Vec<Arc<StoreReader>>,
+        seqs: Option<Vec<Arc<Vec<u64>>>>,
     ) -> Self {
         let compactor = config
             .compaction
             .map(|policy| Compactor::new(policy, config.store, &config.registry));
-        let segments_sealed = config.registry.counter("live.segments_sealed");
+        let registry = &config.registry;
         SegmentChain {
-            config,
-            catalog,
-            sealed,
-            sealed_seqs,
+            sequenced: seqs.is_some(),
+            next_ordinal: catalog.next_ordinal(),
+            sealed: Some(Sealed {
+                catalog,
+                readers,
+                seqs,
+                compactor,
+                registry: registry.clone(),
+                segments_sealed: registry.counter("live.segments_sealed"),
+            }),
+            sealing: None,
+            failed: None,
             hot_writer: None,
             hot_ordinal: 0,
             hot_records: Arc::new(Vec::new()),
             hot_seqs: Arc::new(Vec::new()),
             hot_first_micros: 0,
             peak_hot_records: 0,
-            compactor,
-            segments_sealed,
+            seal_wait: registry.counter("live.seal_wait_micros"),
+            config,
         }
+    }
+
+    /// The path base segment `ordinal` is sealed at.
+    fn path_for(&self, ordinal: u64) -> PathBuf {
+        self.config
+            .dir
+            .join(nfstrace_store::segments::segment_file_name(ordinal))
+    }
+
+    /// [`StoreError::Poisoned`] once a write or seal has failed.
+    ///
+    /// # Errors
+    ///
+    /// That one.
+    pub(crate) fn usable(&self) -> Result<()> {
+        match &self.failed {
+            None => Ok(()),
+            Some(Failure { segment, cause }) => Err(StoreError::Poisoned {
+                segment: segment.clone(),
+                cause: cause.clone(),
+            }),
+        }
+    }
+
+    /// Marks the chain failed at `segment` and hands `err` back.
+    fn poison(&mut self, segment: PathBuf, err: StoreError) -> StoreError {
+        self.failed.get_or_insert(Failure {
+            segment,
+            cause: err.to_string(),
+        });
+        err
     }
 
     /// Appends one record — into the hot segment's writer and tail,
     /// with its arrival sequence `seq` on a sequenced chain — then
-    /// seals if a rotation threshold was crossed. Returns whether it
-    /// sealed. Order is the owner's to check.
+    /// hands the hot segment to the sealer if a rotation threshold was
+    /// crossed. Returns whether it rotated. Order is the owner's to
+    /// check, and so is [`SegmentChain::usable`], before the owner
+    /// folds the record into its index.
     ///
     /// # Errors
     ///
-    /// On segment write, seal or compaction I/O failure.
+    /// On segment write failure, or the error of the seal in flight,
+    /// which a rotation settles first. Either poisons the chain.
     pub(crate) fn push(&mut self, r: TraceRecord, seq: Option<u64>) -> Result<bool> {
-        debug_assert_eq!(seq.is_some(), self.sealed_seqs.is_some());
+        debug_assert_eq!(seq.is_some(), self.sequenced);
+        debug_assert!(self.failed.is_none(), "the owner checks usable() first");
         if self.hot_writer.is_none() {
-            self.hot_ordinal = self.catalog.next_ordinal();
+            self.hot_ordinal = self.next_ordinal;
             // The hot segment grows under a .tmp name and is renamed to
             // its sealed name only after its footer is written: a crash
             // mid-segment leaves a stale temp file (cleaned at the next
             // create/open), never a footerless seg-*.nfseg that would
             // poison the whole directory.
-            self.hot_writer = Some(StoreWriter::create_with_registry(
-                compact::tmp_path(&self.catalog.path_for(self.hot_ordinal)),
+            let path = self.path_for(self.hot_ordinal);
+            match StoreWriter::create_with_registry(
+                compact::tmp_path(&path),
                 self.config.store,
                 &self.config.registry,
-            )?);
+            ) {
+                Ok(writer) => self.hot_writer = Some(writer),
+                Err(e) => return Err(self.poison(path, e)),
+            }
             self.hot_first_micros = r.micros;
         }
-        self.hot_writer
-            .as_mut()
-            .expect("just ensured a writer")
-            .push(&r)?;
+        let writer = self.hot_writer.as_mut().expect("just ensured a writer");
+        if let Err(e) = writer.push(&r) {
+            return Err(self.poison(self.path_for(self.hot_ordinal), e));
+        }
         if let Some(seq) = seq {
             Arc::make_mut(&mut self.hot_seqs).push(seq);
         }
@@ -170,100 +342,126 @@ impl SegmentChain {
         Ok(ripe)
     }
 
-    /// Seals the hot segment now (no-op when it is empty): finishes the
-    /// segment file, publishes it via the shared crash-safe seal
-    /// protocol ([`nfstrace_store::compact::seal_segment`] — sidecar
-    /// first on a sequenced chain), opens it for reading, drops the hot
-    /// tail, and runs any compaction passes the new segment made ripe.
+    /// Settles the seal in flight, then hands the hot segment (if it
+    /// holds any record) to a new sealing thread, which frees its hot
+    /// tail and runs [`Sealed::seal`]. The chain starts the next hot
+    /// segment with the next record.
     ///
     /// # Errors
     ///
-    /// On finish/open/compaction I/O failure.
+    /// The seal in flight's error, [`StoreError::Poisoned`] on a chain
+    /// that failed before, or an I/O error when no thread can be
+    /// started.
     pub(crate) fn rotate(&mut self) -> Result<()> {
+        self.settle()?;
         let Some(writer) = self.hot_writer.take() else {
             return Ok(());
         };
-        writer.finish()?;
-        let path = self.catalog.path_for(self.hot_ordinal);
-        let seqs = self
-            .sealed_seqs
-            .is_some()
-            .then(|| std::mem::take(&mut self.hot_seqs));
-        compact::seal_segment(
-            &compact::tmp_path(&path),
-            &path,
-            seqs.as_ref().map(|s| s.as_slice()),
-            &mut FaultInjector::none(),
-        )?;
-        if let (Some(sealed_seqs), Some(seqs)) = (&mut self.sealed_seqs, seqs) {
-            sealed_seqs.push(seqs);
-        }
-        self.sealed.push(Arc::new(StoreReader::open_with_registry(
-            path,
-            &self.config.registry,
-        )?));
-        self.catalog.note_sealed(self.hot_ordinal);
-        self.hot_records = Arc::new(Vec::new());
-        self.segments_sealed.inc();
-        self.maybe_compact()
-    }
-
-    /// Runs compaction passes until the policy finds nothing ripe,
-    /// mirroring each on-disk swap in the in-memory reader chain: the
-    /// merged readers (and their sequence sidecars) are spliced out
-    /// for the output's, so views keep seeing the identical record
-    /// stream. No-op without a policy.
-    fn maybe_compact(&mut self) -> Result<()> {
-        let Some(compactor) = &self.compactor else {
-            return Ok(());
-        };
-        while let Some(output) = compactor.policy().plan(self.catalog.ids()) {
-            let outcome =
-                compactor.compact(&mut self.catalog, output, &mut FaultInjector::none())?;
-            let (first, count) = outcome.replaced;
-            let reader = Arc::new(StoreReader::open_with_registry(
-                self.catalog.path_of(&outcome.output),
-                &self.config.registry,
-            )?);
-            self.sealed.splice(first..first + count, [reader]);
-            if let Some(sealed_seqs) = &mut self.sealed_seqs {
-                let merged = outcome
-                    .seqs
-                    .expect("sequenced segments compact with sidecars");
-                sealed_seqs.splice(first..first + count, [Arc::new(merged)]);
+        let mut sealed = self.sealed.take().expect("a settled chain holds its state");
+        let ordinal = self.hot_ordinal;
+        self.next_ordinal = ordinal + 1;
+        let records = std::mem::take(&mut self.hot_records);
+        let seqs = self.sequenced.then(|| std::mem::take(&mut self.hot_seqs));
+        let spawned = std::thread::Builder::new().spawn(move || {
+            // Nothing reads these records any more: a view settles
+            // before it snapshots, and one taken earlier holds its own
+            // handle.
+            drop(records);
+            let outcome = sealed.seal(writer, ordinal, seqs);
+            (sealed, outcome)
+        });
+        match spawned {
+            Ok(thread) => {
+                self.sealing = Some(Sealing { thread, ordinal });
+                Ok(())
             }
-        }
-        Ok(())
-    }
-
-    /// A stable snapshot of this chain for a [`crate::LiveView`]: the
-    /// sealed readers, their sequences and the hot tail, all shared.
-    pub(crate) fn snapshot(&self) -> ShardChain {
-        ShardChain {
-            sealed: self.sealed.clone(),
-            sealed_seqs: self.sealed_seqs.clone().unwrap_or_default(),
-            hot: Arc::clone(&self.hot_records),
-            hot_seqs: Arc::clone(&self.hot_seqs),
+            Err(e) => Err(self.poison(self.path_for(ordinal), e.into())),
         }
     }
 
-    /// Seals the trailing hot segment and reports the chain's totals.
+    /// Joins the seal in flight, if any, charging the wait to
+    /// `live.seal_wait_micros`. On `Ok` the chain holds its sealed
+    /// state ([`SegmentChain::settled`]).
     ///
     /// # Errors
     ///
-    /// On the final seal's I/O failure.
+    /// The joined seal's error — once; [`StoreError::Poisoned`] after.
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic of the sealing thread.
+    fn settle(&mut self) -> Result<()> {
+        if let Some(Sealing { thread, ordinal }) = self.sealing.take() {
+            let start = Instant::now();
+            let joined = thread.join();
+            self.seal_wait.add(start.elapsed().as_micros() as u64);
+            match joined {
+                Ok((sealed, outcome)) => {
+                    self.sealed = Some(sealed);
+                    if let Err(e) = outcome {
+                        return Err(self.poison(self.path_for(ordinal), e));
+                    }
+                }
+                Err(panic) => {
+                    self.failed = Some(Failure {
+                        segment: self.path_for(ordinal),
+                        cause: "the sealing thread panicked".into(),
+                    });
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        }
+        self.usable()
+    }
+
+    /// The sealed state of a chain [`SegmentChain::settle`] returned
+    /// `Ok` for.
+    fn settled(&self) -> &Sealed {
+        self.sealed
+            .as_ref()
+            .expect("a settled chain holds its state")
+    }
+
+    /// Settles, then snapshots this chain for a [`crate::LiveView`]:
+    /// the sealed readers, their sequences and the hot tail, all
+    /// shared.
+    ///
+    /// # Errors
+    ///
+    /// As [`SegmentChain::settle`].
+    pub(crate) fn snapshot(&mut self) -> Result<ShardChain> {
+        self.settle()?;
+        let sealed = self.settled();
+        Ok(ShardChain {
+            sealed: sealed.readers.clone(),
+            sealed_seqs: sealed.seqs.clone().unwrap_or_default(),
+            hot: Arc::clone(&self.hot_records),
+            hot_seqs: Arc::clone(&self.hot_seqs),
+        })
+    }
+
+    /// Seals the trailing hot segment, settles, and reports the chain's
+    /// totals.
+    ///
+    /// # Errors
+    ///
+    /// As [`SegmentChain::rotate`], or the final seal's error.
     pub(crate) fn finish(mut self) -> Result<LiveSummary> {
         self.rotate()?;
+        self.settle()?;
+        let sealed = self.settled();
         Ok(LiveSummary {
-            segments: self.catalog.len(),
-            total_records: self.sealed.iter().map(|r| r.total_records()).sum(),
+            segments: sealed.catalog.len(),
+            total_records: sealed.readers.iter().map(|r| r.total_records()).sum(),
             peak_hot_records: self.peak_hot_records,
         })
     }
 
-    /// Sealed segments so far.
-    pub(crate) fn sealed_segments(&self) -> usize {
-        self.sealed.len()
+    /// Settles, then counts the sealed segments. A failed seal leaves
+    /// its error for the next call that returns one.
+    pub(crate) fn sealed_segments(&mut self) -> usize {
+        self.settle().ok();
+        self.sealed.as_ref().map_or(0, |s| s.readers.len())
     }
 
     /// Records in the hot (unsealed) tail right now.
@@ -274,5 +472,17 @@ impl SegmentChain {
     /// Largest hot tail ever resident, in records.
     pub(crate) fn peak_hot_records(&self) -> usize {
         self.peak_hot_records
+    }
+}
+
+impl Drop for SegmentChain {
+    /// Joins the seal in flight, so no sealing thread outlives the
+    /// chain and its segment is sealed (or its failure left on disk as
+    /// a crash would) when the owner is gone. Its outcome has no caller
+    /// left to reach.
+    fn drop(&mut self) {
+        if let Some(sealing) = self.sealing.take() {
+            sealing.thread.join().ok();
+        }
     }
 }

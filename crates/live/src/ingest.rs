@@ -56,7 +56,11 @@ pub struct LiveConfig {
     /// `store.records_written` when the chunk reaches the file.
     /// Exported values therefore trail the tally
     /// ([`LiveIngest::total_records`], [`LiveIngest::hot_len`]) by at
-    /// most one batch and equal it at [`LiveIngest::finish`].
+    /// most one batch and equal it at [`LiveIngest::finish`]. A
+    /// segment's last chunk and `live.segments_sealed` land on the
+    /// sealing thread, so those two may also trail by the seal in
+    /// flight until the next settle (see [`LiveIngest`]);
+    /// `live.seal_wait_micros` is what the settles waited for it.
     pub registry: Registry,
 }
 
@@ -369,6 +373,9 @@ pub struct LiveSummary {
 /// - [`LiveIngest::run`] holds at most two source batches: the one
 ///   being sunk and the one the source fills meanwhile;
 /// - the pending writer's chunk is bounded by the store's chunk size;
+/// - at most one segment is being sealed, and its sealing thread frees
+///   the segment's hot tail as it starts: what it holds is the
+///   writer's buffers, not records;
 /// - sealed records live on disk and are re-decoded chunk-at-a-time
 ///   when a view replays them.
 ///
@@ -388,6 +395,29 @@ pub struct LiveSummary {
 /// cached per ingest *generation*: repeated views between mutations are
 /// pure clones. Ingest pays for the sharing lazily, copying only the
 /// per-file lists it touches after a snapshot.
+///
+/// # Sealing, and where errors surface
+///
+/// A rotation hands the hot segment to a sealing thread — the writer's
+/// last chunk, footer and `sync_all`, the rename to its sealed name,
+/// the reopen for reading, and the [`LiveConfig::compaction`] passes
+/// it made ripe all run there — and the ingest starts the next hot
+/// segment at once. At most one seal is in flight. These calls
+/// **settle** first, joining the seal in flight, so each sees the
+/// chain exactly as an inline seal would have left it: the next
+/// rotation (an [`LiveIngest::ingest`] that crosses a threshold, or
+/// [`LiveIngest::rotate`]), [`LiveIngest::view`] /
+/// [`LiveIngest::try_view`], [`LiveIngest::sealed_segments`],
+/// [`LiveIngest::finish`], and dropping the ingest, which joins the
+/// seal so no thread outlives it.
+///
+/// A seal's I/O error is returned by the settle that joins it (a panic
+/// on the sealing thread resumes there). It poisons the ingest: the
+/// records of that segment are not in the durable trace, so every
+/// later `ingest`, `rotate`, `try_view` and `finish` returns
+/// [`StoreError::Poisoned`] (and `view` panics with it) instead of
+/// building on a trace with a hole. A failed write to the hot segment
+/// poisons it the same way.
 ///
 /// # Restartability
 ///
@@ -440,20 +470,22 @@ impl LiveIngest {
     /// On directory or segment open/decode failure.
     pub fn open(config: LiveConfig) -> Result<Self> {
         let registry = config.registry.clone();
-        let chain = SegmentChain::open(config, false)?;
-        let (running, _) = RunningIndex::replay(&registry, &[chain.snapshot()])?;
+        let mut chain = SegmentChain::open(config, false)?;
+        let (running, _) = RunningIndex::replay(&registry, &[chain.snapshot()?])?;
         Ok(LiveIngest { chain, running })
     }
 
     /// Ingests one record: into the running index and the hot
-    /// segment's writer and tail — then seals if a rotation threshold
-    /// was crossed.
+    /// segment's writer and tail — then, if a rotation threshold was
+    /// crossed, settles the seal in flight and hands the hot segment to
+    /// a new one.
     ///
     /// # Errors
     ///
     /// [`StoreError::OutOfOrder`] on a time-travelling record (the
-    /// stream contract spans segment boundaries), or I/O errors from
-    /// the segment writer.
+    /// stream contract spans segment boundaries), I/O errors from the
+    /// segment writer, the error of the seal this call settled, or
+    /// [`StoreError::Poisoned`] after any of those.
     pub fn ingest(&mut self, r: &TraceRecord) -> Result<()> {
         self.ingest_owned(r.clone())
     }
@@ -462,6 +494,7 @@ impl LiveIngest {
     /// record: it moves into the hot tail instead of being cloned.
     fn ingest_owned(&mut self, r: TraceRecord) -> Result<()> {
         self.running.check_order(std::slice::from_ref(&r))?;
+        self.chain.usable()?;
         self.running.observe(&r);
         if self.chain.push(r, None)? {
             self.publish();
@@ -469,16 +502,20 @@ impl LiveIngest {
         Ok(())
     }
 
-    /// Seals the hot segment now (no-op when it is empty) and runs any
-    /// [`LiveConfig::compaction`] passes the new segment made ripe.
-    /// The running index already covers these records and is
-    /// untouched; with compaction on, a [`LiveView`] snapshotted
-    /// *before* this call may reference source segments the merge
-    /// deletes — snapshot views after mutations, not across them.
+    /// Settles the seal in flight, then hands the hot segment (when it
+    /// holds any record) to a sealing thread, which seals it and runs
+    /// any [`LiveConfig::compaction`] passes the new segment made ripe;
+    /// the next settle joins it. The running index already covers
+    /// these records and is untouched; with compaction on, a
+    /// [`LiveView`] snapshotted *before* this call may reference source
+    /// segments the merge deletes — snapshot views after mutations,
+    /// not across them.
     ///
     /// # Errors
     ///
-    /// On finish/open/compaction I/O failure.
+    /// The settled seal's finish/open/compaction I/O failure,
+    /// [`StoreError::Poisoned`] after one, or an I/O error when no
+    /// sealing thread can be started.
     pub fn rotate(&mut self) -> Result<()> {
         self.chain.rotate()?;
         self.publish();
@@ -492,8 +529,9 @@ impl LiveIngest {
     /// Pumps `source` to exhaustion through [`LiveIngest::ingest`],
     /// moving each batch's records into the hot tail. The source fills
     /// the next batch on this thread while the ingest sinks the last on
-    /// another; the segments written are those of one stage after the
-    /// other.
+    /// another, and each rotated segment seals on a third behind the
+    /// sink; the segments written are those of one stage after the
+    /// other. The last seal may still be in flight when this returns.
     ///
     /// # Errors
     ///
@@ -519,29 +557,48 @@ impl LiveIngest {
         self.running.snapshot_base()
     }
 
-    /// Snapshots a stable [`LiveView`] over everything ingested so far
-    /// — sealed segments plus the hot tail, queryable mid-ingest.
-    pub fn view(&self) -> LiveView {
-        self.running
-            .view(vec![self.chain.snapshot()], self.chain.hot_len())
+    /// Settles the seal in flight, then snapshots a stable
+    /// [`LiveView`] over everything ingested so far — sealed segments
+    /// plus the hot tail, queryable mid-ingest.
+    ///
+    /// # Panics
+    ///
+    /// If a seal failed; [`LiveIngest::try_view`] returns that error
+    /// instead.
+    pub fn view(&mut self) -> LiveView {
+        self.try_view()
+            .unwrap_or_else(|e| panic!("no view over a failed ingest: {e}"))
     }
 
-    /// Seals the trailing hot segment and reports totals. The segment
-    /// directory is the durable product; reopen it any time with
-    /// [`LiveIngest::open`] or index it with
+    /// [`LiveIngest::view`], returning a seal's failure instead of
+    /// panicking on it.
+    ///
+    /// # Errors
+    ///
+    /// The settled seal's error, or [`StoreError::Poisoned`] after one.
+    pub fn try_view(&mut self) -> Result<LiveView> {
+        let chain = self.chain.snapshot()?;
+        Ok(self.running.view(vec![chain], self.chain.hot_len()))
+    }
+
+    /// Hands the trailing hot segment to the sealer, settles it, and
+    /// reports totals. The segment directory is the durable product;
+    /// reopen it any time with [`LiveIngest::open`] or index it with
     /// [`nfstrace_store::StoreIndex::open_dir`].
     ///
     /// # Errors
     ///
-    /// On the final seal's I/O failure.
+    /// On the final seal's (or the one in flight's) I/O failure, or
+    /// [`StoreError::Poisoned`] after an earlier one.
     pub fn finish(self) -> Result<LiveSummary> {
         let summary = self.chain.finish()?;
         self.running.publish(0);
         Ok(summary)
     }
 
-    /// Sealed segments so far.
-    pub fn sealed_segments(&self) -> usize {
+    /// Sealed segments so far, after settling the seal in flight. A
+    /// failed seal is left for the next call that returns errors.
+    pub fn sealed_segments(&mut self) -> usize {
         self.chain.sealed_segments()
     }
 

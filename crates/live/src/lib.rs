@@ -45,7 +45,10 @@
 //! `O(slice) + O(rotation threshold)` — two source batches (one being
 //! sunk, one being filled), plus the hot tail, plus a decoded chunk or
 //! two during replays — never
-//! `O(trace)`. `crates/bench/tests/paths.rs` asserts this shape; the observed
+//! `O(trace)`. A rotated segment seals on a thread of its own behind
+//! the sink, at most one at a time per chain, and that thread frees the
+//! segment's records as it starts: the segment being sealed holds its
+//! writer's buffers, not its records. `crates/bench/tests/paths.rs` asserts this shape; the observed
 //! peaks are the benchmark's `live.peak_hot_records` and
 //! `peak_heap_mib` rows (`nfsbench/README.md`).
 //!

@@ -26,6 +26,11 @@
 //! is that the full analysis suite over a sharded view is
 //! **byte-identical** to a single-writer daemon's and to the batch
 //! pipeline's, for any shard count.
+//!
+//! Each chain seals as a single writer's does: a rotation hands the
+//! hot segment, its sidecar and any compaction splice to that chain's
+//! sealing thread, and the calls that settle there settle every chain
+//! (see [`crate::LiveIngest`] on where errors surface).
 
 use crate::chain::SegmentChain;
 use crate::ingest::{pump, LiveConfig, LiveSummary, RunningIndex};
@@ -153,10 +158,13 @@ impl ShardedLiveIngest {
                 shard_dir_name(shards - 1),
             )));
         }
-        let chains = (0..shards)
+        let mut chains = (0..shards)
             .map(|i| SegmentChain::open(Self::shard_config(&config, i), true))
             .collect::<Result<Vec<_>>>()?;
-        let snapshots: Vec<_> = chains.iter().map(SegmentChain::snapshot).collect();
+        let snapshots = chains
+            .iter_mut()
+            .map(SegmentChain::snapshot)
+            .collect::<Result<Vec<_>>>()?;
         let (running, next_seq) = RunningIndex::replay(&config.registry, &snapshots)?;
         Ok(ShardedLiveIngest {
             chains,
@@ -202,9 +210,13 @@ impl ShardedLiveIngest {
     ///
     /// [`StoreError::OutOfOrder`] on a time-travelling record
     /// (checked against everything ingested so far, across shards),
-    /// or any chain's write error.
+    /// any chain's write error or the error of a seal a rotation
+    /// settled, or [`StoreError::Poisoned`] once any chain has failed.
     pub fn ingest_batch(&mut self, records: &[TraceRecord]) -> Result<()> {
         self.running.check_order(records)?;
+        for chain in &self.chains {
+            chain.usable()?;
+        }
         if records.is_empty() {
             return Ok(());
         }
@@ -256,25 +268,51 @@ impl ShardedLiveIngest {
         pump(source, &waits, |batch| self.ingest_batch(batch))
     }
 
-    /// Snapshots a stable [`LiveView`] over everything every shard has
-    /// ingested so far — the full analysis suite answers over it
-    /// byte-identically to a single-writer daemon over the same
-    /// stream. As on the single writer, the running index's products
-    /// are cached per generation; between batches this is a handle
-    /// clone.
-    pub fn view(&self) -> LiveView {
-        let chains = self.chains.iter().map(SegmentChain::snapshot).collect();
-        self.running.view(chains, self.hot_len())
+    /// Settles every chain's seal in flight, then snapshots a stable
+    /// [`LiveView`] over everything every shard has ingested so far —
+    /// the full analysis suite answers over it byte-identically to a
+    /// single-writer daemon over the same stream. As on the single
+    /// writer, the running index's products are cached per generation;
+    /// between batches this is a handle clone.
+    ///
+    /// # Panics
+    ///
+    /// If a seal failed; [`ShardedLiveIngest::try_view`] returns that
+    /// error instead.
+    pub fn view(&mut self) -> LiveView {
+        self.try_view()
+            .unwrap_or_else(|e| panic!("no view over a failed ingest: {e}"))
     }
 
-    /// Seals every chain's trailing hot segment and reports totals.
-    /// The root directory (manifest + shard subdirectories) is the
-    /// durable product; reopen it with [`ShardedLiveIngest::open`].
+    /// [`ShardedLiveIngest::view`], returning a seal's failure instead
+    /// of panicking on it.
     ///
     /// # Errors
     ///
-    /// On any chain's final seal failure.
-    pub fn finish(self) -> Result<ShardedSummary> {
+    /// The first settled seal's error, or [`StoreError::Poisoned`]
+    /// after one.
+    pub fn try_view(&mut self) -> Result<LiveView> {
+        let chains = self
+            .chains
+            .iter_mut()
+            .map(SegmentChain::snapshot)
+            .collect::<Result<Vec<_>>>()?;
+        Ok(self.running.view(chains, self.hot_len()))
+    }
+
+    /// Hands every chain's trailing hot segment to its sealer — the
+    /// chains seal side by side — then settles each and reports
+    /// totals. The root directory (manifest + shard subdirectories) is
+    /// the durable product; reopen it with [`ShardedLiveIngest::open`].
+    ///
+    /// # Errors
+    ///
+    /// On any chain's final seal failure (or its seal in flight's), or
+    /// [`StoreError::Poisoned`] after an earlier one.
+    pub fn finish(mut self) -> Result<ShardedSummary> {
+        for chain in &mut self.chains {
+            chain.rotate()?;
+        }
         let shards = self
             .chains
             .into_iter()
@@ -298,9 +336,14 @@ impl ShardedLiveIngest {
         self.running.total_records()
     }
 
-    /// Sealed segments so far, across shards.
-    pub fn sealed_segments(&self) -> usize {
-        self.chains.iter().map(SegmentChain::sealed_segments).sum()
+    /// Sealed segments so far, across shards, after settling every
+    /// chain. A failed seal is left for the next call that returns
+    /// errors.
+    pub fn sealed_segments(&mut self) -> usize {
+        self.chains
+            .iter_mut()
+            .map(SegmentChain::sealed_segments)
+            .sum()
     }
 
     /// Records resident in hot tails right now, across shards.

@@ -310,7 +310,7 @@ proptest! {
         for shard in &summary.shards {
             prop_assert!(shard.peak_hot_records as u64 <= rotate_records);
         }
-        let reopened = ShardedLiveIngest::open(config()).expect("reopen");
+        let mut reopened = ShardedLiveIngest::open(config()).expect("reopen");
         prop_assert_eq!(reopened.total_records(), records.len() as u64);
         let view = reopened.view();
         let mut back = Vec::new();
@@ -379,7 +379,7 @@ proptest! {
 
         // A live ingest reopened over the compacted catalog continues
         // appending past the compacted ranges and sees every record.
-        let reopened = LiveIngest::open(LiveConfig {
+        let mut reopened = LiveIngest::open(LiveConfig {
             dir: dir.clone(),
             store: StoreConfig { target_chunk_bytes: chunk_bytes },
             rotate_records,

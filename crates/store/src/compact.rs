@@ -53,6 +53,16 @@
 //! [`FaultInjector`] makes the kill points testable: the crash-recovery
 //! proptest runs every protocol with a budget of *n* filesystem steps
 //! for every possible *n* and reopens after each induced crash.
+//!
+//! # Who runs it
+//!
+//! Nothing here spawns or locks: each call runs the protocol to the end
+//! on the caller's thread. A live ingest calls it behind its sink — a
+//! rotated segment's [`StoreWriter::finish`], [`seal_segment`] and the
+//! [`Compactor::compact`] passes the seal made ripe run in that order
+//! on one sealing thread per segment, at most one per segment
+//! directory at a time — so the on-disk sequence of steps, and every
+//! byte written, is the one an inline seal would produce.
 
 use crate::error::{Result, StoreError};
 use crate::reader::StoreReader;
@@ -118,8 +128,8 @@ pub fn tmp_path(segment: &Path) -> PathBuf {
 }
 
 /// Seals a fully written temp segment at its final name — the one
-/// crash-safe publication protocol shared by live rotation and
-/// compaction. When `seqs` is given, the arrival-sequence sidecar is
+/// crash-safe publication protocol shared by live rotation (on its
+/// sealing thread) and compaction. When `seqs` is given, the arrival-sequence sidecar is
 /// made visible *before* the segment (sidecar tmp → rename → segment
 /// rename), so a sealed tracking segment always has its sidecar and a
 /// crash in between leaves only an orphan sidecar for the sweep.

@@ -30,6 +30,18 @@ pub enum StoreError {
         /// What exactly is wrong with it.
         problem: String,
     },
+    /// A live segment chain refused work because an earlier seal — or
+    /// a write to its hot segment, or a compaction pass a seal started
+    /// — failed. The records of that segment are not in the durable
+    /// trace, so nothing the chain would produce afterwards could be
+    /// trusted; the first failure itself was returned once, as it
+    /// happened.
+    Poisoned {
+        /// The segment whose write or seal failed.
+        segment: std::path::PathBuf,
+        /// That first failure, as displayed.
+        cause: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -44,6 +56,11 @@ impl fmt::Display for StoreError {
             StoreError::Sidecar { segment, problem } => {
                 write!(f, "sequence sidecar for {}: {problem}", segment.display())
             }
+            StoreError::Poisoned { segment, cause } => write!(
+                f,
+                "segment chain refuses work: {} failed earlier: {cause}",
+                segment.display()
+            ),
         }
     }
 }

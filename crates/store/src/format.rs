@@ -132,12 +132,41 @@ pub const MAX_FILTER_BYTES: usize = 1 << 22;
 /// FNV-1a 64-bit hash — the store's checksum. Not cryptographic; it
 /// exists to catch disk/transport corruption deterministically.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] fed in pieces. FNV-1a folds one byte at a time, so the
+/// pieces of a message hashed in order give the hash of the whole —
+/// a writer can checksum what it writes without first gathering it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of nothing yet.
+    pub fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Folds `bytes` in after everything before.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte folded in.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Smallest Bloom filter the writer emits, in bytes (512 bits).
@@ -357,6 +386,25 @@ mod tests {
             b.insert(FileId(h));
         }
         b
+    }
+
+    /// The published FNV-1a 64 vectors, and any split of a message fed
+    /// in pieces hashes as the whole.
+    #[test]
+    fn fnv1a64_in_pieces_is_the_whole() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let message: Vec<u8> = (0..=255u8).chain(0..40).collect();
+        for a in 0..message.len() {
+            for b in [a, (a + 7).min(message.len()), message.len()] {
+                let mut h = Fnv1a64::default();
+                for piece in [&message[..a], &message[a..b], &message[b..]] {
+                    h.update(piece);
+                }
+                assert_eq!(h.finish(), fnv1a64(&message), "split at {a}, {b}");
+            }
+        }
     }
 
     #[test]

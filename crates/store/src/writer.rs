@@ -4,8 +4,8 @@ use crate::codec::{encode_record, write_varint, NameTable};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    fnv1a64, ChunkMeta, FilterBuilder, FilterKind, END_MAGIC, FILTER_KIND_BLOOM, FILTER_KIND_EXACT,
-    FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
+    fnv1a64, ChunkMeta, FilterBuilder, FilterKind, Fnv1a64, END_MAGIC, FILTER_KIND_BLOOM,
+    FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
 };
 use crate::reader::VerifiedChunk;
 use nfstrace_core::record::TraceRecord;
@@ -300,30 +300,33 @@ impl StoreWriter {
         let c = compress::compress(&payload);
         let mut frame = Vec::new();
         write_varint(&mut frame, payload.len() as u64);
-        let mut stored = Vec::with_capacity(payload.len() + 1);
         // Raw fallback: only keep the compressed form when flags +
-        // frame + stream beat flags + raw.
-        if frame.len() + c.len() < payload.len() {
-            stored.push(FLAG_COMPRESSED);
-            stored.extend_from_slice(&frame);
-            stored.extend_from_slice(&c);
+        // frame + stream beat flags + raw. The stored chunk goes to the
+        // file piece by piece, checksummed on the way.
+        let stored: [&[u8]; 3] = if frame.len() + c.len() < payload.len() {
+            [&[FLAG_COMPRESSED], &frame, &c]
         } else {
-            stored.push(0);
-            stored.extend_from_slice(&payload);
+            [&[0], &payload, &[]]
+        };
+        let mut checksum = Fnv1a64::new();
+        let mut stored_len = 0;
+        for piece in stored {
+            self.out.write_all(piece)?;
+            checksum.update(piece);
+            stored_len += piece.len();
         }
-        self.out.write_all(&stored)?;
         self.metrics
-            .record_chunk(self.chunk_records, raw_len, stored.len());
+            .record_chunk(self.chunk_records, raw_len, stored_len);
         self.chunks.push(ChunkMeta {
             offset: self.offset,
-            len: stored.len() as u64,
+            len: stored_len as u64,
             records: self.chunk_records,
             min_micros: self.chunk_min,
             max_micros: self.prev_micros,
-            checksum: fnv1a64(&stored),
+            checksum: checksum.finish(),
             filter: self.filter.finish_adaptive(),
         });
-        self.offset += stored.len() as u64;
+        self.offset += stored_len as u64;
         self.chunk_buf.clear();
         self.names = NameTable::new();
         self.chunk_records = 0;
