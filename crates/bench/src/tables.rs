@@ -1,5 +1,4 @@
-//! One function per paper artifact, producing printable text plus the
-//! structured numbers the integration tests assert on.
+//! One function per paper artifact, producing its printable text.
 //!
 //! Every artifact is generic over [`TraceView`] — the analysis surface
 //! both the in-memory `TraceIndex` and the out-of-core
@@ -12,16 +11,14 @@
 //! reorder window.
 
 use nfstrace_core::historical;
-use nfstrace_core::hourly::HourlySeries;
 use nfstrace_core::index::TraceView;
-use nfstrace_core::lifetime::{LifetimeConfig, LifetimeReport};
+use nfstrace_core::lifetime::LifetimeConfig;
 use nfstrace_core::names::FileCategory;
 use nfstrace_core::runs::{PatternTable, Run, RunOptions, SizeProfile};
-use nfstrace_core::seqmetric::{cumulative_runs_by_size, metric_by_run_size, MetricPoint};
+use nfstrace_core::seqmetric::{cumulative_runs_by_size, metric_by_run_size};
 use nfstrace_core::time::{DAY, HOUR};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The paper's reorder windows: 5 ms for EECS, 10 ms for CAMPUS (§4.2).
 pub const WINDOW_CAMPUS_MS: u64 = 10;
@@ -39,6 +36,13 @@ pub const COVERAGE_BUCKET_MICROS: u64 = 30 * 60 * 1_000_000;
 /// touches.
 pub const FIG1_WINDOW_MICROS: (u64, u64) = (3 * DAY + 9 * HOUR, 3 * DAY + 12 * HOUR);
 
+/// A rendered paper artifact: the text the suite prints for it.
+#[derive(Debug, Clone)]
+pub struct Rendered {
+    /// Rendered text.
+    pub text: String,
+}
+
 /// The whole-span lifetime window [`table1`] derives its median block
 /// lifetime from — public so replay-fusing callers can pre-register it
 /// and keep Table 1 from costing a replay pass of its own.
@@ -52,25 +56,9 @@ pub fn table1_lifetime_config<V: TraceView>(idx: &V) -> LifetimeConfig {
     }
 }
 
-/// Table 1: qualitative characterization, computed.
-#[derive(Debug, Clone)]
-pub struct Table1 {
-    /// Fraction of calls that move data, CAMPUS then EECS.
-    pub data_fraction: [f64; 2],
-    /// Read/write byte ratios.
-    pub rw_bytes: [f64; 2],
-    /// Fraction of created+deleted files that are locks.
-    pub lock_churn_fraction: [f64; 2],
-    /// Median block lifetimes in seconds (None when no deaths).
-    pub median_block_life_s: [Option<f64>; 2],
-    /// Fraction of block deaths due to overwriting.
-    pub overwrite_death_fraction: [f64; 2],
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Table 1 from week-long traces.
-pub fn table1<V: TraceView>(campus: &V, eecs: &V) -> Table1 {
+/// Table 1, the qualitative characterization, computed from week-long
+/// traces.
+pub fn table1<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let mut data_fraction = [0.0; 2];
     let mut rw_bytes = [0.0; 2];
     let mut lock_churn = [0.0; 2];
@@ -125,29 +113,12 @@ pub fn table1<V: TraceView>(campus: &V, eecs: &V) -> Table1 {
         100.0 * ow_frac[0],
         100.0 * ow_frac[1]
     );
-    Table1 {
-        data_fraction,
-        rw_bytes,
-        lock_churn_fraction: lock_churn,
-        median_block_life_s: median_life,
-        overwrite_death_fraction: ow_frac,
-        text,
-    }
+    Rendered { text }
 }
 
-/// Table 2: average daily activity, with the historical columns.
-#[derive(Debug, Clone)]
-pub struct Table2 {
-    /// Measured CAMPUS daily activity.
-    pub campus: nfstrace_core::summary::DailyActivity,
-    /// Measured EECS daily activity.
-    pub eecs: nfstrace_core::summary::DailyActivity,
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Table 2 from week-long traces.
-pub fn table2<V: TraceView>(campus: &V, eecs: &V) -> Table2 {
+/// Table 2, average daily activity with the historical columns, from
+/// week-long traces.
+pub fn table2<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let sc = campus.summary().daily();
     let se = eecs.summary().daily();
     let mut text = String::new();
@@ -250,26 +221,11 @@ pub fn table2<V: TraceView>(campus: &V, eecs: &V) -> Table2 {
         historical::TABLE2_PAPER[0].rw_bytes_ratio,
         historical::TABLE2_PAPER[1].rw_bytes_ratio
     );
-    Table2 {
-        campus: sc,
-        eecs: se,
-        text,
-    }
+    Rendered { text }
 }
 
-/// Table 3: run patterns, raw and processed.
-#[derive(Debug, Clone)]
-pub struct Table3 {
-    /// Raw (unsorted, no jump forgiveness) CAMPUS and EECS columns.
-    pub raw: [PatternTable; 2],
-    /// Processed (reorder window + small jumps) columns.
-    pub processed: [PatternTable; 2],
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Table 3 from week-long traces.
-pub fn table3<V: TraceView>(campus: &V, eecs: &V) -> Table3 {
+/// Table 3, run patterns raw and processed, from week-long traces.
+pub fn table3<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let raw = [
         PatternTable::from_runs(&campus.runs(WINDOW_CAMPUS_MS, RunOptions::raw())),
         PatternTable::from_runs(&eecs.runs(WINDOW_EECS_MS, RunOptions::raw())),
@@ -365,26 +321,12 @@ pub fn table3<V: TraceView>(campus: &V, eecs: &V) -> Table3 {
             hist[2].read_writes[3],
         ],
     );
-    Table3 {
-        raw,
-        processed,
-        text,
-    }
+    Rendered { text }
 }
 
-/// Table 4: block births and deaths over the five weekday windows.
-#[derive(Debug, Clone)]
-pub struct Table4 {
-    /// Merged CAMPUS report.
-    pub campus: Arc<LifetimeReport>,
-    /// Merged EECS report.
-    pub eecs: Arc<LifetimeReport>,
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Table 4 (requires ≥ 8 days of trace for full margins).
-pub fn table4<V: TraceView>(campus: &V, eecs: &V) -> Table4 {
+/// Table 4, block births and deaths over the five weekday windows
+/// (requires ≥ 8 days of trace for full margins).
+pub fn table4<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let rc = campus.weekday_lifetime();
     let re = eecs.weekday_lifetime();
     let pct = |n: u64, d: u64| {
@@ -457,26 +399,12 @@ pub fn table4<V: TraceView>(campus: &V, eecs: &V) -> Table4 {
         100.0 * re.end_surplus_fraction()
     );
     let _ = writeln!(text, "(paper: CAMPUS overwrites 99.1%, EECS deletes 51.8%)");
-    Table4 {
-        campus: rc,
-        eecs: re,
-        text,
-    }
+    Rendered { text }
 }
 
-/// Table 5: hourly averages, all hours vs peak hours.
-#[derive(Debug, Clone)]
-pub struct Table5 {
-    /// All-hours rows (CAMPUS, EECS).
-    pub all: [nfstrace_core::hourly::Table5Row; 2],
-    /// Peak-hours rows.
-    pub peak: [nfstrace_core::hourly::Table5Row; 2],
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Table 5 from week-long traces.
-pub fn table5<V: TraceView>(campus: &V, eecs: &V) -> Table5 {
+/// Table 5, hourly averages over all hours and peak hours, from
+/// week-long traces.
+pub fn table5<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let sc = campus.hourly();
     let se = eecs.hourly();
     let all = [sc.table5(false), se.table5(false)];
@@ -511,7 +439,7 @@ pub fn table5<V: TraceView>(campus: &V, eecs: &V) -> Table5 {
         push("Write ops (1000s)", &|r| scale_row(r.write_ops, 1e3));
         push("R/W op ratio", &|r| r.rw_op_ratio);
     }
-    Table5 { all, peak, text }
+    Rendered { text }
 }
 
 fn scale_row(ms: nfstrace_core::hourly::MeanStd, div: f64) -> nfstrace_core::hourly::MeanStd {
@@ -521,21 +449,11 @@ fn scale_row(ms: nfstrace_core::hourly::MeanStd, div: f64) -> nfstrace_core::hou
     }
 }
 
-/// Figure 1: swapped-access fraction vs reorder window.
-#[derive(Debug, Clone)]
-pub struct Fig1 {
-    /// (window ms, swapped %) for CAMPUS.
-    pub campus: Vec<(u64, f64)>,
-    /// (window ms, swapped %) for EECS.
-    pub eecs: Vec<(u64, f64)>,
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Figure 1 from the Wednesday 9am–12pm subset, as the paper
+/// Figure 1, the swapped-access fraction against the reorder window,
+/// from the Wednesday 9am–12pm subset, as the paper
 /// does. The subset is a zero-copy time window of the index; the sweep
 /// itself is sharded across files.
-pub fn fig1<V: TraceView>(campus: &V, eecs: &V) -> Fig1 {
+pub fn fig1<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let windows: Vec<u64> = (0..=50).step_by(2).collect();
     let sweep = |idx: &V| -> Vec<(u64, f64)> {
         idx.time_window(FIG1_WINDOW_MICROS.0, FIG1_WINDOW_MICROS.1)
@@ -559,26 +477,11 @@ pub fn fig1<V: TraceView>(campus: &V, eecs: &V) -> Fig1 {
     for (i, &(w, cv)) in c.iter().enumerate() {
         let _ = writeln!(text, "{w:>10} {cv:>10.2} {:>10.2}", e[i].1);
     }
-    Fig1 {
-        campus: c,
-        eecs: e,
-        text,
-    }
+    Rendered { text }
 }
 
 /// Figure 2: cumulative % of bytes by file size, per pattern.
-#[derive(Debug, Clone)]
-pub struct Fig2 {
-    /// CAMPUS profile.
-    pub campus: SizeProfile,
-    /// EECS profile.
-    pub eecs: SizeProfile,
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Figure 2.
-pub fn fig2<V: TraceView>(campus: &V, eecs: &V) -> Fig2 {
+pub fn fig2<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let rc = campus.runs(WINDOW_CAMPUS_MS, RunOptions::default());
     let re = eecs.runs(WINDOW_EECS_MS, RunOptions::default());
     let pc = SizeProfile::from_runs(&rc);
@@ -615,11 +518,7 @@ pub fn fig2<V: TraceView>(campus: &V, eecs: &V) -> Fig2 {
             );
         }
     }
-    Fig2 {
-        campus: pc,
-        eecs: pe,
-        text,
-    }
+    Rendered { text }
 }
 
 fn human(bytes: u64) -> String {
@@ -632,20 +531,9 @@ fn human(bytes: u64) -> String {
     }
 }
 
-/// Figure 3: block lifetime CDFs.
-#[derive(Debug, Clone)]
-pub struct Fig3 {
-    /// (probe µs, cumulative fraction) for CAMPUS.
-    pub campus: Vec<(u64, f64)>,
-    /// For EECS.
-    pub eecs: Vec<(u64, f64)>,
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Figure 3 from the weekday lifetime windows (shared with
+/// Figure 3, block lifetime CDFs, from the weekday lifetime windows (shared with
 /// Table 4 through the index cache).
-pub fn fig3<V: TraceView>(campus: &V, eecs: &V) -> Fig3 {
+pub fn fig3<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     let probes = nfstrace_core::lifetime::figure3_probes();
     let rc = campus.weekday_lifetime();
     let re = eecs.weekday_lifetime();
@@ -671,30 +559,14 @@ pub fn fig3<V: TraceView>(campus: &V, eecs: &V) -> Fig3 {
             100.0 * e[i].1
         );
     }
-    Fig3 {
-        campus: c,
-        eecs: e,
-        text,
-    }
+    Rendered { text }
 }
 
-/// Figure 4: hourly ops and R/W ratios across the week.
-#[derive(Debug, Clone)]
-pub struct Fig4 {
-    /// CAMPUS hourly series.
-    pub campus: HourlySeries,
-    /// EECS hourly series.
-    pub eecs: HourlySeries,
-    /// Rendered text (compact: one line per 3 hours).
-    pub text: String,
-}
-
-/// Computes Figure 4.
-pub fn fig4<V: TraceView>(campus: &V, eecs: &V) -> Fig4 {
-    // Hourly series are bounded by trace hours, not records: cloning
-    // them is a few KB, unlike the lifetime reports above.
-    let sc = campus.hourly().clone();
-    let se = eecs.hourly().clone();
+/// Figure 4: hourly ops and R/W ratios across the week, one line per
+/// 3 hours.
+pub fn fig4<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
+    let sc = campus.hourly();
+    let se = eecs.hourly();
     let mut text = String::new();
     let _ = writeln!(text, "Figure 4: hourly operation counts and R/W ratios");
     let _ = writeln!(
@@ -718,30 +590,11 @@ pub fn fig4<V: TraceView>(campus: &V, eecs: &V) -> Fig4 {
             e.rw_ratio().map_or("-".into(), |r| format!("{r:.1}")),
         );
     }
-    Fig4 {
-        campus: sc,
-        eecs: se,
-        text,
-    }
+    Rendered { text }
 }
 
-/// Figure 5: sequentiality metric vs run size.
-#[derive(Debug, Clone)]
-pub struct Fig5 {
-    /// CAMPUS reads: (k=10 allowed, k=1 not allowed).
-    pub campus_reads: (Vec<MetricPoint>, Vec<MetricPoint>),
-    /// CAMPUS writes.
-    pub campus_writes: (Vec<MetricPoint>, Vec<MetricPoint>),
-    /// EECS reads.
-    pub eecs_reads: (Vec<MetricPoint>, Vec<MetricPoint>),
-    /// EECS writes.
-    pub eecs_writes: (Vec<MetricPoint>, Vec<MetricPoint>),
-    /// Rendered text.
-    pub text: String,
-}
-
-/// Computes Figure 5 (its run tables are cache hits after Figure 2).
-pub fn fig5<V: TraceView>(campus: &V, eecs: &V) -> Fig5 {
+/// Figure 5, the sequentiality metric against run size (its run tables are cache hits after Figure 2).
+pub fn fig5<V: TraceView>(campus: &V, eecs: &V) -> Rendered {
     use nfstrace_core::runs::RunKind;
     let rc = campus.runs(WINDOW_CAMPUS_MS, RunOptions::default());
     let re = eecs.runs(WINDOW_EECS_MS, RunOptions::default());
@@ -794,13 +647,7 @@ pub fn fig5<V: TraceView>(campus: &V, eecs: &V) -> Fig5 {
             human(b)
         );
     }
-    Fig5 {
-        campus_reads,
-        campus_writes,
-        eecs_reads,
-        eecs_writes,
-        text,
-    }
+    Rendered { text }
 }
 
 /// §4.1.1: hierarchy-reconstruction coverage over time.

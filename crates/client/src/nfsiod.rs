@@ -18,36 +18,22 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of the jitter distribution.
-///
-/// A daemon's wake-up delay is uniform scheduler noise, plus — rarely —
-/// a long preemption when the scheduler runs something else entirely.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JitterParams {
-    /// Upper bound of the uniform scheduling noise, microseconds.
-    pub base_spread_micros: f64,
-    /// Probability of a long preemption.
-    pub long_delay_prob: f64,
-    /// Mean of the (exponential) long-preemption delay, microseconds.
-    pub long_delay_mean_micros: f64,
-}
+// The jitter distribution: a daemon's wake-up delay is uniform
+// scheduler noise, plus — rarely — a long preemption when the scheduler
+// runs something else entirely.
 
-impl Default for JitterParams {
-    fn default() -> Self {
-        JitterParams {
-            base_spread_micros: 60.0,
-            long_delay_prob: 0.005,
-            long_delay_mean_micros: 2_000.0,
-        }
-    }
-}
+/// Upper bound of the uniform scheduling noise, microseconds.
+const BASE_SPREAD_MICROS: f64 = 60.0;
+/// Probability of a long preemption.
+const LONG_DELAY_PROB: f64 = 0.005;
+/// Mean of the (exponential) long-preemption delay, microseconds.
+const LONG_DELAY_MEAN_MICROS: f64 = 2_000.0;
 
 /// A pool of nfsiod daemons adding scheduling jitter to async calls.
 #[derive(Debug)]
 pub struct NfsiodPool {
     /// Wall-clock time each daemon becomes free.
     free_at: Vec<u64>,
-    jitter: JitterParams,
     rng: StdRng,
     last_wire_micros: u64,
     issued: u64,
@@ -59,14 +45,8 @@ impl NfsiodPool {
     /// Creates a pool of `n` daemons (at least 1) with deterministic
     /// randomness from `seed`.
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::with_jitter(n, seed, JitterParams::default())
-    }
-
-    /// Creates a pool with explicit jitter parameters.
-    pub fn with_jitter(n: usize, seed: u64, jitter: JitterParams) -> Self {
         NfsiodPool {
             free_at: vec![0; n.max(1)],
-            jitter,
             rng: StdRng::seed_from_u64(seed),
             last_wire_micros: 0,
             issued: 0,
@@ -127,9 +107,9 @@ impl NfsiodPool {
     fn sample_jitter(&mut self) -> u64 {
         // With one daemon the pipeline is serial: dispatch order is wire
         // order regardless of delay, matching the paper's observation.
-        let mut total: f64 = self.rng.gen::<f64>() * self.jitter.base_spread_micros;
-        if self.rng.gen::<f64>() < self.jitter.long_delay_prob {
-            total += -self.jitter.long_delay_mean_micros * (1.0 - self.rng.gen::<f64>()).ln();
+        let mut total: f64 = self.rng.gen::<f64>() * BASE_SPREAD_MICROS;
+        if self.rng.gen::<f64>() < LONG_DELAY_PROB {
+            total += -LONG_DELAY_MEAN_MICROS * (1.0 - self.rng.gen::<f64>()).ln();
         }
         total as u64
     }

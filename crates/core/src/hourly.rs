@@ -126,14 +126,6 @@ impl HourlySeries {
             .map(move |(i, b)| ((self.first_hour + i as u64) * HOUR, b))
     }
 
-    /// The Figure 4 lower panel: `(hour_start_micros, read/write ratio)`
-    /// series, skipping hours with no writes.
-    pub fn ratio_series(&self) -> Vec<(u64, f64)> {
-        self.iter()
-            .filter_map(|(t, b)| b.rw_ratio().map(|r| (t, r)))
-            .collect()
-    }
-
     /// Computes the Table 5 summary over all hours or peak hours only.
     pub fn table5(&self, peak_only: bool) -> Table5Row {
         let selected: Vec<&HourBucket> = self
@@ -240,20 +232,6 @@ mod tests {
         assert_eq!(s.buckets[1].ops, 0);
         assert_eq!(s.buckets[3].write_ops, 1);
         assert_eq!(s.buckets[3].bytes_written, 20);
-    }
-
-    #[test]
-    fn ratio_series_skips_zero_write_hours() {
-        let recs = [
-            rec(0, Op::Read, 1),
-            rec(HOUR, Op::Read, 1),
-            rec(HOUR + 1, Op::Write, 1),
-        ];
-        let s = HourlySeries::from_records(recs.iter());
-        let ratios = s.ratio_series();
-        assert_eq!(ratios.len(), 1);
-        assert_eq!(ratios[0].0, HOUR);
-        assert_eq!(ratios[0].1, 1.0);
     }
 
     #[test]

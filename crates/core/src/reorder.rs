@@ -162,19 +162,6 @@ pub fn swap_fraction_sweep_with_threads(
         .collect()
 }
 
-/// Picks the knee of a Figure 1 curve: the smallest window after which
-/// growing the window further yields diminishing gains (below
-/// `gain_threshold` additional swapped fraction per step).
-pub fn pick_knee(points: &[SwapPoint], gain_threshold: f64) -> Option<u64> {
-    for pair in points.windows(2) {
-        let gain = pair[1].swapped_fraction - pair[0].swapped_fraction;
-        if gain < gain_threshold {
-            return Some(pair[0].window_ms);
-        }
-    }
-    points.last().map(|p| p.window_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,8 +248,6 @@ mod tests {
         for w in pts.windows(2) {
             assert!(w[1].swapped_fraction >= w[0].swapped_fraction - 1e-12);
         }
-        let knee = pick_knee(&pts, 0.005).unwrap();
-        assert!(knee <= 20, "knee = {knee}");
     }
 
     #[test]

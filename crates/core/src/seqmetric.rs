@@ -154,55 +154,6 @@ pub fn cumulative_runs_by_size(runs: &[Run]) -> Vec<(u64, f64, f64, f64)> {
     out
 }
 
-/// A streaming sequentiality estimator suitable for a server's read-ahead
-/// heuristic (the §6.4 FreeBSD experiment uses "a simplified version of
-/// the sequentiality metric ... in its read-ahead heuristic").
-///
-/// It keeps an exponentially-decayed score in [0, 1]; each k-consecutive
-/// access pulls the score toward 1, each long seek toward 0.
-#[derive(Debug, Clone)]
-pub struct StreamingSequentiality {
-    score: f64,
-    last_end_block: Option<u64>,
-    k: u64,
-    alpha: f64,
-}
-
-impl StreamingSequentiality {
-    /// Creates an estimator with jump tolerance `k` blocks and smoothing
-    /// factor `alpha` (weight of the newest observation).
-    pub fn new(k: u64, alpha: f64) -> Self {
-        Self {
-            score: 1.0,
-            last_end_block: None,
-            k,
-            alpha: alpha.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Observes an access and returns the updated score.
-    pub fn observe(&mut self, offset: u64, count: u32) -> f64 {
-        let start = block_of(offset);
-        if let Some(pe) = self.last_end_block {
-            let hit = start.abs_diff(pe) < self.k.max(1);
-            let obs = if hit { 1.0 } else { 0.0 };
-            self.score = self.alpha * obs + (1.0 - self.alpha) * self.score;
-        }
-        self.last_end_block = Some(end_block(offset, count).max(start + 1));
-        self.score
-    }
-
-    /// The current score.
-    pub fn score(&self) -> f64 {
-        self.score
-    }
-
-    /// Whether the stream currently looks sequential enough to prefetch.
-    pub fn is_sequential(&self, threshold: f64) -> bool {
-        self.score >= threshold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,34 +250,5 @@ mod tests {
         let runs = split_runs(FileId(1), &seq, RunOptions::default());
         let cum = cumulative_runs_by_size(&runs);
         assert!((cum.last().unwrap().1 - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn streaming_estimator_tracks_pattern() {
-        let mut s = StreamingSequentiality::new(10, 0.25);
-        for i in 0..20u64 {
-            s.observe(i * BLOCK, BLOCK as u32);
-        }
-        assert!(s.is_sequential(0.9));
-        // A burst of far seeks drags the score down.
-        for i in 0..20u64 {
-            s.observe(i * 1000 * BLOCK, BLOCK as u32);
-        }
-        assert!(!s.is_sequential(0.5));
-    }
-
-    #[test]
-    fn streaming_estimator_recovers_after_one_reorder() {
-        // One out-of-order access must not flip a sequential stream to
-        // random — the motivation for the §6.4 server heuristic.
-        let mut s = StreamingSequentiality::new(10, 0.2);
-        for i in 0..10u64 {
-            s.observe(i * BLOCK, BLOCK as u32);
-        }
-        s.observe(500 * BLOCK, BLOCK as u32); // stray
-        for i in 11..20u64 {
-            s.observe(i * BLOCK, BLOCK as u32);
-        }
-        assert!(s.is_sequential(0.7), "score = {}", s.score());
     }
 }

@@ -190,8 +190,8 @@ impl SegmentChain {
 
     /// Reopens the chain in `config.dir` after its last sealed segment,
     /// loading each segment's sequence sidecar iff `sequenced`. Nothing
-    /// is decoded here: the owner replays the chain to rebuild its
-    /// index.
+    /// is decoded here: the owner rebuilds its index from the sealed
+    /// segments.
     ///
     /// # Errors
     ///

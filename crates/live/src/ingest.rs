@@ -5,9 +5,10 @@ use crate::chain::SegmentChain;
 use crate::source::RecordSource;
 use crate::view::{for_each_merged, LiveView, ShardChain};
 use nfstrace_core::index::{IndexBase, PartialIndex};
+use nfstrace_core::parallel;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
-use nfstrace_store::{CompactionPolicy, Result, StoreConfig, StoreError};
+use nfstrace_store::{build_partial_index, CompactionPolicy, Result, StoreConfig, StoreError};
 use nfstrace_telemetry::{span, Counter, Gauge, Histogram, Registry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,20 +146,34 @@ impl RunningIndex {
         }
     }
 
-    /// Rebuilds the running state over chains found on disk with one
-    /// replay through [`for_each_merged`], the merge views use, and
-    /// returns it with the arrival sequence past the last one replayed.
+    /// The running state over records an earlier run emitted: `index`
+    /// over all of them, the last captured at `last_micros`.
+    fn resumed(registry: &Registry, index: PartialIndex, last_micros: u64) -> Self {
+        let mut running = RunningIndex::new(registry);
+        *running.metrics.published.get_mut() = index.len() as u64;
+        running.index = index;
+        running.last_micros = last_micros;
+        running
+    }
+
+    /// Rebuilds the running state over a sharded ingest's chains found
+    /// on disk with one replay through [`for_each_merged`], the merge
+    /// its views use, and returns it with the arrival sequence past the
+    /// last one replayed. Only [`crate::ShardedLiveIngest::open`]
+    /// replays: a plain chain reopens through the store's construction
+    /// pass ([`LiveIngest::open`]).
     ///
     /// # Errors
     ///
     /// On chunk read failure, or a [`StoreError::Sidecar`] naming a
     /// segment whose sequences do not strictly increase.
     pub(crate) fn replay(registry: &Registry, chains: &[ShardChain]) -> Result<(Self, u64)> {
-        let mut running = RunningIndex::new(registry);
-        let next_seq = for_each_merged(chains, 0, u64::MAX, &mut |r| running.observe(r))?;
-        // Records found on disk were emitted by an earlier run.
-        *running.metrics.published.get_mut() = running.total_records();
-        Ok((running, next_seq))
+        let (mut index, mut last_micros) = (PartialIndex::new(), 0);
+        let next_seq = for_each_merged(chains, 0, u64::MAX, &mut |r| {
+            index.observe(r);
+            last_micros = r.micros;
+        })?;
+        Ok((Self::resumed(registry, index, last_micros), next_seq))
     }
 
     /// Checks that `batch` continues the stream in time order, against
@@ -423,8 +438,9 @@ pub struct LiveSummary {
 ///
 /// Segments are named by ordinal ([`nfstrace_store::SegmentCatalog`]);
 /// a stopped ingest reopened with [`LiveIngest::open`] scans the
-/// directory, rebuilds its running index from the sealed segments (one
-/// decode pass), and appends from the next ordinal — the durable trace
+/// directory, rebuilds its running index from the sealed segments (the
+/// store's construction pass: one decode per chunk, chunk-parallel),
+/// and appends from the next ordinal — the durable trace
 /// is the segment directory itself. The hot segment grows under a
 /// `.tmp` name and is renamed only after its footer lands, so a crash
 /// mid-segment never leaves an unreadable `seg-*.nfseg`: reopening
@@ -461,9 +477,12 @@ impl LiveIngest {
 
     /// Reopens an existing segment directory and resumes appending
     /// after the last sealed segment. The running index is rebuilt
-    /// from the sealed segments in one streaming decode pass. Sequence
-    /// sidecars a sharded ingest left in the directory are invisible
-    /// to this plain writer.
+    /// from the sealed segments by the store's construction pass
+    /// ([`nfstrace_store::build_partial_index`]) — one decode per
+    /// chunk, chunk-parallel on `NFSTRACE_THREADS` workers — and the
+    /// order check resumes at the last capture time the footers hold.
+    /// Sequence sidecars a sharded ingest left in the directory are
+    /// invisible to this plain writer.
     ///
     /// # Errors
     ///
@@ -471,7 +490,11 @@ impl LiveIngest {
     pub fn open(config: LiveConfig) -> Result<Self> {
         let registry = config.registry.clone();
         let mut chain = SegmentChain::open(config, false)?;
-        let (running, _) = RunningIndex::replay(&registry, &[chain.snapshot()?])?;
+        let sealed = chain.snapshot()?.sealed;
+        let index = build_partial_index(&sealed, 0, u64::MAX, parallel::threads())?;
+        let ranges = sealed.iter().filter_map(|r| r.time_range());
+        let last_micros = ranges.map(|(_, max)| max).max().unwrap_or(0);
+        let running = RunningIndex::resumed(&registry, index, last_micros);
         Ok(LiveIngest { chain, running })
     }
 

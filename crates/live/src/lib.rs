@@ -32,8 +32,8 @@
 //!   storage splits by client hash across N segment chains (each with
 //!   its own hot segment, rotation clock, and `shard-NNN/` directory),
 //!   the router stamps every record with a global arrival sequence
-//!   (persisted in [`seqfile`] sidecars) and folds the stream into one
-//!   running index, as the single writer does. Record replays k-way
+//!   (persisted in [`nfstrace_store::seqfile`] sidecars) and folds the
+//!   stream into one running index, as the single writer does. Record replays k-way
 //!   merge the chains back into the exact original stream — the
 //!   analysis suite over a view stays byte-identical to a
 //!   single-writer daemon and to the batch pipeline, for any shard
@@ -91,10 +91,6 @@ pub mod ingest;
 pub mod sharded;
 pub mod source;
 pub mod view;
-
-/// Arrival-sequence sidecars now live in the store crate (the
-/// compactor merges them); re-exported here for existing users.
-pub use nfstrace_store::seqfile;
 
 pub use ingest::{LiveConfig, LiveIngest, LiveSummary};
 pub use sharded::{shard_for_client, ShardedLiveIngest, ShardedSummary, SHARD_MANIFEST};

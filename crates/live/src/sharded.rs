@@ -19,9 +19,9 @@
 //! different shards, and nothing in the records themselves says who
 //! came first. So the router stamps every record with a dense **global
 //! arrival sequence** before fan-out; chains persist the sequences in
-//! per-segment sidecars ([`crate::seqfile`]); and record replays — a
-//! view's, and the one that rebuilds the index at reopen — k-way merge
-//! the chains on those sequences. The invariant — pinned by property
+//! per-segment sidecars ([`nfstrace_store::seqfile`]); and record
+//! replays — a view's, and the one that rebuilds the index at reopen —
+//! k-way merge the chains on those sequences. The invariant — pinned by property
 //! tests, `crates/bench/tests/paths.rs` and the CI equivalence smoke —
 //! is that the full analysis suite over a sharded view is
 //! **byte-identical** to a single-writer daemon's and to the batch

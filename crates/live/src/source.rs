@@ -5,6 +5,7 @@ use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::into_ok;
 use nfstrace_net::pcap::CapturedPacket;
 use nfstrace_sniffer::{Sniffer, SnifferStats};
+use nfstrace_telemetry::Registry;
 use nfstrace_workload::SlicedWorkload;
 
 /// An incremental producer of time-ordered trace records.
@@ -57,10 +58,19 @@ impl<I> std::fmt::Debug for SnifferSource<I> {
 
 impl<I: Iterator<Item = CapturedPacket>> SnifferSource<I> {
     /// Wraps a packet iterator; each batch observes up to
-    /// `packets_per_batch` packets.
+    /// `packets_per_batch` packets. The sniffer counts into a private
+    /// registry.
     pub fn new(packets: I, packets_per_batch: usize) -> Self {
+        Self::with_registry(packets, packets_per_batch, &Registry::new())
+    }
+
+    /// [`SnifferSource::new`] with the sniffer publishing its
+    /// `sniffer.*` counters into `registry`
+    /// ([`Sniffer::with_registry`]), so a pipeline's capture stage
+    /// lands in the same export as its other stages.
+    pub fn with_registry(packets: I, packets_per_batch: usize, registry: &Registry) -> Self {
         SnifferSource {
-            sniffer: Some(Sniffer::new()),
+            sniffer: Some(Sniffer::with_registry(registry)),
             packets,
             packets_per_batch: packets_per_batch.max(1),
             stats: None,

@@ -2,8 +2,11 @@
 //! one chain per shard, merged on read.
 
 use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
+use nfstrace_core::parallel;
 use nfstrace_core::record::TraceRecord;
-use nfstrace_store::{stream_records, Result, StoreError, StoreReader};
+use nfstrace_store::{
+    build_partial_index, overlapping_chunks, stream_records, Result, StoreError, StoreReader,
+};
 use nfstrace_telemetry::Registry;
 use std::sync::Arc;
 
@@ -13,8 +16,12 @@ use std::sync::Arc;
 /// sequences of those records.
 ///
 /// A single-writer ingest produces one chain with empty sequence
-/// vectors — sequences are only consulted when chains of a sharded
-/// ingest must be interleaved.
+/// vectors, which is only ever read alone: streamed and indexed by the
+/// store's own planner and construction pass
+/// ([`nfstrace_store::stream_records`],
+/// [`nfstrace_store::build_partial_index`]). Sequences are consulted
+/// only where the chains of a sharded ingest must be interleaved — its
+/// views' replays and windows, and its reopen.
 #[derive(Debug, Clone)]
 pub struct ShardChain {
     pub(crate) sealed: Vec<Arc<StoreReader>>,
@@ -37,32 +44,40 @@ impl ShardChain {
     pub fn hot(&self) -> &[TraceRecord] {
         &self.hot
     }
+
+    /// Where the hot records with capture times in `[start, end)` lie
+    /// in [`ShardChain::hot`] (time-ordered, so they are contiguous).
+    fn hot_range(&self, start: u64, end: u64) -> std::ops::Range<usize> {
+        let from = self.hot.partition_point(|r| r.micros < start);
+        from..from.max(self.hot.partition_point(|r| r.micros < end))
+    }
 }
 
-/// A streaming cursor over one chain restricted to `[start, end)`:
-/// sealed chunks decoded lazily one at a time (skipping chunks whose
-/// time range misses the window, while still advancing the sequence
-/// index past their records), then the hot tail.
+/// A streaming cursor over one sequenced chain restricted to
+/// `[start, end)`: the sealed chunks the store planner
+/// ([`overlapping_chunks`]) keeps for the window, decoded lazily one at
+/// a time with only their in-window records built
+/// ([`StoreReader::read_chunk_in`]), then the hot tail.
 /// [`ChainCursor::peek`] exposes the arrival sequence of the next
 /// record the chain would emit — the k-way merge pops the chain with
-/// the smallest one. A chain without sequences keys its records by
-/// position, which only a chain replayed alone can use.
+/// the smallest one.
 struct ChainCursor<'a> {
     chain: &'a ShardChain,
     start: u64,
     end: u64,
-    /// Index into `chain.sealed`; `== chain.sealed.len()` → hot phase.
+    /// The planner's `(segment, chunk)` list, and the next to decode.
+    chunks: Vec<(usize, usize)>,
+    next_chunk: usize,
+    /// The segment `buf` came from; `chain.sealed.len()` in the hot
+    /// phase.
     seg: usize,
-    /// Next chunk ordinal to consider within the current segment.
-    chunk: usize,
-    /// Records of the current segment consumed or skipped before
-    /// `buf` — the sequence-sidecar index of `buf[0]`.
-    seq_off: usize,
+    /// The decoded chunk's in-window records, and the sidecar entries
+    /// that hold their sequences.
     buf: Vec<TraceRecord>,
+    buf_seqs: &'a [u64],
     buf_pos: usize,
-    hot_pos: usize,
-    /// Records popped so far: the positional key.
-    emitted: u64,
+    /// The in-window hot records not yet emitted.
+    hot: std::ops::Range<usize>,
 }
 
 impl<'a> ChainCursor<'a> {
@@ -71,84 +86,58 @@ impl<'a> ChainCursor<'a> {
             chain,
             start,
             end,
+            chunks: overlapping_chunks(&chain.sealed, start, end),
+            next_chunk: 0,
             seg: 0,
-            chunk: 0,
-            seq_off: 0,
             buf: Vec::new(),
+            buf_seqs: &[],
             buf_pos: 0,
-            hot_pos: 0,
-            emitted: 0,
+            hot: chain.hot_range(start, end),
         }
-    }
-
-    fn in_window(&self, r: &TraceRecord) -> bool {
-        r.micros >= self.start && r.micros < self.end
     }
 
     /// Positions the cursor at its next in-window record and returns
-    /// that record's key; `None` once the chain is exhausted. O(1) when
-    /// already positioned.
+    /// that record's arrival sequence; `None` once the chain is
+    /// exhausted. O(1) when already positioned.
     ///
     /// # Errors
     ///
-    /// On chunk read/decode failure.
+    /// On chunk read/decode failure, or a sidecar too short for the
+    /// chunk's records.
     fn peek(&mut self) -> Result<Option<u64>> {
         loop {
-            if self.seg == self.chain.sealed.len() {
-                while self.hot_pos < self.chain.hot.len() {
-                    if self.in_window(&self.chain.hot[self.hot_pos]) {
-                        let seq = self.chain.hot_seqs.get(self.hot_pos);
-                        return Ok(Some(seq.copied().unwrap_or(self.emitted)));
-                    }
-                    self.hot_pos += 1;
-                }
-                return Ok(None);
+            if let Some(&seq) = self.buf_seqs.get(self.buf_pos) {
+                return Ok(Some(seq));
             }
-            while self.buf_pos < self.buf.len() {
-                if self.in_window(&self.buf[self.buf_pos]) {
-                    let seqs = self.chain.sealed_seqs.get(self.seg);
-                    let at = self.seq_off + self.buf_pos;
-                    return Ok(Some(seqs.map_or(self.emitted, |s| s[at])));
-                }
-                self.buf_pos += 1;
-            }
-            self.seq_off += self.buf.len();
-            self.buf = Vec::new();
-            self.buf_pos = 0;
-            let reader = &self.chain.sealed[self.seg];
-            loop {
-                if self.chunk == reader.chunk_count() {
-                    self.seg += 1;
-                    self.chunk = 0;
-                    self.seq_off = 0;
-                    break;
-                }
-                let meta = &reader.chunks()[self.chunk];
-                if meta.records == 0 || !meta.overlaps(self.start, self.end) {
-                    // Skipped chunks still consume their slice of the
-                    // sequence sidecar.
-                    self.seq_off += meta.records as usize;
-                    self.chunk += 1;
-                    continue;
-                }
-                self.buf = reader.read_chunk(self.chunk)?;
-                self.chunk += 1;
+            let Some(&(seg, ci)) = self.chunks.get(self.next_chunk) else {
                 break;
-            }
+            };
+            self.next_chunk += 1;
+            self.seg = seg;
+            let chain = self.chain;
+            let reader = &chain.sealed[seg];
+            let (records, first) = reader.read_chunk_in(ci, self.start, self.end)?;
+            let earlier: u64 = reader.chunks()[..ci].iter().map(|m| m.records).sum();
+            let at = earlier as usize + first;
+            self.buf_seqs = chain.sealed_seqs[seg]
+                .get(at..at + records.len())
+                .ok_or_else(|| self.sequence_error(format!("no sequences for records {at}..")))?;
+            self.buf = records;
+            self.buf_pos = 0;
         }
+        self.seg = self.chain.sealed.len();
+        Ok((!self.hot.is_empty()).then(|| self.chain.hot_seqs[self.hot.start]))
     }
 
     /// Emits the record [`ChainCursor::peek`] just positioned at and
     /// steps past it. Must follow a `Some` peek.
     fn pop(&mut self, f: &mut dyn FnMut(&TraceRecord)) {
-        if self.seg == self.chain.sealed.len() {
-            f(&self.chain.hot[self.hot_pos]);
-            self.hot_pos += 1;
-        } else {
+        if self.buf_pos < self.buf.len() {
             f(&self.buf[self.buf_pos]);
             self.buf_pos += 1;
+        } else if let Some(i) = self.hot.next() {
+            f(&self.chain.hot[i]);
         }
-        self.emitted += 1;
     }
 
     /// A sequence error at the cursor's position, naming its segment.
@@ -163,11 +152,12 @@ impl<'a> ChainCursor<'a> {
     }
 }
 
-/// Replays every in-window record of `chains` in global arrival order,
-/// k-way merging them by arrival sequence with a linear min-scan (chain
-/// counts are small), and returns the sequence past the last record
-/// replayed. The replay at reopen and every multi-chain view replay run
-/// through here.
+/// Replays every in-window record of sequenced `chains` in global
+/// arrival order, k-way merging them by arrival sequence with a linear
+/// min-scan (chain counts are small), and returns the sequence past the
+/// last record replayed. Only a sharded ingest's chains come here: the
+/// replay at [`crate::ShardedLiveIngest::open`] and every multi-chain
+/// view replay and window.
 ///
 /// # Errors
 ///
@@ -230,10 +220,14 @@ pub(crate) fn for_each_merged(
 /// same records — for a sharded ingest, over the *original* global
 /// stream, reconstructed by merging chains on arrival sequence.
 ///
-/// Record replays stream sealed chunks out-of-core: a single chain is
-/// pipelined ([`stream_records`]) with the hot tail appended; multiple
-/// chains are k-way merged by the per-segment sequence sidecars, one
-/// decoded chunk per chain resident at a time.
+/// Who replays what. A single chain (a [`crate::LiveIngest`]'s) is the
+/// store's: its record replays stream the sealed chunks pipelined
+/// ([`stream_records`]) with the hot tail appended, and a window's
+/// construction pass is [`build_partial_index`] over the sealed
+/// segments, chunk-parallel, then the window's hot records. Multiple
+/// chains (a [`crate::ShardedLiveIngest`]'s) are k-way merged by the
+/// per-segment sequence sidecars, one decoded chunk per chain resident
+/// at a time, for replays and windows alike.
 #[derive(Debug)]
 pub struct LiveView {
     chains: Vec<ShardChain>,
@@ -287,11 +281,7 @@ impl LiveView {
     fn replay(&self, start: u64, end: u64, f: &mut dyn FnMut(&TraceRecord)) {
         if let [chain] = &self.chains[..] {
             stream_records(&chain.sealed, start, end, f);
-            for r in chain.hot.iter() {
-                if r.micros >= start && r.micros < end {
-                    f(r);
-                }
-            }
+            chain.hot[chain.hot_range(start, end)].iter().for_each(f);
         } else {
             for_each_merged(&self.chains, start, end, f)
                 .expect("sealed chunk must stay readable under a live view");
@@ -323,8 +313,10 @@ impl TraceView for LiveView {
     }
 
     /// A narrower snapshot sharing the chains (sealed readers and hot
-    /// clones); its construction pass streams the window's chunks once,
-    /// in merged order.
+    /// clones). A single chain's construction pass is the store's,
+    /// chunk-parallel over the window's sealed chunks, followed by the
+    /// window's hot records; more chains are observed once, in merged
+    /// order.
     ///
     /// # Panics
     ///
@@ -333,8 +325,18 @@ impl TraceView for LiveView {
     fn time_window(&self, start_micros: u64, end_micros: u64) -> LiveView {
         let start = start_micros.max(self.start);
         let end = end_micros.min(self.end).max(start);
-        let mut partial = PartialIndex::new();
-        self.replay(start, end, &mut |r| partial.observe(r));
+        let partial = if let [chain] = &self.chains[..] {
+            let mut partial = build_partial_index(&chain.sealed, start, end, parallel::threads())
+                .unwrap_or_else(|e| panic!("sealed chunk unreadable under a live view: {e}"));
+            for r in &chain.hot[chain.hot_range(start, end)] {
+                partial.observe(r);
+            }
+            partial
+        } else {
+            let mut partial = PartialIndex::new();
+            self.replay(start, end, &mut |r| partial.observe(r));
+            partial
+        };
         LiveView::assemble(
             self.chains.clone(),
             start,

@@ -203,6 +203,72 @@ fn reopen_appends_where_the_last_run_stopped() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Reopening over segments of many chunks each — indexed by the
+/// store's chunk-parallel pass — and ingesting on writes the segments
+/// one uninterrupted ingest writes and ends at the same products; the
+/// order check resumes at the last capture time the footers hold.
+#[test]
+fn reopen_over_many_chunk_segments_continues_an_uninterrupted_ingest() {
+    let batch = CampusWorkload::new(campus_cfg(1)).generate_with_threads(1);
+    // Rotation by count only, so a stop right after a seal leaves the
+    // segment boundaries an uninterrupted ingest draws.
+    let rotate_records = 500;
+    let cfg = |dir: &std::path::Path| LiveConfig {
+        store: StoreConfig {
+            target_chunk_bytes: 4 << 10,
+        },
+        rotate_records,
+        rotate_micros: u64::MAX,
+        ..LiveConfig::new(dir)
+    };
+    let stop = 4 * rotate_records as usize;
+    assert!(batch.len() > stop + rotate_records as usize);
+
+    let whole_dir = tmpdir("many-chunks-whole");
+    let mut whole = LiveIngest::create(cfg(&whole_dir)).expect("create");
+    for r in &batch {
+        whole.ingest(r).expect("ingest");
+    }
+    let want = whole.snapshot_base();
+    whole.finish().expect("finish");
+
+    let dir = tmpdir("many-chunks-reopened");
+    let mut first = LiveIngest::create(cfg(&dir)).expect("create");
+    for r in &batch[..stop] {
+        first.ingest(r).expect("ingest");
+    }
+    first.finish().expect("finish first run");
+    let sealed = StoreIndex::open_dir(&dir).expect("open dir");
+    assert_eq!(sealed.readers().len(), 4);
+    assert!(sealed.readers().iter().all(|r| r.chunk_count() >= 4));
+
+    let mut second = LiveIngest::open(cfg(&dir)).expect("reopen");
+    assert_eq!(second.total_records(), stop as u64);
+    let last = batch[stop - 1].clone();
+    let earlier = TraceRecord {
+        micros: last.micros - 1,
+        ..last
+    };
+    assert!(matches!(
+        second.ingest(&earlier),
+        Err(nfstrace_store::StoreError::OutOfOrder { .. })
+    ));
+    for r in &batch[stop..] {
+        second.ingest(r).expect("ingest");
+    }
+    let got = second.snapshot_base();
+    second.finish().expect("finish second run");
+
+    assert_eq!(got.len, want.len);
+    assert_eq!(got.summary, want.summary);
+    assert_eq!(got.hourly, want.hourly);
+    assert_eq!(got.raw, want.raw);
+    assert_eq!(read_dir_sorted(&dir), read_dir_sorted(&whole_dir));
+    for d in [&dir, &whole_dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+}
+
 #[test]
 fn segment_bytes_are_identical_for_any_slicing_and_threads() {
     let reference_dir = tmpdir("det-ref");

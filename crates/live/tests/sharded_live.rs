@@ -4,11 +4,9 @@
 use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_core::time::{DAY, HOUR};
-use nfstrace_live::{
-    seqfile, shard_for_client, LiveConfig, LiveIngest, ShardedLiveIngest, SHARD_MANIFEST,
-};
+use nfstrace_live::{shard_for_client, LiveConfig, LiveIngest, ShardedLiveIngest, SHARD_MANIFEST};
 use nfstrace_store::segments::shard_dir_name;
-use nfstrace_store::StoreConfig;
+use nfstrace_store::{seqfile, StoreConfig};
 use nfstrace_workload::{CampusConfig, CampusWorkload, SlicedWorkload};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -346,5 +344,81 @@ fn sequence_stamping_guards_and_plain_ingest_stays_sidecar_free() {
         }),
         "plain ingest must not write sequence sidecars"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sharded view's window whose edges fall inside a sealed chunk on
+/// every chain, at timestamps tied across shards, equals the in-memory
+/// window record for record: each chain's cursor builds only the
+/// window's records of an edge chunk and finds their sidecar
+/// sequences from the chunk's first kept index.
+#[test]
+fn a_window_cutting_chunks_on_every_chain_equals_the_memory_window() {
+    let shards = 3;
+    // Twelve clients a timestamp, spread over every shard; the files
+    // are shared across clients, so a tie's order shows in the
+    // per-file access lists too.
+    let clients: Vec<u32> = (0..12).collect();
+    for shard in 0..shards {
+        assert!(clients
+            .iter()
+            .any(|&c| shard_for_client(c, shards) == shard));
+    }
+    let records: Vec<TraceRecord> = (0..1_500u64)
+        .flat_map(|t| {
+            clients.iter().map(move |&c| {
+                let mut r = TraceRecord::new(t * 10, Op::Read, FileId((t + u64::from(c)) % 7));
+                r.client = c;
+                r.offset = u64::from(c) * 4096;
+                r.count = 4096;
+                r
+            })
+        })
+        .collect();
+    let dir = tmpdir("window-edges");
+    let config = LiveConfig {
+        store: StoreConfig {
+            target_chunk_bytes: 1 << 10,
+        },
+        rotate_records: 1_000,
+        rotate_micros: u64::MAX,
+        ..LiveConfig::new(&dir)
+    };
+    let mut ingest = ShardedLiveIngest::create(config, shards).expect("create");
+    ingest.ingest_batch(&records).expect("ingest");
+    let view = ingest.view();
+
+    // The first tie group past `from` that lies strictly inside a
+    // sealed chunk of every chain (some of the chunk before it).
+    let inside_on_every_chain = |micros: u64| {
+        view.chains().iter().all(|chain| {
+            let metas = chain.sealed().iter().flat_map(|r| r.chunks());
+            metas
+                .into_iter()
+                .any(|m| m.min_micros < micros && micros <= m.max_micros)
+        })
+    };
+    let edge = |from: u64| {
+        (from..)
+            .step_by(10)
+            .take(200)
+            .find(|&micros| inside_on_every_chain(micros))
+            .expect("an edge inside a chunk on every chain")
+    };
+    let (start, end) = (edge(3_000), edge(9_000));
+
+    let want: Vec<TraceRecord> = records
+        .iter()
+        .filter(|r| r.micros >= start && r.micros < end)
+        .cloned()
+        .collect();
+    let window = view.time_window(start, end);
+    let mut back = Vec::new();
+    window.for_each_record(&mut |r| back.push(r.clone()));
+    assert_eq!(back.len(), want.len(), "window [{start}, {end})");
+    assert!(back == want, "window [{start}, {end}) replays out of order");
+    let mem = TraceIndex::new(records.clone()).time_window(start, end);
+    assert_views_agree(&window, &mem, "window cutting chunks");
+    ingest.finish().expect("finish");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -145,7 +145,7 @@ pub fn serve_roundtrip(
     let mut mirror = MirrorPort::new(MirrorConfig::lossless());
     let forwarded = tap_frames(&replayed.tap)
         .filter(|p| mirror.offer(p.timestamp_micros, p.data.len()) == MirrorVerdict::Forwarded);
-    let mut source = SnifferSource::new(forwarded, PACKETS_PER_BATCH);
+    let mut source = SnifferSource::with_registry(forwarded, PACKETS_PER_BATCH, registry);
     let mut ingest = LiveIngest::create(LiveConfig::new(dir).with_registry(registry))?;
     ingest.run(&mut source)?;
     let summary = ingest.finish()?;

@@ -78,6 +78,30 @@ fn served_and_captured_store_equals_the_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The capture stage of the loop counts into the registry it is
+/// handed, like every other stage: one `sniffer.calls` per planned
+/// call, one `sniffer.records_emitted` per stored record.
+#[test]
+fn the_roundtrip_exports_the_sniffer_counters() {
+    let records = campus(2, 8);
+    let plan = ReplayPlan::from_records(&records);
+    let registry = Registry::new();
+    let dir = tmpdir("sniffer-metrics");
+    let outcome =
+        serve_roundtrip(&plan, &ReplayOptions::default(), &registry, &dir).expect("roundtrip");
+    assert!(outcome.summary.total_records > 0);
+    assert_eq!(
+        registry.counter("sniffer.calls").value(),
+        plan.calls.len() as u64
+    );
+    assert_eq!(
+        registry.counter("sniffer.records_emitted").value(),
+        outcome.summary.total_records
+    );
+    assert_eq!(registry.counter("sniffer.orphan_replies").value(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn forced_retransmissions_never_duplicate_records() {
     let records = campus(4, 6);

@@ -63,7 +63,8 @@ pub fn stream_records_with_threads(
             let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Vec<TraceRecord>>>(1);
             scope.spawn(move || {
                 for &(ri, ci) in jobs {
-                    if tx.send(readers[ri].read_chunk_in(ci, start, end)).is_err() {
+                    let batch = readers[ri].read_chunk_in(ci, start, end);
+                    if tx.send(batch.map(|(records, _)| records)).is_err() {
                         break; // consumer went away (panic unwinding)
                     }
                 }
@@ -80,6 +81,7 @@ pub fn stream_records_with_threads(
             readers[ri]
                 .read_chunk_in(ci, start, end)
                 .unwrap_or_else(|e| panic!("store chunk {ci} unreadable mid-analysis: {e}"))
+                .0
                 .iter()
                 .for_each(&mut *f);
         }
@@ -94,8 +96,14 @@ pub fn stream_records_with_threads(
 /// ([`StoreReader::prune_window`], counted as `store.segments_pruned`)
 /// before its per-chunk metas are even iterated — on an archive-scale
 /// catalog a narrow window touches a handful of segments and prunes
-/// the rest here.
-fn overlapping_chunks(readers: &[Arc<StoreReader>], start: u64, end: u64) -> Vec<(usize, usize)> {
+/// the rest here. Every walk over sealed chunks takes its chunk list
+/// from here: [`stream_records`], [`build_partial_index`], and the
+/// merge cursor of a sharded live view.
+pub fn overlapping_chunks(
+    readers: &[Arc<StoreReader>],
+    start: u64,
+    end: u64,
+) -> Vec<(usize, usize)> {
     let mut jobs = Vec::new();
     for (ri, reader) in readers.iter().enumerate() {
         if reader.prune_window(start, end) {
@@ -165,6 +173,44 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
         out.extend(part?.0);
     }
     Ok(out)
+}
+
+/// The chunk-parallel construction pass: the [`PartialIndex`] over
+/// every record of `readers` (segments in order) whose capture time
+/// lies in `[start, end)`.
+///
+/// The chunks [`overlapping_chunks`] plans are decoded on `threads`
+/// workers ([`parallel::run_sharded`]), each building only its
+/// in-window records ([`StoreReader::read_chunk_in`]) into a partial of
+/// its own, and the partials are absorbed in chunk order — so the
+/// result equals observing the same records one by one, at any worker
+/// count, while resident *record* memory stays bounded by chunk size ×
+/// workers. This is the one pass that indexes sealed chunks:
+/// [`StoreIndex`] and its windows finish it, a reopened
+/// `nfstrace_live::LiveIngest` seeds its running index with it, and a
+/// single-chain `nfstrace_live::LiveView` window runs it over its
+/// sealed segments before folding in its hot records.
+///
+/// # Errors
+///
+/// The error of the first failing chunk in chunk order.
+pub fn build_partial_index(
+    readers: &[Arc<StoreReader>],
+    start: u64,
+    end: u64,
+    threads: usize,
+) -> Result<PartialIndex> {
+    let chunks = overlapping_chunks(readers, start, end);
+    let parts = parallel::run_sharded(chunks.len(), threads, |i| -> Result<PartialIndex> {
+        let (ri, ci) = chunks[i];
+        let (records, _) = readers[ri].read_chunk_in(ci, start, end)?;
+        Ok(PartialIndex::from_records(&records))
+    });
+    let mut acc = PartialIndex::new();
+    for part in parts {
+        acc.absorb(part?);
+    }
+    Ok(acc)
 }
 
 /// A [`TraceView`] whose records live on disk — in one store file or
@@ -317,7 +363,7 @@ impl StoreIndex {
         Self::build_with_threads(readers, 0, u64::MAX, threads, registry)
     }
 
-    /// The chunk-parallel construction pass.
+    /// The view over `[start, end)`: [`build_partial_index`], finished.
     fn build_with_threads(
         readers: Vec<Arc<StoreReader>>,
         start: u64,
@@ -325,17 +371,7 @@ impl StoreIndex {
         threads: usize,
         registry: &Registry,
     ) -> Result<Self> {
-        let chunks = overlapping_chunks(&readers, start, end);
-        let parts: Vec<Result<PartialIndex>> = parallel::run_sharded(chunks.len(), threads, |i| {
-            let (ri, ci) = chunks[i];
-            let records = readers[ri].read_chunk_in(ci, start, end)?;
-            Ok(PartialIndex::from_records(&records))
-        });
-        let mut ordered = Vec::with_capacity(parts.len());
-        for p in parts {
-            ordered.push(p?);
-        }
-        let base = PartialIndex::merge_ordered(ordered);
+        let base = build_partial_index(&readers, start, end, threads)?.finish();
         Ok(StoreIndex {
             readers,
             start,
@@ -556,6 +592,56 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// The construction pass is observing the same records one by one:
+    /// at 1 and 4 workers, over the whole catalog and over a window
+    /// whose edges cut chunks, on segments of many chunks each.
+    #[test]
+    fn the_construction_pass_is_observing_the_records_in_order() {
+        let records: Vec<TraceRecord> = (0..2_400u64)
+            .map(|i| {
+                let op = Op::ALL[(i % Op::ALL.len() as u64) as usize];
+                let r = TraceRecord::new(i * 7_000_000, op, FileId(i % 13));
+                let r = r.with_range(i * 4096, 4096);
+                if i % 5 == 0 {
+                    r.with_name(format!("f{}", i % 13))
+                } else {
+                    r
+                }
+            })
+            .collect();
+        let dir = write_catalog("pass", &records, 3, 512);
+        let catalog = SegmentCatalog::open(&dir).expect("catalog");
+        let readers: Vec<Arc<StoreReader>> = catalog
+            .paths()
+            .into_iter()
+            .map(|path| Arc::new(StoreReader::open(path).expect("open")))
+            .collect();
+        assert!(readers.iter().all(|r| r.chunk_count() >= 8), "many chunks");
+
+        let cut = (records[317].micros + 1, records[1_903].micros);
+        for (start, end) in [(0, u64::MAX), cut] {
+            let mut serial = PartialIndex::new();
+            for r in records
+                .iter()
+                .filter(|r| r.micros >= start && r.micros < end)
+            {
+                serial.observe(r);
+            }
+            let want = serial.finish();
+            for threads in [1, 4] {
+                let got = build_partial_index(&readers, start, end, threads)
+                    .expect("pass")
+                    .finish();
+                let ctx = format!("[{start}, {end}) threads={threads}");
+                assert_eq!(got.len, want.len, "{ctx}");
+                assert_eq!(got.summary, want.summary, "{ctx}");
+                assert_eq!(got.hourly, want.hourly, "{ctx}");
+                assert_eq!(got.raw, want.raw, "{ctx}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// With admitted chunks corrupt in two segments, every worker count

@@ -103,7 +103,10 @@ pub mod writer;
 pub use compact::{CompactionPolicy, Compactor, FaultInjector};
 pub use error::{Result, StoreError};
 pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind};
-pub use index::{stream_records, stream_records_with_threads, StoreIndex};
+pub use index::{
+    build_partial_index, overlapping_chunks, stream_records, stream_records_with_threads,
+    StoreIndex,
+};
 pub use reader::{StoreReader, VerifiedChunk};
 pub use segments::{SegmentCatalog, SegmentId};
 pub use writer::{StoreConfig, StoreSummary, StoreWriter};
