@@ -190,7 +190,7 @@ pub fn eight_day_live_pair(
 /// `dir/campus-segments` and `dir/eecs-segments`. The daemons come
 /// back **still open**: the suite renders over their merged mid-ingest
 /// [`ShardedLiveIngest::view`]s — sealed segments plus every shard's
-/// hot tail, k-way merged on arrival sequence — and the caller
+/// hot segment, k-way merged on arrival sequence — and the caller
 /// finishes them after the render.
 ///
 /// # Errors

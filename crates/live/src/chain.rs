@@ -2,8 +2,9 @@
 //!
 //! A chain is one segment directory and the hot segment growing at its
 //! end: the catalog, the sealed readers, the pending [`StoreWriter`]
-//! with the hot tail it mirrors, rotation, the crash-safe seal, and the
-//! compaction splice. [`crate::LiveIngest`] writes one chain;
+//! that holds the hot segment's records (encoded, and nowhere else),
+//! rotation, the crash-safe seal, and the compaction splice.
+//! [`crate::LiveIngest`] writes one chain;
 //! [`crate::ShardedLiveIngest`] writes one per shard, and its chains
 //! also carry every record's global arrival sequence, sealed into a
 //! [`seqfile`] sidecar per segment. Chains hold no index: the ingest
@@ -12,13 +13,14 @@
 //! # Sealing behind the sink
 //!
 //! A rotation hands the hot segment to a **sealing thread** and the
-//! chain starts the next hot segment at once. The thread frees the
-//! segment's hot tail, then runs the seal protocol — the writer's
-//! `finish` (last chunk, footer, `sync_all`), the sidecar, the rename,
-//! the reopen for reading — and the compaction passes the new segment
-//! made ripe. While it runs it owns everything a seal changes
-//! ([`Sealed`]: the catalog, the sealed readers and their sequences,
-//! the compactor); joining it hands them back.
+//! chain starts the next hot segment at once. The thread runs the seal
+//! protocol — the writer's `finish` (last chunk, footer, `sync_all`),
+//! the sidecar, the rename, the reopen for reading — and the compaction
+//! passes the new segment made ripe. The writer is all the hot segment
+//! was: no decoded copy of its records is left to free. While it runs
+//! it owns everything a seal changes ([`Sealed`]: the catalog, the
+//! sealed readers and their sequences, the compactor); joining it
+//! hands them back.
 //!
 //! At most one seal is in flight. The next rotation, a snapshot,
 //! [`SegmentChain::sealed_segments`], [`SegmentChain::finish`] and
@@ -32,7 +34,7 @@
 //! returns [`StoreError::Poisoned`].
 
 use crate::ingest::{LiveConfig, LiveSummary};
-use crate::view::ShardChain;
+use crate::view::{HotSegment, ShardChain};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::compact::{self, FaultInjector};
 use nfstrace_store::seqfile;
@@ -151,16 +153,18 @@ pub(crate) struct SegmentChain {
     /// all work.
     failed: Option<Failure>,
     sequenced: bool,
-    /// The hot segment's writer (created with its first record).
+    /// The hot segment's writer (created with its first record): the
+    /// one place its records are held, encoded.
     hot_writer: Option<StoreWriter>,
     hot_ordinal: u64,
     /// The ordinal the next hot segment takes: one past the last
     /// sealed one, whether or not its seal has landed yet.
     next_ordinal: u64,
-    hot_records: Arc<Vec<TraceRecord>>,
-    /// Arrival sequences of the hot tail, parallel to `hot_records`
-    /// (empty without sequences).
-    hot_seqs: Arc<Vec<u64>>,
+    /// Records in the hot segment.
+    hot_records: usize,
+    /// Arrival sequences of the hot segment's records, in order (empty
+    /// without sequences).
+    hot_seqs: Vec<u64>,
     hot_first_micros: u64,
     peak_hot_records: usize,
     /// `live.seal_wait_micros` — time settles waited for the seal in
@@ -252,8 +256,8 @@ impl SegmentChain {
             failed: None,
             hot_writer: None,
             hot_ordinal: 0,
-            hot_records: Arc::new(Vec::new()),
-            hot_seqs: Arc::new(Vec::new()),
+            hot_records: 0,
+            hot_seqs: Vec::new(),
             hot_first_micros: 0,
             peak_hot_records: 0,
             seal_wait: registry.counter("live.seal_wait_micros"),
@@ -292,9 +296,9 @@ impl SegmentChain {
         err
     }
 
-    /// Appends one record — into the hot segment's writer and tail,
-    /// with its arrival sequence `seq` on a sequenced chain — then
-    /// hands the hot segment to the sealer if a rotation threshold was
+    /// Appends one record — encoded into the hot segment's writer, its
+    /// arrival sequence `seq` kept on a sequenced chain — then hands
+    /// the hot segment to the sealer if a rotation threshold was
     /// crossed. Returns whether it rotated. Order is the owner's to
     /// check, and so is [`SegmentChain::usable`], before the owner
     /// folds the record into its index.
@@ -303,7 +307,7 @@ impl SegmentChain {
     ///
     /// On segment write failure, or the error of the seal in flight,
     /// which a rotation settles first. Either poisons the chain.
-    pub(crate) fn push(&mut self, r: TraceRecord, seq: Option<u64>) -> Result<bool> {
+    pub(crate) fn push(&mut self, r: &TraceRecord, seq: Option<u64>) -> Result<bool> {
         debug_assert_eq!(seq.is_some(), self.sequenced);
         debug_assert!(self.failed.is_none(), "the owner checks usable() first");
         if self.hot_writer.is_none() {
@@ -325,17 +329,16 @@ impl SegmentChain {
             self.hot_first_micros = r.micros;
         }
         let writer = self.hot_writer.as_mut().expect("just ensured a writer");
-        if let Err(e) = writer.push(&r) {
+        if let Err(e) = writer.push(r) {
             return Err(self.poison(self.path_for(self.hot_ordinal), e));
         }
         if let Some(seq) = seq {
-            Arc::make_mut(&mut self.hot_seqs).push(seq);
+            self.hot_seqs.push(seq);
         }
-        let micros = r.micros;
-        Arc::make_mut(&mut self.hot_records).push(r);
-        self.peak_hot_records = self.peak_hot_records.max(self.hot_records.len());
-        let ripe = self.hot_records.len() as u64 >= self.config.rotate_records
-            || micros.saturating_sub(self.hot_first_micros) >= self.config.rotate_micros;
+        self.hot_records += 1;
+        self.peak_hot_records = self.peak_hot_records.max(self.hot_records);
+        let ripe = self.hot_records as u64 >= self.config.rotate_records
+            || r.micros.saturating_sub(self.hot_first_micros) >= self.config.rotate_micros;
         if ripe {
             self.rotate()?;
         }
@@ -343,9 +346,9 @@ impl SegmentChain {
     }
 
     /// Settles the seal in flight, then hands the hot segment (if it
-    /// holds any record) to a new sealing thread, which frees its hot
-    /// tail and runs [`Sealed::seal`]. The chain starts the next hot
-    /// segment with the next record.
+    /// holds any record) to a new sealing thread, which runs
+    /// [`Sealed::seal`]. The chain starts the next hot segment with
+    /// the next record.
     ///
     /// # Errors
     ///
@@ -360,13 +363,11 @@ impl SegmentChain {
         let mut sealed = self.sealed.take().expect("a settled chain holds its state");
         let ordinal = self.hot_ordinal;
         self.next_ordinal = ordinal + 1;
-        let records = std::mem::take(&mut self.hot_records);
-        let seqs = self.sequenced.then(|| std::mem::take(&mut self.hot_seqs));
+        self.hot_records = 0;
+        let seqs = self
+            .sequenced
+            .then(|| Arc::new(std::mem::take(&mut self.hot_seqs)));
         let spawned = std::thread::Builder::new().spawn(move || {
-            // Nothing reads these records any more: a view settles
-            // before it snapshots, and one taken earlier holds its own
-            // handle.
-            drop(records);
             let outcome = sealed.seal(writer, ordinal, seqs);
             (sealed, outcome)
         });
@@ -423,20 +424,27 @@ impl SegmentChain {
     }
 
     /// Settles, then snapshots this chain for a [`crate::LiveView`]:
-    /// the sealed readers, their sequences and the hot tail, all
-    /// shared.
+    /// the sealed readers and their sequences, shared, and what the
+    /// hot writer holds ([`StoreWriter::snapshot`]) with the hot
+    /// sequences, copied — encoded, so nothing is decoded here, and
+    /// the next push copies nothing.
     ///
     /// # Errors
     ///
-    /// As [`SegmentChain::settle`].
+    /// As [`SegmentChain::settle`], or the hot writer's I/O error
+    /// handing out its flushed chunks.
     pub(crate) fn snapshot(&mut self) -> Result<ShardChain> {
         self.settle()?;
+        let held = match &mut self.hot_writer {
+            Some(writer) => writer.snapshot()?,
+            None => Default::default(),
+        };
         let sealed = self.settled();
         Ok(ShardChain {
             sealed: sealed.readers.clone(),
             sealed_seqs: sealed.seqs.clone().unwrap_or_default(),
-            hot: Arc::clone(&self.hot_records),
-            hot_seqs: Arc::clone(&self.hot_seqs),
+            hot: Arc::new(HotSegment::new(held)),
+            hot_seqs: Arc::new(self.hot_seqs.clone()),
         })
     }
 
@@ -464,12 +472,12 @@ impl SegmentChain {
         self.sealed.as_ref().map_or(0, |s| s.readers.len())
     }
 
-    /// Records in the hot (unsealed) tail right now.
+    /// Records in the hot (unsealed) segment right now.
     pub(crate) fn hot_len(&self) -> usize {
-        self.hot_records.len()
+        self.hot_records
     }
 
-    /// Largest hot tail ever resident, in records.
+    /// Largest hot segment ever written, in records.
     pub(crate) fn peak_hot_records(&self) -> usize {
         self.peak_hot_records
     }

@@ -23,8 +23,7 @@ pub struct LiveConfig {
     /// Store layout for each sealed segment: its chunk size, the one
     /// thing the store format leaves to the writer.
     pub store: StoreConfig,
-    /// Seal the hot segment once it holds this many records. Also the
-    /// hot tail's memory bound.
+    /// Seal the hot segment once it holds this many records.
     pub rotate_records: u64,
     /// … or once it spans this much trace time, in microseconds.
     pub rotate_micros: u64,
@@ -32,7 +31,7 @@ pub struct LiveConfig {
     /// each seal, contiguous runs of `fan_in` same-generation segments
     /// merge into one generation-bumped segment
     /// ([`nfstrace_store::compact`]), keeping an archive-scale catalog
-    /// from growing into thousands of tiny files. The hot tail, the
+    /// from growing into thousands of tiny files. The hot segment, the
     /// running products, and every byte a view or the suite produces
     /// are untouched — compaction only re-houses sealed chunks: each
     /// is checksum-verified and moved as it is, keeping its boundaries
@@ -94,7 +93,8 @@ impl LiveConfig {
 struct LiveMetrics {
     /// `live.records_emitted` — records accepted into the hot segment.
     records_emitted: Counter,
-    /// `live.hot_records` — records currently resident in the hot tail.
+    /// `live.hot_records` — records in the hot segment (held encoded by
+    /// its writer).
     hot_records: Gauge,
     /// `live.batch_micros` — wall time of each batch ingested, one
     /// sample per batch on either ingest.
@@ -346,7 +346,13 @@ pub(crate) fn pump<S: RecordSource + ?Sized>(
         // a panic: the source stops with it.
         while let Ok(mut batch) = waited.time(|| free_rx.recv()) {
             batch.clear();
-            if !source.next_batch(&mut batch) || full_tx.send(batch).is_err() {
+            let more = source.next_batch(&mut batch);
+            // The call that ends the stream may still hand over its
+            // last records.
+            if (more || !batch.is_empty()) && full_tx.send(batch).is_err() {
+                break;
+            }
+            if !more {
                 break;
             }
         }
@@ -364,8 +370,9 @@ pub struct LiveSummary {
     /// Records ingested over the daemon's whole life (including any
     /// sealed segments found at reopen).
     pub total_records: u64,
-    /// Largest hot tail ever resident, in records — the ingest-side
-    /// memory observable, bounded by the rotation thresholds.
+    /// Largest hot segment ever written, in records — bounded by the
+    /// rotation thresholds. Its writer holds it encoded, once: the
+    /// flushed chunks on disk, the pending one in memory.
     pub peak_hot_records: usize,
 }
 
@@ -383,16 +390,19 @@ pub struct LiveSummary {
 ///
 /// Nothing here ever holds the whole trace:
 ///
-/// - the **hot tail** (records pushed since the last seal) is bounded
-///   by [`LiveConfig::rotate_records`] / [`LiveConfig::rotate_micros`];
+/// - the **hot segment** (records pushed since the last seal) is
+///   bounded by [`LiveConfig::rotate_records`] /
+///   [`LiveConfig::rotate_micros`], and held once, encoded, by its
+///   writer: a record is encoded and dropped as it arrives, so what
+///   stays resident is the pending chunk, bounded by the store's chunk
+///   size (a few dozen bytes a record), never decoded records;
 /// - [`LiveIngest::run`] holds at most two source batches: the one
 ///   being sunk and the one the source fills meanwhile;
-/// - the pending writer's chunk is bounded by the store's chunk size;
-/// - at most one segment is being sealed, and its sealing thread frees
-///   the segment's hot tail as it starts: what it holds is the
-///   writer's buffers, not records;
-/// - sealed records live on disk and are re-decoded chunk-at-a-time
-///   when a view replays them.
+/// - at most one segment is being sealed, and what its sealing thread
+///   holds is the writer's buffers;
+/// - a [`LiveView`] decodes a hot segment once, the first time one of
+///   its replays or windows reads it, and sealed records are
+///   re-decoded chunk-at-a-time when a view replays them.
 ///
 /// The running [`PartialIndex`] keeps aggregate products (counters,
 /// hourly buckets, per-file access lists) — the same state any index
@@ -409,7 +419,10 @@ pub struct LiveSummary {
 /// O(distinct files) or O(accesses) — and the finished [`IndexBase`] is
 /// cached per ingest *generation*: repeated views between mutations are
 /// pure clones. Ingest pays for the sharing lazily, copying only the
-/// per-file lists it touches after a snapshot.
+/// per-file lists it touches after a snapshot. The hot segment adds a
+/// copy of the pending chunk's encoded bytes (and, once a chunk was
+/// flushed, a read handle onto the segment file); no record is decoded
+/// and none is copied on the next push.
 ///
 /// # Sealing, and where errors surface
 ///
@@ -498,10 +511,10 @@ impl LiveIngest {
         Ok(LiveIngest { chain, running })
     }
 
-    /// Ingests one record: into the running index and the hot
-    /// segment's writer and tail — then, if a rotation threshold was
-    /// crossed, settles the seal in flight and hands the hot segment to
-    /// a new one.
+    /// Ingests one record: folded into the running index and encoded
+    /// into the hot segment's writer, which keeps no other copy — then,
+    /// if a rotation threshold was crossed, settles the seal in flight
+    /// and hands the hot segment to a new one.
     ///
     /// # Errors
     ///
@@ -510,15 +523,9 @@ impl LiveIngest {
     /// segment writer, the error of the seal this call settled, or
     /// [`StoreError::Poisoned`] after any of those.
     pub fn ingest(&mut self, r: &TraceRecord) -> Result<()> {
-        self.ingest_owned(r.clone())
-    }
-
-    /// [`LiveIngest::ingest`] for a caller that is done with the
-    /// record: it moves into the hot tail instead of being cloned.
-    fn ingest_owned(&mut self, r: TraceRecord) -> Result<()> {
-        self.running.check_order(std::slice::from_ref(&r))?;
+        self.running.check_order(std::slice::from_ref(r))?;
         self.chain.usable()?;
-        self.running.observe(&r);
+        self.running.observe(r);
         if self.chain.push(r, None)? {
             self.publish();
         }
@@ -550,8 +557,8 @@ impl LiveIngest {
     }
 
     /// Pumps `source` to exhaustion through [`LiveIngest::ingest`],
-    /// moving each batch's records into the hot tail. The source fills
-    /// the next batch on this thread while the ingest sinks the last on
+    /// draining each batch into the hot segment's writer. The source
+    /// fills the next batch on this thread while the ingest sinks the last on
     /// another, and each rotated segment seals on a third behind the
     /// sink; the segments written are those of one stage after the
     /// other. The last seal may still be in flight when this returns.
@@ -565,7 +572,7 @@ impl LiveIngest {
         pump(source, &waits, |batch| {
             let _span = self.running.batch_span();
             for r in batch.drain(..) {
-                self.ingest_owned(r)?;
+                self.ingest(&r)?;
             }
             self.publish();
             Ok(())
@@ -582,7 +589,9 @@ impl LiveIngest {
 
     /// Settles the seal in flight, then snapshots a stable
     /// [`LiveView`] over everything ingested so far — sealed segments
-    /// plus the hot tail, queryable mid-ingest.
+    /// plus the hot segment, queryable mid-ingest. The hot segment is
+    /// taken as its writer holds it, encoded: no record is decoded
+    /// here, and the view decodes it once, when first read.
     ///
     /// # Panics
     ///
@@ -625,7 +634,7 @@ impl LiveIngest {
         self.chain.sealed_segments()
     }
 
-    /// Records in the hot (unsealed) tail right now.
+    /// Records in the hot (unsealed) segment right now.
     pub fn hot_len(&self) -> usize {
         self.chain.hot_len()
     }
@@ -635,7 +644,7 @@ impl LiveIngest {
         self.running.total_records()
     }
 
-    /// Largest hot tail ever resident, in records.
+    /// Largest hot segment ever written, in records.
     pub fn peak_hot_records(&self) -> usize {
         self.chain.peak_hot_records()
     }
@@ -645,7 +654,7 @@ impl RecordSink for LiveIngest {
     type Err = StoreError;
 
     fn push_record(&mut self, record: TraceRecord) -> Result<()> {
-        self.ingest_owned(record)
+        self.ingest(&record)
     }
 }
 
@@ -710,6 +719,34 @@ mod tests {
 
     fn record(i: u64) -> TraceRecord {
         TraceRecord::new(i * 1000, Op::Read, FileId(i % 3))
+    }
+
+    /// Hands over its last batch with the `false` that ends the
+    /// stream.
+    struct EndsWithRecords(std::vec::IntoIter<Vec<TraceRecord>>);
+
+    impl RecordSource for EndsWithRecords {
+        fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool {
+            out.extend(self.0.next().unwrap_or_default());
+            self.0.len() > 0
+        }
+    }
+
+    /// The records of the call that returns `false` reach the segments.
+    #[test]
+    fn the_batch_that_ends_the_stream_is_ingested() {
+        let dir = std::env::temp_dir().join(format!("nfstrace-live-last-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut ingest = LiveIngest::create(LiveConfig::new(&dir)).expect("create");
+        let batches = vec![(0..4).map(record).collect(), (4..7).map(record).collect()];
+        ingest
+            .run(&mut EndsWithRecords(batches.into_iter()))
+            .expect("run");
+        assert_eq!(ingest.total_records(), 7);
+        assert_eq!(ingest.finish().expect("finish").total_records, 7);
+        let stored = nfstrace_store::StoreIndex::open_dir(&dir).expect("open");
+        assert_eq!(nfstrace_core::index::TraceView::len(&stored), 7);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Batches of uneven sizes, some empty: batch `k` holds `k % 4`

@@ -17,7 +17,8 @@
 //!   `drain_ready` API, so neither path ever buffers a whole trace.
 //! - **[`LiveIngest`]** — the daemon loop. Records accumulate in a
 //!   *hot segment* (a pending [`nfstrace_store::StoreWriter`] chunk
-//!   stream) at the end of one segment chain, and each is folded into
+//!   stream, the records held only there, encoded) at the end of one
+//!   segment chain, and each is folded into
 //!   a running [`nfstrace_core::index::PartialIndex`]; crossing a
 //!   record-count or time-span threshold **seals** the hot segment
 //!   into an immutable store file named by ordinal
@@ -42,15 +43,19 @@
 //! # The bounded-memory contract
 //!
 //! Peak resident record memory across the whole pipeline is
-//! `O(slice) + O(rotation threshold)` — two source batches (one being
-//! sunk, one being filled), plus the hot tail, plus a decoded chunk or
-//! two during replays — never
-//! `O(trace)`. A rotated segment seals on a thread of its own behind
-//! the sink, at most one at a time per chain, and that thread frees the
-//! segment's records as it starts: the segment being sealed holds its
-//! writer's buffers, not its records. `crates/bench/tests/paths.rs` asserts this shape; the observed
-//! peaks are the benchmark's `live.peak_hot_records` and
-//! `peak_heap_mib` rows (`nfsbench/README.md`).
+//! `O(slice) + O(chunk)` — two source batches (one being sunk, one
+//! being filled), plus the hot segment's pending chunk, plus a decoded
+//! chunk or two during replays — never `O(trace)`. The hot segment is
+//! held once, encoded, by its writer: each record is encoded and
+//! dropped as it arrives, and a [`LiveView`] takes the segment as the
+//! writer holds it and decodes it once, on first use. A rotated
+//! segment seals on a thread of its own behind the sink, at most one at
+//! a time per chain, holding the writer's buffers.
+//! `crates/bench/tests/paths.rs` asserts this shape and
+//! `crates/live/tests/hot_segment_resident.rs` the bytes a hot record
+//! costs; the observed peaks are the benchmark's
+//! `live.peak_hot_records` and `peak_heap_mib` rows
+//! (`nfsbench/README.md`).
 //!
 //! # Example: ingest a workload live, query it mid-stream
 //!

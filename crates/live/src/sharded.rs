@@ -62,8 +62,8 @@ pub fn shard_for_client(client: u32, shards: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct ShardedSummary {
     /// Per-shard summaries, in shard order. Each shard's
-    /// `peak_hot_records` is its own bounded hot tail — the sharded
-    /// daemon's resident-record peak is their sum at worst.
+    /// `peak_hot_records` is its own bounded hot segment — the sharded
+    /// daemon's hot records are their sum at worst.
     pub shards: Vec<LiveSummary>,
     /// Sealed segments across all shards.
     pub segments: usize,
@@ -80,8 +80,8 @@ pub struct ShardedSummary {
 /// ([`nfstrace_store::segments::shard_dir_name`]). Reopening reads the
 /// manifest, resumes every chain after its last sealed segment, and
 /// continues stamping arrival sequences past the highest one on disk.
-/// A crash loses at most each chain's unsealed hot tail — sequence
-/// holes from a lost tail are fine, the merge only needs strictly
+/// A crash loses at most each chain's unsealed hot segment — sequence
+/// holes from a lost segment are fine, the merge only needs strictly
 /// increasing sequences across the whole replay.
 #[derive(Debug)]
 pub struct ShardedLiveIngest {
@@ -201,7 +201,7 @@ impl ShardedLiveIngest {
 
     /// Ingests one time-ordered batch: validates the global stream
     /// contract, folds the batch into the running index, stamps each
-    /// record with the next arrival sequence, and moves it into the
+    /// record with the next arrival sequence, and encodes it into the
     /// chain [`shard_for_client`] picks, writing all chains in
     /// parallel. The batch either fully precedes the error or is fully
     /// applied — the order check runs before anything is touched.
@@ -222,13 +222,11 @@ impl ShardedLiveIngest {
         }
         let _span = self.running.batch_span();
         let n = self.chains.len();
-        let mut routed: Vec<(&mut SegmentChain, Vec<(u64, TraceRecord)>)> =
+        let mut routed: Vec<(&mut SegmentChain, Vec<(u64, &TraceRecord)>)> =
             self.chains.iter_mut().map(|c| (c, Vec::new())).collect();
         for (seq, r) in (self.next_seq..).zip(records) {
             self.running.observe(r);
-            routed[shard_for_client(r.client, n)]
-                .1
-                .push((seq, r.clone()));
+            routed[shard_for_client(r.client, n)].1.push((seq, r));
         }
         self.next_seq += records.len() as u64;
         let threads = nfstrace_core::parallel::threads();
@@ -346,7 +344,7 @@ impl ShardedLiveIngest {
             .sum()
     }
 
-    /// Records resident in hot tails right now, across shards.
+    /// Records in hot segments right now, across shards.
     pub fn hot_len(&self) -> usize {
         self.chains.iter().map(SegmentChain::hot_len).sum()
     }

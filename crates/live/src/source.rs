@@ -20,9 +20,11 @@ use nfstrace_workload::SlicedWorkload;
 /// the ingest, so it need not be [`Send`].
 pub trait RecordSource {
     /// Appends the next batch to `out` (which the caller has cleared).
-    /// Returns `false` once the stream is exhausted; a `true` return
-    /// with an empty `out` is legal (e.g. a capture batch whose records
-    /// are all still awaiting replies).
+    /// Returns `false` once the stream is exhausted. Records appended
+    /// by the call that returns `false` are the stream's last, and the
+    /// caller ingests them before it stops; a `true` return with an
+    /// empty `out` is legal (e.g. a capture batch whose records are all
+    /// still awaiting replies).
     fn next_batch(&mut self, out: &mut Vec<TraceRecord>) -> bool;
 }
 

@@ -1,18 +1,38 @@
-//! The queryable snapshot of a live ingest: sealed segments + hot tail,
-//! one chain per shard, merged on read.
+//! The queryable snapshot of a live ingest: sealed segments + hot
+//! segment, one chain per shard, merged on read.
 
 use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::parallel;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::{
     build_partial_index, overlapping_chunks, stream_records, Result, StoreError, StoreReader,
+    WriterSnapshot,
 };
 use nfstrace_telemetry::Registry;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// A chain's hot segment as a view holds it: what the hot writer held
+/// at the snapshot, still encoded ([`WriterSnapshot`]), and its records
+/// once decoded — by the first replay, window or [`ShardChain::hot`]
+/// that needs them, once for every window sharing the chain.
+#[derive(Debug)]
+pub(crate) struct HotSegment {
+    held: WriterSnapshot,
+    records: OnceLock<Vec<TraceRecord>>,
+}
+
+impl HotSegment {
+    pub(crate) fn new(held: WriterSnapshot) -> Self {
+        HotSegment {
+            held,
+            records: OnceLock::new(),
+        }
+    }
+}
 
 /// One segment chain's contribution to a [`LiveView`]: its sealed
 /// segments, the arrival sequences of every sealed record (sidecars,
-/// loaded per segment), and a snapshot of its hot tail with the
+/// loaded per segment), and a snapshot of its hot segment with the
 /// sequences of those records.
 ///
 /// A single-writer ingest produces one chain with empty sequence
@@ -28,9 +48,9 @@ pub struct ShardChain {
     /// Arrival sequences per sealed segment, parallel to `sealed`
     /// (empty on a chain without sequences).
     pub(crate) sealed_seqs: Vec<Arc<Vec<u64>>>,
-    pub(crate) hot: Arc<Vec<TraceRecord>>,
-    /// Arrival sequences of the hot tail, parallel to `hot` (empty on
-    /// a chain without sequences).
+    pub(crate) hot: Arc<HotSegment>,
+    /// Arrival sequences of the hot records, in order (empty on a chain
+    /// without sequences).
     pub(crate) hot_seqs: Arc<Vec<u64>>,
 }
 
@@ -40,16 +60,27 @@ impl ShardChain {
         &self.sealed
     }
 
-    /// The hot (unsealed) records of this chain's snapshot.
+    /// The hot (unsealed) records of this chain's snapshot, decoded
+    /// from the snapshot the first time any clone of this chain asks.
+    ///
+    /// # Panics
+    ///
+    /// When a chunk the hot writer had flushed cannot be read back.
     pub fn hot(&self) -> &[TraceRecord] {
-        &self.hot
+        self.hot.records.get_or_init(|| {
+            self.hot
+                .held
+                .records()
+                .unwrap_or_else(|e| panic!("hot segment unreadable under a live view: {e}"))
+        })
     }
 
     /// Where the hot records with capture times in `[start, end)` lie
     /// in [`ShardChain::hot`] (time-ordered, so they are contiguous).
     fn hot_range(&self, start: u64, end: u64) -> std::ops::Range<usize> {
-        let from = self.hot.partition_point(|r| r.micros < start);
-        from..from.max(self.hot.partition_point(|r| r.micros < end))
+        let hot = self.hot();
+        let from = hot.partition_point(|r| r.micros < start);
+        from..from.max(hot.partition_point(|r| r.micros < end))
     }
 }
 
@@ -57,7 +88,7 @@ impl ShardChain {
 /// `[start, end)`: the sealed chunks the store planner
 /// ([`overlapping_chunks`]) keeps for the window, decoded lazily one at
 /// a time with only their in-window records built
-/// ([`StoreReader::read_chunk_in`]), then the hot tail.
+/// ([`StoreReader::read_chunk_in`]), then the hot records.
 /// [`ChainCursor::peek`] exposes the arrival sequence of the next
 /// record the chain would emit — the k-way merge pops the chain with
 /// the smallest one.
@@ -136,7 +167,7 @@ impl<'a> ChainCursor<'a> {
             f(&self.buf[self.buf_pos]);
             self.buf_pos += 1;
         } else if let Some(i) = self.hot.next() {
-            f(&self.chain.hot[i]);
+            f(&self.chain.hot()[i]);
         }
     }
 
@@ -147,7 +178,7 @@ impl<'a> ChainCursor<'a> {
                 segment: reader.path().to_path_buf(),
                 problem,
             },
-            None => StoreError::Format(format!("hot tail: {problem}")),
+            None => StoreError::Format(format!("hot segment: {problem}")),
         }
     }
 }
@@ -207,13 +238,18 @@ pub(crate) fn for_each_merged(
 /// chain, the sealed on-disk segments plus a snapshot of the hot (not
 /// yet sealed) records.
 ///
-/// A `LiveView` is **stable**: the sealed segment files are immutable,
-/// the hot tails are snapshotted behind [`Arc`]s at view time (the
-/// ingest copies on its next write, never in place), and the
-/// construction-pass products come from a copy-on-write snapshot of
-/// the ingest's one running [`nfstrace_core::index::PartialIndex`] —
-/// so queries answered mid-ingest keep answering identically while
-/// records continue to flow in behind them. It answers the full
+/// A `LiveView` is **stable**: the sealed segment files are immutable
+/// (and readers keep them open), each hot segment is snapshotted at
+/// view time as its writer holds it — encoded: the flushed chunks
+/// behind a read handle of the view's own, which outlives the seal,
+/// rename and compaction of the segment, and a copy of the pending
+/// chunk's bytes — and decoded once, by the first replay or window
+/// that reads it; the construction-pass products come from a
+/// copy-on-write snapshot of the ingest's one running
+/// [`nfstrace_core::index::PartialIndex`]. So taking a view decodes no
+/// record, the ingest copies nothing on its next write, and queries
+/// answered mid-ingest keep answering identically while records
+/// continue to flow in behind them. It answers the full
 /// table/figure suite: the analysis layer is generic over
 /// [`TraceView`], and this view's contract is the usual bit-identity
 /// with an in-memory [`nfstrace_core::index::TraceIndex`] over the
@@ -222,7 +258,7 @@ pub(crate) fn for_each_merged(
 ///
 /// Who replays what. A single chain (a [`crate::LiveIngest`]'s) is the
 /// store's: its record replays stream the sealed chunks pipelined
-/// ([`stream_records`]) with the hot tail appended, and a window's
+/// ([`stream_records`]) with the hot records appended, and a window's
 /// construction pass is [`build_partial_index`] over the sealed
 /// segments, chunk-parallel, then the window's hot records. Multiple
 /// chains (a [`crate::ShardedLiveIngest`]'s) are k-way merged by the
@@ -281,7 +317,7 @@ impl LiveView {
     fn replay(&self, start: u64, end: u64, f: &mut dyn FnMut(&TraceRecord)) {
         if let [chain] = &self.chains[..] {
             stream_records(&chain.sealed, start, end, f);
-            chain.hot[chain.hot_range(start, end)].iter().for_each(f);
+            chain.hot()[chain.hot_range(start, end)].iter().for_each(f);
         } else {
             for_each_merged(&self.chains, start, end, f)
                 .expect("sealed chunk must stay readable under a live view");
@@ -292,12 +328,12 @@ impl LiveView {
 impl RecordStream for LiveView {
     /// A single chain: sealed chunks (skipping those outside the
     /// window, pipelined decode on multi-worker runs), then the hot
-    /// tail. Multiple chains: k-way merge by arrival sequence.
+    /// records. Multiple chains: k-way merge by arrival sequence.
     ///
     /// # Panics
     ///
     /// On chunk read/decode failure — a sealed segment corrupted (or
-    /// deleted) mid-analysis.
+    /// deleted) mid-analysis, or a flushed hot chunk unreadable.
     fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord)) {
         self.replay(self.start, self.end, f);
     }
@@ -313,10 +349,10 @@ impl TraceView for LiveView {
     }
 
     /// A narrower snapshot sharing the chains (sealed readers and hot
-    /// clones). A single chain's construction pass is the store's,
-    /// chunk-parallel over the window's sealed chunks, followed by the
-    /// window's hot records; more chains are observed once, in merged
-    /// order.
+    /// segments, decoded at most once between them). A single chain's
+    /// construction pass is the store's, chunk-parallel over the
+    /// window's sealed chunks, followed by the window's hot records;
+    /// more chains are observed once, in merged order.
     ///
     /// # Panics
     ///
@@ -328,7 +364,7 @@ impl TraceView for LiveView {
         let partial = if let [chain] = &self.chains[..] {
             let mut partial = build_partial_index(&chain.sealed, start, end, parallel::threads())
                 .unwrap_or_else(|e| panic!("sealed chunk unreadable under a live view: {e}"));
-            for r in &chain.hot[chain.hot_range(start, end)] {
+            for r in &chain.hot()[chain.hot_range(start, end)] {
                 partial.observe(r);
             }
             partial

@@ -107,7 +107,7 @@ pub use index::{
     build_partial_index, overlapping_chunks, stream_records, stream_records_with_threads,
     StoreIndex,
 };
-pub use reader::{StoreReader, VerifiedChunk};
+pub use reader::{StoreReader, VerifiedChunk, WriterSnapshot};
 pub use segments::{SegmentCatalog, SegmentId};
 pub use writer::{StoreConfig, StoreSummary, StoreWriter};
 

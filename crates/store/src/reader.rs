@@ -13,6 +13,7 @@ use nfstrace_telemetry::{Counter, Registry};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Reads a chunked trace store.
 ///
@@ -369,15 +370,7 @@ impl StoreReader {
             .chunks
             .get(ordinal)
             .ok_or_else(|| StoreError::Format(format!("no chunk {ordinal}")))?;
-        let mut f = File::open(&self.path)?;
-        f.seek(SeekFrom::Start(meta.offset))?;
-        let mut bytes = vec![0u8; meta.len as usize];
-        f.read_exact(&mut bytes)?;
-        if fnv1a64(&bytes) != meta.checksum {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal} checksum mismatch"
-            )));
-        }
+        let bytes = read_stored_at(&mut File::open(&self.path)?, ordinal, meta)?;
         Ok((meta, bytes))
     }
 
@@ -399,64 +392,13 @@ impl StoreReader {
 
     /// Reads one chunk up to its first record — the one chunk walker
     /// behind every decoding read: stored bytes verified against the
-    /// footer checksum (and counted in `store.chunks_decoded`), flags
-    /// checked, the payload decompressed, the name table decoded, the
-    /// record count held to the footer's and to what the remaining
-    /// bytes could hold. [`OpenChunk::for_each`] then parses the
+    /// footer checksum (and counted in `store.chunks_decoded`), then
+    /// [`OpenChunk::stored`]. [`OpenChunk::for_each`] parses the
     /// records.
     fn open_chunk(&self, ordinal: usize) -> Result<OpenChunk> {
-        let (meta, mut payload) = self.read_stored(ordinal)?;
+        let (meta, stored) = self.read_stored(ordinal)?;
         self.metrics.chunks_decoded.inc();
-
-        let &flags = payload
-            .first()
-            .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
-        if flags & !FLAG_MASK != 0 {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal} has unknown flags {flags:#04x}"
-            )));
-        }
-        let mut pos = 1;
-        if flags & FLAG_COMPRESSED != 0 {
-            let raw_len = read_varint(&payload, &mut pos)?;
-            if raw_len > MAX_CHUNK_PAYLOAD {
-                return Err(StoreError::Format(format!(
-                    "chunk {ordinal} claims a {raw_len}-byte payload"
-                )));
-            }
-            payload = compress::decompress(&payload[pos..], raw_len as usize)?;
-            pos = 0;
-        }
-
-        let names = NameTable::decode(&payload, &mut pos)?;
-        let count = read_varint(&payload, &mut pos)?;
-        if count != meta.records {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal}: header says {count} records, footer {}",
-                meta.records
-            )));
-        }
-        let first_micros = read_varint(&payload, &mut pos)?;
-        // Bound the count by what the bytes could hold before anyone
-        // allocates 200-byte records for it.
-        let left = (payload.len() - pos) as u64;
-        if count
-            .checked_mul(MIN_RECORD_BYTES)
-            .is_none_or(|need| need > left)
-        {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal} claims {count} records in {left} payload bytes \
-                 (a record takes at least {MIN_RECORD_BYTES})"
-            )));
-        }
-        Ok(OpenChunk {
-            ordinal,
-            payload,
-            names,
-            count: count as usize,
-            first_micros,
-            records_at: pos,
-        })
+        OpenChunk::stored(ordinal, meta.records, stored)
     }
 
     /// Reads and decodes one chunk: every record parsed, checked and
@@ -470,7 +412,7 @@ impl StoreReader {
     pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
         let chunk = self.open_chunk(ordinal)?;
         let mut out = Vec::with_capacity(chunk.count);
-        chunk.for_each(|r| out.push(r.materialize(&chunk.names)))?;
+        chunk.push_all(&mut out)?;
         Ok(out)
     }
 
@@ -602,8 +544,82 @@ impl StoreReader {
     }
 }
 
+/// Reads the `meta.len` stored bytes of chunk `ordinal` at
+/// `meta.offset` of `file`, verified against `meta.checksum`.
+fn read_stored_at(file: &mut File, ordinal: usize, meta: &ChunkMeta) -> Result<Vec<u8>> {
+    file.seek(SeekFrom::Start(meta.offset))?;
+    let mut bytes = vec![0u8; meta.len as usize];
+    file.read_exact(&mut bytes)?;
+    if fnv1a64(&bytes) != meta.checksum {
+        return Err(StoreError::Format(format!(
+            "chunk {ordinal} checksum mismatch"
+        )));
+    }
+    Ok(bytes)
+}
+
+/// What a [`crate::StoreWriter`] holds at one instant
+/// ([`crate::StoreWriter::snapshot`]), readable while the writer keeps
+/// writing: the chunks it has flushed, behind a read handle of its own
+/// onto the file, and the pending chunk's raw payload — the bytes
+/// `flush_chunk` will store. Nothing is decoded until
+/// [`WriterSnapshot::records`] walks both through the store's one
+/// chunk walker. The handle keeps the flushed bytes readable after the
+/// file is renamed or deleted (as a sealed and compacted segment is)
+/// on systems that keep an open file's data until its last handle
+/// closes.
+#[derive(Debug, Default)]
+pub struct WriterSnapshot {
+    /// The read handle and the flushed chunks' footer entries (their
+    /// filters left empty); `None` when no chunk was flushed.
+    pub(crate) flushed: Option<(Mutex<File>, Vec<ChunkMeta>)>,
+    /// The pending chunk's raw payload; empty when it holds no record.
+    pub(crate) pending: Vec<u8>,
+    /// Records in the pending chunk.
+    pub(crate) pending_records: u64,
+}
+
+impl WriterSnapshot {
+    /// Records in the snapshot, flushed and pending.
+    fn len(&self) -> u64 {
+        let flushed = self.flushed.as_ref().map_or(0, |(_, chunks)| {
+            chunks.iter().map(|m| m.records).sum::<u64>()
+        });
+        flushed + self.pending_records
+    }
+
+    /// Decodes every record of the snapshot in write order: each
+    /// flushed chunk read back, verified and decompressed, then the
+    /// pending payload, which enters the walker after those steps.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failure or corrupt bytes, as
+    /// [`StoreReader::read_chunk`].
+    pub fn records(&self) -> Result<Vec<TraceRecord>> {
+        let mut out = Vec::with_capacity(self.len() as usize);
+        let mut ordinal = 0;
+        if let Some((file, metas)) = &self.flushed {
+            // Every read seeks first, so a handle a panicking reader
+            // left anywhere is still good.
+            let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
+            for meta in metas {
+                let stored = read_stored_at(&mut file, ordinal, meta)?;
+                OpenChunk::stored(ordinal, meta.records, stored)?.push_all(&mut out)?;
+                ordinal += 1;
+            }
+        }
+        if self.pending_records > 0 {
+            let pending = self.pending.clone();
+            OpenChunk::raw(ordinal, self.pending_records, pending, 0)?.push_all(&mut out)?;
+        }
+        Ok(out)
+    }
+}
+
 /// A chunk read, verified and decoded up to its first record; made by
-/// [`StoreReader::open_chunk`] only.
+/// [`OpenChunk::stored`] from stored bytes or by [`OpenChunk::raw`]
+/// from an in-memory payload.
 struct OpenChunk {
     ordinal: usize,
     /// The raw payload (decompressed if it was stored compressed; the
@@ -620,6 +636,67 @@ struct OpenChunk {
 }
 
 impl OpenChunk {
+    /// Opens verified stored bytes: flags checked, the payload
+    /// decompressed, then [`OpenChunk::raw`] with the footer's record
+    /// count `records`.
+    fn stored(ordinal: usize, records: u64, mut payload: Vec<u8>) -> Result<Self> {
+        let &flags = payload
+            .first()
+            .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
+        if flags & !FLAG_MASK != 0 {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} has unknown flags {flags:#04x}"
+            )));
+        }
+        let mut pos = 1;
+        if flags & FLAG_COMPRESSED != 0 {
+            let raw_len = read_varint(&payload, &mut pos)?;
+            if raw_len > MAX_CHUNK_PAYLOAD {
+                return Err(StoreError::Format(format!(
+                    "chunk {ordinal} claims a {raw_len}-byte payload"
+                )));
+            }
+            payload = compress::decompress(&payload[pos..], raw_len as usize)?;
+            pos = 0;
+        }
+        OpenChunk::raw(ordinal, records, payload, pos)
+    }
+
+    /// Opens a raw payload whose name table starts at `at`: the table
+    /// decoded, the record count held to `records` (the footer's) and
+    /// to what the remaining bytes could hold.
+    fn raw(ordinal: usize, records: u64, payload: Vec<u8>, at: usize) -> Result<Self> {
+        let mut pos = at;
+        let names = NameTable::decode(&payload, &mut pos)?;
+        let count = read_varint(&payload, &mut pos)?;
+        if count != records {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal}: header says {count} records, footer {records}"
+            )));
+        }
+        let first_micros = read_varint(&payload, &mut pos)?;
+        // Bound the count by what the bytes could hold before anyone
+        // allocates 200-byte records for it.
+        let left = (payload.len() - pos) as u64;
+        if count
+            .checked_mul(MIN_RECORD_BYTES)
+            .is_none_or(|need| need > left)
+        {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} claims {count} records in {left} payload bytes \
+                 (a record takes at least {MIN_RECORD_BYTES})"
+            )));
+        }
+        Ok(OpenChunk {
+            ordinal,
+            payload,
+            names,
+            count: count as usize,
+            first_micros,
+            records_at: pos,
+        })
+    }
+
     /// Parses and checks every record in order, handing each to
     /// `visit` as [`RecordFields`] (materialize against `self.names`);
     /// the records must end exactly where the payload does.
@@ -640,5 +717,10 @@ impl OpenChunk {
             )));
         }
         Ok(())
+    }
+
+    /// Builds every record of the chunk onto `out`.
+    fn push_all(&self, out: &mut Vec<TraceRecord>) -> Result<()> {
+        self.for_each(|r| out.push(r.materialize(&self.names)))
     }
 }

@@ -4,16 +4,17 @@ use crate::codec::{encode_record, write_varint, NameTable};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    fnv1a64, ChunkMeta, FilterBuilder, FilterKind, Fnv1a64, END_MAGIC, FILTER_KIND_BLOOM,
-    FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
+    fnv1a64, ChunkMeta, FileIdFilter, FilterBuilder, FilterKind, Fnv1a64, END_MAGIC,
+    FILTER_KIND_BLOOM, FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
 };
-use crate::reader::VerifiedChunk;
+use crate::reader::{VerifiedChunk, WriterSnapshot};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
 use nfstrace_telemetry::{Counter, Gauge, Registry};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// The one store layout knob.
 #[derive(Debug, Clone, Copy)]
@@ -66,8 +67,11 @@ impl Default for StoreConfig {
 #[derive(Debug)]
 pub struct StoreWriter {
     out: BufWriter<File>,
+    /// Where `out` writes, for [`StoreWriter::snapshot`]'s read handle.
+    path: PathBuf,
     config: StoreConfig,
-    /// Encoded records of the pending chunk.
+    /// Encoded records of the pending chunk; at flush, its whole
+    /// payload.
     chunk_buf: Vec<u8>,
     names: NameTable,
     chunk_records: u64,
@@ -171,10 +175,12 @@ impl StoreWriter {
         config: StoreConfig,
         registry: &Registry,
     ) -> Result<Self> {
-        let mut out = BufWriter::new(File::create(path)?);
+        let path = path.as_ref().to_path_buf();
+        let mut out = BufWriter::new(File::create(&path)?);
         out.write_all(MAGIC)?;
         Ok(StoreWriter {
             out,
+            path,
             config,
             chunk_buf: Vec::new(),
             names: NameTable::new(),
@@ -286,18 +292,66 @@ impl StoreWriter {
         Ok(())
     }
 
+    /// What goes in front of the pending chunk's records to make its
+    /// payload: the name table, the record count and the first
+    /// record's time. Reserves `room` bytes more.
+    fn chunk_head(&self, room: usize) -> Vec<u8> {
+        let mut head = Vec::with_capacity(self.names.encoded_len() + 20 + room);
+        self.names.encode(&mut head);
+        write_varint(&mut head, self.chunk_records);
+        write_varint(&mut head, self.chunk_min);
+        head
+    }
+
+    /// What this writer holds right now, for reading while it keeps
+    /// writing: the chunks it has flushed, behind a read handle of the
+    /// snapshot's own, and a copy of the pending chunk's raw payload.
+    /// Nothing is decoded; [`WriterSnapshot::records`] does that.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failure pushing the flushed chunks to the file or opening
+    /// the read handle.
+    pub fn snapshot(&mut self) -> Result<WriterSnapshot> {
+        let flushed = if self.chunks.is_empty() {
+            None
+        } else {
+            self.out.flush()?;
+            let metas = self
+                .chunks
+                .iter()
+                .map(|m| ChunkMeta {
+                    filter: FileIdFilter::empty(),
+                    ..*m
+                })
+                .collect();
+            Some((Mutex::new(File::open(&self.path)?), metas))
+        };
+        let mut pending = Vec::new();
+        if self.chunk_records > 0 {
+            pending = self.chunk_head(self.chunk_buf.len());
+            pending.extend_from_slice(&self.chunk_buf);
+        }
+        Ok(WriterSnapshot {
+            flushed,
+            pending,
+            pending_records: self.chunk_records,
+        })
+    }
+
     fn flush_chunk(&mut self) -> Result<()> {
         if self.chunk_records == 0 {
             return Ok(());
         }
-        let mut payload = Vec::with_capacity(self.names.encoded_len() + 16 + self.chunk_buf.len());
-        self.names.encode(&mut payload);
-        write_varint(&mut payload, self.chunk_records);
-        write_varint(&mut payload, self.chunk_min);
-        payload.extend_from_slice(&self.chunk_buf);
+        // The payload is built in place: the head goes in front of the
+        // records.
+        let head = self.chunk_head(0);
+        self.chunk_buf.reserve_exact(head.len());
+        self.chunk_buf.splice(0..0, head);
+        let payload = &self.chunk_buf;
         let raw_len = payload.len();
 
-        let c = compress::compress(&payload);
+        let c = compress::compress(payload);
         let mut frame = Vec::new();
         write_varint(&mut frame, payload.len() as u64);
         // Raw fallback: only keep the compressed form when flags +
@@ -306,7 +360,7 @@ impl StoreWriter {
         let stored: [&[u8]; 3] = if frame.len() + c.len() < payload.len() {
             [&[FLAG_COMPRESSED], &frame, &c]
         } else {
-            [&[0], &payload, &[]]
+            [&[0], payload, &[]]
         };
         let mut checksum = Fnv1a64::new();
         let mut stored_len = 0;
