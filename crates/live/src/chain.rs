@@ -10,6 +10,11 @@
 //! [`seqfile`] sidecar per segment. Chains hold no index: the ingest
 //! that owns them folds its whole stream once, in arrival order.
 //!
+//! A snapshot ([`SegmentChain::snapshot`]) is a [`ShardChain`]: the
+//! sealed readers, shared, then the hot writer's snapshot, which is a
+//! [`StoreReader`] like them — every segment a view reads, it reads
+//! through the one handle its reader opened.
+//!
 //! # Sealing behind the sink
 //!
 //! A rotation hands the hot segment to a **sealing thread** and the
@@ -34,7 +39,7 @@
 //! returns [`StoreError::Poisoned`].
 
 use crate::ingest::{LiveConfig, LiveSummary};
-use crate::view::{HotSegment, ShardChain};
+use crate::view::ShardChain;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::compact::{self, FaultInjector};
 use nfstrace_store::seqfile;
@@ -424,9 +429,10 @@ impl SegmentChain {
     }
 
     /// Settles, then snapshots this chain for a [`crate::LiveView`]:
-    /// the sealed readers and their sequences, shared, and what the
-    /// hot writer holds ([`StoreWriter::snapshot`]) with the hot
-    /// sequences, copied — encoded, so nothing is decoded here, and
+    /// the sealed readers and their sequences, shared, then — when a
+    /// hot writer exists — a reader over what it holds
+    /// ([`StoreWriter::snapshot`]) with the hot sequences, copied.
+    /// The hot records stay encoded, so nothing is decoded here, and
     /// the next push copies nothing.
     ///
     /// # Errors
@@ -435,16 +441,20 @@ impl SegmentChain {
     /// handing out its flushed chunks.
     pub(crate) fn snapshot(&mut self) -> Result<ShardChain> {
         self.settle()?;
-        let held = match &mut self.hot_writer {
-            Some(writer) => writer.snapshot()?,
-            None => Default::default(),
-        };
         let sealed = self.settled();
+        let mut segments = sealed.readers.clone();
+        let mut seqs = sealed.seqs.clone().unwrap_or_default();
+        let sealed_len = segments.len();
+        if let Some(writer) = &mut self.hot_writer {
+            segments.push(Arc::new(writer.snapshot()?));
+            if self.sequenced {
+                seqs.push(Arc::new(self.hot_seqs.clone()));
+            }
+        }
         Ok(ShardChain {
-            sealed: sealed.readers.clone(),
-            sealed_seqs: sealed.seqs.clone().unwrap_or_default(),
-            hot: Arc::new(HotSegment::new(held)),
-            hot_seqs: Arc::new(self.hot_seqs.clone()),
+            segments,
+            seqs,
+            sealed_len,
         })
     }
 

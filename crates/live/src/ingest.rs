@@ -400,9 +400,13 @@ pub struct LiveSummary {
 ///   being sunk and the one the source fills meanwhile;
 /// - at most one segment is being sealed, and what its sealing thread
 ///   holds is the writer's buffers;
-/// - a [`LiveView`] decodes a hot segment once, the first time one of
-///   its replays or windows reads it, and sealed records are
-///   re-decoded chunk-at-a-time when a view replays them.
+/// - a [`LiveView`] holds its hot segments encoded, as it holds sealed
+///   ones, and decodes either chunk-at-a-time when a replay or window
+///   reads them.
+///
+/// What a view or index holds open grows with the catalog instead: one
+/// file handle per segment it reads, which pins a segment that
+/// compaction has since deleted until the view is dropped.
 ///
 /// The running [`PartialIndex`] keeps aggregate products (counters,
 /// hourly buckets, per-file access lists) — the same state any index
@@ -420,9 +424,10 @@ pub struct LiveSummary {
 /// cached per ingest *generation*: repeated views between mutations are
 /// pure clones. Ingest pays for the sharing lazily, copying only the
 /// per-file lists it touches after a snapshot. The hot segment adds a
-/// copy of the pending chunk's encoded bytes (and, once a chunk was
-/// flushed, a read handle onto the segment file); no record is decoded
-/// and none is copied on the next push.
+/// reader over what its writer holds: a handle onto the segment file,
+/// the flushed chunks' footer entries, and a copy of the pending
+/// chunk's encoded bytes; no record is decoded and none is copied on
+/// the next push.
 ///
 /// # Sealing, and where errors surface
 ///
@@ -503,7 +508,8 @@ impl LiveIngest {
     pub fn open(config: LiveConfig) -> Result<Self> {
         let registry = config.registry.clone();
         let mut chain = SegmentChain::open(config, false)?;
-        let sealed = chain.snapshot()?.sealed;
+        // No record was pushed yet, so every segment is sealed.
+        let sealed = chain.snapshot()?.segments;
         let index = build_partial_index(&sealed, 0, u64::MAX, parallel::threads())?;
         let ranges = sealed.iter().filter_map(|r| r.time_range());
         let last_micros = ranges.map(|(_, max)| max).max().unwrap_or(0);
@@ -536,10 +542,9 @@ impl LiveIngest {
     /// holds any record) to a sealing thread, which seals it and runs
     /// any [`LiveConfig::compaction`] passes the new segment made ripe;
     /// the next settle joins it. The running index already covers
-    /// these records and is untouched; with compaction on, a
-    /// [`LiveView`] snapshotted *before* this call may reference source
-    /// segments the merge deletes — snapshot views after mutations,
-    /// not across them.
+    /// these records and is untouched, and a [`LiveView`] snapshotted
+    /// before this call keeps reading every segment it references
+    /// through its own handles, even one the merge deletes.
     ///
     /// # Errors
     ///
@@ -590,8 +595,9 @@ impl LiveIngest {
     /// Settles the seal in flight, then snapshots a stable
     /// [`LiveView`] over everything ingested so far — sealed segments
     /// plus the hot segment, queryable mid-ingest. The hot segment is
-    /// taken as its writer holds it, encoded: no record is decoded
-    /// here, and the view decodes it once, when first read.
+    /// taken as its writer holds it, encoded, behind a
+    /// [`nfstrace_store::StoreReader`]: no record is decoded here, and
+    /// the view decodes its chunks as it decodes sealed ones.
     ///
     /// # Panics
     ///

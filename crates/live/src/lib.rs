@@ -48,9 +48,12 @@
 //! chunk or two during replays — never `O(trace)`. The hot segment is
 //! held once, encoded, by its writer: each record is encoded and
 //! dropped as it arrives, and a [`LiveView`] takes the segment as the
-//! writer holds it and decodes it once, on first use. A rotated
-//! segment seals on a thread of its own behind the sink, at most one at
-//! a time per chain, holding the writer's buffers.
+//! writer holds it — a [`nfstrace_store::StoreReader`], like each
+//! sealed segment — and decodes its chunks as it decodes sealed ones,
+//! one at a time. A view holds one open file handle per segment it
+//! reads. A rotated segment seals on a thread of its own behind the
+//! sink, at most one at a time per chain, holding the writer's
+//! buffers.
 //! `crates/bench/tests/paths.rs` asserts this shape and
 //! `crates/live/tests/hot_segment_resident.rs` the bytes a hot record
 //! costs; the observed peaks are the benchmark's

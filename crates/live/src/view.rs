@@ -6,92 +6,57 @@ use nfstrace_core::parallel;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::{
     build_partial_index, overlapping_chunks, stream_records, Result, StoreError, StoreReader,
-    WriterSnapshot,
 };
 use nfstrace_telemetry::Registry;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// A chain's hot segment as a view holds it: what the hot writer held
-/// at the snapshot, still encoded ([`WriterSnapshot`]), and its records
-/// once decoded — by the first replay, window or [`ShardChain::hot`]
-/// that needs them, once for every window sharing the chain.
-#[derive(Debug)]
-pub(crate) struct HotSegment {
-    held: WriterSnapshot,
-    records: OnceLock<Vec<TraceRecord>>,
-}
-
-impl HotSegment {
-    pub(crate) fn new(held: WriterSnapshot) -> Self {
-        HotSegment {
-            held,
-            records: OnceLock::new(),
-        }
-    }
-}
-
-/// One segment chain's contribution to a [`LiveView`]: its sealed
-/// segments, the arrival sequences of every sealed record (sidecars,
-/// loaded per segment), and a snapshot of its hot segment with the
-/// sequences of those records.
+/// One segment chain's contribution to a [`LiveView`]: its segments in
+/// stream order — the sealed ones, then the hot one, a reader over what
+/// the hot writer held at the snapshot
+/// ([`nfstrace_store::StoreWriter::snapshot`]) — and the arrival
+/// sequences of every record, one vector per segment (sidecars for the
+/// sealed ones).
 ///
-/// A single-writer ingest produces one chain with empty sequence
-/// vectors, which is only ever read alone: streamed and indexed by the
-/// store's own planner and construction pass
-/// ([`nfstrace_store::stream_records`],
-/// [`nfstrace_store::build_partial_index`]). Sequences are consulted
-/// only where the chains of a sharded ingest must be interleaved — its
-/// views' replays and windows, and its reopen.
+/// Every segment is read the same way, through its
+/// [`StoreReader`]'s handle: streamed and indexed by the store's own
+/// planner and construction pass ([`nfstrace_store::stream_records`],
+/// [`nfstrace_store::build_partial_index`]), which prune and skip the
+/// hot segment's chunks as they do sealed ones. A single-writer ingest
+/// produces one chain with no sequences, which is only ever read
+/// alone. Sequences are consulted only where the chains of a sharded
+/// ingest must be interleaved — its views' replays and windows, and
+/// its reopen.
 #[derive(Debug, Clone)]
 pub struct ShardChain {
-    pub(crate) sealed: Vec<Arc<StoreReader>>,
-    /// Arrival sequences per sealed segment, parallel to `sealed`
-    /// (empty on a chain without sequences).
-    pub(crate) sealed_seqs: Vec<Arc<Vec<u64>>>,
-    pub(crate) hot: Arc<HotSegment>,
-    /// Arrival sequences of the hot records, in order (empty on a chain
-    /// without sequences).
-    pub(crate) hot_seqs: Arc<Vec<u64>>,
+    /// Sealed segments first, then the hot one, if any.
+    pub(crate) segments: Vec<Arc<StoreReader>>,
+    /// Arrival sequences per segment, parallel to `segments` (empty on
+    /// a chain without sequences).
+    pub(crate) seqs: Vec<Arc<Vec<u64>>>,
+    /// How many of `segments` are sealed.
+    pub(crate) sealed_len: usize,
 }
 
 impl ShardChain {
     /// The sealed segment readers of this chain.
     pub fn sealed(&self) -> &[Arc<StoreReader>] {
-        &self.sealed
+        &self.segments[..self.sealed_len]
     }
 
-    /// The hot (unsealed) records of this chain's snapshot, decoded
-    /// from the snapshot the first time any clone of this chain asks.
-    ///
-    /// # Panics
-    ///
-    /// When a chunk the hot writer had flushed cannot be read back.
-    pub fn hot(&self) -> &[TraceRecord] {
-        self.hot.records.get_or_init(|| {
-            self.hot
-                .held
-                .records()
-                .unwrap_or_else(|e| panic!("hot segment unreadable under a live view: {e}"))
-        })
-    }
-
-    /// Where the hot records with capture times in `[start, end)` lie
-    /// in [`ShardChain::hot`] (time-ordered, so they are contiguous).
-    fn hot_range(&self, start: u64, end: u64) -> std::ops::Range<usize> {
-        let hot = self.hot();
-        let from = hot.partition_point(|r| r.micros < start);
-        from..from.max(hot.partition_point(|r| r.micros < end))
+    /// The reader over this chain's hot (unsealed) segment as the
+    /// snapshot took it; `None` when the chain had no hot segment.
+    pub fn hot(&self) -> Option<&Arc<StoreReader>> {
+        self.segments.get(self.sealed_len)
     }
 }
 
 /// A streaming cursor over one sequenced chain restricted to
-/// `[start, end)`: the sealed chunks the store planner
-/// ([`overlapping_chunks`]) keeps for the window, decoded lazily one at
-/// a time with only their in-window records built
-/// ([`StoreReader::read_chunk_in`]), then the hot records.
-/// [`ChainCursor::peek`] exposes the arrival sequence of the next
-/// record the chain would emit — the k-way merge pops the chain with
-/// the smallest one.
+/// `[start, end)`: the chunks the store planner
+/// ([`overlapping_chunks`]) keeps for the window, hot ones included,
+/// decoded lazily one at a time with only their in-window records built
+/// ([`StoreReader::read_chunk_in`]). [`ChainCursor::peek`] exposes the
+/// arrival sequence of the next record the chain would emit — the
+/// k-way merge pops the chain with the smallest one.
 struct ChainCursor<'a> {
     chain: &'a ShardChain,
     start: u64,
@@ -99,16 +64,13 @@ struct ChainCursor<'a> {
     /// The planner's `(segment, chunk)` list, and the next to decode.
     chunks: Vec<(usize, usize)>,
     next_chunk: usize,
-    /// The segment `buf` came from; `chain.sealed.len()` in the hot
-    /// phase.
+    /// The segment `buf` came from.
     seg: usize,
-    /// The decoded chunk's in-window records, and the sidecar entries
-    /// that hold their sequences.
+    /// The decoded chunk's in-window records, and the sequences that
+    /// hold their arrival order.
     buf: Vec<TraceRecord>,
     buf_seqs: &'a [u64],
     buf_pos: usize,
-    /// The in-window hot records not yet emitted.
-    hot: std::ops::Range<usize>,
 }
 
 impl<'a> ChainCursor<'a> {
@@ -117,13 +79,12 @@ impl<'a> ChainCursor<'a> {
             chain,
             start,
             end,
-            chunks: overlapping_chunks(&chain.sealed, start, end),
+            chunks: overlapping_chunks(&chain.segments, start, end),
             next_chunk: 0,
             seg: 0,
             buf: Vec::new(),
             buf_seqs: &[],
             buf_pos: 0,
-            hot: chain.hot_range(start, end),
         }
     }
 
@@ -133,7 +94,7 @@ impl<'a> ChainCursor<'a> {
     ///
     /// # Errors
     ///
-    /// On chunk read/decode failure, or a sidecar too short for the
+    /// On chunk read/decode failure, or sequences too short for the
     /// chunk's records.
     fn peek(&mut self) -> Result<Option<u64>> {
         loop {
@@ -141,44 +102,35 @@ impl<'a> ChainCursor<'a> {
                 return Ok(Some(seq));
             }
             let Some(&(seg, ci)) = self.chunks.get(self.next_chunk) else {
-                break;
+                return Ok(None);
             };
             self.next_chunk += 1;
             self.seg = seg;
             let chain = self.chain;
-            let reader = &chain.sealed[seg];
+            let reader = &chain.segments[seg];
             let (records, first) = reader.read_chunk_in(ci, self.start, self.end)?;
             let earlier: u64 = reader.chunks()[..ci].iter().map(|m| m.records).sum();
             let at = earlier as usize + first;
-            self.buf_seqs = chain.sealed_seqs[seg]
+            self.buf_seqs = chain.seqs[seg]
                 .get(at..at + records.len())
                 .ok_or_else(|| self.sequence_error(format!("no sequences for records {at}..")))?;
             self.buf = records;
             self.buf_pos = 0;
         }
-        self.seg = self.chain.sealed.len();
-        Ok((!self.hot.is_empty()).then(|| self.chain.hot_seqs[self.hot.start]))
     }
 
     /// Emits the record [`ChainCursor::peek`] just positioned at and
     /// steps past it. Must follow a `Some` peek.
     fn pop(&mut self, f: &mut dyn FnMut(&TraceRecord)) {
-        if self.buf_pos < self.buf.len() {
-            f(&self.buf[self.buf_pos]);
-            self.buf_pos += 1;
-        } else if let Some(i) = self.hot.next() {
-            f(&self.chain.hot()[i]);
-        }
+        f(&self.buf[self.buf_pos]);
+        self.buf_pos += 1;
     }
 
     /// A sequence error at the cursor's position, naming its segment.
     fn sequence_error(&self, problem: String) -> StoreError {
-        match self.chain.sealed.get(self.seg) {
-            Some(reader) => StoreError::Sidecar {
-                segment: reader.path().to_path_buf(),
-                problem,
-            },
-            None => StoreError::Format(format!("hot segment: {problem}")),
+        StoreError::Sidecar {
+            segment: self.chain.segments[self.seg].path().to_path_buf(),
+            problem,
         }
     }
 }
@@ -236,16 +188,18 @@ pub(crate) fn for_each_merged(
 /// A [`TraceView`] over everything a [`crate::LiveIngest`] (or a
 /// [`crate::ShardedLiveIngest`]) has ingested at one instant: per
 /// chain, the sealed on-disk segments plus a snapshot of the hot (not
-/// yet sealed) records.
+/// yet sealed) segment, each behind a [`StoreReader`].
 ///
-/// A `LiveView` is **stable**: the sealed segment files are immutable
-/// (and readers keep them open), each hot segment is snapshotted at
-/// view time as its writer holds it — encoded: the flushed chunks
-/// behind a read handle of the view's own, which outlives the seal,
-/// rename and compaction of the segment, and a copy of the pending
-/// chunk's bytes — and decoded once, by the first replay or window
-/// that reads it; the construction-pass products come from a
-/// copy-on-write snapshot of the ingest's one running
+/// A `LiveView` is **stable**: the sealed segment files are immutable,
+/// each hot segment is snapshotted at view time as its writer holds it
+/// — encoded: the flushed chunks, and a copy of the pending chunk's
+/// bytes — and every segment's reader keeps the one file handle it
+/// opened, so the view reads the same bytes after the ingest behind it
+/// seals, renames, merges or deletes any segment it references. The
+/// view holds one open handle per segment, and a deleted segment's
+/// bytes stay on disk until the last view (or index) holding it is
+/// dropped. The construction-pass products come from a copy-on-write
+/// snapshot of the ingest's one running
 /// [`nfstrace_core::index::PartialIndex`]. So taking a view decodes no
 /// record, the ingest copies nothing on its next write, and queries
 /// answered mid-ingest keep answering identically while records
@@ -257,13 +211,14 @@ pub(crate) fn for_each_merged(
 /// stream, reconstructed by merging chains on arrival sequence.
 ///
 /// Who replays what. A single chain (a [`crate::LiveIngest`]'s) is the
-/// store's: its record replays stream the sealed chunks pipelined
-/// ([`stream_records`]) with the hot records appended, and a window's
-/// construction pass is [`build_partial_index`] over the sealed
-/// segments, chunk-parallel, then the window's hot records. Multiple
-/// chains (a [`crate::ShardedLiveIngest`]'s) are k-way merged by the
-/// per-segment sequence sidecars, one decoded chunk per chain resident
-/// at a time, for replays and windows alike.
+/// store's: its record replays stream its segments' chunks, hot ones
+/// included, pipelined ([`stream_records`]), and a window's
+/// construction pass is [`build_partial_index`] over them,
+/// chunk-parallel — each pass decodes the hot chunks its window
+/// overlaps, as it decodes sealed ones. Multiple chains (a
+/// [`crate::ShardedLiveIngest`]'s) are k-way merged by the per-segment
+/// arrival sequences, one decoded chunk per chain resident at a time,
+/// for replays and windows alike.
 #[derive(Debug)]
 pub struct LiveView {
     chains: Vec<ShardChain>,
@@ -316,24 +271,23 @@ impl LiveView {
     /// go through [`for_each_merged`].
     fn replay(&self, start: u64, end: u64, f: &mut dyn FnMut(&TraceRecord)) {
         if let [chain] = &self.chains[..] {
-            stream_records(&chain.sealed, start, end, f);
-            chain.hot()[chain.hot_range(start, end)].iter().for_each(f);
+            stream_records(&chain.segments, start, end, f);
         } else {
             for_each_merged(&self.chains, start, end, f)
-                .expect("sealed chunk must stay readable under a live view");
+                .expect("segment chunk must stay readable under a live view");
         }
     }
 }
 
 impl RecordStream for LiveView {
-    /// A single chain: sealed chunks (skipping those outside the
-    /// window, pipelined decode on multi-worker runs), then the hot
-    /// records. Multiple chains: k-way merge by arrival sequence.
+    /// A single chain: its segments' chunks, skipping those outside the
+    /// window, pipelined decode on multi-worker runs. Multiple chains:
+    /// k-way merge by arrival sequence.
     ///
     /// # Panics
     ///
-    /// On chunk read/decode failure — a sealed segment corrupted (or
-    /// deleted) mid-analysis, or a flushed hot chunk unreadable.
+    /// On chunk read/decode failure — a segment's bytes corrupted
+    /// mid-analysis.
     fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord)) {
         self.replay(self.start, self.end, f);
     }
@@ -348,11 +302,10 @@ impl TraceView for LiveView {
         &self.caches
     }
 
-    /// A narrower snapshot sharing the chains (sealed readers and hot
-    /// segments, decoded at most once between them). A single chain's
-    /// construction pass is the store's, chunk-parallel over the
-    /// window's sealed chunks, followed by the window's hot records;
-    /// more chains are observed once, in merged order.
+    /// A narrower snapshot sharing the chains' segment readers. A
+    /// single chain's construction pass is the store's, chunk-parallel
+    /// over the window's chunks, hot ones included; more chains are
+    /// observed once, in merged order.
     ///
     /// # Panics
     ///
@@ -362,12 +315,8 @@ impl TraceView for LiveView {
         let start = start_micros.max(self.start);
         let end = end_micros.min(self.end).max(start);
         let partial = if let [chain] = &self.chains[..] {
-            let mut partial = build_partial_index(&chain.sealed, start, end, parallel::threads())
-                .unwrap_or_else(|e| panic!("sealed chunk unreadable under a live view: {e}"));
-            for r in &chain.hot()[chain.hot_range(start, end)] {
-                partial.observe(r);
-            }
-            partial
+            build_partial_index(&chain.segments, start, end, parallel::threads())
+                .unwrap_or_else(|e| panic!("segment chunk unreadable under a live view: {e}"))
         } else {
             let mut partial = PartialIndex::new();
             self.replay(start, end, &mut |r| partial.observe(r));

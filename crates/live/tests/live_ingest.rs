@@ -2,7 +2,7 @@
 //! sniffer feed — all against batch-path oracles.
 
 use nfstrace_core::index::{TraceIndex, TraceView};
-use nfstrace_core::record::TraceRecord;
+use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_core::time::{DAY, HOUR};
 use nfstrace_live::{LiveConfig, LiveIngest, SnifferSource};
 use nfstrace_store::{StoreConfig, StoreIndex};
@@ -471,5 +471,65 @@ fn open_refuses_a_segment_named_for_the_last_ordinal() {
         "{err:?}"
     );
     assert!(err.to_string().contains(renamed), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A view reads its hot segment through the store's planner, as it
+/// reads sealed ones: a window that misses the hot segment prunes it
+/// whole, and a window inside it decodes only the hot chunks it
+/// overlaps — counted in `store.chunks_decoded` like any other.
+#[test]
+fn the_hot_segment_goes_through_the_planner() {
+    let dir = tmpdir("hot-planner");
+    let registry = nfstrace_telemetry::Registry::new();
+    let config = LiveConfig {
+        store: StoreConfig {
+            target_chunk_bytes: 1 << 10,
+        },
+        rotate_records: 2_000,
+        rotate_micros: u64::MAX,
+        ..LiveConfig::new(&dir)
+    };
+    let mut ingest = LiveIngest::create(config.with_registry(&registry)).expect("create");
+    let records: Vec<TraceRecord> = (0..3_500u64)
+        .map(|i| {
+            TraceRecord::new(i * 1_000, nfstrace_core::record::Op::Read, FileId(i % 5))
+                .with_range(i * 8192, 8192)
+        })
+        .collect();
+    for r in &records {
+        ingest.ingest(r).expect("ingest");
+    }
+    let view = ingest.view();
+    let chain = &view.chains()[0];
+    let (sealed, hot) = (&chain.sealed()[0], chain.hot().expect("a hot segment"));
+    assert_eq!(chain.sealed().len(), 1);
+    let metas = hot.chunks();
+    assert!(metas.len() > 3, "flushed hot chunks and a pending one");
+    let oracle = TraceIndex::new(records.clone());
+
+    let decoded = registry.counter("store.chunks_decoded");
+    let pruned = registry.counter("store.segments_pruned");
+    let last = metas.len() - 1;
+    let windows = [
+        // Ends before the first hot record: the hot segment is pruned.
+        (0, metas[0].min_micros, sealed.chunk_count(), 1),
+        // Two flushed hot chunks, then the pending one alone.
+        (metas[1].min_micros, metas[2].max_micros + 1, 2, 1),
+        (metas[last].min_micros, u64::MAX, 1, 1),
+    ];
+    for (start, end, decodes, prunes) in windows {
+        let (d0, p0) = (decoded.value(), pruned.value());
+        let window = view.time_window(start, end);
+        let ctx = format!("window [{start}, {end})");
+        assert_eq!(
+            decoded.value() - d0,
+            decodes as u64,
+            "{ctx}: chunks decoded"
+        );
+        assert_eq!(pruned.value() - p0, prunes, "{ctx}: segments pruned");
+        assert_views_agree(&window, &oracle.time_window(start, end), &ctx);
+    }
+    ingest.finish().expect("finish");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -77,11 +77,11 @@ fn sharded_ingest_equals_batch_across_shard_counts() {
         // Every record landed on the shard its client hashes to.
         assert_eq!(view.chains().len(), shards);
         for (i, chain) in view.chains().iter().enumerate() {
-            let mut clients: Vec<u32> = chain.hot().iter().map(|r| r.client).collect();
-            for reader in chain.sealed() {
+            let mut clients = Vec::new();
+            for reader in chain.sealed().iter().chain(chain.hot()) {
                 reader
                     .for_each(|r| clients.push(r.client))
-                    .expect("sealed segment");
+                    .expect("segment");
             }
             assert!(
                 clients.iter().all(|&c| shard_for_client(c, shards) == i),

@@ -1,18 +1,17 @@
-//! A view outlives the seal of its hot segment.
+//! A view outlives the seal and the merge of every segment it reads.
 //!
-//! A view takes the hot segment as its writer holds it: the chunks
-//! already flushed to the segment file, behind a read handle of the
-//! view's own, and the pending chunk's bytes. Behind the view the
-//! ingest goes on: the segment seals, is renamed, and compaction
-//! merges it away and deletes it. The view still replays, windows and
-//! hands out its hot records exactly as it did when taken.
+//! A view reads each segment through the file handle its reader
+//! opened: the sealed segments', and the hot segment's — the chunks
+//! its writer had flushed to the segment file, plus a copy of the
+//! pending chunk's bytes. Behind the view the ingest goes on: the hot
+//! segment seals and is renamed, and compaction merges the view's
+//! segments away and deletes them. The view still replays, windows and
+//! reads each of its segments exactly as it did when taken.
 
 use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::DAY;
 use nfstrace_live::{shard_for_client, LiveConfig, LiveIngest, LiveView, ShardedLiveIngest};
-use nfstrace_store::compact::tmp_path;
-use nfstrace_store::segments::segment_file_name;
 use nfstrace_store::{CompactionPolicy, StoreConfig};
 use nfstrace_workload::{CampusConfig, CampusWorkload};
 use std::path::{Path, PathBuf};
@@ -62,11 +61,11 @@ fn replay(view: &impl RecordStream) -> Vec<TraceRecord> {
     out
 }
 
-/// The view, taken inside each chain's first segment, equals an
-/// in-memory index over `prefix`: its replay, two windows cutting
-/// through the hot records, and each chain's hot records — the records
-/// routed to it.
-fn assert_view_is(view: &LiveView, prefix: &[TraceRecord], ctx: &str) {
+/// The view equals an in-memory index over `prefix`: its replay, two
+/// windows cutting through it, and each chain's segments — `sealed`
+/// sealed ones, then a hot one holding flushed chunks and a pending
+/// one — which read back the records routed to the chain.
+fn assert_view_is(view: &LiveView, prefix: &[TraceRecord], sealed: usize, ctx: &str) {
     let oracle = TraceIndex::new(prefix.to_vec());
     assert_eq!(replay(view), prefix, "{ctx}: replay");
     assert_eq!(view.summary(), oracle.summary(), "{ctx}: summary");
@@ -85,45 +84,47 @@ fn assert_view_is(view: &LiveView, prefix: &[TraceRecord], ctx: &str) {
             .filter(|r| shard_for_client(r.client, shards) == i)
             .cloned()
             .collect();
-        assert!(chain.sealed().is_empty(), "{ctx}: chain {i} sealed");
-        assert_eq!(chain.hot(), routed, "{ctx}: chain {i} hot");
+        assert_eq!(chain.sealed().len(), sealed, "{ctx}: chain {i} sealed");
+        let hot = chain.hot().expect("a hot segment");
+        assert!(hot.chunk_count() > 1, "{ctx}: chain {i} flushed no chunk");
+        let mut held = Vec::new();
+        for segment in chain.sealed().iter().chain([hot]) {
+            segment
+                .for_each(|r| held.push(r.clone()))
+                .expect("a segment of the view");
+        }
+        assert_eq!(held, routed, "{ctx}: chain {i} records");
     }
 }
 
-/// Checks a view over `prefix`, taken while every chain writes its
-/// first segment, before and after `more` ingests enough for that
-/// segment to seal and merge away — both its names gone from `dir`.
-fn check(dir: &Path, prefix: &[TraceRecord], view: LiveView, more: impl FnOnce(), ctx: &str) {
-    let shards = view.chains().len();
-    let first: Vec<PathBuf> = (0..shards)
-        .map(|shard| {
-            let chain_dir = if shards == 1 {
-                dir.to_path_buf()
-            } else {
-                dir.join(format!("shard-{shard:03}"))
-            };
-            chain_dir.join(segment_file_name(0))
-        })
-        .collect();
-    for segment in &first {
-        let growing = tmp_path(segment);
-        let len = std::fs::metadata(&growing).expect("the hot segment").len();
-        assert!(
-            len > 1 << 10,
-            "{ctx}: {} flushed {len} bytes",
-            growing.display()
-        );
+/// Every name a view's segments can go by in their directories: each
+/// sealed segment's, and the hot segment's growing and sealed names.
+fn segment_names(view: &LiveView) -> Vec<PathBuf> {
+    let mut names = Vec::new();
+    for chain in view.chains() {
+        names.extend(chain.sealed().iter().map(|r| r.path().to_path_buf()));
+        let growing = chain.hot().expect("a hot segment").path();
+        names.push(growing.to_path_buf());
+        names.push(growing.with_extension(""));
     }
-    assert_view_is(&view, prefix, &format!("{ctx}, before the seal"));
+    names
+}
+
+/// Checks a view over `prefix` whose chains each read `sealed` sealed
+/// segments and a hot one, before and after `more` ingests enough for
+/// every one of them to be merged away — all their names gone.
+fn check(prefix: &[TraceRecord], view: LiveView, sealed: usize, more: impl FnOnce(), ctx: &str) {
+    let names = segment_names(&view);
+    assert_view_is(&view, prefix, sealed, &format!("{ctx}, before the merge"));
     more();
-    for segment in &first {
+    for name in &names {
         assert!(
-            !segment.exists() && !tmp_path(segment).exists(),
+            !name.exists(),
             "{ctx}: {} was not merged away",
-            segment.display()
+            name.display()
         );
     }
-    assert_view_is(&view, prefix, &format!("{ctx}, after the merge"));
+    assert_view_is(&view, prefix, sealed, &format!("{ctx}, after the merge"));
 }
 
 #[test]
@@ -144,7 +145,7 @@ fn a_view_outlives_the_seal_and_merge_of_its_hot_segment() {
         }
         ingest.sealed_segments();
     };
-    check(&dir, &records[..seen], view, more, "single writer");
+    check(&records[..seen], view, 0, more, "single writer");
     ingest.finish().expect("finish");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -162,7 +163,76 @@ fn a_sharded_view_outlives_the_seal_and_merge_of_its_hot_segments() {
         ingest.ingest_batch(&records[seen..total]).expect("ingest");
         ingest.sealed_segments();
     };
-    check(&dir, &records[..seen], view, more, "2 shards");
+    check(&records[..seen], view, 0, more, "2 shards");
+    ingest.finish().expect("finish");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Whether every chain of `view` reads two sealed segments — at fan-in
+/// 2, a merged pair and the segment sealed after it — and a hot one
+/// that has flushed a chunk.
+fn two_sealed_and_hot(view: &LiveView) -> bool {
+    view.chains().iter().all(|chain| {
+        chain.sealed().len() == 2 && chain.hot().is_some_and(|hot| hot.chunk_count() > 1)
+    })
+}
+
+/// Feeds `records` to `step` a few at a time — it ingests them and
+/// takes a view — until the view satisfies [`two_sealed_and_hot`];
+/// returns that view and the records it covers.
+fn view_over_two_sealed(
+    records: &[TraceRecord],
+    mut step: impl FnMut(&[TraceRecord]) -> LiveView,
+) -> (LiveView, usize) {
+    for seen in (40..records.len()).step_by(40) {
+        let view = step(&records[seen - 40..seen]);
+        if two_sealed_and_hot(&view) {
+            return (view, seen);
+        }
+    }
+    panic!("no chain state with two sealed segments and a hot one");
+}
+
+#[test]
+fn a_view_outlives_the_merge_of_its_sealed_segments() {
+    let records = trace();
+    let dir = tmpdir("outlive-sealed-single");
+    let mut ingest = LiveIngest::create(config(&dir)).expect("create");
+    let (view, seen) = view_over_two_sealed(&records, |batch| {
+        for r in batch {
+            ingest.ingest(r).expect("ingest");
+        }
+        ingest.view()
+    });
+    // The hot segment seals and merges with the last sealed one, and
+    // that pair with the first.
+    let total = seen + 2 * ROTATE as usize;
+    let more = || {
+        for r in &records[seen..total] {
+            ingest.ingest(r).expect("ingest");
+        }
+        ingest.sealed_segments();
+    };
+    check(&records[..seen], view, 2, more, "single writer");
+    ingest.finish().expect("finish");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_sharded_view_outlives_the_merge_of_its_sealed_segments() {
+    let records = trace();
+    let dir = tmpdir("outlive-sealed-sharded");
+    let mut ingest = ShardedLiveIngest::create(config(&dir), 2).expect("create");
+    let (view, seen) = view_over_two_sealed(&records, |batch| {
+        ingest.ingest_batch(batch).expect("ingest");
+        ingest.view()
+    });
+    let total = seen + 4 * ROTATE as usize;
+    let more = || {
+        ingest.ingest_batch(&records[seen..total]).expect("ingest");
+        ingest.sealed_segments();
+    };
+    check(&records[..seen], view, 2, more, "2 shards");
     ingest.finish().expect("finish");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -96,8 +96,8 @@ pub fn stream_records_with_threads(
 /// ([`StoreReader::prune_window`], counted as `store.segments_pruned`)
 /// before its per-chunk metas are even iterated — on an archive-scale
 /// catalog a narrow window touches a handful of segments and prunes
-/// the rest here. Every walk over sealed chunks takes its chunk list
-/// from here: [`stream_records`], [`build_partial_index`], and the
+/// the rest here. Every walk over a catalog's chunks — a live view's
+/// hot segment included — takes its chunk list from here: [`stream_records`], [`build_partial_index`], and the
 /// merge cursor of a sharded live view.
 pub fn overlapping_chunks(
     readers: &[Arc<StoreReader>],
@@ -185,11 +185,11 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
 /// its own, and the partials are absorbed in chunk order — so the
 /// result equals observing the same records one by one, at any worker
 /// count, while resident *record* memory stays bounded by chunk size ×
-/// workers. This is the one pass that indexes sealed chunks:
+/// workers. This is the one pass that indexes stored chunks:
 /// [`StoreIndex`] and its windows finish it, a reopened
 /// `nfstrace_live::LiveIngest` seeds its running index with it, and a
 /// single-chain `nfstrace_live::LiveView` window runs it over its
-/// sealed segments before folding in its hot records.
+/// segments, the hot one (a writer's snapshot) included.
 ///
 /// # Errors
 ///
@@ -234,7 +234,9 @@ pub fn build_partial_index(
 ///
 /// Time windows ([`TraceView::time_window`]) share the underlying
 /// [`StoreReader`]s via [`Arc`] and skip chunks whose footer time range
-/// misses the window entirely.
+/// misses the window entirely. An index and its windows hold one open
+/// file handle per segment between them, so a segment deleted under
+/// them stays readable, its bytes on disk, until the last is dropped.
 ///
 /// Every index carries a telemetry [`Registry`]: the plain constructors
 /// give each index a private one, while the `*_with_registry`

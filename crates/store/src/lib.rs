@@ -15,10 +15,17 @@
 //! - [`StoreWriter`] — a [`nfstrace_core::sink::RecordSink`] that
 //!   encodes time-ordered records through fixed-size chunks
 //!   ([`StoreConfig::target_chunk_bytes`]) and finishes with a footer
-//!   of per-chunk byte ranges, record counts, and time ranges.
+//!   of per-chunk byte ranges, record counts, and time ranges;
+//!   [`StoreWriter::snapshot`] hands out what it holds mid-write as a
+//!   [`StoreReader`].
 //! - [`StoreReader`] — opens a store by reading only the footer;
-//!   decodes chunks on demand from `&self`, so any number of threads
-//!   can read concurrently.
+//!   decodes chunks on demand from `&self` with positioned reads on the
+//!   one file handle it keeps, so any number of threads can read
+//!   concurrently and the reader keeps reading after its file is
+//!   renamed or deleted. A writer's snapshot is a reader too: its
+//!   flushed chunks read through the file, its pending chunk held in
+//!   memory, so a sealed segment and a growing one are read, pruned
+//!   and decoded the same way.
 //! - [`StoreIndex`] — implements
 //!   [`nfstrace_core::index::TraceView`], the same analysis surface as
 //!   the in-memory `TraceIndex`: chunk-parallel partial-index builds
@@ -107,14 +114,14 @@ pub use index::{
     build_partial_index, overlapping_chunks, stream_records, stream_records_with_threads,
     StoreIndex,
 };
-pub use reader::{StoreReader, VerifiedChunk, WriterSnapshot};
+pub use reader::{StoreReader, VerifiedChunk};
 pub use segments::{SegmentCatalog, SegmentId};
 pub use writer::{StoreConfig, StoreSummary, StoreWriter};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfstrace_core::index::{TraceIndex, TraceView};
+    use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
     use nfstrace_core::record::{FileId, Op, TraceRecord};
     use nfstrace_core::runs::RunOptions;
 
@@ -375,6 +382,34 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reader reads through the handle it opened: with its file
+    /// unlinked, chunk reads, a point query and an index replay over it
+    /// return what they did before.
+    #[test]
+    fn a_reader_reads_through_its_own_handle() {
+        let records = sample(500);
+        let path = tmp("unlinked");
+        write_store(&path, &records, 512);
+        let reader = std::sync::Arc::new(StoreReader::open(&path).expect("open"));
+        assert!(reader.chunk_count() > 2, "several chunks");
+        let index = StoreIndex::from_reader_with_threads(reader.clone(), 2).expect("index");
+        let read = || {
+            let mut replayed = Vec::new();
+            index.for_each_record(&mut |r| replayed.push(r.clone()));
+            (
+                reader.read_chunk(1).expect("read_chunk"),
+                reader.read_chunk_verified(2).expect("verified").bytes,
+                reader.records_for_file(FileId(3)).expect("file query"),
+                replayed,
+            )
+        };
+        let before = read();
+        assert_eq!(before.3, records);
+        std::fs::remove_file(&path).expect("unlink");
+        assert!(!path.exists());
+        assert_eq!(read(), before);
     }
 
     #[test]

@@ -10,26 +10,36 @@ use crate::format::{
 use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_telemetry::{Counter, Registry};
+use std::borrow::Cow;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
 
-/// Reads a chunked trace store.
+/// Reads a chunked trace store: a sealed file, or what a
+/// [`crate::StoreWriter`] holds at one instant
+/// ([`crate::StoreWriter::snapshot`]).
 ///
 /// Opening parses only the footer; record bytes are read chunk by chunk
 /// on demand. There is one on-disk format ([`crate::format`]); a file
 /// with any other leading magic — the retired v1/v2 layouts included —
-/// is a [`StoreError::Format`] at open. [`StoreReader::read_chunk`]
-/// takes `&self` and opens its own file handle, so chunk decodes can
-/// run on any number of threads concurrently —
-/// [`nfstrace_core::parallel::run_sharded`] drives the chunk-parallel
-/// index builds and point queries in `crate::index`.
+/// is a [`StoreError::Format`] at open. The reader keeps the one file
+/// handle it opened and reads every chunk through it with a positioned
+/// read, which moves no shared cursor: [`StoreReader::read_chunk`]
+/// takes `&self`, so chunk decodes can run on any number of threads
+/// concurrently — [`nfstrace_core::parallel::run_sharded`] drives the
+/// chunk-parallel index builds and point queries in `crate::index`.
+/// The handle also keeps the file's bytes readable after the file is
+/// renamed or deleted (as a sealed segment is when compaction merges
+/// it away), until the reader is dropped.
 #[derive(Debug)]
 pub struct StoreReader {
-    path: PathBuf,
-    chunks: Vec<ChunkMeta>,
-    total_records: u64,
+    path: Box<Path>,
+    /// The handle every chunk is read through.
+    file: File,
+    chunks: Box<[ChunkMeta]>,
+    /// A writer snapshot's pending chunk — the last of `chunks` — as
+    /// its raw payload, held here instead of stored.
+    pending: Option<Box<[u8]>>,
     pub(crate) metrics: StoreReadMetrics,
 }
 
@@ -88,15 +98,15 @@ impl StoreReader {
     ///
     /// On I/O failure or a malformed/truncated file.
     pub fn open_with_registry<P: AsRef<Path>>(path: P, registry: &Registry) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut f = File::open(&path)?;
-        let file_len = f.metadata()?.len();
+        let path = path.as_ref();
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
         let min_len = (MAGIC.len() + END_MAGIC.len() + 8 + 16) as u64;
         if file_len < min_len {
             return Err(StoreError::Format("file too short for a store".into()));
         }
         let mut head = [0u8; 8];
-        f.read_exact(&mut head)?;
+        file.read_exact_at(&mut head, 0)?;
         if &head != MAGIC {
             // The magic is "NFSTRC", a revision byte, NUL: another
             // revision of this format gets named; anything else is not
@@ -112,9 +122,8 @@ impl StoreReader {
                 "bad leading magic".into()
             }));
         }
-        f.seek(SeekFrom::End(-16))?;
         let mut trailer = [0u8; 16];
-        f.read_exact(&mut trailer)?;
+        file.read_exact_at(&mut trailer, file_len - 16)?;
         if &trailer[8..] != END_MAGIC {
             return Err(StoreError::Format("bad trailing magic".into()));
         }
@@ -123,9 +132,8 @@ impl StoreReader {
         if footer_offset > footer_end.saturating_sub(16) {
             return Err(StoreError::Format("footer offset out of range".into()));
         }
-        f.seek(SeekFrom::Start(footer_offset))?;
         let mut footer = vec![0u8; (footer_end - footer_offset) as usize];
-        f.read_exact(&mut footer)?;
+        file.read_exact_at(&mut footer, footer_offset)?;
 
         if footer.len() < 24 {
             return Err(StoreError::Format("footer size mismatch".into()));
@@ -184,9 +192,38 @@ impl StoreReader {
             }
         }
         Ok(StoreReader {
-            path,
-            chunks,
-            total_records,
+            path: path.into(),
+            file,
+            chunks: chunks.into_boxed_slice(),
+            pending: None,
+            metrics: StoreReadMetrics::register(registry),
+        })
+    }
+
+    /// The reader [`crate::StoreWriter::snapshot`] hands out: the
+    /// `flushed` chunks of the store growing at `path`, read through a
+    /// handle opened here, then the `pending` chunk, if any, as one last
+    /// chunk whose raw payload the reader holds. Counts into `registry`.
+    ///
+    /// # Errors
+    ///
+    /// On I/O failure opening the read handle.
+    pub(crate) fn of_writer(
+        path: &Path,
+        mut chunks: Vec<ChunkMeta>,
+        pending: Option<(ChunkMeta, Vec<u8>)>,
+        registry: &Registry,
+    ) -> Result<Self> {
+        let file = File::open(path)?;
+        let pending = pending.map(|(meta, payload)| {
+            chunks.push(meta);
+            payload.into_boxed_slice()
+        });
+        Ok(StoreReader {
+            path: path.into(),
+            file,
+            chunks: chunks.into_boxed_slice(),
+            pending,
             metrics: StoreReadMetrics::register(registry),
         })
     }
@@ -304,10 +341,11 @@ impl StoreReader {
 
     /// Total records across all chunks.
     pub fn total_records(&self) -> u64 {
-        self.total_records
+        self.chunks.iter().map(|m| m.records).sum()
     }
 
-    /// The store file path.
+    /// The store file path — where the file was when the reader opened
+    /// it; it may since have been renamed or deleted.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -363,14 +401,33 @@ impl StoreReader {
         pruned
     }
 
-    /// Reads one chunk's stored bytes through a private file handle,
-    /// verified against the footer's chunk checksum.
+    /// The raw payload of chunk `ordinal` when it is a writer
+    /// snapshot's pending chunk.
+    fn pending_at(&self, ordinal: usize) -> Option<&[u8]> {
+        self.pending
+            .as_deref()
+            .filter(|_| ordinal + 1 == self.chunks.len())
+    }
+
+    /// Reads one chunk's stored bytes with a positioned read on the
+    /// reader's handle, verified against the footer's chunk checksum.
     fn read_stored(&self, ordinal: usize) -> Result<(&ChunkMeta, Vec<u8>)> {
         let meta = self
             .chunks
             .get(ordinal)
             .ok_or_else(|| StoreError::Format(format!("no chunk {ordinal}")))?;
-        let bytes = read_stored_at(&mut File::open(&self.path)?, ordinal, meta)?;
+        if self.pending_at(ordinal).is_some() {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} is pending in its writer and has no stored bytes"
+            )));
+        }
+        let mut bytes = vec![0u8; meta.len as usize];
+        self.file.read_exact_at(&mut bytes, meta.offset)?;
+        if fnv1a64(&bytes) != meta.checksum {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} checksum mismatch"
+            )));
+        }
         Ok((meta, bytes))
     }
 
@@ -383,26 +440,32 @@ impl StoreReader {
     ///
     /// # Errors
     ///
-    /// On I/O failure, a bad ordinal, or stored bytes that do not hash
-    /// to the footer's chunk checksum ([`StoreError::Format`]).
+    /// On I/O failure, a bad ordinal, stored bytes that do not hash to
+    /// the footer's chunk checksum, or a writer snapshot's pending
+    /// chunk, which has no stored bytes ([`StoreError::Format`]).
     pub fn read_chunk_verified(&self, ordinal: usize) -> Result<VerifiedChunk<'_>> {
         let (meta, bytes) = self.read_stored(ordinal)?;
         Ok(VerifiedChunk { meta, bytes })
     }
 
     /// Reads one chunk up to its first record — the one chunk walker
-    /// behind every decoding read: stored bytes verified against the
-    /// footer checksum (and counted in `store.chunks_decoded`), then
-    /// [`OpenChunk::stored`]. [`OpenChunk::for_each`] parses the
-    /// records.
-    fn open_chunk(&self, ordinal: usize) -> Result<OpenChunk> {
+    /// behind every decoding read, counted in `store.chunks_decoded`:
+    /// stored bytes verified against the footer checksum, then
+    /// [`OpenChunk::stored`]; a writer snapshot's pending chunk goes
+    /// straight to [`OpenChunk::raw`]. [`OpenChunk::for_each`] parses
+    /// the records.
+    fn open_chunk(&self, ordinal: usize) -> Result<OpenChunk<'_>> {
+        if let Some(payload) = self.pending_at(ordinal) {
+            self.metrics.chunks_decoded.inc();
+            return OpenChunk::raw(ordinal, self.chunks[ordinal].records, payload.into(), 0);
+        }
         let (meta, stored) = self.read_stored(ordinal)?;
         self.metrics.chunks_decoded.inc();
         OpenChunk::stored(ordinal, meta.records, stored)
     }
 
     /// Reads and decodes one chunk: every record parsed, checked and
-    /// built. Thread-safe: opens a private file handle.
+    /// built. Thread-safe: a positioned read on the shared handle.
     ///
     /// # Errors
     ///
@@ -544,87 +607,15 @@ impl StoreReader {
     }
 }
 
-/// Reads the `meta.len` stored bytes of chunk `ordinal` at
-/// `meta.offset` of `file`, verified against `meta.checksum`.
-fn read_stored_at(file: &mut File, ordinal: usize, meta: &ChunkMeta) -> Result<Vec<u8>> {
-    file.seek(SeekFrom::Start(meta.offset))?;
-    let mut bytes = vec![0u8; meta.len as usize];
-    file.read_exact(&mut bytes)?;
-    if fnv1a64(&bytes) != meta.checksum {
-        return Err(StoreError::Format(format!(
-            "chunk {ordinal} checksum mismatch"
-        )));
-    }
-    Ok(bytes)
-}
-
-/// What a [`crate::StoreWriter`] holds at one instant
-/// ([`crate::StoreWriter::snapshot`]), readable while the writer keeps
-/// writing: the chunks it has flushed, behind a read handle of its own
-/// onto the file, and the pending chunk's raw payload — the bytes
-/// `flush_chunk` will store. Nothing is decoded until
-/// [`WriterSnapshot::records`] walks both through the store's one
-/// chunk walker. The handle keeps the flushed bytes readable after the
-/// file is renamed or deleted (as a sealed and compacted segment is)
-/// on systems that keep an open file's data until its last handle
-/// closes.
-#[derive(Debug, Default)]
-pub struct WriterSnapshot {
-    /// The read handle and the flushed chunks' footer entries (their
-    /// filters left empty); `None` when no chunk was flushed.
-    pub(crate) flushed: Option<(Mutex<File>, Vec<ChunkMeta>)>,
-    /// The pending chunk's raw payload; empty when it holds no record.
-    pub(crate) pending: Vec<u8>,
-    /// Records in the pending chunk.
-    pub(crate) pending_records: u64,
-}
-
-impl WriterSnapshot {
-    /// Records in the snapshot, flushed and pending.
-    fn len(&self) -> u64 {
-        let flushed = self.flushed.as_ref().map_or(0, |(_, chunks)| {
-            chunks.iter().map(|m| m.records).sum::<u64>()
-        });
-        flushed + self.pending_records
-    }
-
-    /// Decodes every record of the snapshot in write order: each
-    /// flushed chunk read back, verified and decompressed, then the
-    /// pending payload, which enters the walker after those steps.
-    ///
-    /// # Errors
-    ///
-    /// On I/O failure or corrupt bytes, as
-    /// [`StoreReader::read_chunk`].
-    pub fn records(&self) -> Result<Vec<TraceRecord>> {
-        let mut out = Vec::with_capacity(self.len() as usize);
-        let mut ordinal = 0;
-        if let Some((file, metas)) = &self.flushed {
-            // Every read seeks first, so a handle a panicking reader
-            // left anywhere is still good.
-            let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
-            for meta in metas {
-                let stored = read_stored_at(&mut file, ordinal, meta)?;
-                OpenChunk::stored(ordinal, meta.records, stored)?.push_all(&mut out)?;
-                ordinal += 1;
-            }
-        }
-        if self.pending_records > 0 {
-            let pending = self.pending.clone();
-            OpenChunk::raw(ordinal, self.pending_records, pending, 0)?.push_all(&mut out)?;
-        }
-        Ok(out)
-    }
-}
-
 /// A chunk read, verified and decoded up to its first record; made by
 /// [`OpenChunk::stored`] from stored bytes or by [`OpenChunk::raw`]
-/// from an in-memory payload.
-struct OpenChunk {
+/// from a payload held in memory.
+struct OpenChunk<'a> {
     ordinal: usize,
     /// The raw payload (decompressed if it was stored compressed; the
-    /// stored bytes, flags byte included, otherwise).
-    payload: Vec<u8>,
+    /// stored bytes, flags byte included, otherwise; borrowed when a
+    /// reader holds it).
+    payload: Cow<'a, [u8]>,
     /// The chunk's name table, unescaped.
     names: Vec<String>,
     /// Records in the chunk — equal to the footer's count and bounded
@@ -635,7 +626,7 @@ struct OpenChunk {
     records_at: usize,
 }
 
-impl OpenChunk {
+impl<'a> OpenChunk<'a> {
     /// Opens verified stored bytes: flags checked, the payload
     /// decompressed, then [`OpenChunk::raw`] with the footer's record
     /// count `records`.
@@ -659,13 +650,13 @@ impl OpenChunk {
             payload = compress::decompress(&payload[pos..], raw_len as usize)?;
             pos = 0;
         }
-        OpenChunk::raw(ordinal, records, payload, pos)
+        OpenChunk::raw(ordinal, records, payload.into(), pos)
     }
 
     /// Opens a raw payload whose name table starts at `at`: the table
     /// decoded, the record count held to `records` (the footer's) and
     /// to what the remaining bytes could hold.
-    fn raw(ordinal: usize, records: u64, payload: Vec<u8>, at: usize) -> Result<Self> {
+    fn raw(ordinal: usize, records: u64, payload: Cow<'a, [u8]>, at: usize) -> Result<Self> {
         let mut pos = at;
         let names = NameTable::decode(&payload, &mut pos)?;
         let count = read_varint(&payload, &mut pos)?;

@@ -4,17 +4,16 @@ use crate::codec::{encode_record, write_varint, NameTable};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    fnv1a64, ChunkMeta, FileIdFilter, FilterBuilder, FilterKind, Fnv1a64, END_MAGIC,
-    FILTER_KIND_BLOOM, FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
+    fnv1a64, ChunkMeta, FilterBuilder, FilterKind, Fnv1a64, END_MAGIC, FILTER_KIND_BLOOM,
+    FILTER_KIND_EXACT, FLAG_COMPRESSED, MAGIC, MAX_CHUNK_PAYLOAD,
 };
-use crate::reader::{VerifiedChunk, WriterSnapshot};
+use crate::reader::{StoreReader, VerifiedChunk};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
 use nfstrace_telemetry::{Counter, Gauge, Registry};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
 
 /// The one store layout knob.
 #[derive(Debug, Clone, Copy)]
@@ -67,8 +66,11 @@ impl Default for StoreConfig {
 #[derive(Debug)]
 pub struct StoreWriter {
     out: BufWriter<File>,
-    /// Where `out` writes, for [`StoreWriter::snapshot`]'s read handle.
-    path: PathBuf,
+    /// Where `out` writes, and where [`StoreWriter::snapshot`]'s reader
+    /// opens its handle.
+    path: Box<Path>,
+    /// Where the writer's telemetry lands, and its snapshots' reads.
+    registry: Registry,
     config: StoreConfig,
     /// Encoded records of the pending chunk; at flush, its whole
     /// payload.
@@ -175,12 +177,13 @@ impl StoreWriter {
         config: StoreConfig,
         registry: &Registry,
     ) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut out = BufWriter::new(File::create(&path)?);
+        let path = path.as_ref();
+        let mut out = BufWriter::new(File::create(path)?);
         out.write_all(MAGIC)?;
         Ok(StoreWriter {
             out,
-            path,
+            path: path.into(),
+            registry: registry.clone(),
             config,
             chunk_buf: Vec::new(),
             names: NameTable::new(),
@@ -303,40 +306,38 @@ impl StoreWriter {
         head
     }
 
-    /// What this writer holds right now, for reading while it keeps
-    /// writing: the chunks it has flushed, behind a read handle of the
-    /// snapshot's own, and a copy of the pending chunk's raw payload.
-    /// Nothing is decoded; [`WriterSnapshot::records`] does that.
+    /// What this writer holds right now, as a [`StoreReader`] that
+    /// reads it while the writer keeps writing: the chunks it has
+    /// flushed, with their footer entries, through the reader's own
+    /// handle onto the file, then — when it holds any record — the
+    /// pending chunk as one last chunk, its raw payload copied into the
+    /// reader and its entry made as a flush would make it (`offset`
+    /// where the chunk would land, `len` and `checksum` zero: it is
+    /// not stored). Nothing is decoded. The reader counts into the
+    /// writer's registry, and its handle keeps the flushed chunks
+    /// readable after the file is renamed or deleted.
     ///
     /// # Errors
     ///
     /// On I/O failure pushing the flushed chunks to the file or opening
     /// the read handle.
-    pub fn snapshot(&mut self) -> Result<WriterSnapshot> {
-        let flushed = if self.chunks.is_empty() {
-            None
-        } else {
-            self.out.flush()?;
-            let metas = self
-                .chunks
-                .iter()
-                .map(|m| ChunkMeta {
-                    filter: FileIdFilter::empty(),
-                    ..*m
-                })
-                .collect();
-            Some((Mutex::new(File::open(&self.path)?), metas))
-        };
-        let mut pending = Vec::new();
-        if self.chunk_records > 0 {
-            pending = self.chunk_head(self.chunk_buf.len());
-            pending.extend_from_slice(&self.chunk_buf);
-        }
-        Ok(WriterSnapshot {
-            flushed,
-            pending,
-            pending_records: self.chunk_records,
-        })
+    pub fn snapshot(&mut self) -> Result<StoreReader> {
+        self.out.flush()?;
+        let pending = (self.chunk_records > 0).then(|| {
+            let mut payload = self.chunk_head(self.chunk_buf.len());
+            payload.extend_from_slice(&self.chunk_buf);
+            let meta = ChunkMeta {
+                offset: self.offset,
+                len: 0,
+                records: self.chunk_records,
+                min_micros: self.chunk_min,
+                max_micros: self.prev_micros,
+                checksum: 0,
+                filter: self.filter.finish_adaptive(),
+            };
+            (meta, payload)
+        });
+        StoreReader::of_writer(&self.path, self.chunks.clone(), pending, &self.registry)
     }
 
     fn flush_chunk(&mut self) -> Result<()> {
@@ -565,6 +566,46 @@ mod tests {
         let summary = w.finish().expect("finish");
         assert_eq!((summary.total_records, summary.chunks), (1, 1));
         std::fs::remove_file(&out).ok();
+    }
+
+    /// A snapshot is a reader over what the writer holds: its flushed
+    /// chunks with their footer entries, filters included, then the
+    /// pending chunk, which decodes but has no stored bytes to verify.
+    #[test]
+    fn a_snapshot_reads_the_flushed_chunks_and_the_pending_one() {
+        let path = tmp("snapshot");
+        let config = StoreConfig {
+            target_chunk_bytes: 256,
+        };
+        let mut w = StoreWriter::create(&path, config).expect("create");
+        let records: Vec<TraceRecord> = (0..300u64)
+            .map(|t| TraceRecord::new(t * 10, Op::Read, FileId(t % 4)))
+            .collect();
+        for r in &records {
+            w.push(r).expect("push");
+        }
+        let snapshot = w.snapshot().expect("snapshot");
+        let pending = snapshot.chunk_count() - 1;
+        assert!(pending > 1, "flushed chunks and a pending one");
+        assert_eq!(snapshot.total_records(), 300);
+        let mut back = Vec::new();
+        snapshot.for_each(|r| back.push(r.clone())).expect("decode");
+        assert_eq!(back, records);
+        let probe = FileId(2);
+        let want: Vec<TraceRecord> = records.iter().filter(|r| r.fh == probe).cloned().collect();
+        assert_eq!(snapshot.records_for_file(probe).expect("query"), want);
+        assert!(
+            matches!(snapshot.read_chunk_verified(pending), Err(StoreError::Format(m)) if m.contains("pending")),
+            "the pending chunk has no stored bytes"
+        );
+
+        // The flushed chunks' entries are the ones the footer gets.
+        w.push(&TraceRecord::new(5_000, Op::Write, FileId(9)))
+            .expect("push");
+        w.finish().expect("finish");
+        let sealed = StoreReader::open(&path).expect("open");
+        assert_eq!(sealed.chunks()[..pending], snapshot.chunks()[..pending]);
+        std::fs::remove_file(&path).ok();
     }
 
     /// The raw payload length of each stored chunk: the frame's varint
