@@ -63,11 +63,6 @@ impl NameAnonymizer {
         self.passthrough_names.insert(name.to_string());
     }
 
-    /// Adds a suffix (without the dot) that must pass through unchanged.
-    pub fn add_passthrough_suffix(&mut self, suffix: &str) {
-        self.passthrough_suffixes.insert(suffix.to_string());
-    }
-
     /// Anonymizes one last-path-component.
     pub fn map(&mut self, name: &str) -> String {
         if name.is_empty() || self.passthrough_names.contains(name) {

@@ -99,19 +99,6 @@ impl Op {
         matches!(self, Op::Lookup | Op::Getattr | Op::Access)
     }
 
-    /// Whether this op creates a directory entry.
-    pub fn is_create_like(self) -> bool {
-        matches!(
-            self,
-            Op::Create | Op::Mkdir | Op::Symlink | Op::Mknod | Op::Link
-        )
-    }
-
-    /// Whether this op removes a directory entry.
-    pub fn is_remove_like(self) -> bool {
-        matches!(self, Op::Remove | Op::Rmdir)
-    }
-
     /// Stable lower-case token used by the text trace format.
     pub fn token(self) -> &'static str {
         match self {
@@ -281,15 +268,6 @@ impl TraceRecord {
         self.status == u32::MAX
     }
 
-    /// Bytes this record actually moved (0 for metadata ops).
-    pub fn data_bytes(&self) -> u64 {
-        if self.op.is_read() || self.op.is_write() {
-            u64::from(self.ret_count)
-        } else {
-            0
-        }
-    }
-
     /// Server-to-call round trip in microseconds, when the reply exists.
     pub fn latency_micros(&self) -> Option<u64> {
         (!self.reply_lost() && self.reply_micros >= self.micros)
@@ -335,14 +313,7 @@ mod tests {
         assert_eq!(r.ret_count, 8192);
         assert_eq!(r.client, 42);
         assert_eq!(r.post_size, Some(1 << 20));
-        assert_eq!(r.data_bytes(), 8192);
         assert!(r.is_ok());
-    }
-
-    #[test]
-    fn metadata_moves_no_data() {
-        let r = TraceRecord::new(0, Op::Getattr, FileId(1)).with_range(0, 4096);
-        assert_eq!(r.data_bytes(), 0);
     }
 
     #[test]
@@ -352,15 +323,5 @@ mod tests {
         assert_eq!(r.latency_micros(), Some(250));
         r.status = u32::MAX;
         assert_eq!(r.latency_micros(), None);
-    }
-
-    #[test]
-    fn create_and_remove_like_sets() {
-        assert!(Op::Create.is_create_like());
-        assert!(Op::Link.is_create_like());
-        assert!(!Op::Write.is_create_like());
-        assert!(Op::Remove.is_remove_like());
-        assert!(Op::Rmdir.is_remove_like());
-        assert!(!Op::Rename.is_remove_like());
     }
 }

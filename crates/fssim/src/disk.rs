@@ -54,8 +54,6 @@ impl Default for DiskParams {
 pub struct DiskModel {
     params: DiskParams,
     head_block: u64,
-    /// Total microseconds spent.
-    busy_micros: u64,
     /// Accesses served.
     accesses: u64,
     /// Accesses that required a physical seek.
@@ -68,7 +66,6 @@ impl DiskModel {
         Self {
             params,
             head_block: 0,
-            busy_micros: 0,
             accesses: 0,
             seeks: 0,
         }
@@ -93,13 +90,7 @@ impl DiskModel {
         let bytes = nblocks.max(1) * 8192;
         cost += bytes * 1_000_000 / self.params.transfer_bytes_per_sec.max(1);
         self.head_block = block + nblocks;
-        self.busy_micros += cost;
         cost
-    }
-
-    /// Total time spent, microseconds.
-    pub fn busy_micros(&self) -> u64 {
-        self.busy_micros
     }
 
     /// `(accesses, physical seeks)` so far.

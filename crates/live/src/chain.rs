@@ -10,10 +10,10 @@
 //! [`seqfile`] sidecar per segment. Chains hold no index: the ingest
 //! that owns them folds its whole stream once, in arrival order.
 //!
-//! A snapshot ([`SegmentChain::snapshot`]) is a [`ShardChain`]: the
-//! sealed readers, shared, then the hot writer's snapshot, which is a
-//! [`StoreReader`] like them — every segment a view reads, it reads
-//! through the one handle its reader opened.
+//! A snapshot ([`SegmentChain::snapshot`]) is the chain's segment
+//! readers: the sealed ones, shared, then the hot writer's snapshot,
+//! which is a [`StoreReader`] like them — every segment a view reads, it
+//! reads through the one handle its reader opened.
 //!
 //! # Sealing behind the sink
 //!
@@ -39,7 +39,6 @@
 //! returns [`StoreError::Poisoned`].
 
 use crate::ingest::{LiveConfig, LiveSummary};
-use crate::view::ShardChain;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::compact::{self, FaultInjector};
 use nfstrace_store::seqfile;
@@ -50,6 +49,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Arrival sequences, one vector per segment.
+pub(crate) type Sequences = Vec<Arc<Vec<u64>>>;
+
 /// What a seal changes: the catalog, the sealed readers with their
 /// sequences, and the compactor that merges them. The chain holds it
 /// between seals; the sealing thread holds it during one.
@@ -59,7 +61,7 @@ struct Sealed {
     readers: Vec<Arc<StoreReader>>,
     /// Arrival sequences per sealed segment, parallel to `readers`;
     /// `None` for a chain that carries no sequences.
-    seqs: Option<Vec<Arc<Vec<u64>>>>,
+    seqs: Option<Sequences>,
     /// The background merge engine (present iff
     /// [`LiveConfig::compaction`]).
     compactor: Option<Compactor>,
@@ -240,7 +242,7 @@ impl SegmentChain {
         config: LiveConfig,
         catalog: SegmentCatalog,
         readers: Vec<Arc<StoreReader>>,
-        seqs: Option<Vec<Arc<Vec<u64>>>>,
+        seqs: Option<Sequences>,
     ) -> Self {
         let compactor = config
             .compaction
@@ -428,34 +430,30 @@ impl SegmentChain {
             .expect("a settled chain holds its state")
     }
 
-    /// Settles, then snapshots this chain for a [`crate::LiveView`]:
-    /// the sealed readers and their sequences, shared, then — when a
-    /// hot writer exists — a reader over what it holds
-    /// ([`StoreWriter::snapshot`]) with the hot sequences, copied.
-    /// The hot records stay encoded, so nothing is decoded here, and
-    /// the next push copies nothing.
+    /// Settles, then snapshots this chain's segments for a view: the
+    /// sealed readers, shared, then — when [`SegmentChain::hot_len`] is
+    /// not 0 — a reader over what the hot writer holds
+    /// ([`StoreWriter::snapshot`]). On a sequenced chain the second
+    /// vector holds each segment's arrival sequences (the hot ones
+    /// copied); otherwise it is empty. The hot records stay encoded, so
+    /// nothing is decoded here, and the next push copies nothing.
     ///
     /// # Errors
     ///
     /// As [`SegmentChain::settle`], or the hot writer's I/O error
     /// handing out its flushed chunks.
-    pub(crate) fn snapshot(&mut self) -> Result<ShardChain> {
+    pub(crate) fn snapshot(&mut self) -> Result<(Vec<Arc<StoreReader>>, Sequences)> {
         self.settle()?;
         let sealed = self.settled();
         let mut segments = sealed.readers.clone();
         let mut seqs = sealed.seqs.clone().unwrap_or_default();
-        let sealed_len = segments.len();
         if let Some(writer) = &mut self.hot_writer {
             segments.push(Arc::new(writer.snapshot()?));
             if self.sequenced {
                 seqs.push(Arc::new(self.hot_seqs.clone()));
             }
         }
-        Ok(ShardChain {
-            segments,
-            seqs,
-            sealed_len,
-        })
+        Ok((segments, seqs))
     }
 
     /// Seals the trailing hot segment, settles, and reports the chain's

@@ -3,12 +3,13 @@
 
 use crate::chain::SegmentChain;
 use crate::source::RecordSource;
-use crate::view::{for_each_merged, LiveView, ShardChain};
 use nfstrace_core::index::{IndexBase, PartialIndex};
 use nfstrace_core::parallel;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::sink::RecordSink;
-use nfstrace_store::{build_partial_index, CompactionPolicy, Result, StoreConfig, StoreError};
+use nfstrace_store::{
+    build_partial_index, CompactionPolicy, Result, StoreConfig, StoreError, StoreIndex,
+};
 use nfstrace_telemetry::{span, Counter, Gauge, Histogram, Registry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,32 +149,12 @@ impl RunningIndex {
 
     /// The running state over records an earlier run emitted: `index`
     /// over all of them, the last captured at `last_micros`.
-    fn resumed(registry: &Registry, index: PartialIndex, last_micros: u64) -> Self {
+    pub(crate) fn resumed(registry: &Registry, index: PartialIndex, last_micros: u64) -> Self {
         let mut running = RunningIndex::new(registry);
         *running.metrics.published.get_mut() = index.len() as u64;
         running.index = index;
         running.last_micros = last_micros;
         running
-    }
-
-    /// Rebuilds the running state over a sharded ingest's chains found
-    /// on disk with one replay through [`for_each_merged`], the merge
-    /// its views use, and returns it with the arrival sequence past the
-    /// last one replayed. Only [`crate::ShardedLiveIngest::open`]
-    /// replays: a plain chain reopens through the store's construction
-    /// pass ([`LiveIngest::open`]).
-    ///
-    /// # Errors
-    ///
-    /// On chunk read failure, or a [`StoreError::Sidecar`] naming a
-    /// segment whose sequences do not strictly increase.
-    pub(crate) fn replay(registry: &Registry, chains: &[ShardChain]) -> Result<(Self, u64)> {
-        let (mut index, mut last_micros) = (PartialIndex::new(), 0);
-        let next_seq = for_each_merged(chains, 0, u64::MAX, &mut |r| {
-            index.observe(r);
-            last_micros = r.micros;
-        })?;
-        Ok((Self::resumed(registry, index, last_micros), next_seq))
     }
 
     /// Checks that `batch` continues the stream in time order, against
@@ -215,11 +196,14 @@ impl RunningIndex {
         span!(self.metrics.batch_micros)
     }
 
-    /// The finished products over everything observed so far — a
-    /// copy-on-write snapshot of the running index, cached per
+    /// Publishes the tally, `hot_len` records hot, and returns the
+    /// finished products over everything observed so far for a view —
+    /// a copy-on-write snapshot of the running index, cached per
     /// generation: O(counters + hourly buckets) the first time after a
     /// record, a pure clone after that.
-    pub(crate) fn snapshot_base(&self) -> IndexBase {
+    pub(crate) fn view(&self, hot_len: usize) -> IndexBase {
+        let _span = span!(self.metrics.snapshot_micros);
+        self.publish(hot_len);
         let mut cache = self.base_cache.lock().expect("snapshot cache poisoned");
         if let Some((generation, base)) = cache.as_ref() {
             if *generation == self.index.len() {
@@ -241,12 +225,9 @@ impl RunningIndex {
         self.metrics.hot_records.set(hot_len as f64);
     }
 
-    /// Snapshots a [`LiveView`] over `chains`, which must hold exactly
-    /// the records observed so far, `hot_len` of them hot.
-    pub(crate) fn view(&self, chains: Vec<ShardChain>, hot_len: usize) -> LiveView {
-        let _span = span!(self.metrics.snapshot_micros);
-        self.publish(hot_len);
-        LiveView::assemble(chains, 0, u64::MAX, self.snapshot_base(), &self.registry)
+    /// Where the ingest's telemetry, and its views', lands.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     pub(crate) fn total_records(&self) -> u64 {
@@ -382,8 +363,8 @@ pub struct LiveSummary {
 /// while folding each into a running [`PartialIndex`], and **seals**
 /// the hot segment to an on-disk store segment whenever it crosses the
 /// configured record-count or time-span threshold. At any instant,
-/// [`LiveIngest::view`] snapshots a [`LiveView`] answering the full
-/// analysis suite over *sealed + hot* — queries run mid-ingest, against
+/// [`LiveIngest::view`] snapshots a [`StoreIndex`] over *sealed + hot*
+/// answering the full analysis suite — queries run mid-ingest, against
 /// exactly the records ingested so far.
 ///
 /// # The bounded-memory contract
@@ -400,9 +381,8 @@ pub struct LiveSummary {
 ///   being sunk and the one the source fills meanwhile;
 /// - at most one segment is being sealed, and what its sealing thread
 ///   holds is the writer's buffers;
-/// - a [`LiveView`] holds its hot segments encoded, as it holds sealed
-///   ones, and decodes either chunk-at-a-time when a replay or window
-///   reads them.
+/// - a view holds its hot segment encoded, as it holds sealed ones, and
+///   decodes either chunk-at-a-time when a replay or window reads them.
 ///
 /// What a view or index holds open grows with the catalog instead: one
 /// file handle per segment it reads, which pins a segment that
@@ -417,17 +397,19 @@ pub struct LiveSummary {
 ///
 /// # Snapshot cost
 ///
-/// The running index's products sit behind copy-on-write
-/// [`std::sync::Arc`]s, so [`LiveIngest::view`] is a handle clone plus
-/// a summary/hourly copy — O(counters + hourly buckets), **not**
-/// O(distinct files) or O(accesses) — and the finished [`IndexBase`] is
-/// cached per ingest *generation*: repeated views between mutations are
-/// pure clones. Ingest pays for the sharing lazily, copying only the
-/// per-file lists it touches after a snapshot. The hot segment adds a
-/// reader over what its writer holds: a handle onto the segment file,
-/// the flushed chunks' footer entries, and a copy of the pending
-/// chunk's encoded bytes; no record is decoded and none is copied on
-/// the next push.
+/// A view is [`StoreIndex::with_base`] over the segment readers and the
+/// running index's products, which sit behind copy-on-write
+/// [`std::sync::Arc`]s: a handle clone plus a summary/hourly copy —
+/// O(counters + hourly buckets), **not** O(distinct files) or
+/// O(accesses) — and the finished [`IndexBase`] is cached per ingest
+/// *generation*: repeated views between mutations are pure clones.
+/// Ingest pays for the sharing lazily, copying only the per-file lists
+/// it touches after a snapshot. The hot segment adds a reader over what
+/// its writer holds: a handle onto the segment file, the flushed
+/// chunks' footer entries, and a copy of the pending chunk's encoded
+/// bytes; no record is decoded and none is copied on the next push.
+/// `with_base` checks the segment order and the record count against
+/// the footers, O(chunks).
 ///
 /// # Sealing, and where errors surface
 ///
@@ -509,7 +491,7 @@ impl LiveIngest {
         let registry = config.registry.clone();
         let mut chain = SegmentChain::open(config, false)?;
         // No record was pushed yet, so every segment is sealed.
-        let sealed = chain.snapshot()?.segments;
+        let (sealed, _) = chain.snapshot()?;
         let index = build_partial_index(&sealed, 0, u64::MAX, parallel::threads())?;
         let ranges = sealed.iter().filter_map(|r| r.time_range());
         let last_micros = ranges.map(|(_, max)| max).max().unwrap_or(0);
@@ -542,7 +524,7 @@ impl LiveIngest {
     /// holds any record) to a sealing thread, which seals it and runs
     /// any [`LiveConfig::compaction`] passes the new segment made ripe;
     /// the next settle joins it. The running index already covers
-    /// these records and is untouched, and a [`LiveView`] snapshotted
+    /// these records and is untouched, and a view snapshotted
     /// before this call keeps reading every segment it references
     /// through its own handles, even one the merge deletes.
     ///
@@ -584,26 +566,23 @@ impl LiveIngest {
         })
     }
 
-    /// The finished construction products over everything ingested so
-    /// far — a copy-on-write snapshot of the running index, cached per
-    /// generation: O(counters + hourly buckets) the first time after a
-    /// mutation, a pure clone after that.
-    pub fn snapshot_base(&self) -> IndexBase {
-        self.running.snapshot_base()
-    }
-
     /// Settles the seal in flight, then snapshots a stable
-    /// [`LiveView`] over everything ingested so far — sealed segments
-    /// plus the hot segment, queryable mid-ingest. The hot segment is
-    /// taken as its writer holds it, encoded, behind a
+    /// [`StoreIndex`] over everything ingested so far — the sealed
+    /// segments, then the hot segment, queryable mid-ingest. The hot
+    /// segment is taken as its writer holds it, encoded, behind a
     /// [`nfstrace_store::StoreReader`]: no record is decoded here, and
-    /// the view decodes its chunks as it decodes sealed ones.
+    /// the view decodes its chunks as it decodes sealed ones. Each
+    /// reader keeps the file handle it opened, so the view reads the
+    /// same bytes after the ingest seals, renames, merges or deletes any
+    /// segment it references; a deleted segment's bytes stay on disk
+    /// until the last view holding it is dropped. Before the first
+    /// record the view is an empty index over no segment.
     ///
     /// # Panics
     ///
     /// If a seal failed; [`LiveIngest::try_view`] returns that error
     /// instead.
-    pub fn view(&mut self) -> LiveView {
+    pub fn view(&mut self) -> StoreIndex {
         self.try_view()
             .unwrap_or_else(|e| panic!("no view over a failed ingest: {e}"))
     }
@@ -614,9 +593,10 @@ impl LiveIngest {
     /// # Errors
     ///
     /// The settled seal's error, or [`StoreError::Poisoned`] after one.
-    pub fn try_view(&mut self) -> Result<LiveView> {
-        let chain = self.chain.snapshot()?;
-        Ok(self.running.view(vec![chain], self.chain.hot_len()))
+    pub fn try_view(&mut self) -> Result<StoreIndex> {
+        let (segments, _) = self.chain.snapshot()?;
+        let base = self.running.view(self.chain.hot_len());
+        StoreIndex::with_base(segments, base, self.running.registry())
     }
 
     /// Hands the trailing hot segment to the sealer, settles it, and

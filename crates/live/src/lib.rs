@@ -23,22 +23,24 @@
 //!   record-count or time-span threshold **seals** the hot segment
 //!   into an immutable store file named by ordinal
 //!   ([`nfstrace_store::segments`]). A stopped ingest reopens its
-//!   directory and appends where it left off.
-//! - **[`LiveView`]** — a stable snapshot implementing
-//!   [`nfstrace_core::index::TraceView`] over *sealed + hot*, taken at
-//!   any instant mid-ingest. Every table and figure in the repro suite
-//!   runs against it unchanged, and its products are bit-identical to
-//!   an in-memory index over the same records.
+//!   directory and appends where it left off. [`LiveIngest::view`]
+//!   snapshots it at any instant mid-ingest as a
+//!   [`nfstrace_store::StoreIndex`] over *sealed + hot* — the same
+//!   [`nfstrace_core::index::TraceView`] a segment directory opens as,
+//!   built from the running index without a decode. Every table and
+//!   figure in the repro suite runs against it unchanged, and its
+//!   products are bit-identical to an in-memory index over the same
+//!   records.
 //! - **[`ShardedLiveIngest`]** — the multi-writer shape: the stream's
 //!   storage splits by client hash across N segment chains (each with
 //!   its own hot segment, rotation clock, and `shard-NNN/` directory),
 //!   the router stamps every record with a global arrival sequence
 //!   (persisted in [`nfstrace_store::seqfile`] sidecars) and folds the
-//!   stream into one running index, as the single writer does. Record replays k-way
-//!   merge the chains back into the exact original stream — the
-//!   analysis suite over a view stays byte-identical to a
-//!   single-writer daemon and to the batch pipeline, for any shard
-//!   count.
+//!   stream into one running index, as the single writer does. Its
+//!   [`ShardedView`]'s replays k-way merge the chains back into the
+//!   exact original stream — the analysis suite over it stays
+//!   byte-identical to a single-writer daemon and to the batch
+//!   pipeline, for any shard count.
 //!
 //! # The bounded-memory contract
 //!
@@ -47,7 +49,7 @@
 //! being filled), plus the hot segment's pending chunk, plus a decoded
 //! chunk or two during replays — never `O(trace)`. The hot segment is
 //! held once, encoded, by its writer: each record is encoded and
-//! dropped as it arrives, and a [`LiveView`] takes the segment as the
+//! dropped as it arrives, and a view takes the segment as the
 //! writer holds it — a [`nfstrace_store::StoreReader`], like each
 //! sealed segment — and decodes its chunks as it decodes sealed ones,
 //! one at a time. A view holds one open file handle per segment it
@@ -98,9 +100,9 @@ mod chain;
 pub mod ingest;
 pub mod sharded;
 pub mod source;
-pub mod view;
 
 pub use ingest::{LiveConfig, LiveIngest, LiveSummary};
-pub use sharded::{shard_for_client, ShardedLiveIngest, ShardedSummary, SHARD_MANIFEST};
+pub use sharded::{
+    shard_for_client, ShardChain, ShardedLiveIngest, ShardedSummary, ShardedView, SHARD_MANIFEST,
+};
 pub use source::{RecordSource, SnifferSource};
-pub use view::{LiveView, ShardChain};

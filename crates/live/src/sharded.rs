@@ -20,8 +20,9 @@
 //! came first. So the router stamps every record with a dense **global
 //! arrival sequence** before fan-out; chains persist the sequences in
 //! per-segment sidecars ([`nfstrace_store::seqfile`]); and record
-//! replays — a view's, and the one that rebuilds the index at reopen —
-//! k-way merge the chains on those sequences. The invariant — pinned by property
+//! replays — a [`ShardedView`]'s, and the one that rebuilds the index
+//! at reopen — k-way merge the chains on those sequences
+//! ([`ShardChain`]s, one cursor each; the only merge in the crate). The invariant — pinned by property
 //! tests, `crates/bench/tests/paths.rs` and the CI equivalence smoke —
 //! is that the full analysis suite over a sharded view is
 //! **byte-identical** to a single-writer daemon's and to the batch
@@ -32,14 +33,16 @@
 //! sealing thread, and the calls that settle there settle every chain
 //! (see [`crate::LiveIngest`] on where errors surface).
 
-use crate::chain::SegmentChain;
+use crate::chain::{SegmentChain, Sequences};
 use crate::ingest::{pump, LiveConfig, LiveSummary, RunningIndex};
 use crate::source::RecordSource;
-use crate::view::LiveView;
+use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::segments::{open_shard_catalogs, shard_dir_name, shard_dirs_present};
-use nfstrace_store::{Result, StoreError};
+use nfstrace_store::{overlapping_chunks, Result, StoreError, StoreReader};
+use nfstrace_telemetry::Registry;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The shard-count manifest file a sharded root directory carries.
 pub const SHARD_MANIFEST: &str = "SHARDS";
@@ -163,7 +166,7 @@ impl ShardedLiveIngest {
             .collect::<Result<Vec<_>>>()?;
         let snapshots = chains
             .iter_mut()
-            .map(SegmentChain::snapshot)
+            .map(ShardChain::of)
             .collect::<Result<Vec<_>>>()?;
         let (running, next_seq) = RunningIndex::replay(&config.registry, &snapshots)?;
         Ok(ShardedLiveIngest {
@@ -267,7 +270,7 @@ impl ShardedLiveIngest {
     }
 
     /// Settles every chain's seal in flight, then snapshots a stable
-    /// [`LiveView`] over everything every shard has ingested so far —
+    /// [`ShardedView`] over everything every shard has ingested so far —
     /// the full analysis suite answers over it byte-identically to a
     /// single-writer daemon over the same stream. As on the single
     /// writer, the running index's products are cached per generation;
@@ -277,7 +280,7 @@ impl ShardedLiveIngest {
     ///
     /// If a seal failed; [`ShardedLiveIngest::try_view`] returns that
     /// error instead.
-    pub fn view(&mut self) -> LiveView {
+    pub fn view(&mut self) -> ShardedView {
         self.try_view()
             .unwrap_or_else(|e| panic!("no view over a failed ingest: {e}"))
     }
@@ -289,13 +292,20 @@ impl ShardedLiveIngest {
     ///
     /// The first settled seal's error, or [`StoreError::Poisoned`]
     /// after one.
-    pub fn try_view(&mut self) -> Result<LiveView> {
+    pub fn try_view(&mut self) -> Result<ShardedView> {
         let chains = self
             .chains
             .iter_mut()
-            .map(SegmentChain::snapshot)
+            .map(ShardChain::of)
             .collect::<Result<Vec<_>>>()?;
-        Ok(self.running.view(chains, self.hot_len()))
+        let base = self.running.view(self.hot_len());
+        Ok(ShardedView::assemble(
+            chains,
+            0,
+            u64::MAX,
+            base,
+            self.running.registry(),
+        ))
     }
 
     /// Hands every chain's trailing hot segment to its sealer — the
@@ -347,5 +357,321 @@ impl ShardedLiveIngest {
     /// Records in hot segments right now, across shards.
     pub fn hot_len(&self) -> usize {
         self.chains.iter().map(SegmentChain::hot_len).sum()
+    }
+}
+
+impl RunningIndex {
+    /// Rebuilds the running state over a sharded ingest's chains found
+    /// on disk with one replay through [`for_each_merged`], the merge
+    /// its views use, and returns it with the arrival sequence past the
+    /// last one replayed. Only [`ShardedLiveIngest::open`] replays: a
+    /// plain chain reopens through the store's construction pass
+    /// ([`crate::LiveIngest::open`]).
+    ///
+    /// # Errors
+    ///
+    /// On chunk read failure, or a [`StoreError::Sidecar`] naming a
+    /// segment whose sequences do not strictly increase.
+    pub(crate) fn replay(registry: &Registry, chains: &[ShardChain]) -> Result<(Self, u64)> {
+        let (mut index, mut last_micros) = (PartialIndex::new(), 0);
+        let next_seq = for_each_merged(chains, 0, u64::MAX, &mut |r| {
+            index.observe(r);
+            last_micros = r.micros;
+        })?;
+        Ok((Self::resumed(registry, index, last_micros), next_seq))
+    }
+}
+
+/// One shard's contribution to a [`ShardedView`]: its segments in
+/// stream order — the sealed ones, then the hot one, a reader over what
+/// the hot writer held at the snapshot
+/// ([`nfstrace_store::StoreWriter::snapshot`]) — and the arrival
+/// sequences of every record, one vector per segment (sidecars for the
+/// sealed ones).
+///
+/// Every segment is read the same way, through its [`StoreReader`]'s
+/// handle, its chunks planned by the store's own planner
+/// ([`overlapping_chunks`]), which prunes and skips the hot segment's
+/// chunks as it does sealed ones. The sequences interleave the chains
+/// back into the stream they were split from: a view's replays and
+/// windows, and the reopen.
+#[derive(Debug, Clone)]
+pub struct ShardChain {
+    /// Sealed segments first, then the hot one, if any.
+    segments: Vec<Arc<StoreReader>>,
+    /// Arrival sequences per segment, parallel to `segments`.
+    seqs: Sequences,
+    /// How many of `segments` are sealed.
+    sealed_len: usize,
+}
+
+impl ShardChain {
+    /// Settles `chain` and snapshots its segments and their sequences.
+    fn of(chain: &mut SegmentChain) -> Result<Self> {
+        let hot = usize::from(chain.hot_len() > 0);
+        let (segments, seqs) = chain.snapshot()?;
+        Ok(ShardChain {
+            sealed_len: segments.len() - hot,
+            segments,
+            seqs,
+        })
+    }
+
+    /// The sealed segment readers of this chain.
+    pub fn sealed(&self) -> &[Arc<StoreReader>] {
+        &self.segments[..self.sealed_len]
+    }
+
+    /// The reader over this chain's hot (unsealed) segment as the
+    /// snapshot took it; `None` when the chain had no hot segment.
+    pub fn hot(&self) -> Option<&Arc<StoreReader>> {
+        self.segments.get(self.sealed_len)
+    }
+}
+
+/// A streaming cursor over one sequenced chain restricted to
+/// `[start, end)`: the chunks the store planner
+/// ([`overlapping_chunks`]) keeps for the window, hot ones included,
+/// decoded lazily one at a time with only their in-window records built
+/// ([`StoreReader::read_chunk_in`]). [`ChainCursor::peek`] exposes the
+/// arrival sequence of the next record the chain would emit — the
+/// k-way merge pops the chain with the smallest one.
+struct ChainCursor<'a> {
+    chain: &'a ShardChain,
+    start: u64,
+    end: u64,
+    /// The planner's `(segment, chunk)` list, and the next to decode.
+    chunks: Vec<(usize, usize)>,
+    next_chunk: usize,
+    /// The segment `buf` came from.
+    seg: usize,
+    /// The decoded chunk's in-window records, and the sequences that
+    /// hold their arrival order.
+    buf: Vec<TraceRecord>,
+    buf_seqs: &'a [u64],
+    buf_pos: usize,
+}
+
+impl<'a> ChainCursor<'a> {
+    fn new(chain: &'a ShardChain, start: u64, end: u64) -> Self {
+        ChainCursor {
+            chain,
+            start,
+            end,
+            chunks: overlapping_chunks(&chain.segments, start, end),
+            next_chunk: 0,
+            seg: 0,
+            buf: Vec::new(),
+            buf_seqs: &[],
+            buf_pos: 0,
+        }
+    }
+
+    /// Positions the cursor at its next in-window record and returns
+    /// that record's arrival sequence; `None` once the chain is
+    /// exhausted. O(1) when already positioned.
+    ///
+    /// # Errors
+    ///
+    /// On chunk read/decode failure, or sequences too short for the
+    /// chunk's records.
+    fn peek(&mut self) -> Result<Option<u64>> {
+        loop {
+            if let Some(&seq) = self.buf_seqs.get(self.buf_pos) {
+                return Ok(Some(seq));
+            }
+            let Some(&(seg, ci)) = self.chunks.get(self.next_chunk) else {
+                return Ok(None);
+            };
+            self.next_chunk += 1;
+            self.seg = seg;
+            let chain = self.chain;
+            let reader = &chain.segments[seg];
+            let (records, first) = reader.read_chunk_in(ci, self.start, self.end)?;
+            let earlier: u64 = reader.chunks()[..ci].iter().map(|m| m.records).sum();
+            let at = earlier as usize + first;
+            self.buf_seqs = chain.seqs[seg]
+                .get(at..at + records.len())
+                .ok_or_else(|| self.sequence_error(format!("no sequences for records {at}..")))?;
+            self.buf = records;
+            self.buf_pos = 0;
+        }
+    }
+
+    /// Emits the record [`ChainCursor::peek`] just positioned at and
+    /// steps past it. Must follow a `Some` peek.
+    fn pop(&mut self, f: &mut dyn FnMut(&TraceRecord)) {
+        f(&self.buf[self.buf_pos]);
+        self.buf_pos += 1;
+    }
+
+    /// A sequence error at the cursor's position, naming its segment.
+    fn sequence_error(&self, problem: String) -> StoreError {
+        StoreError::Sidecar {
+            segment: self.chain.segments[self.seg].path().to_path_buf(),
+            problem,
+        }
+    }
+}
+
+/// Replays every in-window record of sequenced `chains` in global
+/// arrival order, k-way merging them by arrival sequence with a linear
+/// min-scan (chain counts are small), and returns the sequence past the
+/// last record replayed: the replay at [`ShardedLiveIngest::open`] and
+/// every [`ShardedView`] replay and window, at any shard count.
+///
+/// # Errors
+///
+/// On chunk read/decode failure, and a [`StoreError::Sidecar`] naming
+/// the segment when the merged sequences do not strictly increase —
+/// out of order within a chain or colliding across chains — or reach
+/// `u64::MAX`, which leaves no sequence to resume at.
+pub(crate) fn for_each_merged(
+    chains: &[ShardChain],
+    start: u64,
+    end: u64,
+    f: &mut dyn FnMut(&TraceRecord),
+) -> Result<u64> {
+    let mut cursors: Vec<ChainCursor> = chains
+        .iter()
+        .map(|c| ChainCursor::new(c, start, end))
+        .collect();
+    let mut next = 0u64;
+    loop {
+        let mut best: Option<(u64, usize)> = None;
+        for (i, cursor) in cursors.iter_mut().enumerate() {
+            if let Some(seq) = cursor.peek()? {
+                if best.is_none_or(|(s, _)| seq < s) {
+                    best = Some((seq, i));
+                }
+            }
+        }
+        let Some((seq, i)) = best else {
+            return Ok(next);
+        };
+        let cursor = &mut cursors[i];
+        if seq < next {
+            return Err(cursor.sequence_error(format!(
+                "arrival sequence {seq} does not follow {}",
+                next - 1
+            )));
+        }
+        next = seq.checked_add(1).ok_or_else(|| {
+            cursor.sequence_error(format!("arrival sequence {seq} leaves none to resume at"))
+        })?;
+        cursor.pop(f);
+    }
+}
+
+/// A [`TraceView`] over everything a [`ShardedLiveIngest`] has ingested
+/// at one instant: per shard, the sealed on-disk segments plus a
+/// snapshot of the hot (not yet sealed) segment, each behind a
+/// [`StoreReader`].
+///
+/// A `ShardedView` is **stable**, as a single writer's view is: the
+/// sealed segment files are immutable, each hot segment is snapshotted
+/// at view time as its writer holds it — encoded: the flushed chunks,
+/// and a copy of the pending chunk's bytes — and every segment's reader
+/// keeps the one file handle it opened, so the view reads the same
+/// bytes after the ingest behind it seals, renames, merges or deletes
+/// any segment it references. The view holds one open handle per
+/// segment, and a deleted segment's bytes stay on disk until the last
+/// view holding it is dropped. The construction-pass products come from
+/// a copy-on-write snapshot of the ingest's one running
+/// [`PartialIndex`], so taking a view decodes no record. Its contract
+/// is the usual bit-identity with an in-memory
+/// [`nfstrace_core::index::TraceIndex`] over the *original* global
+/// stream, which its replays and windows reconstruct by k-way merging
+/// the chains on arrival sequence, one decoded
+/// chunk per chain resident at a time.
+#[derive(Debug)]
+pub struct ShardedView {
+    chains: Vec<ShardChain>,
+    /// This view's half-open time range.
+    start: u64,
+    end: u64,
+    base: IndexBase,
+    caches: ProductCaches,
+    /// Where this view's (and its windows') `query.*` instruments
+    /// live — inherited from the ingest that snapshotted it.
+    registry: Registry,
+}
+
+impl ShardedView {
+    /// Assembles a snapshot view over `chains`. `base` must be the
+    /// finished construction products over exactly their records in
+    /// `[start, end)`, in arrival order — an ingest hands in its
+    /// running index's snapshot, so building a view is O(snapshot),
+    /// not a decode pass.
+    fn assemble(
+        chains: Vec<ShardChain>,
+        start: u64,
+        end: u64,
+        base: IndexBase,
+        registry: &Registry,
+    ) -> Self {
+        ShardedView {
+            chains,
+            start,
+            end,
+            base,
+            caches: ProductCaches::with_registry(registry),
+            registry: registry.clone(),
+        }
+    }
+
+    /// The chains behind this snapshot, one per shard, in shard order.
+    pub fn chains(&self) -> &[ShardChain] {
+        &self.chains
+    }
+
+    /// Replays `[start, end)` in arrival order through
+    /// [`for_each_merged`].
+    fn replay(&self, start: u64, end: u64, f: &mut dyn FnMut(&TraceRecord)) {
+        for_each_merged(&self.chains, start, end, f)
+            .expect("segment chunk must stay readable under a live view");
+    }
+}
+
+impl RecordStream for ShardedView {
+    /// K-way merge by arrival sequence.
+    ///
+    /// # Panics
+    ///
+    /// On chunk read/decode failure — a segment's bytes corrupted
+    /// mid-analysis.
+    fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord)) {
+        self.replay(self.start, self.end, f);
+    }
+}
+
+impl TraceView for ShardedView {
+    fn base(&self) -> &IndexBase {
+        &self.base
+    }
+
+    fn caches(&self) -> &ProductCaches {
+        &self.caches
+    }
+
+    /// A narrower snapshot sharing the chains' segment readers, its
+    /// records observed once, in merged order.
+    ///
+    /// # Panics
+    ///
+    /// On chunk read/decode failure (see
+    /// [`RecordStream::for_each_record`] on this type).
+    fn time_window(&self, start_micros: u64, end_micros: u64) -> ShardedView {
+        let start = start_micros.max(self.start);
+        let end = end_micros.min(self.end).max(start);
+        let mut partial = PartialIndex::new();
+        self.replay(start, end, &mut |r| partial.observe(r));
+        ShardedView::assemble(
+            self.chains.clone(),
+            start,
+            end,
+            partial.finish(),
+            &self.registry,
+        )
     }
 }

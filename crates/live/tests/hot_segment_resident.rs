@@ -126,7 +126,7 @@ fn the_hot_segment_is_held_once_and_a_view_copies_none_of_it() {
     // The view still reads exactly what it was taken over.
     let expect: Vec<TraceRecord> = (0..HOT).map(record).collect();
     let mut hot = Vec::new();
-    let segment = view.chains()[0].hot().expect("a hot segment");
+    let segment = view.readers().last().expect("a hot segment");
     segment
         .for_each(|r| hot.push(r.clone()))
         .expect("the hot segment reads back");

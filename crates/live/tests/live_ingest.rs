@@ -4,7 +4,7 @@
 use nfstrace_core::index::{TraceIndex, TraceView};
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_core::time::{DAY, HOUR};
-use nfstrace_live::{LiveConfig, LiveIngest, SnifferSource};
+use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest, SnifferSource};
 use nfstrace_store::{StoreConfig, StoreIndex};
 use nfstrace_workload::{CampusConfig, CampusWorkload, SlicedWorkload};
 
@@ -159,13 +159,56 @@ fn degenerate_windows_are_empty_on_every_view_type() {
     assert!(ingest.sealed_segments() > 0 && ingest.hot_len() > 0);
 
     let live = ingest.view();
-    assert_degenerate_windows_empty(&live, "LiveView");
+    assert_degenerate_windows_empty(&live, "live view");
     let sealed = StoreIndex::open_dir(&dir).expect("open sealed segments");
     assert_degenerate_windows_empty(&sealed, "StoreIndex");
     let mut records = Vec::new();
     use nfstrace_core::index::RecordStream;
     live.for_each_record(&mut |r| records.push(r.clone()));
+
+    // The same records, spread over clients, through two shards.
+    let sharded_dir = tmpdir("degenerate-sharded");
+    let mut sharded = ShardedLiveIngest::create(live_cfg(&sharded_dir), 2).expect("create");
+    let spread: Vec<TraceRecord> = (0u32..)
+        .zip(&records)
+        .map(|(i, r)| TraceRecord {
+            client: i % 8,
+            ..r.clone()
+        })
+        .collect();
+    sharded.ingest_batch(&spread).expect("ingest");
+    let view = sharded.view();
+    assert!(
+        view.chains().iter().all(|c| c.hot().is_some()),
+        "both shards hold records"
+    );
+    assert_degenerate_windows_empty(&view, "ShardedView");
     assert_degenerate_windows_empty(&TraceIndex::new(records), "TraceIndex");
+    for d in [&dir, &sharded_dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+}
+
+/// A view taken before the first record is an empty index over no
+/// segment: it replays and windows to nothing, without a panic.
+#[test]
+fn a_view_before_the_first_record_is_empty() {
+    let dir = tmpdir("empty-view");
+    let mut ingest = LiveIngest::create(live_cfg(&dir)).expect("create");
+    let view = ingest.view();
+    assert!(view.readers().is_empty());
+    assert_eq!(view.len(), 0);
+    use nfstrace_core::index::RecordStream;
+    let mut replayed = 0;
+    view.for_each_record(&mut |_| replayed += 1);
+    assert_eq!(replayed, 0);
+    for (start, end) in [(0, u64::MAX), (HOUR, 2 * HOUR), (10, 5)] {
+        let window = view.time_window(start, end);
+        assert_eq!(window.len(), 0, "window [{start}, {end})");
+        assert!(window.accesses(0).is_empty(), "window [{start}, {end})");
+    }
+    assert_eq!(view.summary().total_ops, 0);
+    ingest.finish().expect("finish");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -229,7 +272,7 @@ fn reopen_over_many_chunk_segments_continues_an_uninterrupted_ingest() {
     for r in &batch {
         whole.ingest(r).expect("ingest");
     }
-    let want = whole.snapshot_base();
+    let want = whole.view().base().clone();
     whole.finish().expect("finish");
 
     let dir = tmpdir("many-chunks-reopened");
@@ -256,7 +299,7 @@ fn reopen_over_many_chunk_segments_continues_an_uninterrupted_ingest() {
     for r in &batch[stop..] {
         second.ingest(r).expect("ingest");
     }
-    let got = second.snapshot_base();
+    let got = second.view().base().clone();
     second.finish().expect("finish second run");
 
     assert_eq!(got.len, want.len);
@@ -501,9 +544,10 @@ fn the_hot_segment_goes_through_the_planner() {
         ingest.ingest(r).expect("ingest");
     }
     let view = ingest.view();
-    let chain = &view.chains()[0];
-    let (sealed, hot) = (&chain.sealed()[0], chain.hot().expect("a hot segment"));
-    assert_eq!(chain.sealed().len(), 1);
+    // One sealed segment, then the hot one.
+    let [sealed, hot] = view.readers() else {
+        panic!("{} segments in the view", view.readers().len());
+    };
     let metas = hot.chunks();
     assert!(metas.len() > 3, "flushed hot chunks and a pending one");
     let oracle = TraceIndex::new(records.clone());

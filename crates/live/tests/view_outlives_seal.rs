@@ -11,10 +11,11 @@
 use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::DAY;
-use nfstrace_live::{shard_for_client, LiveConfig, LiveIngest, LiveView, ShardedLiveIngest};
-use nfstrace_store::{CompactionPolicy, StoreConfig};
+use nfstrace_live::{shard_for_client, LiveConfig, LiveIngest, ShardedLiveIngest, ShardedView};
+use nfstrace_store::{CompactionPolicy, StoreConfig, StoreIndex, StoreReader};
 use nfstrace_workload::{CampusConfig, CampusWorkload};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Records per chain before it rotates.
 const ROTATE: u64 = 400;
@@ -55,6 +56,35 @@ fn trace() -> Vec<TraceRecord> {
     records
 }
 
+/// One chain of a view: its sealed segments, then its hot one.
+type Chain<'a> = (&'a [Arc<StoreReader>], Option<&'a Arc<StoreReader>>);
+
+/// The two views a live ingest takes, read as segment chains.
+trait Chains: TraceView {
+    fn segment_chains(&self) -> Vec<Chain<'_>>;
+}
+
+/// A single writer's view is one chain: its readers, the hot segment
+/// (still under its growing `.tmp` name) last.
+impl Chains for StoreIndex {
+    fn segment_chains(&self) -> Vec<Chain<'_>> {
+        let readers = self.readers();
+        let hot = readers
+            .last()
+            .filter(|r| r.path().extension() == Some("tmp".as_ref()));
+        vec![(&readers[..readers.len() - usize::from(hot.is_some())], hot)]
+    }
+}
+
+impl Chains for ShardedView {
+    fn segment_chains(&self) -> Vec<Chain<'_>> {
+        self.chains()
+            .iter()
+            .map(|c| (c.sealed(), c.hot()))
+            .collect()
+    }
+}
+
 fn replay(view: &impl RecordStream) -> Vec<TraceRecord> {
     let mut out = Vec::new();
     view.for_each_record(&mut |r| out.push(r.clone()));
@@ -65,7 +95,7 @@ fn replay(view: &impl RecordStream) -> Vec<TraceRecord> {
 /// windows cutting through it, and each chain's segments — `sealed`
 /// sealed ones, then a hot one holding flushed chunks and a pending
 /// one — which read back the records routed to the chain.
-fn assert_view_is(view: &LiveView, prefix: &[TraceRecord], sealed: usize, ctx: &str) {
+fn assert_view_is<V: Chains>(view: &V, prefix: &[TraceRecord], sealed: usize, ctx: &str) {
     let oracle = TraceIndex::new(prefix.to_vec());
     assert_eq!(replay(view), prefix, "{ctx}: replay");
     assert_eq!(view.summary(), oracle.summary(), "{ctx}: summary");
@@ -77,18 +107,18 @@ fn assert_view_is(view: &LiveView, prefix: &[TraceRecord], sealed: usize, ctx: &
         assert_eq!(vw.summary(), ow.summary(), "{ctx}: window summary");
         assert_eq!(vw.hourly(), ow.hourly(), "{ctx}: window hourly");
     }
-    let shards = view.chains().len();
-    for (i, chain) in view.chains().iter().enumerate() {
+    let chains = view.segment_chains();
+    for (i, &(sealed_segments, hot)) in chains.iter().enumerate() {
         let routed: Vec<TraceRecord> = prefix
             .iter()
-            .filter(|r| shard_for_client(r.client, shards) == i)
+            .filter(|r| shard_for_client(r.client, chains.len()) == i)
             .cloned()
             .collect();
-        assert_eq!(chain.sealed().len(), sealed, "{ctx}: chain {i} sealed");
-        let hot = chain.hot().expect("a hot segment");
+        assert_eq!(sealed_segments.len(), sealed, "{ctx}: chain {i} sealed");
+        let hot = hot.expect("a hot segment");
         assert!(hot.chunk_count() > 1, "{ctx}: chain {i} flushed no chunk");
         let mut held = Vec::new();
-        for segment in chain.sealed().iter().chain([hot]) {
+        for segment in sealed_segments.iter().chain([hot]) {
             segment
                 .for_each(|r| held.push(r.clone()))
                 .expect("a segment of the view");
@@ -99,11 +129,11 @@ fn assert_view_is(view: &LiveView, prefix: &[TraceRecord], sealed: usize, ctx: &
 
 /// Every name a view's segments can go by in their directories: each
 /// sealed segment's, and the hot segment's growing and sealed names.
-fn segment_names(view: &LiveView) -> Vec<PathBuf> {
+fn segment_names(view: &impl Chains) -> Vec<PathBuf> {
     let mut names = Vec::new();
-    for chain in view.chains() {
-        names.extend(chain.sealed().iter().map(|r| r.path().to_path_buf()));
-        let growing = chain.hot().expect("a hot segment").path();
+    for (sealed, hot) in view.segment_chains() {
+        names.extend(sealed.iter().map(|r| r.path().to_path_buf()));
+        let growing = hot.expect("a hot segment").path();
         names.push(growing.to_path_buf());
         names.push(growing.with_extension(""));
     }
@@ -113,7 +143,7 @@ fn segment_names(view: &LiveView) -> Vec<PathBuf> {
 /// Checks a view over `prefix` whose chains each read `sealed` sealed
 /// segments and a hot one, before and after `more` ingests enough for
 /// every one of them to be merged away — all their names gone.
-fn check(prefix: &[TraceRecord], view: LiveView, sealed: usize, more: impl FnOnce(), ctx: &str) {
+fn check(prefix: &[TraceRecord], view: impl Chains, sealed: usize, more: impl FnOnce(), ctx: &str) {
     let names = segment_names(&view);
     assert_view_is(&view, prefix, sealed, &format!("{ctx}, before the merge"));
     more();
@@ -171,19 +201,19 @@ fn a_sharded_view_outlives_the_seal_and_merge_of_its_hot_segments() {
 /// Whether every chain of `view` reads two sealed segments — at fan-in
 /// 2, a merged pair and the segment sealed after it — and a hot one
 /// that has flushed a chunk.
-fn two_sealed_and_hot(view: &LiveView) -> bool {
-    view.chains().iter().all(|chain| {
-        chain.sealed().len() == 2 && chain.hot().is_some_and(|hot| hot.chunk_count() > 1)
-    })
+fn two_sealed_and_hot(view: &impl Chains) -> bool {
+    view.segment_chains()
+        .iter()
+        .all(|(sealed, hot)| sealed.len() == 2 && hot.is_some_and(|hot| hot.chunk_count() > 1))
 }
 
 /// Feeds `records` to `step` a few at a time — it ingests them and
 /// takes a view — until the view satisfies [`two_sealed_and_hot`];
 /// returns that view and the records it covers.
-fn view_over_two_sealed(
+fn view_over_two_sealed<V: Chains>(
     records: &[TraceRecord],
-    mut step: impl FnMut(&[TraceRecord]) -> LiveView,
-) -> (LiveView, usize) {
+    mut step: impl FnMut(&[TraceRecord]) -> V,
+) -> (V, usize) {
     for seen in (40..records.len()).step_by(40) {
         let view = step(&records[seen - 40..seen]);
         if two_sealed_and_hot(&view) {

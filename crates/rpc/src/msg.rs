@@ -144,11 +144,6 @@ impl RpcMessage {
         }
     }
 
-    /// Whether this is a call.
-    pub fn is_call(&self) -> bool {
-        matches!(self.body, MsgBody::Call(_))
-    }
-
     /// The call body, if this is a call.
     pub fn as_call(&self) -> Option<&CallBody> {
         match &self.body {
@@ -430,7 +425,7 @@ mod tests {
         let msg = RpcMessage::call(0xabcd, PROG_NFS, 3, 6, cred, vec![1, 2, 3, 4]);
         let got = RpcMessage::from_xdr_bytes(&msg.to_xdr_bytes()).unwrap();
         assert_eq!(got, msg);
-        assert!(got.is_call());
+        assert!(got.as_call().is_some());
         let call = got.as_call().unwrap();
         assert_eq!(call.prog, PROG_NFS);
         assert_eq!(call.vers, 3);

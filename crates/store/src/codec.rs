@@ -494,22 +494,6 @@ impl RecordFields {
     }
 }
 
-/// Decodes one record: [`RecordFields::parse`], then
-/// [`RecordFields::materialize`]. `prev_micros` mirrors the encode
-/// side; `names` is the chunk's decoded name table.
-///
-/// # Errors
-///
-/// As [`RecordFields::parse`].
-pub fn decode_record(
-    bytes: &[u8],
-    pos: &mut usize,
-    prev_micros: u64,
-    names: &[String],
-) -> Result<TraceRecord> {
-    Ok(RecordFields::parse(bytes, pos, prev_micros, names.len())?.materialize(names))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,7 +548,9 @@ mod tests {
         let mut pos = 0;
         let decoded_names = NameTable::decode(&table_buf, &mut pos).unwrap();
         let mut pos = 0;
-        let back = decode_record(&buf, &mut pos, 999_000, &decoded_names).unwrap();
+        let back = RecordFields::parse(&buf, &mut pos, 999_000, decoded_names.len())
+            .unwrap()
+            .materialize(&decoded_names);
         assert_eq!(back, r);
         assert_eq!(pos, buf.len());
     }
@@ -578,7 +564,9 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(&mut buf, &r, u64::MAX - 5, &mut names);
         let mut pos = 0;
-        let back = decode_record(&buf, &mut pos, u64::MAX - 5, &[]).unwrap();
+        let back = RecordFields::parse(&buf, &mut pos, u64::MAX - 5, 0)
+            .unwrap()
+            .materialize(&[]);
         assert_eq!(back, r);
     }
 
@@ -612,7 +600,7 @@ mod tests {
         for cut in 0..buf.len() {
             let mut pos = 0;
             assert!(
-                decode_record(&buf[..cut], &mut pos, 0, &[]).is_err(),
+                RecordFields::parse(&buf[..cut], &mut pos, 0, 0).is_err(),
                 "cut={cut}"
             );
         }

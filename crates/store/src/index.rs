@@ -7,8 +7,6 @@ use crate::segments::SegmentCatalog;
 use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
-use nfstrace_core::reorder::{self, Access};
-use nfstrace_core::runs::{split_runs, Run, RunOptions};
 use nfstrace_telemetry::Registry;
 use std::borrow::Borrow;
 use std::path::Path;
@@ -175,6 +173,23 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
     Ok(out)
 }
 
+/// Adjacent non-empty segments must not travel back in time: the
+/// concatenation of `readers` is analyzed as one time-ordered trace.
+fn check_segment_order(readers: &[Arc<StoreReader>]) -> Result<()> {
+    let mut prev_max: Option<u64> = None;
+    for (i, r) in readers.iter().enumerate() {
+        for m in r.chunks().iter().filter(|m| m.records > 0) {
+            if prev_max.is_some_and(|p| m.min_micros < p) {
+                return Err(StoreError::Format(format!(
+                    "segment {i} begins before its predecessor ends"
+                )));
+            }
+            prev_max = Some(m.max_micros);
+        }
+    }
+    Ok(())
+}
+
 /// The chunk-parallel construction pass: the [`PartialIndex`] over
 /// every record of `readers` (segments in order) whose capture time
 /// lies in `[start, end)`.
@@ -186,10 +201,10 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
 /// result equals observing the same records one by one, at any worker
 /// count, while resident *record* memory stays bounded by chunk size ×
 /// workers. This is the one pass that indexes stored chunks:
-/// [`StoreIndex`] and its windows finish it, a reopened
-/// `nfstrace_live::LiveIngest` seeds its running index with it, and a
-/// single-chain `nfstrace_live::LiveView` window runs it over its
-/// segments, the hot one (a writer's snapshot) included.
+/// [`StoreIndex`] and its windows finish it — a live ingest's views'
+/// windows too, over segments whose last is the hot one (a writer's
+/// snapshot) — and a reopened `nfstrace_live::LiveIngest` seeds its
+/// running index with it.
 ///
 /// # Errors
 ///
@@ -213,8 +228,10 @@ pub fn build_partial_index(
     Ok(acc)
 }
 
-/// A [`TraceView`] whose records live on disk — in one store file or
-/// across an ordered run of segment files.
+/// A [`TraceView`] whose records live in store segments — one store
+/// file, an ordered run of segment files, or a live ingest's segments
+/// at one instant, the last of them the hot segment as its writer holds
+/// it ([`StoreIndex::with_base`]).
 ///
 /// Construction builds one [`PartialIndex`] per store chunk — sharded
 /// across `NFSTRACE_THREADS` worker threads by
@@ -318,16 +335,6 @@ impl StoreIndex {
         Self::from_readers_in(readers, parallel::threads(), registry)
     }
 
-    /// Indexes all of an already-open store with an explicit
-    /// construction-pass worker count (bit-identical for any count).
-    ///
-    /// # Errors
-    ///
-    /// On chunk read/decode failure.
-    pub fn from_reader_with_threads(reader: Arc<StoreReader>, threads: usize) -> Result<Self> {
-        Self::from_readers_with_threads(vec![reader], threads)
-    }
-
     /// Indexes the concatenation of already-open stores (segments in
     /// time order) with an explicit worker count.
     ///
@@ -341,6 +348,42 @@ impl StoreIndex {
         Self::from_readers_in(readers, threads, &Registry::new())
     }
 
+    /// An index over all of `readers` (segments in time order) built
+    /// from construction products the caller already holds: `base`
+    /// must be the finished [`PartialIndex`] over exactly their
+    /// records, in stream order. A live ingest hands in its running
+    /// index's snapshot, so this decodes nothing; what the footers can
+    /// show is checked, in O(chunks): the segment order
+    /// [`StoreIndex::from_readers_with_threads`] checks, and that
+    /// `base` counts as many records as the footers hold.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Format`] on out-of-order segments or a record
+    /// count that differs from the footers' total.
+    pub fn with_base(
+        readers: Vec<Arc<StoreReader>>,
+        base: IndexBase,
+        registry: &Registry,
+    ) -> Result<Self> {
+        check_segment_order(&readers)?;
+        let stored: u64 = readers.iter().map(|r| r.total_records()).sum();
+        if base.len as u64 != stored {
+            return Err(StoreError::Format(format!(
+                "construction products over {} records, segments holding {stored}",
+                base.len
+            )));
+        }
+        Ok(StoreIndex {
+            readers,
+            start: 0,
+            end: u64::MAX,
+            base,
+            caches: ProductCaches::with_registry(registry),
+            registry: registry.clone(),
+        })
+    }
+
     /// The shared tail of every `from_readers` flavor: validates
     /// segment ordering, then runs the construction pass.
     fn from_readers_in(
@@ -348,20 +391,7 @@ impl StoreIndex {
         threads: usize,
         registry: &Registry,
     ) -> Result<Self> {
-        // Adjacent non-empty segments must not travel back in time:
-        // the concatenation is analyzed as one time-ordered trace.
-        let mut prev_max: Option<u64> = None;
-        for (i, r) in readers.iter().enumerate() {
-            let metas = r.chunks().iter().filter(|m| m.records > 0);
-            for m in metas {
-                if prev_max.is_some_and(|p| m.min_micros < p) {
-                    return Err(StoreError::Format(format!(
-                        "segment {i} begins before its predecessor ends"
-                    )));
-                }
-                prev_max = Some(m.max_micros);
-            }
-        }
+        check_segment_order(&readers)?;
         Self::build_with_threads(readers, 0, u64::MAX, threads, registry)
     }
 
@@ -382,6 +412,11 @@ impl StoreIndex {
             caches: ProductCaches::with_registry(registry),
             registry: registry.clone(),
         })
+    }
+
+    /// Records in this view; [`TraceView::len`].
+    pub fn record_count(&self) -> usize {
+        self.base.len
     }
 
     /// The underlying reader of a single-store index (the first
@@ -439,35 +474,6 @@ impl StoreIndex {
     /// `store.chunks_decoded`.
     pub fn file_records(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
         file_records_in(&self.readers, fh, self.start, self.end, parallel::threads())
-    }
-
-    /// One file's reorder-corrected access stream — the single-file
-    /// slice of [`TraceView::accesses`] — computed with chunk skipping
-    /// (see [`StoreIndex::file_records`]) instead of a full decode.
-    ///
-    /// # Errors
-    ///
-    /// On chunk read/decode failure.
-    pub fn file_accesses(&self, fh: FileId, window_ms: u64) -> Result<Vec<Access>> {
-        let mut list: Vec<Access> = self
-            .file_records(fh)?
-            .iter()
-            .filter_map(Access::from_record)
-            .collect();
-        if window_ms > 0 {
-            reorder::sort_within_window(&mut list, window_ms * 1000);
-        }
-        Ok(list)
-    }
-
-    /// One file's run table — the single-file slice of
-    /// [`TraceView::runs`] — computed with chunk skipping.
-    ///
-    /// # Errors
-    ///
-    /// On chunk read/decode failure.
-    pub fn file_runs(&self, fh: FileId, window_ms: u64, opts: RunOptions) -> Result<Vec<Run>> {
-        Ok(split_runs(fh, &self.file_accesses(fh, window_ms)?, opts))
     }
 }
 
@@ -643,6 +649,55 @@ mod tests {
                 assert_eq!(got.raw, want.raw, "{ctx}");
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An index over products the caller holds is the index the
+    /// construction pass builds over the same readers — summary,
+    /// replay and windows — and a base that counts other records than
+    /// the footers hold, or segments out of order, are refused.
+    #[test]
+    fn an_index_with_a_given_base_is_the_built_one() {
+        let records: Vec<TraceRecord> = (0..1_500u64)
+            .map(|i| TraceRecord::new(i * 3_000, Op::Read, FileId(i % 7)).with_range(i, 512))
+            .collect();
+        let dir = write_catalog("with-base", &records, 3, 512);
+        let readers: Vec<Arc<StoreReader>> = SegmentCatalog::open(&dir)
+            .expect("catalog")
+            .paths()
+            .into_iter()
+            .map(|path| Arc::new(StoreReader::open(path).expect("open")))
+            .collect();
+        let built = StoreIndex::from_readers_with_threads(readers.clone(), 2).expect("index");
+        let given = StoreIndex::with_base(readers.clone(), built.base().clone(), &Registry::new())
+            .expect("with_base");
+        let replay = |view: &StoreIndex| {
+            let mut out = Vec::new();
+            view.for_each_record(&mut |r| out.push(r.clone()));
+            out
+        };
+        assert_eq!(given.record_count(), records.len());
+        assert_eq!(given.summary(), built.summary());
+        assert_eq!(replay(&given), records);
+        let (start, end) = (records[200].micros + 1, records[1_100].micros);
+        let (gw, bw) = (given.time_window(start, end), built.time_window(start, end));
+        assert_eq!(gw.summary(), bw.summary());
+        assert_eq!(gw.hourly(), bw.hourly());
+        assert_eq!(replay(&gw), replay(&bw));
+
+        let fewer = build_partial_index(&readers[..2], 0, u64::MAX, 1)
+            .expect("pass")
+            .finish();
+        let short = StoreIndex::with_base(readers.clone(), fewer, &Registry::new());
+        assert!(matches!(short, Err(StoreError::Format(_))), "{short:?}");
+        let mut reversed = readers;
+        reversed.reverse();
+        let base = built.base().clone();
+        let unordered = StoreIndex::with_base(reversed, base, &Registry::new());
+        assert!(
+            matches!(unordered, Err(StoreError::Format(_))),
+            "{unordered:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -35,7 +35,10 @@
 //!   span one file or an ordered **segment directory**
 //!   ([`StoreIndex::open_dir`]; naming and the reopen-and-append
 //!   catalog live in module [`segments`]) — which is how the
-//!   `nfstrace-live` rotating ingest's output is analyzed.
+//!   `nfstrace-live` rotating ingest's output is analyzed — and a
+//!   single-writer live ingest's view mid-ingest is one too, over its
+//!   segments with the hot one last, built by [`StoreIndex::with_base`]
+//!   from the ingest's running products without a decode.
 //!
 //! The record codec (module [`codec`]) delta-encodes timestamps,
 //! varint-packs every numeric field, and interns percent-escaped name
@@ -47,7 +50,7 @@
 //! wrong records, and carries a per-chunk [`FileIdFilter`] **sized
 //! from the chunk's distinct-handle count** (exact sorted set at low
 //! fan-in, adaptively sized Bloom above) so per-file queries
-//! ([`StoreIndex::file_records`], [`StoreIndex::file_runs`]) keep
+//! ([`StoreIndex::file_records`]) keep
 //! skipping chunks that cannot match at any fan-in, and decode the
 //! chunks they do admit on the `NFSTRACE_THREADS` workers.
 //! Record-replaying analyses batch through
@@ -394,7 +397,7 @@ mod tests {
         write_store(&path, &records, 512);
         let reader = std::sync::Arc::new(StoreReader::open(&path).expect("open"));
         assert!(reader.chunk_count() > 2, "several chunks");
-        let index = StoreIndex::from_reader_with_threads(reader.clone(), 2).expect("index");
+        let index = StoreIndex::from_readers_with_threads(vec![reader.clone()], 2).expect("index");
         let read = || {
             let mut replayed = Vec::new();
             index.for_each_record(&mut |r| replayed.push(r.clone()));

@@ -232,8 +232,8 @@ proptest! {
         };
         let bucket = 250_000_000u64;
 
-        let fused = StoreIndex::from_reader_with_threads(
-            Arc::new(StoreReader::open(&path).expect("open")),
+        let fused = StoreIndex::from_readers_with_threads(
+            vec![Arc::new(StoreReader::open(&path).expect("open"))],
             threads,
         )
         .expect("index");
@@ -247,8 +247,8 @@ proptest! {
 
         // The oracle: a fresh index, every product requested
         // individually — each call replays on its own.
-        let unfused = StoreIndex::from_reader_with_threads(
-            Arc::new(StoreReader::open(&path).expect("open")),
+        let unfused = StoreIndex::from_readers_with_threads(
+            vec![Arc::new(StoreReader::open(&path).expect("open"))],
             threads,
         )
         .expect("index");
@@ -506,36 +506,6 @@ fn adaptive_filters_keep_skipping_on_high_fan_in_chunks() {
         "the adaptive filter decoded {decoded} chunks where full scans take {full_scans} — \
          it should be skipping more than 10x"
     );
-}
-
-/// The windowed per-file analysis wrappers equal the full-index
-/// products restricted to that file.
-#[test]
-fn file_accesses_and_runs_match_full_index() {
-    let records = clustered_records(2000, 250);
-    let path = tmp("filequery", 0);
-    write_with(&path, &records, 2048);
-    let disk = StoreIndex::open(&path).expect("index");
-    let probe = FileId(3);
-
-    let accesses = disk.file_accesses(probe, 7).expect("accesses");
-    let full_map = disk.accesses(7);
-    assert_eq!(
-        &accesses,
-        full_map.get(&probe).expect("file present").as_ref()
-    );
-
-    let runs = disk
-        .file_runs(probe, 7, RunOptions::default())
-        .expect("runs");
-    let full_runs = disk.runs(7, RunOptions::default());
-    let full_for_file: Vec<_> = full_runs
-        .iter()
-        .filter(|r| r.file == probe)
-        .cloned()
-        .collect();
-    assert_eq!(runs, full_for_file);
-    std::fs::remove_file(&path).ok();
 }
 
 /// With mixed content, compressible chunks take the LZ form and
