@@ -139,8 +139,7 @@ impl Anonymizer {
     /// control, as a checksummed binary blob; one mapping always gives
     /// the same bytes.
     ///
-    /// Layout, like the store's sidecars ([`nfstrace_store::seqfile`]):
-    /// magic `NFAN`, a `u8` version, a body of LEB128 varints, and a
+    /// Layout: magic `NFAN`, a `u8` version, a body of LEB128 varints, and a
     /// little-endian `u64` FNV-1a checksum of the body. The body holds
     /// the configuration (seed; passthrough uids, then gids; flags, bit
     /// 0 `omit_names` and bit 1 `omit_identities`), the assigned pairs

@@ -1,11 +1,11 @@
 //! Runs the full reproduction suite and prints every table and figure —
-//! over whichever of the pipeline's five paths `--via` picks. Stdout is
+//! over whichever of the pipeline's four paths `--via` picks. Stdout is
 //! **byte-identical** on all of them at the same `NFSTRACE_SCALE`; CI
 //! `cmp`s each against the default.
 //!
 //! ```text
 //! repro [--via mem|store|live|serve] [--dir <dir>] [--only <artifact>]
-//!       [--shards <n>] [--compact <fan_in>] [--metrics <path>]
+//!       [--compact <fan_in>] [--metrics <path>]
 //! ```
 //!
 //! What each path *is* lives in [`nfstrace_bench::scenarios`]; this
@@ -14,10 +14,9 @@
 //! store files, and after the full suite asserts the fused-replay bound
 //! at chunk granularity (construction + one fused replay = exactly two
 //! decodes per chunk). `live` goes through the bounded-memory segment
-//! ingest — with `--compact <fan_in>` compacting in line, with
-//! `--shards <n>` through the sharded multi-writer daemon, the suite
-//! over its merged mid-ingest view. `serve` closes the loop over real
-//! loopback TCP: served, replayed, tapped, sniffed, live-ingested.
+//! ingest — with `--compact <fan_in>` compacting in line. `serve`
+//! closes the loop over real loopback TCP: served, replayed, tapped,
+//! sniffed, live-ingested.
 //!
 //! The on-disk paths work under `--dir <dir>` (default: a per-process
 //! temp dir, removed on success). `--only <artifact>` prints a single
@@ -46,9 +45,9 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--via mem|store|live|serve] [--dir <dir>] [--only <artifact>]\n\
-         \x20            [--shards <n>] [--compact <fan_in>] [--metrics <path>]\n\
+         \x20            [--compact <fan_in>] [--metrics <path>]\n\
          \x20 --dir needs a path that writes (store, live, serve); \
-         --shards (>= 1) and --compact (>= 2) need --via live\n\
+         --compact (>= 2) needs --via live\n\
          \x20 artifacts: {}\n\
          \x20 experiments (--only <experiment> and no other flag): {}",
         ARTIFACTS.join(" "),
@@ -71,7 +70,6 @@ struct Args {
     via: Via,
     dir: Option<PathBuf>,
     only: Option<String>,
-    shards: Option<usize>,
     compact: Option<usize>,
     metrics: Option<PathBuf>,
 }
@@ -112,9 +110,6 @@ fn parse_args() -> Args {
                 }
                 parsed.only = Some(artifact);
             }
-            "--shards" => {
-                parsed.shards = Some(value(&mut args).parse().unwrap_or_else(|_| usage()));
-            }
             "--compact" => {
                 parsed.compact = Some(value(&mut args).parse().unwrap_or_else(|_| usage()));
             }
@@ -125,10 +120,8 @@ fn parse_args() -> Args {
             }
         }
     }
-    let live_only = parsed.shards.is_some() || parsed.compact.is_some();
-    if (live_only && parsed.via != Via::Live)
+    if (parsed.compact.is_some() && parsed.via != Via::Live)
         || (parsed.dir.is_some() && parsed.via == Via::Mem)
-        || parsed.shards == Some(0)
         || parsed.compact.is_some_and(|fan_in| fan_in < 2)
     {
         usage();
@@ -237,12 +230,12 @@ fn main() {
     let compaction = args.compact.map(|fan_in| CompactionPolicy { fan_in });
 
     eprintln!("rendering 8-day traces at scale {s} ...");
-    let text = match (args.via, args.shards) {
-        (Via::Mem, _) => {
+    let text = match args.via {
+        Via::Mem => {
             let (campus8, eecs8) = scenarios::eight_day_index_pair(s);
             render(&campus8, &eecs8, only)
         }
-        (Via::Store, _) => {
+        Via::Store => {
             let (campus8, eecs8) = or_exit(scenarios::eight_day_store_pair(
                 s,
                 &dir,
@@ -254,21 +247,12 @@ fn main() {
             }
             text
         }
-        (Via::Live, None) => {
+        Via::Live => {
             let pair = scenarios::eight_day_live_pair(s, &dir, compaction, &registry);
             let (campus8, eecs8) = or_exit(pair);
             render(&campus8, &eecs8, only)
         }
-        (Via::Live, Some(shards)) => {
-            let pair = scenarios::eight_day_sharded_pair(s, &dir, shards, compaction, &registry);
-            let (mut campus8, mut eecs8) = or_exit(pair);
-            let views = (or_exit(campus8.try_view()), or_exit(eecs8.try_view()));
-            let text = render(&views.0, &views.1, only);
-            or_exit(campus8.finish());
-            or_exit(eecs8.finish());
-            text
-        }
-        (Via::Serve, _) => {
+        Via::Serve => {
             let (campus8, eecs8) = or_exit(scenarios::eight_day_served_pair(s, &dir, &registry));
             render(&campus8, &eecs8, only)
         }

@@ -3,9 +3,9 @@
 //!
 //! `repro` is the one entry point: it prints the full suite, or with
 //! `--only <artifact>` a single table or figure ([`suite::ARTIFACTS`]),
-//! over whichever of the pipeline's five paths `--via` picks — in
-//! memory, out of core, through the live ingest daemon (plain or
-//! sharded), or through the socket loop. What each path is lives in
+//! over whichever of the pipeline's four paths `--via` picks — in
+//! memory, out of core, through the live ingest daemon, or through the
+//! socket loop. What each path is lives in
 //! [`scenarios`]; the binary is argument parsing plus one call.
 //! `repro --only loss|nfsiod|readahead` prints one of the paper's three
 //! side experiments ([`experiments`]), which are not views of the traces

@@ -1,19 +1,18 @@
 //! The standard simulated scenario every artifact is rendered from:
-//! one eight-day CAMPUS/EECS pair — and the five paths that pair can
+//! one eight-day CAMPUS/EECS pair — and the four paths that pair can
 //! take to the suite, each a function returning what the suite renders
 //! over: [`eight_day_index_pair`] (in memory), [`eight_day_store_pair`]
-//! (out of core), [`eight_day_live_pair`] and
-//! [`eight_day_sharded_pair`] (the live ingest daemons),
+//! (out of core), [`eight_day_live_pair`] (the live ingest daemon),
 //! [`eight_day_served_pair`] (the socket loop). Same seeds, same
 //! configurations, bit-identical record streams: the suite prints the
 //! same bytes whichever path produced its input. `repro --via` picks
-//! one; `crates/bench/tests/paths.rs` holds the first four to one
-//! another byte for byte, and the CI smoke all five.
+//! one; `crates/bench/tests/paths.rs` holds the first three to one
+//! another byte for byte, and the CI smoke all four.
 
 use nfstrace_core::index::TraceIndex;
 use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::DAY;
-use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest};
+use nfstrace_live::{LiveConfig, LiveIngest};
 use nfstrace_serve::{serve_roundtrip, ReplayOptions, ReplayPlan};
 use nfstrace_store::{CompactionPolicy, Result, StoreConfig, StoreIndex, StoreWriter};
 use nfstrace_telemetry::Registry;
@@ -177,37 +176,6 @@ pub fn eight_day_live_pair(
         ingest.run(&mut slices)?;
         ingest.finish()?;
         StoreIndex::open_dir_with_registry(&dir, registry)
-    };
-    Ok((
-        ingest("campus-segments", campus_slices(scale))?,
-        ingest("eecs-segments", eecs_slices(scale))?,
-    ))
-}
-
-/// The *sharded live* path: the same slices through a
-/// [`ShardedLiveIngest`] of `shards` writers per system (records split
-/// by client hash, stamped with a global arrival sequence), rooted at
-/// `dir/campus-segments` and `dir/eecs-segments`. The daemons come
-/// back **still open**: the suite renders over their merged mid-ingest
-/// [`ShardedLiveIngest::view`]s — sealed segments plus every shard's
-/// hot segment, k-way merged on arrival sequence — and the caller
-/// finishes them after the render.
-///
-/// # Errors
-///
-/// Propagates ingest and store failures.
-pub fn eight_day_sharded_pair(
-    scale: f64,
-    dir: &Path,
-    shards: usize,
-    compaction: Option<CompactionPolicy>,
-    registry: &Registry,
-) -> Result<(ShardedLiveIngest, ShardedLiveIngest)> {
-    let ingest = |segments: &str, mut slices: SlicedWorkload| -> Result<ShardedLiveIngest> {
-        let config = live_config(&dir.join(segments), compaction, registry);
-        let mut ingest = ShardedLiveIngest::create(config, shards)?;
-        ingest.run(&mut slices)?;
-        Ok(ingest)
     };
     Ok((
         ingest("campus-segments", campus_slices(scale))?,

@@ -1,9 +1,9 @@
 //! Property test: chunk-relocating compaction is invisible to readers.
 //!
 //! For arbitrary record streams × segment counts × `target_chunk_bytes`
-//! × fan-in, cascading to generation ≥ 2, with and without `.nfseq`
-//! sidecars: the compacted catalog's record stream, sidecars, per-file
-//! query results and suite text equal the uncompacted catalog's. Every
+//! × fan-in, cascading to generation ≥ 2: the compacted catalog's
+//! record stream, per-file query results and suite text equal the
+//! uncompacted catalog's. Every
 //! merge is checked on the way: each source's footer entries reappear
 //! in the output verbatim except for `offset`, in catalog order, and
 //! every one of them is counted as relocated.
@@ -13,8 +13,8 @@ use nfstrace_core::index::RecordStream;
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_store::compact::{seal_segment, tmp_path, FaultInjector};
 use nfstrace_store::{
-    seqfile, ChunkMeta, CompactionPolicy, Compactor, SegmentCatalog, StoreConfig, StoreIndex,
-    StoreReader, StoreWriter,
+    ChunkMeta, CompactionPolicy, Compactor, SegmentCatalog, StoreConfig, StoreIndex, StoreReader,
+    StoreWriter,
 };
 use nfstrace_telemetry::Registry;
 use proptest::prelude::*;
@@ -51,21 +51,9 @@ fn tmpdir(tag: &str, case: u64) -> PathBuf {
     dir
 }
 
-/// The arrival sequence stamped on stream position `i` (strictly
-/// increasing, not the identity).
-fn seq_of(i: usize) -> u64 {
-    i as u64 * 3 + 1
-}
-
 /// Seals `records` as `segs` base segments of near-equal size written
-/// under `config`, sidecars when `track`.
-fn seal_base_segments(
-    dir: &Path,
-    records: &[TraceRecord],
-    segs: usize,
-    config: StoreConfig,
-    track: bool,
-) {
+/// under `config`.
+fn seal_base_segments(dir: &Path, records: &[TraceRecord], segs: usize, config: StoreConfig) {
     let mut catalog = SegmentCatalog::open(dir).expect("open");
     for s in 0..segs {
         let span = s * records.len() / segs..(s + 1) * records.len() / segs;
@@ -73,52 +61,34 @@ fn seal_base_segments(
         let dest = catalog.path_for(ordinal);
         let tmp = tmp_path(&dest);
         let mut w = StoreWriter::create(&tmp, config).expect("create");
-        for r in &records[span.clone()] {
+        for r in &records[span] {
             w.push(r).expect("push");
         }
         w.finish().expect("finish");
-        let seqs: Vec<u64> = span.map(seq_of).collect();
-        seal_segment(
-            &tmp,
-            &dest,
-            track.then_some(seqs.as_slice()),
-            &mut FaultInjector::none(),
-        )
-        .expect("seal");
+        seal_segment(&tmp, &dest, &mut FaultInjector::none()).expect("seal");
         catalog.note_sealed(ordinal);
     }
 }
 
 /// What a reader of the catalog in `dir` can observe: the record
-/// stream, the concatenated sidecars, every per-file query result and
-/// the analysis suite's text.
+/// stream, every per-file query result and the analysis suite's text.
 #[derive(Debug, PartialEq)]
 struct Observed {
     records: Vec<TraceRecord>,
-    seqs: Option<Vec<u64>>,
     per_file: Vec<Vec<TraceRecord>>,
     suite: String,
 }
 
-fn observe(dir: &Path, track: bool) -> Observed {
+fn observe(dir: &Path) -> Observed {
     let index = StoreIndex::open_dir(dir).expect("open dir");
     let mut records = Vec::new();
     index.for_each_record(&mut |r| records.push(r.clone()));
-    let seqs = track.then(|| {
-        let catalog = SegmentCatalog::open(dir).expect("catalog");
-        let mut all = Vec::new();
-        for path in catalog.paths() {
-            all.extend(seqfile::read_sidecar(&path).expect("sidecar"));
-        }
-        all
-    });
     let per_file = (0..40)
         .map(|fh| index.file_records(FileId(fh)).expect("file query"))
         .collect();
     let suite = suite_text(&index, &index);
     Observed {
         records,
-        seqs,
         per_file,
         suite,
     }
@@ -147,7 +117,6 @@ proptest! {
         extra_segs in 0usize..4,
         chunk_bytes in 64usize..2048,
         source_chunk_bytes in 64usize..2048,
-        track in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         records.sort_by_key(|r| r.micros);
@@ -156,9 +125,9 @@ proptest! {
         let source_config = StoreConfig { target_chunk_bytes: source_chunk_bytes };
 
         let plain = tmpdir("plain", case);
-        seal_base_segments(&plain, &records, segs, source_config, track);
+        seal_base_segments(&plain, &records, segs, source_config);
         let work = tmpdir("work", case);
-        seal_base_segments(&work, &records, segs, source_config, track);
+        seal_base_segments(&work, &records, segs, source_config);
 
         // The cascade, one pass at a time so every merge can be held
         // against its sources.
@@ -195,13 +164,9 @@ proptest! {
             "every source chunk is relocated"
         );
 
-        let compacted = observe(&work, track);
+        let compacted = observe(&work);
         prop_assert_eq!(&compacted.records, &records);
-        prop_assert_eq!(
-            compacted.seqs.as_ref(),
-            track.then(|| (0..records.len()).map(seq_of).collect::<Vec<_>>()).as_ref()
-        );
-        prop_assert!(compacted == observe(&plain, track), "compacted catalog reads differently");
+        prop_assert!(compacted == observe(&plain), "compacted catalog reads differently");
 
         for d in [&plain, &work] {
             std::fs::remove_dir_all(d).ok();

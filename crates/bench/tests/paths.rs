@@ -1,20 +1,19 @@
 //! The pipeline's paths against one another, at the smallest scale:
-//! what `repro --via store|live` (plain, sharded, compacting) renders
+//! what `repro --via store|live` (plain, compacting) renders
 //! must be what `repro` renders, byte for byte — and on the way, what
 //! only those paths can show: a live view queried mid-ingest equals
 //! the batch trace windowed to the records so far, compaction relocates
 //! chunks and the query planner prunes whole segments, and resident
 //! records stay bounded.
 //!
-//! The fifth path (`--via serve`, 15 s in release) stays a CI smoke
+//! The fourth path (`--via serve`, 15 s in release) stays a CI smoke
 //! beside `crates/serve/tests/e2e.rs`.
 
 use nfstrace_bench::scenarios;
 use nfstrace_bench::suite::suite_text;
 use nfstrace_core::index::{TraceIndex, TraceView};
-use nfstrace_core::record::TraceRecord;
 use nfstrace_core::time::DAY;
-use nfstrace_live::{LiveIngest, ShardedLiveIngest};
+use nfstrace_live::LiveIngest;
 use nfstrace_store::{CompactionPolicy, SegmentCatalog, StoreConfig};
 use nfstrace_telemetry::Registry;
 use nfstrace_workload::SlicedWorkload;
@@ -48,7 +47,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn store_live_and_sharded_paths_render_the_in_memory_suite() {
+fn store_and_live_paths_render_the_in_memory_suite() {
     let want = &reference().text;
     let registry = Registry::new();
 
@@ -62,17 +61,6 @@ fn store_live_and_sharded_paths_render_the_in_memory_suite() {
     let (campus, eecs) =
         scenarios::eight_day_live_pair(SCALE, &dir, None, &registry).expect("live path");
     assert!(suite_text(&campus, &eecs) == *want, "live path diverged");
-    std::fs::remove_dir_all(&dir).ok();
-
-    let dir = tmpdir("sharded");
-    let (mut campus, mut eecs) =
-        scenarios::eight_day_sharded_pair(SCALE, &dir, 2, None, &registry).expect("sharded path");
-    assert!(
-        suite_text(&campus.view(), &eecs.view()) == *want,
-        "sharded path diverged"
-    );
-    campus.finish().expect("finish CAMPUS");
-    eecs.finish().expect("finish EECS");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -94,14 +82,14 @@ fn assert_midpoint<V: TraceView>(name: &str, view: &V, oracle8: &TraceIndex, bou
     );
 }
 
-/// One system through the single writer and the sharded daemon, each
-/// driven slice by slice to day 4 and queried there.
+/// One system through the live ingest, driven slice by slice to day 4
+/// and queried there, then run to the end.
 fn check_midpoints(name: &str, slices_of: fn(f64) -> SlicedWorkload, oracle8: &TraceIndex) {
     let registry = Registry::new();
     let dir = tmpdir(&format!("midpoint-{name}"));
 
-    // The single writer: sealed segments and a hot tail both populated.
-    let config = scenarios::live_config(&dir.join("single"), None, &registry);
+    // Sealed segments and a hot tail both populated.
+    let config = scenarios::live_config(&dir, None, &registry);
     let mut ingest = LiveIngest::create(config).expect("create");
     let mut slices = slices_of(SCALE);
     while slices.emitted_to() < 4 * DAY {
@@ -121,20 +109,6 @@ fn check_midpoints(name: &str, slices_of: fn(f64) -> SlicedWorkload, oracle8: &T
         "{name}: {peak_resident} records resident at peak, the trace holds {}",
         summary.total_records
     );
-
-    // The sharded daemon to the same boundary.
-    let config = scenarios::live_config(&dir.join("sharded"), None, &registry);
-    let mut ingest = ShardedLiveIngest::create(config, 2).expect("create sharded");
-    let mut slices = slices_of(SCALE);
-    let mut batch: Vec<TraceRecord> = Vec::new();
-    while slices.emitted_to() < 4 * DAY {
-        batch.clear();
-        assert!(slices.next_slice_into(&mut batch).expect("generate slice"));
-        ingest.ingest_batch(&batch).expect("ingest batch");
-    }
-    assert!(ingest.sealed_segments() > 0 && ingest.hot_len() > 0);
-    let sharded = format!("{name}, 2 shards");
-    assert_midpoint(&sharded, &ingest.view(), oracle8, slices.emitted_to());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -93,12 +93,12 @@ fn an_unknown_artifact_is_a_usage_error_naming_the_valid_ones() {
 fn an_unknown_path_or_a_flag_off_its_path_is_a_usage_error() {
     assert_usage_error(&["--via", "tape"]);
     assert_usage_error(&["--via"]);
-    // `--shards` and `--compact` belong to `--via live`.
-    assert_usage_error(&["--shards", "2"]);
+    // `--compact` belongs to `--via live`; `--shards` is gone.
     assert_usage_error(&["--via", "store", "--compact", "3"]);
+    assert_usage_error(&["--via", "live", "--shards", "2"]);
     // `--store <dir>` is `--via store --dir <dir>` now.
     assert_usage_error(&["--store", "x"]);
     // An experiment is not a view of the traces: no path, no path flag.
     assert_usage_error(&["--only", "loss", "--via", "store"]);
-    assert_usage_error(&["--only", "nfsiod", "--shards", "2"]);
+    assert_usage_error(&["--only", "nfsiod", "--compact", "3"]);
 }

@@ -168,8 +168,7 @@ pub enum ReplayRequest {
 /// window; every analysis below is a provided method over them, written
 /// once, so the whole table/figure layer runs unchanged over records in
 /// memory ([`TraceIndex`]), on disk (`nfstrace_store::StoreIndex`) or
-/// mid-ingest (a live ingest's view: a `StoreIndex` for one writer,
-/// `nfstrace_live::ShardedView` for shards).
+/// mid-ingest (a live ingest's view is a `StoreIndex` too).
 ///
 /// The contract is **bit-identity**: `base()` must hold what
 /// [`TraceIndex::new`] over the same records builds, and

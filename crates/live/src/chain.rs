@@ -4,11 +4,8 @@
 //! end: the catalog, the sealed readers, the pending [`StoreWriter`]
 //! that holds the hot segment's records (encoded, and nowhere else),
 //! rotation, the crash-safe seal, and the compaction splice.
-//! [`crate::LiveIngest`] writes one chain;
-//! [`crate::ShardedLiveIngest`] writes one per shard, and its chains
-//! also carry every record's global arrival sequence, sealed into a
-//! [`seqfile`] sidecar per segment. Chains hold no index: the ingest
-//! that owns them folds its whole stream once, in arrival order.
+//! [`crate::LiveIngest`] writes one chain. Chains hold no index: the
+//! ingest that owns one folds its whole stream once, in arrival order.
 //!
 //! A snapshot ([`SegmentChain::snapshot`]) is the chain's segment
 //! readers: the sealed ones, shared, then the hot writer's snapshot,
@@ -20,12 +17,11 @@
 //! A rotation hands the hot segment to a **sealing thread** and the
 //! chain starts the next hot segment at once. The thread runs the seal
 //! protocol — the writer's `finish` (last chunk, footer, `sync_all`),
-//! the sidecar, the rename, the reopen for reading — and the compaction
-//! passes the new segment made ripe. The writer is all the hot segment
+//! the rename, the reopen for reading — and the compaction passes the
+//! new segment made ripe. The writer is all the hot segment
 //! was: no decoded copy of its records is left to free. While it runs
 //! it owns everything a seal changes ([`Sealed`]: the catalog, the
-//! sealed readers and their sequences, the compactor); joining it
-//! hands them back.
+//! sealed readers, the compactor); joining it hands them back.
 //!
 //! At most one seal is in flight. The next rotation, a snapshot,
 //! [`SegmentChain::sealed_segments`], [`SegmentChain::finish`] and
@@ -41,7 +37,6 @@
 use crate::ingest::{LiveConfig, LiveSummary};
 use nfstrace_core::record::TraceRecord;
 use nfstrace_store::compact::{self, FaultInjector};
-use nfstrace_store::seqfile;
 use nfstrace_store::{Compactor, Result, SegmentCatalog, StoreError, StoreReader, StoreWriter};
 use nfstrace_telemetry::{Counter, Registry};
 use std::path::PathBuf;
@@ -49,19 +44,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Arrival sequences, one vector per segment.
-pub(crate) type Sequences = Vec<Arc<Vec<u64>>>;
-
-/// What a seal changes: the catalog, the sealed readers with their
-/// sequences, and the compactor that merges them. The chain holds it
-/// between seals; the sealing thread holds it during one.
+/// What a seal changes: the catalog, the sealed readers, and the
+/// compactor that merges them. The chain holds it between seals; the
+/// sealing thread holds it during one.
 #[derive(Debug)]
 struct Sealed {
     catalog: SegmentCatalog,
     readers: Vec<Arc<StoreReader>>,
-    /// Arrival sequences per sealed segment, parallel to `readers`;
-    /// `None` for a chain that carries no sequences.
-    seqs: Option<Sequences>,
     /// The background merge engine (present iff
     /// [`LiveConfig::compaction`]).
     compactor: Option<Compactor>,
@@ -74,26 +63,13 @@ struct Sealed {
 impl Sealed {
     /// Seals base segment `ordinal`, whose bytes `writer` holds: finishes
     /// the segment file, publishes it via the shared crash-safe seal
-    /// protocol ([`nfstrace_store::compact::seal_segment`] — sidecar
-    /// first when `seqs` is given), opens it for reading, and runs any
-    /// compaction passes the new segment made ripe.
-    fn seal(
-        &mut self,
-        writer: StoreWriter,
-        ordinal: u64,
-        seqs: Option<Arc<Vec<u64>>>,
-    ) -> Result<()> {
+    /// protocol ([`nfstrace_store::compact::seal_segment`]), opens it
+    /// for reading, and runs any compaction passes the new segment made
+    /// ripe.
+    fn seal(&mut self, writer: StoreWriter, ordinal: u64) -> Result<()> {
         writer.finish()?;
         let path = self.catalog.path_for(ordinal);
-        compact::seal_segment(
-            &compact::tmp_path(&path),
-            &path,
-            seqs.as_ref().map(|s| s.as_slice()),
-            &mut FaultInjector::none(),
-        )?;
-        if let (Some(sealed_seqs), Some(seqs)) = (&mut self.seqs, seqs) {
-            sealed_seqs.push(seqs);
-        }
+        compact::seal_segment(&compact::tmp_path(&path), &path, &mut FaultInjector::none())?;
         self.readers.push(Arc::new(StoreReader::open_with_registry(
             path,
             &self.registry,
@@ -105,9 +81,8 @@ impl Sealed {
 
     /// Runs compaction passes until the policy finds nothing ripe,
     /// mirroring each on-disk swap in the in-memory reader chain: the
-    /// merged readers (and their sequence sidecars) are spliced out
-    /// for the output's, so views keep seeing the identical record
-    /// stream. No-op without a policy.
+    /// merged readers are spliced out for the output's, so views keep
+    /// seeing the identical record stream. No-op without a policy.
     fn maybe_compact(&mut self) -> Result<()> {
         let Some(compactor) = &self.compactor else {
             return Ok(());
@@ -121,12 +96,6 @@ impl Sealed {
                 &self.registry,
             )?);
             self.readers.splice(first..first + count, [reader]);
-            if let Some(sealed_seqs) = &mut self.seqs {
-                let merged = outcome
-                    .seqs
-                    .expect("sequenced segments compact with sidecars");
-                sealed_seqs.splice(first..first + count, [Arc::new(merged)]);
-            }
         }
         Ok(())
     }
@@ -159,7 +128,6 @@ pub(crate) struct SegmentChain {
     /// Set by the first failed write or seal; the chain then refuses
     /// all work.
     failed: Option<Failure>,
-    sequenced: bool,
     /// The hot segment's writer (created with its first record): the
     /// one place its records are held, encoded.
     hot_writer: Option<StoreWriter>,
@@ -169,9 +137,6 @@ pub(crate) struct SegmentChain {
     next_ordinal: u64,
     /// Records in the hot segment.
     hot_records: usize,
-    /// Arrival sequences of the hot segment's records, in order (empty
-    /// without sequences).
-    hot_seqs: Vec<u64>,
     hot_first_micros: u64,
     peak_hot_records: usize,
     /// `live.seal_wait_micros` — time settles waited for the seal in
@@ -180,14 +145,13 @@ pub(crate) struct SegmentChain {
 }
 
 impl SegmentChain {
-    /// Starts an empty chain in `config.dir`, carrying sequences iff
-    /// `sequenced`.
+    /// Starts an empty chain in `config.dir`.
     ///
     /// # Errors
     ///
     /// If the directory already holds sealed segments or cannot be
     /// created.
-    pub(crate) fn create(config: LiveConfig, sequenced: bool) -> Result<Self> {
+    pub(crate) fn create(config: LiveConfig) -> Result<Self> {
         let catalog = SegmentCatalog::open_and_sweep(&config.dir)?;
         if !catalog.is_empty() {
             return Err(StoreError::Format(format!(
@@ -195,21 +159,17 @@ impl SegmentChain {
                 config.dir.display()
             )));
         }
-        let sealed_seqs = sequenced.then(Vec::new);
-        Ok(Self::with_catalog(config, catalog, Vec::new(), sealed_seqs))
+        Ok(Self::with_catalog(config, catalog, Vec::new()))
     }
 
-    /// Reopens the chain in `config.dir` after its last sealed segment,
-    /// loading each segment's sequence sidecar iff `sequenced`. Nothing
-    /// is decoded here: the owner rebuilds its index from the sealed
-    /// segments.
+    /// Reopens the chain in `config.dir` after its last sealed segment.
+    /// Nothing is decoded here: the owner rebuilds its index from the
+    /// sealed segments.
     ///
     /// # Errors
     ///
-    /// On directory or segment open failure, plus — with sequences — a
-    /// precise [`StoreError::Sidecar`] for a missing, corrupt, or
-    /// count-mismatched sidecar.
-    pub(crate) fn open(config: LiveConfig, sequenced: bool) -> Result<Self> {
+    /// On directory or segment open failure.
+    pub(crate) fn open(config: LiveConfig) -> Result<Self> {
         let catalog = SegmentCatalog::open_and_sweep(&config.dir)?;
         let mut sealed = Vec::with_capacity(catalog.len());
         for path in catalog.paths() {
@@ -218,43 +178,23 @@ impl SegmentChain {
                 &config.registry,
             )?));
         }
-        let load = |reader: &Arc<StoreReader>| {
-            let seqs = seqfile::read_sidecar(reader.path())?;
-            if seqs.len() as u64 != reader.total_records() {
-                return Err(StoreError::Sidecar {
-                    segment: reader.path().to_path_buf(),
-                    problem: format!(
-                        "holds {} entries for {} records",
-                        seqs.len(),
-                        reader.total_records()
-                    ),
-                });
-            }
-            Ok(Arc::new(seqs))
-        };
-        let sealed_seqs = sequenced
-            .then(|| sealed.iter().map(load).collect::<Result<Vec<_>>>())
-            .transpose()?;
-        Ok(Self::with_catalog(config, catalog, sealed, sealed_seqs))
+        Ok(Self::with_catalog(config, catalog, sealed))
     }
 
     fn with_catalog(
         config: LiveConfig,
         catalog: SegmentCatalog,
         readers: Vec<Arc<StoreReader>>,
-        seqs: Option<Sequences>,
     ) -> Self {
         let compactor = config
             .compaction
             .map(|policy| Compactor::new(policy, config.store, &config.registry));
         let registry = &config.registry;
         SegmentChain {
-            sequenced: seqs.is_some(),
             next_ordinal: catalog.next_ordinal(),
             sealed: Some(Sealed {
                 catalog,
                 readers,
-                seqs,
                 compactor,
                 registry: registry.clone(),
                 segments_sealed: registry.counter("live.segments_sealed"),
@@ -264,7 +204,6 @@ impl SegmentChain {
             hot_writer: None,
             hot_ordinal: 0,
             hot_records: 0,
-            hot_seqs: Vec::new(),
             hot_first_micros: 0,
             peak_hot_records: 0,
             seal_wait: registry.counter("live.seal_wait_micros"),
@@ -303,10 +242,9 @@ impl SegmentChain {
         err
     }
 
-    /// Appends one record — encoded into the hot segment's writer, its
-    /// arrival sequence `seq` kept on a sequenced chain — then hands
-    /// the hot segment to the sealer if a rotation threshold was
-    /// crossed. Returns whether it rotated. Order is the owner's to
+    /// Appends one record — encoded into the hot segment's writer —
+    /// then hands the hot segment to the sealer if a rotation threshold
+    /// was crossed. Returns whether it rotated. Order is the owner's to
     /// check, and so is [`SegmentChain::usable`], before the owner
     /// folds the record into its index.
     ///
@@ -314,8 +252,7 @@ impl SegmentChain {
     ///
     /// On segment write failure, or the error of the seal in flight,
     /// which a rotation settles first. Either poisons the chain.
-    pub(crate) fn push(&mut self, r: &TraceRecord, seq: Option<u64>) -> Result<bool> {
-        debug_assert_eq!(seq.is_some(), self.sequenced);
+    pub(crate) fn push(&mut self, r: &TraceRecord) -> Result<bool> {
         debug_assert!(self.failed.is_none(), "the owner checks usable() first");
         if self.hot_writer.is_none() {
             self.hot_ordinal = self.next_ordinal;
@@ -338,9 +275,6 @@ impl SegmentChain {
         let writer = self.hot_writer.as_mut().expect("just ensured a writer");
         if let Err(e) = writer.push(r) {
             return Err(self.poison(self.path_for(self.hot_ordinal), e));
-        }
-        if let Some(seq) = seq {
-            self.hot_seqs.push(seq);
         }
         self.hot_records += 1;
         self.peak_hot_records = self.peak_hot_records.max(self.hot_records);
@@ -371,11 +305,8 @@ impl SegmentChain {
         let ordinal = self.hot_ordinal;
         self.next_ordinal = ordinal + 1;
         self.hot_records = 0;
-        let seqs = self
-            .sequenced
-            .then(|| Arc::new(std::mem::take(&mut self.hot_seqs)));
         let spawned = std::thread::Builder::new().spawn(move || {
-            let outcome = sealed.seal(writer, ordinal, seqs);
+            let outcome = sealed.seal(writer, ordinal);
             (sealed, outcome)
         });
         match spawned {
@@ -433,27 +364,20 @@ impl SegmentChain {
     /// Settles, then snapshots this chain's segments for a view: the
     /// sealed readers, shared, then — when [`SegmentChain::hot_len`] is
     /// not 0 — a reader over what the hot writer holds
-    /// ([`StoreWriter::snapshot`]). On a sequenced chain the second
-    /// vector holds each segment's arrival sequences (the hot ones
-    /// copied); otherwise it is empty. The hot records stay encoded, so
+    /// ([`StoreWriter::snapshot`]). The hot records stay encoded, so
     /// nothing is decoded here, and the next push copies nothing.
     ///
     /// # Errors
     ///
     /// As [`SegmentChain::settle`], or the hot writer's I/O error
     /// handing out its flushed chunks.
-    pub(crate) fn snapshot(&mut self) -> Result<(Vec<Arc<StoreReader>>, Sequences)> {
+    pub(crate) fn snapshot(&mut self) -> Result<Vec<Arc<StoreReader>>> {
         self.settle()?;
-        let sealed = self.settled();
-        let mut segments = sealed.readers.clone();
-        let mut seqs = sealed.seqs.clone().unwrap_or_default();
+        let mut segments = self.settled().readers.clone();
         if let Some(writer) = &mut self.hot_writer {
             segments.push(Arc::new(writer.snapshot()?));
-            if self.sequenced {
-                seqs.push(Arc::new(self.hot_seqs.clone()));
-            }
         }
-        Ok((segments, seqs))
+        Ok(segments)
     }
 
     /// Seals the trailing hot segment, settles, and reports the chain's

@@ -38,21 +38,17 @@ pub struct LiveConfig {
     /// is checksum-verified and moved as it is, keeping its boundaries
     /// and file filter, so the cost at rotation is bytes copied, not
     /// records re-encoded.
-    /// `None` (the default) never compacts. Shards of a
-    /// [`crate::ShardedLiveIngest`] inherit the policy, each
-    /// compacting its own chain.
+    /// `None` (the default) never compacts.
     pub compaction: Option<CompactionPolicy>,
     /// Where the ingest's `live.*` / `store.*` / `query.*` telemetry
     /// lands. Defaults to a private registry (no shared export); hand
     /// in one shared [`Registry`] to get a single pipeline-health
     /// export across the daemon, its segment writers/readers, and
-    /// every view it snapshots. Shards of a
-    /// [`crate::ShardedLiveIngest`] write into it too.
+    /// every view it snapshots.
     ///
     /// Nothing is published per record. The ingest publishes its
-    /// `live.*` tally at the end of each batch (a [`LiveIngest::run`]
-    /// batch, a [`crate::ShardedLiveIngest::ingest_batch`]), at every
-    /// rotation of the single writer, and at every view and finish;
+    /// `live.*` tally at the end of each [`LiveIngest::run`] batch, at
+    /// every rotation, and at every view and finish;
     /// its segment writers add a chunk's records to
     /// `store.records_written` when the chunk reaches the file.
     /// Exported values therefore trail the tally
@@ -97,8 +93,8 @@ struct LiveMetrics {
     /// `live.hot_records` — records in the hot segment (held encoded by
     /// its writer).
     hot_records: Gauge,
-    /// `live.batch_micros` — wall time of each batch ingested, one
-    /// sample per batch on either ingest.
+    /// `live.batch_micros` — wall time of each [`LiveIngest::run`]
+    /// batch ingested.
     batch_micros: Histogram,
     /// `live.snapshot_micros` — wall time of each view snapshot.
     snapshot_micros: Histogram,
@@ -110,12 +106,11 @@ struct LiveMetrics {
     published: AtomicU64,
 }
 
-/// What either ingest keeps exactly once, however many segment chains
-/// it writes: the global order check, the running [`PartialIndex`] fed
-/// every record in arrival order, its snapshot cache, and the `live.*`
-/// tally.
+/// What the ingest keeps beside its segment chain: the order check,
+/// the running [`PartialIndex`] fed every record in arrival order, its
+/// snapshot cache, and the `live.*` tally.
 #[derive(Debug)]
-pub(crate) struct RunningIndex {
+struct RunningIndex {
     index: PartialIndex,
     last_micros: u64,
     /// The last finished [`IndexBase`] and the record count (the
@@ -127,7 +122,7 @@ pub(crate) struct RunningIndex {
 }
 
 impl RunningIndex {
-    pub(crate) fn new(registry: &Registry) -> Self {
+    fn new(registry: &Registry) -> Self {
         RunningIndex {
             index: PartialIndex::new(),
             last_micros: 0,
@@ -149,7 +144,7 @@ impl RunningIndex {
 
     /// The running state over records an earlier run emitted: `index`
     /// over all of them, the last captured at `last_micros`.
-    pub(crate) fn resumed(registry: &Registry, index: PartialIndex, last_micros: u64) -> Self {
+    fn resumed(registry: &Registry, index: PartialIndex, last_micros: u64) -> Self {
         let mut running = RunningIndex::new(registry);
         *running.metrics.published.get_mut() = index.len() as u64;
         running.index = index;
@@ -157,42 +152,36 @@ impl RunningIndex {
         running
     }
 
-    /// Checks that `batch` continues the stream in time order, against
-    /// everything ingested so far — the contract spans batches,
-    /// segments and chains.
+    /// Checks that `r` continues the stream in time order, against
+    /// everything ingested so far — the contract spans batches and
+    /// segments.
     ///
     /// # Errors
     ///
-    /// [`StoreError::OutOfOrder`] on the first time-travelling record.
-    pub(crate) fn check_order(&self, batch: &[TraceRecord]) -> Result<()> {
-        let mut last = self.last_micros;
-        let mut any = !self.index.is_empty();
-        for r in batch {
-            if any && r.micros < last {
-                return Err(StoreError::OutOfOrder {
-                    prev: last,
-                    next: r.micros,
-                });
-            }
-            last = r.micros;
-            any = true;
+    /// [`StoreError::OutOfOrder`] on a time-travelling record.
+    fn check_order(&self, r: &TraceRecord) -> Result<()> {
+        if !self.index.is_empty() && r.micros < self.last_micros {
+            return Err(StoreError::OutOfOrder {
+                prev: self.last_micros,
+                next: r.micros,
+            });
         }
         Ok(())
     }
 
     /// Folds the stream's next record in.
-    pub(crate) fn observe(&mut self, r: &TraceRecord) {
+    fn observe(&mut self, r: &TraceRecord) {
         self.index.observe(r);
         self.last_micros = r.micros;
     }
 
     /// The counters [`pump`] charges its stages' waits to.
-    pub(crate) fn waits(&self) -> PumpWaits {
+    fn waits(&self) -> PumpWaits {
         self.metrics.waits.clone()
     }
 
     /// One `live.batch_micros` sample, ending when dropped.
-    pub(crate) fn batch_span(&self) -> nfstrace_telemetry::SpanTimer {
+    fn batch_span(&self) -> nfstrace_telemetry::SpanTimer {
         span!(self.metrics.batch_micros)
     }
 
@@ -201,7 +190,7 @@ impl RunningIndex {
     /// a copy-on-write snapshot of the running index, cached per
     /// generation: O(counters + hourly buckets) the first time after a
     /// record, a pure clone after that.
-    pub(crate) fn view(&self, hot_len: usize) -> IndexBase {
+    fn view(&self, hot_len: usize) -> IndexBase {
         let _span = span!(self.metrics.snapshot_micros);
         self.publish(hot_len);
         let mut cache = self.base_cache.lock().expect("snapshot cache poisoned");
@@ -218,7 +207,7 @@ impl RunningIndex {
     /// Copies the tally's growth since the last call into the `live.*`
     /// instruments: the records ingested into `live.records_emitted`,
     /// `hot_len` into `live.hot_records`.
-    pub(crate) fn publish(&self, hot_len: usize) {
+    fn publish(&self, hot_len: usize) {
         let total = self.total_records();
         let was = self.metrics.published.swap(total, Ordering::Relaxed);
         self.metrics.records_emitted.add(total - was);
@@ -226,24 +215,24 @@ impl RunningIndex {
     }
 
     /// Where the ingest's telemetry, and its views', lands.
-    pub(crate) fn registry(&self) -> &Registry {
+    fn registry(&self) -> &Registry {
         &self.registry
     }
 
-    pub(crate) fn total_records(&self) -> u64 {
+    fn total_records(&self) -> u64 {
         self.index.len() as u64
     }
 }
 
 /// Where [`pump`] charges the time one stage waits for the other.
 #[derive(Debug, Clone)]
-pub(crate) struct PumpWaits {
+struct PumpWaits {
     /// `live.source_wait_micros`: the source had filled a batch and
     /// waited for a free buffer — the capture is sink-bound.
-    pub(crate) source: Counter,
+    source: Counter,
     /// `live.sink_wait_micros`: the sink had sunk its batch and waited
     /// for the next — the capture is source-bound.
-    pub(crate) sink: Counter,
+    sink: Counter,
 }
 
 /// A stage's wait clock: each timed wait accrues, and whole
@@ -275,7 +264,7 @@ impl<'a> Waited<'a> {
 }
 
 /// Pumps `source` to exhaustion, handing each batch to `ingest` — the
-/// one source loop behind both ingests' `run`.
+/// source loop behind [`LiveIngest::run`].
 ///
 /// The loop is a two-stage pipeline: `source` fills the next batch on
 /// the caller's thread while `ingest` sinks the one before on a scoped
@@ -296,7 +285,7 @@ impl<'a> Waited<'a> {
 ///
 /// A panic in either stage reaches the caller, after the other stage
 /// has stopped.
-pub(crate) fn pump<S: RecordSource + ?Sized>(
+fn pump<S: RecordSource + ?Sized>(
     source: &mut S,
     waits: &PumpWaits,
     mut ingest: impl FnMut(&mut Vec<TraceRecord>) -> Result<()> + Send,
@@ -470,7 +459,7 @@ impl LiveIngest {
     pub fn create(config: LiveConfig) -> Result<Self> {
         let running = RunningIndex::new(&config.registry);
         Ok(LiveIngest {
-            chain: SegmentChain::create(config, false)?,
+            chain: SegmentChain::create(config)?,
             running,
         })
     }
@@ -481,17 +470,15 @@ impl LiveIngest {
     /// ([`nfstrace_store::build_partial_index`]) — one decode per
     /// chunk, chunk-parallel on `NFSTRACE_THREADS` workers — and the
     /// order check resumes at the last capture time the footers hold.
-    /// Sequence sidecars a sharded ingest left in the directory are
-    /// invisible to this plain writer.
     ///
     /// # Errors
     ///
     /// On directory or segment open/decode failure.
     pub fn open(config: LiveConfig) -> Result<Self> {
         let registry = config.registry.clone();
-        let mut chain = SegmentChain::open(config, false)?;
+        let mut chain = SegmentChain::open(config)?;
         // No record was pushed yet, so every segment is sealed.
-        let (sealed, _) = chain.snapshot()?;
+        let sealed = chain.snapshot()?;
         let index = build_partial_index(&sealed, 0, u64::MAX, parallel::threads())?;
         let ranges = sealed.iter().filter_map(|r| r.time_range());
         let last_micros = ranges.map(|(_, max)| max).max().unwrap_or(0);
@@ -511,10 +498,10 @@ impl LiveIngest {
     /// segment writer, the error of the seal this call settled, or
     /// [`StoreError::Poisoned`] after any of those.
     pub fn ingest(&mut self, r: &TraceRecord) -> Result<()> {
-        self.running.check_order(std::slice::from_ref(r))?;
+        self.running.check_order(r)?;
         self.chain.usable()?;
         self.running.observe(r);
-        if self.chain.push(r, None)? {
+        if self.chain.push(r)? {
             self.publish();
         }
         Ok(())
@@ -594,7 +581,7 @@ impl LiveIngest {
     ///
     /// The settled seal's error, or [`StoreError::Poisoned`] after one.
     pub fn try_view(&mut self) -> Result<StoreIndex> {
-        let (segments, _) = self.chain.snapshot()?;
+        let segments = self.chain.snapshot()?;
         let base = self.running.view(self.chain.hot_len());
         StoreIndex::with_base(segments, base, self.running.registry())
     }

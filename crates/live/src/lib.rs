@@ -6,7 +6,8 @@
 //! appending anonymized records as traffic flowed. Everything in this
 //! workspace before this crate was batch: generate or sniff a whole
 //! trace, then store it, then analyze it. `nfstrace-live` is the
-//! online shape, built from three pieces:
+//! online shape, built from two pieces, and a third kept for the
+//! benchmark:
 //!
 //! - **[`RecordSource`]** — an incremental, pull-driven producer of
 //!   time-ordered record batches. Two sources ship: the time-sliced
@@ -31,16 +32,10 @@
 //!   figure in the repro suite runs against it unchanged, and its
 //!   products are bit-identical to an in-memory index over the same
 //!   records.
-//! - **[`ShardedLiveIngest`]** — the multi-writer shape: the stream's
-//!   storage splits by client hash across N segment chains (each with
-//!   its own hot segment, rotation clock, and `shard-NNN/` directory),
-//!   the router stamps every record with a global arrival sequence
-//!   (persisted in [`nfstrace_store::seqfile`] sidecars) and folds the
-//!   stream into one running index, as the single writer does. Its
-//!   [`ShardedView`]'s replays k-way merge the chains back into the
-//!   exact original stream — the analysis suite over it stays
-//!   byte-identical to a single-writer daemon and to the batch
-//!   pipeline, for any shard count.
+//! - **[`ShardedLiveIngest`]** — N `LiveIngest`s behind a client
+//!   router, each shard an ordinary segment directory. It is kept only
+//!   for the benchmark's `live.sharded_ingest` row; nothing reads the
+//!   shards back as one stream.
 //!
 //! # The bounded-memory contract
 //!
@@ -102,7 +97,5 @@ pub mod sharded;
 pub mod source;
 
 pub use ingest::{LiveConfig, LiveIngest, LiveSummary};
-pub use sharded::{
-    shard_for_client, ShardChain, ShardedLiveIngest, ShardedSummary, ShardedView, SHARD_MANIFEST,
-};
+pub use sharded::{shard_for_client, ShardedLiveIngest};
 pub use source::{RecordSource, SnifferSource};

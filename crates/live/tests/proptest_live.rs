@@ -5,7 +5,7 @@
 use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_core::runs::RunOptions;
-use nfstrace_live::{LiveConfig, LiveIngest, RecordSource, ShardedLiveIngest};
+use nfstrace_live::{LiveConfig, LiveIngest, RecordSource};
 use nfstrace_store::{StoreConfig, StoreIndex};
 use proptest::prelude::*;
 
@@ -207,119 +207,6 @@ proptest! {
         for d in [&ref_dir, &dir, &mid_dir] {
             std::fs::remove_dir_all(d).ok();
         }
-    }
-}
-
-/// Records dense in time (many equal-timestamp ties) with the client
-/// id drawn **independently** of the file id, so the same file is hit
-/// from clients landing on different shards — the case where only the
-/// arrival sequences can reconstruct the original interleave.
-fn arb_tied_record() -> impl Strategy<Value = TraceRecord> {
-    (
-        0u64..3_000,
-        0usize..Op::ALL.len(),
-        0u64..40,
-        0u64..(1 << 20),
-        0u32..5_000,
-        0u32..24,
-        proptest::option::of("[a-z0-9._-]{1,12}"),
-    )
-        .prop_map(|(micros, op_idx, fh, offset, count, client, name)| {
-            let mut r = TraceRecord::new(micros, Op::ALL[op_idx], FileId(fh));
-            r.reply_micros = micros + 1;
-            r.client = client;
-            r.xid = fh as u32 ^ (client << 8);
-            r.offset = offset;
-            r.count = count;
-            r.ret_count = count / 2;
-            r.name = name;
-            r
-        })
-}
-
-proptest! {
-    /// For any record stream, shard count, batch length, and rotation
-    /// thresholds: a sharded multi-writer ingest's merged view replays
-    /// the exact original stream (equal-timestamp ties included) and
-    /// its analysis products equal the in-memory index's — mid-ingest
-    /// over sealed + hot, and again after sealing and reopening
-    /// entirely from disk (sequence sidecars included). With a
-    /// compaction fan-in, every chain compacts behind the ingest and
-    /// splices its merged sidecars in.
-    #[test]
-    fn sharded_ingest_equals_single_writer_and_memory(
-        mut records in proptest::collection::vec(arb_tied_record(), 1..250),
-        shards in 1usize..5,
-        batch in 1usize..97,
-        rotate_records in 8u64..120,
-        rotate_micros in 200u64..4_000_000,
-        chunk_bytes in 64usize..4096,
-        fan_in in proptest::option::of(2usize..5),
-        case in 0u64..1_000_000,
-    ) {
-        // Stable sort: equal timestamps keep generation (arrival) order.
-        records.sort_by_key(|r| r.micros);
-        let dir = tmpdir("sharded", case);
-        let config = || LiveConfig {
-            dir: dir.clone(),
-            store: StoreConfig {
-                target_chunk_bytes: chunk_bytes,
-            },
-            rotate_records,
-            rotate_micros,
-            compaction: fan_in.map(|fan_in| nfstrace_store::CompactionPolicy { fan_in }),
-            registry: Default::default(),
-        };
-        let mut ingest = ShardedLiveIngest::create(config(), shards).expect("create sharded");
-        let mut source = ChunkedSource {
-            records: records.clone(),
-            at: 0,
-            batch,
-        };
-        ingest.run(&mut source).expect("run");
-        prop_assert_eq!(ingest.shard_count(), shards);
-        prop_assert_eq!(ingest.total_records(), records.len() as u64);
-
-        // Mid-ingest (pre-finish): sealed + hot per shard, merged on read.
-        let view = ingest.view();
-        let mut back = Vec::new();
-        view.for_each_record(&mut |r| back.push(r.clone()));
-        prop_assert_eq!(&back, &records);
-        let mem = TraceIndex::new(records.clone());
-        prop_assert_eq!(TraceView::len(&view), TraceView::len(&mem));
-        prop_assert_eq!(view.summary(), mem.summary());
-        prop_assert_eq!(view.hourly(), mem.hourly());
-        prop_assert_eq!(view.accesses(7).as_ref(), mem.accesses(7).as_ref());
-        prop_assert_eq!(
-            view.runs(7, RunOptions::default()).as_ref(),
-            mem.runs(7, RunOptions::default()).as_ref()
-        );
-        prop_assert_eq!(view.names(), mem.names());
-
-        // Windowed merged replay (chunk skipping must keep the sequence
-        // index aligned).
-        let vw = view.time_window(700, 2_300);
-        let mw = mem.time_window(700, 2_300);
-        prop_assert_eq!(vw.summary(), mw.summary());
-        prop_assert_eq!(vw.accesses(7).as_ref(), mw.accesses(7).as_ref());
-
-        // Sealed + reopened: the same stream, now entirely from disk.
-        // Each shard's hot tail stayed bounded by the rotation threshold.
-        let summary = ingest.finish().expect("finish");
-        prop_assert_eq!(summary.shards.len(), shards);
-        for shard in &summary.shards {
-            prop_assert!(shard.peak_hot_records as u64 <= rotate_records);
-        }
-        let mut reopened = ShardedLiveIngest::open(config()).expect("reopen");
-        prop_assert_eq!(reopened.total_records(), records.len() as u64);
-        let view = reopened.view();
-        let mut back = Vec::new();
-        view.for_each_record(&mut |r| back.push(r.clone()));
-        prop_assert_eq!(&back, &records);
-        prop_assert_eq!(view.summary(), mem.summary());
-        prop_assert_eq!(view.accesses(7).as_ref(), mem.accesses(7).as_ref());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

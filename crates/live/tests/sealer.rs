@@ -7,7 +7,7 @@
 use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_core::time::{DAY, HOUR};
-use nfstrace_live::{LiveConfig, LiveIngest, ShardedLiveIngest};
+use nfstrace_live::{LiveConfig, LiveIngest};
 use nfstrace_store::{CompactionPolicy, Result, StoreConfig, StoreError};
 use nfstrace_workload::{CampusConfig, CampusWorkload};
 use std::path::{Path, PathBuf};
@@ -146,31 +146,6 @@ fn a_seal_error_in_flight_reaches_the_next_settle() {
         finished
     });
     assert!(is_not_found(&finished), "finish: {finished:?}");
-
-    // A sharded chain seals the same way, and its ingest settles every
-    // chain at a view.
-    let (viewed, after) = without_panic_or_hang(|| {
-        let root = tmpdir("settle-sharded");
-        let mut ingest = ShardedLiveIngest::create(four_per_segment(&root), 1).expect("create");
-        let shard = root.join("shard-000");
-        let records: Vec<TraceRecord> = (0..4).map(record).collect();
-        ingest.ingest_batch(&records[..3]).expect("ingest");
-        std::fs::remove_dir_all(&shard).expect("remove the shard directory");
-        ingest
-            .ingest_batch(&records[3..])
-            .expect("the rotation hands the segment off");
-        std::fs::create_dir_all(&shard).expect("recreate the shard directory");
-        let viewed = ingest.try_view().map(drop);
-        let after = ingest.ingest_batch(&[record(4)]);
-        drop(ingest);
-        std::fs::remove_dir_all(&root).ok();
-        (viewed, after)
-    });
-    assert!(is_not_found(&viewed), "sharded try_view: {viewed:?}");
-    assert!(
-        matches!(after, Err(StoreError::Poisoned { .. })),
-        "sharded ingest after the failure: {after:?}"
-    );
 }
 
 /// Dropping an ingest joins its seal in flight: the directory then

@@ -32,8 +32,7 @@
 //! [`StoreConfig::target_chunk_bytes`], exactly as they did in the
 //! separate files they came from — and write amplification is bytes
 //! copied, not records re-encoded; `store.compaction_chunks_relocated`
-//! counts the chunks moved. Arrival-sequence sidecars
-//! ([`crate::seqfile`]) concatenate alongside.
+//! counts the chunks moved.
 //!
 //! # Crash safety
 //!
@@ -43,12 +42,10 @@
 //! exactly the old or the new catalog — never a mix:
 //!
 //! 1. output bytes → `….nfseg.tmp` (crash: tmp swept, old state)
-//! 2. output sidecar → tmp, then rename (crash: orphan sidecar swept,
-//!    old state)
-//! 3. output rename to its sealed name — **the commit point**: from
+//! 2. output rename to its sealed name — **the commit point**: from
 //!    here the output supersedes its sources by generation
-//! 4. source segments and sidecars removed (crash: survivors are
-//!    superseded and swept, new state)
+//! 3. source segments removed (crash: survivors are superseded and
+//!    swept, new state)
 //!
 //! [`FaultInjector`] makes the kill points testable: the crash-recovery
 //! proptest runs every protocol with a budget of *n* filesystem steps
@@ -67,7 +64,6 @@
 use crate::error::{Result, StoreError};
 use crate::reader::StoreReader;
 use crate::segments::{SegmentCatalog, SegmentId};
-use crate::seqfile;
 use crate::writer::{StoreConfig, StoreWriter};
 use nfstrace_telemetry::{Counter, Registry};
 use std::path::{Path, PathBuf};
@@ -129,26 +125,12 @@ pub fn tmp_path(segment: &Path) -> PathBuf {
 
 /// Seals a fully written temp segment at its final name — the one
 /// crash-safe publication protocol shared by live rotation (on its
-/// sealing thread) and compaction. When `seqs` is given, the arrival-sequence sidecar is
-/// made visible *before* the segment (sidecar tmp → rename → segment
-/// rename), so a sealed tracking segment always has its sidecar and a
-/// crash in between leaves only an orphan sidecar for the sweep.
+/// sealing thread) and compaction: one rename, one filesystem step.
 ///
 /// # Errors
 ///
 /// On I/O failure or an injected fault.
-pub fn seal_segment(
-    tmp: &Path,
-    dest: &Path,
-    seqs: Option<&[u64]>,
-    fault: &mut FaultInjector,
-) -> Result<()> {
-    if let Some(seqs) = seqs {
-        fault.step()?;
-        let side_tmp = seqfile::write_sidecar_tmp(dest, seqs)?;
-        fault.step()?;
-        std::fs::rename(side_tmp, seqfile::sidecar_path(dest))?;
-    }
+pub fn seal_segment(tmp: &Path, dest: &Path, fault: &mut FaultInjector) -> Result<()> {
     fault.step()?;
     std::fs::rename(tmp, dest)?;
     Ok(())
@@ -183,19 +165,15 @@ impl CompactionPolicy {
     }
 }
 
-/// What one compaction pass did: the output id, where it spliced into
-/// the catalog, and the merged sidecar (when the sources tracked
-/// arrival sequences) — everything a live ingest needs to mirror the
-/// swap in its in-memory reader chain.
+/// What one compaction pass did: the output id and where it spliced
+/// into the catalog — what a live ingest needs to mirror the swap in
+/// its in-memory reader chain.
 #[derive(Debug)]
 pub struct CompactionOutcome {
     /// The generation-bumped segment now covering the sources' range.
     pub output: SegmentId,
     /// `(first index, length)` of the catalog run the output replaced.
     pub replaced: (usize, usize),
-    /// Concatenated arrival sequences of the output (present iff the
-    /// sources had sidecars; the output's sidecar holds the same).
-    pub seqs: Option<Vec<u64>>,
 }
 
 /// The background merge engine: applies a [`CompactionPolicy`] to a
@@ -247,10 +225,7 @@ impl Compactor {
     /// [`SegmentCatalog::open_and_sweep`] resolves it), corrupt source
     /// bytes (a chunk failing its checksum is a [`StoreError::Format`]
     /// before the commit point: sources and catalog stay as they
-    /// were), or sources where some but not all segments have
-    /// arrival-sequence sidecars ([`StoreError::Sidecar`] — a tracked
-    /// catalog can never be half-tracked, so that is corruption, not a
-    /// state to guess through).
+    /// were).
     ///
     /// # Panics
     ///
@@ -275,35 +250,6 @@ impl Compactor {
             output.file_name()
         );
         let paths: Vec<PathBuf> = sources.iter().map(|id| catalog.path_of(id)).collect();
-
-        // Sidecars are all-or-none across the sources: a tracked
-        // catalog seals every segment with one, so a mix means a
-        // sidecar rotted away after sealing — report which.
-        let with_sidecar = paths
-            .iter()
-            .filter(|p| seqfile::sidecar_path(p).exists())
-            .count();
-        let seqs = if with_sidecar == paths.len() {
-            let mut all = Vec::new();
-            for p in &paths {
-                all.extend(seqfile::read_sidecar(p)?);
-            }
-            Some(all)
-        } else if with_sidecar == 0 {
-            None
-        } else {
-            let missing = paths
-                .iter()
-                .find(|p| !seqfile::sidecar_path(p).exists())
-                .expect("some sidecar is missing");
-            return Err(StoreError::Sidecar {
-                segment: missing.clone(),
-                problem: "missing, but sibling segments in the same compaction have \
-                          sidecars (a tracked segment lost its sidecar after sealing)"
-                    .into(),
-            });
-        };
-
         let dest = catalog.path_of(&output);
         let tmp = tmp_path(&dest);
         fault.step()?;
@@ -317,26 +263,17 @@ impl Compactor {
             relocated += reader.chunk_count() as u64;
         }
         writer.finish()?;
-        seal_segment(&tmp, &dest, seqs.as_deref(), fault)?;
+        seal_segment(&tmp, &dest, fault)?;
         // The commit point has passed: the output supersedes the
         // sources whether or not their removal below completes.
         for path in &paths {
             fault.step()?;
             std::fs::remove_file(path)?;
-            let sidecar = seqfile::sidecar_path(path);
-            if sidecar.exists() {
-                fault.step()?;
-                std::fs::remove_file(sidecar)?;
-            }
         }
         let replaced = catalog.apply_compaction(output);
         self.compactions.inc();
         self.chunks_relocated.add(relocated);
-        Ok(CompactionOutcome {
-            output,
-            replaced,
-            seqs,
-        })
+        Ok(CompactionOutcome { output, replaced })
     }
 
     /// Runs compaction passes until the policy finds nothing ripe —
@@ -378,9 +315,8 @@ mod tests {
         TraceRecord::new(i * 1000, Op::Read, FileId(i % 5)).with_range(i * 4096, 4096)
     }
 
-    /// Seals `per_seg`-record base segments 0..count into `dir`, with
-    /// sidecars when `track`.
-    fn seed_catalog(dir: &Path, count: u64, per_seg: u64, track: bool) -> SegmentCatalog {
+    /// Seals `per_seg`-record base segments 0..count into `dir`.
+    fn seed_catalog(dir: &Path, count: u64, per_seg: u64) -> SegmentCatalog {
         let mut cat = SegmentCatalog::open(dir).expect("open");
         for s in 0..count {
             let ordinal = cat.next_ordinal();
@@ -392,14 +328,7 @@ mod tests {
                 w.push(&record(i)).expect("push");
             }
             w.finish().expect("finish");
-            let seqs: Vec<u64> = (base..base + per_seg).collect();
-            seal_segment(
-                &tmp,
-                &dest,
-                track.then_some(seqs.as_slice()),
-                &mut FaultInjector::none(),
-            )
-            .expect("seal");
+            seal_segment(&tmp, &dest, &mut FaultInjector::none()).expect("seal");
             cat.note_sealed(ordinal);
         }
         cat
@@ -454,9 +383,9 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_the_record_stream_and_sidecars() {
+    fn compaction_preserves_the_record_stream() {
         let dir = tmpdir("merge");
-        let mut cat = seed_catalog(&dir, 4, 50, true);
+        let mut cat = seed_catalog(&dir, 4, 50);
         let before = catalog_records(&cat);
         let reg = Registry::new();
         let compactor =
@@ -474,18 +403,11 @@ mod tests {
             }
         );
         assert_eq!(outcomes[0].replaced, (0, 4));
-        let expect_seqs: Vec<u64> = (0..200).collect();
-        assert_eq!(outcomes[0].seqs.as_deref(), Some(expect_seqs.as_slice()));
         assert_eq!(reg.counter("store.compactions").value(), 1);
         // The sources move chunk by chunk.
         assert_eq!(reg.counter("store.compaction_chunks_relocated").value(), 4);
-        // The merged segment carries the merged sidecar, the sources
-        // are gone, and the record stream is unchanged.
+        // The sources are gone, and the record stream is unchanged.
         assert_eq!(cat.ids(), &[outcomes[0].output]);
-        assert_eq!(
-            seqfile::read_sidecar(&cat.path_of(&outcomes[0].output)).expect("sidecar"),
-            expect_seqs
-        );
         assert_eq!(catalog_records(&cat), before);
         let reopened = SegmentCatalog::open_and_sweep(&dir).expect("reopen");
         assert_eq!(reopened.ids(), cat.ids());
@@ -500,7 +422,7 @@ mod tests {
     #[test]
     fn a_corrupt_source_chunk_fails_compaction_before_the_commit_point() {
         let dir = tmpdir("corrupt");
-        let mut cat = seed_catalog(&dir, 3, 50, true);
+        let mut cat = seed_catalog(&dir, 3, 50);
         let ids_before = cat.ids().to_vec();
         let victim = cat.path_for(1);
         let mut bytes = std::fs::read(&victim).expect("read");
@@ -524,15 +446,14 @@ mod tests {
         for counter in ["store.compactions", "store.compaction_chunks_relocated"] {
             assert_eq!(reg.counter(counter).value(), 0, "{counter}");
         }
-        // A sweeping reopen finds the old catalog, sidecars intact, the
-        // staged output gone; the good segments read, the bad one
-        // still reports its corruption.
+        // A sweeping reopen finds the old catalog, the staged output
+        // gone; the good segments read, the bad one still reports its
+        // corruption.
         let reopened = SegmentCatalog::open_and_sweep(&dir).expect("reopen");
         assert_eq!(reopened.ids(), ids_before.as_slice());
         assert!(!tmp_path(&cat.path_of(&output)).exists(), "tmp swept");
         for id in &ids_before {
             let path = reopened.path_of(id);
-            assert_eq!(seqfile::read_sidecar(&path).expect("sidecar").len(), 50);
             let read = StoreReader::open(&path).expect("open").read_chunk(0);
             if path == victim {
                 assert!(matches!(read, Err(StoreError::Format(_))));
@@ -540,25 +461,6 @@ mod tests {
                 assert_eq!(read.expect("intact source").len(), 50);
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn half_tracked_sources_are_a_precise_sidecar_error() {
-        let dir = tmpdir("halftracked");
-        let mut cat = seed_catalog(&dir, 2, 10, true);
-        std::fs::remove_file(seqfile::sidecar_path(&cat.path_for(1))).expect("drop sidecar");
-        let reg = Registry::new();
-        let compactor =
-            Compactor::new(CompactionPolicy { fan_in: 2 }, StoreConfig::default(), &reg);
-        let output = compactor.policy().plan(cat.ids()).expect("plan");
-        let err = compactor
-            .compact(&mut cat, output, &mut FaultInjector::none())
-            .expect_err("half-tracked");
-        assert!(
-            matches!(&err, StoreError::Sidecar { segment, .. } if segment.ends_with("seg-000001.nfseg")),
-            "{err}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,18 +18,6 @@ pub enum StoreError {
         /// The offending earlier timestamp.
         next: u64,
     },
-    /// A sealed segment's arrival-sequence sidecar is missing,
-    /// truncated, corrupt, or inconsistent with its segment — the
-    /// precise diagnosis a sharded reopen needs to recover
-    /// deterministically (a *missing* sidecar means the directory was
-    /// written without tracking, or a mid-rename crash was swept; a
-    /// *corrupt* one means the bytes rotted).
-    Sidecar {
-        /// The segment the sidecar belongs to.
-        segment: std::path::PathBuf,
-        /// What exactly is wrong with it.
-        problem: String,
-    },
     /// A live segment chain refused work because an earlier seal — or
     /// a write to its hot segment, or a compaction pass a seal started
     /// — failed. The records of that segment are not in the durable
@@ -53,9 +41,6 @@ impl fmt::Display for StoreError {
                 f,
                 "record pushed out of time order: {next} after {prev} (sort the stream first)"
             ),
-            StoreError::Sidecar { segment, problem } => {
-                write!(f, "sequence sidecar for {}: {problem}", segment.display())
-            }
             StoreError::Poisoned { segment, cause } => write!(
                 f,
                 "segment chain refuses work: {} failed earlier: {cause}",

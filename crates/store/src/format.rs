@@ -75,7 +75,6 @@
 //!                                             — generation ≥ 1, the
 //!                                               merge of ordinals
 //!                                               lo..=hi inclusive
-//! sidecar    := same stem, .nfseq             — arrival sequences
 //! in-flight  := either form + .tmp            — never part of a
 //!                                               catalog; swept on
 //!                                               owning reopen

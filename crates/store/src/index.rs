@@ -62,7 +62,7 @@ pub fn stream_records_with_threads(
             scope.spawn(move || {
                 for &(ri, ci) in jobs {
                     let batch = readers[ri].read_chunk_in(ci, start, end);
-                    if tx.send(batch.map(|(records, _)| records)).is_err() {
+                    if tx.send(batch).is_err() {
                         break; // consumer went away (panic unwinding)
                     }
                 }
@@ -79,7 +79,6 @@ pub fn stream_records_with_threads(
             readers[ri]
                 .read_chunk_in(ci, start, end)
                 .unwrap_or_else(|e| panic!("store chunk {ci} unreadable mid-analysis: {e}"))
-                .0
                 .iter()
                 .for_each(&mut *f);
         }
@@ -95,9 +94,9 @@ pub fn stream_records_with_threads(
 /// before its per-chunk metas are even iterated — on an archive-scale
 /// catalog a narrow window touches a handful of segments and prunes
 /// the rest here. Every walk over a catalog's chunks — a live view's
-/// hot segment included — takes its chunk list from here: [`stream_records`], [`build_partial_index`], and the
-/// merge cursor of a sharded live view.
-pub fn overlapping_chunks(
+/// hot segment included — takes its chunk list from here:
+/// [`stream_records`] and [`build_partial_index`].
+pub(crate) fn overlapping_chunks(
     readers: &[Arc<StoreReader>],
     start: u64,
     end: u64,
@@ -194,9 +193,9 @@ fn check_segment_order(readers: &[Arc<StoreReader>]) -> Result<()> {
 /// every record of `readers` (segments in order) whose capture time
 /// lies in `[start, end)`.
 ///
-/// The chunks [`overlapping_chunks`] plans are decoded on `threads`
+/// The chunks `overlapping_chunks` plans are decoded on `threads`
 /// workers ([`parallel::run_sharded`]), each building only its
-/// in-window records ([`StoreReader::read_chunk_in`]) into a partial of
+/// in-window records (`StoreReader::read_chunk_in`) into a partial of
 /// its own, and the partials are absorbed in chunk order — so the
 /// result equals observing the same records one by one, at any worker
 /// count, while resident *record* memory stays bounded by chunk size ×
@@ -218,7 +217,7 @@ pub fn build_partial_index(
     let chunks = overlapping_chunks(readers, start, end);
     let parts = parallel::run_sharded(chunks.len(), threads, |i| -> Result<PartialIndex> {
         let (ri, ci) = chunks[i];
-        let (records, _) = readers[ri].read_chunk_in(ci, start, end)?;
+        let records = readers[ri].read_chunk_in(ci, start, end)?;
         Ok(PartialIndex::from_records(&records))
     });
     let mut acc = PartialIndex::new();

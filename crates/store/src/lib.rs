@@ -36,7 +36,7 @@
 //!   ([`StoreIndex::open_dir`]; naming and the reopen-and-append
 //!   catalog live in module [`segments`]) — which is how the
 //!   `nfstrace-live` rotating ingest's output is analyzed — and a
-//!   single-writer live ingest's view mid-ingest is one too, over its
+//!   live ingest's view mid-ingest is one too, over its
 //!   segments with the hot one last, built by [`StoreIndex::with_base`]
 //!   from the ingest's running products without a decode.
 //!
@@ -107,16 +107,12 @@ pub mod format;
 pub mod index;
 pub mod reader;
 pub mod segments;
-pub mod seqfile;
 pub mod writer;
 
 pub use compact::{CompactionPolicy, Compactor, FaultInjector};
 pub use error::{Result, StoreError};
 pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind};
-pub use index::{
-    build_partial_index, overlapping_chunks, stream_records, stream_records_with_threads,
-    StoreIndex,
-};
+pub use index::{build_partial_index, stream_records, stream_records_with_threads, StoreIndex};
 pub use reader::{StoreReader, VerifiedChunk};
 pub use segments::{SegmentCatalog, SegmentId};
 pub use writer::{StoreConfig, StoreSummary, StoreWriter};

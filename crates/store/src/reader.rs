@@ -485,36 +485,25 @@ impl StoreReader {
     /// are built, so the edge chunk of a time window costs what the
     /// window holds of it.
     ///
-    /// Records in a chunk are time-ordered (the codec stores unsigned
-    /// deltas), so the kept ones are contiguous: they are returned with
-    /// the in-chunk index of the first of them, the count of records
-    /// earlier than `start`. Plus the records of the segment's earlier
-    /// chunks (the footer's [`ChunkMeta::records`]), that is the
-    /// segment-wide index of the first kept record — where a sequence
-    /// sidecar holds its entry.
-    ///
     /// # Errors
     ///
     /// As [`StoreReader::read_chunk`].
-    pub fn read_chunk_in(
+    pub(crate) fn read_chunk_in(
         &self,
         ordinal: usize,
         start: u64,
         end: u64,
-    ) -> Result<(Vec<TraceRecord>, usize)> {
+    ) -> Result<Vec<TraceRecord>> {
         let chunk = self.open_chunk(ordinal)?;
         let meta = &self.chunks[ordinal];
         let whole = meta.min_micros >= start && meta.max_micros < end;
         let mut out = Vec::with_capacity(if whole { chunk.count } else { 0 });
-        let mut before = 0;
         chunk.for_each(|r| {
-            if r.micros < start {
-                before += 1;
-            } else if r.micros < end {
+            if (start..end).contains(&r.micros) {
                 out.push(r.materialize(&chunk.names));
             }
         })?;
-        Ok((out, before))
+        Ok(out)
     }
 
     /// Streams every record in chunk order (= time order), holding only

@@ -35,11 +35,9 @@
 //! over a catalog. [`SegmentCatalog::open`] never touches the
 //! directory's files (it may race a live writer's hot `.tmp`);
 //! [`SegmentCatalog::open_and_sweep`] — the write path's entry point —
-//! additionally deletes stale temps, superseded sources, and orphaned
-//! sequence sidecars.
+//! additionally deletes stale temps and superseded sources.
 
 use crate::error::{Result, StoreError};
-use crate::seqfile;
 use std::path::{Path, PathBuf};
 
 /// File suffix every segment carries.
@@ -102,8 +100,7 @@ pub fn segment_file_name(ordinal: u64) -> String {
 }
 
 /// Parses a segment file name back to its [`SegmentId`]; `None` for
-/// anything that is not a segment name (including `.tmp` temps and
-/// sequence sidecars).
+/// anything that is not a segment name (including `.tmp` temps).
 pub fn parse_segment_name(name: &str) -> Option<SegmentId> {
     let rest = name.strip_prefix("seg-")?.strip_suffix(SEGMENT_SUFFIX)?;
     let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
@@ -189,8 +186,8 @@ pub struct SegmentCatalog {
 
 impl SegmentCatalog {
     /// Opens (creating if needed) a segment directory, scans it, and
-    /// resolves supersession. Read-only: stale `.tmp` files, orphan
-    /// sidecars, and superseded sources are *ignored*, never deleted —
+    /// resolves supersession. Read-only: stale `.tmp` files and
+    /// superseded sources are *ignored*, never deleted —
     /// this may run against a directory another process is actively
     /// writing. Writers reopen with
     /// [`SegmentCatalog::open_and_sweep`] instead.
@@ -216,10 +213,8 @@ impl SegmentCatalog {
 
     /// [`SegmentCatalog::open`] for the write path: additionally
     /// deletes everything a crash can leave behind — half-written
-    /// `*.nfseg.tmp` / `*.nfseq.tmp` temps, the source segments (and
-    /// their sidecars) of a compaction whose output already landed,
-    /// and sequence sidecars whose segment never got renamed. After
-    /// the sweep the directory holds exactly the surviving catalog:
+    /// `*.nfseg.tmp` temps and the source segments of a compaction
+    /// whose output already landed. After the sweep the directory holds exactly the surviving catalog:
     /// reopen is deterministic, always the old state or the new one,
     /// never a mix.
     ///
@@ -230,36 +225,20 @@ impl SegmentCatalog {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(StoreError::Io)?;
         let mut ids = Vec::new();
-        let mut sidecars = Vec::new();
         for entry in std::fs::read_dir(&dir).map_err(StoreError::Io)? {
             let entry = entry.map_err(StoreError::Io)?;
             let Some(name) = entry.file_name().to_str().map(str::to_owned) else {
                 continue;
             };
-            if name.ends_with(".nfseg.tmp") || name.ends_with(".nfseq.tmp") {
+            if name.ends_with(".nfseg.tmp") {
                 std::fs::remove_file(entry.path())?;
             } else if let Some(id) = parse_segment_name(&name) {
                 ids.push(id);
-            } else if name.ends_with(seqfile::SEQ_SUFFIX) {
-                sidecars.push(entry.path());
             }
         }
         let (live, superseded) = resolve(ids)?;
         for id in &superseded {
-            let path = dir.join(id.file_name());
-            std::fs::remove_file(&path)?;
-            let sidecar = seqfile::sidecar_path(&path);
-            if sidecar.exists() {
-                std::fs::remove_file(sidecar)?;
-            }
-        }
-        // Only now — with superseded segments gone — does "my segment
-        // file exists" decide which sidecars are orphans. (A superseded
-        // segment's sidecar was already removed above.)
-        for sidecar in sidecars {
-            if sidecar.exists() && !sidecar.with_extension("nfseg").exists() {
-                std::fs::remove_file(sidecar)?;
-            }
+            std::fs::remove_file(dir.join(id.file_name()))?;
         }
         Ok(SegmentCatalog { dir, ids: live })
     }
@@ -318,7 +297,7 @@ impl SegmentCatalog {
     /// contiguous run of catalog entries its ordinal range covers, and
     /// returns that run's position as `(first index, length)` — the
     /// in-memory swap mirroring the on-disk supersession, so a live
-    /// ingest can splice its parallel reader/sidecar vectors.
+    /// ingest can splice its reader vector.
     ///
     /// # Panics
     ///
@@ -347,67 +326,6 @@ impl SegmentCatalog {
     }
 }
 
-/// Directory-name prefix of one shard of a sharded live ingest.
-pub const SHARD_PREFIX: &str = "shard-";
-
-/// The subdirectory name shard `index` of a sharded ingest lives in
-/// (`shard-000`).
-pub fn shard_dir_name(index: usize) -> String {
-    format!("{SHARD_PREFIX}{index:03}")
-}
-
-/// Parses a shard directory name back to its index; `None` for
-/// anything that is not a shard directory name.
-pub fn parse_shard_dir_name(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix(SHARD_PREFIX)?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// The indices of the `shard-NNN/` directories present under `root`,
-/// ascending.
-///
-/// # Errors
-///
-/// On failure to read `root`.
-pub fn shard_dirs_present<P: AsRef<Path>>(root: P) -> Result<Vec<usize>> {
-    let mut present = Vec::new();
-    for entry in std::fs::read_dir(root).map_err(StoreError::Io)? {
-        let name = entry.map_err(StoreError::Io)?.file_name();
-        present.extend(name.to_str().and_then(parse_shard_dir_name));
-    }
-    present.sort_unstable();
-    Ok(present)
-}
-
-/// Opens (creating as needed) the `count` per-shard segment catalogs
-/// under `root`: `root/shard-000` … — the on-disk layout of a sharded
-/// live ingest, each shard rotating its own independent segment chain.
-///
-/// # Errors
-///
-/// If `root` already holds shard directories at indices `>= count`
-/// (the directory was written at a higher shard count and reopening it
-/// narrower would silently drop records), or on I/O failure.
-pub fn open_shard_catalogs<P: AsRef<Path>>(root: P, count: usize) -> Result<Vec<SegmentCatalog>> {
-    let root = root.as_ref();
-    std::fs::create_dir_all(root).map_err(StoreError::Io)?;
-    if let Some(&idx) = shard_dirs_present(root)?
-        .last()
-        .filter(|&&idx| idx >= count)
-    {
-        return Err(StoreError::Format(format!(
-            "shard directory {} exceeds the configured shard count {count}",
-            root.join(shard_dir_name(idx)).display()
-        )));
-    }
-    (0..count)
-        .map(|i| SegmentCatalog::open(root.join(shard_dir_name(i))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,7 +345,6 @@ mod tests {
             "other-000001.nfseg",
             "seg-12a.nfseg",
             "seg-000001.nfseg.tmp",
-            "seg-000001.nfseq",
         ] {
             assert_eq!(parse_segment_name(bad), None, "{bad}");
         }
@@ -453,7 +370,6 @@ mod tests {
             "seg-000000-000003.g00.nfseg", // generation 0 is the base form
             "seg-000003-000000.g01.nfseg", // inverted range
             "seg-000000-00000x.g01.nfseg", // non-digit
-            "seg-000000-000003.g01.nfseq", // sidecar suffix
             "seg-000000-000003.g01.nfseg.tmp",
         ] {
             assert_eq!(parse_segment_name(bad), None, "{bad}");
@@ -484,35 +400,6 @@ mod tests {
             generation: 1,
         };
         assert!(resolve(vec![g1, skew]).is_err());
-    }
-
-    #[test]
-    fn shard_names_roundtrip() {
-        for idx in [0usize, 1, 7, 999, 1000] {
-            assert_eq!(parse_shard_dir_name(&shard_dir_name(idx)), Some(idx));
-        }
-        for bad in ["shard-", "shard-3a", "seg-000", "shard000", "shard-000.tmp"] {
-            assert_eq!(parse_shard_dir_name(bad), None, "{bad}");
-        }
-    }
-
-    #[test]
-    fn shard_catalogs_create_and_reject_narrowing() {
-        let root = std::env::temp_dir().join(format!("nfstrace-shards-{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        let cats = open_shard_catalogs(&root, 3).expect("create");
-        assert_eq!(cats.len(), 3);
-        for (i, cat) in cats.iter().enumerate() {
-            assert!(cat.dir().ends_with(shard_dir_name(i)));
-            assert!(cat.is_empty());
-        }
-        // Reopening at the same or wider count is fine; narrower would
-        // silently orphan shard-002's records and must fail.
-        assert!(open_shard_catalogs(&root, 3).is_ok());
-        assert!(open_shard_catalogs(&root, 4).is_ok());
-        let err = open_shard_catalogs(&root, 2).expect_err("narrowing");
-        assert!(err.to_string().contains("shard count"), "{err}");
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -584,10 +471,10 @@ mod tests {
     }
 
     /// Regression: a crash during sealing used to leave `*.tmp`
-    /// segments and orphan sidecars that a plain reopen tripped over
-    /// (or silently mis-enumerated). The read-only open must ignore
-    /// them; the sweeping open must delete them; both must enumerate
-    /// the same surviving catalog.
+    /// segments — the one orphan a seal can leave — that a plain reopen
+    /// tripped over (or silently mis-enumerated). The read-only open
+    /// must ignore them; the sweeping open must delete them; both must
+    /// enumerate the same surviving catalog.
     #[test]
     fn stale_tmps_and_orphans_are_ignored_then_swept() {
         let dir =
@@ -597,11 +484,8 @@ mod tests {
         for ord in [0u64, 1] {
             std::fs::write(dir.join(segment_file_name(ord)), b"x").expect("touch");
         }
-        // A crash mid-seal: half-written segment temp, half-written
-        // sidecar temp, and a sidecar whose segment never got renamed.
+        // A crash mid-seal: a half-written segment temp.
         std::fs::write(dir.join("seg-000002.nfseg.tmp"), b"partial").expect("touch");
-        std::fs::write(dir.join("seg-000002.nfseq.tmp"), b"partial").expect("touch");
-        std::fs::write(dir.join("seg-000002.nfseq"), b"orphan").expect("touch");
 
         let read_only = SegmentCatalog::open(&dir).expect("read-only open");
         assert_eq!(read_only.ids(), &[SegmentId::base(0), SegmentId::base(1)]);
@@ -616,7 +500,7 @@ mod tests {
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
             .expect("read dir")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".tmp") || n.ends_with(".nfseq"))
+            .filter(|n| n.contains(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "not swept: {leftovers:?}");
         // Sweeping again is a no-op; reopen stays deterministic.
@@ -626,16 +510,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_removes_superseded_sources_and_keeps_live_sidecars() {
+    fn sweep_removes_superseded_sources() {
         let dir = std::env::temp_dir().join(format!("nfstrace-catalog-sup-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("mkdir");
         // A compaction crashed after renaming its output but before
-        // deleting its sources: both live on disk, sources with
-        // sidecars.
+        // deleting its sources: both live on disk.
         for ord in [0u64, 1] {
             std::fs::write(dir.join(segment_file_name(ord)), b"src").expect("touch");
-            std::fs::write(dir.join(format!("seg-{ord:06}.nfseq")), b"side").expect("touch");
         }
         let out = SegmentId {
             lo: 0,
@@ -643,17 +525,13 @@ mod tests {
             generation: 1,
         };
         std::fs::write(dir.join(out.file_name()), b"out").expect("touch");
-        std::fs::write(dir.join("seg-000000-000001.g01.nfseq"), b"side").expect("touch");
         std::fs::write(dir.join(segment_file_name(2)), b"tail").expect("touch");
 
         let swept = SegmentCatalog::open_and_sweep(&dir).expect("sweep");
         assert_eq!(swept.ids(), &[out, SegmentId::base(2)]);
         assert!(!dir.join(segment_file_name(0)).exists());
-        assert!(!dir.join("seg-000000.nfseq").exists());
-        assert!(
-            dir.join("seg-000000-000001.g01.nfseq").exists(),
-            "the output's own sidecar survives"
-        );
+        assert!(!dir.join(segment_file_name(1)).exists());
+        assert!(dir.join(out.file_name()).exists(), "the output survives");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,17 +1,16 @@
 //! Crash-recovery property tests for the segment lifecycle protocols.
 //!
-//! Every filesystem step of seal → sidecar → compact runs under a
+//! Every filesystem step of seal → compact runs under a
 //! [`FaultInjector`] budget of *n* steps, for **every** possible *n*:
 //! each induced crash is followed by a sweeping reopen
 //! ([`SegmentCatalog::open_and_sweep`]), which must always resolve the
 //! directory to exactly the old or the new catalog state — never a
-//! mix — with the full record stream and every arrival-sequence
-//! sidecar intact either way.
+//! mix — with the full record stream intact either way.
 
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_store::compact::{seal_segment, tmp_path, Compactor, FaultInjector};
 use nfstrace_store::{
-    seqfile, stream_records, CompactionPolicy, SegmentCatalog, SegmentId, StoreConfig, StoreError,
+    stream_records, CompactionPolicy, SegmentCatalog, SegmentId, StoreConfig, StoreError,
     StoreReader, StoreWriter,
 };
 use nfstrace_telemetry::Registry;
@@ -40,8 +39,8 @@ fn record(i: u64) -> TraceRecord {
 }
 
 /// Seals `seg_count` base segments of `per_seg` records each into
-/// `dir`, sidecars included when `track`.
-fn seed(dir: &Path, seg_count: u64, per_seg: u64, track: bool) -> SegmentCatalog {
+/// `dir`.
+fn seed(dir: &Path, seg_count: u64, per_seg: u64) -> SegmentCatalog {
     let mut cat = SegmentCatalog::open(dir).expect("open");
     for s in 0..seg_count {
         let ordinal = cat.next_ordinal();
@@ -59,14 +58,7 @@ fn seed(dir: &Path, seg_count: u64, per_seg: u64, track: bool) -> SegmentCatalog
             w.push(&record(i)).expect("push");
         }
         w.finish().expect("finish");
-        let seqs: Vec<u64> = (base..base + per_seg).collect();
-        seal_segment(
-            &tmp,
-            &dest,
-            track.then_some(seqs.as_slice()),
-            &mut FaultInjector::none(),
-        )
-        .expect("seal");
+        seal_segment(&tmp, &dest, &mut FaultInjector::none()).expect("seal");
         cat.note_sealed(ordinal);
     }
     cat
@@ -90,26 +82,6 @@ fn catalog_records(cat: &SegmentCatalog) -> Vec<TraceRecord> {
     let mut out = Vec::new();
     stream_records(&readers, 0, u64::MAX, &mut |r| out.push(r.clone()));
     out
-}
-
-/// Every surviving segment must have a valid sidecar (when tracking)
-/// and their concatenation must be the unbroken global sequence.
-fn assert_sidecars_consistent(cat: &SegmentCatalog, track: bool, total: u64) {
-    let mut all = Vec::new();
-    for path in cat.paths() {
-        if track {
-            all.extend(seqfile::read_sidecar(&path).expect("sealed segment has its sidecar"));
-        } else {
-            assert!(
-                !seqfile::sidecar_path(&path).exists(),
-                "untracked catalogs have no sidecars"
-            );
-        }
-    }
-    if track {
-        let expect: Vec<u64> = (0..total).collect();
-        assert_eq!(all, expect, "sidecars concatenate to the global sequence");
-    }
 }
 
 /// No crash leftovers survive a sweep.
@@ -140,11 +112,10 @@ proptest! {
     fn seal_crashes_resolve_to_old_or_new(
         seg_count in 1u64..4,
         per_seg in 1u64..12,
-        track in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         let pristine = tmpdir("seal-pristine", case);
-        seed(&pristine, seg_count, per_seg, track);
+        seed(&pristine, seg_count, per_seg);
         let old_ids: Vec<SegmentId> = (0..seg_count).map(SegmentId::base).collect();
         let old_total = seg_count * per_seg;
 
@@ -166,10 +137,9 @@ proptest! {
                 w.push(&record(i)).expect("push");
             }
             w.finish().expect("finish");
-            let seqs: Vec<u64> = (base..base + per_seg).collect();
 
             let mut fault = FaultInjector::after(budget);
-            match seal_segment(&tmp, &dest, track.then_some(seqs.as_slice()), &mut fault) {
+            match seal_segment(&tmp, &dest, &mut fault) {
                 Ok(()) => {
                     cat.note_sealed(ordinal);
                     let swept = SegmentCatalog::open_and_sweep(&work).expect("reopen");
@@ -180,7 +150,6 @@ proptest! {
                         catalog_records(&swept).len() as u64,
                         old_total + per_seg
                     );
-                    assert_sidecars_consistent(&swept, track, old_total + per_seg);
                     assert_no_leftovers(&work);
                     completed = true;
                 }
@@ -191,7 +160,6 @@ proptest! {
                     // The seal never published: exactly the old state.
                     prop_assert_eq!(swept.ids(), old_ids.as_slice());
                     prop_assert_eq!(catalog_records(&swept).len() as u64, old_total);
-                    assert_sidecars_consistent(&swept, track, old_total);
                     assert_no_leftovers(&work);
                 }
             }
@@ -200,27 +168,26 @@ proptest! {
                 break;
             }
         }
-        // Every step had its kill: tracked seals have 3, untracked 1.
-        prop_assert_eq!(crashes, if track { 3 } else { 1 });
+        // Every step had its kill: a seal has one.
+        prop_assert_eq!(crashes, 1);
         std::fs::remove_dir_all(&pristine).ok();
     }
 
     /// Compaction killed between every filesystem step: reopen yields
     /// exactly the pre-compaction catalog (kill before the output
     /// rename) or the post-compaction one (kill after — roll-forward
-    /// via supersession), never a mix; the record stream and the
-    /// sidecar chain survive every outcome.
+    /// via supersession), never a mix; the record stream survives
+    /// every outcome.
     #[test]
     fn compact_crashes_resolve_to_old_or_new(
         fan_in in 2u64..5,
         tail_segs in 0u64..2,
         per_seg in 1u64..10,
-        track in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         let seg_count = fan_in + tail_segs;
         let pristine = tmpdir("compact-pristine", case);
-        seed(&pristine, seg_count, per_seg, track);
+        seed(&pristine, seg_count, per_seg);
         let old_ids: Vec<SegmentId> = (0..seg_count).map(SegmentId::base).collect();
         let output = SegmentId { lo: 0, hi: fan_in - 1, generation: 1 };
         let mut new_ids = vec![output];
@@ -273,7 +240,6 @@ proptest! {
             prop_assert_eq!(back.len() as u64, total);
             let expect: Vec<TraceRecord> = (0..total).map(record).collect();
             prop_assert_eq!(back, expect);
-            assert_sidecars_consistent(&swept, track, total);
             assert_no_leftovers(&work);
             std::fs::remove_dir_all(&work).ok();
             if completed {

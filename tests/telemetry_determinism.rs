@@ -4,7 +4,7 @@
 //! with a live [`Exporter`] sampling it. This is the in-process twin
 //! of the CI `cmp` between `live --metrics` and plain `repro` stdout.
 
-use nfstrace::live::{LiveConfig, ShardedLiveIngest};
+use nfstrace::live::{LiveConfig, LiveIngest};
 use nfstrace::store::{StoreConfig, StoreIndex, StoreWriter};
 use nfstrace::telemetry::{Exporter, ExporterConfig, Registry};
 use nfstrace_bench::scenarios;
@@ -75,15 +75,15 @@ fn suite_text_is_byte_identical_with_telemetry_enabled() {
         "store suite text diverged with telemetry enabled"
     );
 
-    // Live path: two-shard ingests sharing the registry, suite over
-    // their merged snapshot views.
+    // Live path: ingests sharing the registry, suite over their
+    // snapshot views.
     let live_text = {
         let mut views = Vec::new();
         for (name, records) in [("campus", &campus), ("eecs", &eecs)] {
             let config = LiveConfig::new(dir.join(format!("live-{name}"))).with_registry(&registry);
-            let mut ingest = ShardedLiveIngest::create(config, 2).expect("create ingest");
-            for batch in records.chunks(4096) {
-                ingest.ingest_batch(batch).expect("ingest batch");
+            let mut ingest = LiveIngest::create(config).expect("create ingest");
+            for r in records.iter() {
+                ingest.ingest(r).expect("ingest record");
             }
             views.push(ingest.view());
             // Store writers count a chunk's records when it reaches the
