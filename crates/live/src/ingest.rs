@@ -587,9 +587,13 @@ impl LiveIngest {
     }
 
     /// Hands the trailing hot segment to the sealer, settles it, and
-    /// reports totals. The segment directory is the durable product;
-    /// reopen it any time with [`LiveIngest::open`] or index it with
-    /// [`nfstrace_store::StoreIndex::open_dir`].
+    /// reports totals. The segment directory is the durable product:
+    /// reopen it any time with [`LiveIngest::open`]. Index it with
+    /// [`nfstrace_store::StoreIndex::open_dir`] once it holds a
+    /// segment — an ingest that took no record seals none, and
+    /// `open_dir` refuses a directory without segments with
+    /// [`StoreError::Format`] (a mistyped path must not read as an
+    /// empty trace).
     ///
     /// # Errors
     ///

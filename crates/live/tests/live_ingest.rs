@@ -2,10 +2,10 @@
 //! sniffer feed — all against batch-path oracles.
 
 use nfstrace_core::index::{TraceIndex, TraceView};
-use nfstrace_core::record::{FileId, TraceRecord};
+use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_core::time::{DAY, HOUR};
 use nfstrace_live::{LiveConfig, LiveIngest, SnifferSource};
-use nfstrace_store::{StoreConfig, StoreIndex};
+use nfstrace_store::{StoreConfig, StoreError, StoreIndex};
 use nfstrace_workload::{CampusConfig, CampusWorkload, SlicedWorkload};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -555,5 +555,35 @@ fn the_hot_segment_goes_through_the_planner() {
         assert_views_agree(&window, &oracle.time_window(start, end), &ctx);
     }
     ingest.finish().expect("finish");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An ingest that took no record seals no segment. `open_dir` refuses
+/// its directory with a typed error, as it refuses any directory
+/// without segments, while `LiveIngest::open` resumes it.
+#[test]
+fn an_empty_ingest_seals_nothing_that_open_dir_would_index() {
+    let dir = tmpdir("empty");
+    let summary = LiveIngest::create(live_cfg(&dir))
+        .expect("create")
+        .finish()
+        .expect("finish");
+    assert_eq!(summary.segments, 0);
+    assert_eq!(summary.total_records, 0);
+    match StoreIndex::open_dir(&dir) {
+        Err(StoreError::Format(msg)) => assert!(msg.contains("no trace segments"), "{msg}"),
+        other => panic!(
+            "expected StoreError::Format, got {:?}",
+            other.map(|i| i.len())
+        ),
+    }
+
+    let mut resumed = LiveIngest::open(live_cfg(&dir)).expect("reopen the empty directory");
+    assert_eq!(resumed.total_records(), 0);
+    let mut r = TraceRecord::new(1_000, Op::Getattr, FileId(2));
+    r.reply_micros = 1_100;
+    resumed.ingest(&r).expect("ingest after reopen");
+    assert_eq!(resumed.finish().expect("finish").segments, 1);
+    assert_eq!(StoreIndex::open_dir(&dir).expect("one segment").len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,19 +1,26 @@
 //! The closed loop: serve, replay, tap, frame, sniff, ingest.
 //!
 //! [`serve_roundtrip`] wires the whole chain together: a
-//! [`ReplayService`] behind a real loopback [`NfsTcpServer`], the
-//! replay client playing the trace into it, and the client-side tap
+//! [`ReplayService`] borrowing the plan behind a real loopback serving
+//! loop (the [`NfsTcpServer`](crate::NfsTcpServer) accept loop, on a
+//! scoped thread), the replay client playing the trace into it, and
+//! the client-side tap
 //! mirrored into the passive capture path — [`WireEncoder`] frame
 //! synthesis, a lossless [`MirrorPort`], the streaming
 //! [`SnifferSource`], and [`LiveIngest`] writing segments to disk. The
 //! resulting store is byte-for-byte the one the batch pipeline writes
 //! for the same trace, which is what the end-to-end tests and the CI
 //! smoke assert.
+//!
+//! The plan holds the one copy of the message bytes the loop needs:
+//! the client writes its calls from it, the server reads its replies
+//! from it in place, and the tap borrows both, so the only other
+//! copies of a message are the ones the sockets and the frames make.
 
 use crate::client::{replay, ReplayOptions, ReplayOutcome, TapEvent};
 use crate::plan::ReplayPlan;
-use crate::server::NfsTcpServer;
-use crate::service::{NfsService, ReplayService};
+use crate::server::serve_scoped;
+use crate::service::ReplayService;
 use nfstrace_live::{LiveConfig, LiveIngest, LiveSummary, SnifferSource};
 use nfstrace_net::mirror::{MirrorConfig, MirrorPort, MirrorStats, MirrorVerdict};
 use nfstrace_net::pcap::{CapturedPacket, FrameLender};
@@ -21,7 +28,6 @@ use nfstrace_sniffer::{MessageFrames, SnifferStats, WireEncoder};
 use nfstrace_store::error::Result;
 use nfstrace_telemetry::Registry;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Packets fed to the sniffer per streaming batch.
 const PACKETS_PER_BATCH: usize = 512;
@@ -114,18 +120,21 @@ pub struct RoundtripOutcome {
 /// Serves `plan` over loopback TCP, replays it with `options`, and
 /// ingests the captured byte streams into a live store at `dir`.
 ///
-/// The server and its reply schedule are released once the replay is
-/// done. The tap then lives through the ingest, but it holds no bytes
-/// of a faithful replay — they are the plan's — and its frames are
-/// lent one at a time through the [`MirrorPort`] into the
-/// [`SnifferSource`], so no packet list is ever built.
+/// The server answers from the plan it borrows: beside it the service
+/// keeps only a schedule of call ordinals, released with the serving
+/// loop once the replay is done (or has failed). The tap then lives
+/// through the ingest, but it holds no bytes of a faithful replay —
+/// they are the plan's — and its frames are lent one at a time through
+/// the [`MirrorPort`] into the [`SnifferSource`], so no packet list is
+/// ever built.
 ///
 /// Metrics for every stage land in `registry`.
 ///
 /// # Errors
 ///
-/// Socket failures from the serve/replay loop and store failures from
-/// the ingest.
+/// Socket failures from the serve/replay loop, the replay's refusals
+/// (`InvalidInput` for a zero window, before any connection is made)
+/// and store failures from the ingest.
 pub fn serve_roundtrip(
     plan: &ReplayPlan,
     options: &ReplayOptions,
@@ -133,12 +142,11 @@ pub fn serve_roundtrip(
     dir: &Path,
 ) -> Result<RoundtripOutcome> {
     let server_ip = plan.calls.first().map_or(1, |c| c.server_ip);
-    let service = Arc::new(ReplayService::new(plan, server_ip));
-    let mut server = NfsTcpServer::spawn(Arc::clone(&service) as Arc<dyn NfsService>, registry)?;
-    let replayed = replay(plan, server.addr(), options, registry)?;
-    server.shutdown();
+    let service = ReplayService::borrowing(plan, server_ip);
+    let replayed = serve_scoped(&service, registry, |addr| {
+        replay(plan, addr, options, registry)
+    })??;
     let unplanned_calls = service.unplanned_calls();
-    drop(server);
     drop(service);
 
     // Mirror the tap into the capture path, then sniff + ingest.

@@ -10,6 +10,11 @@
 //! sorted trace is not a serializable history — overlapping user
 //! events interleave — so replaying calls against a fresh filesystem
 //! would diverge; see `nfstrace_serve::service::ReplayService`).
+//!
+//! The plan holds the one copy of those reply bytes on the serving
+//! side: the service that answers a replay borrows the plan and reads
+//! each reply from its [`PlannedCall`], keeping only a schedule of call
+//! ordinals beside it.
 
 use crate::reverse::rpc_pair_of_record;
 use nfstrace_core::index::RecordStream;
@@ -46,6 +51,40 @@ pub struct ReplayPlan {
     pub calls: Vec<PlannedCall>,
 }
 
+/// A plan's replies in serving order, as call ordinals: every
+/// `(client, xid)` key owns one contiguous range of `order`, and a
+/// cursor into it. One `order` list and one map, however many calls
+/// the plan has.
+#[derive(Debug)]
+pub(crate) struct ReplySchedule {
+    /// Call ordinals, grouped by key, in call order within a group.
+    order: Vec<u32>,
+    groups: HashMap<(u32, u32), Group>,
+}
+
+/// How far one key's range of [`ReplySchedule::order`] has been
+/// served: `next` walks up to `end`.
+#[derive(Debug)]
+struct Group {
+    next: u32,
+    end: u32,
+}
+
+impl ReplySchedule {
+    /// The call whose planned reply answers the next call for `key`,
+    /// and whether it is fresh. The next planned call steps the cursor
+    /// past it; once a key's calls are all served, a further call is a
+    /// retransmission and gets the last one again (not fresh) — the
+    /// duplicate-request cache, with no copy of its own. `None` for a
+    /// key the plan does not hold.
+    pub(crate) fn answer(&mut self, key: (u32, u32)) -> Option<(usize, bool)> {
+        let g = self.groups.get_mut(&key)?;
+        let fresh = g.next < g.end;
+        g.next += u32::from(fresh);
+        Some((self.order[g.next as usize - 1] as usize, fresh))
+    }
+}
+
 impl ReplayPlan {
     /// Compiles an in-memory record slice.
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
@@ -78,23 +117,34 @@ impl ReplayPlan {
         });
     }
 
-    /// The server side of the plan: per `(client, xid)`, the planned
-    /// replies in call order. A list (not a map to one reply) because
-    /// a long trace reuses XIDs; calls for one client arrive on one
-    /// connection in plan order, so serving the list front to back
-    /// pairs them correctly. `None` entries (lost replies) are kept so
-    /// a reused XID behind a lost reply still lines up.
+    /// The server side of the plan: per `(client, xid)`, the calls
+    /// whose replies answer that key, in call order. A list (not one
+    /// reply per key) because a long trace reuses XIDs; calls for one
+    /// client arrive on one connection in plan order, so serving the
+    /// list front to back pairs them correctly. Calls with a lost reply
+    /// are kept so a reused XID behind one still lines up.
     ///
-    /// This is the one copy of the reply bytes the serving side makes:
-    /// the plan is only borrowed, so the schedule owns its bytes.
-    pub fn reply_schedule(&self) -> HashMap<(u32, u32), Vec<Option<Vec<u8>>>> {
-        let mut map: HashMap<(u32, u32), Vec<Option<Vec<u8>>>> = HashMap::new();
-        for c in &self.calls {
-            map.entry((c.client_ip, c.xid))
-                .or_default()
-                .push(c.reply_bytes.clone());
+    /// The schedule holds call ordinals, not reply bytes: a service
+    /// reads each reply where it lies. It is built in two
+    /// allocations whatever the plan's size (see [`ReplySchedule`]).
+    pub(crate) fn reply_schedule(&self) -> ReplySchedule {
+        let calls = u32::try_from(self.calls.len()).expect("a plan holds under 2^32 calls");
+        let key = |i: u32| {
+            let c = &self.calls[i as usize];
+            (c.client_ip, c.xid)
+        };
+        // The ordinal breaks ties, so the unstable sort (which needs no
+        // scratch buffer) keeps each key's calls in call order.
+        let mut order: Vec<u32> = (0..calls).collect();
+        order.sort_unstable_by_key(|&i| (key(i), i));
+        let mut groups = HashMap::with_capacity(self.calls.len());
+        let mut start = 0;
+        for run in order.chunk_by(|&a, &b| key(a) == key(b)) {
+            let end = start + run.len() as u32;
+            groups.insert(key(run[0]), Group { next: start, end });
+            start = end;
         }
-        map
+        ReplySchedule { order, groups }
     }
 
     /// The distinct client addresses in the plan, in first-appearance
@@ -130,9 +180,14 @@ mod tests {
         let records = vec![rec(1, 9, 100), rec(2, 9, 100), rec(3, 8, 100)];
         let plan = ReplayPlan::from_records(&records);
         assert_eq!(plan.calls.len(), 3);
-        let schedule = plan.reply_schedule();
-        assert_eq!(schedule[&(9, 100)].len(), 2);
-        assert_eq!(schedule[&(8, 100)].len(), 1);
+        let mut schedule = plan.reply_schedule();
+        assert_eq!(schedule.answer((9, 100)), Some((0, true)));
+        assert_eq!(schedule.answer((8, 100)), Some((2, true)));
+        assert_eq!(schedule.answer((9, 100)), Some((1, true)));
+        // Exhausted keys repeat their last call; unknown keys miss.
+        assert_eq!(schedule.answer((9, 100)), Some((1, false)));
+        assert_eq!(schedule.answer((8, 100)), Some((2, false)));
+        assert_eq!(schedule.answer((9, 101)), None);
         assert_eq!(plan.client_ips(), vec![9, 8]);
     }
 }

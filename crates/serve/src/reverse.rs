@@ -261,7 +261,7 @@ pub fn reply_of_record(r: &TraceRecord) -> Option<Reply3> {
 
 /// Reconstructs the full RPC messages for a record: the call, and the
 /// reply if one was captured.
-pub fn rpc_pair_of_record(r: &TraceRecord) -> (RpcMessage, Option<RpcMessage>) {
+pub(crate) fn rpc_pair_of_record(r: &TraceRecord) -> (RpcMessage, Option<RpcMessage>) {
     let env = Envelope {
         xid: r.xid,
         client_ip: r.client,

@@ -39,7 +39,6 @@ const STOP_POLL: Duration = Duration::from_millis(50);
 /// never grows past this plus one message.
 pub(crate) const FLUSH_BYTES: usize = 64 * 1024;
 
-#[derive(Clone)]
 struct ServeMetrics {
     calls: Counter,
     bytes_in: Counter,
@@ -47,7 +46,7 @@ struct ServeMetrics {
     active_conns: Gauge,
     dispatch_micros: Histogram,
     /// Gauges are set, not added; track the live count separately.
-    conns: Arc<AtomicI64>,
+    conns: AtomicI64,
 }
 
 impl ServeMetrics {
@@ -58,7 +57,7 @@ impl ServeMetrics {
             bytes_out: registry.counter("serve.bytes_out"),
             active_conns: registry.gauge("serve.active_conns"),
             dispatch_micros: registry.histogram("serve.dispatch_micros"),
-            conns: Arc::new(AtomicI64::new(0)),
+            conns: AtomicI64::new(0),
         }
     }
 
@@ -93,43 +92,12 @@ impl NfsTcpServer {
     ///
     /// Propagates the bind failure.
     pub fn spawn(service: Arc<dyn NfsService>, registry: &Registry) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
+        let (listener, addr) = bind_loopback()?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = ServeMetrics::register(registry);
         let accept_stop = Arc::clone(&stop);
         let listener_thread = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            loop {
-                let accepted = listener.accept();
-                // `shutdown` sets `stop` and then connects once to end
-                // this `accept`: whatever arrived after the flag went
-                // up, that wake-up included, is dropped unserved.
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                match accepted {
-                    Ok((stream, _)) => {
-                        let service = Arc::clone(&service);
-                        let stop = Arc::clone(&accept_stop);
-                        let metrics = metrics.clone();
-                        conns.push(std::thread::spawn(move || {
-                            serve_connection(stream, &*service, &stop, &metrics);
-                        }));
-                    }
-                    // A signal, or a queued peer that gave up before it
-                    // was accepted: nothing wrong with the listener.
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            ErrorKind::Interrupted | ErrorKind::ConnectionAborted
-                        ) => {}
-                    Err(_) => break,
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
+            accept_loop(listener, &*service, &accept_stop, &metrics);
         });
         Ok(NfsTcpServer {
             addr,
@@ -152,13 +120,10 @@ impl NfsTcpServer {
     /// Should the wake-up connect fail, the listener thread is detached
     /// rather than joined, so this cannot hang.
     pub fn shutdown(&mut self) {
-        // SeqCst, paired with the listener's load: the flag must be up
-        // before the wake-up connection can be accepted.
-        self.stop.store(true, Ordering::SeqCst);
         let Some(listener) = self.listener_thread.take() else {
             return;
         };
-        if TcpStream::connect(self.addr).is_ok() {
+        if stop_listener(&self.stop, self.addr) {
             let _ = listener.join();
         }
     }
@@ -168,6 +133,95 @@ impl Drop for NfsTcpServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Runs `during` beside a serving loop for `service` on a scoped
+/// thread, and stops that loop when `during` returns: the borrowed
+/// form of [`NfsTcpServer`], for a service that does not outlive its
+/// caller's stack frame. `during` gets the bound address.
+///
+/// The listener is stopped on every exit from `during` — a return, an
+/// error it returns, or a panic — so the scope's join never waits in
+/// `accept`.
+///
+/// # Errors
+///
+/// Propagates the bind failure.
+pub(crate) fn serve_scoped<R>(
+    service: &dyn NfsService,
+    registry: &Registry,
+    during: impl FnOnce(SocketAddr) -> R,
+) -> std::io::Result<R> {
+    /// Stops the listener when dropped, unwinding included.
+    struct StopOnDrop<'a> {
+        stop: &'a AtomicBool,
+        addr: SocketAddr,
+    }
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            stop_listener(self.stop, self.addr);
+        }
+    }
+
+    let (listener, addr) = bind_loopback()?;
+    let stop = AtomicBool::new(false);
+    let metrics = ServeMetrics::register(registry);
+    Ok(std::thread::scope(|scope| {
+        let (stop, metrics) = (&stop, &metrics);
+        scope.spawn(move || accept_loop(listener, service, stop, metrics));
+        let _stop = StopOnDrop { stop, addr };
+        during(addr)
+    }))
+}
+
+fn bind_loopback() -> std::io::Result<(TcpListener, SocketAddr)> {
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    Ok((listener, addr))
+}
+
+/// The listener: blocks in `accept` (it does not poll) and serves every
+/// connection on a thread of its own, scoped to the loop, until `stop`
+/// goes up; then joins them all.
+fn accept_loop(
+    listener: TcpListener,
+    service: &dyn NfsService,
+    stop: &AtomicBool,
+    metrics: &ServeMetrics,
+) {
+    std::thread::scope(|conns| loop {
+        let accepted = listener.accept();
+        // `stop_listener` sets `stop` and then connects once to end
+        // this `accept`: whatever arrived after the flag went up, that
+        // wake-up included, is dropped unserved.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                conns.spawn(move || serve_connection(stream, service, stop, metrics));
+            }
+            // A signal, or a queued peer that gave up before it was
+            // accepted: nothing wrong with the listener.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => break,
+        }
+    });
+}
+
+/// Raises `stop` and wakes the [`accept_loop`] listening on `addr` out
+/// of its blocking `accept` with one loopback connect. `false` if that
+/// connect failed: the loop then sleeps in `accept` until the next
+/// connection arrives.
+fn stop_listener(stop: &AtomicBool, addr: SocketAddr) -> bool {
+    // SeqCst, paired with the listener's load: the flag must be up
+    // before the wake-up connection can be accepted.
+    stop.store(true, Ordering::SeqCst);
+    TcpStream::connect(addr).is_ok()
 }
 
 /// One connection: configure the socket, run the burst loop on it.

@@ -15,9 +15,13 @@
 //!   *same* reply instead of perturbing the plan — the DRC every real
 //!   NFS server keeps, doing here exactly what it did there. Calls the
 //!   plan does not know (a client's NULL ping, a stray probe) fall
-//!   through to an [`FsService`].
+//!   through to an [`FsService`]. It reads each reply in place: from
+//!   the plan it borrows ([`ReplayService::borrowing`], what
+//!   `serve_roundtrip` serves), or from the one buffer it copied them
+//!   into ([`ReplayService::new`], for a service behind an `Arc` that
+//!   outlives the plan).
 
-use crate::plan::ReplayPlan;
+use crate::plan::{PlannedCall, ReplayPlan, ReplySchedule};
 use nfstrace_fssim::SharedNfsServer;
 use nfstrace_nfs::v2::{Call2, Proc2};
 use nfstrace_nfs::v3::{Call3, Proc3};
@@ -25,7 +29,7 @@ use nfstrace_rpc::msg::{accept_stat, CallView};
 use nfstrace_rpc::{MsgBodyView, RpcMessage, RpcMessageView, PROG_NFS};
 use nfstrace_sniffer::wire::client_ip_of_machine_name;
 use nfstrace_xdr::{Encoder, Pack};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -66,11 +70,6 @@ impl FsService {
             server,
             clock: AtomicU64::new(0),
         }
-    }
-
-    /// The underlying shared server (setup, invariant checks).
-    pub fn server(&self) -> &SharedNfsServer {
-        &self.server
     }
 
     fn dispatch(&self, call: &CallView<'_>, xid: u32) -> RpcMessage {
@@ -121,31 +120,62 @@ impl NfsService for FsService {
     }
 }
 
-/// Replay state for one `(client, xid)` key.
-#[derive(Debug)]
-struct XidState {
-    /// The key's planned replies, in call order; `None` is a planned
-    /// lost reply.
-    planned: Vec<Option<Vec<u8>>>,
-    /// How many of them have been served. The entry before this cursor
-    /// is the last reply served — what a retransmitted call gets — so
-    /// the duplicate-request cache needs no copy of its own.
-    next: usize,
+/// Where a [`ReplayService`] reads its replies: call `i`'s planned
+/// reply, `None` for a planned lost reply.
+enum Replies<'p> {
+    /// The plan's own calls, borrowed.
+    Plan(&'p [PlannedCall]),
+    /// Every reply copied into one buffer; `spans[i]` is call `i`'s.
+    Copied {
+        bytes: Vec<u8>,
+        spans: Vec<Option<Range<usize>>>,
+    },
+}
+
+impl Replies<'_> {
+    fn copied(calls: &[PlannedCall]) -> Replies<'static> {
+        let total = calls
+            .iter()
+            .filter_map(|c| c.reply_bytes.as_ref())
+            .map(Vec::len)
+            .sum();
+        let mut bytes = Vec::with_capacity(total);
+        let mut spans = Vec::with_capacity(calls.len());
+        for c in calls {
+            spans.push(c.reply_bytes.as_ref().map(|reply| {
+                bytes.extend_from_slice(reply);
+                bytes.len() - reply.len()..bytes.len()
+            }));
+        }
+        Replies::Copied { bytes, spans }
+    }
+
+    fn get(&self, call: usize) -> Option<&[u8]> {
+        match self {
+            Replies::Plan(calls) => calls[call].reply_bytes.as_deref(),
+            Replies::Copied { bytes, spans } => spans[call].clone().map(|span| &bytes[span]),
+        }
+    }
 }
 
 /// A trace-faithful responder: planned reply bytes plus a DRC.
 ///
-/// Holds the plan's reply schedule (its one copy of the reply bytes)
-/// for as long as it lives and serves out of it in place: a served
-/// reply is copied once, from the schedule into the connection's
-/// output buffer. Drop the service to release the schedule.
-pub struct ReplayService {
-    states: Mutex<HashMap<(u32, u32), XidState>>,
+/// `'p` is the lifetime of the [`ReplayPlan`] it serves from. Beside
+/// the plan it keeps only a schedule of call ordinals (one list and
+/// one map, whatever the plan's size), and a served reply is copied
+/// once, from the plan into the connection's output buffer.
+/// [`ReplayService::borrowing`] serves straight from a plan the caller
+/// keeps; [`ReplayService::new`] copies the replies once, into one
+/// buffer it owns, for a service that must outlive the plan (behind an
+/// `Arc<dyn NfsService>`).
+pub struct ReplayService<'p> {
+    replies: Replies<'p>,
+    schedule: Mutex<ReplySchedule>,
     fallback: FsService,
     unplanned: AtomicU64,
 }
 
-impl std::fmt::Debug for ReplayService {
+impl std::fmt::Debug for ReplayService<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplayService")
             .field("unplanned", &self.unplanned.load(Ordering::Relaxed))
@@ -153,17 +183,27 @@ impl std::fmt::Debug for ReplayService {
     }
 }
 
-impl ReplayService {
-    /// Compiles the plan's reply schedule; unplanned calls fall back
-    /// to a fresh [`FsService`] at the given server address.
+impl ReplayService<'static> {
+    /// A service that owns a copy of the plan's replies, all in one
+    /// buffer; unplanned calls fall back to a fresh [`FsService`] at
+    /// the given server address.
     pub fn new(plan: &ReplayPlan, server_ip: u32) -> Self {
-        let states = plan
-            .reply_schedule()
-            .into_iter()
-            .map(|(key, planned)| (key, XidState { planned, next: 0 }))
-            .collect();
+        ReplayService::with_replies(plan, Replies::copied(&plan.calls), server_ip)
+    }
+}
+
+impl<'p> ReplayService<'p> {
+    /// A service that reads every reply in place from `plan`, which it
+    /// borrows for as long as it lives; unplanned calls fall back to a
+    /// fresh [`FsService`] at the given server address.
+    pub fn borrowing(plan: &'p ReplayPlan, server_ip: u32) -> Self {
+        ReplayService::with_replies(plan, Replies::Plan(&plan.calls), server_ip)
+    }
+
+    fn with_replies(plan: &ReplayPlan, replies: Replies<'p>, server_ip: u32) -> Self {
         ReplayService {
-            states: Mutex::new(states),
+            replies,
+            schedule: Mutex::new(plan.reply_schedule()),
             fallback: FsService::new(SharedNfsServer::new(server_ip)),
             unplanned: AtomicU64::new(0),
         }
@@ -174,15 +214,17 @@ impl ReplayService {
         self.unplanned.load(Ordering::Relaxed)
     }
 
-    fn lock_states(&self) -> std::sync::MutexGuard<'_, HashMap<(u32, u32), XidState>> {
-        match self.states.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
+    /// The planned answer to the next call for `key` (see
+    /// [`ReplySchedule::answer`]).
+    fn answer(&self, key: (u32, u32)) -> Option<(usize, bool)> {
+        match self.schedule.lock() {
+            Ok(mut g) => g.answer(key),
+            Err(poisoned) => poisoned.into_inner().answer(key),
         }
     }
 }
 
-impl NfsService for ReplayService {
+impl NfsService for ReplayService<'_> {
     fn serve(&self, call_msg: &[u8], out: &mut Vec<u8>) -> bool {
         let Ok(view) = RpcMessageView::decode(call_msg) else {
             return false;
@@ -194,30 +236,17 @@ impl NfsService for ReplayService {
             .cred
             .unix_machine_name()
             .and_then(client_ip_of_machine_name);
-        if let Some(client_ip) = client_ip {
-            let mut states = self.lock_states();
-            if let Some(state) = states.get_mut(&(client_ip, view.xid)) {
-                let reply = match state.planned.get(state.next) {
-                    // The next planned call for this key: serve its
-                    // reply (or planned silence) and step past it.
-                    Some(planned) => {
-                        state.next += 1;
-                        Some(planned)
-                    }
-                    // Schedule exhausted: a retransmission. The DRC
-                    // answers with the same bytes as last time; after a
-                    // planned silence it has none and the call counts
-                    // as unplanned.
-                    None => state.planned.last().filter(|last| last.is_some()),
-                };
-                match reply {
-                    Some(Some(bytes)) => {
-                        out.extend_from_slice(bytes);
-                        return true;
-                    }
-                    Some(None) => return false,
-                    None => {}
+        if let Some((planned, fresh)) = client_ip.and_then(|ip| self.answer((ip, view.xid))) {
+            match self.replies.get(planned) {
+                Some(bytes) => {
+                    out.extend_from_slice(bytes);
+                    return true;
                 }
+                // A planned lost reply is served as silence; repeated
+                // by the DRC it has nothing to repeat, and the call
+                // counts as unplanned.
+                None if fresh => return false,
+                None => {}
             }
         }
         self.unplanned.fetch_add(1, Ordering::Relaxed);
@@ -249,25 +278,32 @@ mod tests {
         r
     }
 
+    /// Runs `check` against a fresh service of each form: the owning
+    /// copy and the borrowing index.
+    fn each_form(plan: &ReplayPlan, check: impl Fn(&ReplayService<'_>)) {
+        check(&ReplayService::new(plan, 1));
+        check(&ReplayService::borrowing(plan, 1));
+    }
+
     #[test]
     fn replay_serves_planned_replies_and_drc_for_duplicates() {
         let records = vec![rec(9, 7, 100), rec(9, 7, 200)];
         let plan = ReplayPlan::from_records(&records);
-        let service = ReplayService::new(&plan, 1);
-        let call0 = plan.calls[0].call_bytes.clone();
-        let call1 = plan.calls[1].call_bytes.clone();
+        let call0 = &plan.calls[0].call_bytes;
+        let call1 = &plan.calls[1].call_bytes;
+        each_form(&plan, |service| {
+            let r0 = serve(service, call0).expect("first planned reply");
+            assert_eq!(Some(&r0), plan.calls[0].reply_bytes.as_ref());
+            let r1 = serve(service, call1).expect("second planned reply");
+            assert_eq!(Some(&r1), plan.calls[1].reply_bytes.as_ref());
+            assert_ne!(r0, r1, "distinct planned replies");
 
-        let r0 = serve(&service, &call0).expect("first planned reply");
-        assert_eq!(Some(&r0), plan.calls[0].reply_bytes.as_ref());
-        let r1 = serve(&service, &call1).expect("second planned reply");
-        assert_eq!(Some(&r1), plan.calls[1].reply_bytes.as_ref());
-        assert_ne!(r0, r1, "distinct planned replies");
-
-        // Schedule exhausted: any further copy of the call is a
-        // retransmission and must re-receive the *last* reply.
-        let dup = serve(&service, &call1).expect("DRC hit");
-        assert_eq!(dup, r1);
-        assert_eq!(service.unplanned_calls(), 0);
+            // Schedule exhausted: any further copy of the call is a
+            // retransmission and must re-receive the *last* reply.
+            let dup = serve(service, call1).expect("DRC hit");
+            assert_eq!(dup, r1);
+            assert_eq!(service.unplanned_calls(), 0);
+        });
     }
 
     #[test]
@@ -277,24 +313,22 @@ mod tests {
         lost.reply_micros = 0;
         let plan = ReplayPlan::from_records(&[lost, rec(9, 8, 100)]);
         assert!(plan.calls[0].reply_bytes.is_none());
-        let service = ReplayService::new(&plan, 1);
-        let call = plan.calls[0].call_bytes.clone();
-
-        assert_eq!(serve(&service, &call), None, "the planned lost reply");
-        assert_eq!(service.unplanned_calls(), 0);
-        // A retransmission of it finds nothing to repeat and is served
-        // by the filesystem, counted as unplanned.
-        assert!(serve(&service, &call).is_some());
-        assert_eq!(service.unplanned_calls(), 1);
-        // The other key's schedule is untouched.
-        let r = serve(&service, &plan.calls[1].call_bytes).expect("planned reply");
-        assert_eq!(Some(&r), plan.calls[1].reply_bytes.as_ref());
+        let call = &plan.calls[0].call_bytes;
+        each_form(&plan, |service| {
+            assert_eq!(serve(service, call), None, "the planned lost reply");
+            assert_eq!(service.unplanned_calls(), 0);
+            // A retransmission of it finds nothing to repeat and is
+            // served by the filesystem, counted as unplanned.
+            assert!(serve(service, call).is_some());
+            assert_eq!(service.unplanned_calls(), 1);
+            // The other key's schedule is untouched.
+            let r = serve(service, &plan.calls[1].call_bytes).expect("planned reply");
+            assert_eq!(Some(&r), plan.calls[1].reply_bytes.as_ref());
+        });
     }
 
     #[test]
     fn unplanned_calls_fall_back_to_the_filesystem() {
-        let plan = ReplayPlan::from_records(std::iter::empty());
-        let service = ReplayService::new(&plan, 1);
         // A NULL ping from a client the plan has never heard of.
         let call = Envelope {
             xid: 1234,
@@ -302,12 +336,20 @@ mod tests {
             uid: 0,
             gid: 0,
         }
-        .call(3, 0, Vec::new());
-        let reply = serve(&service, &call.to_xdr_bytes()).expect("NULL reply");
-        let view = RpcMessageView::decode(&reply).unwrap();
-        assert_eq!(view.xid, 1234);
-        assert!(view.as_reply().is_some());
-        assert_eq!(service.unplanned_calls(), 1);
+        .call(3, 0, Vec::new())
+        .to_xdr_bytes();
+        for plan in [
+            ReplayPlan::from_records(std::iter::empty()),
+            ReplayPlan::from_records(&[rec(9, 1234, 100)]),
+        ] {
+            each_form(&plan, |service| {
+                let reply = serve(service, &call).expect("NULL reply");
+                let view = RpcMessageView::decode(&reply).unwrap();
+                assert_eq!(view.xid, 1234);
+                assert!(view.as_reply().is_some());
+                assert_eq!(service.unplanned_calls(), 1);
+            });
+        }
     }
 
     #[test]

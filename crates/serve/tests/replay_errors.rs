@@ -1,10 +1,14 @@
 //! Replay input the client cannot act on is an error, not a panic or a
 //! hang: a reply record too short to carry an xid, and a window that
-//! admits no call.
+//! admits no call — also inside `serve_roundtrip`, whose serving loop
+//! must stop when the replay beside it fails.
 
 use nfstrace_core::record::{FileId, Op, TraceRecord};
 use nfstrace_fssim::SharedNfsServer;
-use nfstrace_serve::{replay, FsService, NfsService, NfsTcpServer, ReplayOptions, ReplayPlan};
+use nfstrace_serve::{
+    replay, serve_roundtrip, FsService, NfsService, NfsTcpServer, ReplayOptions, ReplayPlan,
+};
+use nfstrace_store::StoreError;
 use nfstrace_telemetry::Registry;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpListener;
@@ -74,4 +78,32 @@ fn a_zero_window_is_refused_instead_of_hanging() {
     let err = result.expect_err("a zero window can replay nothing");
     assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
     server.shutdown();
+}
+
+/// The same refusal inside the closed loop: `replay` fails before it
+/// connects, and the serving loop beside it must still be stopped and
+/// joined, or the roundtrip would hang in its `accept`.
+#[test]
+fn a_zero_window_roundtrip_stops_its_server_and_returns_the_error() {
+    let dir = std::env::temp_dir().join(format!("nfstrace-zero-window-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let (tx, rx) = mpsc::channel();
+    let worker_dir = dir.clone();
+    std::thread::spawn(move || {
+        let options = ReplayOptions {
+            window: 0,
+            ..ReplayOptions::default()
+        };
+        let result = serve_roundtrip(&one_call_plan(), &options, &Registry::new(), &worker_dir)
+            .map(|o| o.replay.calls_sent);
+        tx.send(result).ok();
+    });
+    let result = rx
+        .recv_timeout(Duration::from_secs(3))
+        .expect("a roundtrip with a zero window must return within 3 s");
+    match result {
+        Err(StoreError::Io(err)) => assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}"),
+        other => panic!("expected the replay's InvalidInput, got {other:?}"),
+    }
+    assert!(!dir.exists(), "nothing is ingested after a failed replay");
 }
