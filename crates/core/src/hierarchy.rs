@@ -129,9 +129,10 @@ where
     b.finish()
 }
 
-/// Record-at-a-time accumulator behind [`coverage_over_time`], usable by
-/// streaming consumers (the out-of-core store index) that cannot hold
-/// the trace in memory.
+/// Record-at-a-time accumulator behind [`coverage_over_time`]. The fused
+/// replay ([`crate::index::TraceView::prepare`]) feeds one alongside the
+/// other analyzers, so views that cannot hold the trace in memory (the
+/// out-of-core store index) stream it.
 #[derive(Debug)]
 pub struct CoverageBuilder {
     bucket_micros: u64,
@@ -193,14 +194,6 @@ impl CoverageBuilder {
             });
         }
         self.out
-    }
-}
-
-/// Coverage accumulation can ride a fused replay pass alongside the
-/// other analyzers (see [`crate::index::RecordObserver`]).
-impl crate::index::RecordObserver for CoverageBuilder {
-    fn observe(&mut self, r: &TraceRecord) {
-        CoverageBuilder::observe(self, r);
     }
 }
 

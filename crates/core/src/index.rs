@@ -9,9 +9,8 @@
 //! pass over the records populates the summary counters, the hourly
 //! buckets, and the per-file access lists — and every derived product
 //! (reorder-window-sorted access maps, run tables keyed by
-//! [`RunOptions`], lifetime reports keyed by [`LifetimeConfig`], the
-//! name-prediction report) is computed on first request and cached
-//! behind the shared reference.
+//! [`RunOptions`], replay products keyed by [`ReplayRequest`]) is
+//! computed on first request and cached behind the shared reference.
 //!
 //! Time-windowed views ([`TraceView::time_window`]) share the backing
 //! record storage via [`Arc`], so analyzing "the week" and "Wednesday
@@ -34,11 +33,11 @@
 //! *chunk* of a trace, and partials [`PartialIndex::absorb`]ed in chunk
 //! order rebuild exactly what one pass over the concatenated records
 //! builds — bit-identical summary, hourly series, and per-file access
-//! lists. [`TraceIndex::new_sharded`] uses this to parallelize the
-//! in-memory construction pass, and the `nfstrace_store` crate uses it
-//! to index on-disk chunked traces that never fit in memory at once.
-//! The derived-product caching lives in [`ProductCaches`], shared by
-//! every view type.
+//! lists. [`TraceIndex::new`] uses this to parallelize the in-memory
+//! construction pass, and the `nfstrace_store` crate uses it to index
+//! on-disk chunked traces that never fit in memory at once. The
+//! derived-product caching lives in [`ProductCaches`], shared by every
+//! view type.
 //!
 //! # Fused replay
 //!
@@ -46,11 +45,12 @@
 //! hierarchy coverage) each traverse the full record stream. Run
 //! naively, the reproduction suite replays a trace seven times — five
 //! weekday lifetime windows, names, coverage — which for the on-disk
-//! store means seven full chunk-decode passes. Every streaming analyzer
-//! therefore implements [`RecordObserver`], and [`TraceView::prepare`]
-//! [`fan_out`]s any batch of them over **one** replay: callers that
-//! know their full analysis set up front (the `repro` suite) pay one
-//! decode pass total, asserted via [`TraceView::decode_passes`].
+//! store means seven full chunk-decode passes. A [`ReplayRequest`]
+//! names each such product, and [`TraceView::prepare`] feeds the
+//! analyzers behind any batch of them from **one** replay, caching each
+//! product under its request: callers that know their full analysis
+//! set up front (the `repro` suite) pay one decode pass total, asserted
+//! via [`TraceView::decode_passes`].
 //!
 //! # Examples
 //!
@@ -84,7 +84,7 @@ use crate::time::{DAY, HOUR};
 use nfstrace_telemetry::{span, Counter, Histogram, Registry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One file's access list, shared copy-on-write between snapshots: a
 /// [`PartialIndex`] snapshot and the running partial share every list
@@ -107,36 +107,6 @@ pub trait RecordStream {
     fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord));
 }
 
-/// A record-at-a-time analysis accumulator that can subscribe to a
-/// shared decoded-record stream.
-///
-/// Every streaming analyzer in the suite (name prediction, hierarchy
-/// coverage, each block-lifetime window, the construction-pass
-/// [`PartialIndex`]) implements this, so [`fan_out`] — and the fused
-/// replay in [`TraceView::prepare`] — can feed any number of them
-/// from **one** pass over the records. For the on-disk store that means
-/// one chunk-decode pass total instead of one per analysis.
-pub trait RecordObserver {
-    /// Folds one record in. Records arrive in time order.
-    fn observe(&mut self, r: &TraceRecord);
-}
-
-impl RecordObserver for PartialIndex {
-    fn observe(&mut self, r: &TraceRecord) {
-        PartialIndex::observe(self, r);
-    }
-}
-
-/// Replays `source` once, feeding every record to every observer in
-/// order. The single-pass engine behind [`TraceView::prepare`].
-pub fn fan_out(source: &dyn RecordStream, observers: &mut [&mut dyn RecordObserver]) {
-    source.for_each_record(&mut |r| {
-        for o in observers.iter_mut() {
-            o.observe(r);
-        }
-    });
-}
-
 /// A replay-derived product that [`TraceView::prepare`] can compute
 /// in its next fused pass.
 ///
@@ -144,7 +114,7 @@ pub fn fan_out(source: &dyn RecordStream, observers: &mut [&mut dyn RecordObserv
 /// about to run (the `repro` suite does) register them all up front, so
 /// the view replays — for the on-disk store, *decodes* — its records
 /// exactly once instead of once per analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplayRequest {
     /// The §6.3 name-prediction report ([`TraceView::names`]).
     Names,
@@ -210,9 +180,13 @@ pub trait TraceView: RecordStream + Sized {
         &self.base().hourly
     }
 
-    /// The §6.3 name-prediction report, computed on first use.
-    fn names(&self) -> &NamePredictionReport {
-        self.caches().names(self)
+    /// The §6.3 name-prediction report, computed on first use; repeat
+    /// calls share the [`Arc`].
+    fn names(&self) -> Arc<NamePredictionReport> {
+        let Replayed::Names(report) = self.caches().replayed(self, ReplayRequest::Names) else {
+            unreachable!("a names request caches a name-prediction report")
+        };
+        report
     }
 
     /// Per-file accesses corrected with a `window_ms` reorder window
@@ -231,14 +205,22 @@ pub trait TraceView: RecordStream + Sized {
     /// The block lifetime report for one phase configuration (§5.2),
     /// computed once per configuration.
     fn lifetime(&self, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
-        self.caches().lifetime(self, cfg)
+        let request = ReplayRequest::Lifetime(cfg);
+        let Replayed::Lifetime(report) = self.caches().replayed(self, request) else {
+            unreachable!("a lifetime request caches a lifetime report")
+        };
+        report
     }
 
     /// The paper's Table 4 / Figure 3 methodology: five weekday 24-hour
     /// windows starting 9am, each with a 24-hour end margin, merged —
     /// all five accumulated in one fused replay.
     fn weekday_lifetime(&self) -> Arc<LifetimeReport> {
-        self.caches().weekday_lifetime(self)
+        let request = ReplayRequest::WeekdayLifetime;
+        let Replayed::Lifetime(report) = self.caches().replayed(self, request) else {
+            unreachable!("the weekday request caches a lifetime report")
+        };
+        report
     }
 
     /// The Figure 1 sweep over this view's arrival-order accesses,
@@ -258,7 +240,11 @@ pub trait TraceView: RecordStream + Sized {
     /// bucket width and cached (like every other replay product) —
     /// repeat calls share the [`Arc`].
     fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
-        self.caches().coverage(self, bucket_micros)
+        let request = ReplayRequest::Coverage(bucket_micros);
+        let Replayed::Coverage(series) = self.caches().replayed(self, request) else {
+            unreachable!("a coverage request caches a coverage series")
+        };
+        series
     }
 
     /// Computes every not-yet-cached product in `requests` in **one**
@@ -450,8 +436,9 @@ impl PartialIndex {
 ///
 /// Holds what is computed *from* the construction products on first
 /// request: reorder-sorted access maps per window, run tables per
-/// (window, options), lifetime reports per configuration, the merged
-/// weekday lifetime report, and the name-prediction report. Record
+/// (window, options), and every replay product (name prediction,
+/// coverage, lifetime windows, the merged weekday lifetime report)
+/// keyed by the [`ReplayRequest`] that computed it. Record
 /// access goes through [`RecordStream`], so the same code serves the
 /// in-memory index (slice iteration) and the on-disk store index
 /// (chunk-at-a-time decode). Outside this module the type is opaque
@@ -470,14 +457,8 @@ pub struct ProductCaches {
     sorted: Mutex<HashMap<u64, Arc<AccessMap>>>,
     /// Run tables keyed by (reorder window ms, run options).
     runs: Mutex<RunCache>,
-    /// Lifetime reports keyed by their phase configuration.
-    lifetimes: Mutex<HashMap<LifetimeConfig, Arc<LifetimeReport>>>,
-    /// The paper's merged five-weekday lifetime report.
-    weekday: OnceLock<Arc<LifetimeReport>>,
-    /// The §6.3 name-prediction report.
-    names: OnceLock<NamePredictionReport>,
-    /// Hierarchy-coverage series keyed by bucket width (µs).
-    coverage: Mutex<HashMap<u64, Arc<Vec<CoveragePoint>>>>,
+    /// Every replay product, keyed by the request that computed it.
+    replayed: Mutex<HashMap<ReplayRequest, Replayed>>,
     /// How many reorder bucket+sort passes *this view* has performed.
     sort_passes: AtomicU64,
     /// How many full record-replay passes *this view* has performed.
@@ -521,20 +502,46 @@ impl QueryMetrics {
     }
 }
 
-/// One analyzer riding a fused replay pass, paired with where its
-/// finished product lands.
-enum ReplayJob {
-    Names(NamePredictionBuilder),
-    Coverage(u64, CoverageBuilder),
-    Lifetime(LifetimeConfig, BlockLifetimeAnalyzer),
+/// One finished replay product, cached under its [`ReplayRequest`].
+#[derive(Debug, Clone)]
+enum Replayed {
+    Names(Arc<NamePredictionReport>),
+    Coverage(Arc<Vec<CoveragePoint>>),
+    Lifetime(Arc<LifetimeReport>),
 }
 
-impl RecordObserver for ReplayJob {
+/// One analyzer riding a fused replay pass.
+enum ReplayJob {
+    Names(NamePredictionBuilder),
+    Coverage(CoverageBuilder),
+    Lifetime(BlockLifetimeAnalyzer),
+}
+
+impl ReplayJob {
+    /// The analyzer behind `request`. [`ReplayRequest::WeekdayLifetime`]
+    /// has none of its own: `prepare` runs its five windows and merges.
+    fn new(request: ReplayRequest) -> Self {
+        match request {
+            ReplayRequest::Names => ReplayJob::Names(NamePredictionBuilder::default()),
+            ReplayRequest::Coverage(bucket) => ReplayJob::Coverage(CoverageBuilder::new(bucket)),
+            ReplayRequest::Lifetime(cfg) => ReplayJob::Lifetime(BlockLifetimeAnalyzer::new(cfg)),
+            ReplayRequest::WeekdayLifetime => unreachable!("prepare expands the weekday windows"),
+        }
+    }
+
     fn observe(&mut self, r: &TraceRecord) {
         match self {
             ReplayJob::Names(b) => b.observe(r),
-            ReplayJob::Coverage(_, b) => b.observe(r),
-            ReplayJob::Lifetime(_, a) => a.observe(r),
+            ReplayJob::Coverage(b) => b.observe(r),
+            ReplayJob::Lifetime(a) => a.observe(r),
+        }
+    }
+
+    fn finish(self) -> Replayed {
+        match self {
+            ReplayJob::Names(b) => Replayed::Names(Arc::new(b.finish())),
+            ReplayJob::Coverage(b) => Replayed::Coverage(Arc::new(b.finish())),
+            ReplayJob::Lifetime(a) => Replayed::Lifetime(Arc::new(a.finish())),
         }
     }
 }
@@ -562,10 +569,7 @@ impl ProductCaches {
         ProductCaches {
             sorted: Mutex::default(),
             runs: Mutex::default(),
-            lifetimes: Mutex::default(),
-            weekday: OnceLock::new(),
-            names: OnceLock::new(),
-            coverage: Mutex::default(),
+            replayed: Mutex::default(),
             sort_passes: AtomicU64::new(0),
             decode_passes: AtomicU64::new(0),
             metrics: QueryMetrics::register(registry),
@@ -618,51 +622,18 @@ impl ProductCaches {
     /// that touched the records.
     fn prepare(&self, source: &dyn RecordStream, requests: &[ReplayRequest]) {
         self.metrics.requests.add(requests.len() as u64);
-        let mut jobs: Vec<ReplayJob> = Vec::new();
-        let mut want_weekday = false;
+        let weekday = weekday_configs().map(ReplayRequest::Lifetime);
+        let mut jobs: Vec<(ReplayRequest, ReplayJob)> = Vec::new();
         {
-            let queue_lifetime = |jobs: &mut Vec<ReplayJob>, cfg: LifetimeConfig| {
-                let cached = self
-                    .lifetimes
-                    .lock()
-                    .expect("index lock")
-                    .contains_key(&cfg);
-                let queued = jobs
-                    .iter()
-                    .any(|j| matches!(j, ReplayJob::Lifetime(c, _) if *c == cfg));
-                if !cached && !queued {
-                    jobs.push(ReplayJob::Lifetime(cfg, BlockLifetimeAnalyzer::new(cfg)));
-                }
-            };
-            for req in requests {
-                match *req {
-                    ReplayRequest::Names => {
-                        let queued = jobs.iter().any(|j| matches!(j, ReplayJob::Names(_)));
-                        if self.names.get().is_none() && !queued {
-                            jobs.push(ReplayJob::Names(NamePredictionBuilder::default()));
-                        }
-                    }
-                    ReplayRequest::Coverage(bucket) => {
-                        let cached = self
-                            .coverage
-                            .lock()
-                            .expect("index lock")
-                            .contains_key(&bucket);
-                        let queued = jobs
-                            .iter()
-                            .any(|j| matches!(j, ReplayJob::Coverage(b, _) if *b == bucket));
-                        if !cached && !queued {
-                            jobs.push(ReplayJob::Coverage(bucket, CoverageBuilder::new(bucket)));
-                        }
-                    }
-                    ReplayRequest::Lifetime(cfg) => queue_lifetime(&mut jobs, cfg),
-                    ReplayRequest::WeekdayLifetime => {
-                        want_weekday = true;
-                        if self.weekday.get().is_none() {
-                            for cfg in weekday_configs() {
-                                queue_lifetime(&mut jobs, cfg);
-                            }
-                        }
+            let cache = self.replayed.lock().expect("index lock");
+            for request in requests {
+                let replays = match request {
+                    ReplayRequest::WeekdayLifetime => &weekday[..],
+                    one => std::slice::from_ref(one),
+                };
+                for &r in replays {
+                    if !cache.contains_key(&r) && !jobs.iter().any(|(queued, _)| *queued == r) {
+                        jobs.push((r, ReplayJob::new(r)));
                     }
                 }
             }
@@ -673,96 +644,42 @@ impl ProductCaches {
             let _span = span!(self.metrics.replay_micros);
             // The fused pass: no locks held, one traversal, every
             // analyzer observes every record.
-            let mut refs: Vec<&mut dyn RecordObserver> = jobs
-                .iter_mut()
-                .map(|j| j as &mut dyn RecordObserver)
-                .collect();
-            fan_out(source, &mut refs);
-            for j in jobs {
-                match j {
-                    ReplayJob::Names(b) => {
-                        let _ = self.names.set(b.finish());
-                    }
-                    ReplayJob::Coverage(bucket, b) => {
-                        self.coverage
-                            .lock()
-                            .expect("index lock")
-                            .entry(bucket)
-                            .or_insert_with(|| Arc::new(b.finish()));
-                    }
-                    ReplayJob::Lifetime(cfg, a) => {
-                        self.lifetimes
-                            .lock()
-                            .expect("index lock")
-                            .entry(cfg)
-                            .or_insert_with(|| Arc::new(a.finish()));
-                    }
+            source.for_each_record(&mut |r| {
+                for (_, job) in &mut jobs {
+                    job.observe(r);
                 }
-            }
-        }
-        if want_weekday {
-            // All five window reports are cached by now, so the merge
-            // below replays nothing.
-            self.weekday.get_or_init(|| {
-                let mut merged = LifetimeReport::default();
-                for cfg in weekday_configs() {
-                    merged.merge(&self.lifetime(source, cfg));
-                }
-                Arc::new(merged)
             });
         }
-    }
-
-    /// See [`TraceView::lifetime`]; records come from `source`.
-    fn lifetime(&self, source: &dyn RecordStream, cfg: LifetimeConfig) -> Arc<LifetimeReport> {
-        if let Some(r) = self.lifetimes.lock().expect("index lock").get(&cfg) {
-            return Arc::clone(r);
+        let mut cache = self.replayed.lock().expect("index lock");
+        for (request, job) in jobs {
+            cache.entry(request).or_insert_with(|| job.finish());
         }
-        self.prepare(source, &[ReplayRequest::Lifetime(cfg)]);
-        Arc::clone(
-            self.lifetimes
-                .lock()
-                .expect("index lock")
-                .get(&cfg)
-                .expect("prepare computed this configuration"),
-        )
-    }
-
-    /// See [`TraceView::weekday_lifetime`]: all five weekday windows
-    /// are accumulated in one fused replay over `source` and merged.
-    fn weekday_lifetime(&self, source: &dyn RecordStream) -> Arc<LifetimeReport> {
-        self.prepare(source, &[ReplayRequest::WeekdayLifetime]);
-        Arc::clone(self.weekday.get().expect("prepare computed the merge"))
-    }
-
-    /// See [`TraceView::names`]; records come from `source`.
-    fn names(&self, source: &dyn RecordStream) -> &NamePredictionReport {
-        if let Some(n) = self.names.get() {
-            return n;
-        }
-        self.prepare(source, &[ReplayRequest::Names]);
-        self.names.get().expect("prepare computed the report")
-    }
-
-    /// See [`TraceView::hierarchy_coverage`]; records come from
-    /// `source`, one series cached per bucket width.
-    fn coverage(&self, source: &dyn RecordStream, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
-        if let Some(c) = self
-            .coverage
-            .lock()
-            .expect("index lock")
-            .get(&bucket_micros)
+        if requests.contains(&ReplayRequest::WeekdayLifetime)
+            && !cache.contains_key(&ReplayRequest::WeekdayLifetime)
         {
-            return Arc::clone(c);
+            // All five window reports are cached by now.
+            let mut merged = LifetimeReport::default();
+            for window in &weekday {
+                let Some(Replayed::Lifetime(report)) = cache.get(window) else {
+                    unreachable!("the fused pass cached every weekday window")
+                };
+                merged.merge(report);
+            }
+            cache.insert(
+                ReplayRequest::WeekdayLifetime,
+                Replayed::Lifetime(Arc::new(merged)),
+            );
         }
-        self.prepare(source, &[ReplayRequest::Coverage(bucket_micros)]);
-        Arc::clone(
-            self.coverage
-                .lock()
-                .expect("index lock")
-                .get(&bucket_micros)
-                .expect("prepare computed this bucket width"),
-        )
+    }
+
+    /// The product `request` names: cached, or computed by a one-request
+    /// [`ProductCaches::prepare`] over `source` first.
+    fn replayed(&self, source: &dyn RecordStream, request: ReplayRequest) -> Replayed {
+        if let Some(product) = self.replayed.lock().expect("index lock").get(&request) {
+            return product.clone();
+        }
+        self.prepare(source, &[request]);
+        self.replayed.lock().expect("index lock")[&request].clone()
     }
 
     /// How many reorder bucket+sort passes these caches have performed —
@@ -809,7 +726,7 @@ impl TraceIndex {
     /// contiguous chunks, one [`PartialIndex`] per chunk built in
     /// parallel, merged in chunk order. Bit-identical to `new` for any
     /// thread count.
-    pub fn new_sharded(mut records: Vec<TraceRecord>, threads: usize) -> Self {
+    fn new_sharded(mut records: Vec<TraceRecord>, threads: usize) -> Self {
         if !records.windows(2).all(|w| w[0].micros <= w[1].micros) {
             records.sort_by_key(|r| r.micros);
         }
@@ -1089,7 +1006,7 @@ mod tests {
 
         // Each product now equals its per-analysis (legacy) computation.
         assert_eq!(
-            idx.names(),
+            idx.names().as_ref(),
             &NamePredictionReport::from_records(records.iter())
         );
         assert_eq!(
@@ -1119,6 +1036,61 @@ mod tests {
             let _ = idx.lifetime(c);
         }
         assert_eq!(idx.decode_passes(), 1);
+    }
+
+    #[test]
+    fn weekday_lifetime_replays_only_its_uncached_windows() {
+        let records = churn_sample();
+        let idx = TraceIndex::new(records.clone());
+        let windows = weekday_configs();
+        let _ = idx.lifetime(windows[2]);
+        assert_eq!(idx.decode_passes(), 1);
+        let weekday = idx.weekday_lifetime();
+        assert_eq!(idx.decode_passes(), 2, "four windows left, one pass");
+        let mut merged = LifetimeReport::default();
+        for c in windows {
+            merged.merge(&crate::lifetime::analyze(records.iter(), c));
+        }
+        assert_eq!(weekday.as_ref(), &merged);
+    }
+
+    #[test]
+    fn a_window_owns_its_replay_products() {
+        let records = churn_sample();
+        let idx = TraceIndex::new(records.clone());
+        let cfg = LifetimeConfig::daily(0);
+        let requests = [
+            ReplayRequest::Names,
+            ReplayRequest::Coverage(10_000),
+            ReplayRequest::Lifetime(cfg),
+            ReplayRequest::WeekdayLifetime,
+        ];
+        idx.prepare(&requests);
+        let (start, end) = (DAY / 4, 3 * DAY);
+        let window = idx.time_window(start, end);
+        window.prepare(&requests);
+        assert_eq!(window.decode_passes(), 1, "none of the parent's products");
+        let rebuilt = TraceIndex::new(
+            records
+                .into_iter()
+                .filter(|r| (start..end).contains(&r.micros))
+                .collect(),
+        );
+        assert_eq!(window.names(), rebuilt.names());
+        assert_eq!(
+            window.hierarchy_coverage(10_000),
+            rebuilt.hierarchy_coverage(10_000)
+        );
+        assert_eq!(window.lifetime(cfg), rebuilt.lifetime(cfg));
+        assert_eq!(window.weekday_lifetime(), rebuilt.weekday_lifetime());
+        assert_ne!(
+            window.hierarchy_coverage(10_000),
+            idx.hierarchy_coverage(10_000),
+            "the window sees fewer records"
+        );
+        assert_ne!(window.lifetime(cfg), idx.lifetime(cfg));
+        assert_ne!(window.weekday_lifetime(), idx.weekday_lifetime());
+        assert_eq!(window.decode_passes(), 1);
     }
 
     #[test]
@@ -1168,19 +1140,5 @@ mod tests {
         assert!(!Arc::ptr_eq(&snap1.raw[&FileId(1)], &snap2.raw[&FileId(1)]));
         assert_eq!(snap1.raw[&FileId(1)].len(), 1);
         assert_eq!(snap2.raw[&FileId(1)].len(), 2);
-    }
-
-    #[test]
-    fn fan_out_feeds_every_observer() {
-        let records = churn_sample();
-        let idx = TraceIndex::new(records.clone());
-        let mut names = NamePredictionBuilder::default();
-        let mut part = PartialIndex::new();
-        fan_out(&idx, &mut [&mut names, &mut part]);
-        assert_eq!(part.len(), records.len());
-        assert_eq!(
-            names.finish(),
-            NamePredictionReport::from_records(records.iter())
-        );
     }
 }

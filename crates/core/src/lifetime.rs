@@ -15,16 +15,6 @@ use crate::record::{FileId, Op, TraceRecord};
 use crate::runs::BLOCK;
 use std::collections::HashMap;
 
-/// Why a block came into existence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BirthCause {
-    /// An actual data write.
-    Write,
-    /// File extension: blocks between the old end-of-file and the write
-    /// (or truncate-up target) that were never explicitly written.
-    Extension,
-}
-
 /// Why a block died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeathCause {
@@ -180,7 +170,10 @@ pub fn figure3_probes() -> Vec<u64> {
 
 /// The streaming analyzer. Feed time-ordered records with
 /// [`BlockLifetimeAnalyzer::observe`], then call
-/// [`BlockLifetimeAnalyzer::finish`].
+/// [`BlockLifetimeAnalyzer::finish`]. The fused replay
+/// ([`crate::index::TraceView::prepare`]) feeds any number of windows
+/// alongside the other analyzers — the `repro` suite runs all five
+/// weekday windows in one pass this way.
 #[derive(Debug)]
 pub struct BlockLifetimeAnalyzer {
     config: LifetimeConfig,
@@ -372,15 +365,6 @@ impl BlockLifetimeAnalyzer {
             self.report.end_surplus += state.live.values().filter(|b| b.countable).count() as u64;
         }
         self.report
-    }
-}
-
-/// Lifetime windows can ride a fused replay pass alongside the other
-/// analyzers — the `repro` suite runs all five weekday windows in one
-/// pass this way (see [`crate::index::RecordObserver`]).
-impl crate::index::RecordObserver for BlockLifetimeAnalyzer {
-    fn observe(&mut self, r: &TraceRecord) {
-        BlockLifetimeAnalyzer::observe(self, r);
     }
 }
 

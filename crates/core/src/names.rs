@@ -310,8 +310,10 @@ impl NamePredictionReport {
 }
 
 /// Record-at-a-time accumulator behind
-/// [`NamePredictionReport::from_records`], usable by streaming consumers
-/// (the out-of-core store index) that cannot hold the trace in memory.
+/// [`NamePredictionReport::from_records`]. The fused replay
+/// ([`crate::index::TraceView::prepare`]) feeds one alongside the other
+/// analyzers, so views that cannot hold the trace in memory (the
+/// out-of-core store index) stream it.
 #[derive(Debug, Default)]
 pub struct NamePredictionBuilder {
     /// Per-file observations keyed by identity, with the name captured
@@ -414,14 +416,6 @@ impl NamePredictionBuilder {
             stats.lifetimes.sort_unstable();
         }
         report
-    }
-}
-
-/// Name prediction can ride a fused replay pass alongside the other
-/// analyzers (see [`crate::index::RecordObserver`]).
-impl crate::index::RecordObserver for NamePredictionBuilder {
-    fn observe(&mut self, r: &TraceRecord) {
-        NamePredictionBuilder::observe(self, r);
     }
 }
 

@@ -119,8 +119,8 @@ pub fn swap_fraction_sweep(per_file: &AccessMap, windows_ms: &[u64]) -> Vec<Swap
 }
 
 /// [`swap_fraction_sweep`] with an explicit worker count (for the
-/// determinism tests and callers that manage their own parallelism).
-pub fn swap_fraction_sweep_with_threads(
+/// determinism tests).
+fn swap_fraction_sweep_with_threads(
     per_file: &AccessMap,
     windows_ms: &[u64],
     threads: usize,

@@ -84,9 +84,9 @@ pub fn format_record(r: &TraceRecord) -> String {
 /// Appends one record's format line (no trailing newline) to `line`.
 ///
 /// The allocation-free building block behind [`format_record`] and
-/// [`write_trace`]: callers stream multi-gigabyte traces through one
+/// [`write_trace`], which streams multi-gigabyte traces through one
 /// reused buffer instead of allocating a `String` per record.
-pub fn write_record_into(r: &TraceRecord, line: &mut String) {
+fn write_record_into(r: &TraceRecord, line: &mut String) {
     use std::fmt::Write as _;
     // Writing into a String is infallible.
     let _ = write!(

@@ -12,8 +12,7 @@ use nfstrace_store::{
 };
 use nfstrace_telemetry::{span, Counter, Gauge, Histogram, Registry};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Ingest knobs: where segments land and when the hot segment seals.
@@ -102,8 +101,7 @@ struct LiveMetrics {
     /// stage of [`pump`] waited for the other.
     waits: PumpWaits,
     /// The part of `total_records` `records_emitted` has received.
-    /// Atomic only because a view publishes through `&self`.
-    published: AtomicU64,
+    published: u64,
 }
 
 /// What the ingest keeps beside its segment chain: the order check,
@@ -116,7 +114,7 @@ struct RunningIndex {
     /// The last finished [`IndexBase`] and the record count (the
     /// ingest's *generation*) it was built at — repeated views between
     /// records reuse it.
-    base_cache: Mutex<Option<(usize, IndexBase)>>,
+    base_cache: Option<(usize, IndexBase)>,
     registry: Registry,
     metrics: LiveMetrics,
 }
@@ -126,7 +124,7 @@ impl RunningIndex {
         RunningIndex {
             index: PartialIndex::new(),
             last_micros: 0,
-            base_cache: Mutex::new(None),
+            base_cache: None,
             registry: registry.clone(),
             metrics: LiveMetrics {
                 records_emitted: registry.counter("live.records_emitted"),
@@ -137,7 +135,7 @@ impl RunningIndex {
                     source: registry.counter("live.source_wait_micros"),
                     sink: registry.counter("live.sink_wait_micros"),
                 },
-                published: AtomicU64::new(0),
+                published: 0,
             },
         }
     }
@@ -146,7 +144,7 @@ impl RunningIndex {
     /// over all of them, the last captured at `last_micros`.
     fn resumed(registry: &Registry, index: PartialIndex, last_micros: u64) -> Self {
         let mut running = RunningIndex::new(registry);
-        *running.metrics.published.get_mut() = index.len() as u64;
+        running.metrics.published = index.len() as u64;
         running.index = index;
         running.last_micros = last_micros;
         running
@@ -190,27 +188,28 @@ impl RunningIndex {
     /// a copy-on-write snapshot of the running index, cached per
     /// generation: O(counters + hourly buckets) the first time after a
     /// record, a pure clone after that.
-    fn view(&self, hot_len: usize) -> IndexBase {
+    fn view(&mut self, hot_len: usize) -> IndexBase {
         let _span = span!(self.metrics.snapshot_micros);
         self.publish(hot_len);
-        let mut cache = self.base_cache.lock().expect("snapshot cache poisoned");
-        if let Some((generation, base)) = cache.as_ref() {
+        if let Some((generation, base)) = &self.base_cache {
             if *generation == self.index.len() {
                 return base.clone();
             }
         }
         let base = self.index.snapshot_base();
-        *cache = Some((self.index.len(), base.clone()));
+        self.base_cache = Some((self.index.len(), base.clone()));
         base
     }
 
     /// Copies the tally's growth since the last call into the `live.*`
     /// instruments: the records ingested into `live.records_emitted`,
     /// `hot_len` into `live.hot_records`.
-    fn publish(&self, hot_len: usize) {
+    fn publish(&mut self, hot_len: usize) {
         let total = self.total_records();
-        let was = self.metrics.published.swap(total, Ordering::Relaxed);
-        self.metrics.records_emitted.add(total - was);
+        self.metrics
+            .records_emitted
+            .add(total - self.metrics.published);
+        self.metrics.published = total;
         self.metrics.hot_records.set(hot_len as f64);
     }
 
@@ -526,7 +525,7 @@ impl LiveIngest {
         Ok(())
     }
 
-    fn publish(&self) {
+    fn publish(&mut self) {
         self.running.publish(self.chain.hot_len());
     }
 
@@ -599,7 +598,7 @@ impl LiveIngest {
     ///
     /// On the final seal's (or the one in flight's) I/O failure, or
     /// [`StoreError::Poisoned`] after an earlier one.
-    pub fn finish(self) -> Result<LiveSummary> {
+    pub fn finish(mut self) -> Result<LiveSummary> {
         let summary = self.chain.finish()?;
         self.running.publish(0);
         Ok(summary)
@@ -639,6 +638,7 @@ impl RecordSink for LiveIngest {
 mod tests {
     use super::*;
     use nfstrace_core::record::{FileId, Op};
+    use std::sync::atomic::Ordering;
 
     /// Fixed batches, in order.
     struct Batches(std::vec::IntoIter<Vec<TraceRecord>>);

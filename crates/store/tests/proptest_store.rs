@@ -266,7 +266,7 @@ proptest! {
 
         // ... and both equal the direct slice-based computations.
         prop_assert_eq!(
-            fused.names(),
+            fused.names().as_ref(),
             &nfstrace_core::names::NamePredictionReport::from_records(records.iter())
         );
         prop_assert_eq!(

@@ -81,7 +81,7 @@ fn index_products_match_legacy_paths_on_generated_trace() {
 
     // Names: index cache vs direct report.
     assert_eq!(
-        idx.names(),
+        idx.names().as_ref(),
         &nfstrace::core::names::NamePredictionReport::from_records(records.iter())
     );
 }
