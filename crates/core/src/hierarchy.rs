@@ -118,6 +118,10 @@ pub struct CoveragePoint {
 /// Replays a trace, measuring per-interval how often an operation's file
 /// was already placeable in the hierarchy. The paper's claim: this
 /// fraction climbs toward 1 within minutes.
+///
+/// # Panics
+///
+/// If `bucket_micros` is 0 ([`CoverageBuilder::new`]).
 pub fn coverage_over_time<'a, I>(records: I, bucket_micros: u64) -> Vec<CoveragePoint>
 where
     I: IntoIterator<Item = &'a TraceRecord>,
@@ -145,7 +149,15 @@ pub struct CoverageBuilder {
 
 impl CoverageBuilder {
     /// Creates a builder with the given measurement interval.
+    ///
+    /// # Panics
+    ///
+    /// If `bucket_micros` is 0: a zero-width interval never ends.
     pub fn new(bucket_micros: u64) -> Self {
+        assert!(
+            bucket_micros > 0,
+            "hierarchy coverage needs a bucket width above 0 micros, got {bucket_micros}"
+        );
         CoverageBuilder {
             bucket_micros,
             h: Hierarchy::new(),
@@ -156,12 +168,14 @@ impl CoverageBuilder {
         }
     }
 
-    /// Folds one record in. Records must arrive in time order.
+    /// Folds one record in. Records must arrive in time order. The
+    /// bucket that would end past the top of the clock ends at
+    /// `u64::MAX` instead, and holds every later record.
     pub fn observe(&mut self, r: &TraceRecord) {
         if self.bucket_end == 0 {
-            self.bucket_end = r.micros + self.bucket_micros;
+            self.bucket_end = r.micros.saturating_add(self.bucket_micros);
         }
-        while r.micros >= self.bucket_end {
+        while r.micros >= self.bucket_end && self.bucket_end < u64::MAX {
             self.flush_bucket();
         }
         self.total += 1;
@@ -182,7 +196,7 @@ impl CoverageBuilder {
         });
         self.known = 0;
         self.total = 0;
-        self.bucket_end += self.bucket_micros;
+        self.bucket_end = self.bucket_end.saturating_add(self.bucket_micros);
     }
 
     /// Closes the trailing partial bucket and returns the series.
@@ -200,6 +214,7 @@ impl CoverageBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{TraceIndex, TraceView};
 
     fn lookup(t: u64, dir: u64, name: &str, child: u64) -> TraceRecord {
         let mut r = TraceRecord::new(t, Op::Lookup, FileId(dir)).with_name(name);
@@ -275,5 +290,28 @@ mod tests {
         assert!((pts.last().unwrap().known_fraction - 1.0).abs() < 1e-9);
         // The first bucket sees brand-new files.
         assert!(pts[0].known_fraction < 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "hierarchy coverage needs a bucket width above 0 micros, got 0")]
+    fn a_zero_bucket_width_is_refused() {
+        let idx = TraceIndex::new(vec![lookup(10, 1, "f", 2)]);
+        idx.hierarchy_coverage(0);
+    }
+
+    #[test]
+    fn coverage_ends_its_last_bucket_at_the_top_of_the_clock() {
+        let idx = TraceIndex::new(vec![
+            lookup(u64::MAX - 1, 1, "f", 2),
+            TraceRecord::new(u64::MAX, Op::Read, FileId(2)),
+        ]);
+        let pts = idx.hierarchy_coverage(30 * 60 * 1_000_000);
+        assert_eq!(
+            pts.as_slice(),
+            [CoveragePoint {
+                micros: u64::MAX,
+                known_fraction: 0.5
+            }]
+        );
     }
 }

@@ -239,6 +239,10 @@ pub trait TraceView: RecordStream + Sized {
     /// §4.1.1 hierarchy-reconstruction coverage, computed once per
     /// bucket width and cached (like every other replay product) —
     /// repeat calls share the [`Arc`].
+    ///
+    /// # Panics
+    ///
+    /// If `bucket_micros` is 0 ([`CoverageBuilder::new`]).
     fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
         let request = ReplayRequest::Coverage(bucket_micros);
         let Replayed::Coverage(series) = self.caches().replayed(self, request) else {

@@ -128,7 +128,7 @@ impl NameTable {
     }
 
     /// Interns `name` (escaping it first) and returns its index.
-    pub fn intern(&mut self, name: &str) -> u64 {
+    pub(crate) fn intern(&mut self, name: &str) -> u64 {
         let escaped = escape_name(name);
         if let Some(&i) = self.index.get(&escaped) {
             return i;
@@ -141,13 +141,8 @@ impl NameTable {
     }
 
     /// Number of interned names.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     /// Approximate encoded size in bytes (for chunk-size accounting).
@@ -172,7 +167,7 @@ impl NameTable {
     /// On a count the remaining bytes cannot hold (checked before
     /// anything is reserved for it), truncation, invalid UTF-8, or a
     /// bad percent escape.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Vec<String>> {
+    pub(crate) fn decode(bytes: &[u8], pos: &mut usize) -> Result<Vec<String>> {
         let n = read_varint(bytes, pos)?;
         // Each entry takes at least its one-byte length: bound the
         // count by the bytes that remain before reserving for it.
@@ -205,7 +200,7 @@ impl NameTable {
 /// (time delta, reply delta, presence flags), the op and version bytes,
 /// and ten one-byte varints. A chunk header claiming more records than
 /// its payload has room for at this size is corrupt.
-pub const MIN_RECORD_BYTES: u64 = 15;
+pub(crate) const MIN_RECORD_BYTES: u64 = 15;
 
 /// Encodes one record. `prev_micros` is the previous record's capture
 /// time within the chunk (0 for the first record); names are interned
@@ -296,7 +291,7 @@ pub fn encode_record(buf: &mut Vec<u8>, r: &TraceRecord, prev_micros: u64, names
 /// [`TraceRecord`] (200 bytes and a cloned `String` per name) only for
 /// the ones it keeps, via [`RecordFields::materialize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordFields {
+pub(crate) struct RecordFields {
     /// Capture time of the call.
     pub micros: u64,
     /// Capture time of the reply (0: lost).
@@ -362,7 +357,12 @@ impl RecordFields {
     // this a call that returns the whole struct through memory, and a
     // point query that reads `fh` and drops the rest pays for all of it.
     #[inline(always)]
-    pub fn parse(bytes: &[u8], pos: &mut usize, prev_micros: u64, names: usize) -> Result<Self> {
+    pub(crate) fn parse(
+        bytes: &[u8],
+        pos: &mut usize,
+        prev_micros: u64,
+        names: usize,
+    ) -> Result<Self> {
         let micros = prev_micros
             .checked_add(read_varint(bytes, pos)?)
             .ok_or_else(|| StoreError::Format("timestamp delta overflows".into()))?;
@@ -465,7 +465,7 @@ impl RecordFields {
     ///
     /// If `names` is shorter than the table length this record was
     /// [parsed](RecordFields::parse) against.
-    pub fn materialize(&self, names: &[String]) -> TraceRecord {
+    pub(crate) fn materialize(&self, names: &[String]) -> TraceRecord {
         TraceRecord {
             micros: self.micros,
             reply_micros: self.reply_micros,

@@ -23,8 +23,8 @@
 //! bytes and its footer entry (record count, time range, checksum,
 //! [`crate::format::FileIdFilter`]) are valid verbatim in the output;
 //! only `offset` changes. So each chunk is read raw and verified
-//! against its footer checksum ([`StoreReader::read_chunk_verified`]),
-//! then appended as it is ([`StoreWriter::append_chunk`]): nothing is
+//! against its footer checksum (`StoreReader::read_chunk_verified`),
+//! then appended as it is (`StoreWriter::append_chunk`): nothing is
 //! decoded, re-interned, re-compressed or re-filtered, and a corrupt
 //! source fails the pass before the commit point instead of being
 //! blessed by a fresh footer. A compacted segment therefore keeps its

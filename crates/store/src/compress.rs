@@ -40,7 +40,7 @@ use crate::error::{Result, StoreError};
 
 /// Shortest back reference worth encoding (a match token costs up to
 /// three varints).
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 
 const HASH_BITS: u32 = 15;
 

@@ -55,9 +55,9 @@
 //! handles — every bit set, every probe a false positive, every
 //! per-file query decoding every chunk — so the writer counts the
 //! chunk's distinct primary handles and emits either the *exact* sorted
-//! handle set (at or below [`EXACT_FILTER_MAX`] distinct handles — zero
-//! false positives) or a Bloom filter sized to
-//! ≈[`ADAPTIVE_BITS_PER_HANDLE`] bits per distinct handle, keeping the
+//! handle set (at or below 64 distinct handles, `EXACT_FILTER_MAX` —
+//! zero false positives) or a Bloom filter sized to ≈10 bits per
+//! distinct handle (`ADAPTIVE_BITS_PER_HANDLE`), keeping the
 //! false-positive rate — and so the chunk-skip rate of per-file queries
 //! — roughly constant at any fan-in.
 //!
@@ -93,40 +93,40 @@ use nfstrace_core::record::FileId;
 use std::collections::BTreeSet;
 
 /// Leading file magic.
-pub const MAGIC: &[u8; 8] = b"NFSTRC3\0";
+pub(crate) const MAGIC: &[u8; 8] = b"NFSTRC3\0";
 
 /// Trailing file magic.
-pub const END_MAGIC: &[u8; 8] = b"NFSTRCE\0";
+pub(crate) const END_MAGIC: &[u8; 8] = b"NFSTRCE\0";
 
 /// Chunk flags bit: the body is LZ-compressed.
 pub const FLAG_COMPRESSED: u8 = 1 << 0;
 /// Every currently defined flags bit; anything else is a format error.
-pub const FLAG_MASK: u8 = FLAG_COMPRESSED;
+pub(crate) const FLAG_MASK: u8 = FLAG_COMPRESSED;
 
 /// Hard upper bound on a decoded chunk payload. Writers flush chunks at
 /// a few MiB; a (hand-crafted) compressed chunk claiming more raw bytes
 /// than this is rejected before any allocation.
-pub const MAX_CHUNK_PAYLOAD: u64 = 1 << 30;
+pub(crate) const MAX_CHUNK_PAYLOAD: u64 = 1 << 30;
 
 /// Filter kind tag: exact sorted handle set.
-pub const FILTER_KIND_EXACT: u8 = 1;
+pub(crate) const FILTER_KIND_EXACT: u8 = 1;
 /// Filter kind tag: adaptively sized Bloom filter.
-pub const FILTER_KIND_BLOOM: u8 = 2;
+pub(crate) const FILTER_KIND_BLOOM: u8 = 2;
 
 /// Largest distinct-handle count stored as an exact sorted set; above
 /// this the filter switches to an adaptively sized Bloom.
-pub const EXACT_FILTER_MAX: usize = 64;
+pub(crate) const EXACT_FILTER_MAX: usize = 64;
 
 /// Target Bloom bits per distinct handle (≈1% false positives at
 /// [`ADAPTIVE_HASHES`] hashes).
-pub const ADAPTIVE_BITS_PER_HANDLE: usize = 10;
+pub(crate) const ADAPTIVE_BITS_PER_HANDLE: usize = 10;
 
 /// Hash probes per handle for Bloom filters (≈0.69 × bits/handle).
-pub const ADAPTIVE_HASHES: u32 = 7;
+pub(crate) const ADAPTIVE_HASHES: u32 = 7;
 
 /// Hard upper bound on a single filter's byte size, enforced at parse
 /// time before any allocation.
-pub const MAX_FILTER_BYTES: usize = 1 << 22;
+pub(crate) const MAX_FILTER_BYTES: usize = 1 << 22;
 
 /// FNV-1a 64-bit hash — the store's checksum. Not cryptographic; it
 /// exists to catch disk/transport corruption deterministically.
@@ -140,16 +140,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// pieces of a message hashed in order give the hash of the whole —
 /// a writer can checksum what it writes without first gathering it.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a64(u64);
+pub(crate) struct Fnv1a64(u64);
 
 impl Fnv1a64 {
     /// The hash of nothing yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
 
     /// Folds `bytes` in after everything before.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -157,7 +157,7 @@ impl Fnv1a64 {
     }
 
     /// The hash of every byte folded in.
-    pub fn finish(self) -> u64 {
+    pub(crate) fn finish(self) -> u64 {
         self.0
     }
 }
@@ -169,7 +169,7 @@ impl Default for Fnv1a64 {
 }
 
 /// Smallest Bloom filter the writer emits, in bytes (512 bits).
-pub const BLOOM_BYTES: usize = 64;
+pub(crate) const BLOOM_BYTES: usize = 64;
 
 /// SplitMix64 — the Bloom filters' hash mixer.
 fn mix64(mut v: u64) -> u64 {
@@ -242,17 +242,8 @@ pub struct FileIdFilter {
 }
 
 impl FileIdFilter {
-    /// A filter that matches nothing (an empty chunk's state).
-    pub fn empty() -> Self {
-        FileIdFilter {
-            min_fh: u64::MAX,
-            max_fh: 0,
-            kind: FilterKind::Exact(Vec::new()),
-        }
-    }
-
     /// Whether the chunk behind this filter could contain `fh`.
-    pub fn may_contain(&self, fh: FileId) -> bool {
+    pub(crate) fn may_contain(&self, fh: FileId) -> bool {
         if fh.0 < self.min_fh || fh.0 > self.max_fh {
             return false;
         }
@@ -268,29 +259,19 @@ impl FileIdFilter {
 /// bounded by the chunk's distinct handles, which the chunk size
 /// bounds.
 #[derive(Debug, Clone, Default)]
-pub struct FilterBuilder {
+pub(crate) struct FilterBuilder {
     distinct: BTreeSet<u64>,
 }
 
 impl FilterBuilder {
     /// An empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FilterBuilder::default()
     }
 
     /// Notes one record's primary handle.
-    pub fn insert(&mut self, fh: FileId) {
+    pub(crate) fn insert(&mut self, fh: FileId) {
         self.distinct.insert(fh.0);
-    }
-
-    /// Distinct handles noted so far.
-    pub fn len(&self) -> usize {
-        self.distinct.len()
-    }
-
-    /// Whether nothing was noted.
-    pub fn is_empty(&self) -> bool {
-        self.distinct.is_empty()
     }
 
     fn min_max(&self) -> (u64, u64) {
@@ -306,7 +287,7 @@ impl FilterBuilder {
     /// power-of-two byte count, never below [`BLOOM_BYTES`]) — so the
     /// false-positive rate stays roughly flat as chunk fan-in grows,
     /// where a fixed-size filter would saturate.
-    pub fn finish_adaptive(&self) -> FileIdFilter {
+    pub(crate) fn finish_adaptive(&self) -> FileIdFilter {
         let (min_fh, max_fh) = self.min_max();
         if self.distinct.len() <= EXACT_FILTER_MAX {
             return FileIdFilter {
@@ -338,7 +319,7 @@ impl FilterBuilder {
     }
 
     /// Forgets everything (next chunk).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.distinct.clear();
     }
 }
@@ -430,10 +411,9 @@ mod tests {
 
     #[test]
     fn empty_filter_matches_nothing() {
-        for f in [FileIdFilter::empty(), build([]).finish_adaptive()] {
-            for probe in [0u64, 1, 42, u64::MAX] {
-                assert!(!f.may_contain(FileId(probe)));
-            }
+        let f = build([]).finish_adaptive();
+        for probe in [0u64, 1, 42, u64::MAX] {
+            assert!(!f.may_contain(FileId(probe)));
         }
     }
 

@@ -29,7 +29,8 @@ use std::sync::Arc;
 /// # Panics
 ///
 /// On chunk read/decode failure after a successful open — a store
-/// corrupted (or deleted) mid-analysis.
+/// corrupted (or deleted) mid-analysis — with the same message at any
+/// worker count.
 pub fn stream_records(
     readers: &[Arc<StoreReader>],
     start: u64,
@@ -43,88 +44,119 @@ pub fn stream_records(
 /// serial decode, anything higher enables the pipelined decode. Output
 /// is identical either way (tested), which is why the public entry
 /// point can pick from `NFSTRACE_THREADS` freely.
-pub fn stream_records_with_threads(
+pub(crate) fn stream_records_with_threads(
     readers: &[Arc<StoreReader>],
     start: u64,
     end: u64,
     threads: usize,
     f: &mut dyn FnMut(&TraceRecord),
 ) {
-    let jobs: Vec<(usize, usize)> = overlapping_chunks(readers, start, end);
-    // `read_chunk_in` builds only the in-window records of an edge
-    // chunk, so each batch is delivered whole.
-    if threads >= 2 && jobs.len() > 1 {
-        let jobs = &jobs;
+    let plan = Plan::new(readers, start, end, None);
+    // The walk builds only the in-window records of an edge chunk, so
+    // each batch is delivered whole.
+    let deliver = |batch: Result<(Vec<TraceRecord>, bool)>| {
+        let (records, _) =
+            batch.unwrap_or_else(|e| panic!("store chunk unreadable mid-analysis: {e}"));
+        records.iter().for_each(&mut *f);
+    };
+    let n = plan.chunks.len();
+    if threads >= 2 && n > 1 {
+        let plan = &plan;
         std::thread::scope(|scope| {
             // One decoded chunk in flight in the channel, one being
             // decoded, one being consumed: bounded read-ahead.
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Vec<TraceRecord>>>(1);
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
             scope.spawn(move || {
-                for &(ri, ci) in jobs {
-                    let batch = readers[ri].read_chunk_in(ci, start, end);
-                    if tx.send(batch).is_err() {
+                for i in 0..n {
+                    if tx.send(plan.read(i)).is_err() {
                         break; // consumer went away (panic unwinding)
                     }
                 }
             });
-            for batch in rx {
-                batch
-                    .unwrap_or_else(|e| panic!("store chunk unreadable mid-analysis: {e}"))
-                    .iter()
-                    .for_each(&mut *f);
-            }
+            rx.into_iter().for_each(deliver);
         });
     } else {
-        for (ri, ci) in jobs {
-            readers[ri]
-                .read_chunk_in(ci, start, end)
-                .unwrap_or_else(|e| panic!("store chunk {ci} unreadable mid-analysis: {e}"))
-                .iter()
-                .for_each(&mut *f);
-        }
+        (0..n).map(|i| plan.read(i)).for_each(deliver);
     }
 }
 
-/// Every `(reader ordinal, chunk ordinal)` whose footer time range
-/// overlaps `[start, end)`, in stream order.
-///
-/// The query planner's first cut: a segment whose *folded* footer time
-/// range misses the window is dismissed whole
-/// ([`StoreReader::prune_window`], counted as `store.segments_pruned`)
-/// before its per-chunk metas are even iterated — on an archive-scale
-/// catalog a narrow window touches a handful of segments and prunes
-/// the rest here. Every walk over a catalog's chunks — a live view's
-/// hot segment included — takes its chunk list from here:
-/// [`stream_records`] and [`build_partial_index`].
-pub(crate) fn overlapping_chunks(
-    readers: &[Arc<StoreReader>],
+/// The one query plan behind every read of records: the chunks of
+/// `readers` that may hold a record captured in `[start, end)` — of
+/// file `fh`, when there is one — as `(reader ordinal, chunk ordinal)`
+/// in stream order, and the walk ([`StoreReader::walk_chunk`]) that
+/// reads each.
+struct Plan<'a, R> {
+    readers: &'a [R],
     start: u64,
     end: u64,
-) -> Vec<(usize, usize)> {
-    let mut jobs = Vec::new();
-    for (ri, reader) in readers.iter().enumerate() {
-        if reader.prune_window(start, end) {
-            continue;
-        }
-        for (ci, m) in reader.chunks().iter().enumerate() {
-            if m.overlaps(start, end) {
-                jobs.push((ri, ci));
-            }
-        }
-    }
-    jobs
+    fh: Option<FileId>,
+    chunks: Vec<(usize, usize)>,
 }
 
-/// The point-query planner behind [`StoreIndex::file_records`] and
-/// [`StoreReader::records_for_file_in`]: `fh`'s records in
-/// `[start, end)` across `readers`, in time order.
-///
-/// The plan is made once, as [`overlapping_chunks`] makes a window's:
-/// a segment is dismissed whole when [`StoreReader::prune_window`] or
-/// [`StoreReader::prune_file`] says so, and of the rest every chunk
-/// whose footer time range or [`crate::format::FileIdFilter`] rules
-/// `fh` out is counted into `store.chunks_skipped`. The admitted
-/// chunks are decoded by [`parallel::run_sharded`] on `threads`
+impl<'a, R: Borrow<StoreReader>> Plan<'a, R> {
+    /// Plans the read. A segment is dismissed whole — before its
+    /// per-chunk metas are even iterated — when its folded footer time
+    /// range misses the window ([`StoreReader::prune_window`]) or no
+    /// chunk filter admits `fh`, and counted in `store.segments_pruned`;
+    /// on an archive-scale catalog a narrow window touches a handful of
+    /// segments and prunes the rest here. Of the rest, every chunk whose
+    /// footer time range misses the window or whose
+    /// [`crate::format::FileIdFilter`] rules `fh` out is left out; a
+    /// point query counts each in `store.chunks_skipped`, a window read
+    /// counts none.
+    fn new(readers: &'a [R], start: u64, end: u64, fh: Option<FileId>) -> Self {
+        let mut chunks = Vec::new();
+        for (ri, reader) in readers.iter().enumerate() {
+            let reader = reader.borrow();
+            if reader.prune_window(start, end) || fh.is_some_and(|fh| reader.prune_file(fh)) {
+                continue;
+            }
+            for (ci, m) in reader.chunks().iter().enumerate() {
+                if m.overlaps(start, end) && fh.is_none_or(|fh| m.may_contain_file(fh)) {
+                    chunks.push((ri, ci));
+                } else if fh.is_some() {
+                    reader.metrics.chunks_skipped.inc();
+                }
+            }
+        }
+        Plan {
+            readers,
+            start,
+            end,
+            fh,
+            chunks,
+        }
+    }
+
+    /// Walks planned chunk `i`: its records in the window (of `fh`
+    /// only, on a point query), and whether it held any record of `fh`
+    /// at all — `false` is a decode the filter made the query pay for;
+    /// always `true` on a window read. A window read reserves the
+    /// chunk's count when the footer puts the whole chunk inside the
+    /// window; a point query reserves nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_chunk`].
+    fn read(&self, i: usize) -> Result<(Vec<TraceRecord>, bool)> {
+        let (ri, ci) = self.chunks[i];
+        let reader = self.readers[ri].borrow();
+        let m = &reader.chunks()[ci];
+        let whole = self.fh.is_none() && m.min_micros >= self.start && m.max_micros < self.end;
+        let mut holds_file = self.fh.is_none();
+        let records = reader.walk_chunk(ci, whole, |r| {
+            let of_file = self.fh.is_none_or(|fh| r.fh == fh);
+            holds_file |= of_file;
+            of_file && (self.start..self.end).contains(&r.micros)
+        })?;
+        Ok((records, holds_file))
+    }
+}
+
+/// The point query behind [`StoreIndex::file_records`] and
+/// [`StoreReader::records_for_file`]: `fh`'s records in `[start, end)`
+/// across `readers`, in time order. The admitted chunks of the
+/// [`Plan`] are walked by [`parallel::run_sharded`] on `threads`
 /// workers (one job runs inline), then — in chunk order — false
 /// positives are counted, the first failure is returned, and the
 /// matches are moved into one exactly sized `Vec`.
@@ -135,28 +167,12 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
     end: u64,
     threads: usize,
 ) -> Result<Vec<TraceRecord>> {
-    let mut jobs = Vec::new();
-    for (ri, reader) in readers.iter().enumerate() {
-        let reader = reader.borrow();
-        if reader.prune_window(start, end) || reader.prune_file(fh) {
-            continue;
-        }
-        for (ci, m) in reader.chunks().iter().enumerate() {
-            if m.overlaps(start, end) && m.may_contain_file(fh) {
-                jobs.push((ri, ci));
-            } else {
-                reader.metrics.chunks_skipped.inc();
-            }
-        }
-    }
-    let parts = parallel::run_sharded(jobs.len(), threads, |i| {
-        let (ri, ci) = jobs[i];
-        readers[ri].borrow().file_chunk_records(ci, fh, start, end)
-    });
+    let plan = Plan::new(readers, start, end, Some(fh));
+    let parts = parallel::run_sharded(plan.chunks.len(), threads, |i| plan.read(i));
     // Up to the first failure: the chunks that held no record of `fh`
     // (a decode the filter made us pay for) and the answer's size.
     let mut len = 0;
-    for (part, &(ri, _)) in parts.iter().zip(&jobs) {
+    for (part, &(ri, _)) in parts.iter().zip(&plan.chunks) {
         let Ok((records, holds_file)) = part else {
             break;
         };
@@ -193,17 +209,16 @@ fn check_segment_order(readers: &[Arc<StoreReader>]) -> Result<()> {
 /// every record of `readers` (segments in order) whose capture time
 /// lies in `[start, end)`.
 ///
-/// The chunks `overlapping_chunks` plans are decoded on `threads`
-/// workers ([`parallel::run_sharded`]), each building only its
-/// in-window records (`StoreReader::read_chunk_in`) into a partial of
-/// its own, and the partials are absorbed in chunk order — so the
-/// result equals observing the same records one by one, at any worker
-/// count, while resident *record* memory stays bounded by chunk size ×
-/// workers. This is the one pass that indexes stored chunks:
-/// [`StoreIndex`] and its windows finish it — a live ingest's views'
-/// windows too, over segments whose last is the hot one (a writer's
-/// snapshot) — and a reopened `nfstrace_live::LiveIngest` seeds its
-/// running index with it.
+/// The chunks the window's plan admits are walked on `threads` workers
+/// ([`parallel::run_sharded`]), each building only its in-window
+/// records into a partial of its own, and the partials are absorbed in
+/// chunk order — so the result equals observing the same records one
+/// by one, at any worker count, while resident *record* memory stays
+/// bounded by chunk size × workers. This is the one pass that indexes
+/// stored chunks: [`StoreIndex`] and its windows finish it — a live
+/// ingest's views' windows too, over segments whose last is the hot one
+/// (a writer's snapshot) — and a reopened `nfstrace_live::LiveIngest`
+/// seeds its running index with it.
 ///
 /// # Errors
 ///
@@ -214,11 +229,10 @@ pub fn build_partial_index(
     end: u64,
     threads: usize,
 ) -> Result<PartialIndex> {
-    let chunks = overlapping_chunks(readers, start, end);
-    let parts = parallel::run_sharded(chunks.len(), threads, |i| -> Result<PartialIndex> {
-        let (ri, ci) = chunks[i];
-        let records = readers[ri].read_chunk_in(ci, start, end)?;
-        Ok(PartialIndex::from_records(&records))
+    let plan = Plan::new(readers, start, end, None);
+    let parts = parallel::run_sharded(plan.chunks.len(), threads, |i| {
+        plan.read(i)
+            .map(|(records, _)| PartialIndex::from_records(&records))
     });
     let mut acc = PartialIndex::new();
     for part in parts {
@@ -445,18 +459,18 @@ impl StoreIndex {
 
     /// This view's records whose primary handle is `fh`, in time order.
     ///
-    /// Planned once, in two cuts: whole segments are dismissed first —
-    /// by folded footer time range against the view's window, then by
-    /// "no chunk filter admits `fh`" ([`StoreReader::prune_window`] /
-    /// [`StoreReader::prune_file`], counted as
-    /// `store.segments_pruned`) — and only the survivors' chunks are
-    /// tested individually against their footer time ranges and
-    /// [`crate::format::FileIdFilter`]s (`store.chunks_skipped`). On a
-    /// multi-segment catalog a single file's records usually live in a
-    /// handful of chunks, so most segments are never touched
-    /// (observable via [`StoreReader::chunks_decoded`]).
+    /// Planned once, by the plan every read of records shares, in two
+    /// cuts: whole segments are dismissed first — by folded footer time
+    /// range against the view's window, then by "no chunk filter admits
+    /// `fh`" (counted as `store.segments_pruned`) — and only the
+    /// survivors' chunks are tested individually against their footer
+    /// time ranges and [`crate::format::FileIdFilter`]s
+    /// (`store.chunks_skipped`). On a multi-segment catalog a single
+    /// file's records usually live in a handful of chunks, so most
+    /// segments are never touched (observable via
+    /// [`StoreReader::chunks_decoded`]).
     ///
-    /// The admitted (segment, chunk) pairs are decoded on
+    /// The admitted (segment, chunk) pairs are walked on
     /// `NFSTRACE_THREADS` workers — a one-chunk query runs inline —
     /// each parsing and checking every record of its chunk and
     /// building only `fh`'s. The matches are concatenated once, in

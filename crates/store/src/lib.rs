@@ -39,6 +39,15 @@
 //!   live ingest's view mid-ingest is one too, over its
 //!   segments with the hot one last, built by [`StoreIndex::with_base`]
 //!   from the ingest's running products without a decode.
+//! - **Reads.** The reader reads chunks
+//!   ([`StoreReader::read_chunk`], [`StoreReader::for_each`]);
+//!   [`stream_records`], [`build_partial_index`] and the point queries
+//!   ([`StoreIndex::file_records`], [`StoreReader::records_for_file`])
+//!   read records. Under all of them sit one plan — which segments and
+//!   chunks a time window, and optionally one file, can touch — and one
+//!   walker, which opens a chunk, parses and checks every record, and
+//!   builds the ones its caller keeps; so every read of a corrupt chunk
+//!   fails with the same error.
 //!
 //! The record codec (module [`codec`]) delta-encodes timestamps,
 //! varint-packs every numeric field, and interns percent-escaped name
@@ -111,15 +120,16 @@ pub mod writer;
 
 pub use compact::{CompactionPolicy, Compactor, FaultInjector};
 pub use error::{Result, StoreError};
-pub use format::{ChunkMeta, FileIdFilter, FilterBuilder, FilterKind};
-pub use index::{build_partial_index, stream_records, stream_records_with_threads, StoreIndex};
-pub use reader::{StoreReader, VerifiedChunk};
+pub use format::{ChunkMeta, FileIdFilter, FilterKind};
+pub use index::{build_partial_index, stream_records, StoreIndex};
+pub use reader::StoreReader;
 pub use segments::{SegmentCatalog, SegmentId};
 pub use writer::{StoreConfig, StoreSummary, StoreWriter};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::stream_records_with_threads;
     use nfstrace_core::index::{RecordStream, TraceIndex, TraceView};
     use nfstrace_core::record::{FileId, Op, TraceRecord};
     use nfstrace_core::runs::RunOptions;
@@ -381,6 +391,39 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A chunk corrupted under an open reader panics the stream with
+    /// one message — the walker's error, which names the chunk — at 1,
+    /// 2 and 8 workers.
+    #[test]
+    fn a_corrupt_chunk_panics_the_stream_alike_at_every_worker_count() {
+        let records = sample(900);
+        let path = tmp("stream-corrupt");
+        write_store(&path, &records, 256);
+        let reader = std::sync::Arc::new(StoreReader::open(&path).expect("open"));
+        assert!(reader.chunk_count() > 4, "several chunks");
+        let m = reader.chunks()[3].clone();
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[(m.offset + m.len / 2) as usize] ^= 0x10;
+        std::fs::write(&path, &bytes).expect("write");
+
+        let readers = [reader];
+        for threads in [1, 2, 8] {
+            let panic = std::panic::catch_unwind(|| {
+                stream_records_with_threads(&readers, 0, u64::MAX, threads, &mut |_| {})
+            })
+            .expect_err("a corrupt chunk panics the stream");
+            let message = panic
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(
+                message,
+                "store chunk unreadable mid-analysis: malformed store: chunk 3 checksum mismatch",
+                "threads={threads}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// A reader reads through the handle it opened: with its file

@@ -24,10 +24,12 @@ use std::path::Path;
 /// with any other leading magic — the retired v1/v2 layouts included —
 /// is a [`StoreError::Format`] at open. The reader keeps the one file
 /// handle it opened and reads every chunk through it with a positioned
-/// read, which moves no shared cursor: [`StoreReader::read_chunk`]
-/// takes `&self`, so chunk decodes can run on any number of threads
-/// concurrently — [`nfstrace_core::parallel::run_sharded`] drives the
-/// chunk-parallel index builds and point queries in `crate::index`.
+/// read, which moves no shared cursor: every read takes `&self`, so
+/// chunk decodes can run on any number of threads concurrently —
+/// [`nfstrace_core::parallel::run_sharded`] drives the chunk-parallel
+/// index builds and point queries in `crate::index`. Every read that
+/// decodes a chunk goes through one walker, which parses and checks
+/// every record and builds the ones its caller keeps.
 /// The handle also keeps the file's bytes readable after the file is
 /// renamed or deleted (as a sealed segment is when compaction merges
 /// it away), until the reader is dropped.
@@ -73,7 +75,7 @@ impl StoreReadMetrics {
 /// one, and it is all [`crate::StoreWriter::append_chunk`] accepts, so
 /// bytes nobody checked cannot be relocated under a fresh footer.
 #[derive(Debug)]
-pub struct VerifiedChunk<'a> {
+pub(crate) struct VerifiedChunk<'a> {
     pub(crate) meta: &'a ChunkMeta,
     pub(crate) bytes: Vec<u8>,
 }
@@ -390,7 +392,7 @@ impl StoreReader {
     /// of this segment could contain a record for `fh` (every chunk is
     /// empty or its filter rejects the handle), counted into
     /// `store.segments_pruned`.
-    pub fn prune_file(&self, fh: FileId) -> bool {
+    pub(crate) fn prune_file(&self, fh: FileId) -> bool {
         let pruned = self
             .chunks
             .iter()
@@ -443,17 +445,15 @@ impl StoreReader {
     /// On I/O failure, a bad ordinal, stored bytes that do not hash to
     /// the footer's chunk checksum, or a writer snapshot's pending
     /// chunk, which has no stored bytes ([`StoreError::Format`]).
-    pub fn read_chunk_verified(&self, ordinal: usize) -> Result<VerifiedChunk<'_>> {
+    pub(crate) fn read_chunk_verified(&self, ordinal: usize) -> Result<VerifiedChunk<'_>> {
         let (meta, bytes) = self.read_stored(ordinal)?;
         Ok(VerifiedChunk { meta, bytes })
     }
 
-    /// Reads one chunk up to its first record — the one chunk walker
-    /// behind every decoding read, counted in `store.chunks_decoded`:
-    /// stored bytes verified against the footer checksum, then
-    /// [`OpenChunk::stored`]; a writer snapshot's pending chunk goes
-    /// straight to [`OpenChunk::raw`]. [`OpenChunk::for_each`] parses
-    /// the records.
+    /// Reads one chunk up to its first record, counted in
+    /// `store.chunks_decoded`: stored bytes verified against the footer
+    /// checksum, then [`OpenChunk::stored`]; a writer snapshot's pending
+    /// chunk goes straight to [`OpenChunk::raw`].
     fn open_chunk(&self, ordinal: usize) -> Result<OpenChunk<'_>> {
         if let Some(payload) = self.pending_at(ordinal) {
             self.metrics.chunks_decoded.inc();
@@ -462,6 +462,43 @@ impl StoreReader {
         let (meta, stored) = self.read_stored(ordinal)?;
         self.metrics.chunks_decoded.inc();
         OpenChunk::stored(ordinal, meta.records, stored)
+    }
+
+    /// The one walker behind every decoding read: opens chunk
+    /// `ordinal`, parses and checks every record in order — the walk
+    /// fails exactly when a whole read would — and builds the records
+    /// `keep` keeps. `whole` says every record will be kept, so the
+    /// chunk's count is reserved up front; otherwise the result grows
+    /// with what is kept.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_chunk`].
+    pub(crate) fn walk_chunk(
+        &self,
+        ordinal: usize,
+        whole: bool,
+        mut keep: impl FnMut(&RecordFields) -> bool,
+    ) -> Result<Vec<TraceRecord>> {
+        let chunk = self.open_chunk(ordinal)?;
+        let payload = &chunk.payload[..];
+        let mut out = Vec::with_capacity(if whole { chunk.count } else { 0 });
+        let mut pos = chunk.records_at;
+        let mut prev = chunk.first_micros;
+        for _ in 0..chunk.count {
+            let r = RecordFields::parse(payload, &mut pos, prev, chunk.names.len())?;
+            prev = r.micros;
+            if keep(&r) {
+                out.push(r.materialize(&chunk.names));
+            }
+        }
+        if pos != payload.len() {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal}: {} trailing bytes",
+                payload.len() - pos
+            )));
+        }
+        Ok(out)
     }
 
     /// Reads and decodes one chunk: every record parsed, checked and
@@ -473,37 +510,7 @@ impl StoreReader {
     /// stored byte that does not hash to the footer's chunk checksum is
     /// a [`StoreError::Format`] before decoding begins.
     pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
-        let chunk = self.open_chunk(ordinal)?;
-        let mut out = Vec::with_capacity(chunk.count);
-        chunk.push_all(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`StoreReader::read_chunk`] keeping only capture times in
-    /// `[start, end)`: every record is parsed and checked — the read
-    /// fails exactly when `read_chunk` would — but only the kept ones
-    /// are built, so the edge chunk of a time window costs what the
-    /// window holds of it.
-    ///
-    /// # Errors
-    ///
-    /// As [`StoreReader::read_chunk`].
-    pub(crate) fn read_chunk_in(
-        &self,
-        ordinal: usize,
-        start: u64,
-        end: u64,
-    ) -> Result<Vec<TraceRecord>> {
-        let chunk = self.open_chunk(ordinal)?;
-        let meta = &self.chunks[ordinal];
-        let whole = meta.min_micros >= start && meta.max_micros < end;
-        let mut out = Vec::with_capacity(if whole { chunk.count } else { 0 });
-        chunk.for_each(|r| {
-            if (start..end).contains(&r.micros) {
-                out.push(r.materialize(&chunk.names));
-            }
-        })?;
-        Ok(out)
+        self.walk_chunk(ordinal, true, |_| true)
     }
 
     /// Streams every record in chunk order (= time order), holding only
@@ -514,93 +521,32 @@ impl StoreReader {
     /// Propagates the first chunk read/decode failure.
     pub fn for_each(&self, mut f: impl FnMut(&TraceRecord)) -> Result<()> {
         for i in 0..self.chunks.len() {
-            for r in &self.read_chunk(i)? {
-                f(r);
-            }
+            self.read_chunk(i)?.iter().for_each(&mut f);
         }
         Ok(())
     }
 
-    /// All records whose primary handle is `fh`, in time order,
-    /// decoding only the chunks whose footer [`FileIdFilter`] could
-    /// contain it; the result equals filtering a full scan.
+    /// All records whose primary handle is `fh`, in time order: the
+    /// one-segment call of the point query behind
+    /// [`StoreIndex::file_records`] — the same plan, walker and counters
+    /// — so the result equals filtering a full scan. It needs no index,
+    /// so it answers on a store that cannot be indexed whole.
     ///
     /// # Errors
     ///
-    /// As [`StoreReader::records_for_file_in`].
+    /// As [`StoreIndex::file_records`].
+    ///
+    /// [`StoreIndex::file_records`]: crate::StoreIndex::file_records
     pub fn records_for_file(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
-        self.records_for_file_in(fh, 0, u64::MAX)
-    }
-
-    /// [`StoreReader::records_for_file`] restricted to capture times in
-    /// `[start, end)`: the one-segment call of the point-query planner
-    /// behind `StoreIndex::file_records`, so a store file and a
-    /// segment catalog answer through the same plan and the same
-    /// per-chunk body.
-    ///
-    /// The plan dismisses the whole store when its footer time range
-    /// misses the window or no chunk filter admits `fh`
-    /// (`store.segments_pruned`); otherwise every chunk whose time
-    /// range or [`FileIdFilter`] rules the query out is skipped
-    /// (`store.chunks_skipped`). The admitted chunks are decoded on
-    /// `NFSTRACE_THREADS` workers — a one-chunk query runs inline —
-    /// and in each of them every record is parsed and checked, only
-    /// the matches are built: a corrupt record of *another* file still
-    /// fails the query, exactly when a full scan would fail, while the
-    /// query allocates for what it returns rather than for the chunk.
-    /// The matches are returned in chunk order, which is time order,
-    /// in one exactly sized `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// The error of the first failing admitted chunk, in chunk order —
-    /// the one a serial walk would stop at. Admitted chunks after it
-    /// may have been decoded by then, and counted in
-    /// `store.chunks_decoded`.
-    pub fn records_for_file_in(
-        &self,
-        fh: FileId,
-        start: u64,
-        end: u64,
-    ) -> Result<Vec<TraceRecord>> {
-        crate::index::file_records_in(&[self], fh, start, end, parallel::threads())
-    }
-
-    /// One admitted chunk of a point query: every record parsed and
-    /// checked, `fh`'s records in `[start, end)` built. The flag says
-    /// whether the chunk held any record of `fh` at all — the filter
-    /// admitted it either way, so `false` is a false positive.
-    ///
-    /// # Errors
-    ///
-    /// As [`StoreReader::read_chunk`].
-    pub(crate) fn file_chunk_records(
-        &self,
-        ordinal: usize,
-        fh: FileId,
-        start: u64,
-        end: u64,
-    ) -> Result<(Vec<TraceRecord>, bool)> {
-        let chunk = self.open_chunk(ordinal)?;
-        let mut out = Vec::new();
-        let mut holds_file = false;
-        chunk.for_each(|r| {
-            if r.fh == fh {
-                holds_file = true;
-                if r.micros >= start && r.micros < end {
-                    out.push(r.materialize(&chunk.names));
-                }
-            }
-        })?;
-        Ok((out, holds_file))
+        crate::index::file_records_in(&[self], fh, 0, u64::MAX, parallel::threads())
     }
 }
 
 /// A chunk read, verified and decoded up to its first record; made by
 /// [`OpenChunk::stored`] from stored bytes or by [`OpenChunk::raw`]
-/// from a payload held in memory.
+/// from a payload held in memory. [`StoreReader::walk_chunk`] parses
+/// its records.
 struct OpenChunk<'a> {
-    ordinal: usize,
     /// The raw payload (decompressed if it was stored compressed; the
     /// stored bytes, flags byte included, otherwise; borrowed when a
     /// reader holds it).
@@ -668,39 +614,11 @@ impl<'a> OpenChunk<'a> {
             )));
         }
         Ok(OpenChunk {
-            ordinal,
             payload,
             names,
             count: count as usize,
             first_micros,
             records_at: pos,
         })
-    }
-
-    /// Parses and checks every record in order, handing each to
-    /// `visit` as [`RecordFields`] (materialize against `self.names`);
-    /// the records must end exactly where the payload does.
-    fn for_each(&self, mut visit: impl FnMut(&RecordFields)) -> Result<()> {
-        let payload = &self.payload[..];
-        let mut pos = self.records_at;
-        let mut prev = self.first_micros;
-        for _ in 0..self.count {
-            let r = RecordFields::parse(payload, &mut pos, prev, self.names.len())?;
-            prev = r.micros;
-            visit(&r);
-        }
-        if pos != payload.len() {
-            return Err(StoreError::Format(format!(
-                "chunk {}: {} trailing bytes",
-                self.ordinal,
-                payload.len() - pos
-            )));
-        }
-        Ok(())
-    }
-
-    /// Builds every record of the chunk onto `out`.
-    fn push_all(&self, out: &mut Vec<TraceRecord>) -> Result<()> {
-        self.for_each(|r| out.push(r.materialize(&self.names)))
     }
 }

@@ -41,7 +41,7 @@ use crate::error::{Result, StoreError};
 use std::path::{Path, PathBuf};
 
 /// File suffix every segment carries.
-pub const SEGMENT_SUFFIX: &str = ".nfseg";
+pub(crate) const SEGMENT_SUFFIX: &str = ".nfseg";
 
 /// The identity of one segment file: its compaction generation and the
 /// inclusive range `[lo, hi]` of base ordinals it covers. A freshly
@@ -71,7 +71,7 @@ impl SegmentId {
 
     /// This segment's file name (`seg-000042.nfseg` for a base
     /// segment, `seg-000000-000003.g01.nfseg` for a compacted one).
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         if self.generation == 0 && self.lo == self.hi {
             segment_file_name(self.lo)
         } else {
@@ -89,7 +89,7 @@ impl SegmentId {
 
     /// Whether this segment replaces `other` in a catalog: a strictly
     /// higher generation covering `other`'s whole ordinal range.
-    pub fn supersedes(&self, other: &SegmentId) -> bool {
+    pub(crate) fn supersedes(&self, other: &SegmentId) -> bool {
         self.generation > other.generation && self.contains(other)
     }
 }
@@ -101,7 +101,7 @@ pub fn segment_file_name(ordinal: u64) -> String {
 
 /// Parses a segment file name back to its [`SegmentId`]; `None` for
 /// anything that is not a segment name (including `.tmp` temps).
-pub fn parse_segment_name(name: &str) -> Option<SegmentId> {
+pub(crate) fn parse_segment_name(name: &str) -> Option<SegmentId> {
     let rest = name.strip_prefix("seg-")?.strip_suffix(SEGMENT_SUFFIX)?;
     let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
     if digits(rest) {
@@ -243,11 +243,6 @@ impl SegmentCatalog {
         Ok(SegmentCatalog { dir, ids: live })
     }
 
-    /// The directory this catalog describes.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Surviving segment ids, ascending by ordinal range.
     pub fn ids(&self) -> &[SegmentId] {
         &self.ids
@@ -304,7 +299,7 @@ impl SegmentCatalog {
     /// If `output` does not cover a non-empty contiguous run of whole
     /// existing entries — compaction plans are built from this catalog,
     /// so anything else is a caller bug.
-    pub fn apply_compaction(&mut self, output: SegmentId) -> (usize, usize) {
+    pub(crate) fn apply_compaction(&mut self, output: SegmentId) -> (usize, usize) {
         let first = self
             .ids
             .iter()

@@ -21,7 +21,7 @@ pub struct StoreConfig {
     /// Soft cap on a chunk's encoded size: the writer flushes the
     /// pending chunk once its record bytes plus name table reach this.
     /// Whatever the cap, a chunk's payload never grows past
-    /// [`MAX_CHUNK_PAYLOAD`], the most a reader accepts: the writer
+    /// 1 GiB (`MAX_CHUNK_PAYLOAD`), the most a reader accepts: the writer
     /// flushes before a record could take it there.
     /// Smaller chunks mean finer-grained parallel indexing and lower
     /// peak memory; larger chunks amortize per-chunk overhead.
@@ -205,7 +205,7 @@ impl StoreWriter {
     ///
     /// [`StoreError::OutOfOrder`] on a time-travelling record,
     /// [`StoreError::Format`] on a record whose names could not fit
-    /// even an empty chunk under [`MAX_CHUNK_PAYLOAD`], or I/O errors
+    /// even an empty chunk under the 1 GiB payload cap, or I/O errors
     /// from a chunk flush.
     pub fn push(&mut self, r: &TraceRecord) -> Result<()> {
         self.push_under(r, MAX_CHUNK_PAYLOAD as usize)
@@ -270,7 +270,7 @@ impl StoreWriter {
     ///
     /// [`StoreError::OutOfOrder`] when the chunk starts before the
     /// last record already written, or I/O errors.
-    pub fn append_chunk(&mut self, chunk: VerifiedChunk<'_>) -> Result<()> {
+    pub(crate) fn append_chunk(&mut self, chunk: VerifiedChunk<'_>) -> Result<()> {
         let VerifiedChunk { meta, bytes } = chunk;
         if meta.records == 0 {
             return Ok(());
@@ -459,7 +459,6 @@ impl RecordSink for StoreWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::FileIdFilter;
     use crate::reader::StoreReader;
     use nfstrace_core::record::{FileId, Op};
 
@@ -556,7 +555,7 @@ mod tests {
             min_micros: u64::MAX,
             max_micros: 0,
             checksum: fnv1a64(&[0]),
-            filter: FileIdFilter::empty(),
+            filter: FilterBuilder::new().finish_adaptive(),
         };
         w.append_chunk(VerifiedChunk {
             meta: &empty,

@@ -849,9 +849,10 @@ fn name_count_beyond_the_payload_is_rejected_before_allocating() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A point query parses and checks the records it does not keep: with
-/// a record of file B corrupted three ways, the query for file A fails
-/// exactly as the full decode of the chunk fails.
+/// Every decoding read parses and checks the records it does not keep:
+/// with a record of file B corrupted three ways, the query for file A
+/// and the construction pass over a window holding only A, at 1 and 2
+/// workers, fail exactly as the full decode of the chunk fails.
 #[test]
 fn a_corrupt_record_of_another_file_fails_the_query_as_it_fails_the_scan() {
     // Two records sharing no field value, so the chunk falls back to
@@ -902,7 +903,7 @@ fn a_corrupt_record_of_another_file_fails_the_query_as_it_fails_the_scan() {
         bytes[b_at + offset] = byte;
         refresh_chunk0_checksum(&mut bytes, &meta);
         std::fs::write(&path, &bytes).expect("write");
-        let reader = StoreReader::open(&path).expect("footer is consistent");
+        let reader = Arc::new(StoreReader::open(&path).expect("footer is consistent"));
         let scan = reader.read_chunk(0).expect_err("the scan must fail");
         let query = reader
             .records_for_file(a.fh)
@@ -912,6 +913,12 @@ fn a_corrupt_record_of_another_file_fails_the_query_as_it_fails_the_scan() {
             "unexpected error: {scan}"
         );
         assert_eq!(query.to_string(), scan.to_string());
+        for threads in [1, 2] {
+            let readers = [reader.clone()];
+            let window = nfstrace_store::build_partial_index(&readers, a.micros, b.micros, threads)
+                .expect_err("the window's pass must fail");
+            assert_eq!(window.to_string(), scan.to_string(), "threads={threads}");
+        }
     }
     std::fs::remove_file(&path).ok();
 }
