@@ -33,7 +33,7 @@ pub fn threads() -> usize {
 /// Items are split into contiguous chunks, one per worker, so item `i`
 /// always lands in the same shard for a given `(n, threads)` — but the
 /// output is independent of even that, because each result is written to
-/// its own slot.
+/// its own slot. The stateless call of [`run_sharded_with`].
 ///
 /// # Examples
 ///
@@ -50,29 +50,75 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_sharded_with(n, threads, |_| (), |(), i| f(i)).1
+}
+
+/// [`run_sharded`] with state carried through each worker's run: every
+/// worker makes one `S` with `init` from its contiguous run of items and
+/// hands it to `f` for each item of the run, in item order. Returns
+/// every worker's final state in run order, then the results in item
+/// order.
+///
+/// For work that needs a buffer per item but not a fresh one: each
+/// worker refills its own, so a pass allocates per worker, not per item.
+/// One worker (`threads` ≤ 1, or `n` ≤ 1) runs on the caller's thread
+/// and returns one state; `n == 0` returns none.
+///
+/// # Examples
+///
+/// ```
+/// use nfstrace_core::parallel::run_sharded_with;
+///
+/// // Each worker gathers its run of items into one vector of its own.
+/// let (runs, lens) = run_sharded_with(5, 2, |run| Vec::with_capacity(run.len()), |v, i| {
+///     v.push(i);
+///     v.len()
+/// });
+/// assert_eq!(runs, vec![vec![0, 1, 2], vec![3, 4]]);
+/// assert_eq!(lens, vec![1, 2, 3, 1, 2]);
+/// let (one, _) = run_sharded_with(5, 1, |_| Vec::new(), |v, i| v.push(i));
+/// assert_eq!(one, vec![vec![0, 1, 2, 3, 4]]);
+/// ```
+pub fn run_sharded_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> (Vec<S>, Vec<T>)
+where
+    S: Send,
+    T: Send,
+    I: Fn(std::ops::Range<usize>) -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     if n == 0 {
-        return Vec::new();
+        return (Vec::new(), Vec::new());
     }
     let threads = threads.clamp(1, n);
     if threads == 1 {
-        return (0..n).map(f).collect();
+        let mut state = init(0..n);
+        let out = (0..n).map(|i| f(&mut state, i)).collect();
+        return (vec![state], out);
     }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(threads);
+    let mut states: Vec<Option<S>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for (ci, shard) in slots.chunks_mut(chunk).enumerate() {
-            let f = &f;
+        for ((ci, shard), state) in slots.chunks_mut(chunk).enumerate().zip(&mut states) {
+            let (init, f) = (&init, &f);
             scope.spawn(move || {
+                let mut s = init(ci * chunk..ci * chunk + shard.len());
                 for (j, slot) in shard.iter_mut().enumerate() {
-                    *slot = Some(f(ci * chunk + j));
+                    *slot = Some(f(&mut s, ci * chunk + j));
                 }
+                *state = Some(s);
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every shard slot is filled"))
-        .collect()
+    (
+        states.into_iter().map(filled).collect(),
+        slots.into_iter().map(filled).collect(),
+    )
+}
+
+/// A shard's slot once its worker has run.
+fn filled<X>(slot: Option<X>) -> X {
+    slot.expect("every shard slot is filled")
 }
 
 /// Applies `f` to every item of `items` — with mutable access — across
@@ -129,10 +175,7 @@ where
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every shard slot is filled"))
-        .collect()
+    slots.into_iter().map(filled).collect()
 }
 
 #[cfg(test)]
@@ -151,6 +194,34 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(run_sharded(0, 8, |i| i), Vec::<usize>::new());
         assert_eq!(run_sharded(1, 8, |i| i + 9), vec![9]);
+    }
+
+    #[test]
+    fn state_runs_are_contiguous_for_any_thread_count() {
+        for t in [1, 2, 3, 8, 64] {
+            let (runs, out) = run_sharded_with(
+                37,
+                t,
+                |run| (run, Vec::new()),
+                |(_, v), i| {
+                    v.push(i);
+                    i * 3 + 1
+                },
+            );
+            assert_eq!(
+                out,
+                (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>(),
+                "threads={t}"
+            );
+            assert!(!runs.is_empty() && runs.len() <= t, "threads={t}");
+            for (run, items) in &runs {
+                assert_eq!(run.clone().collect::<Vec<_>>(), *items, "threads={t}");
+            }
+            let items: Vec<usize> = runs.into_iter().flat_map(|(_, v)| v).collect();
+            assert_eq!(items, (0..37).collect::<Vec<_>>(), "threads={t}");
+        }
+        let (none, out) = run_sharded_with(0, 4, |_| 1, |_, i| i);
+        assert!(none.is_empty() && out.is_empty());
     }
 
     #[test]

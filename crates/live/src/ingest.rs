@@ -478,7 +478,7 @@ impl LiveIngest {
         let mut chain = SegmentChain::open(config)?;
         // No record was pushed yet, so every segment is sealed.
         let sealed = chain.snapshot()?;
-        let index = build_partial_index(&sealed, 0, u64::MAX, parallel::threads())?;
+        let index = build_partial_index(&sealed, 0, None, parallel::threads())?;
         let ranges = sealed.iter().filter_map(|r| r.time_range());
         let last_micros = ranges.map(|(_, max)| max).max().unwrap_or(0);
         let running = RunningIndex::resumed(&registry, index, last_micros);

@@ -160,14 +160,23 @@ impl NameTable {
         }
     }
 
-    /// Parses a table into the decode-side name list (unescaped).
+    /// Parses a table into the decode-side name list, unescaped, and
+    /// returns its length: the table is the first that many of `names`.
+    /// The slots are the caller's to reuse from chunk to chunk: each is
+    /// cleared and refilled in place, and slots past the table are kept,
+    /// so a name allocates only when it outgrows every name its slot
+    /// held before.
     ///
     /// # Errors
     ///
     /// On a count the remaining bytes cannot hold (checked before
     /// anything is reserved for it), truncation, invalid UTF-8, or a
     /// bad percent escape.
-    pub(crate) fn decode(bytes: &[u8], pos: &mut usize) -> Result<Vec<String>> {
+    pub(crate) fn decode_into(
+        bytes: &[u8],
+        pos: &mut usize,
+        names: &mut Vec<String>,
+    ) -> Result<usize> {
         let n = read_varint(bytes, pos)?;
         // Each entry takes at least its one-byte length: bound the
         // count by the bytes that remain before reserving for it.
@@ -177,8 +186,11 @@ impl NameTable {
                 "name table claims {n} names in {left} bytes"
             )));
         }
-        let mut names = Vec::with_capacity(n as usize);
-        for _ in 0..n {
+        let n = n as usize;
+        if names.len() < n {
+            names.resize_with(n, String::new);
+        }
+        for slot in &mut names[..n] {
             let len = read_varint(bytes, pos)? as usize;
             let end = pos
                 .checked_add(len)
@@ -186,13 +198,18 @@ impl NameTable {
                 .ok_or_else(|| StoreError::Format("truncated name table".into()))?;
             let escaped = std::str::from_utf8(&bytes[*pos..end])
                 .map_err(|_| StoreError::Format("name table is not UTF-8".into()))?;
-            names.push(
-                unescape_name(escaped)
-                    .ok_or_else(|| StoreError::Format("bad name escape".into()))?,
-            );
+            slot.clear();
+            // A name without a `%` is its own unescaped form.
+            if escaped.contains('%') {
+                let name = unescape_name(escaped)
+                    .ok_or_else(|| StoreError::Format("bad name escape".into()))?;
+                slot.push_str(&name);
+            } else {
+                slot.push_str(escaped);
+            }
             *pos = end;
         }
-        Ok(names)
+        Ok(n)
     }
 }
 
@@ -459,13 +476,23 @@ impl RecordFields {
     }
 
     /// Builds the owned record: the scalars copied, each name cloned
-    /// out of `names` — the only allocations a decoded record costs.
+    /// out of `names` — what a record a reader keeps costs; a record
+    /// only lent out is filled into a [`RecordSlot`] instead.
     ///
     /// # Panics
     ///
     /// If `names` is shorter than the table length this record was
     /// [parsed](RecordFields::parse) against.
     pub(crate) fn materialize(&self, names: &[String]) -> TraceRecord {
+        TraceRecord {
+            name: self.name.map(|i| names[i].clone()),
+            name2: self.name2.map(|i| names[i].clone()),
+            ..self.unnamed()
+        }
+    }
+
+    /// The record with every scalar copied and neither name set.
+    fn unnamed(&self) -> TraceRecord {
         TraceRecord {
             micros: self.micros,
             reply_micros: self.reply_micros,
@@ -478,8 +505,8 @@ impl RecordFields {
             op: self.op,
             fh: self.fh,
             fh2: self.fh2,
-            name: self.name.map(|i| names[i].clone()),
-            name2: self.name2.map(|i| names[i].clone()),
+            name: None,
+            name2: None,
             offset: self.offset,
             count: self.count,
             ret_count: self.ret_count,
@@ -490,6 +517,62 @@ impl RecordFields {
             truncate_to: self.truncate_to,
             new_fh: self.new_fh,
             ftype: self.ftype,
+        }
+    }
+}
+
+/// One [`TraceRecord`] that a walk refills record after record
+/// ([`RecordSlot::fill`]) and lends out in place. Its name `String`s —
+/// and a spare for each name a record lacks — keep their capacity, so a
+/// walk over any number of records allocates only when a name outgrows
+/// every one before it.
+#[derive(Debug)]
+pub(crate) struct RecordSlot {
+    record: TraceRecord,
+    /// Where a name's `String` waits while records lack that name.
+    spare: [String; 2],
+}
+
+impl RecordSlot {
+    /// An empty slot; it allocates nothing until a name is filled in.
+    pub(crate) fn new() -> Self {
+        RecordSlot {
+            record: TraceRecord::new(0, Op::ALL[0], FileId(0)),
+            spare: Default::default(),
+        }
+    }
+
+    /// Overwrites the slot's record with `fields`, copying each name
+    /// out of `names` into a `String` the slot already holds, and lends
+    /// it out.
+    ///
+    /// # Panics
+    ///
+    /// As [`RecordFields::materialize`].
+    pub(crate) fn fill(&mut self, fields: &RecordFields, names: &[String]) -> &TraceRecord {
+        let [spare, spare2] = &mut self.spare;
+        let (held, held2) = (self.record.name.take(), self.record.name2.take());
+        self.record = fields.unnamed();
+        self.record.name = refill(held, spare, fields.name.map(|i| names[i].as_str()));
+        self.record.name2 = refill(held2, spare2, fields.name2.map(|i| names[i].as_str()));
+        &self.record
+    }
+}
+
+/// One name of a [`RecordSlot`]: `name` copied into the `String` the
+/// slot held, or else into its spare; without a name, that `String`
+/// becomes the spare.
+fn refill(held: Option<String>, spare: &mut String, name: Option<&str>) -> Option<String> {
+    let mut s = held.unwrap_or_else(|| std::mem::take(spare));
+    match name {
+        Some(name) => {
+            s.clear();
+            s.push_str(name);
+            Some(s)
+        }
+        None => {
+            *spare = s;
+            None
         }
     }
 }
@@ -546,12 +629,58 @@ mod tests {
         let mut table_buf = Vec::new();
         names.encode(&mut table_buf);
         let mut pos = 0;
-        let decoded_names = NameTable::decode(&table_buf, &mut pos).unwrap();
+        let mut decoded_names = Vec::new();
+        let n = NameTable::decode_into(&table_buf, &mut pos, &mut decoded_names).unwrap();
+        assert_eq!(n, decoded_names.len());
         let mut pos = 0;
-        let back = RecordFields::parse(&buf, &mut pos, 999_000, decoded_names.len())
+        let back = RecordFields::parse(&buf, &mut pos, 999_000, n)
             .unwrap()
             .materialize(&decoded_names);
         assert_eq!(back, r);
+        assert_eq!(pos, buf.len());
+    }
+
+    /// Records with names present, absent, escaped and swapped, parsed
+    /// against a table decoded into reused slots (more of them, holding
+    /// longer stale names) and filled one after another into one
+    /// [`RecordSlot`]: each lends exactly what `materialize` builds.
+    #[test]
+    fn a_refilled_slot_lends_the_materialized_record() {
+        let mut renamed = TraceRecord::new(4, Op::Rename, FileId(1)).with_name("x");
+        renamed.name2 = Some("a much longer name, escaped".into());
+        let records = [
+            TraceRecord::new(1, Op::Create, FileId(1)).with_name("tmp%1 =x"),
+            TraceRecord::new(2, Op::Read, FileId(2)),
+            TraceRecord::new(3, Op::Lookup, FileId(3)).with_name("inbox.lock"),
+            renamed,
+            TraceRecord::new(5, Op::Read, FileId(2)),
+            TraceRecord::new(6, Op::Remove, FileId(3)).with_name("inbox.lock"),
+        ];
+        let mut table = NameTable::new();
+        let mut buf = Vec::new();
+        let mut prev = 0;
+        for r in &records {
+            encode_record(&mut buf, r, prev, &mut table);
+            prev = r.micros;
+        }
+        let mut table_buf = Vec::new();
+        table.encode(&mut table_buf);
+        let mut names = vec!["a stale name longer than any in the table".to_string(); 9];
+        let n = NameTable::decode_into(&table_buf, &mut 0, &mut names).unwrap();
+        assert_eq!(
+            (n, names.len()),
+            (table.len(), 9),
+            "slots past the table are kept"
+        );
+
+        let mut slot = RecordSlot::new();
+        let (mut pos, mut prev) = (0, 0);
+        for r in &records {
+            let fields = RecordFields::parse(&buf, &mut pos, prev, n).unwrap();
+            prev = fields.micros;
+            assert_eq!(fields.materialize(&names[..n]), *r);
+            assert_eq!(slot.fill(&fields, &names[..n]), r);
+        }
         assert_eq!(pos, buf.len());
     }
 

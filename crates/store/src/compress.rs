@@ -130,10 +130,38 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a [`compress`] stream into exactly `raw_len` bytes.
+/// Decompresses a [`compress`] stream into exactly `raw_len` bytes: a
+/// fresh buffer, filled by [`decompress_into`].
 ///
-/// The output buffer is allocated once, at `raw_len` (callers bound it:
-/// the reader by `MAX_CHUNK_PAYLOAD`), and filled by index. A back
+/// # Errors
+///
+/// As [`decompress_into`].
+pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+    let mut out = vec![0u8; raw_len];
+    decompress_into(input, raw_len, &mut out)?;
+    Ok(out)
+}
+
+/// Makes `buf` exactly `len` bytes long for a caller that overwrites
+/// every byte. Within its capacity it is resized in place; past it, a
+/// fresh zeroed buffer of at least twice the capacity replaces it, so
+/// the old bytes are not copied and the allocator may hand out pages
+/// already zero instead of writing zeros over them.
+pub(crate) fn resize_to_overwrite(buf: &mut Vec<u8>, len: usize) {
+    if buf.capacity() < len {
+        *buf = vec![0; len.max(2 * buf.capacity())];
+    }
+    buf.resize(len, 0);
+}
+
+/// Decompresses a [`compress`] stream into `out`, which ends up exactly
+/// `raw_len` bytes long.
+///
+/// `out` is the caller's to reuse: it is resized to `raw_len` — growing
+/// only when no earlier stream was as long (callers bound `raw_len`: the
+/// reader by `MAX_CHUNK_PAYLOAD`) — and filled by index, every byte
+/// written before the stream can end, so nothing it held before shows
+/// through. After an error its contents are unspecified. A back
 /// reference *overlaps* when `dist < len`: its last bytes are copies of
 /// bytes the same reference produces (`dist` 1 is a run of one byte),
 /// so only that case goes byte by byte. Otherwise source and
@@ -150,10 +178,11 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// back reference overflowing `raw_len`, a distance of zero or beyond
 /// the bytes produced so far, a truncated varint, or trailing input
 /// after the output is complete.
-pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+pub fn decompress_into(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
     /// Width of the fixed-size move (most matches fit in one).
     const BLOCK: usize = 16;
-    let mut out = vec![0u8; raw_len];
+    resize_to_overwrite(out, raw_len);
+    let out = &mut out[..];
     // Bytes of `out` produced so far, and bytes of `input` consumed.
     let mut at = 0usize;
     let mut pos = 0usize;
@@ -205,7 +234,7 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
             "trailing bytes after the compressed stream".into(),
         ));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -311,6 +340,18 @@ mod tests {
         let got = decompress(stream, raw_len).map_err(|e| e.to_string());
         let want = decompress_reference(stream, raw_len).map_err(|e| e.to_string());
         assert_eq!(got, want, "stream {stream:02x?}, raw_len {raw_len}");
+        // Into a reused buffer — shorter or longer, full of old bytes —
+        // the same output or the same error.
+        for old in [0, raw_len / 2, raw_len + 7] {
+            let mut out = vec![0xa5; old];
+            let into = decompress_into(stream, raw_len, &mut out)
+                .map(|()| out)
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                into, want,
+                "stream {stream:02x?}, raw_len {raw_len}, old {old}"
+            );
+        }
         got
     }
 

@@ -324,6 +324,43 @@ impl FilterBuilder {
     }
 }
 
+/// A capture-time window of a read: `[start, end)`, or — with no `end`
+/// — everything from `start` through the top of the clock, a record
+/// stamped `u64::MAX` included. A half-open window cannot say that, so
+/// every read of a whole store uses the open one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Window {
+    pub(crate) start: u64,
+    pub(crate) end: Option<u64>,
+}
+
+impl Window {
+    /// Every record.
+    pub(crate) const ALL: Window = Window {
+        start: 0,
+        end: None,
+    };
+
+    /// `[start, end)`, or from `start` through the top of the clock
+    /// when `end` is `None`.
+    pub(crate) fn new(start: u64, end: impl Into<Option<u64>>) -> Window {
+        Window {
+            start,
+            end: end.into(),
+        }
+    }
+
+    /// Whether a record captured at `micros` is in the window.
+    pub(crate) fn contains(&self, micros: u64) -> bool {
+        micros >= self.start && self.end.is_none_or(|end| micros < end)
+    }
+
+    /// Whether the time range `[min, max]` meets the window.
+    pub(crate) fn meets(&self, min: u64, max: u64) -> bool {
+        max >= self.start && self.end.is_none_or(|end| min < end)
+    }
+}
+
 /// One chunk's footer entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkMeta {
@@ -346,7 +383,12 @@ pub struct ChunkMeta {
 impl ChunkMeta {
     /// Whether this chunk could contain records in `[start, end)`.
     pub fn overlaps(&self, start: u64, end: u64) -> bool {
-        self.records > 0 && self.min_micros < end && self.max_micros >= start
+        self.meets(Window::new(start, end))
+    }
+
+    /// Whether this chunk could contain records in `window`.
+    pub(crate) fn meets(&self, window: Window) -> bool {
+        self.records > 0 && window.meets(self.min_micros, self.max_micros)
     }
 
     /// Whether this chunk could contain a record whose primary handle is

@@ -1,30 +1,36 @@
 //! The out-of-core analysis index over chunked stores — one file or a
 //! whole segment directory.
 
+use crate::codec::{RecordFields, RecordSlot};
 use crate::error::{Result, StoreError};
-use crate::reader::StoreReader;
+use crate::format::Window;
+use crate::reader::{ChunkBuf, StoreReader};
 use crate::segments::SegmentCatalog;
 use nfstrace_core::index::{IndexBase, PartialIndex, ProductCaches, RecordStream, TraceView};
 use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_telemetry::Registry;
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Streams every record of `readers` (segments in order, chunks in
 /// order within each) whose capture time lies in `[start, end)`,
 /// decoding one chunk at a time and skipping chunks whose footer time
-/// range misses the window.
+/// range misses the window. Each record is lent to `f` from one
+/// [`TraceRecord`] refilled in place, so the stream allocates a
+/// constant number of times however many chunks and records it reads.
 ///
 /// With two or more `NFSTRACE_THREADS` workers the decode is
-/// **pipelined**: a worker thread decodes chunk *i+1* (and reads ahead
-/// through a bounded channel) while the caller's observers consume
-/// chunk *i* — overlapping decompression with analysis without
-/// changing a single byte of output, since chunks are still delivered
-/// in order. At most a handful of decoded chunks are resident at once
-/// (the channel bound plus the one being consumed), so the memory
-/// contract is unchanged.
+/// **pipelined**: a worker thread reads, checks and decompresses chunk
+/// *i+1* (and reads ahead through a bounded channel) while the caller
+/// parses chunk *i* and its observers consume the records — overlapping
+/// I/O and decompression with analysis without changing a single byte
+/// of output, since chunks are still delivered in order. Three chunk
+/// buffers (the one being read, the one in the channel, the one being
+/// walked) circulate between the two threads, chunk *i* always in
+/// buffer *i* mod 3, so at most three chunks are resident at once.
 ///
 /// # Panics
 ///
@@ -40,55 +46,71 @@ pub fn stream_records(
     stream_records_with_threads(readers, start, end, parallel::threads(), f)
 }
 
-/// [`stream_records`] with an explicit worker count: `1` forces the
-/// serial decode, anything higher enables the pipelined decode. Output
-/// is identical either way (tested), which is why the public entry
-/// point can pick from `NFSTRACE_THREADS` freely.
+/// [`stream_records`] with an explicit worker count — `1` forces the
+/// serial decode, anything higher enables the pipelined decode — and
+/// an `end` that may be `None`: through the top of the clock. Output is
+/// identical at any worker count (tested), which is why the public
+/// entry point can pick from `NFSTRACE_THREADS` freely.
 pub(crate) fn stream_records_with_threads(
     readers: &[Arc<StoreReader>],
     start: u64,
-    end: u64,
+    end: impl Into<Option<u64>>,
     threads: usize,
     f: &mut dyn FnMut(&TraceRecord),
 ) {
-    let plan = Plan::new(readers, start, end, None);
-    // The walk builds only the in-window records of an edge chunk, so
-    // each batch is delivered whole.
-    let deliver = |batch: Result<(Vec<TraceRecord>, bool)>| {
-        let (records, _) =
-            batch.unwrap_or_else(|e| panic!("store chunk unreadable mid-analysis: {e}"));
-        records.iter().for_each(&mut *f);
-    };
+    /// Chunk buffers of the pipelined decode.
+    const BUFFERS: usize = 3;
+    let unreadable = |e: StoreError| -> ! { panic!("store chunk unreadable mid-analysis: {e}") };
+    let plan = Plan::new(readers, Window::new(start, end), None);
+    let mut slot = RecordSlot::new();
+    let mut visit = |r: &RecordFields, names: &[String]| f(slot.fill(r, names));
     let n = plan.chunks.len();
     if threads >= 2 && n > 1 {
         let plan = &plan;
         std::thread::scope(|scope| {
-            // One decoded chunk in flight in the channel, one being
-            // decoded, one being consumed: bounded read-ahead.
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            let (full_tx, full) = std::sync::mpsc::sync_channel(1);
+            let (empty, empties) = std::sync::mpsc::sync_channel(BUFFERS);
+            for _ in 0..BUFFERS {
+                empty
+                    .send(ChunkBuf::default())
+                    .expect("room for every buffer");
+            }
             scope.spawn(move || {
                 for i in 0..n {
-                    if tx.send(plan.read(i)).is_err() {
-                        break; // consumer went away (panic unwinding)
+                    // Both fail only once the consumer is gone (a panic
+                    // unwinding).
+                    let Ok(mut buf) = empties.recv() else { break };
+                    let opened = plan.open(i, &mut buf);
+                    if full_tx.send((opened, buf)).is_err() {
+                        break;
                     }
                 }
             });
-            rx.into_iter().for_each(deliver);
+            for (i, (opened, buf)) in full.into_iter().enumerate() {
+                opened
+                    .and_then(|()| plan.walk_open(i, &buf, &mut visit))
+                    .unwrap_or_else(|e| unreadable(e));
+                // The reader stops asking once every chunk is read.
+                empty.send(buf).ok();
+            }
         });
     } else {
-        (0..n).map(|i| plan.read(i)).for_each(deliver);
+        let mut buf = ChunkBuf::default();
+        for i in 0..n {
+            plan.walk(i, &mut buf, &mut visit)
+                .unwrap_or_else(|e| unreadable(e));
+        }
     }
 }
 
 /// The one query plan behind every read of records: the chunks of
-/// `readers` that may hold a record captured in `[start, end)` — of
-/// file `fh`, when there is one — as `(reader ordinal, chunk ordinal)`
-/// in stream order, and the walk ([`StoreReader::walk_chunk`]) that
-/// reads each.
+/// `readers` that may hold a record captured in `window` — of file
+/// `fh`, when there is one — as `(reader ordinal, chunk ordinal)` in
+/// stream order, and the walk ([`StoreReader::walk_chunk`]) that reads
+/// each.
 struct Plan<'a, R> {
     readers: &'a [R],
-    start: u64,
-    end: u64,
+    window: Window,
     fh: Option<FileId>,
     chunks: Vec<(usize, usize)>,
 }
@@ -104,15 +126,15 @@ impl<'a, R: Borrow<StoreReader>> Plan<'a, R> {
     /// [`crate::format::FileIdFilter`] rules `fh` out is left out; a
     /// point query counts each in `store.chunks_skipped`, a window read
     /// counts none.
-    fn new(readers: &'a [R], start: u64, end: u64, fh: Option<FileId>) -> Self {
+    fn new(readers: &'a [R], window: Window, fh: Option<FileId>) -> Self {
         let mut chunks = Vec::new();
         for (ri, reader) in readers.iter().enumerate() {
             let reader = reader.borrow();
-            if reader.prune_window(start, end) || fh.is_some_and(|fh| reader.prune_file(fh)) {
+            if reader.prune_outside(window) || fh.is_some_and(|fh| reader.prune_file(fh)) {
                 continue;
             }
             for (ci, m) in reader.chunks().iter().enumerate() {
-                if m.overlaps(start, end) && fh.is_none_or(|fh| m.may_contain_file(fh)) {
+                if m.meets(window) && fh.is_none_or(|fh| m.may_contain_file(fh)) {
                     chunks.push((ri, ci));
                 } else if fh.is_some() {
                     reader.metrics.chunks_skipped.inc();
@@ -121,71 +143,134 @@ impl<'a, R: Borrow<StoreReader>> Plan<'a, R> {
         }
         Plan {
             readers,
-            start,
-            end,
+            window,
             fh,
             chunks,
         }
     }
 
-    /// Walks planned chunk `i`: its records in the window (of `fh`
-    /// only, on a point query), and whether it held any record of `fh`
-    /// at all — `false` is a decode the filter made the query pay for;
-    /// always `true` on a window read. A window read reserves the
-    /// chunk's count when the footer puts the whole chunk inside the
-    /// window; a point query reserves nothing.
+    /// The stored length of planned chunk `i`, as its footer entry
+    /// gives it (checked at open to lie within the file).
+    fn stored_len(&self, i: usize) -> u64 {
+        let (reader, ci) = self.chunk(i);
+        reader.chunks()[ci].len
+    }
+
+    /// The reader of planned chunk `i`, and the chunk's ordinal in it.
+    fn chunk(&self, i: usize) -> (&StoreReader, usize) {
+        let (ri, ci) = self.chunks[i];
+        (self.readers[ri].borrow(), ci)
+    }
+
+    /// Walks planned chunk `i` through `buf`, handing `visit` its
+    /// records in the window (of `fh` only, on a point query), and says
+    /// whether it held any record of `fh` at all — `false` is a decode
+    /// the filter made the query pay for; always `true` on a window
+    /// read.
     ///
     /// # Errors
     ///
     /// As [`StoreReader::read_chunk`].
-    fn read(&self, i: usize) -> Result<(Vec<TraceRecord>, bool)> {
-        let (ri, ci) = self.chunks[i];
-        let reader = self.readers[ri].borrow();
-        let m = &reader.chunks()[ci];
-        let whole = self.fh.is_none() && m.min_micros >= self.start && m.max_micros < self.end;
+    fn walk(
+        &self,
+        i: usize,
+        buf: &mut ChunkBuf,
+        visit: impl FnMut(&RecordFields, &[String]),
+    ) -> Result<bool> {
+        self.open(i, buf)?;
+        self.walk_open(i, buf, visit)
+    }
+
+    /// The first half of [`Plan::walk`]: planned chunk `i` read into
+    /// `buf` ([`StoreReader::open_chunk`]).
+    fn open(&self, i: usize, buf: &mut ChunkBuf) -> Result<()> {
+        let (reader, ci) = self.chunk(i);
+        reader.open_chunk(ci, buf)
+    }
+
+    /// The second half of [`Plan::walk`], over the chunk [`Plan::open`]
+    /// read into `buf`.
+    fn walk_open(
+        &self,
+        i: usize,
+        buf: &ChunkBuf,
+        mut visit: impl FnMut(&RecordFields, &[String]),
+    ) -> Result<bool> {
         let mut holds_file = self.fh.is_none();
-        let records = reader.walk_chunk(ci, whole, |r| {
+        self.chunk(i).0.walk_open(buf, |r, names| {
             let of_file = self.fh.is_none_or(|fh| r.fh == fh);
             holds_file |= of_file;
-            of_file && (self.start..self.end).contains(&r.micros)
+            if of_file && self.window.contains(r.micros) {
+                visit(r, names);
+            }
         })?;
-        Ok((records, holds_file))
+        Ok(holds_file)
     }
 }
 
 /// The point query behind [`StoreIndex::file_records`] and
-/// [`StoreReader::records_for_file`]: `fh`'s records in `[start, end)`
-/// across `readers`, in time order. The admitted chunks of the
-/// [`Plan`] are walked by [`parallel::run_sharded`] on `threads`
-/// workers (one job runs inline), then — in chunk order — false
-/// positives are counted, the first failure is returned, and the
-/// matches are moved into one exactly sized `Vec`.
+/// [`StoreReader::records_for_file`]: `fh`'s records captured from
+/// `start` until `end` — `[start, end)`, or through the top of the
+/// clock when `end` is `None` — across `readers`, in time order.
+///
+/// The admitted chunks of the [`Plan`] are walked by
+/// [`parallel::run_sharded_with`] on `threads` workers (one job runs
+/// inline), each worker through one chunk buffer of its own, building
+/// the matches of its contiguous run of chunks into one vector. Once
+/// the first chunk of its run is walked, a worker sizes that vector for
+/// the whole run as if every chunk matched as often, so a file spread
+/// evenly over many chunks grows it once.
+/// Then — in chunk order — false positives are counted and the first
+/// failure is returned; otherwise the first worker's vector, sized to
+/// the total and the later ones appended, is the answer.
 pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
     readers: &[R],
     fh: FileId,
     start: u64,
-    end: u64,
+    end: impl Into<Option<u64>>,
     threads: usize,
 ) -> Result<Vec<TraceRecord>> {
-    let plan = Plan::new(readers, start, end, Some(fh));
-    let parts = parallel::run_sharded(plan.chunks.len(), threads, |i| plan.read(i));
-    // Up to the first failure: the chunks that held no record of `fh`
-    // (a decode the filter made us pay for) and the answer's size.
-    let mut len = 0;
-    for (part, &(ri, _)) in parts.iter().zip(&plan.chunks) {
-        let Ok((records, holds_file)) = part else {
-            break;
-        };
-        if !holds_file {
-            readers[ri].borrow().metrics.filter_false_positives.inc();
+    let plan = Plan::new(readers, Window::new(start, end), Some(fh));
+    let (runs, held) = parallel::run_sharded_with(
+        plan.chunks.len(),
+        threads,
+        |run| (run, ChunkBuf::default(), Vec::new()),
+        |(run, buf, matches): &mut (Range<usize>, ChunkBuf, Vec<TraceRecord>), i| {
+            let held = plan.walk(i, buf, |r, names| matches.push(r.materialize(names)));
+            if i == run.start && run.len() > 1 {
+                // As many matches in each later chunk as in this one, but
+                // no more records than the rest of the run has stored
+                // bytes: what a later chunk holds is checked only when it
+                // is opened, and the stored bytes lie within the file.
+                let stored: u64 = (i + 1..run.end).map(|j| plan.stored_len(j)).sum();
+                let more = matches.len().saturating_mul(run.len() - 1);
+                matches.reserve_exact(more.min(usize::try_from(stored).unwrap_or(usize::MAX)));
+            }
+            held
+        },
+    );
+    // Up to the first failure: the chunks that held no record of `fh`,
+    // a decode the filter made us pay for.
+    for (held, &(ri, _)) in held.iter().zip(&plan.chunks) {
+        match held {
+            Ok(true) => {}
+            Ok(false) => readers[ri].borrow().metrics.filter_false_positives.inc(),
+            Err(_) => break,
         }
-        len += records.len();
     }
-    let mut out = Vec::with_capacity(len);
-    for part in parts {
-        out.extend(part?.0);
+    if let Some(e) = held.into_iter().find_map(Result::err) {
+        return Err(e);
     }
-    Ok(out)
+    let total = runs
+        .iter()
+        .map(|(_, _, matches)| matches.len())
+        .sum::<usize>();
+    let mut runs = runs.into_iter().map(|(_, _, matches)| matches);
+    let mut answer = runs.next().unwrap_or_default();
+    answer.reserve_exact(total - answer.len());
+    runs.for_each(|run| answer.extend(run));
+    answer.shrink_to_fit();
+    Ok(answer)
 }
 
 /// Adjacent non-empty segments must not travel back in time: the
@@ -206,19 +291,21 @@ fn check_segment_order(readers: &[Arc<StoreReader>]) -> Result<()> {
 }
 
 /// The chunk-parallel construction pass: the [`PartialIndex`] over
-/// every record of `readers` (segments in order) whose capture time
-/// lies in `[start, end)`.
+/// every record of `readers` (segments in order) captured from `start`
+/// until `end` — `[start, end)`, or through the top of the clock, a
+/// record stamped `u64::MAX` included, when `end` is `None`.
 ///
 /// The chunks the window's plan admits are walked on `threads` workers
-/// ([`parallel::run_sharded`]), each building only its in-window
-/// records into a partial of its own, and the partials are absorbed in
-/// chunk order — so the result equals observing the same records one
-/// by one, at any worker count, while resident *record* memory stays
-/// bounded by chunk size × workers. This is the one pass that indexes
-/// stored chunks: [`StoreIndex`] and its windows finish it — a live
-/// ingest's views' windows too, over segments whose last is the hot one
-/// (a writer's snapshot) — and a reopened `nfstrace_live::LiveIngest`
-/// seeds its running index with it.
+/// ([`parallel::run_sharded_with`]). Each worker walks its contiguous
+/// run of chunks through one chunk buffer of its own, fills every
+/// in-window record into one reused [`TraceRecord`] and folds it into a
+/// partial of its own; the partials are absorbed in worker order — so
+/// the result equals observing the same records one by one, at any
+/// worker count, and the pass allocates no record at all. This is the
+/// one pass that indexes stored chunks: [`StoreIndex`] and its windows
+/// finish it — a live ingest's views' windows too, over segments whose
+/// last is the hot one (a writer's snapshot) — and a reopened
+/// `nfstrace_live::LiveIngest` seeds its running index with it.
 ///
 /// # Errors
 ///
@@ -226,18 +313,24 @@ fn check_segment_order(readers: &[Arc<StoreReader>]) -> Result<()> {
 pub fn build_partial_index(
     readers: &[Arc<StoreReader>],
     start: u64,
-    end: u64,
+    end: impl Into<Option<u64>>,
     threads: usize,
 ) -> Result<PartialIndex> {
-    let plan = Plan::new(readers, start, end, None);
-    let parts = parallel::run_sharded(plan.chunks.len(), threads, |i| {
-        plan.read(i)
-            .map(|(records, _)| PartialIndex::from_records(&records))
-    });
-    let mut acc = PartialIndex::new();
-    for part in parts {
-        acc.absorb(part?);
+    let plan = Plan::new(readers, Window::new(start, end), None);
+    let (partials, walked) = parallel::run_sharded_with(
+        plan.chunks.len(),
+        threads,
+        |_| (ChunkBuf::default(), RecordSlot::new(), PartialIndex::new()),
+        |(buf, slot, partial): &mut (ChunkBuf, RecordSlot, PartialIndex), i| {
+            plan.walk(i, buf, |r, names| partial.observe(slot.fill(r, names)))
+        },
+    );
+    if let Some(e) = walked.into_iter().find_map(Result::err) {
+        return Err(e);
     }
+    let mut partials = partials.into_iter().map(|(_, _, partial)| partial);
+    let mut acc = partials.next().unwrap_or_default();
+    partials.for_each(|later| acc.absorb(later));
     Ok(acc)
 }
 
@@ -246,14 +339,15 @@ pub fn build_partial_index(
 /// at one instant, the last of them the hot segment as its writer holds
 /// it ([`StoreIndex::with_base`]).
 ///
-/// Construction builds one [`PartialIndex`] per store chunk — sharded
-/// across `NFSTRACE_THREADS` worker threads by
-/// [`parallel::run_sharded`] — and merges them in chunk order (segments
-/// in catalog order first), so the summary counters, hourly buckets,
-/// and per-file access lists are bit-identical to
-/// [`nfstrace_core::index::TraceIndex::new`] over the concatenated
-/// records while peak resident *record* memory stays bounded by
-/// (chunk size × worker count), not trace size. Record-replaying
+/// Construction ([`build_partial_index`]) builds one [`PartialIndex`]
+/// per `NFSTRACE_THREADS` worker over its contiguous run of chunks and
+/// merges them in chunk order (segments in catalog order first), so the
+/// summary counters, hourly buckets, and per-file access lists are
+/// bit-identical to [`nfstrace_core::index::TraceIndex::new`] over the
+/// concatenated records while resident *record* memory stays one chunk
+/// buffer and one record per worker, not trace size. A view over all of
+/// its segments holds every record, one stamped `u64::MAX` included;
+/// its time windows are half-open. Record-replaying
 /// analyses (block lifetimes, name prediction, hierarchy coverage)
 /// stream chunk by chunk through [`stream_records`] — pipelined on
 /// multi-worker runs — and batched through [`TraceView::prepare`] they
@@ -276,9 +370,12 @@ pub fn build_partial_index(
 #[derive(Debug)]
 pub struct StoreIndex {
     readers: Vec<Arc<StoreReader>>,
-    /// This view's half-open time range.
+    /// This view's time range: `[start, end)` for a time window; every
+    /// record through the top of the clock, `u64::MAX` included, for a
+    /// view over all of its segments (`all`, and `end` is `u64::MAX`).
     start: u64,
     end: u64,
+    all: bool,
     base: IndexBase,
     caches: ProductCaches,
     /// Where this view's (and its windows') instruments live.
@@ -391,6 +488,7 @@ impl StoreIndex {
             readers,
             start: 0,
             end: u64::MAX,
+            all: true,
             base,
             caches: ProductCaches::with_registry(registry),
             registry: registry.clone(),
@@ -405,26 +503,31 @@ impl StoreIndex {
         registry: &Registry,
     ) -> Result<Self> {
         check_segment_order(&readers)?;
-        Self::build_with_threads(readers, 0, u64::MAX, threads, registry)
+        Self::build_with_threads(readers, Window::ALL, threads, registry)
     }
 
-    /// The view over `[start, end)`: [`build_partial_index`], finished.
+    /// The view over `window`: [`build_partial_index`], finished.
     fn build_with_threads(
         readers: Vec<Arc<StoreReader>>,
-        start: u64,
-        end: u64,
+        window: Window,
         threads: usize,
         registry: &Registry,
     ) -> Result<Self> {
-        let base = build_partial_index(&readers, start, end, threads)?.finish();
+        let base = build_partial_index(&readers, window.start, window.end, threads)?.finish();
         Ok(StoreIndex {
             readers,
-            start,
-            end,
+            start: window.start,
+            end: window.end.unwrap_or(u64::MAX),
+            all: window.end.is_none(),
             base,
             caches: ProductCaches::with_registry(registry),
             registry: registry.clone(),
         })
+    }
+
+    /// This view's time range.
+    fn window(&self) -> Window {
+        Window::new(self.start, (!self.all).then_some(self.end))
     }
 
     /// Records in this view; [`TraceView::len`].
@@ -472,12 +575,15 @@ impl StoreIndex {
     ///
     /// The admitted (segment, chunk) pairs are walked on
     /// `NFSTRACE_THREADS` workers — a one-chunk query runs inline —
-    /// each parsing and checking every record of its chunk and
-    /// building only `fh`'s. The matches are concatenated once, in
-    /// chunk order (segments in catalog order), into one exactly sized
-    /// `Vec`, so the result equals filtering a full scan at any worker
+    /// each through one chunk buffer of its own, parsing and checking
+    /// every record and building only `fh`'s, into one vector per
+    /// worker. The first worker's vector, sized to the total, takes the
+    /// later ones in chunk order (segments in catalog order) and is the
+    /// answer, so the result equals filtering a full scan at any worker
     /// count; `store.filter_false_positives` counts, in the same
-    /// order, the admitted chunks that held no record of `fh`.
+    /// order, the admitted chunks that held no record of `fh`. A view
+    /// over all of its segments answers for every capture time,
+    /// `u64::MAX` included.
     ///
     /// # Errors
     ///
@@ -486,7 +592,14 @@ impl StoreIndex {
     /// may already have been decoded by then, and counted in
     /// `store.chunks_decoded`.
     pub fn file_records(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
-        file_records_in(&self.readers, fh, self.start, self.end, parallel::threads())
+        let window = self.window();
+        file_records_in(
+            &self.readers,
+            fh,
+            window.start,
+            window.end,
+            parallel::threads(),
+        )
     }
 }
 
@@ -499,7 +612,14 @@ impl RecordStream for StoreIndex {
     /// On chunk read/decode failure after a successful open — a store
     /// corrupted (or deleted) mid-analysis.
     fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord)) {
-        stream_records(&self.readers, self.start, self.end, f);
+        let window = self.window();
+        stream_records_with_threads(
+            &self.readers,
+            window.start,
+            window.end,
+            parallel::threads(),
+            f,
+        );
     }
 }
 
@@ -521,8 +641,7 @@ impl TraceView for StoreIndex {
         let end = end_micros.min(self.end).max(start);
         Self::build_with_threads(
             self.readers.clone(),
-            start,
-            end,
+            Window::new(start, end),
             parallel::threads(),
             &self.registry,
         )

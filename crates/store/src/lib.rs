@@ -29,9 +29,9 @@
 //! - [`StoreIndex`] — implements
 //!   [`nfstrace_core::index::TraceView`], the same analysis surface as
 //!   the in-memory `TraceIndex`: chunk-parallel partial-index builds
-//!   (sharded across `NFSTRACE_THREADS` via
-//!   [`nfstrace_core::parallel::run_sharded`]) merged in chunk order,
-//!   bit-identical to indexing the concatenated records. An index can
+//!   (a contiguous run of chunks per `NFSTRACE_THREADS` worker, via
+//!   [`nfstrace_core::parallel::run_sharded_with`]) merged in chunk
+//!   order, bit-identical to indexing the concatenated records. An index can
 //!   span one file or an ordered **segment directory**
 //!   ([`StoreIndex::open_dir`]; naming and the reopen-and-append
 //!   catalog live in module [`segments`]) — which is how the
@@ -45,9 +45,20 @@
 //!   ([`StoreIndex::file_records`], [`StoreReader::records_for_file`])
 //!   read records. Under all of them sit one plan — which segments and
 //!   chunks a time window, and optionally one file, can touch — and one
-//!   walker, which opens a chunk, parses and checks every record, and
-//!   builds the ones its caller keeps; so every read of a corrupt chunk
-//!   fails with the same error.
+//!   walker, which fills a chunk buffer its caller owns and reuses
+//!   (stored bytes, decompressed payload, name table), then parses and
+//!   checks every record and hands each to its caller; so every read of
+//!   a corrupt chunk fails with the same error. A read allocates only
+//!   what it returns: [`StoreReader::read_chunk`] and the point queries
+//!   build the records they keep, while the whole-store walks —
+//!   [`StoreReader::for_each`], [`stream_records`] and the construction
+//!   pass — lend each record from one `TraceRecord` refilled in place,
+//!   through one chunk buffer per worker, and so allocate a constant
+//!   number of times however many chunks and records they read. A read
+//!   of a whole store (an index's root view, its replay, its point
+//!   queries, [`StoreReader::records_for_file`]) runs through the top of
+//!   the clock, a record stamped `u64::MAX` included; a time window
+//!   `[start, end)` is half-open, as `TraceIndex::time_window` is.
 //!
 //! The record codec (module [`codec`]) delta-encodes timestamps,
 //! varint-packs every numeric field, and interns percent-escaped name
@@ -65,8 +76,9 @@
 //! Record-replaying analyses batch through
 //! [`nfstrace_core::index::TraceView::prepare`] into a single fused
 //! decode pass, and that pass **pipelines**: with two or more workers,
-//! [`stream_records`] decodes chunk *i+1* on a worker thread while
-//! analyzers consume chunk *i*, output unchanged.
+//! [`stream_records`] reads and decompresses chunk *i+1* on a worker
+//! thread while the caller walks chunk *i* into its analyzers, output
+//! unchanged.
 //!
 //! # Example: write, reopen, analyze
 //!
@@ -391,6 +403,68 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record may be stamped `u64::MAX`: every read of a whole store
+    /// keeps it — the root view's count, its replay, the point queries
+    /// and the construction pass — as `TraceIndex::new` does, while a
+    /// time window stays half-open and drops it, as
+    /// `TraceIndex::time_window` does. Once with the two top records
+    /// sharing a chunk, once with every record in a chunk of its own.
+    #[test]
+    fn whole_store_reads_keep_records_stamped_at_the_top_of_the_clock() {
+        let probe = FileId(7);
+        let at = |micros: u64, fh: u64| {
+            TraceRecord::new(micros, Op::Read, FileId(fh)).with_range(micros % 4096, 512)
+        };
+        let top = vec![at(u64::MAX - 1, 7), at(u64::MAX, 7)];
+        let mut spread: Vec<TraceRecord> = (0..6)
+            .map(|i| at(u64::MAX - 600 + i * 100, i % 2 + 6))
+            .collect();
+        spread.extend(top.iter().cloned());
+        for (tag, records, chunk_bytes, chunks) in
+            [("top-shared", top, 1 << 20, 1), ("top-own", spread, 1, 8)]
+        {
+            let path = tmp(tag);
+            write_store(&path, &records, chunk_bytes);
+            let index = StoreIndex::open(&path).expect("open");
+            assert_eq!(index.chunk_count(), chunks, "{tag}");
+            let memory = TraceIndex::new(records.clone());
+            let replay = |view: &dyn RecordStream| {
+                let mut out = Vec::new();
+                view.for_each_record(&mut |r| out.push(r.clone()));
+                out
+            };
+            assert_eq!(TraceView::len(&index), records.len(), "{tag}");
+            assert_eq!(TraceView::len(&memory), records.len(), "{tag}");
+            assert_eq!(index.summary(), memory.summary(), "{tag}");
+            assert_eq!(replay(&index), records, "{tag}");
+            let of_probe: Vec<TraceRecord> =
+                records.iter().filter(|r| r.fh == probe).cloned().collect();
+            assert_eq!(
+                index.reader().records_for_file(probe).expect("query"),
+                of_probe,
+                "{tag}"
+            );
+            assert_eq!(index.file_records(probe).expect("query"), of_probe, "{tag}");
+            let pass = build_partial_index(index.readers(), 0, None, 2).expect("pass");
+            assert_eq!(pass.len(), records.len(), "{tag}");
+
+            let (stored, held) = (
+                index.time_window(0, u64::MAX),
+                memory.time_window(0, u64::MAX),
+            );
+            assert_eq!(TraceView::len(&stored), records.len() - 1, "{tag}");
+            assert_eq!(TraceView::len(&stored), TraceView::len(&held), "{tag}");
+            assert_eq!(stored.summary(), held.summary(), "{tag}");
+            assert_eq!(replay(&stored), replay(&held), "{tag}");
+            assert_eq!(
+                stored.file_records(probe).expect("query"),
+                of_probe[..of_probe.len() - 1],
+                "{tag}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     /// A chunk corrupted under an open reader panics the stream with

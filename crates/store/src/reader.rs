@@ -1,16 +1,15 @@
 //! Store reader: footer-driven random access to chunks.
 
-use crate::codec::{read_varint, NameTable, RecordFields, MIN_RECORD_BYTES};
+use crate::codec::{read_varint, NameTable, RecordFields, RecordSlot, MIN_RECORD_BYTES};
 use crate::compress;
 use crate::error::{Result, StoreError};
 use crate::format::{
-    fnv1a64, ChunkMeta, FileIdFilter, FilterKind, END_MAGIC, FILTER_KIND_BLOOM, FILTER_KIND_EXACT,
-    FLAG_COMPRESSED, FLAG_MASK, MAGIC, MAX_CHUNK_PAYLOAD, MAX_FILTER_BYTES,
+    fnv1a64, ChunkMeta, FileIdFilter, FilterKind, Window, END_MAGIC, FILTER_KIND_BLOOM,
+    FILTER_KIND_EXACT, FLAG_COMPRESSED, FLAG_MASK, MAGIC, MAX_CHUNK_PAYLOAD, MAX_FILTER_BYTES,
 };
 use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_telemetry::{Counter, Registry};
-use std::borrow::Cow;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -26,10 +25,11 @@ use std::path::Path;
 /// handle it opened and reads every chunk through it with a positioned
 /// read, which moves no shared cursor: every read takes `&self`, so
 /// chunk decodes can run on any number of threads concurrently —
-/// [`nfstrace_core::parallel::run_sharded`] drives the chunk-parallel
-/// index builds and point queries in `crate::index`. Every read that
-/// decodes a chunk goes through one walker, which parses and checks
-/// every record and builds the ones its caller keeps.
+/// [`nfstrace_core::parallel::run_sharded_with`] drives the
+/// chunk-parallel index builds and point queries in `crate::index`,
+/// one chunk buffer per worker. Every read that decodes a chunk goes
+/// through one walker, which refills its caller's chunk buffer, then
+/// parses and checks every record and hands each to its caller.
 /// The handle also keeps the file's bytes readable after the file is
 /// renamed or deleted (as a sealed segment is when compaction merges
 /// it away), until the reader is dropped.
@@ -378,10 +378,14 @@ impl StoreReader {
     /// Counts a dismissal into `store.segments_pruned`; the caller
     /// skips every chunk without iterating them.
     pub fn prune_window(&self, start: u64, end: u64) -> bool {
-        let pruned = match self.time_range() {
-            None => true,
-            Some((min, max)) => !(min < end && max >= start),
-        };
+        self.prune_outside(Window::new(start, end))
+    }
+
+    /// [`StoreReader::prune_window`] for any [`Window`].
+    pub(crate) fn prune_outside(&self, window: Window) -> bool {
+        let pruned = self
+            .time_range()
+            .is_none_or(|(min, max)| !window.meets(min, max));
         if pruned {
             self.metrics.segments_pruned.inc();
         }
@@ -411,9 +415,10 @@ impl StoreReader {
             .filter(|_| ordinal + 1 == self.chunks.len())
     }
 
-    /// Reads one chunk's stored bytes with a positioned read on the
-    /// reader's handle, verified against the footer's chunk checksum.
-    fn read_stored(&self, ordinal: usize) -> Result<(&ChunkMeta, Vec<u8>)> {
+    /// Reads one chunk's stored bytes into `bytes` (resized to fit)
+    /// with a positioned read on the reader's handle, verified against
+    /// the footer's chunk checksum.
+    fn read_stored_into(&self, ordinal: usize, bytes: &mut Vec<u8>) -> Result<&ChunkMeta> {
         let meta = self
             .chunks
             .get(ordinal)
@@ -423,14 +428,14 @@ impl StoreReader {
                 "chunk {ordinal} is pending in its writer and has no stored bytes"
             )));
         }
-        let mut bytes = vec![0u8; meta.len as usize];
-        self.file.read_exact_at(&mut bytes, meta.offset)?;
-        if fnv1a64(&bytes) != meta.checksum {
+        compress::resize_to_overwrite(bytes, meta.len as usize);
+        self.file.read_exact_at(bytes, meta.offset)?;
+        if fnv1a64(bytes) != meta.checksum {
             return Err(StoreError::Format(format!(
                 "chunk {ordinal} checksum mismatch"
             )));
         }
-        Ok((meta, bytes))
+        Ok(meta)
     }
 
     /// Reads one chunk **without decoding it**: the stored bytes,
@@ -446,30 +451,138 @@ impl StoreReader {
     /// the footer's chunk checksum, or a writer snapshot's pending
     /// chunk, which has no stored bytes ([`StoreError::Format`]).
     pub(crate) fn read_chunk_verified(&self, ordinal: usize) -> Result<VerifiedChunk<'_>> {
-        let (meta, bytes) = self.read_stored(ordinal)?;
+        let mut bytes = Vec::new();
+        let meta = self.read_stored_into(ordinal, &mut bytes)?;
         Ok(VerifiedChunk { meta, bytes })
     }
 
-    /// Reads one chunk up to its first record, counted in
-    /// `store.chunks_decoded`: stored bytes verified against the footer
-    /// checksum, then [`OpenChunk::stored`]; a writer snapshot's pending
-    /// chunk goes straight to [`OpenChunk::raw`].
-    fn open_chunk(&self, ordinal: usize) -> Result<OpenChunk<'_>> {
-        if let Some(payload) = self.pending_at(ordinal) {
+    /// The first half of [`StoreReader::walk_chunk`]: reads chunk
+    /// `ordinal` into `buf` up to its first record, counted in
+    /// `store.chunks_decoded` — the stored bytes verified against the
+    /// footer checksum, their flags checked, the payload decompressed
+    /// if it was stored compressed, the name table decoded and the
+    /// record count held to the footer's and to what the payload could
+    /// hold. A writer snapshot's pending chunk is read in place, from
+    /// the payload the reader holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_chunk`].
+    pub(crate) fn open_chunk(&self, ordinal: usize, buf: &mut ChunkBuf) -> Result<()> {
+        let ChunkBuf {
+            stored,
+            raw,
+            names,
+            open,
+        } = buf;
+        let (payload, at, bytes) = if let Some(pending) = self.pending_at(ordinal) {
             self.metrics.chunks_decoded.inc();
-            return OpenChunk::raw(ordinal, self.chunks[ordinal].records, payload.into(), 0);
+            (Payload::Pending, 0, pending)
+        } else {
+            self.read_stored_into(ordinal, stored)?;
+            self.metrics.chunks_decoded.inc();
+            let &flags = stored
+                .first()
+                .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
+            if flags & !FLAG_MASK != 0 {
+                return Err(StoreError::Format(format!(
+                    "chunk {ordinal} has unknown flags {flags:#04x}"
+                )));
+            }
+            let mut pos = 1;
+            if flags & FLAG_COMPRESSED != 0 {
+                let raw_len = read_varint(stored, &mut pos)?;
+                if raw_len > MAX_CHUNK_PAYLOAD {
+                    return Err(StoreError::Format(format!(
+                        "chunk {ordinal} claims a {raw_len}-byte payload"
+                    )));
+                }
+                compress::decompress_into(&stored[pos..], raw_len as usize, raw)?;
+                (Payload::Raw, 0, &raw[..])
+            } else {
+                (Payload::Stored, pos, &stored[..])
+            }
+        };
+        let mut pos = at;
+        let name_count = NameTable::decode_into(bytes, &mut pos, names)?;
+        let records = self.chunks[ordinal].records;
+        let count = read_varint(bytes, &mut pos)?;
+        if count != records {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal}: header says {count} records, footer {records}"
+            )));
         }
-        let (meta, stored) = self.read_stored(ordinal)?;
-        self.metrics.chunks_decoded.inc();
-        OpenChunk::stored(ordinal, meta.records, stored)
+        let first_micros = read_varint(bytes, &mut pos)?;
+        // Bound the count by what the bytes could hold before anyone
+        // allocates 200-byte records for it.
+        let left = (bytes.len() - pos) as u64;
+        if count
+            .checked_mul(MIN_RECORD_BYTES)
+            .is_none_or(|need| need > left)
+        {
+            return Err(StoreError::Format(format!(
+                "chunk {ordinal} claims {count} records in {left} payload bytes \
+                 (a record takes at least {MIN_RECORD_BYTES})"
+            )));
+        }
+        *open = Opened {
+            ordinal,
+            payload,
+            names: name_count,
+            count: count as usize,
+            first_micros,
+            records_at: pos,
+        };
+        Ok(())
     }
 
-    /// The one walker behind every decoding read: opens chunk
-    /// `ordinal`, parses and checks every record in order — the walk
-    /// fails exactly when a whole read would — and builds the records
-    /// `keep` keeps. `whole` says every record will be kept, so the
-    /// chunk's count is reserved up front; otherwise the result grows
-    /// with what is kept.
+    /// The second half of [`StoreReader::walk_chunk`]: parses and checks
+    /// every record of the chunk `buf` holds, in order, handing each to
+    /// `visit` with the chunk's name table. `buf` must have been filled
+    /// by this reader's [`StoreReader::open_chunk`].
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::read_chunk`].
+    pub(crate) fn walk_open(
+        &self,
+        buf: &ChunkBuf,
+        mut visit: impl FnMut(&RecordFields, &[String]),
+    ) -> Result<()> {
+        let open = buf.open;
+        let payload = match open.payload {
+            Payload::Stored => &buf.stored[..],
+            Payload::Raw => &buf.raw[..],
+            Payload::Pending => self
+                .pending_at(open.ordinal)
+                .expect("a pending chunk is walked by the reader that opened it"),
+        };
+        let names = &buf.names[..open.names];
+        let mut pos = open.records_at;
+        let mut prev = open.first_micros;
+        for _ in 0..open.count {
+            let r = RecordFields::parse(payload, &mut pos, prev, names.len())?;
+            prev = r.micros;
+            visit(&r, names);
+        }
+        if pos != payload.len() {
+            return Err(StoreError::Format(format!(
+                "chunk {}: {} trailing bytes",
+                open.ordinal,
+                payload.len() - pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// The one walker behind every decoding read: reads chunk `ordinal`
+    /// into the caller's `buf` ([`StoreReader::open_chunk`]), then parses
+    /// and checks every record in order, handing each to `visit`
+    /// ([`StoreReader::walk_open`]) — the walk fails exactly when a
+    /// whole read would. The walker builds nothing: a caller
+    /// materializes the records it keeps, or fills the ones it lends
+    /// into a [`RecordSlot`]. Refilled chunk after chunk, `buf`
+    /// allocates only when a chunk outgrows every one before it.
     ///
     /// # Errors
     ///
@@ -477,28 +590,11 @@ impl StoreReader {
     pub(crate) fn walk_chunk(
         &self,
         ordinal: usize,
-        whole: bool,
-        mut keep: impl FnMut(&RecordFields) -> bool,
-    ) -> Result<Vec<TraceRecord>> {
-        let chunk = self.open_chunk(ordinal)?;
-        let payload = &chunk.payload[..];
-        let mut out = Vec::with_capacity(if whole { chunk.count } else { 0 });
-        let mut pos = chunk.records_at;
-        let mut prev = chunk.first_micros;
-        for _ in 0..chunk.count {
-            let r = RecordFields::parse(payload, &mut pos, prev, chunk.names.len())?;
-            prev = r.micros;
-            if keep(&r) {
-                out.push(r.materialize(&chunk.names));
-            }
-        }
-        if pos != payload.len() {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal}: {} trailing bytes",
-                payload.len() - pos
-            )));
-        }
-        Ok(out)
+        buf: &mut ChunkBuf,
+        visit: impl FnMut(&RecordFields, &[String]),
+    ) -> Result<()> {
+        self.open_chunk(ordinal, buf)?;
+        self.walk_open(buf, visit)
     }
 
     /// Reads and decodes one chunk: every record parsed, checked and
@@ -510,27 +606,40 @@ impl StoreReader {
     /// stored byte that does not hash to the footer's chunk checksum is
     /// a [`StoreError::Format`] before decoding begins.
     pub fn read_chunk(&self, ordinal: usize) -> Result<Vec<TraceRecord>> {
-        self.walk_chunk(ordinal, true, |_| true)
+        let mut out = Vec::new();
+        self.walk_chunk(ordinal, &mut ChunkBuf::default(), |r, names| {
+            // The first record comes after the walk has held the
+            // footer's count to what the payload can hold.
+            if out.capacity() == 0 {
+                out.reserve_exact(self.chunks[ordinal].records as usize);
+            }
+            out.push(r.materialize(names));
+        })?;
+        Ok(out)
     }
 
-    /// Streams every record in chunk order (= time order), holding only
-    /// one decoded chunk at a time.
+    /// Streams every record in chunk order (= time order), each lent
+    /// to `f` from one record refilled in place, through one chunk
+    /// buffer: the walk allocates a constant number of times, however
+    /// many chunks and records it reads.
     ///
     /// # Errors
     ///
     /// Propagates the first chunk read/decode failure.
     pub fn for_each(&self, mut f: impl FnMut(&TraceRecord)) -> Result<()> {
+        let (mut buf, mut slot) = (ChunkBuf::default(), RecordSlot::new());
         for i in 0..self.chunks.len() {
-            self.read_chunk(i)?.iter().for_each(&mut f);
+            self.walk_chunk(i, &mut buf, |r, names| f(slot.fill(r, names)))?;
         }
         Ok(())
     }
 
-    /// All records whose primary handle is `fh`, in time order: the
-    /// one-segment call of the point query behind
-    /// [`StoreIndex::file_records`] — the same plan, walker and counters
-    /// — so the result equals filtering a full scan. It needs no index,
-    /// so it answers on a store that cannot be indexed whole.
+    /// All records whose primary handle is `fh`, in time order — every
+    /// capture time, `u64::MAX` included: the one-segment call of the
+    /// point query behind [`StoreIndex::file_records`] — the same plan,
+    /// walker and counters — so the result equals filtering a full
+    /// scan. It needs no index, so it answers on a store that cannot be
+    /// indexed whole.
     ///
     /// # Errors
     ///
@@ -538,87 +647,96 @@ impl StoreReader {
     ///
     /// [`StoreIndex::file_records`]: crate::StoreIndex::file_records
     pub fn records_for_file(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
-        crate::index::file_records_in(&[self], fh, 0, u64::MAX, parallel::threads())
+        crate::index::file_records_in(&[self], fh, 0, None, parallel::threads())
     }
 }
 
-/// A chunk read, verified and decoded up to its first record; made by
-/// [`OpenChunk::stored`] from stored bytes or by [`OpenChunk::raw`]
-/// from a payload held in memory. [`StoreReader::walk_chunk`] parses
-/// its records.
-struct OpenChunk<'a> {
-    /// The raw payload (decompressed if it was stored compressed; the
-    /// stored bytes, flags byte included, otherwise; borrowed when a
-    /// reader holds it).
-    payload: Cow<'a, [u8]>,
-    /// The chunk's name table, unescaped.
+/// The buffers a chunk walk fills, owned by the caller and refilled
+/// chunk after chunk ([`StoreReader::walk_chunk`]): the stored bytes,
+/// the payload decompressed out of them, and the chunk's name table.
+/// Each keeps its capacity, so a walk over many chunks allocates only
+/// when a chunk outgrows every one before it.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkBuf {
+    /// The stored bytes, flags byte first; the payload itself when the
+    /// chunk was stored raw.
+    stored: Vec<u8>,
+    /// The payload decompressed out of `stored`.
+    raw: Vec<u8>,
+    /// Name slots: the open chunk's table is the first `open.names`;
+    /// the rest wait, capacity kept, for a chunk with more names.
     names: Vec<String>,
+    /// Where the open chunk's records are.
+    open: Opened,
+}
+
+/// What [`StoreReader::open_chunk`] found: which payload holds the
+/// chunk, and where in it the records start.
+#[derive(Debug, Default, Clone, Copy)]
+struct Opened {
+    ordinal: usize,
+    payload: Payload,
+    /// Length of the chunk's name table.
+    names: usize,
     /// Records in the chunk — equal to the footer's count and bounded
-    /// by the payload's size, so safe to reserve for.
+    /// by the payload's size.
     count: usize,
     first_micros: u64,
-    /// Where in `payload` the first record starts.
+    /// Where in the payload the first record starts.
     records_at: usize,
 }
 
-impl<'a> OpenChunk<'a> {
-    /// Opens verified stored bytes: flags checked, the payload
-    /// decompressed, then [`OpenChunk::raw`] with the footer's record
-    /// count `records`.
-    fn stored(ordinal: usize, records: u64, mut payload: Vec<u8>) -> Result<Self> {
-        let &flags = payload
-            .first()
-            .ok_or_else(|| StoreError::Format(format!("chunk {ordinal} is empty")))?;
-        if flags & !FLAG_MASK != 0 {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal} has unknown flags {flags:#04x}"
-            )));
-        }
-        let mut pos = 1;
-        if flags & FLAG_COMPRESSED != 0 {
-            let raw_len = read_varint(&payload, &mut pos)?;
-            if raw_len > MAX_CHUNK_PAYLOAD {
-                return Err(StoreError::Format(format!(
-                    "chunk {ordinal} claims a {raw_len}-byte payload"
-                )));
-            }
-            payload = compress::decompress(&payload[pos..], raw_len as usize)?;
-            pos = 0;
-        }
-        OpenChunk::raw(ordinal, records, payload.into(), pos)
-    }
+/// Where an open chunk's payload lives.
+#[derive(Debug, Default, Clone, Copy)]
+enum Payload {
+    /// [`ChunkBuf::stored`]: the chunk was stored raw.
+    #[default]
+    Stored,
+    /// [`ChunkBuf::raw`]: decompressed.
+    Raw,
+    /// In the reader: a writer snapshot's pending chunk.
+    Pending,
+}
 
-    /// Opens a raw payload whose name table starts at `at`: the table
-    /// decoded, the record count held to `records` (the footer's) and
-    /// to what the remaining bytes could hold.
-    fn raw(ordinal: usize, records: u64, payload: Cow<'a, [u8]>, at: usize) -> Result<Self> {
-        let mut pos = at;
-        let names = NameTable::decode(&payload, &mut pos)?;
-        let count = read_varint(&payload, &mut pos)?;
-        if count != records {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal}: header says {count} records, footer {records}"
-            )));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{StoreConfig, StoreWriter};
+    use nfstrace_core::record::Op;
+
+    /// A footer entry's record count is held to its chunk's payload only
+    /// when the chunk is opened, so a point query must not size its
+    /// answer by the counts of chunks it has yet to open: one claiming
+    /// 2⁶⁰ records fails the query with the open's error, at one worker
+    /// and at two, instead of aborting on the allocation.
+    #[test]
+    fn a_point_query_does_not_reserve_by_unopened_footer_counts() {
+        let records: Vec<TraceRecord> = (0..2_000u64)
+            .map(|i| TraceRecord::new(i * 10, Op::Read, FileId(i % 2)).with_range(i, 512))
+            .collect();
+        let path = std::env::temp_dir().join(format!("nfstrace-claims-{}", std::process::id()));
+        let config = StoreConfig {
+            target_chunk_bytes: 4 << 10,
+        };
+        let mut w = StoreWriter::create(&path, config).expect("create");
+        for r in &records {
+            w.push(r).expect("push");
         }
-        let first_micros = read_varint(&payload, &mut pos)?;
-        // Bound the count by what the bytes could hold before anyone
-        // allocates 200-byte records for it.
-        let left = (payload.len() - pos) as u64;
-        if count
-            .checked_mul(MIN_RECORD_BYTES)
-            .is_none_or(|need| need > left)
-        {
-            return Err(StoreError::Format(format!(
-                "chunk {ordinal} claims {count} records in {left} payload bytes \
-                 (a record takes at least {MIN_RECORD_BYTES})"
-            )));
+        w.finish().expect("finish");
+        let mut reader = StoreReader::open(&path).expect("open");
+        std::fs::remove_file(&path).ok();
+        let n = reader.chunks.len();
+        assert!(n >= 4, "several chunks");
+        for m in &mut reader.chunks[1..] {
+            m.records = 1 << 60;
         }
-        Ok(OpenChunk {
-            payload,
-            names,
-            count: count as usize,
-            first_micros,
-            records_at: pos,
-        })
+        for threads in [1, 2] {
+            let err = crate::index::file_records_in(&[&reader], FileId(1), 0, None, threads)
+                .expect_err("a chunk claiming more records than it holds");
+            assert!(
+                err.to_string().contains("header says"),
+                "threads={threads}: {err}"
+            );
+        }
     }
 }
