@@ -378,6 +378,9 @@ impl PartialIndex {
     /// The caller must absorb partials in chunk order: every record in
     /// `later` is taken to follow every record already folded into
     /// `self`, so the per-file access lists concatenate in trace order.
+    /// A list both hold grows to exactly its merged length, so the
+    /// merge leaves no slack — and is meant for a few large partials
+    /// (one per worker), not many small ones.
     pub fn absorb(&mut self, later: PartialIndex) {
         self.summary.absorb(&later.summary);
         self.hourly.absorb(later.hourly);
@@ -388,7 +391,9 @@ impl PartialIndex {
         for (fh, list) in later_raw {
             match raw.entry(fh) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
-                    Arc::make_mut(e.get_mut()).extend(list.iter().copied());
+                    let merged = Arc::make_mut(e.get_mut());
+                    merged.reserve_exact(list.len());
+                    merged.extend(list.iter().copied());
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(list);

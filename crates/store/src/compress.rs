@@ -142,18 +142,6 @@ pub fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Makes `buf` exactly `len` bytes long for a caller that overwrites
-/// every byte. Within its capacity it is resized in place; past it, a
-/// fresh zeroed buffer of at least twice the capacity replaces it, so
-/// the old bytes are not copied and the allocator may hand out pages
-/// already zero instead of writing zeros over them.
-pub(crate) fn resize_to_overwrite(buf: &mut Vec<u8>, len: usize) {
-    if buf.capacity() < len {
-        *buf = vec![0; len.max(2 * buf.capacity())];
-    }
-    buf.resize(len, 0);
-}
-
 /// Decompresses a [`compress`] stream into `out`, which ends up exactly
 /// `raw_len` bytes long.
 ///
@@ -181,7 +169,7 @@ pub(crate) fn resize_to_overwrite(buf: &mut Vec<u8>, len: usize) {
 pub fn decompress_into(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
     /// Width of the fixed-size move (most matches fit in one).
     const BLOCK: usize = 16;
-    resize_to_overwrite(out, raw_len);
+    out.resize(raw_len, 0);
     let out = &mut out[..];
     // Bytes of `out` produced so far, and bytes of `input` consumed.
     let mut at = 0usize;

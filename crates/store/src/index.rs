@@ -149,13 +149,6 @@ impl<'a, R: Borrow<StoreReader>> Plan<'a, R> {
         }
     }
 
-    /// The stored length of planned chunk `i`, as its footer entry
-    /// gives it (checked at open to lie within the file).
-    fn stored_len(&self, i: usize) -> u64 {
-        let (reader, ci) = self.chunk(i);
-        reader.chunks()[ci].len
-    }
-
     /// The reader of planned chunk `i`, and the chunk's ordinal in it.
     fn chunk(&self, i: usize) -> (&StoreReader, usize) {
         let (ri, ci) = self.chunks[i];
@@ -215,13 +208,15 @@ impl<'a, R: Borrow<StoreReader>> Plan<'a, R> {
 ///
 /// The admitted chunks of the [`Plan`] are walked by
 /// [`parallel::run_sharded_with`] on `threads` workers (one job runs
-/// inline), each worker through one chunk buffer of its own, building
+/// inline), each worker through one chunk buffer of its own, pushing
 /// the matches of its contiguous run of chunks into one vector. Once
-/// the first chunk of its run is walked, a worker sizes that vector for
-/// the whole run as if every chunk matched as often, so a file spread
-/// evenly over many chunks grows it once.
-/// Then — in chunk order — false positives are counted and the first
-/// failure is returned; otherwise the first worker's vector, sized to
+/// the first chunk of its run is walked, a worker reserves room for as
+/// many matches in each later chunk of the run, but never for more than
+/// four times the matches it has: a run of up to five chunks that match
+/// alike is sized once, and a file dense in the first chunk and sparse
+/// after reserves at most four times what it found. Then — in chunk
+/// order — false positives are counted and the first failure is
+/// returned; otherwise the first worker's vector, sized to
 /// the total and the later ones appended, is the answer.
 pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
     readers: &[R],
@@ -238,13 +233,8 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
         |(run, buf, matches): &mut (Range<usize>, ChunkBuf, Vec<TraceRecord>), i| {
             let held = plan.walk(i, buf, |r, names| matches.push(r.materialize(names)));
             if i == run.start && run.len() > 1 {
-                // As many matches in each later chunk as in this one, but
-                // no more records than the rest of the run has stored
-                // bytes: what a later chunk holds is checked only when it
-                // is opened, and the stored bytes lie within the file.
-                let stored: u64 = (i + 1..run.end).map(|j| plan.stored_len(j)).sum();
-                let more = matches.len().saturating_mul(run.len() - 1);
-                matches.reserve_exact(more.min(usize::try_from(stored).unwrap_or(usize::MAX)));
+                let alike = matches.len().saturating_mul(run.len() - 1);
+                matches.reserve_exact(alike.min(4 * matches.len()));
             }
             held
         },
@@ -372,10 +362,8 @@ pub struct StoreIndex {
     readers: Vec<Arc<StoreReader>>,
     /// This view's time range: `[start, end)` for a time window; every
     /// record through the top of the clock, `u64::MAX` included, for a
-    /// view over all of its segments (`all`, and `end` is `u64::MAX`).
-    start: u64,
-    end: u64,
-    all: bool,
+    /// view over all of its segments (`Window::ALL`).
+    window: Window,
     base: IndexBase,
     caches: ProductCaches,
     /// Where this view's (and its windows') instruments live.
@@ -486,9 +474,7 @@ impl StoreIndex {
         }
         Ok(StoreIndex {
             readers,
-            start: 0,
-            end: u64::MAX,
-            all: true,
+            window: Window::ALL,
             base,
             caches: ProductCaches::with_registry(registry),
             registry: registry.clone(),
@@ -516,18 +502,11 @@ impl StoreIndex {
         let base = build_partial_index(&readers, window.start, window.end, threads)?.finish();
         Ok(StoreIndex {
             readers,
-            start: window.start,
-            end: window.end.unwrap_or(u64::MAX),
-            all: window.end.is_none(),
+            window,
             base,
             caches: ProductCaches::with_registry(registry),
             registry: registry.clone(),
         })
-    }
-
-    /// This view's time range.
-    fn window(&self) -> Window {
-        Window::new(self.start, (!self.all).then_some(self.end))
     }
 
     /// Records in this view; [`TraceView::len`].
@@ -592,14 +571,8 @@ impl StoreIndex {
     /// may already have been decoded by then, and counted in
     /// `store.chunks_decoded`.
     pub fn file_records(&self, fh: FileId) -> Result<Vec<TraceRecord>> {
-        let window = self.window();
-        file_records_in(
-            &self.readers,
-            fh,
-            window.start,
-            window.end,
-            parallel::threads(),
-        )
+        let Window { start, end } = self.window;
+        file_records_in(&self.readers, fh, start, end, parallel::threads())
     }
 }
 
@@ -612,14 +585,8 @@ impl RecordStream for StoreIndex {
     /// On chunk read/decode failure after a successful open — a store
     /// corrupted (or deleted) mid-analysis.
     fn for_each_record(&self, f: &mut dyn FnMut(&TraceRecord)) {
-        let window = self.window();
-        stream_records_with_threads(
-            &self.readers,
-            window.start,
-            window.end,
-            parallel::threads(),
-            f,
-        );
+        let Window { start, end } = self.window;
+        stream_records_with_threads(&self.readers, start, end, parallel::threads(), f);
     }
 }
 
@@ -637,8 +604,10 @@ impl TraceView for StoreIndex {
     /// On chunk read/decode failure (see
     /// [`RecordStream::for_each_record`] on this type).
     fn time_window(&self, start_micros: u64, end_micros: u64) -> StoreIndex {
-        let start = start_micros.max(self.start);
-        let end = end_micros.min(self.end).max(start);
+        let start = start_micros.max(self.window.start);
+        let end = end_micros
+            .min(self.window.end.unwrap_or(u64::MAX))
+            .max(start);
         Self::build_with_threads(
             self.readers.clone(),
             Window::new(start, end),
@@ -715,7 +684,7 @@ mod tests {
             let fh = records.get(pick).map_or(FileId(99), |r| r.fh);
             let scan: Vec<TraceRecord> = records
                 .iter()
-                .filter(|r| r.fh == fh && r.micros >= view.start && r.micros < view.end)
+                .filter(|r| r.fh == fh && view.window.contains(r.micros))
                 .cloned()
                 .collect();
 
@@ -723,7 +692,7 @@ mod tests {
             let mut serial_moves = None;
             for threads in [1, 2, 3, 8] {
                 let before = counted();
-                let answer = file_records_in(&view.readers, fh, view.start, view.end, threads)
+                let answer = file_records_in(&view.readers, fh, view.window.start, view.window.end, threads)
                     .expect("query");
                 let after = counted();
                 let moves: [u64; 4] = std::array::from_fn(|i| after[i] - before[i]);

@@ -428,7 +428,7 @@ impl StoreReader {
                 "chunk {ordinal} is pending in its writer and has no stored bytes"
             )));
         }
-        compress::resize_to_overwrite(bytes, meta.len as usize);
+        bytes.resize(meta.len as usize, 0);
         self.file.read_exact_at(bytes, meta.offset)?;
         if fnv1a64(bytes) != meta.checksum {
             return Err(StoreError::Format(format!(

@@ -175,27 +175,31 @@ fn many_chunk_store(tag: &str, units: u64) -> (PathBuf, Vec<TraceRecord>, u64) {
             }
         })
         .collect();
+    let (path, raw, chunks) = write_store(tag, &records);
+    assert!(chunks >= 24 * units, "{chunks} chunks");
+    (path, records, raw)
+}
+
+/// Writes `records` as a compressed store of chunks of about a thousand
+/// records under a fresh path named after `tag`; returns the path, the
+/// raw payload bytes and the chunk count.
+fn write_store(tag: &str, records: &[TraceRecord]) -> (PathBuf, u64, u64) {
     let path = std::env::temp_dir().join(format!("nfstrace-{tag}-alloc-{}", std::process::id()));
     let registry = Registry::new();
     let config = StoreConfig {
         target_chunk_bytes: 16 << 10,
     };
     let mut w = StoreWriter::create_with_registry(&path, config, &registry).expect("create");
-    for r in &records {
+    for r in records {
         w.push(r).expect("push");
     }
     let summary = w.finish().expect("finish");
-    assert!(
-        summary.chunks as u64 >= 24 * units,
-        "{} chunks",
-        summary.chunks
-    );
     let raw = registry.counter("store.chunk_bytes_raw").value();
     assert!(
         summary.file_bytes < raw,
         "the chunks took the compressed form"
     );
-    (path, records, raw)
+    (path, raw, summary.chunks as u64)
 }
 
 fn remove(path: &Path) {
@@ -255,9 +259,18 @@ fn the_construction_pass_builds_no_records() {
     remove(&path);
 }
 
+/// What a point query may ask the allocator for, in answers. A worker
+/// finding `m0` records in the first chunk of its run and `m` in all
+/// asks for under `4 m0` while doubling through that chunk, at most
+/// `5 m0` for the reservation after it, and under `4 m` doubling past
+/// that; `m0 ≤ m`, so under nine times its share of the answer, and the
+/// answer once more when it is sized.
+const ANSWERS_ASKED: u64 = 10;
+
 /// A point query for a file in every chunk allocates its answer — one
-/// vector per worker, grown by doubling, then sized to the answer — and
-/// one chunk buffer per worker: nothing a chunk. A part vector per
+/// vector per worker, reserved once after the first chunk of its run
+/// and grown by doubling past that, then sized to the answer — and one
+/// chunk buffer per worker: nothing a chunk. A part vector per
 /// chunk adds at least one allocation a chunk, and fresh buffers per
 /// decode seven (stored bytes, payload, a name table of four).
 #[test]
@@ -281,7 +294,8 @@ fn a_point_query_over_every_chunk_allocates_its_answer_and_a_buffer_a_worker() {
 
     // A buffer: stored bytes, payload and a name table of four, each
     // grown once at most, and its worker's spawn. The answer: a vector
-    // per worker doubling up to its run, then sized once.
+    // per worker doubling through its first chunk, reserved once and
+    // doubling again up to its run, then sized once.
     let per_buffer = 16;
     let growth = 2 * u64::from(usize::BITS - answer.len().leading_zeros());
     assert!(
@@ -295,8 +309,52 @@ fn a_point_query_over_every_chunk_allocates_its_answer_and_a_buffer_a_worker() {
     let answer_bytes = (answer.len() * std::mem::size_of::<TraceRecord>()) as u64;
     let buffer_bytes = 2 * (stored + raw) / chunks;
     assert!(
-        bytes <= 3 * answer_bytes + (workers + 1) * buffer_bytes,
+        bytes <= ANSWERS_ASKED * answer_bytes + (workers + 1) * buffer_bytes,
         "{bytes} bytes for a {answer_bytes}-byte answer over {chunks} chunks of {stored} \
          stored + {raw} raw bytes at {workers} workers"
+    );
+}
+
+/// A point query for a file that fills the first chunks and appears
+/// once in each later one — a bulk copy, then a touch now and then —
+/// allocates about its answer, however many later chunks each worker's
+/// run holds: its vector grows with what it has found, not with a guess
+/// from the first chunk of the run at what the rest will hold.
+#[test]
+fn a_point_query_dense_in_its_first_chunk_allocates_about_its_answer() {
+    let _turn = take_turn();
+    const SKEWED: FileId = FileId(3_000);
+    const DENSE: u64 = 1_000;
+    let records: Vec<TraceRecord> = (0..2 * UNIT_RECORDS)
+        .map(|i| {
+            let fh = if i < DENSE || i % 250 == 125 {
+                SKEWED
+            } else {
+                FileId(i % FILES)
+            };
+            TraceRecord::new(i * 250, Op::Read, fh).with_range(i * 8192, 8192)
+        })
+        .collect();
+    let (path, raw, chunks) = write_store("skewed", &records);
+    assert!(chunks >= 48, "{chunks} chunks");
+    let reader = StoreReader::open(&path).expect("open");
+    let stored: u64 = reader.chunks().iter().map(|m| m.len).sum();
+    let workers = parallel::threads().min(reader.chunk_count()) as u64;
+    let (answer, _, bytes) = counted(|| reader.records_for_file(SKEWED));
+    let answer = answer.expect("query");
+    remove(&path);
+    let expected: Vec<TraceRecord> = records.iter().filter(|r| r.fh == SKEWED).cloned().collect();
+    assert_eq!(answer, expected);
+    assert_eq!(reader.chunks_decoded(), chunks, "every chunk is admitted");
+
+    // As in the query over every chunk: the answer's growth and its
+    // final size, and a buffer per worker. Reserving, after the first
+    // chunk, as many matches for each later chunk of the run with no
+    // cap asks for about 24 answers at two workers and 43 at one.
+    let answer_bytes = (answer.len() * std::mem::size_of::<TraceRecord>()) as u64;
+    let buffer_bytes = 2 * (stored + raw) / chunks;
+    assert!(
+        bytes <= ANSWERS_ASKED * answer_bytes + (workers + 1) * buffer_bytes,
+        "{bytes} bytes for a {answer_bytes}-byte answer over {chunks} chunks at {workers} workers"
     );
 }
