@@ -403,19 +403,6 @@ impl PartialIndex {
         self.len += later.len;
     }
 
-    /// Merges per-chunk partials — ordered by chunk ordinal — into the
-    /// finished construction products. `parts` absorbed front to back.
-    pub fn merge_ordered<I>(parts: I) -> IndexBase
-    where
-        I: IntoIterator<Item = PartialIndex>,
-    {
-        let mut acc = PartialIndex::new();
-        for p in parts {
-            acc.absorb(p);
-        }
-        acc.finish()
-    }
-
     /// The finished products *as of now*, without ending accumulation:
     /// clones the running state and finishes the clone. This is how a
     /// live view materializes "everything ingested so far" while the
@@ -744,21 +731,20 @@ impl TraceIndex {
     }
 
     /// The construction pass over one record range: one loop (per
-    /// shard) feeds the summary counters, the hourly buckets, and the
-    /// per-file access lists simultaneously.
+    /// run of [`crate::parallel::run_len`] records) feeds the summary
+    /// counters, the hourly buckets, and the per-file access lists
+    /// simultaneously; the runs' partials are absorbed in run order.
     fn build(records: Arc<Vec<TraceRecord>>, lo: usize, hi: usize, threads: usize) -> Self {
         let view = &records[lo..hi];
-        let threads = threads.clamp(1, crate::parallel::MAX_THREADS);
-        let base = if threads == 1 || view.len() < 2 {
-            PartialIndex::from_records(view).finish()
-        } else {
-            let chunk = view.len().div_ceil(threads);
-            let shards: Vec<&[TraceRecord]> = view.chunks(chunk).collect();
-            let parts = crate::parallel::run_sharded(shards.len(), threads, |i| {
-                PartialIndex::from_records(shards[i])
-            });
-            PartialIndex::merge_ordered(parts)
-        };
+        let run_len = crate::parallel::run_len(view.len(), threads);
+        let base = crate::parallel::fork_join(view.chunks(run_len), PartialIndex::from_records)
+            .into_iter()
+            .reduce(|mut acc, later| {
+                acc.absorb(later);
+                acc
+            })
+            .unwrap_or_default()
+            .finish();
         TraceIndex {
             records,
             lo,

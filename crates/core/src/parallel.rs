@@ -1,13 +1,17 @@
-//! Deterministic fork/join helpers shared by the analysis and workload
-//! layers.
+//! The one fork/join shared by the analysis, store and workload layers.
 //!
 //! Everything here is plain `std::thread` — the workspace builds
-//! offline, so no rayon. The contract every caller relies on is
-//! *determinism*: results are returned in item order, so the output of a
-//! sharded computation is byte-identical no matter how many worker
-//! threads ran it (including one). The worker count comes from the
-//! `NFSTRACE_THREADS` environment variable and defaults to the machine's
-//! available parallelism.
+//! offline, so no rayon. Every chunk-parallel pass splits its `n` items
+//! one way, into contiguous runs of [`run_len`] items ([`runs`]), and
+//! runs the runs one way, with [`fork_join`]: one job a run, results
+//! back in run order. A job's buffers are plain locals that drop when
+//! the job ends, and because results come back in order, the output of
+//! a pass is byte-identical no matter how many workers ran it
+//! (including one). The worker count comes from the `NFSTRACE_THREADS`
+//! environment variable and defaults to the machine's available
+//! parallelism.
+
+use std::ops::Range;
 
 /// Upper bound on the worker count; beyond this the per-thread shards of
 /// any realistic trace are too small to matter.
@@ -27,13 +31,85 @@ pub fn threads() -> usize {
         .clamp(1, MAX_THREADS)
 }
 
-/// Computes `f(0), f(1), .., f(n-1)` across at most `threads` scoped
-/// worker threads and returns the results **in item order**.
+/// The split rule: how many of `n` items one of `threads` workers
+/// takes, ⌈n / min(threads, n)⌉ with `threads` clamped to
+/// `1..=`[`MAX_THREADS`] — never 0, so `slice.chunks(run_len(..))`
+/// holds for an empty slice too.
+pub fn run_len(n: usize, threads: usize) -> usize {
+    n.div_ceil(threads.clamp(1, MAX_THREADS).min(n).max(1))
+        .max(1)
+}
+
+/// `0..n` split by [`run_len`] into at most `threads` contiguous runs,
+/// in order; no run for `n == 0`.
 ///
-/// Items are split into contiguous chunks, one per worker, so item `i`
-/// always lands in the same shard for a given `(n, threads)` — but the
-/// output is independent of even that, because each result is written to
-/// its own slot. The stateless call of [`run_sharded_with`].
+/// # Examples
+///
+/// ```
+/// use nfstrace_core::parallel::runs;
+///
+/// assert_eq!(runs(5, 2).collect::<Vec<_>>(), vec![0..3, 3..5]);
+/// assert_eq!(runs(5, 1).collect::<Vec<_>>(), vec![0..5]);
+/// assert_eq!(runs(0, 4).count(), 0);
+/// ```
+pub fn runs(n: usize, threads: usize) -> impl Iterator<Item = Range<usize>> {
+    let len = run_len(n, threads);
+    (0..n)
+        .step_by(len)
+        .map(move |start| start..n.min(start + len))
+}
+
+/// Runs `f` on every job and returns the results **in job order**.
+///
+/// The first job runs on the caller's thread and each other on a scoped
+/// thread of its own, so one job spawns nothing. A panicking job panics
+/// the caller with its own payload (the first job's, else the first
+/// spawned one's in job order) once every job has ended.
+///
+/// # Examples
+///
+/// ```
+/// use nfstrace_core::parallel::{fork_join, runs};
+///
+/// // One job a run: each sums its contiguous run of items.
+/// let sums = fork_join(runs(5, 2), |run| run.sum::<usize>());
+/// assert_eq!(sums, vec![3, 7]);
+/// let mut counters = vec![0u64; 5];
+/// fork_join(counters.chunks_mut(2), |run| run.iter_mut().for_each(|c| *c += 1));
+/// assert_eq!(counters, vec![1; 5]);
+/// ```
+pub fn fork_join<J, T, F>(jobs: impl IntoIterator<Item = J>, f: F) -> Vec<T>
+where
+    J: Send,
+    T: Send,
+    F: Fn(J) -> T + Sync,
+{
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else {
+        return Vec::new();
+    };
+    let Some(second) = jobs.next() else {
+        return vec![f(first)];
+    };
+    std::thread::scope(|scope| {
+        let f = &f;
+        let others: Vec<_> = std::iter::once(second)
+            .chain(jobs)
+            .map(|job| scope.spawn(move || f(job)))
+            .collect();
+        let mut out = Vec::with_capacity(others.len() + 1);
+        out.push(f(first));
+        out.extend(others.into_iter().map(|other| {
+            other
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }));
+        out
+    })
+}
+
+/// Computes `f(0), f(1), .., f(n-1)` with [`fork_join`], one job a run
+/// of [`runs`]`(n, threads)`, and returns the results in item order.
 ///
 /// # Examples
 ///
@@ -50,132 +126,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_sharded_with(n, threads, |_| (), |(), i| f(i)).1
-}
-
-/// [`run_sharded`] with state carried through each worker's run: every
-/// worker makes one `S` with `init` from its contiguous run of items and
-/// hands it to `f` for each item of the run, in item order. Returns
-/// every worker's final state in run order, then the results in item
-/// order.
-///
-/// For work that needs a buffer per item but not a fresh one: each
-/// worker refills its own, so a pass allocates per worker, not per item.
-/// One worker (`threads` ≤ 1, or `n` ≤ 1) runs on the caller's thread
-/// and returns one state; `n == 0` returns none.
-///
-/// # Examples
-///
-/// ```
-/// use nfstrace_core::parallel::run_sharded_with;
-///
-/// // Each worker gathers its run of items into one vector of its own.
-/// let (runs, lens) = run_sharded_with(5, 2, |run| Vec::with_capacity(run.len()), |v, i| {
-///     v.push(i);
-///     v.len()
-/// });
-/// assert_eq!(runs, vec![vec![0, 1, 2], vec![3, 4]]);
-/// assert_eq!(lens, vec![1, 2, 3, 1, 2]);
-/// let (one, _) = run_sharded_with(5, 1, |_| Vec::new(), |v, i| v.push(i));
-/// assert_eq!(one, vec![vec![0, 1, 2, 3, 4]]);
-/// ```
-pub fn run_sharded_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> (Vec<S>, Vec<T>)
-where
-    S: Send,
-    T: Send,
-    I: Fn(std::ops::Range<usize>) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    if n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        let mut state = init(0..n);
-        let out = (0..n).map(|i| f(&mut state, i)).collect();
-        return (vec![state], out);
-    }
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    let mut states: Vec<Option<S>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((ci, shard), state) in slots.chunks_mut(chunk).enumerate().zip(&mut states) {
-            let (init, f) = (&init, &f);
-            scope.spawn(move || {
-                let mut s = init(ci * chunk..ci * chunk + shard.len());
-                for (j, slot) in shard.iter_mut().enumerate() {
-                    *slot = Some(f(&mut s, ci * chunk + j));
-                }
-                *state = Some(s);
-            });
-        }
-    });
-    (
-        states.into_iter().map(filled).collect(),
-        slots.into_iter().map(filled).collect(),
-    )
-}
-
-/// A shard's slot once its worker has run.
-fn filled<X>(slot: Option<X>) -> X {
-    slot.expect("every shard slot is filled")
-}
-
-/// Applies `f` to every item of `items` — with mutable access — across
-/// at most `threads` scoped worker threads, returning the results **in
-/// item order**.
-///
-/// The mutable sibling of [`run_sharded`], for computations that
-/// *advance* per-item state instead of producing it from scratch (the
-/// time-sliced workload generator steps every user's resident
-/// simulation forward one slice at a time). Items split into contiguous
-/// chunks exactly like [`run_sharded`], and the output is independent
-/// of the worker count.
-///
-/// # Examples
-///
-/// ```
-/// use nfstrace_core::parallel::run_sharded_mut;
-///
-/// let mut counters = vec![0u64; 5];
-/// let doubled = run_sharded_mut(&mut counters, 3, |i, c| {
-///     *c += i as u64;
-///     *c * 2
-/// });
-/// assert_eq!(counters, vec![0, 1, 2, 3, 4]);
-/// assert_eq!(doubled, vec![0, 2, 4, 6, 8]);
-/// ```
-pub fn run_sharded_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for ((ci, shard), out) in items
-            .chunks_mut(chunk)
-            .enumerate()
-            .zip(slots.chunks_mut(chunk))
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for (j, (item, slot)) in shard.iter_mut().zip(out.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, item));
-                }
-            });
-        }
-    });
-    slots.into_iter().map(filled).collect()
+    let per_run = fork_join(runs(n, threads), |run| run.map(&f).collect::<Vec<_>>());
+    per_run.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -197,53 +149,57 @@ mod tests {
     }
 
     #[test]
-    fn state_runs_are_contiguous_for_any_thread_count() {
-        for t in [1, 2, 3, 8, 64] {
-            let (runs, out) = run_sharded_with(
-                37,
-                t,
-                |run| (run, Vec::new()),
-                |(_, v), i| {
-                    v.push(i);
-                    i * 3 + 1
-                },
-            );
-            assert_eq!(
-                out,
-                (0..37).map(|i| i * 3 + 1).collect::<Vec<_>>(),
-                "threads={t}"
-            );
-            assert!(!runs.is_empty() && runs.len() <= t, "threads={t}");
-            for (run, items) in &runs {
-                assert_eq!(run.clone().collect::<Vec<_>>(), *items, "threads={t}");
-            }
-            let items: Vec<usize> = runs.into_iter().flat_map(|(_, v)| v).collect();
-            assert_eq!(items, (0..37).collect::<Vec<_>>(), "threads={t}");
-        }
-        let (none, out) = run_sharded_with(0, 4, |_| 1, |_, i| i);
-        assert!(none.is_empty() && out.is_empty());
-    }
-
-    #[test]
     fn threads_is_clamped() {
         let t = threads();
         assert!((1..=MAX_THREADS).contains(&t));
     }
 
     #[test]
-    fn mut_variant_mutates_and_orders_for_any_thread_count() {
-        let expect_items: Vec<u64> = (0..23).map(|i| i * 7).collect();
-        let expect_results: Vec<u64> = (0..23).map(|i| i * 7 + 1).collect();
-        for t in [1, 2, 5, 64] {
-            let mut items = vec![0u64; 23];
-            let results = run_sharded_mut(&mut items, t, |i, v| {
-                *v = i as u64 * 7;
-                *v + 1
-            });
-            assert_eq!(items, expect_items, "threads={t}");
-            assert_eq!(results, expect_results, "threads={t}");
+    fn runs_cover_the_items_contiguously_for_any_thread_count() {
+        for n in [0, 1, 5, 37, 64, 65] {
+            for t in [1, 2, 3, 8, 64] {
+                let split: Vec<Range<usize>> = runs(n, t).collect();
+                assert!(split.len() <= t, "n={n} threads={t}");
+                assert!(split.iter().all(|r| !r.is_empty()), "n={n} threads={t}");
+                let items: Vec<usize> = split.into_iter().flatten().collect();
+                assert_eq!(items, (0..n).collect::<Vec<_>>(), "n={n} threads={t}");
+            }
         }
-        let mut empty: Vec<u64> = Vec::new();
-        assert_eq!(run_sharded_mut(&mut empty, 4, |_, _| 0), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn fork_join_keeps_job_order_and_returns_nothing_for_no_jobs() {
+        let out = fork_join((0..9).map(|i| i * 7), |j| j + 1);
+        assert_eq!(out, (0..9).map(|i| i * 7 + 1).collect::<Vec<_>>());
+        assert_eq!(fork_join(Vec::<u8>::new(), |j| j), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn the_first_job_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let one = fork_join([()], |()| std::thread::current().id());
+        assert_eq!(one, vec![caller]);
+        let three = fork_join([(); 3], |()| std::thread::current().id());
+        assert_eq!(three[0], caller);
+        assert!(three[1..].iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller_with_its_own_message() {
+        for failing in 0..3 {
+            let payload = std::panic::catch_unwind(|| {
+                fork_join(0..3, |j| {
+                    if j == failing {
+                        panic!("job {j} failed");
+                    }
+                    j
+                })
+            })
+            .expect_err("a job panicked");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(*message, format!("job {failing} failed"));
+        }
     }
 }

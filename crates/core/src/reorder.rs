@@ -127,13 +127,16 @@ fn swap_fraction_sweep_with_threads(
 ) -> Vec<SwapPoint> {
     let lists: Vec<&AccessList> = per_file.values().collect();
     let total: u64 = lists.iter().map(|v| v.len() as u64).sum();
-    let shards = threads.clamp(1, lists.len().max(1));
-    let chunk = lists.len().div_ceil(shards).max(1);
-    // Each shard returns one swap count per window over its files.
-    let partials = crate::parallel::run_sharded(shards, shards, |ci| {
+    // The scratch holds the longest list from the start: which lists a
+    // run gets, and in which order, follows the map's per-process hash
+    // seed, so growing to fit would allocate differently run to run.
+    let longest = lists.iter().map(|v| v.len()).max().unwrap_or(0);
+    let run_len = crate::parallel::run_len(lists.len(), threads);
+    // Each run returns one swap count per window over its files.
+    let partials = crate::parallel::fork_join(lists.chunks(run_len), |run| {
         let mut counts = vec![0u64; windows_ms.len()];
-        let mut scratch: Vec<Access> = Vec::new();
-        for list in &lists[(ci * chunk).min(lists.len())..((ci + 1) * chunk).min(lists.len())] {
+        let mut scratch: Vec<Access> = Vec::with_capacity(longest);
+        for list in run {
             for (wi, &w) in windows_ms.iter().enumerate() {
                 if w == 0 {
                     continue; // a zero window swaps nothing

@@ -94,8 +94,12 @@ impl ShardedLiveIngest {
         for r in records {
             routed[shard_for_client(r.client, n)].1.push(r);
         }
-        parallel::run_sharded_mut(&mut routed, parallel::threads(), |_, (shard, records)| {
-            records.iter().try_for_each(|r| shard.ingest(r))
+        let run_len = parallel::run_len(n, parallel::threads());
+        // Every shard of a run ingests; a run reports its first error.
+        parallel::fork_join(routed.chunks_mut(run_len), |run| {
+            run.iter_mut()
+                .map(|(shard, records)| records.iter().try_for_each(|r| shard.ingest(r)))
+                .fold(Ok(()), Result::and)
         })
         .into_iter()
         .collect()

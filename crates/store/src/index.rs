@@ -11,7 +11,6 @@ use nfstrace_core::parallel;
 use nfstrace_core::record::{FileId, TraceRecord};
 use nfstrace_telemetry::Registry;
 use std::borrow::Borrow;
-use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -206,18 +205,18 @@ impl<'a, R: Borrow<StoreReader>> Plan<'a, R> {
 /// `start` until `end` — `[start, end)`, or through the top of the
 /// clock when `end` is `None` — across `readers`, in time order.
 ///
-/// The admitted chunks of the [`Plan`] are walked by
-/// [`parallel::run_sharded_with`] on `threads` workers (one job runs
-/// inline), each worker through one chunk buffer of its own, pushing
-/// the matches of its contiguous run of chunks into one vector. Once
-/// the first chunk of its run is walked, a worker reserves room for as
+/// The admitted chunks of the [`Plan`] split into [`parallel::runs`]
+/// of `threads`, one [`parallel::fork_join`] job a run. A job walks its
+/// contiguous run of chunks through one chunk buffer of its own, up to
+/// its first failing chunk, pushing the matches into one vector. Once
+/// the first chunk of its run is walked, a job reserves room for as
 /// many matches in each later chunk of the run, but never for more than
 /// four times the matches it has: a run of up to five chunks that match
 /// alike is sized once, and a file dense in the first chunk and sparse
 /// after reserves at most four times what it found. Then — in chunk
 /// order — false positives are counted and the first failure is
-/// returned; otherwise the first worker's vector, sized to
-/// the total and the later ones appended, is the answer.
+/// returned; otherwise the first job's vector, sized to the total and
+/// the later ones appended, is the answer.
 pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
     readers: &[R],
     fh: FileId,
@@ -226,39 +225,42 @@ pub(crate) fn file_records_in<R: Borrow<StoreReader> + Sync>(
     threads: usize,
 ) -> Result<Vec<TraceRecord>> {
     let plan = Plan::new(readers, Window::new(start, end), Some(fh));
-    let (runs, held) = parallel::run_sharded_with(
-        plan.chunks.len(),
-        threads,
-        |run| (run, ChunkBuf::default(), Vec::new()),
-        |(run, buf, matches): &mut (Range<usize>, ChunkBuf, Vec<TraceRecord>), i| {
-            let held = plan.walk(i, buf, |r, names| matches.push(r.materialize(names)));
+    let walked = parallel::fork_join(parallel::runs(plan.chunks.len(), threads), |run| {
+        let mut buf = ChunkBuf::default();
+        let mut matches = Vec::new();
+        // The chunks that held no record of `fh`: a decode the filter
+        // made us pay for.
+        let mut misses = Vec::new();
+        for i in run.clone() {
+            match plan.walk(i, &mut buf, |r, names| matches.push(r.materialize(names))) {
+                Ok(true) => {}
+                Ok(false) => misses.push(i),
+                Err(e) => return (matches, misses, Err(e)),
+            }
             if i == run.start && run.len() > 1 {
                 let alike = matches.len().saturating_mul(run.len() - 1);
                 matches.reserve_exact(alike.min(4 * matches.len()));
             }
-            held
-        },
-    );
-    // Up to the first failure: the chunks that held no record of `fh`,
-    // a decode the filter made us pay for.
-    for (held, &(ri, _)) in held.iter().zip(&plan.chunks) {
-        match held {
-            Ok(true) => {}
-            Ok(false) => readers[ri].borrow().metrics.filter_false_positives.inc(),
-            Err(_) => break,
+        }
+        (matches, misses, Ok(()))
+    });
+    let total = walked
+        .iter()
+        .map(|(matches, ..)| matches.len())
+        .sum::<usize>();
+    let mut answer = Vec::new();
+    for (k, (matches, misses, outcome)) in walked.into_iter().enumerate() {
+        for i in misses {
+            plan.chunk(i).0.metrics.filter_false_positives.inc();
+        }
+        outcome?;
+        if k == 0 {
+            answer = matches;
+            answer.reserve_exact(total - answer.len());
+        } else {
+            answer.extend(matches);
         }
     }
-    if let Some(e) = held.into_iter().find_map(Result::err) {
-        return Err(e);
-    }
-    let total = runs
-        .iter()
-        .map(|(_, _, matches)| matches.len())
-        .sum::<usize>();
-    let mut runs = runs.into_iter().map(|(_, _, matches)| matches);
-    let mut answer = runs.next().unwrap_or_default();
-    answer.reserve_exact(total - answer.len());
-    runs.for_each(|run| answer.extend(run));
     answer.shrink_to_fit();
     Ok(answer)
 }
@@ -285,12 +287,12 @@ fn check_segment_order(readers: &[Arc<StoreReader>]) -> Result<()> {
 /// until `end` — `[start, end)`, or through the top of the clock, a
 /// record stamped `u64::MAX` included, when `end` is `None`.
 ///
-/// The chunks the window's plan admits are walked on `threads` workers
-/// ([`parallel::run_sharded_with`]). Each worker walks its contiguous
-/// run of chunks through one chunk buffer of its own, fills every
-/// in-window record into one reused [`TraceRecord`] and folds it into a
-/// partial of its own; the partials are absorbed in worker order — so
-/// the result equals observing the same records one by one, at any
+/// The chunks the window's plan admits split into [`parallel::runs`] of
+/// `threads`, one [`parallel::fork_join`] job a run. Each job walks its
+/// contiguous run of chunks through one chunk buffer of its own, fills
+/// every in-window record into one reused [`TraceRecord`] and folds it
+/// into a partial of its own; the partials are absorbed in run order —
+/// so the result equals observing the same records one by one, at any
 /// worker count, and the pass allocates no record at all. This is the
 /// one pass that indexes stored chunks: [`StoreIndex`] and its windows
 /// finish it — a live ingest's views' windows too, over segments whose
@@ -307,21 +309,21 @@ pub fn build_partial_index(
     threads: usize,
 ) -> Result<PartialIndex> {
     let plan = Plan::new(readers, Window::new(start, end), None);
-    let (partials, walked) = parallel::run_sharded_with(
-        plan.chunks.len(),
-        threads,
-        |_| (ChunkBuf::default(), RecordSlot::new(), PartialIndex::new()),
-        |(buf, slot, partial): &mut (ChunkBuf, RecordSlot, PartialIndex), i| {
-            plan.walk(i, buf, |r, names| partial.observe(slot.fill(r, names)))
-        },
-    );
-    if let Some(e) = walked.into_iter().find_map(Result::err) {
-        return Err(e);
-    }
-    let mut partials = partials.into_iter().map(|(_, _, partial)| partial);
-    let mut acc = partials.next().unwrap_or_default();
-    partials.for_each(|later| acc.absorb(later));
-    Ok(acc)
+    parallel::fork_join(parallel::runs(plan.chunks.len(), threads), |run| {
+        let (mut buf, mut slot, mut partial) =
+            (ChunkBuf::default(), RecordSlot::new(), PartialIndex::new());
+        for i in run {
+            plan.walk(i, &mut buf, |r, names| partial.observe(slot.fill(r, names)))?;
+        }
+        Ok(partial)
+    })
+    .into_iter()
+    .reduce(|acc, later| {
+        let mut acc = acc?;
+        acc.absorb(later?);
+        Ok(acc)
+    })
+    .unwrap_or_else(|| Ok(PartialIndex::new()))
 }
 
 /// A [`TraceView`] whose records live in store segments — one store

@@ -29,8 +29,8 @@
 //! - [`StoreIndex`] — implements
 //!   [`nfstrace_core::index::TraceView`], the same analysis surface as
 //!   the in-memory `TraceIndex`: chunk-parallel partial-index builds
-//!   (a contiguous run of chunks per `NFSTRACE_THREADS` worker, via
-//!   [`nfstrace_core::parallel::run_sharded_with`]) merged in chunk
+//!   (a contiguous run of chunks per `NFSTRACE_THREADS` worker, one
+//!   [`nfstrace_core::parallel::fork_join`] job a run) merged in chunk
 //!   order, bit-identical to indexing the concatenated records. An index can
 //!   span one file or an ordered **segment directory**
 //!   ([`StoreIndex::open_dir`]; naming and the reopen-and-append

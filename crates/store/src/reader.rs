@@ -25,9 +25,9 @@ use std::path::Path;
 /// handle it opened and reads every chunk through it with a positioned
 /// read, which moves no shared cursor: every read takes `&self`, so
 /// chunk decodes can run on any number of threads concurrently —
-/// [`nfstrace_core::parallel::run_sharded_with`] drives the
-/// chunk-parallel index builds and point queries in `crate::index`,
-/// one chunk buffer per worker. Every read that decodes a chunk goes
+/// [`nfstrace_core::parallel::fork_join`] runs the chunk-parallel
+/// index builds and point queries in `crate::index`, one chunk buffer
+/// per job. Every read that decodes a chunk goes
 /// through one walker, which refills its caller's chunk buffer, then
 /// parses and checks every record and hands each to its caller.
 /// The handle also keeps the file's bytes readable after the file is

@@ -121,7 +121,11 @@ proptest! {
         let parts = nfstrace_core::parallel::run_sharded(chunks.len(), threads, |i| {
             PartialIndex::from_records(chunks[i])
         });
-        let merged = PartialIndex::merge_ordered(parts);
+        let mut merged = PartialIndex::new();
+        for part in parts {
+            merged.absorb(part);
+        }
+        let merged = merged.finish();
 
         prop_assert_eq!(&merged.summary, whole.summary());
         prop_assert_eq!(&merged.hourly, whole.hourly());

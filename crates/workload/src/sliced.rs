@@ -181,7 +181,7 @@ impl SlicedWorkload {
         // before the duration cap can legally emit a short tail beyond
         // it, and the trace keeps that tail too). The sort is stable,
         // so equal timestamps keep their emission order.
-        let ready = parallel::run_sharded_mut(&mut self.slots, self.threads, |_, slot| {
+        let advance = |slot: &mut UserSlot| {
             slot.sim.advance_until(boundary, &mut slot.carry);
             slot.carry.sort_by_key(|r| r.micros);
             debug_assert!(
@@ -195,7 +195,15 @@ impl SlicedWorkload {
                 .carry
                 .split_off(slot.carry.partition_point(|r| r.micros < boundary));
             std::mem::replace(&mut slot.carry, rest)
-        });
+        };
+        let run_len = parallel::run_len(self.slots.len(), self.threads);
+        let ready: Vec<Vec<TraceRecord>> =
+            parallel::fork_join(self.slots.chunks_mut(run_len), |run| {
+                run.iter_mut().map(&advance).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         let resident: usize = ready.iter().map(Vec::len).sum::<usize>()
             + self.slots.iter().map(|s| s.carry.len()).sum::<usize>();
         self.peak_resident_records = self.peak_resident_records.max(resident);
