@@ -113,7 +113,7 @@ impl IdTable {
 /// Stored like [`IdTable`], with the prefix derived too and the
 /// generator re-seeded with `seed ^ (len << 17)`.
 #[derive(Debug)]
-pub struct StringTable {
+pub(crate) struct StringTable {
     seed: u64,
     prefix: String,
     assigned: HashMap<String, String>,
@@ -146,16 +146,6 @@ impl StringTable {
         self.assigned.insert(s.to_string(), token.clone());
         self.used.insert(token.clone());
         token
-    }
-
-    /// Number of assignments made.
-    pub fn len(&self) -> usize {
-        self.assigned.len()
-    }
-
-    /// Whether no assignment has been made.
-    pub fn is_empty(&self) -> bool {
-        self.assigned.is_empty()
     }
 
     /// Appends the assigned pairs, sorted by string.
@@ -236,7 +226,7 @@ mod tests {
         assert_eq!(t.map("inbox-stem"), a);
         assert!(a.starts_with('n'));
         assert_ne!(t.map("other"), a);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.assigned.len(), 2);
     }
 
     #[test]

@@ -22,9 +22,9 @@ use nfstrace_workload::{
 use std::path::Path;
 
 /// Base CAMPUS population at scale 1.0.
-pub const CAMPUS_BASE_USERS: usize = 40;
+pub(crate) const CAMPUS_BASE_USERS: usize = 40;
 /// Base EECS population at scale 1.0.
-pub const EECS_BASE_USERS: usize = 24;
+pub(crate) const EECS_BASE_USERS: usize = 24;
 
 /// The canonical analysis week: Sunday through Saturday (the paper used
 /// 10/21–10/27/2001), expressed in simulation days.

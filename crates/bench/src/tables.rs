@@ -21,9 +21,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The paper's reorder windows: 5 ms for EECS, 10 ms for CAMPUS (§4.2).
-pub const WINDOW_CAMPUS_MS: u64 = 10;
+pub(crate) const WINDOW_CAMPUS_MS: u64 = 10;
 /// See [`WINDOW_CAMPUS_MS`].
-pub const WINDOW_EECS_MS: u64 = 5;
+pub(crate) const WINDOW_EECS_MS: u64 = 5;
 
 /// The measurement interval [`hierarchy_coverage`] buckets by
 /// (30 minutes) — public so replay-fusing callers can pre-register the

@@ -82,7 +82,7 @@ impl ClientCache {
     }
 
     /// Whether the attribute entry for `file` is still fresh at `now`.
-    pub fn attrs_fresh(&self, file: u64, now: u64) -> bool {
+    pub(crate) fn attrs_fresh(&self, file: u64, now: u64) -> bool {
         self.attrs
             .get(&file)
             .is_some_and(|a| now.saturating_sub(a.fetched_at) < self.config.attr_timeout_micros)
@@ -97,7 +97,7 @@ impl ClientCache {
     /// mtime moved, the file's data cache is flushed (file-granularity
     /// invalidation — the CAMPUS inbox phenomenon). Returns `true` if
     /// data was invalidated.
-    pub fn update_attrs(&mut self, file: u64, size: u64, mtime: u64, now: u64) -> bool {
+    pub(crate) fn update_attrs(&mut self, file: u64, size: u64, mtime: u64, now: u64) -> bool {
         let invalidate = self
             .data
             .get(&file)
@@ -127,7 +127,7 @@ impl ClientCache {
     }
 
     /// Whether `block` of `file` is cached.
-    pub fn block_cached(&self, file: u64, block: u64) -> bool {
+    pub(crate) fn block_cached(&self, file: u64, block: u64) -> bool {
         self.data
             .get(&file)
             .is_some_and(|d| d.blocks.contains(&block))
@@ -135,7 +135,7 @@ impl ClientCache {
 
     /// Marks a block as cached, with the mtime it was read under.
     /// Evicts arbitrary blocks if over capacity.
-    pub fn insert_block(&mut self, file: u64, block: u64, mtime: u64) {
+    pub(crate) fn insert_block(&mut self, file: u64, block: u64, mtime: u64) {
         let entry = self.data.entry(file).or_default();
         if entry.mtime != mtime {
             // Blocks from an older version are stale.
@@ -154,7 +154,7 @@ impl ClientCache {
     /// Records the outcome of our *own* write: the expected mtime moves
     /// forward without invalidating cached blocks (the client knows its
     /// own modifications — close-to-open consistency).
-    pub fn note_own_write(&mut self, file: u64, size: u64, mtime: u64, now: u64) {
+    pub(crate) fn note_own_write(&mut self, file: u64, size: u64, mtime: u64, now: u64) {
         if let Some(d) = self.data.get_mut(&file) {
             d.mtime = mtime;
         }
@@ -169,7 +169,7 @@ impl ClientCache {
     }
 
     /// Drops a whole file from the cache (e.g. on remove).
-    pub fn forget(&mut self, file: u64) {
+    pub(crate) fn forget(&mut self, file: u64) {
         if let Some(d) = self.data.remove(&file) {
             self.cached_blocks -= d.blocks.len();
         }

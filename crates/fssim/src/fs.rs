@@ -27,7 +27,7 @@ pub enum FsError {
 
 impl FsError {
     /// The matching NFS status code.
-    pub fn to_nfsstat(self) -> NfsStat3 {
+    pub(crate) fn to_nfsstat(self) -> NfsStat3 {
         match self {
             FsError::NoEnt => NfsStat3::NoEnt,
             FsError::Exist => NfsStat3::Exist,

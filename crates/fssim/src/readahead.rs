@@ -13,14 +13,14 @@
 //!   small jump tolerance; prefetch stays enabled while the score is
 //!   high, so isolated reordered requests do not kill read-ahead.
 //!
-//! [`ReadServer`] replays a request stream against a [`DiskModel`] with
+//! `ReadServer` replays a request stream against a [`DiskModel`] with
 //! a prefetch cache and totals service time.
 
 use crate::disk::DiskModel;
 use std::collections::HashSet;
 
 /// Blocks a policy asks the server to prefetch beyond the request.
-pub const MAX_READAHEAD_BLOCKS: u64 = 8;
+pub(crate) const MAX_READAHEAD_BLOCKS: u64 = 8;
 
 /// A prefetch decision: how many blocks to read ahead after the request.
 pub trait ReadAheadPolicy {
@@ -120,7 +120,7 @@ impl ReadAheadPolicy for MetricReadAhead {
 
 /// Replays read requests against a disk with a prefetch cache.
 #[derive(Debug)]
-pub struct ReadServer {
+pub(crate) struct ReadServer {
     disk: DiskModel,
     cache: HashSet<u64>,
     /// Cache hits served without disk access.

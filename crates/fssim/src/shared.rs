@@ -29,7 +29,7 @@ impl SharedNfsServer {
     }
 
     /// Wraps an existing (possibly pre-populated) server.
-    pub fn from_server(server: NfsServer) -> Self {
+    pub(crate) fn from_server(server: NfsServer) -> Self {
         SharedNfsServer {
             inner: Arc::new(Mutex::new(server)),
         }

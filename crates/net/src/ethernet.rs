@@ -9,10 +9,6 @@ use std::fmt;
 
 /// Length of an Ethernet II header: two MACs plus the EtherType.
 pub const HEADER_LEN: usize = 14;
-/// Conventional MTU for standard Ethernet.
-pub const MTU_STANDARD: usize = 1500;
-/// MTU for the jumbo frames used on the CAMPUS gigabit network.
-pub const MTU_JUMBO: usize = 9000;
 
 /// A 48-bit IEEE MAC address.
 ///
@@ -30,16 +26,6 @@ impl MacAddr {
     /// Creates an address from its six octets.
     pub const fn new(octets: [u8; 6]) -> Self {
         Self(octets)
-    }
-
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const fn broadcast() -> Self {
-        Self([0xff; 6])
-    }
-
-    /// The raw octets.
-    pub const fn octets(&self) -> [u8; 6] {
-        self.0
     }
 }
 
@@ -65,7 +51,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// The 16-bit wire value.
-    pub fn as_u16(self) -> u16 {
+    pub(crate) fn as_u16(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::Other(v) => v,
@@ -73,7 +59,7 @@ impl EtherType {
     }
 
     /// Interprets a 16-bit wire value.
-    pub fn from_u16(v: u16) -> Self {
+    pub(crate) fn from_u16(v: u16) -> Self {
         match v {
             0x0800 => EtherType::Ipv4,
             other => EtherType::Other(other),
@@ -124,7 +110,12 @@ impl<'a> Frame<'a> {
     /// Appends the 14-byte header to `out`; the payload follows it. The
     /// one place the header layout is written — [`Frame::encode`] and
     /// [`crate::packet::PacketBuilder`] both build on it.
-    pub fn write_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut Vec<u8>) {
+    pub(crate) fn write_header(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        out: &mut Vec<u8>,
+    ) {
         out.extend_from_slice(&dst.0);
         out.extend_from_slice(&src.0);
         out.extend_from_slice(&ethertype.as_u16().to_be_bytes());
@@ -162,15 +153,16 @@ mod tests {
 
     #[test]
     fn jumbo_payload_roundtrips() {
-        let payload = vec![0xabu8; MTU_JUMBO];
+        // The 9000-byte jumbo frames of the CAMPUS gigabit network.
+        let payload = vec![0xabu8; 9000];
         let bytes = Frame::encode(
-            MacAddr::broadcast(),
+            MacAddr::new([0xff; 6]),
             MacAddr::default(),
             EtherType::Ipv4,
             &payload,
         );
         let f = Frame::parse(&bytes).unwrap();
-        assert_eq!(f.payload.len(), MTU_JUMBO);
+        assert_eq!(f.payload.len(), 9000);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Ipv4Addr4 {
     }
 
     /// The four dotted-quad octets.
-    pub const fn octets(&self) -> [u8; 4] {
+    pub(crate) const fn octets(&self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
 }
@@ -133,7 +133,7 @@ impl<'a> Ipv4Packet<'a> {
     /// follows it. The one place the header layout is written —
     /// [`Ipv4Packet::encode`] and [`crate::packet::PacketBuilder`] both
     /// build on it. Panics if the 16-bit total length cannot count it.
-    pub fn write_header(
+    pub(crate) fn write_header(
         src: Ipv4Addr4,
         dst: Ipv4Addr4,
         protocol: u8,
@@ -184,12 +184,12 @@ impl<'a> Ipv4Packet<'a> {
 
 /// Computes the checksum field value for a header whose checksum bytes
 /// are currently zero.
-pub fn header_checksum(header: &[u8]) -> u16 {
+pub(crate) fn header_checksum(header: &[u8]) -> u16 {
     internet_checksum(header)
 }
 
 /// The one's-complement Internet checksum over `data`.
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {

@@ -10,11 +10,11 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Little-endian, microsecond-timestamp magic.
-pub const MAGIC_USEC: u32 = 0xa1b2c3d4;
+pub(crate) const MAGIC_USEC: u32 = 0xa1b2c3d4;
 /// The same magic as read from an opposite-endian file.
-pub const MAGIC_USEC_SWAPPED: u32 = 0xd4c3b2a1;
+pub(crate) const MAGIC_USEC_SWAPPED: u32 = 0xd4c3b2a1;
 /// LINKTYPE_ETHERNET.
-pub const LINKTYPE_ETHERNET: u32 = 1;
+pub(crate) const LINKTYPE_ETHERNET: u32 = 1;
 
 /// Largest per-packet captured length a reader accepts from a file
 /// whose snap length is smaller (tcpdump's historical maximum).

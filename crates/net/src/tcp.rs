@@ -14,12 +14,6 @@ pub const MIN_HEADER_LEN: usize = 20;
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
-    /// FIN: sender is done sending.
-    pub const FIN: u8 = 0x01;
-    /// SYN: connection setup.
-    pub const SYN: u8 = 0x02;
-    /// RST: reset.
-    pub const RST: u8 = 0x04;
     /// PSH: push buffered data to the application.
     pub const PSH: u8 = 0x08;
     /// ACK: acknowledgment field is valid.
@@ -94,7 +88,7 @@ impl<'a> TcpSegment<'a> {
     /// payload follows it. The one place the header layout is written —
     /// [`TcpSegment::encode`] and [`crate::packet::PacketBuilder`] both
     /// build on it.
-    pub fn write_header(
+    pub(crate) fn write_header(
         src_port: u16,
         dst_port: u16,
         seq: u32,
@@ -150,7 +144,7 @@ mod tests {
         assert_eq!(s.ack, 2000);
         assert!(s.flags.contains(TcpFlags::ACK));
         assert!(s.flags.contains(TcpFlags::PSH));
-        assert!(!s.flags.contains(TcpFlags::SYN));
+        assert_eq!(s.flags, TcpFlags(TcpFlags::ACK | TcpFlags::PSH));
         assert_eq!(s.payload, b"stream data");
     }
 

@@ -61,7 +61,12 @@ impl<'a> UdpDatagram<'a> {
     /// the header layout is written — [`UdpDatagram::encode`] and
     /// [`crate::packet::PacketBuilder`] both build on it. Panics if the
     /// 16-bit length field cannot count the datagram.
-    pub fn write_header(src_port: u16, dst_port: u16, payload_len: usize, out: &mut Vec<u8>) {
+    pub(crate) fn write_header(
+        src_port: u16,
+        dst_port: u16,
+        payload_len: usize,
+        out: &mut Vec<u8>,
+    ) {
         let Ok(len) = u16::try_from(HEADER_LEN + payload_len) else {
             panic!("a {payload_len}-byte UDP payload exceeds the 65527-byte limit");
         };

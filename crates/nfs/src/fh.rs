@@ -10,9 +10,9 @@ use nfstrace_xdr::{Decoder, Encoder, Error, Pack, Result, Unpack};
 use std::fmt;
 
 /// Fixed NFSv2 handle size.
-pub const FHSIZE_V2: usize = 32;
+pub(crate) const FHSIZE_V2: usize = 32;
 /// Maximum NFSv3 handle size.
-pub const FHSIZE_V3_MAX: usize = 64;
+pub(crate) const FHSIZE_V3_MAX: usize = 64;
 
 /// An opaque NFS file handle of at most 64 bytes.
 ///
@@ -81,7 +81,7 @@ impl FileHandle {
     }
 
     /// Zero-pads (or truncates) to the fixed 32-byte NFSv2 form.
-    pub fn to_v2(&self) -> [u8; FHSIZE_V2] {
+    pub(crate) fn to_v2(&self) -> [u8; FHSIZE_V2] {
         let mut out = [0u8; FHSIZE_V2];
         let n = self.len().min(FHSIZE_V2);
         out[..n].copy_from_slice(&self.as_bytes()[..n]);
@@ -89,7 +89,7 @@ impl FileHandle {
     }
 
     /// Encodes as a fixed 32-byte NFSv2 handle.
-    pub fn pack_v2(&self, enc: &mut Encoder) {
+    pub(crate) fn pack_v2(&self, enc: &mut Encoder) {
         enc.put_opaque_fixed(&self.to_v2());
     }
 
@@ -99,7 +99,7 @@ impl FileHandle {
     /// # Errors
     ///
     /// XDR truncation errors.
-    pub fn unpack_v2(dec: &mut Decoder<'_>) -> Result<Self> {
+    pub(crate) fn unpack_v2(dec: &mut Decoder<'_>) -> Result<Self> {
         let bytes = dec.get_opaque_fixed_ref(FHSIZE_V2)?;
         // v2 handles embedding a u64 id are zero-padded; strip the pad so
         // identities match across protocol versions.

@@ -724,7 +724,7 @@ impl Reply3 {
 
 impl Reply3Body {
     /// The empty (error-arm) body for a procedure.
-    pub fn empty_for(proc: Proc3) -> Self {
+    pub(crate) fn empty_for(proc: Proc3) -> Self {
         match proc {
             Proc3::Null => Reply3Body::Null,
             Proc3::Getattr => Reply3Body::Getattr(Getattr3Res::default()),

@@ -23,10 +23,6 @@ pub mod xid;
 
 /// The NFS program number.
 pub const PROG_NFS: u32 = 100_003;
-/// The MOUNT program number.
-pub const PROG_MOUNT: u32 = 100_005;
-/// The port mapper program number.
-pub const PROG_PORTMAP: u32 = 100_000;
 
 pub use auth::AuthRef;
 pub use msg::{

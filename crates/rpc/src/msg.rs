@@ -10,7 +10,7 @@ use crate::auth::{AuthRef, OpaqueAuth};
 use nfstrace_xdr::{Decoder, Encoder, Error, Pack, Result, Unpack};
 
 /// RPC protocol version; always 2.
-pub const RPC_VERSION: u32 = 2;
+pub(crate) const RPC_VERSION: u32 = 2;
 
 const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
@@ -55,8 +55,6 @@ pub mod accept_stat {
     pub const PROC_UNAVAIL: u32 = 3;
     /// Arguments undecodable.
     pub const GARBAGE_ARGS: u32 = 4;
-    /// Server-side memory or similar failure.
-    pub const SYSTEM_ERR: u32 = 5;
 }
 
 /// The body of a reply message.

@@ -41,7 +41,7 @@ fn base_record(meta: &CallMeta, op: Op) -> TraceRecord {
 }
 
 /// Maps an NFSv3 procedure to the version-independent op.
-pub fn op_of_proc3(proc: Proc3) -> Op {
+pub(crate) fn op_of_proc3(proc: Proc3) -> Op {
     match proc {
         Proc3::Null => Op::Null,
         Proc3::Getattr => Op::Getattr,
@@ -69,7 +69,7 @@ pub fn op_of_proc3(proc: Proc3) -> Op {
 }
 
 /// Maps an NFSv2 procedure to the version-independent op.
-pub fn op_of_proc2(proc: Proc2) -> Op {
+pub(crate) fn op_of_proc2(proc: Proc2) -> Op {
     match proc {
         Proc2::Null | Proc2::Root | Proc2::Writecache => Op::Null,
         Proc2::Getattr => Op::Getattr,
@@ -397,7 +397,7 @@ pub fn v3_apply_facts(r: &mut TraceRecord, reply_micros: u64, facts: &ReplyFacts
 
 /// Builds the call-side half of a trace record from a borrowed NFSv2
 /// call view; the v2 twin of [`v3_call_record`].
-pub fn v2_call_record(meta: &CallMeta, call: &Call2View<'_>) -> TraceRecord {
+pub(crate) fn v2_call_record(meta: &CallMeta, call: &Call2View<'_>) -> TraceRecord {
     let mut r = base_record(meta, op_of_proc2(call.proc()));
     r.vers = 2;
     match call {
@@ -460,7 +460,7 @@ pub fn v2_call_record(meta: &CallMeta, call: &Call2View<'_>) -> TraceRecord {
 /// flattener computes — the inferred `READ` eof and the `WRITE`
 /// `ret_count = count` echo — are reproduced here from the call-side
 /// fields plus `post_size`.
-pub fn v2_apply_facts(r: &mut TraceRecord, reply_micros: u64, facts: &ReplyFacts2) {
+pub(crate) fn v2_apply_facts(r: &mut TraceRecord, reply_micros: u64, facts: &ReplyFacts2) {
     r.reply_micros = reply_micros;
     r.status = facts.status.as_u32();
     if let Some(fh) = &facts.new_fh {

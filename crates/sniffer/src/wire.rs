@@ -28,7 +28,7 @@ use std::convert::Infallible;
 
 /// Which transport a flow uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
+pub(crate) enum TransportMode {
     /// One datagram per RPC message (EECS).
     Udp,
     /// Record-marked stream segments (CAMPUS), with the given MSS.

@@ -26,16 +26,11 @@ impl SpanTimer {
             started: Instant::now(),
         }
     }
-
-    /// Elapsed microseconds so far (the value `drop` will record).
-    pub fn elapsed_micros(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        self.hist.record(self.elapsed_micros());
+        self.hist.record(self.started.elapsed().as_micros() as u64);
     }
 }
 

@@ -22,7 +22,7 @@
 //! Users never touch each other's home directories, so generation is
 //! sharded: every user is simulated independently against its own
 //! filesystem replica (with a disjoint inode base and a per-user
-//! [`crate::driver::user_seed`]) and the per-user streams are merged by
+//! `crate::driver::user_seed`) and the per-user streams are merged by
 //! timestamp. The `NFSTRACE_THREADS` worker count scales wall-clock
 //! only — the merged trace is bit-identical for any thread count.
 

@@ -31,7 +31,7 @@ pub fn emitted_to_record(e: &EmittedCall) -> TraceRecord {
 /// The generators' hot drain path: per-batch sorting (and an
 /// intermediate `Vec`) is wasted work there, because the sliced driver
 /// sorts each user's records once per slice.
-pub fn append_records(events: &[EmittedCall], out: &mut Vec<TraceRecord>) {
+pub(crate) fn append_records(events: &[EmittedCall], out: &mut Vec<TraceRecord>) {
     out.reserve(events.len());
     out.extend(events.iter().map(emitted_to_record));
 }

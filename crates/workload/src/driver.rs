@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 ///
 /// Ties break on insertion order, keeping runs deterministic.
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(u64, u64, EventSlot<E>)>>,
     seq: u64,
 }
@@ -65,18 +65,8 @@ impl<E> EventQueue<E> {
     /// event a fresh insertion sequence number and so could reorder it
     /// against same-time events, breaking bit-identity with an unsliced
     /// run.
-    pub fn next_time(&self) -> Option<u64> {
+    pub(crate) fn next_time(&self) -> Option<u64> {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -92,7 +82,7 @@ impl<E> Default for EventQueue<E> {
 /// stream must be (a) deterministic given `(base, user)` and (b)
 /// decorrelated from its neighbours'. SplitMix64's finalizer gives both
 /// without any external dependency.
-pub fn user_seed(base: u64, user: usize) -> u64 {
+pub(crate) fn user_seed(base: u64, user: usize) -> u64 {
     let mut z = base
         .wrapping_add(0x9e37_79b9_7f4a_7c15)
         .wrapping_add((user as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
@@ -111,7 +101,7 @@ pub fn user_seed(base: u64, user: usize) -> u64 {
 /// trace. What xid matching actually needs is that two *concurrently
 /// in-flight* calls from one client almost never share an xid, and
 /// uniform scatter of the starting points preserves that at any scale.
-pub fn user_first_xid(base: u64, user: usize) -> u32 {
+pub(crate) fn user_first_xid(base: u64, user: usize) -> u32 {
     // Odd, so sequences from users with colliding starts interleave
     // rather than shadow each other exactly.
     (user_seed(base ^ 0x1d, user) as u32) | 1
@@ -222,11 +212,11 @@ mod tests {
     #[test]
     fn queue_len_and_empty() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.next_time(), None);
         q.push(1, 0);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.next_time(), Some(1));
+        assert_eq!(q.pop(), Some((1, 0)));
+        assert_eq!(q.next_time(), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! Generation is sharded per user: each workstation is simulated
 //! independently against its own filesystem replica (disjoint inode
-//! base, per-user [`crate::driver::user_seed`]) and the streams merged
+//! base, per-user `crate::driver::user_seed`) and the streams merged
 //! by timestamp, so the trace is bit-identical for any
 //! `NFSTRACE_THREADS` worker count. The only cross-user state — the
 //! shared project datasets rewritten nightly — is driven by a refresh

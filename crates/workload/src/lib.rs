@@ -24,7 +24,7 @@
 //!
 //! Both generators simulate every user independently — its own
 //! filesystem replica (disjoint inode base), its own client machines,
-//! its own [`driver::user_seed`]-derived RNG — and merge the per-user
+//! its own `driver::user_seed`-derived RNG — and merge the per-user
 //! streams by timestamp, ties broken by user index. One driver,
 //! [`SlicedWorkload`], runs every path: it keeps each user's simulation
 //! resident, advances all of them one time slice at a time across

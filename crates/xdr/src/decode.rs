@@ -5,7 +5,7 @@ use crate::{pad4, Error, Result};
 /// Default ceiling on variable-length items, to keep corrupt length words
 /// from causing huge allocations. NFSv3 WRITE payloads with jumbo frames
 /// stay well under this.
-pub const DEFAULT_MAX_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const DEFAULT_MAX_LEN: usize = 16 * 1024 * 1024;
 
 /// Reads XDR items from the front of a borrowed byte slice.
 ///
@@ -96,7 +96,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// [`Error::UnexpectedEof`] if fewer than 4 bytes remain.
-    pub fn get_i32(&mut self) -> Result<i32> {
+    pub(crate) fn get_i32(&mut self) -> Result<i32> {
         Ok(self.get_u32()? as i32)
     }
 
@@ -115,7 +115,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// [`Error::UnexpectedEof`] if fewer than 8 bytes remain.
-    pub fn get_i64(&mut self) -> Result<i64> {
+    pub(crate) fn get_i64(&mut self) -> Result<i64> {
         Ok(self.get_u64()? as i64)
     }
 

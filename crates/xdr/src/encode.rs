@@ -60,7 +60,7 @@ impl Encoder {
     }
 
     /// Appends a signed 32-bit integer.
-    pub fn put_i32(&mut self, v: i32) {
+    pub(crate) fn put_i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
@@ -70,7 +70,7 @@ impl Encoder {
     }
 
     /// Appends a signed 64-bit integer (XDR "hyper").
-    pub fn put_i64(&mut self, v: i64) {
+    pub(crate) fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
