@@ -32,12 +32,11 @@ pub fn threads() -> usize {
 }
 
 /// The split rule: how many of `n` items one of `threads` workers
-/// takes, ⌈n / min(threads, n)⌉ with `threads` clamped to
-/// `1..=`[`MAX_THREADS`] — never 0, so `slice.chunks(run_len(..))`
-/// holds for an empty slice too.
+/// takes, ⌈n / threads⌉ (which is ⌈n / min(threads, n)⌉) with
+/// `threads` clamped to `1..=`[`MAX_THREADS`] — never 0, so
+/// `slice.chunks(run_len(..))` holds for an empty slice too.
 pub fn run_len(n: usize, threads: usize) -> usize {
-    n.div_ceil(threads.clamp(1, MAX_THREADS).min(n).max(1))
-        .max(1)
+    n.div_ceil(threads.clamp(1, MAX_THREADS)).max(1)
 }
 
 /// `0..n` split by [`run_len`] into at most `threads` contiguous runs,
