@@ -6,17 +6,34 @@
 //! processing several minutes of traces, the probability is very small
 //! that we will encounter a file or directory whose parent directory has
 //! not already been seen."
+//!
+//! [`Hierarchy`] is the one (directory, name) → file map of a replay,
+//! learned by one set of rules: LOOKUP, CREATE, MKDIR, SYMLINK and
+//! MKNOD bind the name to the reply's new handle, RENAME moves a known
+//! entry, and REMOVE and RMDIR unlink it. Each record's [`NameChange`]
+//! tells the analyses that need names — block lifetimes, name
+//! prediction and coverage — what it did, so none of them keeps a copy.
 
 use crate::record::{FileId, Op, TraceRecord};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// A reconstructed (partial) namespace: child → (parent, name).
+/// What one record did to the namespace, as [`Hierarchy::observe`]
+/// reports it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NameChange {
+    /// The (directory, child) entry the record made: a bind that named
+    /// its child, or a RENAME that moved a known entry.
+    pub bound: Option<(FileId, FileId)>,
+    /// The file whose entry the record took away: the one a REMOVE or
+    /// RMDIR named, or another file whose name a bind or RENAME took.
+    pub unlinked: Option<FileId>,
+}
+
+/// A reconstructed (partial) namespace: each directory's entries,
+/// name → child.
 #[derive(Debug, Clone, Default)]
 pub struct Hierarchy {
-    parent: HashMap<FileId, (FileId, String)>,
-    children: HashMap<(FileId, String), FileId>,
-    /// Identities ever observed as a directory argument or child.
-    known: std::collections::HashSet<FileId>,
+    dirs: HashMap<FileId, HashMap<String, FileId>>,
 }
 
 impl Hierarchy {
@@ -25,83 +42,69 @@ impl Hierarchy {
         Self::default()
     }
 
-    /// Learns from one record (lookups, creates, renames, removes).
-    pub fn observe(&mut self, r: &TraceRecord) {
+    /// Learns from one record and says what it changed. A record without
+    /// the name (or, for a bind, the new handle) its rule needs — a
+    /// failed CREATE, say — changes nothing, as does a RENAME or REMOVE
+    /// of a name not learned.
+    pub fn observe(&mut self, r: &TraceRecord) -> NameChange {
+        let Some(name) = r.name.as_deref() else {
+            return NameChange::default();
+        };
         match r.op {
             Op::Lookup | Op::Create | Op::Mkdir | Op::Symlink | Op::Mknod => {
-                if let (Some(name), Some(child)) = (&r.name, r.new_fh) {
-                    self.link(r.fh, name.clone(), child);
+                if let Some(child) = r.new_fh {
+                    return self.bind(r.fh, name, child);
                 }
-                self.known.insert(r.fh);
             }
             Op::Rename => {
-                if let (Some(from), Some(to)) = (&r.name, &r.name2) {
-                    let to_dir = r.fh2.unwrap_or(r.fh);
-                    if let Some(child) = self.children.remove(&(r.fh, from.clone())) {
-                        self.link(to_dir, to.clone(), child);
+                if let Some(to) = r.name2.as_deref() {
+                    if let Some(child) = self.unlink(r.fh, name) {
+                        return self.bind(r.fh2.unwrap_or(r.fh), to, child);
                     }
                 }
             }
             Op::Remove | Op::Rmdir => {
-                if let Some(name) = &r.name {
-                    if let Some(child) = self.children.remove(&(r.fh, name.clone())) {
-                        self.parent.remove(&child);
-                    }
+                return NameChange {
+                    bound: None,
+                    unlinked: self.unlink(r.fh, name),
                 }
             }
-            _ => {
-                self.known.insert(r.fh);
-            }
+            _ => {}
+        }
+        NameChange::default()
+    }
+
+    /// Binds `name` in `dir` to `child`; a name already bound keeps its
+    /// key and takes the new child.
+    fn bind(&mut self, dir: FileId, name: &str, child: FileId) -> NameChange {
+        let entries = self.dirs.entry(dir).or_default();
+        let old = match entries.get_mut(name) {
+            Some(slot) => Some(std::mem::replace(slot, child)),
+            None => entries.insert(name.to_owned(), child),
+        };
+        NameChange {
+            bound: Some((dir, child)),
+            unlinked: old.filter(|&old| old != child),
         }
     }
 
-    fn link(&mut self, dir: FileId, name: String, child: FileId) {
-        if let Some(old) = self.children.insert((dir, name.clone()), child) {
-            if old != child {
-                self.parent.remove(&old);
-            }
-        }
-        self.parent.insert(child, (dir, name));
-        self.known.insert(dir);
-        self.known.insert(child);
-    }
-
-    /// The parent directory and entry name of `fh`, if learned.
-    pub fn parent_of(&self, fh: FileId) -> Option<(FileId, &str)> {
-        self.parent.get(&fh).map(|(p, n)| (*p, n.as_str()))
+    fn unlink(&mut self, dir: FileId, name: &str) -> Option<FileId> {
+        self.dirs.get_mut(&dir)?.remove(name)
     }
 
     /// Looks up a child by directory and name.
     pub fn child_of(&self, dir: FileId, name: &str) -> Option<FileId> {
-        self.children.get(&(dir, name.to_string())).copied()
+        self.dirs.get(&dir)?.get(name).copied()
     }
 
-    /// Reconstructs the path of `fh` as far up as the hierarchy is known,
-    /// e.g. `".../home7/inbox.lock"`. Cycles are cut defensively.
-    pub fn path_of(&self, fh: FileId) -> String {
-        let mut parts: Vec<&str> = Vec::new();
-        let mut cur = fh;
-        let mut hops = 0;
-        while let Some((p, name)) = self.parent_of(cur) {
-            parts.push(name);
-            cur = p;
-            hops += 1;
-            if hops > 512 {
-                break;
-            }
-        }
-        parts.reverse();
-        format!(".../{}", parts.join("/"))
-    }
-
-    /// Number of child links learned.
+    /// Number of entries learned.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.dirs.values().map(HashMap::len).sum()
     }
 
-    /// Whether nothing has been learned yet.
+    /// Whether no entry is bound.
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.len() == 0
     }
 }
 
@@ -127,8 +130,9 @@ where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
     let mut b = CoverageBuilder::new(bucket_micros);
+    let mut names = Hierarchy::new();
     for r in records {
-        b.observe(r);
+        b.observe(r, names.observe(r));
     }
     b.finish()
 }
@@ -136,11 +140,15 @@ where
 /// Record-at-a-time accumulator behind [`coverage_over_time`]. The fused
 /// replay ([`crate::index::TraceView::prepare`]) feeds one alongside the
 /// other analyzers, so views that cannot hold the trace in memory (the
-/// out-of-core store index) stream it.
+/// out-of-core store index) stream it. It keeps no namespace of its own:
+/// each record comes with the [`NameChange`] the replay's one
+/// [`Hierarchy`] made of it.
 #[derive(Debug)]
 pub struct CoverageBuilder {
     bucket_micros: u64,
-    h: Hierarchy,
+    /// Identities placeable so far: every handle an operation other than
+    /// RENAME, REMOVE or RMDIR named, and both ends of every entry bound.
+    placed: HashSet<FileId>,
     out: Vec<CoveragePoint>,
     bucket_end: u64,
     known: u64,
@@ -160,7 +168,7 @@ impl CoverageBuilder {
         );
         CoverageBuilder {
             bucket_micros,
-            h: Hierarchy::new(),
+            placed: HashSet::new(),
             out: Vec::new(),
             bucket_end: 0,
             known: 0,
@@ -168,10 +176,11 @@ impl CoverageBuilder {
         }
     }
 
-    /// Folds one record in. Records must arrive in time order. The
-    /// bucket that would end past the top of the clock ends at
-    /// `u64::MAX` instead, and holds every later record.
-    pub fn observe(&mut self, r: &TraceRecord) {
+    /// Folds one record in, with what it did to the namespace. Records
+    /// must arrive in time order. The bucket that would end past the top
+    /// of the clock ends at `u64::MAX` instead, and holds every later
+    /// record.
+    pub fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         if self.bucket_end == 0 {
             self.bucket_end = r.micros.saturating_add(self.bucket_micros);
         }
@@ -179,10 +188,16 @@ impl CoverageBuilder {
             self.flush_bucket();
         }
         self.total += 1;
-        if self.h.parent_of(r.fh).is_some() || self.h.known.contains(&r.fh) {
+        if self.placed.contains(&r.fh) {
             self.known += 1;
         }
-        self.h.observe(r);
+        if !matches!(r.op, Op::Rename | Op::Remove | Op::Rmdir) {
+            self.placed.insert(r.fh);
+        }
+        if let Some((dir, child)) = change.bound {
+            self.placed.insert(dir);
+            self.placed.insert(child);
+        }
     }
 
     fn flush_bucket(&mut self) {
@@ -222,14 +237,32 @@ mod tests {
         r
     }
 
+    fn record(op: Op, dir: u64, name: &str) -> TraceRecord {
+        TraceRecord::new(0, op, FileId(dir)).with_name(name)
+    }
+
+    fn rename(dir: u64, from: &str, to_dir: u64, to: &str) -> TraceRecord {
+        let mut r = record(Op::Rename, dir, from);
+        r.name2 = Some(to.into());
+        r.fh2 = Some(FileId(to_dir));
+        r
+    }
+
+    fn change(bound: Option<(u64, u64)>, unlinked: Option<u64>) -> NameChange {
+        NameChange {
+            bound: bound.map(|(dir, child)| (FileId(dir), FileId(child))),
+            unlinked: unlinked.map(FileId),
+        }
+    }
+
     #[test]
     fn paths_reconstruct() {
         let mut h = Hierarchy::new();
         h.observe(&lookup(0, 1, "home7", 2));
         h.observe(&lookup(1, 2, "inbox.lock", 3));
-        assert_eq!(h.path_of(FileId(3)), ".../home7/inbox.lock");
-        assert_eq!(h.parent_of(FileId(3)).unwrap().0, FileId(2));
+        assert_eq!(h.child_of(FileId(1), "home7"), Some(FileId(2)));
         assert_eq!(h.child_of(FileId(2), "inbox.lock"), Some(FileId(3)));
+        assert_eq!(h.child_of(FileId(1), "inbox.lock"), None);
         assert_eq!(h.len(), 2);
     }
 
@@ -238,21 +271,18 @@ mod tests {
         let mut h = Hierarchy::new();
         h.observe(&lookup(0, 1, "f", 2));
         h.observe(&TraceRecord::new(1, Op::Remove, FileId(1)).with_name("f"));
-        assert!(h.parent_of(FileId(2)).is_none());
         assert!(h.child_of(FileId(1), "f").is_none());
+        assert!(h.is_empty());
     }
 
     #[test]
     fn rename_relinks() {
         let mut h = Hierarchy::new();
         h.observe(&lookup(0, 1, "old", 2));
-        let mut rn = TraceRecord::new(1, Op::Rename, FileId(1)).with_name("old");
-        rn.name2 = Some("new".into());
-        rn.fh2 = Some(FileId(9));
         h.observe(&lookup(0, 1, "dir9", 9));
-        h.observe(&rn);
+        h.observe(&rename(1, "old", 9, "new"));
         assert_eq!(h.child_of(FileId(9), "new"), Some(FileId(2)));
-        assert_eq!(h.parent_of(FileId(2)).unwrap().0, FileId(9));
+        assert_eq!(h.child_of(FileId(1), "old"), None);
     }
 
     #[test]
@@ -261,14 +291,89 @@ mod tests {
         h.observe(&lookup(0, 1, "f", 2));
         h.observe(&lookup(1, 1, "f", 3)); // recreated with a new identity
         assert_eq!(h.child_of(FileId(1), "f"), Some(FileId(3)));
-        assert!(h.parent_of(FileId(2)).is_none());
+        assert_eq!(h.len(), 1);
     }
 
     #[test]
     fn unknown_path_is_bare() {
         let h = Hierarchy::new();
-        assert_eq!(h.path_of(FileId(42)), ".../");
+        assert_eq!(h.child_of(FileId(42), "f"), None);
         assert!(h.is_empty());
+    }
+
+    #[test]
+    fn a_new_binding_reports_its_entry() {
+        let mut h = Hierarchy::new();
+        assert_eq!(h.observe(&lookup(0, 1, "f", 2)), change(Some((1, 2)), None));
+    }
+
+    #[test]
+    fn rebinding_the_same_child_unlinks_nothing() {
+        let mut h = Hierarchy::new();
+        h.observe(&lookup(0, 1, "f", 2));
+        let mut create = record(Op::Create, 1, "f");
+        create.new_fh = Some(FileId(2));
+        assert_eq!(h.observe(&create), change(Some((1, 2)), None));
+    }
+
+    #[test]
+    fn rebinding_to_another_child_displaces_the_old_one() {
+        let mut h = Hierarchy::new();
+        h.observe(&lookup(0, 1, "f", 2));
+        assert_eq!(
+            h.observe(&lookup(1, 1, "f", 3)),
+            change(Some((1, 3)), Some(2))
+        );
+    }
+
+    #[test]
+    fn a_rename_over_an_existing_name_displaces_its_file() {
+        let mut h = Hierarchy::new();
+        h.observe(&lookup(0, 1, "mbox", 2));
+        h.observe(&lookup(0, 1, "mbox.tmp", 3));
+        assert_eq!(
+            h.observe(&rename(1, "mbox.tmp", 1, "mbox")),
+            change(Some((1, 3)), Some(2))
+        );
+        assert_eq!(h.child_of(FileId(1), "mbox"), Some(FileId(3)));
+        assert_eq!(h.len(), 1);
+    }
+
+    #[test]
+    fn a_rename_of_an_unknown_name_changes_nothing() {
+        let mut h = Hierarchy::new();
+        h.observe(&lookup(0, 1, "mbox", 2));
+        assert_eq!(
+            h.observe(&rename(1, "ghost", 1, "mbox")),
+            change(None, None)
+        );
+        assert_eq!(h.child_of(FileId(1), "mbox"), Some(FileId(2)));
+    }
+
+    #[test]
+    fn remove_and_rmdir_report_the_file_they_unlink() {
+        let mut h = Hierarchy::new();
+        h.observe(&lookup(0, 1, "f", 2));
+        h.observe(&lookup(0, 1, "d", 3));
+        assert_eq!(
+            h.observe(&record(Op::Remove, 1, "f")),
+            change(None, Some(2))
+        );
+        assert_eq!(h.observe(&record(Op::Rmdir, 1, "d")), change(None, Some(3)));
+        assert_eq!(h.observe(&record(Op::Remove, 1, "f")), change(None, None));
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn a_failed_create_changes_nothing() {
+        let mut h = Hierarchy::new();
+        h.observe(&lookup(0, 1, "inbox.lock", 2));
+        // An exclusive create of a held lock fails: no new handle.
+        assert_eq!(
+            h.observe(&record(Op::Create, 1, "inbox.lock")),
+            change(None, None)
+        );
+        assert_eq!(h.child_of(FileId(1), "inbox.lock"), Some(FileId(2)));
     }
 
     #[test]

@@ -72,7 +72,7 @@
 //! assert_eq!(idx.sort_passes(), 1);
 //! ```
 
-use crate::hierarchy::{CoverageBuilder, CoveragePoint};
+use crate::hierarchy::{CoverageBuilder, CoveragePoint, Hierarchy, NameChange};
 use crate::hourly::{HourlyBuilder, HourlySeries};
 use crate::lifetime::{BlockLifetimeAnalyzer, LifetimeConfig, LifetimeReport};
 use crate::names::{NamePredictionBuilder, NamePredictionReport};
@@ -525,11 +525,11 @@ impl ReplayJob {
         }
     }
 
-    fn observe(&mut self, r: &TraceRecord) {
+    fn observe(&mut self, r: &TraceRecord, change: NameChange, names: &Hierarchy) {
         match self {
-            ReplayJob::Names(b) => b.observe(r),
-            ReplayJob::Coverage(b) => b.observe(r),
-            ReplayJob::Lifetime(a) => a.observe(r),
+            ReplayJob::Names(b) => b.observe(r, change),
+            ReplayJob::Coverage(b) => b.observe(r, change),
+            ReplayJob::Lifetime(a) => a.observe(r, change, names),
         }
     }
 
@@ -638,11 +638,14 @@ impl ProductCaches {
             self.decode_passes.fetch_add(1, Ordering::Relaxed);
             self.metrics.replay_passes.inc();
             let _span = span!(self.metrics.replay_micros);
-            // The fused pass: no locks held, one traversal, every
-            // analyzer observes every record.
+            // The fused pass: no locks held, one traversal, one
+            // namespace, every analyzer observes every record with what
+            // it did to that namespace.
+            let mut names = Hierarchy::new();
             source.for_each_record(&mut |r| {
+                let change = names.observe(r);
                 for (_, job) in &mut jobs {
-                    job.observe(r);
+                    job.observe(r, change, &names);
                 }
             });
         }

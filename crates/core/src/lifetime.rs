@@ -10,7 +10,13 @@
 //!
 //! The paper ran five 24-hour Phase 1 windows (weekday 9am starts) each
 //! with a 24-hour end margin.
+//!
+//! REMOVE and RENAME name a file only by directory and name, so deaths
+//! by deletion are attributed through the replay's one namespace
+//! ([`Hierarchy`]), learned by its rules in every phase; the analyzer
+//! reads each record's [`NameChange`] and keeps no names of its own.
 
+use crate::hierarchy::{Hierarchy, NameChange};
 use crate::record::{FileId, Op, TraceRecord};
 use crate::runs::BLOCK;
 use std::collections::HashMap;
@@ -168,20 +174,17 @@ pub fn figure3_probes() -> Vec<u64> {
     ]
 }
 
-/// The streaming analyzer. Feed time-ordered records with
+/// The streaming analyzer. Feed time-ordered records, each with the
+/// [`NameChange`] a [`Hierarchy`] made of it and that hierarchy, to
 /// [`BlockLifetimeAnalyzer::observe`], then call
 /// [`BlockLifetimeAnalyzer::finish`]. The fused replay
 /// ([`crate::index::TraceView::prepare`]) feeds any number of windows
-/// alongside the other analyzers — the `repro` suite runs all five
-/// weekday windows in one pass this way.
+/// alongside the other analyzers from one namespace — the `repro` suite
+/// runs all five weekday windows in one pass this way.
 #[derive(Debug)]
 pub struct BlockLifetimeAnalyzer {
     config: LifetimeConfig,
     files: HashMap<FileId, FileState>,
-    /// (directory, name) → file, learned from lookups and creates so
-    /// REMOVE calls (which carry only the directory and name) can be
-    /// attributed to a file.
-    names: HashMap<(FileId, String), FileId>,
     report: LifetimeReport,
 }
 
@@ -191,41 +194,24 @@ impl BlockLifetimeAnalyzer {
         Self {
             config,
             files: HashMap::new(),
-            names: HashMap::new(),
             report: LifetimeReport::default(),
         }
     }
 
-    /// Processes one record. Records outside the two phases are ignored
-    /// except for name learning (which has no timing sensitivity).
-    pub fn observe(&mut self, r: &TraceRecord) {
-        // Name learning happens regardless of phase.
-        match r.op {
-            Op::Lookup | Op::Create | Op::Mkdir | Op::Symlink | Op::Mknod => {
-                if let (Some(name), Some(child)) = (&r.name, r.new_fh) {
-                    self.names.insert((r.fh, name.clone()), child);
-                }
+    /// Processes one record, what it did to the namespace, and the
+    /// namespace after it. A RENAME over another file's name deletes
+    /// that file whenever it happens; every other record outside the two
+    /// phases is ignored. Inside them a REMOVE deletes the file it
+    /// unlinked.
+    pub fn observe(&mut self, r: &TraceRecord, change: NameChange, names: &Hierarchy) {
+        if r.op == Op::Rename {
+            if let Some(old) = change.unlinked {
+                self.kill_file(old, r.micros, DeathCause::Delete);
             }
-            Op::Rename => {
-                if let (Some(from), Some(to)) = (&r.name, &r.name2) {
-                    if let Some(child) = self.names.remove(&(r.fh, from.clone())) {
-                        let to_dir = r.fh2.unwrap_or(r.fh);
-                        // A rename over an existing file deletes it.
-                        if let Some(old) = self.names.insert((to_dir, to.clone()), child) {
-                            if old != child {
-                                self.kill_file(old, r.micros, DeathCause::Delete);
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
-
         if r.micros < self.config.phase1_start || r.micros >= self.config.phase2_end() {
             return;
         }
-
         match r.op {
             Op::Write => self.on_write(r),
             Op::Setattr => {
@@ -236,7 +222,7 @@ impl BlockLifetimeAnalyzer {
             Op::Create => {
                 // CREATE (unchecked) over an existing name truncates it.
                 if let Some(name) = &r.name {
-                    if let Some(&existing) = self.names.get(&(r.fh, name.clone())) {
+                    if let Some(existing) = names.child_of(r.fh, name) {
                         if Some(existing) != r.new_fh {
                             self.kill_file(existing, r.micros, DeathCause::Delete);
                         } else {
@@ -249,10 +235,8 @@ impl BlockLifetimeAnalyzer {
                 }
             }
             Op::Remove => {
-                if let Some(name) = &r.name {
-                    if let Some(child) = self.names.remove(&(r.fh, name.clone())) {
-                        self.kill_file(child, r.micros, DeathCause::Delete);
-                    }
+                if let Some(gone) = change.unlinked {
+                    self.kill_file(gone, r.micros, DeathCause::Delete);
                 }
             }
             _ => {}
@@ -399,8 +383,10 @@ where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
     let mut a = BlockLifetimeAnalyzer::new(config);
+    let mut names = Hierarchy::new();
     for r in records {
-        a.observe(r);
+        let change = names.observe(r);
+        a.observe(r, change, &names);
     }
     a.finish()
 }
@@ -537,6 +523,35 @@ mod tests {
         let rep = analyze(recs.iter(), cfg());
         assert_eq!(rep.deaths_delete, 1); // old mbox block
         assert_eq!(rep.end_surplus, 1); // the renamed file's block lives
+    }
+
+    #[test]
+    fn a_remove_outside_the_phases_unlinks_the_name() {
+        let mut c = cfg();
+        c.phase1_start = HOUR;
+        let recs = [
+            create(0, 99, "f", 7),
+            remove(1, 99, "f"),
+            write(HOUR, 7, 0, (2 * BLOCK) as u32),
+            // The name is gone: this REMOVE reaches no file.
+            remove(HOUR + SECOND, 99, "f"),
+        ];
+        let rep = analyze(recs.iter(), c);
+        assert_eq!(rep.deaths_delete, 0);
+        assert_eq!(rep.end_surplus, 2);
+    }
+
+    #[test]
+    fn an_rmdir_unlinks_the_name() {
+        let recs = [
+            create(0, 99, "f", 7),
+            write(1, 7, 0, (2 * BLOCK) as u32),
+            TraceRecord::new(2, Op::Rmdir, FileId(99)).with_name("f"),
+            remove(3, 99, "f"),
+        ];
+        let rep = analyze(recs.iter(), cfg());
+        assert_eq!(rep.deaths_delete, 0);
+        assert_eq!(rep.end_surplus, 2);
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! classifies names into those categories, states each category's
 //! predicted profile, and evaluates the predictions against observed
 //! per-file statistics.
+//!
+//! A file's name is the one its CREATE bound, and its deletion the
+//! REMOVE that unlinked it from the replay's one namespace
+//! ([`Hierarchy`], which learns from lookups, renames and RMDIRs too).
 
+use crate::hierarchy::{Hierarchy, NameChange};
 use crate::record::{FileId, Op, TraceRecord};
 use std::collections::HashMap;
 
@@ -292,8 +297,9 @@ impl NamePredictionReport {
         I: IntoIterator<Item = &'a TraceRecord>,
     {
         let mut b = NamePredictionBuilder::default();
+        let mut names = Hierarchy::new();
         for r in records {
-            b.observe(r);
+            b.observe(r, names.observe(r));
         }
         b.finish()
     }
@@ -313,60 +319,43 @@ impl NamePredictionReport {
 /// [`NamePredictionReport::from_records`]. The fused replay
 /// ([`crate::index::TraceView::prepare`]) feeds one alongside the other
 /// analyzers, so views that cannot hold the trace in memory (the
-/// out-of-core store index) stream it.
+/// out-of-core store index) stream it. It keeps no namespace of its own:
+/// each record comes with the [`NameChange`] the replay's one
+/// [`Hierarchy`] made of it.
 #[derive(Debug, Default)]
 pub struct NamePredictionBuilder {
-    /// Per-file observations keyed by identity, with the name captured
-    /// at create time.
-    obs: HashMap<FileId, (String, FileObservation)>,
-    names: HashMap<(FileId, String), FileId>,
+    /// Per-file observations keyed by identity, with the category of the
+    /// name the file was created under.
+    obs: HashMap<FileId, (FileCategory, FileObservation)>,
     report: NamePredictionReport,
 }
 
 impl NamePredictionBuilder {
-    /// Folds one record in. Records must arrive in time order.
-    pub fn observe(&mut self, r: &TraceRecord) {
-        let (obs, names, report) = (&mut self.obs, &mut self.names, &mut self.report);
+    /// Folds one record in, with what it did to the namespace. Records
+    /// must arrive in time order.
+    pub fn observe(&mut self, r: &TraceRecord, change: NameChange) {
+        let (obs, report) = (&mut self.obs, &mut self.report);
         match r.op {
-            Op::Create | Op::Mkdir | Op::Symlink | Op::Mknod => {
-                if let (Some(name), Some(child)) = (&r.name, r.new_fh) {
-                    names.insert((r.fh, name.clone()), child);
-                    if r.op == Op::Create {
-                        report.total_created += 1;
-                        obs.entry(child).or_insert_with(|| {
-                            (
-                                name.clone(),
-                                FileObservation {
-                                    created: Some(r.micros),
-                                    ..FileObservation::default()
-                                },
-                            )
-                        });
-                    }
-                }
-            }
-            Op::Lookup => {
-                if let (Some(name), Some(child)) = (&r.name, r.new_fh) {
-                    names.insert((r.fh, name.clone()), child);
+            Op::Create => {
+                if let (Some(name), Some((_, child))) = (&r.name, change.bound) {
+                    report.total_created += 1;
+                    obs.entry(child).or_insert_with(|| {
+                        (
+                            classify(name),
+                            FileObservation {
+                                created: Some(r.micros),
+                                ..FileObservation::default()
+                            },
+                        )
+                    });
                 }
             }
             Op::Remove => {
-                if let Some(name) = &r.name {
-                    if let Some(child) = names.remove(&(r.fh, name.clone())) {
-                        if let Some((_, o)) = obs.get_mut(&child) {
-                            o.deleted = Some(r.micros);
-                        }
-                    }
+                if let Some((_, o)) = change.unlinked.and_then(|gone| obs.get_mut(&gone)) {
+                    o.deleted = Some(r.micros);
                 }
             }
-            Op::Rename => {
-                report.renames += 1;
-                if let (Some(from), Some(to)) = (&r.name, &r.name2) {
-                    if let Some(child) = names.remove(&(r.fh, from.clone())) {
-                        names.insert((r.fh2.unwrap_or(r.fh), to.clone()), child);
-                    }
-                }
-            }
+            Op::Rename => report.renames += 1,
             Op::Write | Op::Read => {
                 if let Some((_, o)) = obs.get_mut(&r.fh) {
                     o.bytes_moved += u64::from(r.ret_count);
@@ -389,8 +378,7 @@ impl NamePredictionBuilder {
     /// on map iteration order.
     pub fn finish(self) -> NamePredictionReport {
         let mut report = self.report;
-        for (_, (name, o)) in self.obs {
-            let cat = classify(&name);
+        for (_, (cat, o)) in self.obs {
             let profile = predicted_profile(cat);
             let stats = report.by_category.entry(cat).or_default();
             stats.files += 1;
@@ -500,6 +488,20 @@ mod tests {
         assert_eq!(rep.renames, 1);
         // The delete still reaches the file through the rename.
         assert_eq!(rep.by_category[&FileCategory::Lock].created_and_deleted, 1);
+    }
+
+    #[test]
+    fn an_rmdir_unlinks_a_created_name() {
+        let recs = [
+            create(0, "a.lock", 10),
+            TraceRecord::new(1, Op::Rmdir, FileId(1)).with_name("a.lock"),
+            // The name is gone: this REMOVE deletes no file.
+            remove(2, "a.lock"),
+        ];
+        let rep = NamePredictionReport::from_records(recs.iter());
+        let lock = &rep.by_category[&FileCategory::Lock];
+        assert_eq!(lock.files, 1);
+        assert_eq!(lock.created_and_deleted, 0);
     }
 
     #[test]

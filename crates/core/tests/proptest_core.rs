@@ -50,7 +50,117 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
         })
 }
 
+/// One step of a namespace-churning trace: a gap (µs) since the previous
+/// record, then the record. Three directories (handles 1–3), eight files
+/// (10–17) and four names, so names are re-bound, renamed over, removed
+/// and RMDIR'd often, CREATEs fail (no new handle) and files are written
+/// in between.
+fn arb_namespace_step() -> impl Strategy<Value = (u64, TraceRecord)> {
+    const NAMES: [&str; 4] = ["a", "inbox.lock", "inbox", "snd.1"];
+    (
+        0u64..30 * 60 * 1_000_000,
+        0usize..10,
+        1u64..4,
+        0usize..NAMES.len(),
+        0usize..NAMES.len(),
+        1u64..4,
+        10u64..18,
+        any::<bool>(),
+        0u64..8,
+        1u32..3,
+    )
+        .prop_map(
+            |(gap, kind, dir, name, name2, dir2, file, failed, block, blocks)| {
+                let (dir, file) = (FileId(dir), FileId(file));
+                let named = |op| TraceRecord::new(0, op, dir).with_name(NAMES[name]);
+                let mut r = match kind {
+                    0..=2 => {
+                        let op = [Op::Lookup, Op::Create, Op::Mkdir][kind];
+                        let mut r = named(op);
+                        r.new_fh = (op != Op::Create || !failed).then_some(file);
+                        r
+                    }
+                    3 => {
+                        let mut r = named(Op::Rename);
+                        r.name2 = Some(NAMES[name2].to_string());
+                        r.fh2 = Some(FileId(dir2));
+                        r
+                    }
+                    4 => named(Op::Remove),
+                    5 => named(Op::Rmdir),
+                    6 => TraceRecord::new(0, Op::Write, file)
+                        .with_range(block * BLOCK, blocks * BLOCK as u32),
+                    7 => {
+                        let mut r = TraceRecord::new(0, Op::Setattr, file);
+                        r.truncate_to = Some(block * BLOCK);
+                        r
+                    }
+                    8 => TraceRecord::new(0, Op::Read, file).with_range(0, blocks * BLOCK as u32),
+                    _ => TraceRecord::new(0, Op::Getattr, if failed { dir } else { file }),
+                };
+                r.ret_count = r.count;
+                (gap, r)
+            },
+        )
+}
+
+fn arb_lifetime_config() -> impl Strategy<Value = nfstrace_core::lifetime::LifetimeConfig> {
+    const HOUR: u64 = 3_600_000_000;
+    (0u64..24 * HOUR, 1u64..12 * HOUR, 1u64..12 * HOUR).prop_map(
+        |(phase1_start, phase1_len, phase2_len)| nfstrace_core::lifetime::LifetimeConfig {
+            phase1_start,
+            phase1_len,
+            phase2_len,
+        },
+    )
+}
+
 proptest! {
+    /// A fused replay learns the namespace once for all its analyzers:
+    /// name prediction, coverage and two lifetime windows computed in one
+    /// pass equal each analysis run alone, on traces that churn names
+    /// inside and outside the lifetime phases.
+    #[test]
+    fn fused_replay_equals_each_analysis_alone(
+        steps in proptest::collection::vec(arb_namespace_step(), 0..200),
+        bucket in 1u64..2 * 3_600_000_000,
+        c1 in arb_lifetime_config(),
+        c2 in arb_lifetime_config(),
+    ) {
+        use nfstrace_core::hierarchy::coverage_over_time;
+        use nfstrace_core::index::{ReplayRequest, TraceIndex, TraceView};
+        use nfstrace_core::lifetime;
+        use nfstrace_core::names::NamePredictionReport;
+
+        let mut micros = 0;
+        let records: Vec<TraceRecord> = steps
+            .into_iter()
+            .map(|(gap, mut r)| {
+                micros += gap;
+                r.micros = micros;
+                r
+            })
+            .collect();
+        let idx = TraceIndex::new(records.clone());
+        idx.prepare(&[
+            ReplayRequest::Names,
+            ReplayRequest::Coverage(bucket),
+            ReplayRequest::Lifetime(c1),
+            ReplayRequest::Lifetime(c2),
+        ]);
+        prop_assert_eq!(
+            idx.names().as_ref(),
+            &NamePredictionReport::from_records(records.iter())
+        );
+        prop_assert_eq!(
+            idx.hierarchy_coverage(bucket).as_ref(),
+            &coverage_over_time(records.iter(), bucket)
+        );
+        prop_assert_eq!(idx.lifetime(c1).as_ref(), &lifetime::analyze(records.iter(), c1));
+        prop_assert_eq!(idx.lifetime(c2).as_ref(), &lifetime::analyze(records.iter(), c2));
+        prop_assert_eq!(idx.decode_passes(), 1);
+    }
+
     /// The reorder sort never loses or duplicates accesses.
     #[test]
     fn reorder_sort_is_a_permutation(
