@@ -525,11 +525,11 @@ impl ReplayJob {
         }
     }
 
-    fn observe(&mut self, r: &TraceRecord, change: NameChange, names: &Hierarchy) {
+    fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         match self {
             ReplayJob::Names(b) => b.observe(r, change),
             ReplayJob::Coverage(b) => b.observe(r, change),
-            ReplayJob::Lifetime(a) => a.observe(r, change, names),
+            ReplayJob::Lifetime(a) => a.observe(r, change),
         }
     }
 
@@ -645,7 +645,7 @@ impl ProductCaches {
             source.for_each_record(&mut |r| {
                 let change = names.observe(r);
                 for (_, job) in &mut jobs {
-                    job.observe(r, change, &names);
+                    job.observe(r, change);
                 }
             });
         }

@@ -175,7 +175,7 @@ pub fn figure3_probes() -> Vec<u64> {
 }
 
 /// The streaming analyzer. Feed time-ordered records, each with the
-/// [`NameChange`] a [`Hierarchy`] made of it and that hierarchy, to
+/// [`NameChange`] a [`Hierarchy`] made of it, to
 /// [`BlockLifetimeAnalyzer::observe`], then call
 /// [`BlockLifetimeAnalyzer::finish`]. The fused replay
 /// ([`crate::index::TraceView::prepare`]) feeds any number of windows
@@ -198,12 +198,13 @@ impl BlockLifetimeAnalyzer {
         }
     }
 
-    /// Processes one record, what it did to the namespace, and the
-    /// namespace after it. A RENAME over another file's name deletes
-    /// that file whenever it happens; every other record outside the two
-    /// phases is ignored. Inside them a REMOVE deletes the file it
-    /// unlinked.
-    pub fn observe(&mut self, r: &TraceRecord, change: NameChange, names: &Hierarchy) {
+    /// Processes one record and what it did to the namespace. A RENAME
+    /// over another file's name deletes that file whenever it happens;
+    /// every other record outside the two phases is ignored. Inside
+    /// them, a REMOVE deletes the file it unlinked, and a CREATE deletes
+    /// the file whose name it took and truncates the file it bound to 0
+    /// (a failed CREATE binds nothing and changes nothing).
+    pub fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         if r.op == Op::Rename {
             if let Some(old) = change.unlinked {
                 self.kill_file(old, r.micros, DeathCause::Delete);
@@ -219,24 +220,13 @@ impl BlockLifetimeAnalyzer {
                     self.on_truncate(r.fh, target, r.micros);
                 }
             }
-            Op::Create => {
-                // CREATE (unchecked) over an existing name truncates it.
-                if let Some(name) = &r.name {
-                    if let Some(existing) = names.child_of(r.fh, name) {
-                        if Some(existing) != r.new_fh {
-                            self.kill_file(existing, r.micros, DeathCause::Delete);
-                        } else {
-                            self.on_truncate(existing, 0, r.micros);
-                        }
-                    }
-                }
-                if let Some(new) = r.new_fh {
-                    self.files.entry(new).or_default().size = 0;
-                }
-            }
-            Op::Remove => {
+            Op::Create | Op::Remove => {
                 if let Some(gone) = change.unlinked {
                     self.kill_file(gone, r.micros, DeathCause::Delete);
+                }
+                if let Some((_, created)) = change.bound {
+                    self.on_truncate(created, 0, r.micros);
+                    self.files.entry(created).or_default();
                 }
             }
             _ => {}
@@ -385,8 +375,7 @@ where
     let mut a = BlockLifetimeAnalyzer::new(config);
     let mut names = Hierarchy::new();
     for r in records {
-        let change = names.observe(r);
-        a.observe(r, change, &names);
+        a.observe(r, names.observe(r));
     }
     a.finish()
 }
@@ -552,6 +541,32 @@ mod tests {
         let rep = analyze(recs.iter(), cfg());
         assert_eq!(rep.deaths_delete, 0);
         assert_eq!(rep.end_surplus, 2);
+    }
+
+    #[test]
+    fn a_failed_create_changes_nothing() {
+        let recs = [
+            create(0, 99, "inbox.lock", 7),
+            write(1, 7, 0, (2 * BLOCK) as u32),
+            // An exclusive create of the held name fails: no new handle.
+            TraceRecord::new(2, Op::Create, FileId(99)).with_name("inbox.lock"),
+        ];
+        let rep = analyze(recs.iter(), cfg());
+        assert_eq!(rep.deaths_total(), 0);
+        assert_eq!(rep.end_surplus, 2);
+    }
+
+    #[test]
+    fn a_create_over_another_files_name_deletes_it() {
+        let recs = [
+            create(0, 99, "draft", 7),
+            write(1, 7, 0, (2 * BLOCK) as u32),
+            create(SECOND, 99, "draft", 8),
+        ];
+        let rep = analyze(recs.iter(), cfg());
+        assert_eq!(rep.deaths_delete, 2);
+        assert_eq!(rep.lifespans, vec![SECOND - 1; 2]);
+        assert_eq!(rep.end_surplus, 0);
     }
 
     #[test]
