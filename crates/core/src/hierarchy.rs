@@ -97,7 +97,7 @@ impl Hierarchy {
         self.dirs.get(&dir)?.get(name).copied()
     }
 
-    /// Number of entries learned.
+    /// Number of entries bound.
     pub fn len(&self) -> usize {
         self.dirs.values().map(HashMap::len).sum()
     }

@@ -52,6 +52,11 @@
 //! set up front (the `repro` suite) pay one decode pass total, asserted
 //! via [`TraceView::decode_passes`].
 //!
+//! The pass also learns the trace's namespace once: one
+//! [`Hierarchy`] per pass maps (directory, name) to file by the §4.1.1
+//! rules, and every analyzer gets each record with the [`NameChange`]
+//! it made, so none keeps a name map of its own.
+//!
 //! # Examples
 //!
 //! ```

@@ -225,6 +225,7 @@ impl BlockLifetimeAnalyzer {
                     self.kill_file(gone, r.micros, DeathCause::Delete);
                 }
                 if let Some((_, created)) = change.bound {
+                    // Known from here on, at size 0: its blocks die.
                     self.on_truncate(created, 0, r.micros);
                     self.files.entry(created).or_default();
                 }
