@@ -7,104 +7,119 @@
 //! that we will encounter a file or directory whose parent directory has
 //! not already been seen."
 //!
-//! [`Hierarchy`] is the one (directory, name) → file map of a replay,
-//! learned by one set of rules: LOOKUP, CREATE, MKDIR, SYMLINK and
-//! MKNOD bind the name to the reply's new handle, RENAME moves a known
-//! entry, and REMOVE and RMDIR unlink it. Each record's [`NameChange`]
-//! tells the analyses that need names — block lifetimes, name
-//! prediction and coverage — what it did, so none of them keeps a copy.
+//! The replay's one file table (`Hierarchy`, crate-private) is learned
+//! by one set of rules: LOOKUP, CREATE, MKDIR, SYMLINK and MKNOD bind
+//! the name to the reply's new handle, RENAME moves a known entry, and
+//! REMOVE and RMDIR unlink it. Each record's `NameChange` tells the
+//! analyses that need names — block lifetimes, name prediction and
+//! coverage — what it did, so none of them keeps a copy.
+//!
+//! The table also numbers files. Each handle a record names gets a
+//! dense *ordinal* the first time a pass sees it, so every analyzer
+//! keeps its per-file state in a vector indexed by ordinal: no map it
+//! keeps removes entries, and none iterates in hash order. An ordinal
+//! means nothing outside the pass that assigned it. The handle →
+//! ordinal map only ever grows; each directory's entries are ordered
+//! by name, so an unlink leaves no tombstone behind and what a replay
+//! allocates is a function of its trace.
 
 use crate::record::{FileId, Op, TraceRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-/// What one record did to the namespace, as [`Hierarchy::observe`]
-/// reports it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NameChange {
-    /// The (directory, child) entry the record made: a bind that named
-    /// its child, or a RENAME that moved a known entry.
-    pub bound: Option<(FileId, FileId)>,
-    /// The file whose entry the record took away: the one a REMOVE or
-    /// RMDIR named, or another file whose name a bind or RENAME took.
-    pub unlinked: Option<FileId>,
+/// A file's ordinal within one replay: how many distinct handles the
+/// pass had seen before this one.
+pub(crate) type FileOrd = u32;
+
+/// The slot of `ord` in a per-file vector, grown with defaults to reach
+/// it.
+pub(crate) fn slot<T: Default>(per_file: &mut Vec<T>, ord: FileOrd) -> &mut T {
+    let i = ord as usize;
+    if i >= per_file.len() {
+        per_file.resize_with(i + 1, T::default);
+    }
+    &mut per_file[i]
 }
 
-/// A reconstructed (partial) namespace: each directory's entries,
-/// name → child.
+/// What one record did to the namespace, as [`Hierarchy::observe`]
+/// reports it, in ordinals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NameChange {
+    /// The record's own handle (`fh`).
+    pub file: FileOrd,
+    /// The (directory, child) entry the record made: a bind that named
+    /// its child, or a RENAME that moved a known entry.
+    pub bound: Option<(FileOrd, FileOrd)>,
+    /// The file whose entry the record took away: the one a REMOVE or
+    /// RMDIR named, or another file whose name a bind or RENAME took.
+    pub unlinked: Option<FileOrd>,
+}
+
+/// A reconstructed (partial) namespace over numbered files.
 #[derive(Debug, Clone, Default)]
-pub struct Hierarchy {
-    dirs: HashMap<FileId, HashMap<String, FileId>>,
+pub(crate) struct Hierarchy {
+    /// Every handle seen, to its ordinal. Insert-only.
+    ords: HashMap<FileId, FileOrd>,
+    /// Each directory's entries, name → child, by the directory's
+    /// ordinal.
+    dirs: Vec<BTreeMap<String, FileOrd>>,
 }
 
 impl Hierarchy {
-    /// An empty hierarchy.
-    pub fn new() -> Self {
-        Self::default()
+    /// The ordinal of `fh`, numbering it if it is new.
+    fn ord(&mut self, fh: FileId) -> FileOrd {
+        let next = FileOrd::try_from(self.ords.len()).expect("a replay numbers at most 2^32 files");
+        *self.ords.entry(fh).or_insert(next)
     }
 
-    /// Learns from one record and says what it changed. A record without
-    /// the name (or, for a bind, the new handle) its rule needs — a
-    /// failed CREATE, say — changes nothing, as does a RENAME or REMOVE
-    /// of a name not learned.
-    pub fn observe(&mut self, r: &TraceRecord) -> NameChange {
+    /// Numbers the record's handles and learns from it, and says what it
+    /// changed. A record without the name (or, for a bind, the new
+    /// handle) its rule needs — a failed CREATE, say — changes nothing,
+    /// as does a RENAME or REMOVE of a name not learned.
+    pub(crate) fn observe(&mut self, r: &TraceRecord) -> NameChange {
+        let file = self.ord(r.fh);
+        let to_dir = r.fh2.map(|d| self.ord(d));
+        let new = r.new_fh.map(|c| self.ord(c));
+        let mut change = NameChange {
+            file,
+            bound: None,
+            unlinked: None,
+        };
         let Some(name) = r.name.as_deref() else {
-            return NameChange::default();
+            return change;
         };
         match r.op {
             Op::Lookup | Op::Create | Op::Mkdir | Op::Symlink | Op::Mknod => {
-                if let Some(child) = r.new_fh {
-                    return self.bind(r.fh, name, child);
+                if let Some(child) = new {
+                    self.bind(file, name, child, &mut change);
                 }
             }
             Op::Rename => {
                 if let Some(to) = r.name2.as_deref() {
-                    if let Some(child) = self.unlink(r.fh, name) {
-                        return self.bind(r.fh2.unwrap_or(r.fh), to, child);
+                    if let Some(child) = self.unlink(file, name) {
+                        self.bind(to_dir.unwrap_or(file), to, child, &mut change);
                     }
                 }
             }
-            Op::Remove | Op::Rmdir => {
-                return NameChange {
-                    bound: None,
-                    unlinked: self.unlink(r.fh, name),
-                }
-            }
+            Op::Remove | Op::Rmdir => change.unlinked = self.unlink(file, name),
             _ => {}
         }
-        NameChange::default()
+        change
     }
 
     /// Binds `name` in `dir` to `child`; a name already bound keeps its
     /// key and takes the new child.
-    fn bind(&mut self, dir: FileId, name: &str, child: FileId) -> NameChange {
-        let entries = self.dirs.entry(dir).or_default();
+    fn bind(&mut self, dir: FileOrd, name: &str, child: FileOrd, change: &mut NameChange) {
+        let entries = slot(&mut self.dirs, dir);
         let old = match entries.get_mut(name) {
-            Some(slot) => Some(std::mem::replace(slot, child)),
+            Some(entry) => Some(std::mem::replace(entry, child)),
             None => entries.insert(name.to_owned(), child),
         };
-        NameChange {
-            bound: Some((dir, child)),
-            unlinked: old.filter(|&old| old != child),
-        }
+        change.bound = Some((dir, child));
+        change.unlinked = old.filter(|&old| old != child);
     }
 
-    fn unlink(&mut self, dir: FileId, name: &str) -> Option<FileId> {
-        self.dirs.get_mut(&dir)?.remove(name)
-    }
-
-    /// Looks up a child by directory and name.
-    pub fn child_of(&self, dir: FileId, name: &str) -> Option<FileId> {
-        self.dirs.get(&dir)?.get(name).copied()
-    }
-
-    /// Number of entries bound.
-    pub fn len(&self) -> usize {
-        self.dirs.values().map(HashMap::len).sum()
-    }
-
-    /// Whether no entry is bound.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn unlink(&mut self, dir: FileOrd, name: &str) -> Option<FileOrd> {
+        self.dirs.get_mut(dir as usize)?.remove(name)
     }
 }
 
@@ -124,13 +139,13 @@ pub struct CoveragePoint {
 ///
 /// # Panics
 ///
-/// If `bucket_micros` is 0 ([`CoverageBuilder::new`]).
+/// If `bucket_micros` is 0: a zero-width interval never ends.
 pub fn coverage_over_time<'a, I>(records: I, bucket_micros: u64) -> Vec<CoveragePoint>
 where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
     let mut b = CoverageBuilder::new(bucket_micros);
-    let mut names = Hierarchy::new();
+    let mut names = Hierarchy::default();
     for r in records {
         b.observe(r, names.observe(r));
     }
@@ -144,11 +159,12 @@ where
 /// each record comes with the [`NameChange`] the replay's one
 /// [`Hierarchy`] made of it.
 #[derive(Debug)]
-pub struct CoverageBuilder {
+pub(crate) struct CoverageBuilder {
     bucket_micros: u64,
-    /// Identities placeable so far: every handle an operation other than
-    /// RENAME, REMOVE or RMDIR named, and both ends of every entry bound.
-    placed: HashSet<FileId>,
+    /// Files placeable so far, by ordinal: every handle an operation
+    /// other than RENAME, REMOVE or RMDIR named, and both ends of every
+    /// entry bound.
+    placed: Vec<bool>,
     out: Vec<CoveragePoint>,
     bucket_end: u64,
     known: u64,
@@ -161,14 +177,14 @@ impl CoverageBuilder {
     /// # Panics
     ///
     /// If `bucket_micros` is 0: a zero-width interval never ends.
-    pub fn new(bucket_micros: u64) -> Self {
+    pub(crate) fn new(bucket_micros: u64) -> Self {
         assert!(
             bucket_micros > 0,
             "hierarchy coverage needs a bucket width above 0 micros, got {bucket_micros}"
         );
         CoverageBuilder {
             bucket_micros,
-            placed: HashSet::new(),
+            placed: Vec::new(),
             out: Vec::new(),
             bucket_end: 0,
             known: 0,
@@ -180,7 +196,7 @@ impl CoverageBuilder {
     /// must arrive in time order. The bucket that would end past the top
     /// of the clock ends at `u64::MAX` instead, and holds every later
     /// record.
-    pub fn observe(&mut self, r: &TraceRecord, change: NameChange) {
+    pub(crate) fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         if self.bucket_end == 0 {
             self.bucket_end = r.micros.saturating_add(self.bucket_micros);
         }
@@ -188,15 +204,15 @@ impl CoverageBuilder {
             self.flush_bucket();
         }
         self.total += 1;
-        if self.placed.contains(&r.fh) {
+        if self.placed.get(change.file as usize) == Some(&true) {
             self.known += 1;
         }
         if !matches!(r.op, Op::Rename | Op::Remove | Op::Rmdir) {
-            self.placed.insert(r.fh);
+            *slot(&mut self.placed, change.file) = true;
         }
         if let Some((dir, child)) = change.bound {
-            self.placed.insert(dir);
-            self.placed.insert(child);
+            *slot(&mut self.placed, dir) = true;
+            *slot(&mut self.placed, child) = true;
         }
     }
 
@@ -215,7 +231,7 @@ impl CoverageBuilder {
     }
 
     /// Closes the trailing partial bucket and returns the series.
-    pub fn finish(mut self) -> Vec<CoveragePoint> {
+    pub(crate) fn finish(mut self) -> Vec<CoveragePoint> {
         if self.total > 0 {
             self.out.push(CoveragePoint {
                 micros: self.bucket_end,
@@ -230,6 +246,24 @@ impl CoverageBuilder {
 mod tests {
     use super::*;
     use crate::index::{TraceIndex, TraceView};
+
+    impl Hierarchy {
+        /// Looks up a child by directory and name.
+        fn child_of(&self, dir: FileId, name: &str) -> Option<FileId> {
+            let child = *self.dirs.get(*self.ords.get(&dir)? as usize)?.get(name)?;
+            self.ords.iter().find(|&(_, &o)| o == child).map(|(&fh, _)| fh)
+        }
+
+        /// Number of entries bound.
+        fn len(&self) -> usize {
+            self.dirs.iter().map(BTreeMap::len).sum()
+        }
+
+        /// Whether no entry is bound.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     fn lookup(t: u64, dir: u64, name: &str, child: u64) -> TraceRecord {
         let mut r = TraceRecord::new(t, Op::Lookup, FileId(dir)).with_name(name);
@@ -248,16 +282,24 @@ mod tests {
         r
     }
 
-    fn change(bound: Option<(u64, u64)>, unlinked: Option<u64>) -> NameChange {
+    /// A change in ordinals: each test's handles are numbered in the
+    /// order its records first name them (`fh`, then `fh2`, then
+    /// `new_fh`).
+    fn change(
+        file: FileOrd,
+        bound: Option<(FileOrd, FileOrd)>,
+        unlinked: Option<FileOrd>,
+    ) -> NameChange {
         NameChange {
-            bound: bound.map(|(dir, child)| (FileId(dir), FileId(child))),
-            unlinked: unlinked.map(FileId),
+            file,
+            bound,
+            unlinked,
         }
     }
 
     #[test]
     fn paths_reconstruct() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "home7", 2));
         h.observe(&lookup(1, 2, "inbox.lock", 3));
         assert_eq!(h.child_of(FileId(1), "home7"), Some(FileId(2)));
@@ -268,7 +310,7 @@ mod tests {
 
     #[test]
     fn remove_unlinks() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "f", 2));
         h.observe(&TraceRecord::new(1, Op::Remove, FileId(1)).with_name("f"));
         assert!(h.child_of(FileId(1), "f").is_none());
@@ -277,7 +319,7 @@ mod tests {
 
     #[test]
     fn rename_relinks() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "old", 2));
         h.observe(&lookup(0, 1, "dir9", 9));
         h.observe(&rename(1, "old", 9, "new"));
@@ -287,7 +329,7 @@ mod tests {
 
     #[test]
     fn relink_same_name_replaces_old_child() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "f", 2));
         h.observe(&lookup(1, 1, "f", 3)); // recreated with a new identity
         assert_eq!(h.child_of(FileId(1), "f"), Some(FileId(3)));
@@ -296,44 +338,44 @@ mod tests {
 
     #[test]
     fn unknown_path_is_bare() {
-        let h = Hierarchy::new();
+        let h = Hierarchy::default();
         assert_eq!(h.child_of(FileId(42), "f"), None);
         assert!(h.is_empty());
     }
 
     #[test]
     fn a_new_binding_reports_its_entry() {
-        let mut h = Hierarchy::new();
-        assert_eq!(h.observe(&lookup(0, 1, "f", 2)), change(Some((1, 2)), None));
+        let mut h = Hierarchy::default();
+        assert_eq!(h.observe(&lookup(0, 1, "f", 2)), change(0, Some((0, 1)), None));
     }
 
     #[test]
     fn rebinding_the_same_child_unlinks_nothing() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "f", 2));
         let mut create = record(Op::Create, 1, "f");
         create.new_fh = Some(FileId(2));
-        assert_eq!(h.observe(&create), change(Some((1, 2)), None));
+        assert_eq!(h.observe(&create), change(0, Some((0, 1)), None));
     }
 
     #[test]
     fn rebinding_to_another_child_displaces_the_old_one() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "f", 2));
         assert_eq!(
             h.observe(&lookup(1, 1, "f", 3)),
-            change(Some((1, 3)), Some(2))
+            change(0, Some((0, 2)), Some(1))
         );
     }
 
     #[test]
     fn a_rename_over_an_existing_name_displaces_its_file() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "mbox", 2));
         h.observe(&lookup(0, 1, "mbox.tmp", 3));
         assert_eq!(
             h.observe(&rename(1, "mbox.tmp", 1, "mbox")),
-            change(Some((1, 3)), Some(2))
+            change(0, Some((0, 2)), Some(1))
         );
         assert_eq!(h.child_of(FileId(1), "mbox"), Some(FileId(3)));
         assert_eq!(h.len(), 1);
@@ -341,39 +383,60 @@ mod tests {
 
     #[test]
     fn a_rename_of_an_unknown_name_changes_nothing() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "mbox", 2));
         assert_eq!(
             h.observe(&rename(1, "ghost", 1, "mbox")),
-            change(None, None)
+            change(0, None, None)
         );
         assert_eq!(h.child_of(FileId(1), "mbox"), Some(FileId(2)));
     }
 
     #[test]
     fn remove_and_rmdir_report_the_file_they_unlink() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "f", 2));
         h.observe(&lookup(0, 1, "d", 3));
         assert_eq!(
             h.observe(&record(Op::Remove, 1, "f")),
-            change(None, Some(2))
+            change(0, None, Some(1))
         );
-        assert_eq!(h.observe(&record(Op::Rmdir, 1, "d")), change(None, Some(3)));
-        assert_eq!(h.observe(&record(Op::Remove, 1, "f")), change(None, None));
+        assert_eq!(
+            h.observe(&record(Op::Rmdir, 1, "d")),
+            change(0, None, Some(2))
+        );
+        assert_eq!(
+            h.observe(&record(Op::Remove, 1, "f")),
+            change(0, None, None)
+        );
         assert!(h.is_empty());
     }
 
     #[test]
     fn a_failed_create_changes_nothing() {
-        let mut h = Hierarchy::new();
+        let mut h = Hierarchy::default();
         h.observe(&lookup(0, 1, "inbox.lock", 2));
         // An exclusive create of a held lock fails: no new handle.
         assert_eq!(
             h.observe(&record(Op::Create, 1, "inbox.lock")),
-            change(None, None)
+            change(0, None, None)
         );
         assert_eq!(h.child_of(FileId(1), "inbox.lock"), Some(FileId(2)));
+    }
+
+    #[test]
+    fn handles_are_numbered_once_in_first_seen_order() {
+        let mut h = Hierarchy::default();
+        let read = |fh| TraceRecord::new(0, Op::Read, FileId(fh));
+        assert_eq!(h.observe(&read(7)).file, 0);
+        assert_eq!(h.observe(&lookup(0, 5, "f", 7)), change(1, Some((1, 0)), None));
+        assert_eq!(h.observe(&rename(5, "f", 9, "g")), change(1, Some((2, 0)), None));
+        h.observe(&record(Op::Remove, 9, "g"));
+        // An unlink forgets the entry, never the number.
+        assert_eq!(h.observe(&read(9)).file, 2);
+        assert_eq!(h.observe(&read(5)).file, 1);
+        assert_eq!(h.ords.len(), 3);
+        assert!(h.is_empty());
     }
 
     #[test]

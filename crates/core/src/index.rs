@@ -52,10 +52,15 @@
 //! set up front (the `repro` suite) pay one decode pass total, asserted
 //! via [`TraceView::decode_passes`].
 //!
-//! The pass also learns the trace's namespace once: one
-//! [`Hierarchy`] per pass maps (directory, name) to file by the §4.1.1
-//! rules, and every analyzer gets each record with the [`NameChange`]
-//! it made, so none keeps a name map of its own.
+//! The pass also learns the trace's namespace once: one file table per
+//! pass (`core::hierarchy`'s crate-private `Hierarchy`) maps
+//! (directory, name) to file by the §4.1.1 rules, and every analyzer
+//! gets each record with what it did to that namespace, so none keeps
+//! a name map of its own. The table numbers each handle the pass sees
+//! once, with a dense ordinal in first-seen order, and the analyzers
+//! keep their per-file state in vectors indexed by it: what a pass
+//! allocates, and the order it visits files in, follow from the trace
+//! alone.
 //!
 //! # Examples
 //!
@@ -247,7 +252,7 @@ pub trait TraceView: RecordStream + Sized {
     ///
     /// # Panics
     ///
-    /// If `bucket_micros` is 0 ([`CoverageBuilder::new`]).
+    /// If `bucket_micros` is 0: a zero-width interval never ends.
     fn hierarchy_coverage(&self, bucket_micros: u64) -> Arc<Vec<CoveragePoint>> {
         let request = ReplayRequest::Coverage(bucket_micros);
         let Replayed::Coverage(series) = self.caches().replayed(self, request) else {
@@ -646,7 +651,7 @@ impl ProductCaches {
             // The fused pass: no locks held, one traversal, one
             // namespace, every analyzer observes every record with what
             // it did to that namespace.
-            let mut names = Hierarchy::new();
+            let mut names = Hierarchy::default();
             source.for_each_record(&mut |r| {
                 let change = names.observe(r);
                 for (_, job) in &mut jobs {

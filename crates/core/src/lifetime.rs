@@ -13,13 +13,17 @@
 //!
 //! REMOVE and RENAME name a file only by directory and name, so deaths
 //! by deletion are attributed through the replay's one namespace
-//! ([`Hierarchy`]), learned by its rules in every phase; the analyzer
-//! reads each record's [`NameChange`] and keeps no names of its own.
+//! (`core::hierarchy`'s file table), learned by its rules in every
+//! phase; the analyzer reads what each record did to it and keeps no
+//! names of its own. The table numbers each file the pass sees with a
+//! dense ordinal, so the analyzer's per-file state is a vector indexed
+//! by ordinal, and each file's live blocks a vector sorted by block:
+//! deaths are recorded in block order without a sort, and the report
+//! is a function of the trace.
 
-use crate::hierarchy::{Hierarchy, NameChange};
-use crate::record::{FileId, Op, TraceRecord};
+use crate::hierarchy::{slot, FileOrd, Hierarchy, NameChange};
+use crate::record::{Op, TraceRecord};
 use crate::runs::BLOCK;
-use std::collections::HashMap;
 
 /// Why a block died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,7 +80,22 @@ struct LiveBlock {
 #[derive(Debug, Default)]
 struct FileState {
     size: u64,
-    live: HashMap<u64, LiveBlock>,
+    /// Live blocks by block number, sorted.
+    live: Vec<(u64, LiveBlock)>,
+}
+
+impl FileState {
+    /// Makes `block` live at block number `b`, returning the block it
+    /// replaced.
+    fn bear(&mut self, b: u64, block: LiveBlock) -> Option<LiveBlock> {
+        match self.live.binary_search_by_key(&b, |&(n, _)| n) {
+            Ok(i) => Some(std::mem::replace(&mut self.live[i].1, block)),
+            Err(i) => {
+                self.live.insert(i, (b, block));
+                None
+            }
+        }
+    }
 }
 
 /// The outcome of one lifetime analysis window.
@@ -182,18 +201,19 @@ pub fn figure3_probes() -> Vec<u64> {
 /// alongside the other analyzers from one namespace — the `repro` suite
 /// runs all five weekday windows in one pass this way.
 #[derive(Debug)]
-pub struct BlockLifetimeAnalyzer {
+pub(crate) struct BlockLifetimeAnalyzer {
     config: LifetimeConfig,
-    files: HashMap<FileId, FileState>,
+    /// Per-file state by ordinal; `None` for a file not known here.
+    files: Vec<Option<FileState>>,
     report: LifetimeReport,
 }
 
 impl BlockLifetimeAnalyzer {
     /// Creates an analyzer for one window.
-    pub fn new(config: LifetimeConfig) -> Self {
+    pub(crate) fn new(config: LifetimeConfig) -> Self {
         Self {
             config,
-            files: HashMap::new(),
+            files: Vec::new(),
             report: LifetimeReport::default(),
         }
     }
@@ -204,7 +224,7 @@ impl BlockLifetimeAnalyzer {
     /// them, a REMOVE deletes the file it unlinked, and a CREATE deletes
     /// the file whose name it took and truncates the file it bound to 0
     /// (a failed CREATE binds nothing and changes nothing).
-    pub fn observe(&mut self, r: &TraceRecord, change: NameChange) {
+    pub(crate) fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         if r.op == Op::Rename {
             if let Some(old) = change.unlinked {
                 self.kill_file(old, r.micros, DeathCause::Delete);
@@ -214,10 +234,10 @@ impl BlockLifetimeAnalyzer {
             return;
         }
         match r.op {
-            Op::Write => self.on_write(r),
+            Op::Write => self.on_write(r, change.file),
             Op::Setattr => {
                 if let Some(target) = r.truncate_to {
-                    self.on_truncate(r.fh, target, r.micros);
+                    self.on_truncate(change.file, target, r.micros);
                 }
             }
             Op::Create | Op::Remove => {
@@ -227,17 +247,17 @@ impl BlockLifetimeAnalyzer {
                 if let Some((_, created)) = change.bound {
                     // Known from here on, at size 0: its blocks die.
                     self.on_truncate(created, 0, r.micros);
-                    self.files.entry(created).or_default();
+                    slot(&mut self.files, created).get_or_insert_with(FileState::default);
                 }
             }
             _ => {}
         }
     }
 
-    fn on_write(&mut self, r: &TraceRecord) {
+    fn on_write(&mut self, r: &TraceRecord, file: FileOrd) {
         let now = r.micros;
         let count = r.ret_count.max(r.count);
-        let state = self.files.entry(r.fh).or_default();
+        let state = slot(&mut self.files, file).get_or_insert_with(FileState::default);
         // Seed size from WCC pre-op attributes when this is the first
         // sighting of the file.
         if state.size == 0 && state.live.is_empty() {
@@ -252,7 +272,7 @@ impl BlockLifetimeAnalyzer {
             let first = state.size.div_ceil(BLOCK);
             let last = r.offset / BLOCK;
             for b in first..last {
-                state.live.insert(
+                state.bear(
                     b,
                     LiveBlock {
                         birth_micros: now,
@@ -269,7 +289,11 @@ impl BlockLifetimeAnalyzer {
         let start = r.offset / BLOCK;
         let end = (r.offset + u64::from(count)).div_ceil(BLOCK);
         for b in start..end.max(start + 1) {
-            if let Some(old) = state.live.remove(&b) {
+            let born = LiveBlock {
+                birth_micros: now,
+                countable: in_phase1,
+            };
+            if let Some(old) = state.bear(b, born) {
                 record_death(
                     &mut self.report,
                     &self.config,
@@ -278,13 +302,6 @@ impl BlockLifetimeAnalyzer {
                     DeathCause::Overwrite,
                 );
             }
-            state.live.insert(
-                b,
-                LiveBlock {
-                    birth_micros: now,
-                    countable: in_phase1,
-                },
-            );
             if in_phase1 {
                 self.report.births_write += 1;
             }
@@ -292,42 +309,29 @@ impl BlockLifetimeAnalyzer {
         state.size = state.size.max(r.offset + u64::from(count));
     }
 
-    fn on_truncate(&mut self, fh: FileId, target: u64, now: u64) {
-        let Some(state) = self.files.get_mut(&fh) else {
+    fn on_truncate(&mut self, file: FileOrd, target: u64, now: u64) {
+        let Some(Some(state)) = self.files.get_mut(file as usize) else {
             return;
         };
         if target < state.size {
             let first_dead = target.div_ceil(BLOCK);
-            let mut dead: Vec<u64> = state
-                .live
-                .keys()
-                .copied()
-                .filter(|&b| b >= first_dead)
-                .collect();
-            // Block order, not map order: keeps the report (its lifespan
-            // list in particular) deterministic across runs.
-            dead.sort_unstable();
-            for b in dead {
-                if let Some(old) = state.live.remove(&b) {
-                    record_death(
-                        &mut self.report,
-                        &self.config,
-                        old,
-                        now,
-                        DeathCause::Truncate,
-                    );
-                }
+            let cut = state.live.partition_point(|&(b, _)| b < first_dead);
+            for (_, old) in state.live.drain(cut..) {
+                record_death(
+                    &mut self.report,
+                    &self.config,
+                    old,
+                    now,
+                    DeathCause::Truncate,
+                );
             }
         }
         state.size = target;
     }
 
-    fn kill_file(&mut self, fh: FileId, now: u64, cause: DeathCause) {
-        if let Some(state) = self.files.remove(&fh) {
-            // Block order, not map order, for a deterministic report.
-            let mut blocks: Vec<(u64, LiveBlock)> = state.live.into_iter().collect();
-            blocks.sort_unstable_by_key(|&(b, _)| b);
-            for (_, old) in blocks {
+    fn kill_file(&mut self, file: FileOrd, now: u64, cause: DeathCause) {
+        if let Some(state) = self.files.get_mut(file as usize).and_then(Option::take) {
+            for (_, old) in state.live {
                 record_death(&mut self.report, &self.config, old, now, cause);
             }
         }
@@ -335,9 +339,9 @@ impl BlockLifetimeAnalyzer {
 
     /// Ends the analysis: every still-live countable block becomes end
     /// surplus. Returns the report.
-    pub fn finish(mut self) -> LifetimeReport {
-        for state in self.files.values() {
-            self.report.end_surplus += state.live.values().filter(|b| b.countable).count() as u64;
+    pub(crate) fn finish(mut self) -> LifetimeReport {
+        for state in self.files.iter().flatten() {
+            self.report.end_surplus += state.live.iter().filter(|(_, b)| b.countable).count() as u64;
         }
         self.report
     }
@@ -374,7 +378,7 @@ where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
     let mut a = BlockLifetimeAnalyzer::new(config);
-    let mut names = Hierarchy::new();
+    let mut names = Hierarchy::default();
     for r in records {
         a.observe(r, names.observe(r));
     }
@@ -384,6 +388,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FileId;
     use crate::time::{DAY, HOUR, SECOND};
 
     fn cfg() -> LifetimeConfig {

@@ -11,10 +11,12 @@
 //!
 //! A file's name is the one its CREATE bound, and its deletion the
 //! REMOVE that unlinked it from the replay's one namespace
-//! ([`Hierarchy`], which learns from lookups, renames and RMDIRs too).
+//! (`core::hierarchy`'s file table, which learns from lookups, renames
+//! and RMDIRs too). The table numbers each file with a dense ordinal,
+//! so the per-file observations are a vector indexed by ordinal.
 
-use crate::hierarchy::{Hierarchy, NameChange};
-use crate::record::{FileId, Op, TraceRecord};
+use crate::hierarchy::{slot, FileOrd, Hierarchy, NameChange};
+use crate::record::{Op, TraceRecord};
 use std::collections::HashMap;
 
 /// Categories of files recognizable from the last pathname component.
@@ -297,7 +299,7 @@ impl NamePredictionReport {
         I: IntoIterator<Item = &'a TraceRecord>,
     {
         let mut b = NamePredictionBuilder::default();
-        let mut names = Hierarchy::new();
+        let mut names = Hierarchy::default();
         for r in records {
             b.observe(r, names.observe(r));
         }
@@ -323,23 +325,22 @@ impl NamePredictionReport {
 /// each record comes with the [`NameChange`] the replay's one
 /// [`Hierarchy`] made of it.
 #[derive(Debug, Default)]
-pub struct NamePredictionBuilder {
-    /// Per-file observations keyed by identity, with the category of the
-    /// name the file was created under.
-    obs: HashMap<FileId, (FileCategory, FileObservation)>,
+pub(crate) struct NamePredictionBuilder {
+    /// Per-file observations by ordinal, with the category of the name
+    /// the file was created under; `None` for a file no CREATE named.
+    obs: Vec<Option<(FileCategory, FileObservation)>>,
     report: NamePredictionReport,
 }
 
 impl NamePredictionBuilder {
     /// Folds one record in, with what it did to the namespace. Records
     /// must arrive in time order.
-    pub fn observe(&mut self, r: &TraceRecord, change: NameChange) {
-        let (obs, report) = (&mut self.obs, &mut self.report);
+    pub(crate) fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         match r.op {
             Op::Create => {
                 if let (Some(name), Some((_, child))) = (&r.name, change.bound) {
-                    report.total_created += 1;
-                    obs.entry(child).or_insert_with(|| {
+                    self.report.total_created += 1;
+                    slot(&mut self.obs, child).get_or_insert_with(|| {
                         (
                             classify(name),
                             FileObservation {
@@ -351,20 +352,20 @@ impl NamePredictionBuilder {
                 }
             }
             Op::Remove => {
-                if let Some((_, o)) = change.unlinked.and_then(|gone| obs.get_mut(&gone)) {
+                if let Some(o) = change.unlinked.and_then(|gone| self.created(gone)) {
                     o.deleted = Some(r.micros);
                 }
             }
-            Op::Rename => report.renames += 1,
+            Op::Rename => self.report.renames += 1,
             Op::Write | Op::Read => {
-                if let Some((_, o)) = obs.get_mut(&r.fh) {
+                if let Some(o) = self.created(change.file) {
                     o.bytes_moved += u64::from(r.ret_count);
                     let end = r.offset + u64::from(r.ret_count);
                     o.max_size = o.max_size.max(end).max(r.post_size.unwrap_or(0));
                 }
             }
             Op::Setattr => {
-                if let (Some(sz), Some((_, o))) = (r.truncate_to, obs.get_mut(&r.fh)) {
+                if let (Some(sz), Some(o)) = (r.truncate_to, self.created(change.file)) {
                     o.max_size = o.max_size.max(sz);
                 }
             }
@@ -372,13 +373,18 @@ impl NamePredictionBuilder {
         }
     }
 
+    /// The observation of a file a CREATE named.
+    fn created(&mut self, file: FileOrd) -> Option<&mut FileObservation> {
+        self.obs.get_mut(file as usize)?.as_mut().map(|(_, o)| o)
+    }
+
     /// Folds the per-file observations into category statistics and
-    /// returns the report. The fold is order-independent (counters are
-    /// sums, lifetime lists are sorted), so the result does not depend
-    /// on map iteration order.
-    pub fn finish(self) -> NamePredictionReport {
+    /// returns the report. Files fold in ordinal order, the order the
+    /// trace first named them; the fold would not depend on it anyway
+    /// (counters are sums, lifetime lists are sorted).
+    pub(crate) fn finish(self) -> NamePredictionReport {
         let mut report = self.report;
-        for (_, (cat, o)) in self.obs {
+        for (cat, o) in self.obs.into_iter().flatten() {
             let profile = predicted_profile(cat);
             let stats = report.by_category.entry(cat).or_default();
             stats.files += 1;
@@ -410,6 +416,7 @@ impl NamePredictionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::FileId;
     use crate::time::SECOND;
 
     #[test]
