@@ -219,8 +219,9 @@ impl BlockLifetimeAnalyzer {
     }
 
     /// Processes one record and what it did to the namespace. A RENAME
-    /// over another file's name deletes that file whenever it happens;
-    /// every other record outside the two phases is ignored. Inside
+    /// over another file's name deletes that file whenever it happens
+    /// (after Phase 2, its Phase-1-born blocks end as surplus); every
+    /// other record outside the two phases is ignored. Inside
     /// them, a REMOVE deletes the file it unlinked, and a CREATE deletes
     /// the file whose name it took and truncates the file it bound to 0
     /// (a failed CREATE binds nothing and changes nothing).
@@ -354,7 +355,13 @@ fn record_death(
     now: u64,
     cause: DeathCause,
 ) {
-    if !block.countable || now >= config.phase2_end() {
+    if !block.countable {
+        return;
+    }
+    if now >= config.phase2_end() {
+        // No death is recorded past the end margin (only a RENAME kills
+        // there): the block is end surplus, like any other without one.
+        report.end_surplus += 1;
         return;
     }
     let lifespan = now.saturating_sub(block.birth_micros);
@@ -518,6 +525,25 @@ mod tests {
         let rep = analyze(recs.iter(), cfg());
         assert_eq!(rep.deaths_delete, 1); // old mbox block
         assert_eq!(rep.end_surplus, 1); // the renamed file's block lives
+    }
+
+    #[test]
+    fn a_rename_over_a_file_after_the_end_margin_leaves_its_blocks_surplus() {
+        let recs = [
+            create(0, 99, "mbox", 7),
+            write(1, 7, 0, BLOCK as u32),
+            create(3 * DAY, 99, "mbox.tmp", 8),
+            {
+                let mut r = TraceRecord::new(3 * DAY, Op::Rename, FileId(99)).with_name("mbox.tmp");
+                r.name2 = Some("mbox".into());
+                r
+            },
+        ];
+        let rep = analyze(recs.iter(), cfg());
+        assert_eq!(rep.births_total(), 1);
+        assert_eq!(rep.deaths_total(), 0);
+        assert_eq!(rep.deaths_discarded, 0);
+        assert_eq!(rep.end_surplus, 1);
     }
 
     #[test]
