@@ -104,6 +104,24 @@ fn arb_namespace_step() -> impl Strategy<Value = (u64, TraceRecord)> {
         )
 }
 
+/// A namespace-churning trace of up to 200 steps, stamped in time order:
+/// about two days on average, so lifetime windows (which end within two
+/// days of the start) see renames over written files before, inside and
+/// after their phases.
+fn arb_namespace_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
+    proptest::collection::vec(arb_namespace_step(), 0..200).prop_map(|steps| {
+        let mut micros = 0;
+        steps
+            .into_iter()
+            .map(|(gap, mut r)| {
+                micros += gap;
+                r.micros = micros;
+                r
+            })
+            .collect()
+    })
+}
+
 fn arb_lifetime_config() -> impl Strategy<Value = nfstrace_core::lifetime::LifetimeConfig> {
     const HOUR: u64 = 3_600_000_000;
     (0u64..24 * HOUR, 1u64..12 * HOUR, 1u64..12 * HOUR).prop_map(
@@ -122,7 +140,7 @@ proptest! {
     /// inside and outside the lifetime phases.
     #[test]
     fn fused_replay_equals_each_analysis_alone(
-        steps in proptest::collection::vec(arb_namespace_step(), 0..200),
+        records in arb_namespace_trace(),
         bucket in 1u64..2 * 3_600_000_000,
         c1 in arb_lifetime_config(),
         c2 in arb_lifetime_config(),
@@ -132,15 +150,6 @@ proptest! {
         use nfstrace_core::lifetime;
         use nfstrace_core::names::NamePredictionReport;
 
-        let mut micros = 0;
-        let records: Vec<TraceRecord> = steps
-            .into_iter()
-            .map(|(gap, mut r)| {
-                micros += gap;
-                r.micros = micros;
-                r
-            })
-            .collect();
         let idx = TraceIndex::new(records.clone());
         idx.prepare(&[
             ReplayRequest::Names,
@@ -159,6 +168,30 @@ proptest! {
         prop_assert_eq!(idx.lifetime(c1).as_ref(), &lifetime::analyze(records.iter(), c1));
         prop_assert_eq!(idx.lifetime(c2).as_ref(), &lifetime::analyze(records.iter(), c2));
         prop_assert_eq!(idx.decode_passes(), 1);
+    }
+
+    /// Blocks are conserved in every lifetime window: each countable
+    /// birth ends as a counted death or as end surplus (a discarded
+    /// death is counted in `end_surplus`), on the same traces.
+    #[test]
+    fn lifetime_windows_conserve_blocks(
+        records in arb_namespace_trace(),
+        c1 in arb_lifetime_config(),
+        c2 in arb_lifetime_config(),
+    ) {
+        use nfstrace_core::index::{ReplayRequest, TraceIndex, TraceView};
+
+        let idx = TraceIndex::new(records);
+        idx.prepare(&[ReplayRequest::Lifetime(c1), ReplayRequest::Lifetime(c2)]);
+        for c in [c1, c2] {
+            let report = idx.lifetime(c);
+            prop_assert_eq!(
+                report.births_total(),
+                report.deaths_total() + report.end_surplus,
+                "{:?}",
+                c
+            );
+        }
     }
 
     /// The reorder sort never loses or duplicates accesses.

@@ -98,6 +98,25 @@ fn table4_death_causes_differ_by_system() {
 }
 
 #[test]
+fn table4_weekday_windows_conserve_blocks() {
+    // On the suite's own 8-day traces, every Phase-1-born block of the
+    // five weekday windows ends as a counted death or as end surplus
+    // (a discarded death is counted in the surplus).
+    let (campus8, eecs8) = nfstrace_bench::scenarios::eight_day_index_pair(0.1);
+    for (system, idx) in [("CAMPUS", &campus8), ("EECS", &eecs8)] {
+        let r = idx.weekday_lifetime();
+        assert!(r.births_total() > 0, "{system}: no births");
+        assert_eq!(
+            r.births_total(),
+            r.deaths_total() + r.end_surplus,
+            "{system}: {} deaths, {} surplus",
+            r.deaths_total(),
+            r.end_surplus
+        );
+    }
+}
+
+#[test]
 fn fig3_eecs_blocks_die_much_faster() {
     let cfg = lifetime::LifetimeConfig {
         phase1_start: DAY,
