@@ -55,7 +55,7 @@ pub(crate) struct NameChange {
 }
 
 /// A reconstructed (partial) namespace over numbered files.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Hierarchy {
     /// Every handle seen, to its ordinal. Insert-only.
     ords: HashMap<FileId, FileOrd>,
@@ -251,7 +251,10 @@ mod tests {
         /// Looks up a child by directory and name.
         fn child_of(&self, dir: FileId, name: &str) -> Option<FileId> {
             let child = *self.dirs.get(*self.ords.get(&dir)? as usize)?.get(name)?;
-            self.ords.iter().find(|&(_, &o)| o == child).map(|(&fh, _)| fh)
+            self.ords
+                .iter()
+                .find(|&(_, &o)| o == child)
+                .map(|(&fh, _)| fh)
         }
 
         /// Number of entries bound.
@@ -346,7 +349,10 @@ mod tests {
     #[test]
     fn a_new_binding_reports_its_entry() {
         let mut h = Hierarchy::default();
-        assert_eq!(h.observe(&lookup(0, 1, "f", 2)), change(0, Some((0, 1)), None));
+        assert_eq!(
+            h.observe(&lookup(0, 1, "f", 2)),
+            change(0, Some((0, 1)), None)
+        );
     }
 
     #[test]
@@ -429,8 +435,14 @@ mod tests {
         let mut h = Hierarchy::default();
         let read = |fh| TraceRecord::new(0, Op::Read, FileId(fh));
         assert_eq!(h.observe(&read(7)).file, 0);
-        assert_eq!(h.observe(&lookup(0, 5, "f", 7)), change(1, Some((1, 0)), None));
-        assert_eq!(h.observe(&rename(5, "f", 9, "g")), change(1, Some((2, 0)), None));
+        assert_eq!(
+            h.observe(&lookup(0, 5, "f", 7)),
+            change(1, Some((1, 0)), None)
+        );
+        assert_eq!(
+            h.observe(&rename(5, "f", 9, "g")),
+            change(1, Some((2, 0)), None)
+        );
         h.observe(&record(Op::Remove, 9, "g"));
         // An unlink forgets the entry, never the number.
         assert_eq!(h.observe(&read(9)).file, 2);

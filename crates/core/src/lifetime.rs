@@ -342,7 +342,8 @@ impl BlockLifetimeAnalyzer {
     /// surplus. Returns the report.
     pub(crate) fn finish(mut self) -> LifetimeReport {
         for state in self.files.iter().flatten() {
-            self.report.end_surplus += state.live.iter().filter(|(_, b)| b.countable).count() as u64;
+            self.report.end_surplus +=
+                state.live.iter().filter(|(_, b)| b.countable).count() as u64;
         }
         self.report
     }

@@ -117,9 +117,10 @@ fn a_fused_replay_allocates_for_its_names_not_its_records() {
     assert_eq!(idx.decode_passes(), 1);
     assert_eq!(idx.names().renames, 0);
     // One key per entry and the maps that hold them, plus the replay's
-    // fixed cost — six analyzers, their reports and caches (93 on this
-    // trace). A copy of each entry's name in any analyzer goes through
-    // this bound; a copy per record, far through it.
+    // fixed cost — the file table, six analyzers, their reports and
+    // caches (97 on this trace). A copy of each entry's name in any
+    // analyzer goes through this bound; a copy per record, far through
+    // it.
     assert!(
         allocations < entries + 64,
         "{allocations} allocations replaying {RECORDS} LOOKUPs of {entries} entries"
