@@ -22,6 +22,12 @@
 //! ordinal map only ever grows; each directory's entries are ordered
 //! by name, so an unlink leaves no tombstone behind and what a replay
 //! allocates is a function of its trace.
+//!
+//! The numbering itself (`FileOrds`) is the only map in the crate keyed
+//! by handle. The construction pass (`core::index`'s `PartialIndex`)
+//! numbers the files it sees a data access to with one of its own, so
+//! its per-file access lists sit in first-access order, indexed by
+//! ordinal.
 
 use crate::record::{FileId, Op, TraceRecord};
 use std::collections::{BTreeMap, HashMap};
@@ -54,31 +60,40 @@ pub(crate) struct NameChange {
     pub unlinked: Option<FileOrd>,
 }
 
+/// The numbering of files: each handle gets a dense ordinal, in the order
+/// first seen. Insert-only, so a per-file list kept in first-seen order
+/// is indexed by ordinal and takes a file when its new ordinal equals
+/// the list's length.
+#[derive(Debug, Default)]
+pub(crate) struct FileOrds(HashMap<FileId, FileOrd>);
+
+impl FileOrds {
+    /// The ordinal of `fh`, numbering it if it is new.
+    pub(crate) fn ord(&mut self, fh: FileId) -> FileOrd {
+        let next = FileOrd::try_from(self.0.len()).expect("a pass numbers at most 2^32 files");
+        *self.0.entry(fh).or_insert(next)
+    }
+}
+
 /// A reconstructed (partial) namespace over numbered files.
 #[derive(Debug, Default)]
 pub(crate) struct Hierarchy {
-    /// Every handle seen, to its ordinal. Insert-only.
-    ords: HashMap<FileId, FileOrd>,
+    /// Every handle seen, to its ordinal.
+    ords: FileOrds,
     /// Each directory's entries, name → child, by the directory's
     /// ordinal.
     dirs: Vec<BTreeMap<String, FileOrd>>,
 }
 
 impl Hierarchy {
-    /// The ordinal of `fh`, numbering it if it is new.
-    fn ord(&mut self, fh: FileId) -> FileOrd {
-        let next = FileOrd::try_from(self.ords.len()).expect("a replay numbers at most 2^32 files");
-        *self.ords.entry(fh).or_insert(next)
-    }
-
     /// Numbers the record's handles and learns from it, and says what it
     /// changed. A record without the name (or, for a bind, the new
     /// handle) its rule needs — a failed CREATE, say — changes nothing,
     /// as does a RENAME or REMOVE of a name not learned.
     pub(crate) fn observe(&mut self, r: &TraceRecord) -> NameChange {
-        let file = self.ord(r.fh);
-        let to_dir = r.fh2.map(|d| self.ord(d));
-        let new = r.new_fh.map(|c| self.ord(c));
+        let file = self.ords.ord(r.fh);
+        let to_dir = r.fh2.map(|d| self.ords.ord(d));
+        let new = r.new_fh.map(|c| self.ords.ord(c));
         let mut change = NameChange {
             file,
             bound: None,
@@ -250,8 +265,9 @@ mod tests {
     impl Hierarchy {
         /// Looks up a child by directory and name.
         fn child_of(&self, dir: FileId, name: &str) -> Option<FileId> {
-            let child = *self.dirs.get(*self.ords.get(&dir)? as usize)?.get(name)?;
+            let child = *self.dirs.get(*self.ords.0.get(&dir)? as usize)?.get(name)?;
             self.ords
+                .0
                 .iter()
                 .find(|&(_, &o)| o == child)
                 .map(|(&fh, _)| fh)
@@ -447,7 +463,7 @@ mod tests {
         // An unlink forgets the entry, never the number.
         assert_eq!(h.observe(&read(9)).file, 2);
         assert_eq!(h.observe(&read(5)).file, 1);
-        assert_eq!(h.ords.len(), 3);
+        assert_eq!(h.ords.0.len(), 3);
         assert!(h.is_empty());
     }
 

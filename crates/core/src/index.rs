@@ -58,7 +58,13 @@
 //! gets each record with what it did to that namespace, so none keeps
 //! a name map of its own. The table numbers each handle the pass sees
 //! once, with a dense ordinal in first-seen order, and the analyzers
-//! keep their per-file state in vectors indexed by it: what a pass
+//! keep their per-file state in vectors indexed by it.
+//!
+//! The construction pass numbers files the same way, through the same
+//! crate-private numbering (`core::hierarchy`'s `FileOrds`): each
+//! [`PartialIndex`] keeps its access lists in an [`AccessMap`] ordered
+//! by each file's first data access, and the reorder, run and sweep
+//! analyses walk that order. Neither pass iterates a map: what it
 //! allocates, and the order it visits files in, follow from the trace
 //! alone.
 //!
@@ -82,7 +88,7 @@
 //! assert_eq!(idx.sort_passes(), 1);
 //! ```
 
-use crate::hierarchy::{CoverageBuilder, CoveragePoint, Hierarchy, NameChange};
+use crate::hierarchy::{CoverageBuilder, CoveragePoint, FileOrds, Hierarchy, NameChange};
 use crate::hourly::{HourlyBuilder, HourlySeries};
 use crate::lifetime::{BlockLifetimeAnalyzer, LifetimeConfig, LifetimeReport};
 use crate::names::{NamePredictionBuilder, NamePredictionReport};
@@ -102,8 +108,10 @@ use std::sync::{Arc, Mutex};
 /// snapshotting never copies accesses.
 pub type AccessList = Arc<Vec<Access>>;
 
-/// Per-file access lists, the unit the reorder and run analyses consume.
-pub type AccessMap = HashMap<FileId, AccessList>;
+/// Per-file access lists, the unit the reorder and run analyses consume:
+/// one entry per file with a data access, in the order of each file's
+/// first access.
+pub type AccessMap = Vec<(FileId, AccessList)>;
 
 /// Cached run tables keyed by (reorder window ms, run options).
 type RunCache = HashMap<(u64, RunOptions), Arc<Vec<Run>>>;
@@ -200,8 +208,9 @@ pub trait TraceView: RecordStream + Sized {
     }
 
     /// Per-file accesses corrected with a `window_ms` reorder window
-    /// (§4.2). Window 0 returns the arrival-order lists. Each window is
-    /// sorted exactly once per view; repeat calls are cache hits.
+    /// (§4.2), files in the order of their first access. Window 0
+    /// returns the arrival-order lists. Each window is sorted exactly
+    /// once per view; repeat calls are cache hits.
     fn accesses(&self, window_ms: u64) -> Arc<AccessMap> {
         self.caches().accesses(&self.base().raw, window_ms)
     }
@@ -286,7 +295,8 @@ pub trait TraceView: RecordStream + Sized {
 /// for a time-sorted trace also means timestamp order) produce the same
 /// summary, hourly buckets, and per-file access lists as a single pass
 /// over the concatenated records — the per-file lists concatenate in
-/// record order, and every counter is a sum.
+/// record order, files stay in first-access order, and every counter
+/// is a sum.
 ///
 /// # Examples
 ///
@@ -303,17 +313,14 @@ pub trait TraceView: RecordStream + Sized {
 /// assert_eq!(whole.finish().summary, merged.finish().summary);
 /// ```
 ///
-/// `Clone` exists for *snapshots*: a live ingest keeps one running
-/// partial and clones it to answer queries mid-stream without ending
-/// accumulation ([`PartialIndex::snapshot_base`]). The per-file access
-/// lists are copy-on-write ([`AccessList`]), so a snapshot costs
-/// O(counters + hourly buckets) — **not** O(distinct files + accesses)
-/// — and later observes re-copy only the lists a snapshot still holds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PartialIndex {
     summary: SummaryStats,
     hourly: HourlyBuilder,
+    /// Access lists by ordinal in `files`.
     raw: Arc<AccessMap>,
+    /// The numbering of the files in `raw`.
+    files: FileOrds,
     len: usize,
 }
 
@@ -346,6 +353,7 @@ impl PartialIndex {
             summary: SummaryStats::accumulator(),
             hourly: HourlyBuilder::default(),
             raw: Arc::new(AccessMap::new()),
+            files: FileOrds::default(),
             len: 0,
         }
     }
@@ -368,7 +376,12 @@ impl PartialIndex {
         self.summary.add(r);
         self.hourly.observe(r);
         if let Some(a) = Access::from_record(r) {
-            Arc::make_mut(Arc::make_mut(&mut self.raw).entry(r.fh).or_default()).push(a);
+            let raw = Arc::make_mut(&mut self.raw);
+            let i = self.files.ord(r.fh) as usize;
+            if i == raw.len() {
+                raw.push((r.fh, AccessList::default()));
+            }
+            Arc::make_mut(&mut raw[i].1).push(a);
         }
         self.len += 1;
     }
@@ -387,10 +400,11 @@ impl PartialIndex {
     ///
     /// The caller must absorb partials in chunk order: every record in
     /// `later` is taken to follow every record already folded into
-    /// `self`, so the per-file access lists concatenate in trace order.
-    /// A list both hold grows to exactly its merged length, so the
-    /// merge leaves no slack — and is meant for a few large partials
-    /// (one per worker), not many small ones.
+    /// `self`, so the per-file access lists concatenate in trace order,
+    /// and `later`'s new files follow `self`'s, in their own
+    /// first-access order. A list both hold grows to exactly its merged
+    /// length, so the merge leaves no slack — and is meant for a few
+    /// large partials (one per worker), not many small ones.
     pub fn absorb(&mut self, later: PartialIndex) {
         self.summary.absorb(&later.summary);
         self.hourly.absorb(later.hourly);
@@ -399,31 +413,36 @@ impl PartialIndex {
         let later_raw = Arc::try_unwrap(later.raw).unwrap_or_else(|a| a.as_ref().clone());
         let raw = Arc::make_mut(&mut self.raw);
         for (fh, list) in later_raw {
-            match raw.entry(fh) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let merged = Arc::make_mut(e.get_mut());
-                    merged.reserve_exact(list.len());
-                    merged.extend(list.iter().copied());
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(list);
-                }
+            let i = self.files.ord(fh) as usize;
+            if i == raw.len() {
+                raw.push((fh, list));
+            } else {
+                let merged = Arc::make_mut(&mut raw[i].1);
+                merged.reserve_exact(list.len());
+                merged.extend(list.iter().copied());
             }
         }
         self.len += later.len;
     }
 
-    /// The finished products *as of now*, without ending accumulation:
-    /// clones the running state and finishes the clone. This is how a
-    /// live view materializes "everything ingested so far" while the
-    /// ingest keeps folding records in.
+    /// The finished products *as of now*, without ending accumulation.
+    /// This is how a live view materializes "everything ingested so
+    /// far" while the ingest keeps folding records in.
     ///
-    /// The access lists are copy-on-write, so this costs
-    /// O(counters + hourly buckets): the snapshot and the running
-    /// partial *share* every per-file list until the next observe of
-    /// that file re-copies just that list.
+    /// The access lists are copy-on-write ([`AccessList`]) and the
+    /// numbering stays behind, so this costs O(counters + hourly
+    /// buckets) — **not** O(distinct files + accesses): the snapshot
+    /// and the running partial *share* every per-file list until the
+    /// next observe of that file re-copies just that list.
     pub fn snapshot_base(&self) -> IndexBase {
-        self.clone().finish()
+        let mut summary = self.summary.clone();
+        summary.finish();
+        IndexBase {
+            summary,
+            hourly: self.hourly.clone().finish(),
+            raw: Arc::clone(&self.raw),
+            len: self.len,
+        }
     }
 
     /// Ends accumulation and returns the finished products.
@@ -594,7 +613,7 @@ impl ProductCaches {
         }
         let _span = span!(self.metrics.sort_micros);
         let mut sorted: AccessMap = raw.as_ref().clone();
-        for list in sorted.values_mut() {
+        for (_, list) in &mut sorted {
             // make_mut copies the shared arrival-order list once; the
             // sort then runs on the private copy.
             let list: &mut Vec<Access> = Arc::make_mut(list);
@@ -832,7 +851,7 @@ mod tests {
         let legacy = reorder::accesses_by_file(records.iter());
         assert_eq!(idx.accesses(0).as_ref(), &legacy);
         let mut sorted = legacy;
-        for l in sorted.values_mut() {
+        for (_, l) in &mut sorted {
             let l: &mut Vec<Access> = Arc::make_mut(l);
             reorder::sort_within_window(l, 10_000);
         }
@@ -930,7 +949,15 @@ mod tests {
     fn sharded_build_matches_serial() {
         let records = sample();
         let serial = TraceIndex::new(records.clone());
-        for threads in [2, 3, 8, 64] {
+        // Files with a data access, in the order of their first one.
+        let mut first_accessed = Vec::new();
+        for r in records.iter().filter(|r| Access::from_record(r).is_some()) {
+            if !first_accessed.contains(&r.fh) {
+                first_accessed.push(r.fh);
+            }
+        }
+        assert_eq!(first_accessed, [0, 7, 1, 2].map(FileId));
+        for threads in [1, 2, 3, 4, 8, 64] {
             let sharded = TraceIndex::new_sharded(records.clone(), threads);
             assert_eq!(sharded.summary(), serial.summary(), "threads={threads}");
             assert_eq!(sharded.hourly(), serial.hourly(), "threads={threads}");
@@ -939,7 +966,27 @@ mod tests {
                 serial.accesses(0).as_ref(),
                 "threads={threads}"
             );
+            let order: Vec<FileId> = sharded.accesses(0).iter().map(|&(f, _)| f).collect();
+            assert_eq!(order, first_accessed, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn files_are_listed_in_first_access_order() {
+        let idx = TraceIndex::new(vec![
+            rec(0, Op::Read, 9, 0, 8192),
+            TraceRecord::new(5, Op::Getattr, FileId(4)),
+            rec(10, Op::Read, 1, 0, 8192),
+            rec(20, Op::Write, 9, 8192, 8192),
+            rec(30, Op::Read, 1, 8192, 8192),
+        ]);
+        for window in [0, 10] {
+            let files: Vec<FileId> = idx.accesses(window).iter().map(|&(f, _)| f).collect();
+            assert_eq!(files, [FileId(9), FileId(1)], "window={window}");
+        }
+        let runs = idx.runs(10, RunOptions::default());
+        let files: Vec<FileId> = runs.iter().map(|r| r.file).collect();
+        assert_eq!(files, [FileId(9), FileId(1)]);
     }
 
     #[test]
@@ -1137,16 +1184,21 @@ mod tests {
         p.observe(&rec(0, Op::Read, 1, 0, 8192));
         p.observe(&rec(10, Op::Read, 2, 0, 8192));
         let snap1 = p.snapshot_base();
-        // Touch only file 1; file 2's list must stay shared.
+        // Touch only file 1 (position 0); file 2's list (position 1)
+        // must stay shared.
         p.observe(&rec(20, Op::Write, 1, 8192, 4096));
         let snap2 = p.snapshot_base();
+        for snap in [&snap1, &snap2] {
+            let files: Vec<FileId> = snap.raw.iter().map(|&(f, _)| f).collect();
+            assert_eq!(files, [FileId(1), FileId(2)]);
+        }
         assert!(Arc::ptr_eq(
-            &snap1.raw[&FileId(2)],
-            &snap2.raw[&FileId(2)],
+            &snap1.raw[1].1,
+            &snap2.raw[1].1,
             // ^ untouched list shared between snapshots
         ));
-        assert!(!Arc::ptr_eq(&snap1.raw[&FileId(1)], &snap2.raw[&FileId(1)]));
-        assert_eq!(snap1.raw[&FileId(1)].len(), 1);
-        assert_eq!(snap2.raw[&FileId(1)].len(), 2);
+        assert!(!Arc::ptr_eq(&snap1.raw[0].1, &snap2.raw[0].1));
+        assert_eq!(snap1.raw[0].1.len(), 1);
+        assert_eq!(snap2.raw[0].1.len(), 2);
     }
 }

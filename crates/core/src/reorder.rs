@@ -14,6 +14,7 @@
 //! swapped against the window size; the knee picks the window (5 ms for
 //! EECS, 10 ms for CAMPUS).
 
+use crate::hierarchy::FileOrds;
 use crate::index::{AccessList, AccessMap};
 use crate::record::TraceRecord;
 use std::sync::Arc;
@@ -52,15 +53,21 @@ impl Access {
     }
 }
 
-/// Groups a record stream's data accesses by file, preserving order.
+/// Groups a record stream's data accesses by file, preserving order;
+/// files come in the order of their first access.
 pub fn accesses_by_file<'a, I>(records: I) -> AccessMap
 where
     I: IntoIterator<Item = &'a TraceRecord>,
 {
+    let mut files = FileOrds::default();
     let mut map = AccessMap::new();
     for r in records {
         if let Some(a) = Access::from_record(r) {
-            Arc::make_mut(map.entry(r.fh).or_default()).push(a);
+            let i = files.ord(r.fh) as usize;
+            if i == map.len() {
+                map.push((r.fh, AccessList::default()));
+            }
+            Arc::make_mut(&mut map[i].1).push(a);
         }
     }
     map
@@ -112,8 +119,9 @@ pub struct SwapPoint {
 /// access lists.
 ///
 /// The (file × window) grid is embarrassingly parallel; files are
-/// sharded across [`crate::parallel::threads`] workers and the per-shard
-/// swap counts summed, so the result is identical for any worker count.
+/// sharded, in the map's first-access order, across
+/// [`crate::parallel::threads`] workers and the per-shard swap counts
+/// summed, so the result is identical for any worker count.
 pub fn swap_fraction_sweep(per_file: &AccessMap, windows_ms: &[u64]) -> Vec<SwapPoint> {
     swap_fraction_sweep_with_threads(per_file, windows_ms, crate::parallel::threads())
 }
@@ -125,18 +133,13 @@ fn swap_fraction_sweep_with_threads(
     windows_ms: &[u64],
     threads: usize,
 ) -> Vec<SwapPoint> {
-    let lists: Vec<&AccessList> = per_file.values().collect();
-    let total: u64 = lists.iter().map(|v| v.len() as u64).sum();
-    // The scratch holds the longest list from the start: which lists a
-    // run gets, and in which order, follows the map's per-process hash
-    // seed, so growing to fit would allocate differently run to run.
-    let longest = lists.iter().map(|v| v.len()).max().unwrap_or(0);
-    let run_len = crate::parallel::run_len(lists.len(), threads);
+    let total: u64 = per_file.iter().map(|(_, v)| v.len() as u64).sum();
+    let run_len = crate::parallel::run_len(per_file.len(), threads);
     // Each run returns one swap count per window over its files.
-    let partials = crate::parallel::fork_join(lists.chunks(run_len), |run| {
+    let partials = crate::parallel::fork_join(per_file.chunks(run_len), |run| {
         let mut counts = vec![0u64; windows_ms.len()];
-        let mut scratch: Vec<Access> = Vec::with_capacity(longest);
-        for list in run {
+        let mut scratch: Vec<Access> = Vec::new();
+        for (_, list) in run {
             for (wi, &w) in windows_ms.iter().enumerate() {
                 if w == 0 {
                     continue; // a zero window swaps nothing
@@ -245,7 +248,7 @@ mod tests {
             };
             list.push(acc(i * 2_000, off));
         }
-        per_file.insert(FileId(1), Arc::new(list));
+        per_file.push((FileId(1), Arc::new(list)));
         let pts = swap_fraction_sweep(&per_file, &[0, 1, 2, 5, 10, 20, 50]);
         assert_eq!(pts[0].swapped_fraction, 0.0);
         for w in pts.windows(2) {
@@ -260,7 +263,7 @@ mod tests {
             let list: Vec<Access> = (0..60u64)
                 .map(|i| acc(i * 1500, ((i * 7 + f) % 60) * 8192))
                 .collect();
-            per_file.insert(FileId(f), Arc::new(list));
+            per_file.push((FileId(f), Arc::new(list)));
         }
         let windows = [0u64, 1, 2, 5, 10, 20];
         let serial = swap_fraction_sweep_with_threads(&per_file, &windows, 1);

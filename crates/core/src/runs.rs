@@ -210,14 +210,12 @@ fn run_covers_file(items: &[Access]) -> bool {
     starts_at_zero && hits_eof
 }
 
-/// Splits and categorizes runs for every file in a trace.
+/// Splits and categorizes runs for every file in a trace: files in the
+/// map's order (first access), each file's runs in time order.
 pub fn runs_for_trace(per_file: &crate::index::AccessMap, opts: RunOptions) -> Vec<Run> {
     let mut out = Vec::new();
-    // Deterministic iteration order for reproducible statistics.
-    let mut files: Vec<_> = per_file.keys().copied().collect();
-    files.sort_unstable();
-    for f in files {
-        out.extend(split_runs(f, &per_file[&f], opts));
+    for (f, list) in per_file {
+        out.extend(split_runs(*f, list, opts));
     }
     out
 }

@@ -287,7 +287,7 @@ proptest! {
         prop_assert_eq!(idx.summary(), &SummaryStats::from_records(records.iter()));
 
         let mut per_file = accesses_by_file(records.iter());
-        for list in per_file.values_mut() {
+        for (_, list) in &mut per_file {
             let list: &mut Vec<_> = std::sync::Arc::make_mut(list);
             sort_within_window(list, window_ms * 1000);
         }

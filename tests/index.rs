@@ -60,7 +60,7 @@ fn index_products_match_legacy_paths_on_generated_trace() {
         (10, RunOptions::default()),
     ] {
         let mut per_file = reorder::accesses_by_file(records.iter());
-        for list in per_file.values_mut() {
+        for (_, list) in &mut per_file {
             let list: &mut Vec<_> = std::sync::Arc::make_mut(list);
             reorder::sort_within_window(list, window * 1000);
         }
