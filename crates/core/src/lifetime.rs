@@ -255,9 +255,14 @@ impl BlockLifetimeAnalyzer {
         }
     }
 
+    /// A WRITE that moves no bytes births no block, kills none and
+    /// leaves the file's size alone.
     fn on_write(&mut self, r: &TraceRecord, file: FileOrd) {
         let now = r.micros;
         let count = r.ret_count.max(r.count);
+        if count == 0 {
+            return;
+        }
         let state = slot(&mut self.files, file).get_or_insert_with(FileState::default);
         // Seed size from WCC pre-op attributes when this is the first
         // sighting of the file.
@@ -289,7 +294,7 @@ impl BlockLifetimeAnalyzer {
         // Written blocks: overwrite deaths then births.
         let start = r.offset / BLOCK;
         let end = (r.offset + u64::from(count)).div_ceil(BLOCK);
-        for b in start..end.max(start + 1) {
+        for b in start..end {
             let born = LiveBlock {
                 birth_micros: now,
                 countable: in_phase1,
@@ -443,6 +448,23 @@ mod tests {
         let rep = analyze(recs.iter(), cfg());
         assert_eq!(rep.births_extension, 4);
         assert_eq!(rep.births_write, 1);
+    }
+
+    #[test]
+    fn a_zero_length_write_births_nothing() {
+        // A 0-byte WRITE at block 4 of an empty file, then a one-block
+        // WRITE at block 8: blocks 0-7 born by extension, block 8 by
+        // write, each once.
+        let recs = [
+            write(0, 1, 4 * BLOCK, 0),
+            write(HOUR, 1, 8 * BLOCK, BLOCK as u32),
+        ];
+        let rep = analyze(recs.iter(), cfg());
+        assert_eq!(rep.births_extension, 8);
+        assert_eq!(rep.births_write, 1);
+        assert_eq!(rep.births_total(), 9);
+        assert_eq!(rep.deaths_total(), 0);
+        assert_eq!(rep.end_surplus, 9);
     }
 
     #[test]
