@@ -3,6 +3,7 @@
 
 use nfstrace::client::ReorderStats;
 use nfstrace::core::lifetime;
+use nfstrace::core::record::{FileId, Op, TraceRecord};
 use nfstrace::core::reorder;
 use nfstrace::core::runs::{RunKind, RunOptions};
 use nfstrace::core::seqmetric::metric_by_run_size;
@@ -46,22 +47,46 @@ fn table2_shape_campus_busier() {
 
 #[test]
 fn table3_processing_recovers_sequentiality() {
-    for (idx, win) in [(campus(), 10u64), (eecs(), 5u64)] {
-        let raw = idx.runs(0, RunOptions::raw());
-        let processed = idx.runs(win, RunOptions::default());
-        let random_frac = |runs: &[nfstrace::core::runs::Run]| {
-            let total = runs.len().max(1) as f64;
-            runs.iter()
-                .filter(|r| r.pattern == nfstrace::core::runs::RunPattern::Random)
-                .count() as f64
-                / total
-        };
+    // One file read in 8 KiB blocks, 100 ms apart, with the reads of
+    // blocks 2 and 3 swapped 1 ms apart: raw, its one run is random.
+    let swapped = TraceIndex::new(
+        [
+            (0, 0),
+            (100, 1),
+            (200, 3),
+            (201, 2),
+            (300, 4),
+            (400, 5),
+            (500, 6),
+        ]
+        .map(|(ms, block)| {
+            TraceRecord::new(ms * 1000, Op::Read, FileId(1)).with_range(block * 8192, 8192)
+        })
+        .to_vec(),
+    );
+    let random_frac = |runs: &[nfstrace::core::runs::Run]| {
+        let total = runs.len().max(1) as f64;
+        runs.iter()
+            .filter(|r| r.pattern == nfstrace::core::runs::RunPattern::Random)
+            .count() as f64
+            / total
+    };
+    for (idx, win, strict) in [
+        (campus(), 10u64, false),
+        (eecs(), 5, false),
+        (&swapped, 10, true),
+    ] {
+        let raw = random_frac(&idx.runs(0, RunOptions::raw()));
+        let processed = random_frac(&idx.runs(win, RunOptions::default()));
         // The paper's point: raw analysis overstates randomness.
+        let recovered = if strict {
+            processed < raw
+        } else {
+            processed <= raw + 1e-9
+        };
         assert!(
-            random_frac(&processed) <= random_frac(&raw) + 1e-9,
-            "window {win}: processed {} vs raw {}",
-            random_frac(&processed),
-            random_frac(&raw)
+            recovered,
+            "window {win}: processed {processed} vs raw {raw}"
         );
     }
 }
