@@ -19,15 +19,10 @@
 //! keeps its per-file state in a vector indexed by ordinal: no map it
 //! keeps removes entries, and none iterates in hash order. An ordinal
 //! means nothing outside the pass that assigned it. The handle →
-//! ordinal map only ever grows; each directory's entries are ordered
-//! by name, so an unlink leaves no tombstone behind and what a replay
-//! allocates is a function of its trace.
-//!
-//! The numbering itself (`FileOrds`) is the only map in the crate keyed
-//! by handle. The construction pass (`core::index`'s `PartialIndex`)
-//! numbers the files it sees a data access to with one of its own, so
-//! its per-file access lists sit in first-access order, indexed by
-//! ordinal.
+//! ordinal map (`FileOrds`, which the construction pass uses too) only
+//! ever grows; each directory's entries are ordered by name, so an
+//! unlink leaves no tombstone behind and what a replay allocates is a
+//! function of its trace.
 
 use crate::record::{FileId, Op, TraceRecord};
 use std::collections::{BTreeMap, HashMap};
@@ -60,10 +55,9 @@ pub(crate) struct NameChange {
     pub unlinked: Option<FileOrd>,
 }
 
-/// The numbering of files: each handle gets a dense ordinal, in the order
-/// first seen. Insert-only, so a per-file list kept in first-seen order
-/// is indexed by ordinal and takes a file when its new ordinal equals
-/// the list's length.
+/// The one numbering of files: each handle's dense ordinal, in the order
+/// first seen. A per-file list in that order takes a file when its new
+/// ordinal equals the list's length.
 #[derive(Debug, Default)]
 pub(crate) struct FileOrds(HashMap<FileId, FileOrd>);
 
@@ -78,7 +72,6 @@ impl FileOrds {
 /// A reconstructed (partial) namespace over numbered files.
 #[derive(Debug, Default)]
 pub(crate) struct Hierarchy {
-    /// Every handle seen, to its ordinal.
     ords: FileOrds,
     /// Each directory's entries, name → child, by the directory's
     /// ordinal.

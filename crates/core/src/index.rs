@@ -58,15 +58,10 @@
 //! gets each record with what it did to that namespace, so none keeps
 //! a name map of its own. The table numbers each handle the pass sees
 //! once, with a dense ordinal in first-seen order, and the analyzers
-//! keep their per-file state in vectors indexed by it.
-//!
-//! The construction pass numbers files the same way, through the same
-//! crate-private numbering (`core::hierarchy`'s `FileOrds`): each
-//! [`PartialIndex`] keeps its access lists in an [`AccessMap`] ordered
-//! by each file's first data access, and the reorder, run and sweep
-//! analyses walk that order. Neither pass iterates a map: what it
-//! allocates, and the order it visits files in, follow from the trace
-//! alone.
+//! keep their per-file state in vectors indexed by it. The construction
+//! pass numbers files the same way, so an [`AccessMap`] is in
+//! first-access order: what either pass allocates, and the order it
+//! visits files in, follow from the trace alone.
 //!
 //! # Examples
 //!
@@ -317,9 +312,8 @@ pub trait TraceView: RecordStream + Sized {
 pub struct PartialIndex {
     summary: SummaryStats,
     hourly: HourlyBuilder,
-    /// Access lists by ordinal in `files`.
     raw: Arc<AccessMap>,
-    /// The numbering of the files in `raw`.
+    /// Each file's position in `raw`.
     files: FileOrds,
     len: usize,
 }
@@ -340,7 +334,7 @@ pub struct IndexBase {
     pub summary: SummaryStats,
     /// Hourly buckets.
     pub hourly: HourlySeries,
-    /// Arrival-order per-file accesses.
+    /// Arrival-order per-file accesses, files in first-access order.
     pub raw: Arc<AccessMap>,
     /// Number of records folded in.
     pub len: usize,
@@ -425,15 +419,11 @@ impl PartialIndex {
         self.len += later.len;
     }
 
-    /// The finished products *as of now*, without ending accumulation.
-    /// This is how a live view materializes "everything ingested so
-    /// far" while the ingest keeps folding records in.
-    ///
-    /// The access lists are copy-on-write ([`AccessList`]) and the
-    /// numbering stays behind, so this costs O(counters + hourly
-    /// buckets) — **not** O(distinct files + accesses): the snapshot
-    /// and the running partial *share* every per-file list until the
-    /// next observe of that file re-copies just that list.
+    /// The finished products *as of now*, without ending accumulation:
+    /// how a live view materializes "everything ingested so far" while
+    /// the ingest keeps folding records in. It shares the copy-on-write
+    /// access lists ([`AccessList`]) and copies no numbering, so it
+    /// costs O(counters + hourly buckets), not O(files + accesses).
     pub fn snapshot_base(&self) -> IndexBase {
         let mut summary = self.summary.clone();
         summary.finish();

@@ -221,10 +221,11 @@ impl BlockLifetimeAnalyzer {
     /// Processes one record and what it did to the namespace. A RENAME
     /// over another file's name deletes that file whenever it happens
     /// (after Phase 2, its Phase-1-born blocks end as surplus); every
-    /// other record outside the two phases is ignored. Inside
-    /// them, a REMOVE deletes the file it unlinked, and a CREATE deletes
-    /// the file whose name it took and truncates the file it bound to 0
-    /// (a failed CREATE binds nothing and changes nothing).
+    /// other record outside the two phases is ignored. Inside them, a
+    /// REMOVE deletes the file it unlinked, a CREATE deletes the file
+    /// whose name it took and truncates the file it bound to 0 (a failed
+    /// CREATE binds nothing and changes nothing), and a WRITE that moves
+    /// no bytes changes nothing.
     pub(crate) fn observe(&mut self, r: &TraceRecord, change: NameChange) {
         if r.op == Op::Rename {
             if let Some(old) = change.unlinked {
@@ -235,7 +236,7 @@ impl BlockLifetimeAnalyzer {
             return;
         }
         match r.op {
-            Op::Write => self.on_write(r, change.file),
+            Op::Write if r.ret_count.max(r.count) > 0 => self.on_write(r, change.file),
             Op::Setattr => {
                 if let Some(target) = r.truncate_to {
                     self.on_truncate(change.file, target, r.micros);
@@ -255,14 +256,9 @@ impl BlockLifetimeAnalyzer {
         }
     }
 
-    /// A WRITE that moves no bytes births no block, kills none and
-    /// leaves the file's size alone.
     fn on_write(&mut self, r: &TraceRecord, file: FileOrd) {
         let now = r.micros;
         let count = r.ret_count.max(r.count);
-        if count == 0 {
-            return;
-        }
         let state = slot(&mut self.files, file).get_or_insert_with(FileState::default);
         // Seed size from WCC pre-op attributes when this is the first
         // sighting of the file.
