@@ -939,7 +939,8 @@ mod tests {
     fn sharded_build_matches_serial() {
         let records = sample();
         let serial = TraceIndex::new(records.clone());
-        // Files with a data access, in the order of their first one.
+        // Files with a data access, in the order of their first one,
+        // which is not `FileId` order.
         let mut first_accessed = Vec::new();
         for r in records.iter().filter(|r| Access::from_record(r).is_some()) {
             if !first_accessed.contains(&r.fh) {
