@@ -56,8 +56,7 @@ pub(crate) struct NameChange {
 }
 
 /// The one numbering of files: each handle's dense ordinal, in the order
-/// first seen. A per-file list in that order takes a file when its new
-/// ordinal equals the list's length.
+/// first seen.
 #[derive(Debug, Default)]
 pub(crate) struct FileOrds(HashMap<FileId, FileOrd>);
 
@@ -66,6 +65,21 @@ impl FileOrds {
     pub(crate) fn ord(&mut self, fh: FileId) -> FileOrd {
         let next = FileOrd::try_from(self.0.len()).expect("a pass numbers at most 2^32 files");
         *self.0.entry(fh).or_insert(next)
+    }
+
+    /// `fh`'s entry in `per_file`, a list in this numbering's order: a
+    /// file takes the next entry when its new ordinal equals the list's
+    /// length.
+    pub(crate) fn entry<'a, T: Default>(
+        &mut self,
+        per_file: &'a mut Vec<(FileId, T)>,
+        fh: FileId,
+    ) -> &'a mut T {
+        let i = self.ord(fh) as usize;
+        if i == per_file.len() {
+            per_file.push((fh, T::default()));
+        }
+        &mut per_file[i].1
     }
 }
 

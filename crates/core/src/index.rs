@@ -307,7 +307,6 @@ pub trait TraceView: RecordStream + Sized {
 /// merged.absorb(PartialIndex::from_records(&recs[4..]));
 /// assert_eq!(whole.finish().summary, merged.finish().summary);
 /// ```
-///
 #[derive(Debug)]
 pub struct PartialIndex {
     summary: SummaryStats,
@@ -370,12 +369,7 @@ impl PartialIndex {
         self.summary.add(r);
         self.hourly.observe(r);
         if let Some(a) = Access::from_record(r) {
-            let raw = Arc::make_mut(&mut self.raw);
-            let i = self.files.ord(r.fh) as usize;
-            if i == raw.len() {
-                raw.push((r.fh, AccessList::default()));
-            }
-            Arc::make_mut(&mut raw[i].1).push(a);
+            Arc::make_mut(self.files.entry(Arc::make_mut(&mut self.raw), r.fh)).push(a);
         }
         self.len += 1;
     }

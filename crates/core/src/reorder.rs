@@ -15,7 +15,7 @@
 //! EECS, 10 ms for CAMPUS).
 
 use crate::hierarchy::FileOrds;
-use crate::index::{AccessList, AccessMap};
+use crate::index::AccessMap;
 use crate::record::TraceRecord;
 use std::sync::Arc;
 
@@ -63,11 +63,7 @@ where
     let mut map = AccessMap::new();
     for r in records {
         if let Some(a) = Access::from_record(r) {
-            let i = files.ord(r.fh) as usize;
-            if i == map.len() {
-                map.push((r.fh, AccessList::default()));
-            }
-            Arc::make_mut(&mut map[i].1).push(a);
+            Arc::make_mut(files.entry(&mut map, r.fh)).push(a);
         }
     }
     map
